@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, config_from_dict, load_config, set_by_path
+from .config import EXPERIMENTS, ConfigError, RunConfig, config_from_dict, set_by_path
 from .dynamics import evolve
 from .fields import SeminormSpec
 from .io import save_snapshot, write_columns_csv, write_trajectory_csv
@@ -33,8 +33,6 @@ from .solitary import (
     stationarity_residual,
 )
 from .spectral import AttractionConfig, attraction_report
-
-EXPERIMENTS = ("simulate", "solitary", "sigma", "distance", "spectrum", "counterexample")
 
 
 def _jsonable(obj):

@@ -466,7 +466,12 @@ class RunConfig:
 def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be an object")
-    return RunConfig(_validate(_merge(DEFAULTS, raw)))
+    cfg = RunConfig(_validate(_merge(DEFAULTS, raw)))
+    try:
+        cfg.build_observers()
+    except ValueError as exc:  # seminorm specs whose series would collide
+        raise ConfigError("seminorms", str(exc)) from exc
+    return cfg
 
 
 def load_config(path) -> RunConfig:

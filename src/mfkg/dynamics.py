@@ -15,14 +15,33 @@ oscillating within an O(dt^2) band instead of drifting.
 
 An optional absorbing sponge damps both fields multiplicatively outside an
 inner radius, emulating radiation to infinity on the periodic box.
+
+All stepping (:func:`step`, :func:`evolve`, :func:`split_chi_phi` and
+``multifreq.verify_persistence``) goes through one private core,
+:class:`_StrangCore`.  It keeps states in raw FFT coordinates: one complex
+array of shape ``(..., 2, *grid.shape)`` holding the plain ``scipy.fft.fftn``
+of (psi, pi), without the checkerboard and cell-volume factors of
+:meth:`Grid.forward`.  Those factors are per-mode scalars, so the flow
+tables do not see them; they are folded once, at set-up, into the kick
+vector and into the pairing vector that reads gamma off raw psi.  Leading
+axes stack systems that share one drive: split_chi_phi advances the full
+solution, chi and phi as one (3, 2, ...) array.  With a sponge a step ends
+with one stacked inverse transform, the damping multiply and one stacked
+forward transform, and samples read the damped position-space fields that
+this leaves behind.  The flow and the damping multiply the float64 view of
+the state by interleaved real tables, and the kicks take the scalar force
+from :meth:`PolynomialPotential.scalar_force`.  :func:`free_flow` and
+:func:`kick` remain single applications on the :meth:`Grid.forward` path,
+independent of the core.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil
 
 import numpy as np
+import scipy.fft
 
 from .fields import (
     CouplingProfile,
@@ -85,10 +104,23 @@ class Integrator:
 
 @dataclass(frozen=True)
 class Observers:
-    """What to record along a trajectory besides gamma, f, H, Q."""
+    """What to record along a trajectory besides gamma, f, H, Q.
+
+    Seminorm series are keyed by :attr:`SeminormSpec.label`, so the specs
+    must have distinct radii.
+    """
 
     seminorm_specs: tuple[SeminormSpec, ...] = ()
     snapshot_stride: int = 0  # in samples; 0 disables snapshots
+
+    def __post_init__(self) -> None:
+        labels = [spec.label for spec in self.seminorm_specs]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ValueError(
+                    f"two seminorm specs share the series label {label!r}; "
+                    "give each a distinct radius"
+                )
 
 
 @dataclass(eq=False)
@@ -120,24 +152,131 @@ def _check_step_size(grid: Grid, integ: Integrator) -> None:
         )
 
 
+def _interleaved(table: np.ndarray) -> np.ndarray:
+    """A real table repeated per (re, im) slot, to act on the float64 view of a complex array.
+
+    A real-times-complex product then needs no cast of the table to complex.
+    """
+    return np.repeat(table, 2, axis=-1)
+
+
 @lru_cache(maxsize=16)
-def _flow_tables(grid: Grid, m: float, tau: float):
-    """cos/sin tables of the exact free flow for (grid, m, tau)."""
+def _flow_tables(grid: Grid, m: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Interleaved tables (c, s) of the exact free flow by tau on a (psi, pi) pair.
+
+    The flow maps the pair to c * (psi, pi) + s * (pi, psi), that is
+    psi' = cos psi + (sin / omega) pi and pi' = cos pi - (omega sin) psi;
+    c is the cosine alone, s stacks the two sine tables.
+    """
     omega = np.sqrt(grid.k_squared + m * m)
-    s = np.sin(omega * tau)
-    return np.cos(omega * tau), s / omega, omega * s
-
-
-def _free_apply(tables, psi_hat: np.ndarray, pi_hat: np.ndarray):
-    cos_t, sin_over, omega_sin = tables
-    new_psi = cos_t * psi_hat + sin_over * pi_hat
-    new_pi = cos_t * pi_hat - omega_sin * psi_hat
-    return new_psi, new_pi
+    sin = np.sin(omega * tau)
+    return _interleaved(np.cos(omega * tau)), _interleaved(np.stack((sin / omega, -omega * sin)))
 
 
 @lru_cache(maxsize=16)
 def _sponge_factor(grid: Grid, sponge: Sponge, dt: float) -> np.ndarray:
-    return np.exp(-sponge.rate(grid) * dt)
+    """Interleaved damping factor exp(-sigma(x) dt) of one step."""
+    return _interleaved(np.exp(-sponge.rate(grid) * dt))
+
+
+class _StrangCore:
+    """Strang steps in raw FFT coordinates (see the module docstring)."""
+
+    def __init__(
+        self,
+        grid: Grid,
+        integ: Integrator,
+        rho: CouplingProfile | None,
+        pot: PolynomialPotential | None,
+        m: float,
+    ) -> None:
+        _check_step_size(grid, integ)
+        if rho is not None and pot is None:
+            raise ValueError("a potential is required when a coupling profile is present")
+        self.axes = tuple(range(-grid.dim, 0))
+        self.pair_axis = -1 - grid.dim
+        self.cos, self.sin = _flow_tables(grid, m, integ.dt)
+        self.damp = None if integ.sponge is None else _sponge_factor(grid, integ.sponge, integ.dt)
+        # |psi_hat|^2 / L^n = scale |psi_raw|^2, since psi_hat = +-h^n psi_raw
+        self.scale = grid.cell_volume / grid.num_points
+        self.energy_weight = grid.k_squared + m * m
+        self.pot = pot
+        self.kick = self.pairing = None
+        if rho is not None:
+            rho_raw = scipy.fft.fftn(rho.values)
+            # pi_hat += tau F rho_hat reads pi_raw += tau F rho_raw in raw
+            # coordinates, and <rho, psi> = scale * sum conj(rho_raw) psi_raw
+            self.kick = (0.5 * integ.dt) * rho_raw
+            self.pairing = self.scale * rho_raw
+
+    def to_raw(self, psi: np.ndarray, pi: np.ndarray) -> np.ndarray:
+        return scipy.fft.fftn(np.stack((psi, pi)), axes=self.axes)
+
+    def to_fields(self, raw: np.ndarray) -> np.ndarray:
+        return scipy.fft.ifftn(raw, axes=self.axes)
+
+    def coupling(self, psi: np.ndarray) -> complex:
+        """gamma = <rho, psi> of one raw field."""
+        return complex(np.vdot(self.pairing, psi))
+
+    def coupling_terms(self, psi: np.ndarray) -> tuple[complex, complex, float]:
+        """gamma, F(gamma) and U(gamma) of one raw field; zeros without a coupling."""
+        if self.pairing is None:
+            return 0j, 0j, 0.0
+        g = self.coupling(psi)
+        return g, self.pot.scalar_force(g), float(self.pot.value(g))
+
+    def invariants(self, pair: np.ndarray, u_val: float) -> tuple[float, float]:
+        """Global H and Q of one undamped raw pair, given U(gamma)."""
+        psi, pi = pair
+        quadratic = np.vdot(pi, pi).real + np.vdot(psi, self.energy_weight * psi).real
+        h = 0.5 * self.scale * float(quadratic) + u_val
+        q = -self.scale * float(np.vdot(psi, pi).imag)
+        return h, q
+
+    def advance(self, raw: np.ndarray, psi: np.ndarray, pi: np.ndarray, nsteps: int):
+        """Take nsteps Strang steps of ``raw`` in place.
+
+        The kicks read gamma from the raw field ``psi`` and land on the raw
+        momenta ``pi``; both are views into ``raw``.  Returns the damped
+        position-space fields after the last step with a sponge, else None.
+        """
+        cos, sin, kick, damp, axes = self.cos, self.sin, self.kick, self.damp, self.axes
+        force = None if kick is None else self.pot.scalar_force
+        pairing = self.pairing
+        view = raw.view(np.float64)
+        swapped = np.flip(view, self.pair_axis)  # (pi, psi) of every pair
+        rotated = np.empty_like(view)
+        fields = None
+        drive = None
+        for _ in range(nsteps):
+            if kick is not None:
+                if drive is None:
+                    drive = force(complex(np.vdot(pairing, psi)))
+                pi += drive * kick
+            np.multiply(sin, swapped, out=rotated)
+            view *= cos
+            view += rotated
+            if kick is not None:
+                # without a sponge psi is unchanged until the next flow, so
+                # this drive also serves the next step's first half-kick
+                drive = force(complex(np.vdot(pairing, psi)))
+                pi += drive * kick
+            if damp is not None:
+                fields = scipy.fft.ifftn(raw, axes=axes)
+                fields.view(np.float64)[...] *= damp
+                raw[...] = scipy.fft.fftn(fields, axes=axes)
+                drive = None
+        return fields
+
+    def run(self, raw: np.ndarray, psi: np.ndarray, pi: np.ndarray, nsteps: int, stride: int):
+        """Advance nsteps in chunks of ``stride``, yielding (steps done, damped fields or None)."""
+        done = 0
+        while done < nsteps:
+            n = min(stride, nsteps - done)
+            fields = self.advance(raw, psi, pi, n)
+            done += n
+            yield done, fields
 
 
 # public single-application operations ------------------------------------
@@ -146,9 +285,15 @@ def _sponge_factor(grid: Grid, sponge: Sponge, dt: float) -> np.ndarray:
 def free_flow(state: FieldState, tau: float, m: float = 1.0) -> FieldState:
     """Exact free Klein-Gordon propagation by time tau (any tau, one application)."""
     grid = state.grid
-    tables = _flow_tables(grid, m, tau)
-    psi_hat, pi_hat = _free_apply(tables, grid.forward(state.psi), grid.forward(state.pi))
-    return FieldState(grid, grid.inverse(psi_hat), grid.inverse(pi_hat), state.time + tau)
+    omega = np.sqrt(grid.k_squared + m * m)
+    cos, sin = np.cos(omega * tau), np.sin(omega * tau)
+    psi_hat, pi_hat = grid.forward(state.psi), grid.forward(state.pi)
+    return FieldState(
+        grid,
+        grid.inverse(cos * psi_hat + (sin / omega) * pi_hat),
+        grid.inverse(cos * pi_hat - (omega * sin) * psi_hat),
+        state.time + tau,
+    )
 
 
 def kick(state: FieldState, rho: CouplingProfile | None, pot: PolynomialPotential, tau: float) -> FieldState:
@@ -169,18 +314,12 @@ def step(
     m: float = 1.0,
 ) -> FieldState:
     """One Strang step: half kick, free flow, half kick, then sponge damping."""
-    grid = state.grid
-    _check_step_size(grid, integ)
-    if rho is not None and pot is None:
-        raise ValueError("a potential is required when a coupling profile is present")
-    dt = integ.dt
-    out = kick(state, rho, pot, 0.5 * dt)
-    out = free_flow(out, dt, m)
-    out = kick(out, rho, pot, 0.5 * dt)
-    if integ.sponge is not None:
-        damp = _sponge_factor(grid, integ.sponge, dt)
-        out = FieldState(grid, out.psi * damp, out.pi * damp, out.time)
-    return out
+    core = _StrangCore(state.grid, integ, rho, pot, m)
+    raw = core.to_raw(state.psi, state.pi)
+    fields = core.advance(raw, raw[0], raw[1], 1)
+    if fields is None:
+        fields = core.to_fields(raw)
+    return FieldState(state.grid, fields[0], fields[1], state.time + integ.dt)
 
 
 # sampled evolution ---------------------------------------------------------
@@ -196,7 +335,7 @@ class _Recorder:
         self.energy: list[float] = []
         self.charge: list[float] = []
         self.seminorms: dict[str, list[float]] = {
-            f"seminorm_R{spec.radius:g}": [] for spec in observers.seminorm_specs
+            spec.label: [] for spec in observers.seminorm_specs
         }
         self.snapshots: list[FieldState] = []
         self._sample_count = 0
@@ -210,8 +349,8 @@ class _Recorder:
         self.energy.append(h)
         self.charge.append(q)
         if state is not None:
-            for spec, label in zip(self.obs.seminorm_specs, self.seminorms):
-                self.seminorms[label].append(local_seminorm(state, spec, self.m))
+            for spec in self.obs.seminorm_specs:
+                self.seminorms[spec.label].append(local_seminorm(state, spec, self.m))
             stride = self.obs.snapshot_stride
             if stride > 0 and self._sample_count % stride == 0:
                 self.snapshots.append(state)
@@ -238,18 +377,18 @@ class _Recorder:
         )
 
 
-def _ball_observables(state: FieldState, mask: np.ndarray, psi_hat, u_val: float, m: float):
+def _ball_observables(grid: Grid, fields, psi_raw: np.ndarray, mask: np.ndarray,
+                      u_val: float, m: float) -> tuple[float, float]:
     """Energy and charge restricted to the observation ball (sponge runs)."""
-    grid = state.grid
+    psi, pi = fields
     grad_sq = np.zeros(grid.shape)
     for axis, xi in enumerate(grid.wavenumbers):
         shape = [1] * grid.dim
         shape[axis] = grid.points_per_axis
-        d = grid.inverse(1j * xi.reshape(shape) * psi_hat)
-        grad_sq += np.abs(d) ** 2
-    density = np.abs(state.pi) ** 2 + grad_sq + m * m * np.abs(state.psi) ** 2
+        grad_sq += np.abs(scipy.fft.ifftn(1j * xi.reshape(shape) * psi_raw)) ** 2
+    density = np.abs(pi) ** 2 + grad_sq + m * m * np.abs(psi) ** 2
     h = 0.5 * grid.cell_volume * float(density[mask].sum()) + u_val
-    q = -grid.cell_volume * float(np.vdot(state.psi[mask], state.pi[mask]).imag)
+    q = -grid.cell_volume * float(np.vdot(psi[mask], pi[mask]).imag)
     return h, q
 
 
@@ -270,66 +409,33 @@ def evolve(
     damping layer openly discards what reaches it.
     """
     grid = state.grid
-    _check_step_size(grid, integ)
     if rho is not None:
         require_same_grid(rho, state)
-        if pot is None:
-            raise ValueError("a potential is required when a coupling profile is present")
-    obs = observers or Observers()
-    rec = _Recorder(obs, m)
+    core = _StrangCore(grid, integ, rho, pot, m)
+    rec = _Recorder(observers or Observers(), m)
     dt = integ.dt
     nsteps = ceil(T / dt - 1e-12)
-    tables = _flow_tables(grid, m, dt)
     sponge = integ.sponge
-    damp = _sponge_factor(grid, sponge, dt) if sponge is not None else None
     mask = (grid.radius <= sponge.inner_radius) if sponge is not None else None
-    box_vol = grid.box_length**grid.dim
-    energy_weight = grid.k_squared + m * m
-    rho_hat = rho.rho_hat if rho is not None else None
-
-    psi_hat = grid.forward(state.psi)
-    pi_hat = grid.forward(state.pi)
+    raw = core.to_raw(state.psi, state.pi)
+    psi, pi = raw
     t0 = state.time
 
-    def coupling() -> complex:
-        return complex(np.vdot(rho_hat, psi_hat) / box_vol)
-
-    def sample(step_index: int) -> None:
+    def sample(step_index: int, fields) -> None:
         t = t0 + step_index * dt
-        if rho is not None:
-            g = coupling()
-            f = complex(pot.force(g))
-            u_val = float(pot.value(g))
-        else:
-            g = 0.0 + 0.0j
-            f = 0.0 + 0.0j
-            u_val = 0.0
-        real_state = None
-        if sponge is not None or rec.needs_state():
-            real_state = FieldState(grid, grid.inverse(psi_hat), grid.inverse(pi_hat), t)
+        g, f, u_val = core.coupling_terms(psi)
         if sponge is None:
-            h = 0.5 * (
-                grid.spectral_l2sq(pi_hat)
-                + float(np.vdot(psi_hat, energy_weight * psi_hat).real) / box_vol
-            ) + u_val
-            q = -float((np.vdot(psi_hat, pi_hat) / box_vol).imag)
+            h, q = core.invariants(raw, u_val)
+            if rec.needs_state():
+                fields = core.to_fields(raw)
         else:
-            h, q = _ball_observables(real_state, mask, psi_hat, u_val, m)
+            h, q = _ball_observables(grid, fields, psi, mask, u_val, m)
+        real_state = None if fields is None else FieldState(grid, fields[0], fields[1], t)
         rec.record(t, g, f, h, q, real_state)
 
-    sample(0)
-    half = 0.5 * dt
-    for i in range(1, nsteps + 1):
-        if rho is not None:
-            pi_hat = pi_hat + (half * pot.force(coupling())) * rho_hat
-        psi_hat, pi_hat = _free_apply(tables, psi_hat, pi_hat)
-        if rho is not None:
-            pi_hat = pi_hat + (half * pot.force(coupling())) * rho_hat
-        if damp is not None:
-            psi_hat = grid.forward(grid.inverse(psi_hat) * damp)
-            pi_hat = grid.forward(grid.inverse(pi_hat) * damp)
-        if i % integ.steps_per_sample == 0 or i == nsteps:
-            sample(i)
+    sample(0, (state.psi, state.pi) if sponge is not None else None)
+    for done, fields in core.run(raw, psi, pi, nsteps, integ.steps_per_sample):
+        sample(done, fields)
     return rec.build(integ, m)
 
 
@@ -354,51 +460,31 @@ def split_chi_phi(
     since it would break the exact superposition.
     """
     grid = state.grid
-    _check_step_size(grid, integ)
     require_same_grid(rho, state)
     if integ.sponge is not None:
         raise ValueError("chi/phi splitting assumes undamped evolution (disable the sponge)")
+    core = _StrangCore(grid, integ, rho, pot, m)
     obs = observers or Observers()
     dt = integ.dt
     nsteps = ceil(T / dt - 1e-12)
-    tables = _flow_tables(grid, m, dt)
-    box_vol = grid.box_length**grid.dim
-    energy_weight = grid.k_squared + m * m
-    rho_hat = rho.rho_hat
-
-    full = [grid.forward(state.psi), grid.forward(state.pi)]
-    chi = [full[0].copy(), full[1].copy()]
-    phi = [np.zeros_like(full[0]), np.zeros_like(full[1])]
+    pair = core.to_raw(state.psi, state.pi)
+    # the full solution drives the kicks, which land on it and on phi only
+    raw = np.stack((pair, pair, np.zeros_like(pair)))
+    recorders = (_Recorder(obs, m), _Recorder(obs, m))
     t0 = state.time
-    rec_chi = _Recorder(obs, m)
-    rec_phi = _Recorder(obs, m)
 
     def sample(step_index: int) -> None:
         t = t0 + step_index * dt
-        for pair, rec in ((chi, rec_chi), (phi, rec_phi)):
-            g = complex(np.vdot(rho_hat, pair[0]) / box_vol)
-            f = complex(pot.force(g))
-            h = 0.5 * (
-                grid.spectral_l2sq(pair[1])
-                + float(np.vdot(pair[0], energy_weight * pair[0]).real) / box_vol
-            ) + float(pot.value(g))
-            q = -float((np.vdot(pair[0], pair[1]) / box_vol).imag)
+        for part, rec in zip(raw[1:], recorders):
+            g, f, u_val = core.coupling_terms(part[0])
+            h, q = core.invariants(part, u_val)
             real_state = None
             if rec.needs_state():
-                real_state = FieldState(grid, grid.inverse(pair[0]), grid.inverse(pair[1]), t)
+                fields = core.to_fields(part)
+                real_state = FieldState(grid, fields[0], fields[1], t)
             rec.record(t, g, f, h, q, real_state)
 
     sample(0)
-    half = 0.5 * dt
-    for i in range(1, nsteps + 1):
-        drive = pot.force(complex(np.vdot(rho_hat, full[0]) / box_vol))
-        full[1] = full[1] + (half * drive) * rho_hat
-        phi[1] = phi[1] + (half * drive) * rho_hat
-        for pair in (full, chi, phi):
-            pair[0], pair[1] = _free_apply(tables, pair[0], pair[1])
-        drive = pot.force(complex(np.vdot(rho_hat, full[0]) / box_vol))
-        full[1] = full[1] + (half * drive) * rho_hat
-        phi[1] = phi[1] + (half * drive) * rho_hat
-        if i % integ.steps_per_sample == 0 or i == nsteps:
-            sample(i)
-    return rec_chi.build(integ, m), rec_phi.build(integ, m)
+    for done, _ in core.run(raw, raw[0, 0], raw[::2, 1], nsteps, integ.steps_per_sample):
+        sample(done)
+    return recorders[0].build(integ, m), recorders[1].build(integ, m)

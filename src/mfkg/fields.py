@@ -209,6 +209,11 @@ class SeminormSpec:
         if self.cutoff_width <= 0:
             raise ValueError(f"cutoff_width must be positive (got {self.cutoff_width})")
 
+    @property
+    def label(self) -> str:
+        """Name of this spec's series in trajectories and CSV columns (by radius)."""
+        return f"seminorm_R{self.radius:g}"
+
     def cutoff_disabled(self, grid: Grid) -> bool:
         return self.radius + self.cutoff_width >= 0.5 * grid.box_length
 

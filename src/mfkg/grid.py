@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 __all__ = ["Grid", "make_grid"]
 
@@ -94,23 +95,24 @@ class Grid:
         return 2.0 * np.pi / self.box_length
 
     @cached_property
-    def _checkerboard(self) -> np.ndarray:
+    def _transform_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(forward, inverse) factors: the checkerboard times h^n and over h^n."""
         # e^{-i xi_k x_0} with x_0 = -L/2 equals (-1)^k per axis.
         sign = np.where(np.arange(self.points_per_axis) % 2, -1.0, 1.0)
-        out = sign
+        board = sign
         for _ in range(self.dim - 1):
-            out = np.multiply.outer(out, sign)
-        return out
+            board = np.multiply.outer(board, sign)
+        return board * self.cell_volume, board / self.cell_volume
 
     # transforms ---------------------------------------------------------
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Sampled continuum Fourier transform, f_hat(xi) ~ int f e^{-i xi.x} dx."""
-        return self._checkerboard * np.fft.fftn(values) * self.cell_volume
+        return scipy.fft.fftn(values) * self._transform_factors[0]
 
     def inverse(self, spectrum: np.ndarray) -> np.ndarray:
         """Exact inverse of :meth:`forward`."""
-        return np.fft.ifftn(spectrum * self._checkerboard) / self.cell_volume
+        return scipy.fft.ifftn(spectrum * self._transform_factors[1])
 
     # quadrature ---------------------------------------------------------
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Integrator, _check_step_size, _flow_tables, _free_apply
+from .dynamics import Integrator, _StrangCore
 from .fields import CouplingProfile, FieldState
 from .grid import Grid
 from .potential import PolynomialPotential
@@ -252,19 +252,13 @@ def verify_persistence(
     if integ.sponge is not None:
         raise ValueError("persistence tracking needs an undamped evolution")
     grid = sol.rho.grid
-    m = sol.m
     dt = integ.dt
-    _check_step_size(grid, integ)
     pot = sol.potential()
-    vol = grid.box_length**grid.dim
-
-    phi0_hat = grid.forward(sol.phi0)
-    phi1_hat = grid.forward(sol.phi1)
-    rho_hat = sol.rho.rho_hat
+    core = _StrangCore(grid, integ, sol.rho, pot, sol.m)
     state0 = sol.initial_state()
-    psi_hat = grid.forward(state0.psi)
-    pi_hat = grid.forward(state0.pi)
-    cos_t, sinc_t, msin_t = _flow_tables(grid, m, dt)
+    raw = core.to_raw(state0.psi, state0.pi)
+    psi, pi = raw
+    phi0_raw, phi1_raw = core.to_raw(sol.phi0, sol.phi1)
 
     scale = math.sqrt(grid.l2sq(sol.phi0)) + math.sqrt(grid.l2sq(sol.phi1))
     # round up to whole sampling intervals so the recorded series stays uniform
@@ -277,28 +271,22 @@ def verify_persistence(
     def record(i: int) -> None:
         nonlocal max_err, gamma_err
         t = i * dt
-        g = complex(np.vdot(rho_hat, psi_hat) / vol)
+        g = core.coupling(psi)
         times.append(t)
         gammas.append(g)
         s0, s1 = math.sin(sol.omega0 * t), math.sin(sol.omega1 * t)
         c0, c1 = math.cos(sol.omega0 * t), math.cos(sol.omega1 * t)
-        dpsi = psi_hat - (s0 * phi0_hat + s1 * phi1_hat)
-        dpi = pi_hat - (sol.omega0 * c0 * phi0_hat + sol.omega1 * c1 * phi1_hat)
-        err_psi = math.sqrt(float(np.vdot(dpsi, dpsi).real) / vol)
-        err_pi = math.sqrt(float(np.vdot(dpi, dpi).real) / vol) / sol.omega1
+        dpsi = psi - (s0 * phi0_raw + s1 * phi1_raw)
+        dpi = pi - (sol.omega0 * c0 * phi0_raw + sol.omega1 * c1 * phi1_raw)
+        # core.scale turns raw sums of squares into L2 norms
+        err_psi = math.sqrt(core.scale * float(np.vdot(dpsi, dpsi).real))
+        err_pi = math.sqrt(core.scale * float(np.vdot(dpi, dpi).real)) / sol.omega1
         max_err = max(max_err, max(err_psi, err_pi) / scale)
         gamma_err = max(gamma_err, abs(g - sol.sigma0 * s0) / sol.sigma0)
 
     record(0)
-    half = 0.5 * dt
-    for i in range(nsteps):
-        g = complex(np.vdot(rho_hat, psi_hat) / vol)
-        pi_hat = pi_hat + (half * pot.force(g)) * rho_hat
-        psi_hat, pi_hat = _free_apply((cos_t, sinc_t, msin_t), psi_hat, pi_hat)
-        g = complex(np.vdot(rho_hat, psi_hat) / vol)
-        pi_hat = pi_hat + (half * pot.force(g)) * rho_hat
-        if (i + 1) % sps == 0:
-            record(i + 1)
+    for done, _ in core.run(raw, psi, pi, nsteps, sps):
+        record(done)
 
     times_arr = np.array(times)
     gamma_arr = np.array(gammas)

@@ -11,6 +11,7 @@ below and yields the a-priori bound constants computed here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -60,6 +61,26 @@ class PolynomialPotential:
         """F(z) = -dU/d(conj Re, Im) = alpha(|z|^2) z."""
         z = np.asarray(z) if isinstance(z, np.ndarray) else z
         return self.force_coefficient(np.abs(z) ** 2) * z
+
+    @cached_property
+    def _alpha_horner(self) -> tuple[float, tuple[float, ...]]:
+        # alpha(r) = -2 u'(r) = sum_n -2 (n + 1) u_{n+1} r^n: the leading
+        # coefficient, then the others from the highest power down
+        desc = [-2.0 * (n + 1) * c for n, c in enumerate(self.coeffs)][::-1]
+        return desc[0], tuple(desc[1:])
+
+    def scalar_force(self, z: complex) -> complex:
+        """F(z) for one Python complex, by Horner in plain floats.
+
+        Agrees with :meth:`force` to roundoff, without numpy's per-call
+        overhead; the time-stepping core evaluates it for every kick.
+        """
+        a = abs(z)
+        r = a * a
+        alpha, rest = self._alpha_horner
+        for c in rest:
+            alpha = alpha * r + c
+        return alpha * z
 
 
 def gradient_check(pot: PolynomialPotential, z: complex, step: float = 1e-5) -> float:

@@ -29,9 +29,7 @@ from .fields import (
     SeminormSpec,
     charge,
     energy,
-    inner_product,
     require_same_grid,
-    seminorm_inner_product,
     _windowed_weighted_hats,
 )
 from .grid import Grid

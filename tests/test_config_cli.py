@@ -59,6 +59,9 @@ def test_merge_is_deep_and_defaults_survive():
     ({"experiment": "spectrum", "spectrum": {"window_width": 40.0, "n_windows": 3}},
      "spectrum.window_width"),
     ({"counterexample": {"b": 0.5}}, "counterexample.b"),
+    # two specs with one radius would share the series label seminorm_R8
+    ({"seminorms": [{"epsilon": 0.0, "radius": 8.0, "cutoff_width": 8.0},
+                    {"epsilon": 0.5, "radius": 8.0, "cutoff_width": 8.0}]}, "seminorms"),
 ])
 def test_validation_reports_dotted_path(raw, path):
     with pytest.raises(ConfigError) as err:

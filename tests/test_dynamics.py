@@ -4,9 +4,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mfkg import (
-    FieldState, Integrator, Observers, Sponge, charge, energy, energy_norm,
-    evolve, free_flow, inner_product, kick, make_grid, split_chi_phi, step,
-    zero_state,
+    CouplingProfile, FieldState, Integrator, Observers, SeminormSpec, Sponge,
+    charge, energy, energy_norm, evolve, free_flow, inner_product, kick,
+    make_grid, split_chi_phi, step, zero_state,
 )
 
 
@@ -124,6 +124,58 @@ def test_evolve_sampling_layout(grid, rho, pot, rng):
                    Observers(snapshot_stride=1))
     for i, snap in enumerate(traj2.snapshots):
         assert_allclose(inner_product(rho, snap), traj2.gamma[i], atol=1e-12)
+
+
+def strang_reference(state, rho, pot, integ, nsteps, m=1.0):
+    """Gamma every steps_per_sample steps and the final state, stepped with the
+    public single-application ops on the Grid.forward path."""
+    dt = integ.dt
+    damp = None if integ.sponge is None else np.exp(-integ.sponge.rate(state.grid) * dt)
+    gammas = [inner_product(rho, state)]
+    for i in range(1, nsteps + 1):
+        state = kick(state, rho, pot, 0.5 * dt)
+        state = free_flow(state, dt, m)
+        state = kick(state, rho, pot, 0.5 * dt)
+        if damp is not None:
+            state = FieldState(state.grid, damp * state.psi, damp * state.pi, state.time)
+        if i % integ.steps_per_sample == 0:
+            gammas.append(inner_product(rho, state))
+    return np.array(gammas), state
+
+
+@pytest.mark.parametrize("dim, points, length, sponge", [
+    (1, 256, 64.0, Sponge(3.0, 2.0)),
+    (1, 256, 64.0, None),
+    # the cell volume 100/512 is not a power of two, so folding it into the
+    # core's kick and pairing vectors rounds differently from Grid.forward
+    (1, 512, 100.0, Sponge(3.0, 2.0)),
+    (2, 32, 16.0, Sponge(3.0, 2.0)),
+])
+def test_evolve_matches_single_application_route(dim, points, length, sponge, pot):
+    grid = make_grid(dim, points, length)
+    rho = CouplingProfile.gaussian(grid, amplitude=2.0, width=1.0)
+    state = localized_state(grid, np.random.default_rng(11), scale=0.5)
+    integ = Integrator(0.02, steps_per_sample=5, sponge=sponge)
+    ref_gamma, ref_final = strang_reference(state, rho, pot, integ, 200)
+    traj = evolve(state, rho, pot, integ, 4.0, Observers(snapshot_stride=40))
+    scale = np.max(np.abs(ref_gamma))
+    assert np.max(np.abs(traj.gamma - ref_gamma)) <= 1e-10 * scale
+    final = traj.snapshots[-1]
+    assert final.time == pytest.approx(4.0)
+    for got, want in ((final.psi, ref_final.psi), (final.pi, ref_final.pi)):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    if sponge is not None:
+        # the layer is reached within T, so the comparison covers the damping
+        undamped = evolve(state, rho, pot, Integrator(0.02, steps_per_sample=5), 4.0)
+        assert np.max(np.abs(undamped.gamma - traj.gamma)) > 1e-6 * scale
+
+
+def test_observers_reject_shared_series_label():
+    # both specs would record under seminorm_R8, and the second would be lost
+    with pytest.raises(ValueError, match="seminorm_R8"):
+        Observers(seminorm_specs=(SeminormSpec(0.0, 8.0, 8.0), SeminormSpec(0.5, 8.0, 8.0)))
+    obs = Observers(seminorm_specs=(SeminormSpec(0.0, 8.0, 8.0), SeminormSpec(0.5, 9.0, 8.0)))
+    assert [spec.label for spec in obs.seminorm_specs] == ["seminorm_R8", "seminorm_R9"]
 
 
 def test_uncoupled_evolution(grid, rng):

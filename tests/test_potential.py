@@ -82,3 +82,27 @@ def test_admissible(rho):
     # ||rho||^2 = 4, so the threshold is B < 1/8
     assert LowerBound(A=0.0, B=0.124).admissible(1.0, rho.l2_norm_sq)
     assert not LowerBound(A=0.0, B=0.126).admissible(1.0, rho.l2_norm_sq)
+
+
+low_degree_coeffs = st.lists(
+    st.floats(min_value=-5.0, max_value=5.0), min_size=1, max_size=3
+).flatmap(
+    lambda cs: st.floats(min_value=0.1, max_value=5.0).map(lambda lead: (*cs, lead))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(low_degree_coeffs, st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False))
+def test_scalar_force_matches_array_force(coeffs, z):
+    """The Horner path agrees with the numpy path for degree 2-4 potentials.
+
+    Relative to |z| times the summed magnitudes of alpha's terms, the scale
+    on which the two evaluation orders may round differently.
+    """
+    pot = PolynomialPotential(coeffs)
+    r = abs(z) ** 2
+    scale = abs(z) * sum(2.0 * (n + 1) * abs(c) * r**n for n, c in enumerate(pot.coeffs))
+    expected = pot.force(np.array([z]))[0]
+    got = pot.scalar_force(z)
+    assert isinstance(got, complex)
+    assert abs(got - expected) <= 1e-14 * scale
