@@ -51,6 +51,7 @@ from .multifreq import (
 )
 from .potential import PolynomialPotential, lower_bound_constants
 from .solitary import (
+    ManifoldTable,
     SolitaryWave,
     amplitude_roots,
     build_solitary,
@@ -84,6 +85,7 @@ __all__ = [
     "FieldState",
     "Grid",
     "Integrator",
+    "ManifoldTable",
     "Observers",
     "PolynomialPotential",
     "RunConfig",

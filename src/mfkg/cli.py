@@ -26,9 +26,9 @@ from .io import save_snapshot, write_columns_csv, write_trajectory_csv
 from .multifreq import build_counterexample, verify_persistence
 from .potential import lower_bound_constants
 from .solitary import (
+    ManifoldTable,
     build_solitary,
     default_omega_grid,
-    manifold_distance,
     resolvent_coupling,
     stationarity_residual,
 )
@@ -185,10 +185,11 @@ def _run_distance(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
     if rho is None:
         raise ConfigError("rho.kind", "the distance experiment needs a coupling")
     spec, use_global, count = _distance_spec(cfg)
-    omegas = default_omega_grid(cfg.m, count=count)
+    table = ManifoldTable(rho, pot, spec, default_omega_grid(cfg.m, count=count), cfg.m,
+                          use_global_norm=use_global)
     times, dists, best = [], [], []
     for snap in traj.snapshots:
-        d, w = manifold_distance(snap, rho, pot, spec, omegas, cfg.m, use_global_norm=use_global)
+        d, w = table.distance(snap)
         times.append(snap.time)
         dists.append(d)
         best.append(np.nan if w is None else w)
@@ -248,7 +249,7 @@ def _run_spectrum(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
         "windows": [
             {"t_center": w.t_center, "dominant_frequency": w.dominant_frequency,
              "concentration": w.concentration, "outside_mass_fraction": w.outside_mass_fraction,
-             "support": list(w.support)}
+             "support": list(w.support), "past_horizon": w.past_horizon}
             for w in rows
         ],
     }

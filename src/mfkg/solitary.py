@@ -14,6 +14,16 @@ evaluated here as a lattice sum.  Profiles exist for |omega| < m, and also
 at embedded frequencies |omega| > m where rho_hat vanishes on the resonant
 shell |xi| = sqrt(omega^2 - m^2) so the singularity is removable.  The zero
 field is always on the manifold.
+
+Distances to the manifold are measured through a :class:`ManifoldTable`,
+built once per run from rho, the potential, the seminorm and the frequency
+grid.  Two identities carry it.  The norm of each unit-amplitude candidate
+depends only on those inputs, so it is tabulated with s(omega) and the
+amplitude roots.  The window operator T = forward o chi o inverse is
+self-adjoint (the checkerboard is real and h^n cancels), so the overlap of a
+snapshot with every candidate is a weighted sum of conj(rho_hat) against the
+adjoint transforms T(W1 psi_w), T(W0 pi_w) of the snapshot: one stacked round
+trip per snapshot instead of three transforms per candidate.
 """
 from __future__ import annotations
 
@@ -21,6 +31,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from scipy.optimize import minimize_scalar
 
 from .fields import (
@@ -37,6 +48,7 @@ from .potential import PolynomialPotential
 
 __all__ = [
     "DispersionCurve",
+    "ManifoldTable",
     "ResonantZeros",
     "SolitaryWave",
     "resolvent_coupling",
@@ -357,6 +369,173 @@ def default_omega_grid(
     return base
 
 
+# Largest number of full-grid spectra a table stacks into one transform, and
+# the cap on omegas per chunk; bounds the table's working memory.
+_CHUNK_POINTS = 1 << 15
+_MAX_CHUNK = 16
+
+
+class ManifoldTable:
+    """Per-run tables behind :func:`manifold_distance`.
+
+    Built once from the coupling, the potential, the seminorm and the
+    frequency grid; :meth:`distance` then costs one stacked round trip per
+    snapshot plus the bounded polish.  For a candidate omega the
+    unit-amplitude wave is S = (b, -i omega b) with
+    b_hat = rho_hat / (|xi|^2 + m^2 - omega^2), and its windowed, weighted
+    hats are (W1 T b_hat, -i omega W0 T b_hat) with T = forward o chi o
+    inverse.  The table stores s(omega), the amplitude roots and
+    base_sq(omega) = ||S||^2 for every admissible grid omega.  T is
+    self-adjoint (the checkerboard is real and h^n cancels), so the overlap
+    with the state's hats (psi_w, pi_w) is
+
+        <S, Psi> = sum_xi conj(rho_hat) (u1 + i omega u0) / (|xi|^2 + m^2 - omega^2) / L^n
+
+    with u1 = T(W1 psi_w) and u0 = T(W0 pi_w), one real matmul per chunk of
+    candidates.
+    """
+
+    def __init__(
+        self,
+        rho: CouplingProfile,
+        pot: PolynomialPotential,
+        spec: SeminormSpec | None,
+        omega_grid=None,
+        m: float = 1.0,
+        use_global_norm: bool = False,
+    ) -> None:
+        grid = rho.grid
+        self.rho, self.pot, self.m = rho, pot, m
+        self.spec = None if use_global_norm else spec
+        if omega_grid is None:
+            omega_grid = default_omega_grid(m)
+        self.omegas = np.asarray(omega_grid, dtype=float)
+        self._box_vol = grid.box_length**grid.dim
+        self._axes = tuple(range(-grid.dim, 0))
+        self._chunk = int(np.clip(_CHUNK_POINTS // grid.num_points, 1, _MAX_CHUNK))
+        self._window = None if self.spec is None else self.spec.window(grid)
+        eps = 0.0 if self.spec is None else self.spec.epsilon
+        sym = grid.k_squared + m * m
+        self._w1 = sym ** (0.5 * (1.0 - eps))
+        self._w0 = sym ** (-0.5 * eps)
+        self._weights_sq = np.stack((self._w1 * self._w1, self._w0 * self._w0)).reshape(2, -1).T
+        self._k2 = grid.k_squared.ravel()
+        self._rho_hat = rho.rho_hat.ravel()
+
+        roots = [self._roots_at(float(omega)) for omega in self.omegas]
+        self.roots = tuple(roots)
+        self._admissible = np.flatnonzero([bool(r) for r in roots])
+        self.base_sq = np.full(self.omegas.size, np.inf)
+        self.base_sq[self._admissible] = self._base_sq(self.omegas[self._admissible])
+        # pad each root list with its last root, which leaves the minimum unchanged
+        width = max((len(r) for r in roots), default=0)
+        padded = [r + (r[-1],) * (width - len(r)) for r in roots if r]
+        self._r = np.array(padded, dtype=float).reshape(self._admissible.size, width)
+        interior = self.omegas[np.abs(self.omegas) < m]
+        self._pitch = float(np.max(np.diff(np.sort(interior)))) if interior.size > 1 else 0.1 * m
+
+    def _roots_at(self, omega: float) -> tuple:
+        """Amplitude roots r = |c|^2 at omega; () when omega is inadmissible."""
+        try:
+            s = resolvent_coupling(self.rho, omega, self.m)
+        except ValueError:
+            return ()
+        return tuple(amplitude_roots(self.pot, s))
+
+    def _apply_window(self, spectra: np.ndarray) -> np.ndarray:
+        """T = forward o chi o inverse on the trailing grid axes; overwrites ``spectra``.
+
+        The identity when the window is disabled.
+        """
+        if self._window is None:
+            return spectra
+        fwd, inv = self.rho.grid._transform_factors
+        spectra *= inv
+        fields = scipy.fft.ifftn(spectra, axes=self._axes, overwrite_x=True)
+        fields *= self._window
+        out = scipy.fft.fftn(fields, axes=self._axes, overwrite_x=True)
+        out *= fwd
+        return out
+
+    def _reciprocals(self, omegas: np.ndarray) -> np.ndarray:
+        """1 / (|xi|^2 + m^2 - omega^2) on the flattened grid, zero where it vanishes.
+
+        Zeroing matches ``_protected_resolvent_terms``; admissibility (rho_hat
+        negligible there) was checked by ``resolvent_coupling``.
+        """
+        m = self.m
+        den = (self._k2 + m * m)[None, :] - (omegas * omegas)[:, None]
+        out = np.zeros_like(den)
+        np.divide(1.0, den, out=out, where=np.abs(den) > _DEN_FLOOR_FRAC * m * m)
+        return out
+
+    def _chunks(self, omegas: np.ndarray):
+        for lo in range(0, omegas.size, self._chunk):
+            yield slice(lo, lo + self._chunk), omegas[lo:lo + self._chunk]
+
+    def _base_sq(self, omegas: np.ndarray) -> np.ndarray:
+        """||S||^2 = (||W1 T b_hat||^2 + omega^2 ||W0 T b_hat||^2) / L^n per omega."""
+        shape = self.rho.grid.shape
+        out = np.empty(omegas.size)
+        for part, w in self._chunks(omegas):
+            b_hat = self._reciprocals(w) * self._rho_hat
+            parts = self._apply_window(b_hat.reshape(-1, *shape)).view(np.float64)
+            parts *= parts
+            sq = parts.reshape(w.size, -1, 2).sum(axis=2) @ self._weights_sq
+            out[part] = (sq[:, 0] + w * w * sq[:, 1]) / self._box_vol
+        return out
+
+    def _overlaps(self, terms: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+        """|<S, Psi>| per omega from the real and imaginary parts of conj(rho_hat) (u1, u0)."""
+        out = np.empty(omegas.size)
+        for part, w in self._chunks(omegas):
+            p = self._reciprocals(w) @ terms
+            out[part] = np.abs(p[:, 0] + 1j * p[:, 1] + 1j * w * (p[:, 2] + 1j * p[:, 3]))
+        return out / self._box_vol
+
+    def distance(self, state: FieldState) -> tuple[float, float | None]:
+        """(distance, best_omega) as documented in :func:`manifold_distance`."""
+        require_same_grid(self.rho, state)
+        m = self.m
+        psi_w, pi_w = _windowed_weighted_hats(state, self.spec, m)
+        state_sq = float((np.vdot(psi_w, psi_w) + np.vdot(pi_w, pi_w)).real) / self._box_vol
+        u = self._apply_window(np.stack((self._w1 * psi_w, self._w0 * pi_w))).reshape(2, -1)
+        v = np.conj(self._rho_hat) * u
+        terms = np.stack((v[0].real, v[0].imag, v[1].real, v[1].imag), axis=1)
+
+        def dist_sq_at(omega: float) -> float:
+            roots = self._roots_at(omega)
+            if not roots:
+                return np.inf
+            w = np.array([omega])
+            base_sq = float(self._base_sq(w)[0])
+            overlap = float(self._overlaps(terms, w)[0])
+            return min(state_sq + r * base_sq - 2.0 * np.sqrt(r) * overlap for r in roots)
+
+        best_sq = state_sq  # the zero wave
+        best_omega: float | None = None
+        adm = self._admissible
+        if adm.size:
+            overlap = self._overlaps(terms, self.omegas[adm])
+            d_sq = (state_sq + self._r * self.base_sq[adm, None]
+                    - 2.0 * np.sqrt(self._r) * overlap[:, None]).min(axis=1)
+            k = int(np.argmin(d_sq))
+            if d_sq[k] < best_sq:
+                best_sq = float(d_sq[k])
+                best_omega = float(self.omegas[adm[k]])
+
+        if best_omega is not None and abs(best_omega) < m:
+            # polish inside the spectral gap; embedded candidates stay on-grid
+            lo = max(best_omega - self._pitch, -m + 1e-9 * m)
+            hi = min(best_omega + self._pitch, m - 1e-9 * m)
+            res = minimize_scalar(dist_sq_at, bounds=(lo, hi), method="bounded",
+                                  options={"xatol": 1e-6 * m})
+            if res.fun < best_sq:
+                best_sq = float(res.fun)
+                best_omega = float(res.x)
+        return float(np.sqrt(max(best_sq, 0.0))), best_omega
+
+
 def manifold_distance(
     state: FieldState,
     rho: CouplingProfile,
@@ -376,51 +555,13 @@ def manifold_distance(
     the windowed seminorm of ``spec`` (the topology of the attraction
     statement), or the global energy norm with use_global_norm.
 
+    ||S||^2 depends only on rho, the seminorm and omega, and T = forward o
+    window o inverse is self-adjoint, so <S, Psi> is a closed form in the
+    state's adjoint transforms (see :class:`ManifoldTable`).  This builds a
+    one-off table; a run that measures several snapshots should build one
+    :class:`ManifoldTable` and call its ``distance`` per snapshot.
+
     Returns (distance, best_omega); best_omega is None when the zero wave is
     the closest point.
     """
-    require_same_grid(rho, state)
-    grid = state.grid
-    norm_spec = None if use_global_norm else spec
-    if omega_grid is None:
-        omega_grid = default_omega_grid(m)
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    psi_w, pi_w = _windowed_weighted_hats(state, norm_spec, m)
-    box_vol = grid.box_length**grid.dim
-    state_sq = float((np.vdot(psi_w, psi_w) + np.vdot(pi_w, pi_w)).real) / box_vol
-
-    def dist_sq_at(omega: float) -> float:
-        try:
-            s = resolvent_coupling(rho, omega, m)
-        except ValueError:
-            return np.inf
-        roots = amplitude_roots(pot, s)
-        if not roots:
-            return np.inf
-        base = resolvent_profile(rho, omega, m)
-        pair = FieldState(grid, base, -1j * omega * base, 0.0)
-        b_psi, b_pi = _windowed_weighted_hats(pair, norm_spec, m)
-        base_sq = float((np.vdot(b_psi, b_psi) + np.vdot(b_pi, b_pi)).real) / box_vol
-        overlap = abs((np.vdot(b_psi, psi_w) + np.vdot(b_pi, pi_w)) / box_vol)
-        return min(state_sq + r * base_sq - 2.0 * np.sqrt(r) * overlap for r in roots)
-
-    best_sq = state_sq  # the zero wave
-    best_omega: float | None = None
-    for omega in omega_grid:
-        d_sq = dist_sq_at(float(omega))
-        if d_sq < best_sq:
-            best_sq = d_sq
-            best_omega = float(omega)
-
-    if best_omega is not None and abs(best_omega) < m:
-        # polish inside the spectral gap; embedded candidates stay on-grid
-        interior = omega_grid[np.abs(omega_grid) < m]
-        pitch = float(np.max(np.diff(np.sort(interior)))) if interior.size > 1 else 0.1 * m
-        lo = max(best_omega - pitch, -m + 1e-9 * m)
-        hi = min(best_omega + pitch, m - 1e-9 * m)
-        res = minimize_scalar(dist_sq_at, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-6 * m})
-        if res.fun < best_sq:
-            best_sq = float(res.fun)
-            best_omega = float(res.x)
-    return float(np.sqrt(max(best_sq, 0.0))), best_omega
+    return ManifoldTable(rho, pot, spec, omega_grid, m, use_global_norm).distance(state)

@@ -22,7 +22,7 @@ from scipy.signal import get_window
 from .dynamics import Trajectory
 from .fields import CouplingProfile, SeminormSpec
 from .potential import PolynomialPotential
-from .solitary import default_omega_grid, manifold_distance
+from .solitary import ManifoldTable, default_omega_grid
 
 __all__ = [
     "Spectrum",
@@ -309,11 +309,18 @@ class AttractionConfig:
 
 @dataclass(eq=False)
 class WindowReport:
+    """Spectral statistics of one window.
+
+    ``past_horizon`` is True when the window ends after the report's
+    ``horizon_time``, so wrapped-around radiation may enter its statistics.
+    """
+
     t_center: float
     dominant_frequency: float
     concentration: float
     outside_mass_fraction: float
     support: tuple[float, float]
+    past_horizon: bool
 
 
 @dataclass(eq=False)
@@ -323,7 +330,8 @@ class AttractionReport:
     ``horizon_time`` is the earliest time radiation can wrap around the torus
     and re-enter the observation ball (None when a sponge absorbs it); window
     statistics past the horizon on an undamped run measure the box, not the
-    attractor.  ``trivial`` flags a run whose coupling never activated.
+    attractor, and each such window carries ``past_horizon``.  ``trivial``
+    flags a run whose coupling never activated.
     """
 
     windows: list[WindowReport]
@@ -336,11 +344,13 @@ class AttractionReport:
     best_omegas: list = field(default_factory=list)
 
 
-def _window_report(spec: Spectrum, cfg: AttractionConfig, m: float) -> WindowReport:
+def _window_report(
+    spec: Spectrum, cfg: AttractionConfig, m: float, past_horizon: bool
+) -> WindowReport:
     mass = np.abs(spec.amps) ** 2
     total = float(mass.sum())
     if total == 0:
-        return WindowReport(spec.t_center, 0.0, 0.0, 0.0, (0.0, 0.0))
+        return WindowReport(spec.t_center, 0.0, 0.0, 0.0, (0.0, 0.0), past_horizon)
     conc, peak = concentration_ratio(spec, cfg.cluster_bins)
     est = support_estimate(spec, cfg.mass_fraction)
     delta = cfg.exclusion_bins * spec.bin_width
@@ -349,7 +359,7 @@ def _window_report(spec: Spectrum, cfg: AttractionConfig, m: float) -> WindowRep
         allowed |= np.abs(spec.freqs - z) <= delta
         allowed |= np.abs(spec.freqs + z) <= delta
     outside = float(mass[~allowed].sum() / total)
-    return WindowReport(spec.t_center, peak, conc, outside, (est.lower, est.upper))
+    return WindowReport(spec.t_center, peak, conc, outside, (est.lower, est.upper), past_horizon)
 
 
 def attraction_report(
@@ -375,17 +385,18 @@ def attraction_report(
             f"{cfg.n_windows} windows of width {cfg.window_width:g}"
         )
     trivial = bool(np.max(np.abs(gamma)) < 1e-12)
-    windows = []
-    for j in range(cfg.n_windows):
-        center = t_end - (cfg.n_windows - j - 0.5) * cfg.window_width
-        spec = windowed_spectrum(times, gamma, center, cfg.window_width, cfg.taper)
-        windows.append(_window_report(spec, cfg, m))
-
     sponge_active = traj.sponge is not None
     horizon = None
     if not sponge_active and cfg.seminorm is not None:
         box = rho.grid.box_length
         horizon = box - 2.0 * (cfg.seminorm.radius + cfg.seminorm.cutoff_width)
+
+    windows = []
+    for j in range(cfg.n_windows):
+        center = t_end - (cfg.n_windows - j - 0.5) * cfg.window_width
+        spec = windowed_spectrum(times, gamma, center, cfg.window_width, cfg.taper)
+        past = horizon is not None and center + 0.5 * cfg.window_width > horizon
+        windows.append(_window_report(spec, cfg, m, past))
 
     report = AttractionReport(
         windows=windows,
@@ -396,11 +407,11 @@ def attraction_report(
     )
     if cfg.measure_distance and traj.snapshots:
         grid_omegas = default_omega_grid(m, zeros=cfg.resonant_zeros)
+        table = ManifoldTable(rho, pot, cfg.seminorm, grid_omegas, m,
+                              use_global_norm=cfg.use_global_norm)
         dists, best = [], []
         for snap in traj.snapshots:
-            d, w = manifold_distance(
-                snap, rho, pot, cfg.seminorm, grid_omegas, m, use_global_norm=cfg.use_global_norm
-            )
+            d, w = table.distance(snap)
             dists.append(d)
             best.append(w)
         report.distance_times = np.array([s.time for s in traj.snapshots])

@@ -9,10 +9,10 @@ import pytest
 from scipy.integrate import quad
 
 from mfkg import (
-    AttractionConfig, CouplingProfile, FieldState, Integrator, Observers,
+    AttractionConfig, CouplingProfile, FieldState, Integrator, ManifoldTable, Observers,
     PolynomialPotential, SeminormSpec, Sponge, attraction_report,
     build_counterexample, build_solitary, concentration_ratio, energy_norm,
-    evolve, free_flow, local_seminorm, make_grid, manifold_distance,
+    evolve, free_flow, local_seminorm, make_grid,
     random_state, support_estimate, titchmarsh_check, verify_persistence,
     wave_packet, windowed_spectrum,
 )
@@ -137,6 +137,7 @@ def attraction_runs():
     rho = CouplingProfile.gaussian(grid, amplitude=4.0, width=1.0)
     pot = PolynomialPotential((-1.0, 1.0))
     spec = SeminormSpec(0.5, 24.0, 8.0)
+    table = ManifoldTable(rho, pot, spec)
     results = []
     for seed in range(10):
         rng = np.random.default_rng(1000 + seed)
@@ -150,7 +151,7 @@ def attraction_runs():
         init = FieldState(grid, ws.psi + pert.psi, ws.pi + pert.pi)
         traj = evolve(init, rho, pot, Integrator(0.01, 10, Sponge(64.0, 3.0)), 200.0,
                       Observers(snapshot_stride=500))
-        dists = {s.time: manifold_distance(s, rho, pot, spec)[0] for s in traj.snapshots}
+        dists = {s.time: table.distance(s)[0] for s in traj.snapshots}
         rep = attraction_report(traj, rho, pot, AttractionConfig(
             window_width=50.0, n_windows=4, measure_distance=False))
         results.append({

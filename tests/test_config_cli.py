@@ -233,6 +233,18 @@ def test_cli_distance_outputs(tmp_path):
     assert info["final"] < 1e-3  # exact wave stays on the manifold
 
 
+def test_cli_distance_without_amplitude_roots(tmp_path):
+    # alpha > 0 and s(omega) > 0 on the gap: only the zero wave is on the manifold
+    code, out = run_cli(
+        tmp_path, "distance", "--set", "grid.points=256", "--set", "grid.length=64.0",
+        "--set", "evolve.T=1.0", "--set", "distance.omega_count=11",
+        "--set", "rho.amplitude=2.0", "--set", "potential.coeffs=[0.5, 1.0]",
+    )
+    assert code == 0
+    rows = [line.split(",") for line in (out / "distance.csv").read_text().splitlines()[1:]]
+    assert rows and all(float(d) > 0 and best == "nan" for _, d, best in rows)
+
+
 def test_cli_spectrum_outputs(tmp_path):
     code, out = run_cli(
         tmp_path, "spectrum", "--set", "grid.points=256", "--set", "grid.length=64.0",
@@ -246,6 +258,18 @@ def test_cli_spectrum_outputs(tmp_path):
     assert len(lines) == 4
     report = json.loads((out / "attraction.json").read_text())
     assert report["trivial"] is False and len(report["windows"]) == 3
+
+
+def test_cli_spectrum_flags_windows_past_horizon(tmp_path):
+    # defaults: L = 128 and a window of 8 + 8 give horizon 96; windows of 25 end at 50, 75, 100
+    code, out = run_cli(tmp_path, "spectrum")
+    assert code == 0
+    report = json.loads((out / "attraction.json").read_text())
+    assert report["horizon_time"] == pytest.approx(96.0)
+    assert [w["past_horizon"] for w in report["windows"]] == [False, False, True]
+    header = (out / "windows.csv").read_text().splitlines()[0]
+    assert header == ("t_center,dominant_frequency,concentration,outside_mass_fraction,"
+                      "support_lo,support_hi")
 
 
 def test_cli_counterexample_outputs(tmp_path):

@@ -3,12 +3,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from scipy.optimize import minimize_scalar
+
 from mfkg import (
-    CouplingProfile, FieldState, PolynomialPotential, SeminormSpec,
-    amplitude_roots, build_solitary, charge, dispersion_curve, energy_norm,
-    find_resonant_zeros, make_grid, manifold_distance, resolvent_coupling,
-    resolvent_profile, stationarity_residual, zero_state,
+    CouplingProfile, FieldState, ManifoldTable, PolynomialPotential, SeminormSpec,
+    amplitude_roots, build_counterexample, build_solitary, charge, dispersion_curve,
+    energy_norm, find_resonant_zeros, make_grid, manifold_distance, random_state,
+    resolvent_coupling, resolvent_profile, stationarity_residual, zero_state,
 )
+from mfkg.fields import _windowed_weighted_hats
 from mfkg.solitary import default_omega_grid, endpoint_coupling_report, shell_max
 
 
@@ -155,3 +158,136 @@ def test_manifold_distance_global_norm_variant(grid, rho, pot):
     d, best = manifold_distance(wave.initial_state(), rho, pot, None, use_global_norm=True)
     assert d < 1e-7 * energy_norm(wave.initial_state())
     assert best == pytest.approx(-0.2, abs=1e-4)
+
+
+def reference_candidate(grid, rho, norm_spec, omega, psi_w, pi_w, m=1.0):
+    """(||S||^2, |<S, Psi>|) for one candidate from its profile, three transforms each."""
+    base = resolvent_profile(rho, omega, m)
+    pair = FieldState(grid, base, -1j * omega * base, 0.0)
+    b_psi, b_pi = _windowed_weighted_hats(pair, norm_spec, m)
+    box_vol = grid.box_length**grid.dim
+    base_sq = float((np.vdot(b_psi, b_psi) + np.vdot(b_pi, b_pi)).real) / box_vol
+    overlap = abs((np.vdot(b_psi, psi_w) + np.vdot(b_pi, pi_w)) / box_vol)
+    return base_sq, overlap
+
+
+def reference_distance(state, rho, pot, spec, omega_grid, m=1.0, use_global_norm=False):
+    """Independent per-candidate route: (squared distance, best omega, ||Psi||^2)."""
+    grid = state.grid
+    norm_spec = None if use_global_norm else spec
+    psi_w, pi_w = _windowed_weighted_hats(state, norm_spec, m)
+    state_sq = float((np.vdot(psi_w, psi_w) + np.vdot(pi_w, pi_w)).real)
+    state_sq /= grid.box_length**grid.dim
+
+    def dist_sq_at(omega):
+        try:
+            s = resolvent_coupling(rho, omega, m)
+        except ValueError:
+            return np.inf
+        roots = amplitude_roots(pot, s)
+        if not roots:
+            return np.inf
+        base_sq, overlap = reference_candidate(grid, rho, norm_spec, omega, psi_w, pi_w, m)
+        return min(state_sq + r * base_sq - 2.0 * np.sqrt(r) * overlap for r in roots)
+
+    best_sq, best_omega = state_sq, None
+    for omega in omega_grid:
+        d_sq = dist_sq_at(float(omega))
+        if d_sq < best_sq:
+            best_sq, best_omega = d_sq, float(omega)
+    if best_omega is not None and abs(best_omega) < m:
+        interior = omega_grid[np.abs(omega_grid) < m]
+        pitch = float(np.max(np.diff(np.sort(interior))))
+        lo = max(best_omega - pitch, -m + 1e-9 * m)
+        hi = min(best_omega + pitch, m - 1e-9 * m)
+        res = minimize_scalar(dist_sq_at, bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-6 * m})
+        if res.fun < best_sq:
+            best_sq, best_omega = float(res.fun), float(res.x)
+    return max(best_sq, 0.0), best_omega, state_sq
+
+
+def _perturbed(wave, seed, size):
+    pert = random_state(wave.grid, seed, size * energy_norm(wave.initial_state()),
+                        envelope_width=3.0, band_limit=1.5)
+    ws = wave.state_at(0.7)
+    return FieldState(wave.grid, ws.psi + pert.psi, ws.pi + pert.pi, 0.7)
+
+
+def _table_case(name, grid, rho, pot):
+    """(state, rho, pot, spec, omega_grid, use_global_norm) for one comparison case."""
+    spec = SeminormSpec(0.5, 8.0, 8.0)
+    omegas = default_omega_grid(1.0)
+    if name == "windowed":
+        return _perturbed(build_solitary(rho, pot, 0.37, 1.3), 1, 0.3), rho, pot, spec, omegas, False
+    if name == "cutoff_disabled":
+        wide = SeminormSpec(0.25, 24.0, 10.0)
+        assert wide.cutoff_disabled(grid)
+        return _perturbed(build_solitary(rho, pot, -0.6), 2, 0.3), rho, pot, wide, omegas, False
+    if name == "global_norm":
+        return _perturbed(build_solitary(rho, pot, 0.8), 3, 0.2), rho, pot, spec, omegas, True
+    if name == "two_dim":
+        grid2 = make_grid(2, 64, 32.0)
+        rho2 = CouplingProfile.gaussian(grid2, amplitude=2.0, width=1.0)
+        spec2 = SeminormSpec(0.5, 6.0, 4.0)
+        state = _perturbed(build_solitary(rho2, pot, 0.45, 0.4), 4, 0.3)
+        return state, rho2, pot, spec2, omegas, False
+    if name == "embedded":
+        sol = build_counterexample(2.0, -1.0, make_grid(1, 1024, 64.0))
+        zeros = default_omega_grid(1.0, zeros=(2.0,))
+        return sol.exact_state(1.1), sol.rho, sol.potential(), spec, zeros, False
+    if name == "zero_wins":
+        # odd fields are orthogonal to every (even) profile
+        x = grid.axis_coords[0]
+        odd = x * np.exp(-0.5 * x**2) * (1.0 + 0.5j)
+        return FieldState(grid, odd, 0.3j * odd), rho, pot, spec, omegas, False
+    if name == "on_manifold":
+        return build_solitary(rho, pot, 0.37, 2.1).state_at(4.2), rho, pot, spec, omegas, False
+    if name == "degree_3":
+        # one, two or no amplitude roots depending on omega
+        pot3 = PolynomialPotential((-0.08, -0.1, 0.1))
+        wave = build_solitary(rho, pot3, -0.75, 0.9, root_index=1)
+        return _perturbed(wave, 5, 0.1), rho, pot3, spec, omegas, False
+    if name == "no_roots":
+        # s(omega) > 0 and alpha > 0 on the gap: no omega has an amplitude root
+        state = _perturbed(build_solitary(rho, pot, 0.37, 1.3), 6, 0.3)
+        return state, rho, PolynomialPotential((0.5, 1.0)), spec, omegas, False
+    if name == "empty_grid":
+        state = build_solitary(rho, pot, 0.37, 1.3).initial_state()
+        return state, rho, pot, spec, np.array([]), False
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("case", [
+    "windowed", "cutoff_disabled", "global_norm", "two_dim", "embedded", "zero_wins",
+    "on_manifold", "degree_3", "no_roots", "empty_grid",
+])
+def test_manifold_table_matches_per_candidate_route(grid, rho, pot, case):
+    state, rho_c, pot_c, spec, omegas, use_global = _table_case(case, grid, rho, pot)
+    table = ManifoldTable(rho_c, pot_c, spec, omegas, use_global_norm=use_global)
+    d, best = table.distance(state)
+    ref_sq, ref_best, state_sq = reference_distance(state, rho_c, pot_c, spec, omegas,
+                                                    use_global_norm=use_global)
+    # compared squared: near d = 0 the square root amplifies roundoff
+    assert abs(d * d - ref_sq) <= 1e-12 * state_sq
+    assert (best is None) == (ref_best is None)
+    if best is not None:
+        assert abs(best - ref_best) <= 1e-6
+    if case in ("zero_wins", "no_roots", "empty_grid"):
+        assert best is None and d == pytest.approx(np.sqrt(state_sq), rel=1e-12)
+    if case == "on_manifold":
+        assert best == pytest.approx(0.37, abs=1e-4)
+    if case == "degree_3":
+        assert {len(r) for r in table.roots} == {0, 1, 2}
+    if case == "no_roots":
+        assert not any(table.roots)
+    if case == "embedded":
+        # the embedded candidates use the protected resolvent terms
+        norm_spec = None if use_global else spec
+        psi_w, pi_w = _windowed_weighted_hats(state, norm_spec, 1.0)
+        for k in np.flatnonzero(np.abs(omegas) > 1.0):
+            assert table.roots[k]
+            ref_base, _ = reference_candidate(state.grid, rho_c, norm_spec, float(omegas[k]),
+                                              psi_w, pi_w)
+            assert table.base_sq[k] == pytest.approx(ref_base, rel=1e-12)
+

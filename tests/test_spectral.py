@@ -211,3 +211,20 @@ def test_attraction_report_horizon_and_trivial(grid, rho, pot):
     cfg_big = AttractionConfig(window_width=50.0, n_windows=2, measure_distance=False)
     with pytest.raises(ValueError, match="cannot hold"):
         attraction_report(fake_trajectory(times, np.zeros(201, complex)), rho, pot, cfg_big)
+
+
+def test_attraction_report_flags_windows_past_horizon(grid, rho, pot):
+    from mfkg import SeminormSpec, Sponge
+
+    times = 0.1 * np.arange(401)
+    gamma = np.exp(-0.5j * times)
+    cfg = AttractionConfig(window_width=10.0, n_windows=4, measure_distance=False,
+                           seminorm=SeminormSpec(0.5, 8.0, 8.0))
+    rep = attraction_report(fake_trajectory(times, gamma), rho, pot, cfg)
+    # horizon 32: only the window [30, 40) ends past it
+    assert rep.horizon_time == pytest.approx(32.0)
+    assert [w.past_horizon for w in rep.windows] == [False, False, False, True]
+    damped = attraction_report(fake_trajectory(times, gamma, sponge=Sponge(24.0, 3.0)),
+                               rho, pot, cfg)
+    assert damped.horizon_time is None
+    assert not any(w.past_horizon for w in damped.windows)
