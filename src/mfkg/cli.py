@@ -29,6 +29,7 @@ from .solitary import (
     ManifoldTable,
     build_solitary,
     default_omega_grid,
+    dispersion_curve,
     resolvent_coupling,
     stationarity_residual,
 )
@@ -169,7 +170,7 @@ def _run_sigma(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
     if lo >= hi:
         raise ConfigError("sigma.omega_min", "must be below sigma.omega_max")
     omegas = np.linspace(lo, hi, int(sec["count"]))
-    values = np.array([resolvent_coupling(rho, w, m) for w in omegas])
+    values = dispersion_curve(rho, omegas, m).values
     write_columns_csv(outdir / "sigma.csv", ["omega", "sigma"], [omegas, values])
     files.append("sigma.csv")
 
@@ -185,8 +186,8 @@ def _run_distance(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
     if rho is None:
         raise ConfigError("rho.kind", "the distance experiment needs a coupling")
     spec, use_global, count = _distance_spec(cfg)
-    table = ManifoldTable(rho, pot, spec, default_omega_grid(cfg.m, count=count), cfg.m,
-                          use_global_norm=use_global)
+    table = ManifoldTable(rho, pot, None if use_global else spec,
+                          default_omega_grid(cfg.m, count=count), cfg.m)
     times, dists, best = [], [], []
     for snap in traj.snapshots:
         d, w = table.distance(snap)

@@ -10,12 +10,14 @@ The conserved functionals and the norms used throughout are
 with <rho, psi> = int conj(rho) psi the scalar coupling amplitude.  Local
 convergence is measured by a smoothed, windowed surrogate seminorm: fields
 are multiplied by a raised-cosine cutoff supported on |x| <= R + w and
-weighted by fractional powers of (m^2 - Laplacian) in Fourier space.
+weighted by fractional powers of (m^2 - Laplacian) in Fourier space.  This
+module owns that window and those weights (``_seminorm_weights``, also read
+by :class:`mfkg.solitary.ManifoldTable`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,7 +33,6 @@ __all__ = [
     "energy",
     "charge",
     "energy_norm",
-    "energy_inner_product",
     "smooth_cutoff",
     "local_seminorm",
     "seminorm_inner_product",
@@ -162,15 +163,6 @@ def energy(state: FieldState, rho: CouplingProfile, pot, m: float = 1.0) -> floa
     return 0.5 * _quadratic_energy_sq(state, m) + float(pot.value(gamma))
 
 
-def energy_inner_product(a: FieldState, b: FieldState, m: float = 1.0) -> complex:
-    """Hermitian inner product whose induced norm is :func:`energy_norm`."""
-    grid = require_same_grid(a, b)
-    weight = grid.k_squared + m * m
-    a_psi, b_psi = grid.forward(a.psi), grid.forward(b.psi)
-    a_pi, b_pi = grid.forward(a.pi), grid.forward(b.pi)
-    return (np.vdot(a_psi * weight, b_psi) + np.vdot(a_pi, b_pi)) / grid.box_length**grid.dim
-
-
 # windowed, smoothed seminorms --------------------------------------------
 
 
@@ -224,28 +216,36 @@ class SeminormSpec:
         return smooth_cutoff(grid, self.radius, self.cutoff_width)
 
 
+@lru_cache(maxsize=8)
+def _seminorm_weights(
+    grid: Grid, spec: SeminormSpec | None, m: float
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Read-only (chi, W1, W0) of the seminorm of ``spec``.
+
+    chi is the spatial window (None when disabled), W1 = (m^2 + |xi|^2)^{(1-eps)/2}
+    and W0 = (m^2 + |xi|^2)^{-eps/2}; spec=None selects the plain energy norm
+    (eps = 0, no window).
+    """
+    sym = grid.k_squared + m * m
+    eps = 0.0 if spec is None else spec.epsilon
+    tables = (None if spec is None else spec.window(grid),
+              sym ** (0.5 * (1.0 - eps)), sym ** (-0.5 * eps))
+    for table in tables:
+        if table is not None:
+            table.flags.writeable = False
+    return tables
+
+
 def _windowed_weighted_hats(
     state: FieldState, spec: SeminormSpec | None, m: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Transforms of the windowed fields, premultiplied by the Sobolev weights.
-
-    Returns (W1 * (chi psi)_hat, W0 * (chi pi)_hat) with
-    W1 = (m^2 + |xi|^2)^{(1-eps)/2} and W0 = (m^2 + |xi|^2)^{-eps/2};
-    spec=None selects the plain energy norm (eps = 0, no window).
-    """
-    grid = state.grid
-    sym = grid.k_squared + m * m
-    if spec is None:
-        window = None
-        eps = 0.0
-    else:
-        window = spec.window(grid)
-        eps = spec.epsilon
-    psi = state.psi if window is None else window * state.psi
-    pi = state.pi if window is None else window * state.pi
-    w_psi = sym ** (0.5 * (1.0 - eps))
-    w_pi = sym ** (-0.5 * eps)
-    return w_psi * grid.forward(psi), w_pi * grid.forward(pi)
+    """(W1 * (chi psi)_hat, W0 * (chi pi)_hat), see :func:`_seminorm_weights`."""
+    window, w1, w0 = _seminorm_weights(state.grid, spec, m)
+    fields = np.stack((state.psi, state.pi))
+    if window is not None:
+        fields *= window
+    hats = state.grid.forward(fields)
+    return w1 * hats[0], w0 * hats[1]
 
 
 def seminorm_inner_product(

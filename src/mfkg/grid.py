@@ -107,12 +107,18 @@ class Grid:
     # transforms ---------------------------------------------------------
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        """Sampled continuum Fourier transform, f_hat(xi) ~ int f e^{-i xi.x} dx."""
-        return scipy.fft.fftn(values) * self._transform_factors[0]
+        """Sampled continuum Fourier transform, f_hat(xi) ~ int f e^{-i xi.x} dx.
+
+        Acts on the trailing ``dim`` axes, so a stack (..., *grid.shape) is one call.
+        """
+        out = scipy.fft.fftn(values, axes=range(-self.dim, 0))
+        out *= self._transform_factors[0]
+        return out
 
     def inverse(self, spectrum: np.ndarray) -> np.ndarray:
-        """Exact inverse of :meth:`forward`."""
-        return scipy.fft.ifftn(spectrum * self._transform_factors[1])
+        """Exact inverse of :meth:`forward`, on the trailing ``dim`` axes."""
+        scaled = spectrum * self._transform_factors[1]
+        return scipy.fft.ifftn(scaled, axes=range(-self.dim, 0), overwrite_x=True)
 
     # quadrature ---------------------------------------------------------
 

@@ -17,13 +17,15 @@ field is always on the manifold.
 
 Distances to the manifold are measured through a :class:`ManifoldTable`,
 built once per run from rho, the potential, the seminorm and the frequency
-grid.  Two identities carry it.  The norm of each unit-amplitude candidate
+grid.  The seminorm's window and Sobolev weights are owned by
+:mod:`mfkg.fields`, which builds them once; the table reads them from there.
+Two identities carry the table.  The norm of each unit-amplitude candidate
 depends only on those inputs, so it is tabulated with s(omega) and the
 amplitude roots.  The window operator T = forward o chi o inverse is
 self-adjoint (the checkerboard is real and h^n cancels), so the overlap of a
 snapshot with every candidate is a weighted sum of conj(rho_hat) against the
-adjoint transforms T(W1 psi_w), T(W0 pi_w) of the snapshot: one stacked round
-trip per snapshot instead of three transforms per candidate.
+adjoint transforms T(W1 psi_w), T(W0 pi_w) of the snapshot: one stacked
+round trip per snapshot instead of three transforms per candidate.
 """
 from __future__ import annotations
 
@@ -31,7 +33,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 from scipy.optimize import minimize_scalar
 
 from .fields import (
@@ -41,6 +42,7 @@ from .fields import (
     charge,
     energy,
     require_same_grid,
+    _seminorm_weights,
     _windowed_weighted_hats,
 )
 from .grid import Grid
@@ -127,7 +129,9 @@ def resolvent_coupling(rho: CouplingProfile, omega, m: float = 1.0, shell_tol: f
 
     Real for real admissible omega (|omega| < m, the endpoints, or embedded
     frequencies where rho_hat vanishes on the resonant shell); complex omega
-    in the upper half-plane are evaluated directly.
+    in the upper half-plane are evaluated directly.  A real sum within
+    N eps sum|terms| of zero, the roundoff of a designed zero such as the
+    counterexample's embedded frequency, is returned as exactly 0.
     """
     grid = rho.grid
     num = np.abs(rho.rho_hat) ** 2
@@ -140,7 +144,10 @@ def resolvent_coupling(rho: CouplingProfile, omega, m: float = 1.0, shell_tol: f
     _check_real_frequency(rho, omega, m, shell_tol)
     den = grid.k_squared + m * m - omega * omega
     terms = _protected_resolvent_terms(rho, den, num, m)
-    return float(np.sum(terms) / grid.box_length**grid.dim)
+    total = float(np.sum(terms))
+    if abs(total) <= terms.size * np.finfo(float).eps * float(np.sum(np.abs(terms))):
+        return 0.0
+    return total / grid.box_length**grid.dim
 
 
 def resolvent_profile(
@@ -392,7 +399,7 @@ class ManifoldTable:
         <S, Psi> = sum_xi conj(rho_hat) (u1 + i omega u0) / (|xi|^2 + m^2 - omega^2) / L^n
 
     with u1 = T(W1 psi_w) and u0 = T(W0 pi_w), one real matmul per chunk of
-    candidates.
+    candidates.  spec=None measures in the global energy norm.
     """
 
     def __init__(
@@ -402,22 +409,15 @@ class ManifoldTable:
         spec: SeminormSpec | None,
         omega_grid=None,
         m: float = 1.0,
-        use_global_norm: bool = False,
     ) -> None:
         grid = rho.grid
-        self.rho, self.pot, self.m = rho, pot, m
-        self.spec = None if use_global_norm else spec
+        self.rho, self.pot, self.spec, self.m = rho, pot, spec, m
         if omega_grid is None:
             omega_grid = default_omega_grid(m)
         self.omegas = np.asarray(omega_grid, dtype=float)
         self._box_vol = grid.box_length**grid.dim
-        self._axes = tuple(range(-grid.dim, 0))
         self._chunk = int(np.clip(_CHUNK_POINTS // grid.num_points, 1, _MAX_CHUNK))
-        self._window = None if self.spec is None else self.spec.window(grid)
-        eps = 0.0 if self.spec is None else self.spec.epsilon
-        sym = grid.k_squared + m * m
-        self._w1 = sym ** (0.5 * (1.0 - eps))
-        self._w0 = sym ** (-0.5 * eps)
+        self._window, self._w1, self._w0 = _seminorm_weights(grid, spec, m)
         self._weights_sq = np.stack((self._w1 * self._w1, self._w0 * self._w0)).reshape(2, -1).T
         self._k2 = grid.k_squared.ravel()
         self._rho_hat = rho.rho_hat.ravel()
@@ -435,27 +435,18 @@ class ManifoldTable:
         self._pitch = float(np.max(np.diff(np.sort(interior)))) if interior.size > 1 else 0.1 * m
 
     def _roots_at(self, omega: float) -> tuple:
-        """Amplitude roots r = |c|^2 at omega; () when omega is inadmissible."""
+        """Amplitude roots r = |c|^2 at omega; () when omega is inadmissible or s(omega) = 0."""
         try:
-            s = resolvent_coupling(self.rho, omega, self.m)
+            return tuple(amplitude_roots(self.pot, resolvent_coupling(self.rho, omega, self.m)))
         except ValueError:
             return ()
-        return tuple(amplitude_roots(self.pot, s))
 
     def _apply_window(self, spectra: np.ndarray) -> np.ndarray:
-        """T = forward o chi o inverse on the trailing grid axes; overwrites ``spectra``.
-
-        The identity when the window is disabled.
-        """
+        """T = forward o chi o inverse on the trailing grid axes; the identity without a window."""
         if self._window is None:
             return spectra
-        fwd, inv = self.rho.grid._transform_factors
-        spectra *= inv
-        fields = scipy.fft.ifftn(spectra, axes=self._axes, overwrite_x=True)
-        fields *= self._window
-        out = scipy.fft.fftn(fields, axes=self._axes, overwrite_x=True)
-        out *= fwd
-        return out
+        grid = self.rho.grid
+        return grid.forward(self._window * grid.inverse(spectra))
 
     def _reciprocals(self, omegas: np.ndarray) -> np.ndarray:
         """1 / (|xi|^2 + m^2 - omega^2) on the flattened grid, zero where it vanishes.
@@ -543,7 +534,6 @@ def manifold_distance(
     spec: SeminormSpec | None,
     omega_grid=None,
     m: float = 1.0,
-    use_global_norm: bool = False,
 ) -> tuple[float, float | None]:
     """Distance from ``state`` to the solitary manifold.
 
@@ -553,7 +543,7 @@ def manifold_distance(
     one-dimensional search around the best grid point so the result is not
     limited by the grid pitch.  The zero wave always competes.  Measured in
     the windowed seminorm of ``spec`` (the topology of the attraction
-    statement), or the global energy norm with use_global_norm.
+    statement), or the global energy norm with spec=None.
 
     ||S||^2 depends only on rho, the seminorm and omega, and T = forward o
     window o inverse is self-adjoint, so <S, Psi> is a closed form in the
@@ -564,4 +554,4 @@ def manifold_distance(
     Returns (distance, best_omega); best_omega is None when the zero wave is
     the closest point.
     """
-    return ManifoldTable(rho, pot, spec, omega_grid, m, use_global_norm).distance(state)
+    return ManifoldTable(rho, pot, spec, omega_grid, m).distance(state)

@@ -407,8 +407,8 @@ def attraction_report(
     )
     if cfg.measure_distance and traj.snapshots:
         grid_omegas = default_omega_grid(m, zeros=cfg.resonant_zeros)
-        table = ManifoldTable(rho, pot, cfg.seminorm, grid_omegas, m,
-                              use_global_norm=cfg.use_global_norm)
+        spec = None if cfg.use_global_norm else cfg.seminorm
+        table = ManifoldTable(rho, pot, spec, grid_omegas, m)
         dists, best = [], []
         for snap in traj.snapshots:
             d, w = table.distance(snap)

@@ -7,14 +7,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mfkg import (
-    ConfigError, config_from_dict, energy_norm, load_config, make_grid,
+    ConfigError, SeminormSpec, config_from_dict, energy_norm, load_config, make_grid,
     random_state, wave_packet,
 )
 from mfkg.config import set_by_path
-from mfkg.cli import main, run_experiment
+from mfkg.cli import _evolved, main, run_experiment
 from mfkg.config import DEFAULTS
 from mfkg.io import save_snapshot
-from mfkg.solitary import resolvent_coupling
+from mfkg.solitary import ManifoldTable, default_omega_grid, resolvent_coupling
 
 SMALL = {"grid": {"points": 256, "length": 64.0}}
 
@@ -243,6 +243,43 @@ def test_cli_distance_without_amplitude_roots(tmp_path):
     assert code == 0
     rows = [line.split(",") for line in (out / "distance.csv").read_text().splitlines()[1:]]
     assert rows and all(float(d) > 0 and best == "nan" for _, d, best in rows)
+
+
+def test_cli_distance_global_norm_flag_selects_spec_none(tmp_path):
+    sets = {"grid.points": 256, "grid.length": 64.0, "evolve.T": 2.0,
+            "distance.omega_count": 11, "rho.amplitude": 2.0, "distance.use_global_norm": True}
+    argv = [arg for key, value in sets.items() for arg in ("--set", f"{key}={json.dumps(value)}")]
+    code, out = run_cli(tmp_path, "distance", *argv)
+    assert code == 0
+    rows = [line.split(",") for line in (out / "distance.csv").read_text().splitlines()[1:]]
+    raw = {}
+    for key, value in sets.items():
+        set_by_path(raw, key, value)
+    cfg = config_from_dict({**raw, "experiment": "distance"})
+    _, pot, rho, traj = _evolved(cfg, force_snapshots=True)
+    omegas = default_omega_grid(1.0, count=11)
+    table = ManifoldTable(rho, pot, None, omegas)
+    windowed = ManifoldTable(rho, pot, SeminormSpec(0.5, 8.0, 8.0), omegas)
+    assert len(rows) == len(traj.snapshots)
+    differs = False
+    for (t, d, best), snap in zip(rows, traj.snapshots):
+        ref_d, ref_best = table.distance(snap)
+        assert float(t) == snap.time and float(d) == ref_d
+        assert best == "nan" if ref_best is None else float(best) == ref_best
+        differs |= windowed.distance(snap)[0] != ref_d
+    assert differs
+    assert json.loads((out / "distance.json").read_text())["use_global_norm"] is True
+
+
+def test_cli_solitary_at_a_designed_zero_of_s_fails(tmp_path, capsys):
+    # the counterexample coupling has s(omega1) = 0 up to roundoff: no amplitude exists
+    code, _ = run_cli(
+        tmp_path, "solitary", "--set", "grid.points=1024", "--set", "grid.length=64.0",
+        "--set", "rho.kind=multifreq", "--set", "initial.kind=solitary",
+        "--set", "initial.omega=2.0",
+    )
+    assert code == 3
+    assert "s = 0" in capsys.readouterr().err
 
 
 def test_cli_spectrum_outputs(tmp_path):

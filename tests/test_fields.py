@@ -8,7 +8,7 @@ from mfkg import (
     inner_product, local_metric_norm, local_seminorm, make_grid, smooth_cutoff,
     zero_state,
 )
-from mfkg.fields import energy_inner_product, require_same_grid, seminorm_inner_product
+from mfkg.fields import _seminorm_weights, require_same_grid, seminorm_inner_product
 
 
 def random_state(grid, rng, scale=1.0):
@@ -89,10 +89,12 @@ def test_energy_decomposition(grid, rho, pot, rng):
 
 
 def test_energy_inner_product_induces_norm(grid, rng):
+    # spec=None is the global energy pairing
     a = random_state(grid, rng)
     b = random_state(grid, rng)
-    assert_allclose(energy_inner_product(a, a).real, energy_norm(a) ** 2, rtol=1e-12)
-    assert_allclose(energy_inner_product(a, b), np.conj(energy_inner_product(b, a)), rtol=1e-12)
+    assert_allclose(seminorm_inner_product(a, a, None).real, energy_norm(a) ** 2, rtol=1e-12)
+    assert_allclose(seminorm_inner_product(a, b, None),
+                    np.conj(seminorm_inner_product(b, a, None)), rtol=1e-12)
 
 
 def test_smooth_cutoff_profile(grid):
@@ -141,6 +143,29 @@ def test_seminorm_inner_product_consistency(grid, rng):
     ip = seminorm_inner_product(a, a, spec)
     assert_allclose(np.sqrt(ip.real), local_seminorm(a, spec), rtol=1e-12)
     assert abs(ip.imag) < 1e-12 * ip.real
+
+
+def _uncached_seminorm(state, spec, m):
+    grid = state.grid
+    chi = smooth_cutoff(grid, spec.radius, spec.cutoff_width)
+    sym = grid.k_squared + m * m
+    psi_hat = grid.forward(chi * state.psi)
+    pi_hat = grid.forward(chi * state.pi)
+    total = np.sum(sym ** (1.0 - spec.epsilon) * np.abs(psi_hat) ** 2
+                   + sym ** (-spec.epsilon) * np.abs(pi_hat) ** 2)
+    return float(np.sqrt(total / grid.box_length**grid.dim))
+
+
+def test_seminorm_weights_cache_keys_on_m_and_epsilon(grid, rng):
+    state = random_state(grid, rng)
+    rough, smooth = SeminormSpec(0.0, 8.0, 4.0), SeminormSpec(0.75, 8.0, 4.0)
+    _seminorm_weights.cache_clear()
+    # each call would reuse the previous one's tables if the key missed m or epsilon
+    for spec, m in [(rough, 1.0), (rough, 2.0), (smooth, 2.0), (smooth, 1.0), (rough, 1.0)]:
+        assert_allclose(local_seminorm(state, spec, m), _uncached_seminorm(state, spec, m),
+                        rtol=1e-14)
+    window, w1, w0 = _seminorm_weights(grid, smooth, 1.0)
+    assert not (window.flags.writeable or w1.flags.writeable or w0.flags.writeable)
 
 
 def test_local_metric_norm_bounds(grid, rng):

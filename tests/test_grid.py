@@ -82,6 +82,17 @@ def test_two_dimensional_transforms(rng):
     assert_allclose(grid.radius, grid.radius.T)
 
 
+@pytest.mark.parametrize("dim,n,length", [(1, 256, 64.0), (2, 32, 16.0)])
+def test_stacked_transforms_match_per_slice(dim, n, length, rng):
+    grid = make_grid(dim, n, length)
+    stack = np.stack([random_field(grid, rng) for _ in range(3)])
+    fwd, inv = grid.forward(stack), grid.inverse(stack)
+    assert fwd.shape == inv.shape == (3, *grid.shape)
+    for k in range(3):
+        for got, want in [(fwd[k], grid.forward(stack[k])), (inv[k], grid.inverse(stack[k]))]:
+            assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),

@@ -155,7 +155,7 @@ def test_manifold_distance_sees_perturbations(grid, rho, pot, rng):
 
 def test_manifold_distance_global_norm_variant(grid, rho, pot):
     wave = build_solitary(rho, pot, omega=-0.2)
-    d, best = manifold_distance(wave.initial_state(), rho, pot, None, use_global_norm=True)
+    d, best = manifold_distance(wave.initial_state(), rho, pot, None)
     assert d < 1e-7 * energy_norm(wave.initial_state())
     assert best == pytest.approx(-0.2, abs=1e-4)
 
@@ -171,20 +171,18 @@ def reference_candidate(grid, rho, norm_spec, omega, psi_w, pi_w, m=1.0):
     return base_sq, overlap
 
 
-def reference_distance(state, rho, pot, spec, omega_grid, m=1.0, use_global_norm=False):
+def reference_distance(state, rho, pot, norm_spec, omega_grid, m=1.0):
     """Independent per-candidate route: (squared distance, best omega, ||Psi||^2)."""
     grid = state.grid
-    norm_spec = None if use_global_norm else spec
     psi_w, pi_w = _windowed_weighted_hats(state, norm_spec, m)
     state_sq = float((np.vdot(psi_w, psi_w) + np.vdot(pi_w, pi_w)).real)
     state_sq /= grid.box_length**grid.dim
 
     def dist_sq_at(omega):
         try:
-            s = resolvent_coupling(rho, omega, m)
-        except ValueError:
+            roots = amplitude_roots(pot, resolvent_coupling(rho, omega, m))
+        except ValueError:  # inadmissible omega, or s(omega) = 0
             return np.inf
-        roots = amplitude_roots(pot, s)
         if not roots:
             return np.inf
         base_sq, overlap = reference_candidate(grid, rho, norm_spec, omega, psi_w, pi_w, m)
@@ -215,59 +213,67 @@ def _perturbed(wave, seed, size):
 
 
 def _table_case(name, grid, rho, pot):
-    """(state, rho, pot, spec, omega_grid, use_global_norm) for one comparison case."""
+    """(state, rho, pot, spec, omega_grid) for one comparison case; spec None is the global norm."""
     spec = SeminormSpec(0.5, 8.0, 8.0)
     omegas = default_omega_grid(1.0)
     if name == "windowed":
-        return _perturbed(build_solitary(rho, pot, 0.37, 1.3), 1, 0.3), rho, pot, spec, omegas, False
+        return _perturbed(build_solitary(rho, pot, 0.37, 1.3), 1, 0.3), rho, pot, spec, omegas
     if name == "cutoff_disabled":
         wide = SeminormSpec(0.25, 24.0, 10.0)
         assert wide.cutoff_disabled(grid)
-        return _perturbed(build_solitary(rho, pot, -0.6), 2, 0.3), rho, pot, wide, omegas, False
+        return _perturbed(build_solitary(rho, pot, -0.6), 2, 0.3), rho, pot, wide, omegas
     if name == "global_norm":
-        return _perturbed(build_solitary(rho, pot, 0.8), 3, 0.2), rho, pot, spec, omegas, True
+        return _perturbed(build_solitary(rho, pot, 0.8), 3, 0.2), rho, pot, None, omegas
     if name == "two_dim":
         grid2 = make_grid(2, 64, 32.0)
         rho2 = CouplingProfile.gaussian(grid2, amplitude=2.0, width=1.0)
         spec2 = SeminormSpec(0.5, 6.0, 4.0)
         state = _perturbed(build_solitary(rho2, pot, 0.45, 0.4), 4, 0.3)
-        return state, rho2, pot, spec2, omegas, False
+        return state, rho2, pot, spec2, omegas
     if name == "embedded":
+        # s(+-2.0) vanishes by design, so those candidates have no amplitude
         sol = build_counterexample(2.0, -1.0, make_grid(1, 1024, 64.0))
         zeros = default_omega_grid(1.0, zeros=(2.0,))
-        return sol.exact_state(1.1), sol.rho, sol.potential(), spec, zeros, False
+        return sol.exact_state(1.1), sol.rho, sol.potential(), spec, zeros
+    if name == "embedded_nonzero_s":
+        # rho_hat vanishes on the shell |xi|^2 = 3 of omega = 2, where s = -0.705
+        egrid = make_grid(1, 1024, 64.0)
+        xi = egrid.wavenumbers[0]
+        rho_e = CouplingProfile.from_spectrum(egrid, (xi**2 - 3.0) * np.exp(-0.5 * xi**2))
+        zeros = default_omega_grid(1.0, zeros=(2.0,))
+        state = _perturbed(build_solitary(rho_e, pot, 2.0, 0.4), 7, 0.1)
+        return state, rho_e, pot, spec, zeros
     if name == "zero_wins":
         # odd fields are orthogonal to every (even) profile
         x = grid.axis_coords[0]
         odd = x * np.exp(-0.5 * x**2) * (1.0 + 0.5j)
-        return FieldState(grid, odd, 0.3j * odd), rho, pot, spec, omegas, False
+        return FieldState(grid, odd, 0.3j * odd), rho, pot, spec, omegas
     if name == "on_manifold":
-        return build_solitary(rho, pot, 0.37, 2.1).state_at(4.2), rho, pot, spec, omegas, False
+        return build_solitary(rho, pot, 0.37, 2.1).state_at(4.2), rho, pot, spec, omegas
     if name == "degree_3":
         # one, two or no amplitude roots depending on omega
         pot3 = PolynomialPotential((-0.08, -0.1, 0.1))
         wave = build_solitary(rho, pot3, -0.75, 0.9, root_index=1)
-        return _perturbed(wave, 5, 0.1), rho, pot3, spec, omegas, False
+        return _perturbed(wave, 5, 0.1), rho, pot3, spec, omegas
     if name == "no_roots":
         # s(omega) > 0 and alpha > 0 on the gap: no omega has an amplitude root
         state = _perturbed(build_solitary(rho, pot, 0.37, 1.3), 6, 0.3)
-        return state, rho, PolynomialPotential((0.5, 1.0)), spec, omegas, False
+        return state, rho, PolynomialPotential((0.5, 1.0)), spec, omegas
     if name == "empty_grid":
         state = build_solitary(rho, pot, 0.37, 1.3).initial_state()
-        return state, rho, pot, spec, np.array([]), False
+        return state, rho, pot, spec, np.array([])
     raise KeyError(name)
 
 
 @pytest.mark.parametrize("case", [
     "windowed", "cutoff_disabled", "global_norm", "two_dim", "embedded", "zero_wins",
-    "on_manifold", "degree_3", "no_roots", "empty_grid",
+    "on_manifold", "degree_3", "no_roots", "empty_grid", "embedded_nonzero_s",
 ])
 def test_manifold_table_matches_per_candidate_route(grid, rho, pot, case):
-    state, rho_c, pot_c, spec, omegas, use_global = _table_case(case, grid, rho, pot)
-    table = ManifoldTable(rho_c, pot_c, spec, omegas, use_global_norm=use_global)
+    state, rho_c, pot_c, spec, omegas = _table_case(case, grid, rho, pot)
+    table = ManifoldTable(rho_c, pot_c, spec, omegas)
     d, best = table.distance(state)
-    ref_sq, ref_best, state_sq = reference_distance(state, rho_c, pot_c, spec, omegas,
-                                                    use_global_norm=use_global)
+    ref_sq, ref_best, state_sq = reference_distance(state, rho_c, pot_c, spec, omegas)
     # compared squared: near d = 0 the square root amplifies roundoff
     assert abs(d * d - ref_sq) <= 1e-12 * state_sq
     assert (best is None) == (ref_best is None)
@@ -281,13 +287,24 @@ def test_manifold_table_matches_per_candidate_route(grid, rho, pot, case):
         assert {len(r) for r in table.roots} == {0, 1, 2}
     if case == "no_roots":
         assert not any(table.roots)
+    embedded = np.flatnonzero(np.abs(omegas) > 1.0)
     if case == "embedded":
+        assert embedded.size == 2
+        assert not any(table.roots[k] for k in embedded)
+    if case == "embedded_nonzero_s":
         # the embedded candidates use the protected resolvent terms
-        norm_spec = None if use_global else spec
-        psi_w, pi_w = _windowed_weighted_hats(state, norm_spec, 1.0)
-        for k in np.flatnonzero(np.abs(omegas) > 1.0):
-            assert table.roots[k]
-            ref_base, _ = reference_candidate(state.grid, rho_c, norm_spec, float(omegas[k]),
+        psi_w, pi_w = _windowed_weighted_hats(state, spec, 1.0)
+        for k in embedded:
+            assert len(table.roots[k]) == 1
+            ref_base, _ = reference_candidate(state.grid, rho_c, spec, float(omegas[k]),
                                               psi_w, pi_w)
             assert table.base_sq[k] == pytest.approx(ref_base, rel=1e-12)
+
+
+def test_designed_zero_of_s_admits_no_wave():
+    # at the counterexample's omega1 the lattice sum is roundoff of a designed zero
+    sol = build_counterexample(2.0, -1.0, make_grid(1, 1024, 64.0))
+    assert resolvent_coupling(sol.rho, 2.0) == 0.0
+    with pytest.raises(ValueError, match="s = 0"):
+        build_solitary(sol.rho, sol.potential(), 2.0)
 
