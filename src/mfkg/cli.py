@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import EXPERIMENTS, ConfigError, RunConfig, config_from_dict, set_by_path
-from .dynamics import evolve
+from .dynamics import _sample_count, evolve
 from .fields import SeminormSpec
 from .io import save_snapshot, write_columns_csv, write_trajectory_csv
 from .multifreq import build_counterexample, verify_persistence
@@ -93,11 +93,10 @@ def _evolved(cfg: RunConfig, force_snapshots: bool = False):
     state = cfg.build_initial_state(grid, rho, pot)
     integ = cfg.build_integrator(grid)
     obs = cfg.build_observers()
-    ev = cfg.section("evolve")
+    T = float(cfg.section("evolve")["T"])
     if force_snapshots and obs.snapshot_stride == 0:
-        n_samples = max(1, round(float(ev["T"]) / (integ.dt * integ.steps_per_sample)))
-        obs = type(obs)(obs.seminorm_specs, max(1, n_samples // 16))
-    traj = evolve(state, rho, pot, integ, float(ev["T"]), obs, cfg.m)
+        obs = type(obs)(obs.seminorm_specs, max(1, _sample_count(integ, T) // 16))
+    traj = evolve(state, rho, pot, integ, T, obs, cfg.m)
     return grid, pot, rho, traj
 
 

@@ -33,6 +33,9 @@ the state by interleaved real tables, and the kicks take the scalar force
 from :meth:`PolynomialPotential.scalar_force`.  :func:`free_flow` and
 :func:`kick` remain single applications on the :meth:`Grid.forward` path,
 independent of the core.
+Every sampled run is the generator :meth:`_StrangCore.samples`.  It covers
+whole sampling intervals, so samples are uniform and the last one lies at
+or past T.
 """
 from __future__ import annotations
 
@@ -125,7 +128,7 @@ class Observers:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Uniformly sampled observables of one run."""
+    """Observables of one run, sampled every :attr:`sample_dt` to at or past its end time."""
 
     times: np.ndarray
     gamma: np.ndarray
@@ -179,6 +182,11 @@ def _sponge_factor(grid: Grid, sponge: Sponge, dt: float) -> np.ndarray:
     return _interleaved(np.exp(-sponge.rate(grid) * dt))
 
 
+def _sample_count(integ: Integrator, T: float) -> int:
+    """Sampling intervals of a run over time T, rounded up to whole intervals."""
+    return -(-ceil(T / integ.dt - 1e-12) // integ.steps_per_sample)
+
+
 class _StrangCore:
     """Strang steps in raw FFT coordinates (see the module docstring)."""
 
@@ -193,6 +201,7 @@ class _StrangCore:
         _check_step_size(grid, integ)
         if rho is not None and pot is None:
             raise ValueError("a potential is required when a coupling profile is present")
+        self.integ = integ
         self.axes = tuple(range(-grid.dim, 0))
         self.pair_axis = -1 - grid.dim
         self.cos, self.sin = _flow_tables(grid, m, integ.dt)
@@ -269,14 +278,16 @@ class _StrangCore:
                 drive = None
         return fields
 
-    def run(self, raw: np.ndarray, psi: np.ndarray, pi: np.ndarray, nsteps: int, stride: int):
-        """Advance nsteps in chunks of ``stride``, yielding (steps done, damped fields or None)."""
-        done = 0
-        while done < nsteps:
-            n = min(stride, nsteps - done)
-            fields = self.advance(raw, psi, pi, n)
-            done += n
-            yield done, fields
+    def samples(self, raw: np.ndarray, psi: np.ndarray, pi: np.ndarray, T: float, t0: float):
+        """Advance ``raw`` over the :func:`_sample_count` intervals covering T.
+
+        Yields (t0, None), then (t0 + steps done * dt, damped fields or None)
+        after every steps_per_sample steps.
+        """
+        sps = self.integ.steps_per_sample
+        yield t0, None
+        for done in range(sps, _sample_count(self.integ, T) * sps + 1, sps):
+            yield t0 + done * self.integ.dt, self.advance(raw, psi, pi, sps)
 
 
 # public single-application operations ------------------------------------
@@ -392,6 +403,17 @@ def _ball_observables(grid: Grid, fields, psi_raw: np.ndarray, mask: np.ndarray,
     return h, q
 
 
+def _record_undamped(core: _StrangCore, rec: _Recorder, grid: Grid, t: float, pair) -> None:
+    """Record one sample of an undamped raw (psi, pi) pair, with the global H and Q."""
+    g, f, u_val = core.coupling_terms(pair[0])
+    h, q = core.invariants(pair, u_val)
+    state = None
+    if rec.needs_state():
+        fields = core.to_fields(pair)
+        state = FieldState(grid, fields[0], fields[1], t)
+    rec.record(t, g, f, h, q, state)
+
+
 def evolve(
     state: FieldState,
     rho: CouplingProfile | None,
@@ -401,41 +423,32 @@ def evolve(
     observers: Observers | None = None,
     m: float = 1.0,
 ) -> Trajectory:
-    """Run Strang steps for total time >= T, sampling every steps_per_sample steps.
+    """Run Strang steps over whole sampling intervals, to at or past time T.
 
-    Gamma, f, H and Q are recorded at every sample (plus the initial state).
-    Without a sponge, H and Q are the conserved global functionals; with a
-    sponge they are restricted to the ball |x| <= inner_radius, since the
-    damping layer openly discards what reaches it.
+    Gamma, f, H and Q are recorded every steps_per_sample steps (plus the
+    initial state), so the samples are uniform.  Without a sponge, H and Q
+    are the conserved global functionals; with a sponge they are restricted
+    to the ball |x| <= inner_radius, since the damping layer openly discards
+    what reaches it.
     """
     grid = state.grid
     if rho is not None:
         require_same_grid(rho, state)
     core = _StrangCore(grid, integ, rho, pot, m)
     rec = _Recorder(observers or Observers(), m)
-    dt = integ.dt
-    nsteps = ceil(T / dt - 1e-12)
-    sponge = integ.sponge
-    mask = (grid.radius <= sponge.inner_radius) if sponge is not None else None
     raw = core.to_raw(state.psi, state.pi)
     psi, pi = raw
-    t0 = state.time
-
-    def sample(step_index: int, fields) -> None:
-        t = t0 + step_index * dt
+    samples = core.samples(raw, psi, pi, T, state.time)
+    if integ.sponge is None:
+        for t, _ in samples:
+            _record_undamped(core, rec, grid, t, raw)
+        return rec.build(integ, m)
+    mask = grid.radius <= integ.sponge.inner_radius
+    for t, fields in samples:
+        fields = (state.psi, state.pi) if fields is None else fields
         g, f, u_val = core.coupling_terms(psi)
-        if sponge is None:
-            h, q = core.invariants(raw, u_val)
-            if rec.needs_state():
-                fields = core.to_fields(raw)
-        else:
-            h, q = _ball_observables(grid, fields, psi, mask, u_val, m)
-        real_state = None if fields is None else FieldState(grid, fields[0], fields[1], t)
-        rec.record(t, g, f, h, q, real_state)
-
-    sample(0, (state.psi, state.pi) if sponge is not None else None)
-    for done, fields in core.run(raw, psi, pi, nsteps, integ.steps_per_sample):
-        sample(done, fields)
+        h, q = _ball_observables(grid, fields, psi, mask, u_val, m)
+        rec.record(t, g, f, h, q, FieldState(grid, fields[0], fields[1], t))
     return rec.build(integ, m)
 
 
@@ -465,26 +478,11 @@ def split_chi_phi(
         raise ValueError("chi/phi splitting assumes undamped evolution (disable the sponge)")
     core = _StrangCore(grid, integ, rho, pot, m)
     obs = observers or Observers()
-    dt = integ.dt
-    nsteps = ceil(T / dt - 1e-12)
     pair = core.to_raw(state.psi, state.pi)
     # the full solution drives the kicks, which land on it and on phi only
     raw = np.stack((pair, pair, np.zeros_like(pair)))
     recorders = (_Recorder(obs, m), _Recorder(obs, m))
-    t0 = state.time
-
-    def sample(step_index: int) -> None:
-        t = t0 + step_index * dt
+    for t, _ in core.samples(raw, raw[0, 0], raw[::2, 1], T, state.time):
         for part, rec in zip(raw[1:], recorders):
-            g, f, u_val = core.coupling_terms(part[0])
-            h, q = core.invariants(part, u_val)
-            real_state = None
-            if rec.needs_state():
-                fields = core.to_fields(part)
-                real_state = FieldState(grid, fields[0], fields[1], t)
-            rec.record(t, g, f, h, q, real_state)
-
-    sample(0)
-    for done, _ in core.run(raw, raw[0, 0], raw[::2, 1], nsteps, integ.steps_per_sample):
-        sample(done)
+            _record_undamped(core, rec, grid, t, part)
     return recorders[0].build(integ, m), recorders[1].build(integ, m)

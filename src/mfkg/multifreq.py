@@ -252,7 +252,6 @@ def verify_persistence(
     if integ.sponge is not None:
         raise ValueError("persistence tracking needs an undamped evolution")
     grid = sol.rho.grid
-    dt = integ.dt
     pot = sol.potential()
     core = _StrangCore(grid, integ, sol.rho, pot, sol.m)
     state0 = sol.initial_state()
@@ -261,16 +260,10 @@ def verify_persistence(
     phi0_raw, phi1_raw = core.to_raw(sol.phi0, sol.phi1)
 
     scale = math.sqrt(grid.l2sq(sol.phi0)) + math.sqrt(grid.l2sq(sol.phi1))
-    # round up to whole sampling intervals so the recorded series stays uniform
-    sps = integ.steps_per_sample
-    nsteps = -(-math.ceil(T / dt - 1e-12) // sps) * sps
     times, gammas = [], []
     max_err = 0.0
     gamma_err = 0.0
-
-    def record(i: int) -> None:
-        nonlocal max_err, gamma_err
-        t = i * dt
+    for t, _ in core.samples(raw, psi, pi, T, state0.time):
         g = core.coupling(psi)
         times.append(t)
         gammas.append(g)
@@ -284,16 +277,12 @@ def verify_persistence(
         max_err = max(max_err, max(err_psi, err_pi) / scale)
         gamma_err = max(gamma_err, abs(g - sol.sigma0 * s0) / sol.sigma0)
 
-    record(0)
-    for done, _ in core.run(raw, psi, pi, nsteps, sps):
-        record(done)
-
     times_arr = np.array(times)
     gamma_arr = np.array(gammas)
     force_series = pot.force(gamma_arr)
-    sample_step = sps * dt
     spec = windowed_spectrum(times_arr, force_series, 0.5 * (times_arr[0] + times_arr[-1]),
-                             times_arr[-1] - times_arr[0] + sample_step, taper="hann")
+                             times_arr[-1] - times_arr[0] + integ.dt * integ.steps_per_sample,
+                             taper="hann")
     peaks = _top_two_positive_peaks(spec.freqs, spec.amps)
     conc, _ = concentration_ratio(spec, 3)
     return PersistenceReport(

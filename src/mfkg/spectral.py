@@ -22,7 +22,7 @@ from scipy.signal import get_window
 from .dynamics import Trajectory
 from .fields import CouplingProfile, SeminormSpec
 from .potential import PolynomialPotential
-from .solitary import ManifoldTable, default_omega_grid
+from .solitary import ManifoldTable, _shell_band, default_omega_grid
 
 __all__ = [
     "Spectrum",
@@ -180,7 +180,7 @@ def _shell_density(rho: CouplingProfile, eta: float) -> float:
     if grid.dim == 1:
         vals = semidiscrete_transform(rho, np.array([eta, -eta]))
         return float(np.sum(np.abs(vals) ** 2) / (2.0 * np.pi))
-    band = np.abs(np.sqrt(grid.k_squared) - eta) <= grid.mode_spacing
+    band = _shell_band(grid, eta)
     if not band.any():
         raise ValueError(f"no lattice modes within one mode spacing of |xi| = {eta:g}")
     mean_sq = float(np.mean(np.abs(rho.rho_hat[band]) ** 2))

@@ -297,6 +297,20 @@ def test_cli_spectrum_outputs(tmp_path):
     assert report["trivial"] is False and len(report["windows"]) == 3
 
 
+def test_cli_spectrum_rounds_T_up_to_whole_samples(tmp_path):
+    # T = 12.05 is not a whole number of sampling intervals; the windowed
+    # spectra need uniform samples, so the run extends to 12.1
+    code, out = run_cli(
+        tmp_path, "spectrum", "--set", "grid.points=256", "--set", "grid.length=64.0",
+        "--set", "evolve.T=12.05", "--set", "spectrum.window_width=4.0",
+        "--set", "rho.amplitude=2.0",
+        "--set", "initial.kind=solitary", "--set", "initial.omega=0.5",
+    )
+    assert code == 0
+    report = json.loads((out / "attraction.json").read_text())
+    assert len(report["windows"]) == 3
+
+
 def test_cli_spectrum_flags_windows_past_horizon(tmp_path):
     # defaults: L = 128 and a window of 8 + 8 give horizon 96; windows of 25 end at 50, 75, 100
     code, out = run_cli(tmp_path, "spectrum")

@@ -126,6 +126,17 @@ def test_evolve_sampling_layout(grid, rho, pot, rng):
         assert_allclose(inner_product(rho, snap), traj2.gamma[i], atol=1e-12)
 
 
+def test_runs_cover_whole_sampling_intervals(grid, rho, pot, rng):
+    # T = 1.05 is not a whole number of 0.1 intervals: the run rounds up to
+    # 1.1, so the series stays uniform for the spectral readers
+    state = localized_state(grid, rng, scale=0.5)
+    integ = Integrator(0.01, steps_per_sample=10)
+    expected = np.arange(12) * 0.1
+    assert_allclose(evolve(state, rho, pot, integ, 1.05).times, expected, atol=1e-12)
+    for traj in split_chi_phi(state, rho, pot, integ, 1.05):
+        assert_allclose(traj.times, expected, atol=1e-12)
+
+
 def strang_reference(state, rho, pot, integ, nsteps, m=1.0):
     """Gamma every steps_per_sample steps and the final state, stepped with the
     public single-application ops on the Grid.forward path."""

@@ -119,6 +119,17 @@ def test_verify_persistence(sol):
     assert 3.0 < ratio < 5.0
 
 
+def test_verify_persistence_reads_the_evolve_run(sol):
+    # both go through the same sampled run, so the series agree bit for bit,
+    # also when T is not a whole number of sampling intervals
+    integ = Integrator(0.01, 10)
+    for T in (2.0, 2.05):
+        report = verify_persistence(sol, integ, T)
+        traj = evolve(sol.initial_state(), sol.rho, sol.potential(), integ, T)
+        assert np.array_equal(report.times, traj.times)
+        assert np.array_equal(report.gamma, traj.gamma)
+
+
 def test_verify_persistence_rejects_sponge(sol):
     with pytest.raises(ValueError, match="undamped"):
         verify_persistence(sol, Integrator(0.01, 10, Sponge(16.0, 1.0)))
