@@ -137,8 +137,6 @@ def _run_solitary(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
     grid = cfg.build_grid()
     pot = cfg.build_potential()
     rho = cfg.build_rho(grid)
-    if rho is None:
-        raise ConfigError("rho.kind", "the solitary experiment needs a coupling")
     init = cfg.section("initial")
     omega = float(init.get("omega", 0.5)) if init.get("kind") == "solitary" else 0.5
     phase = float(init.get("phase", 0.0)) if init.get("kind") == "solitary" else 0.0
@@ -160,8 +158,6 @@ def _run_solitary(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
 def _run_sigma(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
     grid = cfg.build_grid()
     rho = cfg.build_rho(grid)
-    if rho is None:
-        raise ConfigError("rho.kind", "the sigma experiment needs a coupling")
     sec = cfg.section("sigma")
     m = cfg.m
     lo = -0.99 * m if sec["omega_min"] is None else float(sec["omega_min"])
@@ -182,8 +178,6 @@ def _distance_spec(cfg: RunConfig) -> tuple[SeminormSpec, bool, int]:
 
 def _run_distance(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
     grid, pot, rho, traj = _evolved(cfg, force_snapshots=True)
-    if rho is None:
-        raise ConfigError("rho.kind", "the distance experiment needs a coupling")
     spec, use_global, count = _distance_spec(cfg)
     table = ManifoldTable(rho, pot, None if use_global else spec,
                           default_omega_grid(cfg.m, count=count), cfg.m)
@@ -207,8 +201,6 @@ def _run_distance(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
 
 def _run_spectrum(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
     grid, pot, rho, traj = _evolved(cfg)
-    if rho is None:
-        raise ConfigError("rho.kind", "the spectrum experiment needs a coupling")
     sec = cfg.section("spectrum")
     spec, use_global, _ = _distance_spec(cfg)
     zeros = ()

@@ -23,6 +23,7 @@ from .io import load_snapshot
 from .multifreq import build_rho as _build_multifreq_rho
 from .potential import PolynomialPotential
 from .solitary import build_solitary
+from .spectral import TAPERS
 
 __all__ = [
     "ConfigError",
@@ -78,6 +79,8 @@ DEFAULTS: dict = {
     },
     "counterexample": {"omega1": None, "b": -1.0, "sigma0": 1.0, "T": 50.0, "tol": 1e-3},
 }
+# experiments that read the configured coupling rho and so reject rho.kind "none"
+_NEEDS_COUPLING = ("solitary", "sigma", "distance", "spectrum")
 
 _RHO_KEYS = {
     "gaussian": {"kind", "amplitude", "width"},
@@ -202,6 +205,8 @@ def _validate(raw: dict) -> dict:
         _number(rho.get("sigma0", 1.0), "rho.sigma0", lo=0, strict_lo=True)
     elif kind == "file":
         _require(isinstance(rho.get("path"), str), "rho.path", "must be a string")
+    _require(kind != "none" or raw["experiment"] not in _NEEDS_COUPLING, "rho.kind",
+             f"the {raw['experiment']} experiment needs a coupling")
 
     init = raw["initial"]
     kind = init.get("kind")
@@ -277,7 +282,7 @@ def _validate(raw: dict) -> dict:
     _number(sp["mass_fraction"], "spectrum.mass_fraction", lo=0, hi=1, strict_lo=True)
     _integer(sp["cluster_bins"], "spectrum.cluster_bins", lo=0)
     _integer(sp["exclusion_bins"], "spectrum.exclusion_bins", lo=0)
-    _require(isinstance(sp["taper"], str), "spectrum.taper", "must be a string")
+    _require(sp["taper"] in TAPERS, "spectrum.taper", f"must be one of {list(TAPERS)}")
     if raw["experiment"] == "spectrum":
         _require(sp["n_windows"] * sp["window_width"] <= ev["T"] + 1e-9, "spectrum.window_width",
                  "windows do not fit in the trajectory (n_windows * window_width > evolve.T)")

@@ -33,7 +33,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .fields import (
     CouplingProfile,
@@ -516,7 +515,11 @@ class ManifoldTable:
                 best_omega = float(self.omegas[adm[k]])
 
         if best_omega is not None and abs(best_omega) < m:
-            # polish inside the spectral gap; embedded candidates stay on-grid
+            # polish inside the spectral gap; embedded candidates stay on-grid.
+            # Imported here, its only use, to keep scipy.optimize out of
+            # ``import mfkg``.
+            from scipy.optimize import minimize_scalar
+
             lo = max(best_omega - self._pitch, -m + 1e-9 * m)
             hi = min(best_omega + self._pitch, m - 1e-9 * m)
             res = minimize_scalar(dist_sq_at, bounds=(lo, hi), method="bounded",

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import get_window
 
 from .dynamics import Trajectory
 from .fields import CouplingProfile, SeminormSpec
@@ -67,13 +66,32 @@ class Spectrum:
         return float(np.sum(np.abs(self.amps) ** 2) * self.bin_width)
 
 
+TAPERS = ("hann",)
+
+
+def _hann(M: int) -> np.ndarray:
+    """Periodic Hann window 0.5 + 0.5 cos(2 pi (j - M/2) / M), j = 0..M-1.
+
+    Summed in the order ``scipy.signal.get_window("hann", M, fftbins=True)``
+    uses, so the two agree bit for bit.
+    """
+    w = np.zeros(M)
+    w += 0.5
+    w += 0.5 * np.cos(np.linspace(-np.pi, np.pi, M + 1)[:-1])
+    return w
+
+
 def windowed_spectrum(times, values, t_center: float, width: float, taper: str = "hann") -> Spectrum:
     """Tapered Fourier transform of ``values`` over [t_center - w/2, t_center + w/2).
 
     Sampling must be uniform.  amps[k] = dt * sum_j v_j w_j e^{i omega_k t_j},
     a Riemann approximation of the continuum transform of the tapered signal,
-    so Parseval reads sum |amps|^2 d_omega = 2 pi dt sum |v_j w_j|^2.
+    so Parseval reads sum |amps|^2 d_omega = 2 pi dt sum |v_j w_j|^2.  The
+    taper w_j is the periodic Hann window in closed form (see :func:`_hann`),
+    the only taper supported.
     """
+    if taper not in TAPERS:
+        raise ValueError(f"unsupported taper {taper!r}; supported: {', '.join(TAPERS)}")
     times = np.asarray(times, dtype=float)
     values = np.asarray(values)
     if times.ndim != 1 or times.shape != values.shape:
@@ -92,8 +110,7 @@ def windowed_spectrum(times, values, t_center: float, width: float, taper: str =
         raise ValueError(
             f"window [{lo:g}, {lo + width:g}) contains only {m_samples} samples; need at least 8"
         )
-    window = get_window(taper, m_samples, fftbins=True)
-    tapered = values[i0:i1] * window
+    tapered = values[i0:i1] * _hann(m_samples)
     omega = 2.0 * np.pi * np.fft.fftfreq(m_samples, d=dt)
     amps = dt * m_samples * np.fft.ifft(tapered) * np.exp(1j * omega * times[i0])
     return Spectrum(

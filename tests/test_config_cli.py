@@ -62,6 +62,11 @@ def test_merge_is_deep_and_defaults_survive():
     # two specs with one radius would share the series label seminorm_R8
     ({"seminorms": [{"epsilon": 0.0, "radius": 8.0, "cutoff_width": 8.0},
                     {"epsilon": 0.5, "radius": 8.0, "cutoff_width": 8.0}]}, "seminorms"),
+    ({"spectrum": {"taper": "nosuch"}}, "spectrum.taper"),
+    ({"experiment": "solitary", "rho": {"kind": "none"}}, "rho.kind"),
+    ({"experiment": "sigma", "rho": {"kind": "none"}}, "rho.kind"),
+    ({"experiment": "distance", "rho": {"kind": "none"}}, "rho.kind"),
+    ({"experiment": "spectrum", "rho": {"kind": "none"}}, "rho.kind"),
 ])
 def test_validation_reports_dotted_path(raw, path):
     with pytest.raises(ConfigError) as err:
@@ -350,6 +355,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     code, _ = run_cli(tmp_path / "c", "simulate", "--config",
                       str(tmp_path / "missing.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize("experiment, setting", [
+    ("spectrum", "spectrum.taper=nosuch"),
+    ("solitary", "rho.kind=none"),
+    ("sigma", "rho.kind=none"),
+    ("distance", "rho.kind=none"),
+    ("spectrum", "rho.kind=none"),
+])
+def test_cli_rejects_config_before_any_work(tmp_path, capsys, experiment, setting):
+    code, out = run_cli(tmp_path, experiment, "--set", "grid.points=256",
+                        "--set", "grid.length=64.0", "--set", setting)
+    assert code == 2
+    assert f"config error: {setting.split('=')[0]}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_experiment_lists_every_file(tmp_path):

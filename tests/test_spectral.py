@@ -10,7 +10,7 @@ from mfkg import (
     weighted_tail_mass, windowed_spectrum,
 )
 from mfkg.spectral import (
-    AttractionConfig, Spectrum, attraction_report, semidiscrete_transform,
+    AttractionConfig, Spectrum, _hann, attraction_report, semidiscrete_transform,
     shell_weight_curve,
 )
 
@@ -72,6 +72,14 @@ def test_windowed_spectrum_validation(rng):
     times = 0.1 * np.arange(100)
     with pytest.raises(ValueError, match="at least 8"):
         windowed_spectrum(times, np.ones(100), t_center=5.0, width=0.5)
+    with pytest.raises(ValueError, match="supported: hann"):
+        windowed_spectrum(times, np.ones(100), t_center=5.0, width=5.0, taper="nosuch")
+
+
+def test_hann_matches_scipy_bit_for_bit():
+    # scipy.signal is the independent reference for the package's closed form
+    for n in range(8, 3000):
+        assert np.array_equal(_hann(n), get_window("hann", n, fftbins=True)), n
 
 
 def test_support_estimate_two_tones():
