@@ -124,6 +124,7 @@ def _run_simulate(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
         "energy_final": float(energy[-1]),
         "energy_drift_rel": float(np.max(np.abs(energy - energy[0]))
                                   / max(abs(energy[0]), 1e-300)),
+        "charge_drift": float(np.max(np.abs(traj.charge - traj.charge[0]))),
         "charge_initial": float(traj.charge[0]),
         "charge_final": float(traj.charge[-1]),
         "max_abs_gamma": float(np.max(np.abs(traj.gamma))),

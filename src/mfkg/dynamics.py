@@ -25,14 +25,25 @@ of (psi, pi), without the checkerboard and cell-volume factors of
 tables do not see them; they are folded once, at set-up, into the kick
 vector and into the pairing vector that reads gamma off raw psi.  Leading
 axes stack systems that share one drive: split_chi_phi advances the full
-solution, chi and phi as one (3, 2, ...) array.  With a sponge a step ends
-with one stacked inverse transform, the damping multiply and one stacked
-forward transform, and samples read the damped position-space fields that
-this leaves behind.  The flow and the damping multiply the float64 view of
-the state by interleaved real tables, and the kicks take the scalar force
-from :meth:`PolynomialPotential.scalar_force`.  :func:`free_flow` and
-:func:`kick` remain single applications on the :meth:`Grid.forward` path,
-independent of the core.
+solution, chi and phi as one (3, 2, ...) array, and the kicks land on the
+full solution and phi only.
+
+Without a sponge the core advances by block updates of up to 16 steps.
+The coupling is rank one: a kick moves only pi, always along the same raw
+vector, gamma reads only psi, and the free flow is diagonal per mode.  So
+the gammas of a block follow from a scalar recurrence over its start state
+(one product with a table of per-mode cos and sin / omega rows, plus a
+memory term with K_0 = 0), and the end state is the free flow of the block
+plus one more table product for the summed kicks.  This is the composition
+of the block's Strang steps, rearranged; it reproduces step-by-step
+stepping to roundoff.  With a sponge the core steps one by one: each step
+ends with one stacked inverse transform, the damping multiply and one
+stacked forward transform, and samples read the damped position-space
+fields that this leaves behind.  The flow and the damping multiply the
+float64 view of the state by interleaved real tables, and the kicks take
+the scalar force from :meth:`PolynomialPotential.scalar_force`.
+:func:`free_flow` and :func:`kick` remain single applications on the
+:meth:`Grid.forward` path, independent of the core.
 Every sampled run is the generator :meth:`_StrangCore.samples`.  It covers
 whole sampling intervals, so samples are uniform and the last one lies at
 or past T.
@@ -42,6 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil
+from operator import mul
 
 import numpy as np
 import scipy.fft
@@ -187,6 +199,23 @@ def _sample_count(integ: Integrator, T: float) -> int:
     return -(-ceil(T / integ.dt - 1e-12) // integ.steps_per_sample)
 
 
+# An undamped run advances in block updates of at most this many steps, so
+# the block table has at most _BLOCK_STEPS + 1 rows whatever steps_per_sample is.
+_BLOCK_STEPS = 16
+
+
+def _block_table(grid: Grid, m: float, dt: float, steps: int) -> np.ndarray:
+    """Rows n = 0..steps of (cos(omega n dt), sin(omega n dt) / omega), flattened over the modes.
+
+    Row n weights the (psi, pi) halves of a flattened raw pair into the psi
+    half of the free flow R^n by n dt.  Read the other way, its (cos, sin /
+    omega) halves are the (pi, psi) halves of R^n applied to (0, e).
+    """
+    omega = np.sqrt(grid.k_squared + m * m).ravel()
+    phase = np.multiply.outer(np.arange(steps + 1) * dt, omega)
+    return np.concatenate((np.cos(phase), np.sin(phase) / omega), axis=1)
+
+
 class _StrangCore:
     """Strang steps in raw FFT coordinates (see the module docstring)."""
 
@@ -201,11 +230,12 @@ class _StrangCore:
         _check_step_size(grid, integ)
         if rho is not None and pot is None:
             raise ValueError("a potential is required when a coupling profile is present")
+        self.grid = grid
+        self.m = m
         self.integ = integ
         self.axes = tuple(range(-grid.dim, 0))
-        self.pair_axis = -1 - grid.dim
-        self.cos, self.sin = _flow_tables(grid, m, integ.dt)
-        self.damp = None if integ.sponge is None else _sponge_factor(grid, integ.sponge, integ.dt)
+        # swaps the (psi, pi) rows of every pair in a stack of raw pairs
+        self.swap = (..., slice(None, None, -1)) + (slice(None),) * grid.dim
         # |psi_hat|^2 / L^n = scale |psi_raw|^2, since psi_hat = +-h^n psi_raw
         self.scale = grid.cell_volume / grid.num_points
         self.energy_weight = grid.k_squared + m * m
@@ -217,6 +247,17 @@ class _StrangCore:
             # coordinates, and <rho, psi> = scale * sum conj(rho_raw) psi_raw
             self.kick = (0.5 * integ.dt) * rho_raw
             self.pairing = self.scale * rho_raw
+        if integ.sponge is None:
+            self.table = _block_table(grid, m, integ.dt, min(integ.steps_per_sample, _BLOCK_STEPS))
+            if rho is not None:
+                self.conj_pairing = np.conj(self.pairing)
+                # memory K_n: gamma of R^n (0, kick); real, since the pairing
+                # and the kick are both real multiples of rho_raw
+                weight = (0.5 * integ.dt * self.scale) * np.abs(rho_raw.ravel()) ** 2
+                self.memory = (self.table[:, grid.num_points:] @ weight).tolist()
+        else:
+            self.cos, self.sin = _flow_tables(grid, m, integ.dt)
+            self.damp = _sponge_factor(grid, integ.sponge, integ.dt)
 
     def to_raw(self, psi: np.ndarray, pi: np.ndarray) -> np.ndarray:
         return scipy.fft.fftn(np.stack((psi, pi)), axes=self.axes)
@@ -243,51 +284,103 @@ class _StrangCore:
         q = -self.scale * float(np.vdot(psi, pi).imag)
         return h, q
 
-    def advance(self, raw: np.ndarray, psi: np.ndarray, pi: np.ndarray, nsteps: int):
+    def _flow(self, view: np.ndarray, cos: np.ndarray, sin: np.ndarray, rotated: np.ndarray) -> None:
+        """Free flow in place of the float64 view of raw pairs, by the tables' tau."""
+        np.multiply(sin, view[self.swap], out=rotated)
+        view *= cos
+        view += rotated
+
+    def advance(self, raw: np.ndarray, nsteps: int, kicked: np.ndarray | None = None):
         """Take nsteps Strang steps of ``raw`` in place.
 
-        The kicks read gamma from the raw field ``psi`` and land on the raw
-        momenta ``pi``; both are views into ``raw``.  Returns the damped
-        position-space fields after the last step with a sponge, else None.
+        The kicks land on the systems ``kicked``, a view into ``raw`` that
+        defaults to all of it; the first of them drives them, since gamma is
+        read from its psi.  Without a sponge the steps go in block updates
+        of at most _BLOCK_STEPS steps each (:meth:`_block`) and None is
+        returned.  With a sponge they go one by one, each ending with the
+        damping multiply in position space, and the damped position-space
+        fields after the last step are returned.
         """
-        cos, sin, kick, damp, axes = self.cos, self.sin, self.kick, self.damp, self.axes
+        kicked = raw if kicked is None else kicked
+        drive = kicked[(0,) * (kicked.ndim - 1 - self.grid.dim)]
+        rotated = np.empty_like(raw.view(np.float64))
+        if self.integ.sponge is not None:
+            return self._damped_steps(raw, kicked, drive, nsteps, rotated)
+        size = self.table.shape[0] - 1
+        for done in range(0, nsteps, size):
+            self._block(raw, kicked, drive, min(size, nsteps - done), rotated)
+        return None
+
+    def _block(self, raw: np.ndarray, kicked: np.ndarray, drive: np.ndarray, steps: int,
+               rotated: np.ndarray) -> None:
+        """``steps`` undamped Strang steps of ``raw`` as one update.
+
+        A kick moves only pi, always along the raw vector e = kick; gamma
+        reads only psi; the free flow R is diagonal per mode.  So from the
+        start x0, with kick weights c = (d_0, 2 d_1, ..., 2 d_{s-1}, d_s)
+        for s = steps and d_j = F(gamma_j):
+
+        * gamma_i = b_i + sum_{j<i} K_{i-j} c_j, where b_i is gamma of
+          R^i x0 (one product of the drive with the block table) and K is
+          the memory, so the d_j follow from a scalar recurrence;
+        * the end state is R^s x0 + sum_j c_j R^{s-j} (0, e), the sum again
+          one product with the table.
+        """
+        rows = self.table[: steps + 1]
+        # Both products are real GEMMs against the (re, im) columns of a
+        # complex vector viewed as float64.  With the kick or pairing folded
+        # into a complex table they would be complex GEMVs, which OpenBLAS
+        # splits over threads at this size: slower on two threads than on
+        # one, with first calls of ~10 ms.
+        if self.kick is not None:
+            weighted = self.conj_pairing * drive
+            b = (rows @ weighted.view(np.float64).reshape(-1, 2)).view(np.complex128)
+            force, memory = self.pot.scalar_force, self.memory
+            weights: list[complex] = []
+            for i, g in enumerate(b.ravel().tolist()):
+                d = force(g + sum(map(mul, memory[i:0:-1], weights)))
+                weights.append(2.0 * d if 0 < i < steps else d)
+            c = np.array(weights[::-1]).view(np.float64).reshape(-1, 2)
+            # the (pi, psi) halves of sum_j c_j R^{s-j} (0, 1), per mode
+            sums = (rows.T @ c).view(np.complex128).reshape(drive.shape)
+            kicks = sums[::-1] * self.kick
+        cos, sin = _flow_tables(self.grid, self.m, steps * self.integ.dt)
+        self._flow(raw.view(np.float64), cos, sin, rotated)
+        if self.kick is not None:
+            kicked += kicks
+
+    def _damped_steps(self, raw: np.ndarray, kicked: np.ndarray, drive: np.ndarray, nsteps: int,
+                      rotated: np.ndarray):
+        """Strang steps one by one, each followed by the sponge damping; returns the damped fields."""
+        kick, damp, axes = self.kick, self.damp, self.axes
         force = None if kick is None else self.pot.scalar_force
         pairing = self.pairing
+        psi = drive[0]
+        pi = kicked[(..., 1) + (slice(None),) * self.grid.dim]
         view = raw.view(np.float64)
-        swapped = np.flip(view, self.pair_axis)  # (pi, psi) of every pair
-        rotated = np.empty_like(view)
         fields = None
-        drive = None
         for _ in range(nsteps):
             if kick is not None:
-                if drive is None:
-                    drive = force(complex(np.vdot(pairing, psi)))
-                pi += drive * kick
-            np.multiply(sin, swapped, out=rotated)
-            view *= cos
-            view += rotated
+                pi += force(complex(np.vdot(pairing, psi))) * kick
+            self._flow(view, self.cos, self.sin, rotated)
             if kick is not None:
-                # without a sponge psi is unchanged until the next flow, so
-                # this drive also serves the next step's first half-kick
-                drive = force(complex(np.vdot(pairing, psi)))
-                pi += drive * kick
-            if damp is not None:
-                fields = scipy.fft.ifftn(raw, axes=axes)
-                fields.view(np.float64)[...] *= damp
-                raw[...] = scipy.fft.fftn(fields, axes=axes)
-                drive = None
+                pi += force(complex(np.vdot(pairing, psi))) * kick
+            fields = scipy.fft.ifftn(raw, axes=axes)
+            fields.view(np.float64)[...] *= damp
+            raw[...] = scipy.fft.fftn(fields, axes=axes)
         return fields
 
-    def samples(self, raw: np.ndarray, psi: np.ndarray, pi: np.ndarray, T: float, t0: float):
+    def samples(self, raw: np.ndarray, T: float, t0: float, kicked: np.ndarray | None = None):
         """Advance ``raw`` over the :func:`_sample_count` intervals covering T.
 
         Yields (t0, None), then (t0 + steps done * dt, damped fields or None)
-        after every steps_per_sample steps.
+        after every steps_per_sample steps, each interval one call of
+        :meth:`advance` with ``kicked``.
         """
         sps = self.integ.steps_per_sample
         yield t0, None
         for done in range(sps, _sample_count(self.integ, T) * sps + 1, sps):
-            yield t0 + done * self.integ.dt, self.advance(raw, psi, pi, sps)
+            yield t0 + done * self.integ.dt, self.advance(raw, sps, kicked)
 
 
 # public single-application operations ------------------------------------
@@ -327,7 +420,7 @@ def step(
     """One Strang step: half kick, free flow, half kick, then sponge damping."""
     core = _StrangCore(state.grid, integ, rho, pot, m)
     raw = core.to_raw(state.psi, state.pi)
-    fields = core.advance(raw, raw[0], raw[1], 1)
+    fields = core.advance(raw, 1)
     if fields is None:
         fields = core.to_fields(raw)
     return FieldState(state.grid, fields[0], fields[1], state.time + integ.dt)
@@ -437,13 +530,13 @@ def evolve(
     core = _StrangCore(grid, integ, rho, pot, m)
     rec = _Recorder(observers or Observers(), m)
     raw = core.to_raw(state.psi, state.pi)
-    psi, pi = raw
-    samples = core.samples(raw, psi, pi, T, state.time)
+    samples = core.samples(raw, T, state.time)
     if integ.sponge is None:
         for t, _ in samples:
             _record_undamped(core, rec, grid, t, raw)
         return rec.build(integ, m)
     mask = grid.radius <= integ.sponge.inner_radius
+    psi = raw[0]
     for t, fields in samples:
         fields = (state.psi, state.pi) if fields is None else fields
         g, f, u_val = core.coupling_terms(psi)
@@ -482,7 +575,7 @@ def split_chi_phi(
     # the full solution drives the kicks, which land on it and on phi only
     raw = np.stack((pair, pair, np.zeros_like(pair)))
     recorders = (_Recorder(obs, m), _Recorder(obs, m))
-    for t, _ in core.samples(raw, raw[0, 0], raw[::2, 1], T, state.time):
+    for t, _ in core.samples(raw, T, state.time, kicked=raw[::2]):
         for part, rec in zip(raw[1:], recorders):
             _record_undamped(core, rec, grid, t, part)
     return recorders[0].build(integ, m), recorders[1].build(integ, m)

@@ -256,21 +256,25 @@ def verify_persistence(
     core = _StrangCore(grid, integ, sol.rho, pot, sol.m)
     state0 = sol.initial_state()
     raw = core.to_raw(state0.psi, state0.pi)
-    psi, pi = raw
-    phi0_raw, phi1_raw = core.to_raw(sol.phi0, sol.phi1)
+    # the float64 view of the raw (phi0, phi1) profiles, one row each
+    profiles = core.to_raw(sol.phi0, sol.phi1).view(np.float64).reshape(2, -1)
+    diff = np.empty_like(raw)
+    exact = diff.view(np.float64).reshape(2, -1)
+    dpsi, dpi = diff
 
     scale = math.sqrt(grid.l2sq(sol.phi0)) + math.sqrt(grid.l2sq(sol.phi1))
     times, gammas = [], []
     max_err = 0.0
     gamma_err = 0.0
-    for t, _ in core.samples(raw, psi, pi, T, state0.time):
-        g = core.coupling(psi)
+    for t, _ in core.samples(raw, T, state0.time):
+        g = core.coupling(raw[0])
         times.append(t)
         gammas.append(g)
         s0, s1 = math.sin(sol.omega0 * t), math.sin(sol.omega1 * t)
         c0, c1 = math.cos(sol.omega0 * t), math.cos(sol.omega1 * t)
-        dpsi = psi - (s0 * phi0_raw + s1 * phi1_raw)
-        dpi = pi - (sol.omega0 * c0 * phi0_raw + sol.omega1 * c1 * phi1_raw)
+        # the exact raw (psi, pi) pair, then its difference from the run
+        np.matmul(np.array(((s0, s1), (sol.omega0 * c0, sol.omega1 * c1))), profiles, out=exact)
+        np.subtract(raw, diff, out=diff)
         # core.scale turns raw sums of squares into L2 norms
         err_psi = math.sqrt(core.scale * float(np.vdot(dpsi, dpsi).real))
         err_pi = math.sqrt(core.scale * float(np.vdot(dpi, dpi).real)) / sol.omega1

@@ -13,7 +13,7 @@ from mfkg import (
 from mfkg.config import set_by_path
 from mfkg.cli import _evolved, main, run_experiment
 from mfkg.config import DEFAULTS
-from mfkg.io import save_snapshot
+from mfkg.io import read_trajectory_csv, save_snapshot
 from mfkg.solitary import ManifoldTable, default_omega_grid, resolvent_coupling
 
 SMALL = {"grid": {"points": 256, "length": 64.0}}
@@ -210,6 +210,17 @@ def test_cli_simulate_is_deterministic(tmp_path):
     assert summary["energy_drift_rel"] < 1e-4
     cfg_echo = json.loads((out1 / "config.json").read_text())
     assert cfg_echo["seed"] == 3 and cfg_echo["evolve"]["T"] == 1.0
+
+
+def test_cli_simulate_reports_charge_drift(tmp_path):
+    code, out = run_cli(tmp_path / "a", "simulate", "--set", "grid.points=256",
+                        "--set", "grid.length=64.0", "--set", "evolve.T=5.0")
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    charge = read_trajectory_csv(out / "trajectory.csv")["Q"]
+    assert summary["charge_drift"] == np.max(np.abs(charge - charge[0]))
+    # undamped, the drift is roundoff on the scale of the fields' energy
+    assert summary["charge_drift"] <= 1e-12 * abs(summary["energy_initial"])
 
 
 def test_cli_solitary_outputs(tmp_path):

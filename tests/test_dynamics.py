@@ -5,9 +5,12 @@ from numpy.testing import assert_allclose
 
 from mfkg import (
     CouplingProfile, FieldState, Integrator, Observers, SeminormSpec, Sponge,
-    charge, energy, energy_norm, evolve, free_flow, inner_product, kick,
-    make_grid, split_chi_phi, step, zero_state,
+    build_counterexample, charge, energy, energy_norm, evolve, free_flow,
+    inner_product, kick, make_grid, split_chi_phi, step, verify_persistence,
+    zero_state,
 )
+from mfkg.dynamics import _StrangCore, _flow_tables
+from mfkg.multifreq import TwoFrequencySolution
 
 
 def localized_state(grid, rng, scale=1.0):
@@ -233,3 +236,83 @@ def test_split_chi_phi_rejects_sponge(grid, rho, pot, rng):
     integ = Integrator(0.02, sponge=Sponge(16.0, 1.0))
     with pytest.raises(ValueError, match="sponge"):
         split_chi_phi(state, rho, pot, integ, 1.0)
+
+
+def per_step_advance(core, raw, nsteps, kicked=None):
+    """Reference route for :meth:`_StrangCore.advance` without a sponge.
+
+    The per-step loop that the block update replaced: half kick, free flow
+    by dt, half kick, with the drive of a step's closing half kick reused
+    for the next step's opening one.
+    """
+    assert core.integ.sponge is None
+    kicked = raw if kicked is None else kicked
+    dim = core.grid.dim
+    psi = kicked[(0,) * (kicked.ndim - 1 - dim)][0]
+    pi = kicked[(..., 1) + (slice(None),) * dim]
+    cos, sin = _flow_tables(core.grid, core.m, core.integ.dt)
+    view = raw.view(np.float64)
+    swapped = np.flip(view, -1 - dim)
+    rotated = np.empty_like(view)
+    drive = None
+    for _ in range(nsteps):
+        if core.kick is not None:
+            if drive is None:
+                drive = core.pot.scalar_force(complex(np.vdot(core.pairing, psi)))
+            pi += drive * core.kick
+        np.multiply(sin, swapped, out=rotated)
+        view *= cos
+        view += rotated
+        if core.kick is not None:
+            drive = core.pot.scalar_force(complex(np.vdot(core.pairing, psi)))
+            pi += drive * core.kick
+    return None
+
+
+@pytest.mark.parametrize("sps", [1, 3, 10, 40])
+@pytest.mark.parametrize("dim, points, length", [(1, 256, 64.0), (2, 32, 16.0)])
+def test_block_update_matches_per_step_route(dim, points, length, sps, pot, monkeypatch):
+    # 40 steps per sample is above the block cap, so an interval takes
+    # several blocks of different lengths
+    grid = make_grid(dim, points, length)
+    rho = CouplingProfile.gaussian(grid, amplitude=2.0, width=1.0)
+    state = localized_state(grid, np.random.default_rng(5), scale=0.5)
+    integ = Integrator(0.02, steps_per_sample=sps)
+    # a whole number of intervals for every sps, so the last sample is the
+    # end, and at least the eight samples a persistence spectrum needs
+    nsteps = 360
+    T = nsteps * integ.dt
+    obs = Observers(snapshot_stride=nsteps // sps)
+    if dim == 1:
+        sol = build_counterexample(2.0, -1.0, make_grid(1, 512, 64.0))
+    else:
+        # no lattice coupling in 2-D vanishes on the omega1 = 2 shell, so the
+        # persistence run gets two profiles that are not an exact solution
+        sol = TwoFrequencySolution(rho, 2.0, 2.0 / 3.0, -1.0, 1.75, 1.0,
+                                   state.psi.real, state.pi.real, 1.0)
+
+    def runs():
+        traj = evolve(state, rho, pot, integ, T, obs)
+        chi, phi = split_chi_phi(state, rho, pot, integ, T, obs)
+        one = step(state, rho, pot, integ)
+        report = verify_persistence(sol, integ, T)
+        gammas = (traj.gamma, chi.gamma, phi.gamma, report.gamma)
+        fields = [(s.psi, s.pi) for s in (traj.snapshots[-1], chi.snapshots[-1],
+                                          phi.snapshots[-1], one)]
+        return gammas, fields
+
+    block = runs()
+    monkeypatch.setattr(_StrangCore, "advance", per_step_advance)
+    reference = runs()
+    for got, want in zip(block[0], reference[0]):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    for got_pair, want_pair in zip(block[1], reference[1]):
+        for got, want in zip(got_pair, want_pair):
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_block_table_rows_are_capped(grid, rho, pot):
+    # the table grows with steps_per_sample only up to the block cap
+    core = _StrangCore(grid, Integrator(0.01, steps_per_sample=1000), rho, pot, 1.0)
+    assert core.table.shape[0] <= 17
+    assert _StrangCore(grid, Integrator(0.01, steps_per_sample=3), rho, pot, 1.0).table.shape[0] == 4

@@ -7,6 +7,7 @@ from mfkg import (
     CouplingProfile, Integrator, Observers, Sponge, build_counterexample,
     build_multifreq, build_rho, evolve, make_grid, verify_persistence,
 )
+from mfkg.dynamics import _StrangCore
 from mfkg.multifreq import auto_widths
 from mfkg.solitary import resolvent_coupling
 
@@ -128,6 +129,37 @@ def test_verify_persistence_reads_the_evolve_run(sol):
         traj = evolve(sol.initial_state(), sol.rho, sol.potential(), integ, T)
         assert np.array_equal(report.times, traj.times)
         assert np.array_equal(report.gamma, traj.gamma)
+
+
+def persistence_errors_reference(sol, integ, T):
+    """max_relative_error and gamma_error of a persistence run, by the
+    per-sample formula with one temporary per term."""
+    grid = sol.rho.grid
+    core = _StrangCore(grid, integ, sol.rho, sol.potential(), sol.m)
+    state0 = sol.initial_state()
+    raw = core.to_raw(state0.psi, state0.pi)
+    psi, pi = raw
+    phi0_raw, phi1_raw = core.to_raw(sol.phi0, sol.phi1)
+    scale = np.sqrt(grid.l2sq(sol.phi0)) + np.sqrt(grid.l2sq(sol.phi1))
+    max_err = gamma_err = 0.0
+    for t, _ in core.samples(raw, T, state0.time):
+        s0, s1 = np.sin(sol.omega0 * t), np.sin(sol.omega1 * t)
+        c0, c1 = np.cos(sol.omega0 * t), np.cos(sol.omega1 * t)
+        dpsi = psi - (s0 * phi0_raw + s1 * phi1_raw)
+        dpi = pi - (sol.omega0 * c0 * phi0_raw + sol.omega1 * c1 * phi1_raw)
+        err_psi = np.sqrt(core.scale * np.vdot(dpsi, dpsi).real)
+        err_pi = np.sqrt(core.scale * np.vdot(dpi, dpi).real) / sol.omega1
+        max_err = max(max_err, max(err_psi, err_pi) / scale)
+        gamma_err = max(gamma_err, abs(core.coupling(psi) - sol.sigma0 * s0) / sol.sigma0)
+    return max_err, gamma_err
+
+
+def test_persistence_errors_match_reference_formula(sol):
+    integ = Integrator(0.01, 10)
+    report = verify_persistence(sol, integ, T=20.0)
+    max_err, gamma_err = persistence_errors_reference(sol, integ, 20.0)
+    assert report.max_relative_error == pytest.approx(max_err, rel=1e-12)
+    assert report.gamma_error == pytest.approx(gamma_err, rel=1e-12)
 
 
 def test_verify_persistence_rejects_sponge(sol):
