@@ -19,14 +19,14 @@ inner radius, emulating radiation to infinity on the periodic box.
 All stepping (:func:`step`, :func:`evolve`, :func:`split_chi_phi` and
 ``multifreq.verify_persistence``) goes through one private core,
 :class:`_StrangCore`.  It keeps states in raw FFT coordinates: one complex
-array of shape ``(..., 2, *grid.shape)`` holding the plain ``scipy.fft.fftn``
-of (psi, pi), without the checkerboard and cell-volume factors of
-:meth:`Grid.forward`.  Those factors are per-mode scalars, so the flow
-tables do not see them; they are folded once, at set-up, into the kick
-vector and into the pairing vector that reads gamma off raw psi.  Leading
-axes stack systems that share one drive: split_chi_phi advances the full
-solution, chi and phi as one (3, 2, ...) array, and the kicks land on the
-full solution and phi only.
+array of shape ``(..., 2, *grid.shape)`` holding the plain FFT
+(:meth:`Grid.raw_fft`) of (psi, pi), without the checkerboard and
+cell-volume factors of :meth:`Grid.forward`.  Those factors are per-mode
+scalars, so the flow tables do not see them; they are folded once, at
+set-up, into the kick vector and into the pairing vector that reads gamma
+off raw psi.  Leading axes stack systems that share one drive:
+split_chi_phi advances the full solution, chi and phi as one (3, 2, ...)
+array, and the kicks land on the full solution and phi only.
 
 Without a sponge the core advances by block updates of up to 16 steps.
 The coupling is rank one: a kick moves only pi, always along the same raw
@@ -37,11 +37,12 @@ memory term with K_0 = 0), and the end state is the free flow of the block
 plus one more table product for the summed kicks.  This is the composition
 of the block's Strang steps, rearranged; it reproduces step-by-step
 stepping to roundoff.  With a sponge the core steps one by one: each step
-ends with one stacked inverse transform, the damping multiply and one
-stacked forward transform, and samples read the damped position-space
-fields that this leaves behind.  The flow and the damping multiply the
-float64 view of the state by interleaved real tables, and the kicks take
-the scalar force from :meth:`PolynomialPotential.scalar_force`.
+ends with one stacked inverse transform into a position-space buffer, the
+damping multiply and one stacked forward transform back into the state.
+Samples read the damped fields that this leaves in the buffer, a fresh one
+per sampling interval.  The flow and the damping multiply the float64 view
+of the state by interleaved real tables, and the kicks take the scalar
+force from :meth:`PolynomialPotential.scalar_force`.
 :func:`free_flow` and :func:`kick` remain single applications on the
 :meth:`Grid.forward` path, independent of the core.
 Every sampled run is the generator :meth:`_StrangCore.samples`.  It covers
@@ -56,7 +57,6 @@ from math import ceil
 from operator import mul
 
 import numpy as np
-import scipy.fft
 
 from .fields import (
     CouplingProfile,
@@ -233,7 +233,6 @@ class _StrangCore:
         self.grid = grid
         self.m = m
         self.integ = integ
-        self.axes = tuple(range(-grid.dim, 0))
         # swaps the (psi, pi) rows of every pair in a stack of raw pairs
         self.swap = (..., slice(None, None, -1)) + (slice(None),) * grid.dim
         # |psi_hat|^2 / L^n = scale |psi_raw|^2, since psi_hat = +-h^n psi_raw
@@ -242,7 +241,7 @@ class _StrangCore:
         self.pot = pot
         self.kick = self.pairing = None
         if rho is not None:
-            rho_raw = scipy.fft.fftn(rho.values)
+            rho_raw = grid.raw_fft(rho.values)
             # pi_hat += tau F rho_hat reads pi_raw += tau F rho_raw in raw
             # coordinates, and <rho, psi> = scale * sum conj(rho_raw) psi_raw
             self.kick = (0.5 * integ.dt) * rho_raw
@@ -260,10 +259,10 @@ class _StrangCore:
             self.damp = _sponge_factor(grid, integ.sponge, integ.dt)
 
     def to_raw(self, psi: np.ndarray, pi: np.ndarray) -> np.ndarray:
-        return scipy.fft.fftn(np.stack((psi, pi)), axes=self.axes)
+        return self.grid.raw_fft(np.stack((psi, pi)))
 
     def to_fields(self, raw: np.ndarray) -> np.ndarray:
-        return scipy.fft.ifftn(raw, axes=self.axes)
+        return self.grid.raw_ifft(raw)
 
     def coupling(self, psi: np.ndarray) -> complex:
         """gamma = <rho, psi> of one raw field."""
@@ -351,24 +350,30 @@ class _StrangCore:
 
     def _damped_steps(self, raw: np.ndarray, kicked: np.ndarray, drive: np.ndarray, nsteps: int,
                       rotated: np.ndarray):
-        """Strang steps one by one, each followed by the sponge damping; returns the damped fields."""
-        kick, damp, axes = self.kick, self.damp, self.axes
+        """Strang steps one by one, each followed by the sponge damping; returns the damped fields.
+
+        The round trip transforms into buffers, ``raw`` itself and one
+        ``fields`` array per call that the caller may keep.
+        """
+        kick, damp = self.kick, self.damp
         force = None if kick is None else self.pot.scalar_force
         pairing = self.pairing
+        fft, ifft = self.grid.raw_fft, self.grid.raw_ifft
         psi = drive[0]
         pi = kicked[(..., 1) + (slice(None),) * self.grid.dim]
         view = raw.view(np.float64)
-        fields = None
+        fields = np.empty_like(raw)
+        damped = fields.view(np.float64)
         for _ in range(nsteps):
             if kick is not None:
                 pi += force(complex(np.vdot(pairing, psi))) * kick
             self._flow(view, self.cos, self.sin, rotated)
             if kick is not None:
                 pi += force(complex(np.vdot(pairing, psi))) * kick
-            fields = scipy.fft.ifftn(raw, axes=axes)
-            fields.view(np.float64)[...] *= damp
-            raw[...] = scipy.fft.fftn(fields, axes=axes)
-        return fields
+            ifft(raw, out=fields)
+            damped *= damp
+            fft(fields, out=raw)
+        return fields if nsteps else None
 
     def samples(self, raw: np.ndarray, T: float, t0: float, kicked: np.ndarray | None = None):
         """Advance ``raw`` over the :func:`_sample_count` intervals covering T.
@@ -489,7 +494,7 @@ def _ball_observables(grid: Grid, fields, psi_raw: np.ndarray, mask: np.ndarray,
     for axis, xi in enumerate(grid.wavenumbers):
         shape = [1] * grid.dim
         shape[axis] = grid.points_per_axis
-        grad_sq += np.abs(scipy.fft.ifftn(1j * xi.reshape(shape) * psi_raw)) ** 2
+        grad_sq += np.abs(grid.raw_ifft(1j * xi.reshape(shape) * psi_raw)) ** 2
     density = np.abs(pi) ** 2 + grad_sq + m * m * np.abs(psi) ** 2
     h = 0.5 * grid.cell_volume * float(density[mask].sum()) + u_val
     q = -grid.cell_volume * float(np.vdot(psi[mask], pi[mask]).imag)

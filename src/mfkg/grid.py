@@ -10,6 +10,15 @@ real, even spectrum.  Because the grid origin sits at -L/2 and the
 wavenumbers are 2 pi k / L, the continuum phase factor collapses to a
 (-1)^k checkerboard on top of the plain FFT, which makes the round trip
 exact to machine precision.
+
+The plain FFT itself is :meth:`Grid.raw_fft` / :meth:`Grid.raw_ifft`, the
+one pair of transforms that everything in the package calls.  They are
+built from ``numpy.fft`` so that ``import mfkg`` loads no scipy module, and
+arranged to give ``scipy.fft.fftn`` / ``ifftn``'s results bit for bit (the
+package's recorded trajectories came from scipy.fft): complex input goes one
+axis at a time in ascending order; real input takes a real transform of the
+last axis and fills the other half by conjugate symmetry, in the order of
+scipy's fill.
 """
 from __future__ import annotations
 
@@ -17,7 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 __all__ = ["Grid", "make_grid"]
 
@@ -104,21 +112,86 @@ class Grid:
             board = np.multiply.outer(board, sign)
         return board * self.cell_volume, board / self.cell_volume
 
+    @cached_property
+    def _mirror_mask(self) -> np.ndarray:
+        """Entries of columns 0 and N/2 that a real-input transform's fill conjugates.
+
+        scipy's fill visits the first N/2 + 1 columns in C order and writes
+        each entry's conjugate to its mirror (index -i mod N on every axis).
+        Columns 0 and N/2 are their own mirror columns, so there an entry
+        whose C-order position over the leading dim - 1 axes is at or past
+        its mirror's ends up as the mirror's conjugate; one before keeps its
+        value.
+        """
+        lead = (self.points_per_axis,) * (self.dim - 1)
+        position = np.arange(self.points_per_axis ** (self.dim - 1)).reshape(lead)
+        return position >= self._reflect(position, range(self.dim - 1))
+
+    def _reflect(self, values: np.ndarray, axes) -> np.ndarray:
+        """``values`` at index -i mod N along each of ``axes``."""
+        rev = -np.arange(self.points_per_axis) % self.points_per_axis
+        for axis in axes:
+            values = values.take(rev, axis=axis)
+        return values
+
     # transforms ---------------------------------------------------------
+
+    def raw_fft(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Plain FFT over the trailing ``dim`` axes, bit for bit ``scipy.fft.fftn``.
+
+        ``out``, when given, is a complex array of the input's shape that
+        receives the result; complex input may be its own ``out``.
+        """
+        return self._raw(values, out, np.fft.fft)
+
+    def raw_ifft(self, spectrum: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Plain inverse FFT over the trailing ``dim`` axes, bit for bit ``scipy.fft.ifftn``."""
+        return self._raw(spectrum, out, np.fft.ifft)
+
+    def _raw(self, values: np.ndarray, out: np.ndarray | None, transform) -> np.ndarray:
+        values = np.asarray(values)
+        if not np.iscomplexobj(values):
+            return self._raw_real(values, out, transform)
+        out = transform(values, axis=-self.dim, out=out)
+        for axis in range(1 - self.dim, 0):
+            transform(out, axis=axis, out=out)
+        return out
+
+    def _raw_real(self, values: np.ndarray, out: np.ndarray | None, transform) -> np.ndarray:
+        """Real input: a real transform of the last axis, then the conjugate fill."""
+        half = self.points_per_axis // 2
+        if out is None:
+            out = np.empty(values.shape, np.result_type(values.dtype, np.complex64))
+        head = out[..., : half + 1]
+        if transform is np.fft.fft:
+            np.fft.rfft(values, out=head)
+        else:
+            # the inverse route conjugates the inner columns only
+            np.fft.rfft(values, norm="forward", out=head)
+            inner = head[..., 1:half]
+            np.conjugate(inner, out=inner)
+        for axis in range(-self.dim, -1):
+            transform(head, axis=axis, out=head)
+        # out[..., i, N - k] = conj(out[..., -i, k]) over the leading grid axes i,
+        # for 0 < k < N/2 and, where _mirror_mask says so, for k = 0 and N/2
+        axes = range(-self.dim, -1)
+        edges = np.conj(self._reflect(out[..., ::half], axes))
+        np.conjugate(self._reflect(out[..., half - 1 : 0 : -1], axes), out=out[..., half + 1 :])
+        out[..., ::half] = np.where(self._mirror_mask[..., None], edges, out[..., ::half])
+        return out
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Sampled continuum Fourier transform, f_hat(xi) ~ int f e^{-i xi.x} dx.
 
         Acts on the trailing ``dim`` axes, so a stack (..., *grid.shape) is one call.
         """
-        out = scipy.fft.fftn(values, axes=range(-self.dim, 0))
+        out = self.raw_fft(values)
         out *= self._transform_factors[0]
         return out
 
     def inverse(self, spectrum: np.ndarray) -> np.ndarray:
         """Exact inverse of :meth:`forward`, on the trailing ``dim`` axes."""
-        scaled = spectrum * self._transform_factors[1]
-        return scipy.fft.ifftn(scaled, axes=range(-self.dim, 0), overwrite_x=True)
+        return self.raw_ifft(spectrum * self._transform_factors[1])
 
     # quadrature ---------------------------------------------------------
 

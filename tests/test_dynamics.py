@@ -218,6 +218,25 @@ def test_sponge_must_fit_in_box(grid):
         step(state, None, None, integ)
 
 
+def test_sponge_snapshots_are_distinct_and_correct(grid, rho, pot, rng):
+    """The sponge loop transforms into reused buffers; no snapshot may alias another."""
+    state = localized_state(grid, rng, scale=0.5)
+    integ = Integrator(0.02, steps_per_sample=2, sponge=Sponge(16.0, 2.0))
+    traj = evolve(state, rho, pot, integ, 0.4, Observers(snapshot_stride=1))
+    snaps = traj.snapshots
+    assert len(snaps) == len(traj.times) == 11
+    arrays = [a for snap in snaps for a in (snap.psi, snap.pi)]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+    for prev, snap in zip(snaps, snaps[1:]):
+        want = prev
+        for _ in range(integ.steps_per_sample):
+            want = step(want, rho, pot, integ)
+        assert_allclose(snap.time, want.time, rtol=1e-12)
+        for got, ref in ((snap.psi, want.psi), (snap.pi, want.pi)):
+            assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
 def test_split_chi_phi_superposition(grid, rho, pot, rng):
     state = localized_state(grid, rng, scale=0.5)
     integ = Integrator(0.02, steps_per_sample=10)

@@ -1,6 +1,7 @@
 """Transform conventions: the whole package leans on these identities."""
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -91,6 +92,35 @@ def test_stacked_transforms_match_per_slice(dim, n, length, rng):
     for k in range(3):
         for got, want in [(fwd[k], grid.forward(stack[k])), (inv[k], grid.inverse(stack[k]))]:
             assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+
+def same_bits(a, b):
+    """Equal to the last bit, the sign of zero included."""
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [8, 16, 64])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_transforms_reproduce_scipy_fft_bit_for_bit(dim, n, kind, rng):
+    """numpy.fft arranged as scipy.fft.fftn / ifftn: the same bits, stacked or not."""
+    grid = make_grid(dim, n, 8.0)
+    axes = range(-dim, 0)
+    fwd, inv = grid._transform_factors
+    for lead in [(), (3, 2)]:
+        shape = lead + grid.shape
+        x = rng.standard_normal(shape)
+        if kind == "complex":
+            x = x + 1j * rng.standard_normal(shape)
+        for raw, ref in [(grid.raw_fft, scipy.fft.fftn), (grid.raw_ifft, scipy.fft.ifftn)]:
+            want = ref(x, axes=axes)
+            assert same_bits(raw(x), want)
+            out = np.full(shape, np.nan, dtype=complex)
+            assert raw(x, out=out) is out
+            assert same_bits(out, want)
+        assert same_bits(grid.forward(x), scipy.fft.fftn(x, axes=axes) * fwd)
+        assert same_bits(grid.inverse(x), scipy.fft.ifftn(x * inv, axes=axes))
 
 
 @settings(max_examples=25, deadline=None)
