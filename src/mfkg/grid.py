@@ -140,7 +140,7 @@ class Grid:
         """Plain FFT over the trailing ``dim`` axes, bit for bit ``scipy.fft.fftn``.
 
         ``out``, when given, is a complex array of the input's shape that
-        receives the result; complex input may be its own ``out``.
+        receives the result.
         """
         return self._raw(values, out, np.fft.fft)
 
