@@ -19,7 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import EXPERIMENTS, ConfigError, RunConfig, config_from_dict, set_by_path
+from .config import (
+    EXPERIMENTS, INITIAL_KINDS, ConfigError, RunConfig, config_from_dict, set_by_path,
+)
 from .dynamics import _sample_count, evolve
 from .fields import SeminormSpec
 from .io import save_snapshot, write_columns_csv, write_trajectory_csv
@@ -139,10 +141,10 @@ def _run_solitary(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
     pot = cfg.build_potential()
     rho = cfg.build_rho(grid)
     init = cfg.section("initial")
-    omega = float(init.get("omega", 0.5)) if init.get("kind") == "solitary" else 0.5
-    phase = float(init.get("phase", 0.0)) if init.get("kind") == "solitary" else 0.0
-    root_index = int(init.get("root_index", 0)) if init.get("kind") == "solitary" else 0
-    wave = build_solitary(rho, pot, omega, phase, cfg.m, root_index)
+    if init["kind"] != "solitary":
+        init = INITIAL_KINDS["solitary"]
+    wave = build_solitary(rho, pot, float(init["omega"]), float(init["phase"]), cfg.m,
+                          int(init["root_index"]))
     save_snapshot(outdir / "solitary.mfkg", wave.initial_state(), cfg.m)
     files.append("solitary.mfkg")
     _write_json(outdir / "solitary.json", {
@@ -204,17 +206,14 @@ def _run_spectrum(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
     grid, pot, rho, traj = _evolved(cfg)
     sec = cfg.section("spectrum")
     spec, use_global, _ = _distance_spec(cfg)
-    zeros = ()
     rho_sec = cfg.section("rho")
-    if rho_sec.get("kind") == "multifreq":
-        zeros = (float(rho_sec.get("omega1", 2.0 * cfg.m)),)
+    zeros = (float(rho_sec["omega1"]),) if rho_sec["kind"] == "multifreq" else ()
     acfg = AttractionConfig(
         window_width=float(sec["window_width"]),
         n_windows=int(sec["n_windows"]),
         mass_fraction=float(sec["mass_fraction"]),
         cluster_bins=int(sec["cluster_bins"]),
         exclusion_bins=int(sec["exclusion_bins"]),
-        taper=sec["taper"],
         seminorm=spec,
         measure_distance=bool(traj.snapshots),
         resonant_zeros=zeros,

@@ -1,10 +1,16 @@
 """Run configuration: JSON in, validated builders out.
 
 Every experiment is described by one JSON document deep-merged over
-DEFAULTS.  Validation is eager and addresses mistakes by dotted path
-("evolve.dt: must be positive") so batch sweeps fail before they burn
-compute.  Builders hand back the actual objects; cross-checks that need
-the grid (step size vs spacing, sponge and window geometry) happen there.
+DEFAULTS.  The sections whose keys depend on a kind (``rho``,
+``initial``), the optional ``evolve.sponge`` and each ``seminorms[i]``
+entry have their keys and defaults in one table each (RHO_KINDS,
+INITIAL_KINDS, SPONGE, SEMINORM); after the merge a fill step writes those
+defaults in, so the resolved configuration (the run's config.json) lists
+every value the run uses.  Validation is eager and addresses mistakes by
+dotted path ("evolve.dt: must be positive") so batch sweeps fail before
+they burn compute.  Builders hand back the actual objects; cross-checks
+that need the grid (step size vs spacing, sponge and window geometry)
+happen there.
 """
 from __future__ import annotations
 
@@ -23,7 +29,6 @@ from .io import load_snapshot
 from .multifreq import build_rho as _build_multifreq_rho
 from .potential import PolynomialPotential
 from .solitary import build_solitary
-from .spectral import TAPERS
 
 __all__ = [
     "ConfigError",
@@ -38,21 +43,34 @@ __all__ = [
 
 EXPERIMENTS = ("simulate", "solitary", "sigma", "distance", "spectrum", "counterexample")
 
+_REQUIRED = object()  # a table entry for a key that has no default
+
+# keys and defaults of each kind-specific section, by kind ("kind" itself aside)
+RHO_KINDS: dict = {
+    "gaussian": {"amplitude": 1.0, "width": 1.0},
+    "none": {},
+    "multifreq": {"omega1": None, "sigma0": 1.0},  # omega1 None resolves to 2m
+    "file": {"path": _REQUIRED},
+}
+INITIAL_KINDS: dict = {
+    "random": {"energy_norm": 1.0, "envelope_width": 8.0, "band_limit": 2.0,
+               "band_center": 0.0, "envelope_center": 0.0},
+    "zero": {},
+    "packet": {"center": 0.0, "width": 4.0, "carrier": 2.0, "amplitude": 1.0},
+    "solitary": {"omega": 0.5, "phase": 0.0, "root_index": 0},
+    "file": {"path": _REQUIRED},
+}
+SPONGE: dict = {"inner_radius": _REQUIRED, "strength": 1.0}
+SEMINORM: dict = {"epsilon": 0.0, "radius": 8.0, "cutoff_width": 8.0}
+
 DEFAULTS: dict = {
     "experiment": "simulate",
     "seed": 0,
     "m": 1.0,
     "grid": {"dim": 1, "points": 2048, "length": 128.0},
     "potential": {"coeffs": [-1.0, 1.0]},
-    "rho": {"kind": "gaussian", "amplitude": 1.0, "width": 1.0},
-    "initial": {
-        "kind": "random",
-        "energy_norm": 1.0,
-        "envelope_width": 8.0,
-        "band_limit": 2.0,
-        "band_center": 0.0,
-        "envelope_center": 0.0,
-    },
+    "rho": {"kind": "gaussian", **RHO_KINDS["gaussian"]},
+    "initial": {"kind": "random", **INITIAL_KINDS["random"]},
     "evolve": {
         "dt": 0.01,
         "T": 100.0,
@@ -75,27 +93,12 @@ DEFAULTS: dict = {
         "mass_fraction": 0.99,
         "cluster_bins": 3,
         "exclusion_bins": 3,
-        "taper": "hann",
+        "taper": "hann",  # the only taper; kept so that older config files load
     },
     "counterexample": {"omega1": None, "b": -1.0, "sigma0": 1.0, "T": 50.0, "tol": 1e-3},
 }
 # experiments that read the configured coupling rho and so reject rho.kind "none"
 _NEEDS_COUPLING = ("solitary", "sigma", "distance", "spectrum")
-
-_RHO_KEYS = {
-    "gaussian": {"kind", "amplitude", "width"},
-    "none": {"kind"},
-    "multifreq": {"kind", "omega1", "sigma0"},
-    "file": {"kind", "path"},
-}
-_INITIAL_KEYS = {
-    "random": {"kind", "energy_norm", "envelope_width", "band_limit", "band_center",
-               "envelope_center"},
-    "zero": {"kind"},
-    "packet": {"kind", "center", "width", "carrier", "amplitude"},
-    "solitary": {"kind", "omega", "phase", "root_index"},
-    "file": {"kind", "path"},
-}
 
 
 class ConfigError(ValueError):
@@ -132,10 +135,25 @@ def _integer(raw, path: str, lo=None) -> int:
     return raw
 
 
-def _check_keys(section: dict, allowed: set, path: str) -> None:
-    extra = set(section) - allowed
+def _fill(section, table: dict, path: str) -> dict:
+    """Check ``section``'s keys against ``table`` and write in the table's defaults."""
+    _require(isinstance(section, dict), path, "must be an object")
+    extra = set(section) - set(table)
     if extra:
         raise ConfigError(f"{path}.{sorted(extra)[0]}", "unknown key")
+    for key, default in table.items():
+        if key not in section:
+            _require(default is not _REQUIRED, f"{path}.{key}", "required")
+            section[key] = default
+    return section
+
+
+def _fill_kind(section: dict, kinds: dict, path: str) -> dict:
+    """:func:`_fill` with the table of the section's kind."""
+    kind = section["kind"]
+    _require(isinstance(kind, str) and kind in kinds, f"{path}.kind",
+             f"must be one of {sorted(kinds)}")
+    return _fill(section, {"kind": kind, **kinds[kind]}, path)
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -143,13 +161,11 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
-            if path in ("rho", "initial", "evolve.sponge"):
-                out[key] = copy.deepcopy(value)  # kind-specific keys, checked later
-                continue
             raise ConfigError(where, "unknown key")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            _require(isinstance(value, dict), where, "must be an object")
             # changing a section's kind switches its key set: replace, don't merge
-            if value.get("kind", base[key].get("kind")) != base[key].get("kind"):
+            if "kind" in value and "kind" in base[key] and value["kind"] != base[key]["kind"]:
                 out[key] = copy.deepcopy(value)
             else:
                 out[key] = _merge(base[key], value, where)
@@ -172,77 +188,67 @@ def set_by_path(cfg: dict, dotted: str, value) -> None:
 
 
 def _validate(raw: dict) -> dict:
-    _check_keys(raw, set(DEFAULTS), "config")
     _require(raw["experiment"] in EXPERIMENTS, "experiment", f"must be one of {EXPERIMENTS}")
     _integer(raw["seed"], "seed", lo=0)
-    _number(raw["m"], "m", lo=0, strict_lo=True)
+    m = _number(raw["m"], "m", lo=0, strict_lo=True)
 
     g = raw["grid"]
-    _check_keys(g, {"dim", "points", "length"}, "grid")
     _integer(g["dim"], "grid.dim", lo=1)
     _require(g["dim"] <= 3, "grid.dim", "must be 1, 2 or 3")
     _integer(g["points"], "grid.points", lo=8)
     _number(g["length"], "grid.length", lo=0, strict_lo=True)
 
-    pcoeffs = raw["potential"].get("coeffs")
-    _check_keys(raw["potential"], {"coeffs"}, "potential")
+    pcoeffs = raw["potential"]["coeffs"]
     _require(isinstance(pcoeffs, (list, tuple)) and len(pcoeffs) >= 2, "potential.coeffs",
              "need at least two coefficients (degree p >= 2)")
     for i, c in enumerate(pcoeffs):
         _number(c, f"potential.coeffs[{i}]")
     _require(float(pcoeffs[-1]) > 0, "potential.coeffs", "leading coefficient must be positive")
 
-    rho = raw["rho"]
-    kind = rho.get("kind")
-    _require(kind in _RHO_KEYS, "rho.kind", f"must be one of {sorted(_RHO_KEYS)}")
-    _check_keys(rho, _RHO_KEYS[kind], "rho")
-    if kind == "gaussian":
-        _number(rho.get("amplitude", 1.0), "rho.amplitude")
-        _number(rho.get("width", 1.0), "rho.width", lo=0, strict_lo=True)
-    elif kind == "multifreq":
-        m = float(raw["m"])
-        _number(rho.get("omega1", 2.0 * m), "rho.omega1", lo=m, hi=3.0 * m, strict_lo=True)
-        _number(rho.get("sigma0", 1.0), "rho.sigma0", lo=0, strict_lo=True)
-    elif kind == "file":
-        _require(isinstance(rho.get("path"), str), "rho.path", "must be a string")
-    _require(kind != "none" or raw["experiment"] not in _NEEDS_COUPLING, "rho.kind",
+    rho = _fill_kind(raw["rho"], RHO_KINDS, "rho")
+    if rho["kind"] == "gaussian":
+        _number(rho["amplitude"], "rho.amplitude")
+        _number(rho["width"], "rho.width", lo=0, strict_lo=True)
+    elif rho["kind"] == "multifreq":
+        if rho["omega1"] is None:
+            rho["omega1"] = 2.0 * m
+        _number(rho["omega1"], "rho.omega1", lo=m, hi=3.0 * m, strict_lo=True)
+        _number(rho["sigma0"], "rho.sigma0", lo=0, strict_lo=True)
+    elif rho["kind"] == "file":
+        _require(isinstance(rho["path"], str), "rho.path", "must be a string")
+    _require(rho["kind"] != "none" or raw["experiment"] not in _NEEDS_COUPLING, "rho.kind",
              f"the {raw['experiment']} experiment needs a coupling")
 
-    init = raw["initial"]
-    kind = init.get("kind")
-    _require(kind in _INITIAL_KEYS, "initial.kind", f"must be one of {sorted(_INITIAL_KEYS)}")
-    _check_keys(init, _INITIAL_KEYS[kind], "initial")
-    if kind == "random":
-        _number(init.get("energy_norm", 1.0), "initial.energy_norm", lo=0, strict_lo=True)
-        _number(init.get("envelope_width", 8.0), "initial.envelope_width", lo=0, strict_lo=True)
-        _number(init.get("band_limit", 2.0), "initial.band_limit", lo=0, strict_lo=True)
-        _number(init.get("band_center", 0.0), "initial.band_center", lo=0)
-        _number(init.get("envelope_center", 0.0), "initial.envelope_center", lo=0)
-    elif kind == "packet":
-        _number(init.get("center", 0.0), "initial.center")
-        _number(init.get("width", 4.0), "initial.width", lo=0, strict_lo=True)
-        _number(init.get("carrier", 2.0), "initial.carrier")
-        _number(init.get("amplitude", 1.0), "initial.amplitude")
-    elif kind == "solitary":
-        _number(init.get("omega", 0.5), "initial.omega")
-        _number(init.get("phase", 0.0), "initial.phase")
-        _integer(init.get("root_index", 0), "initial.root_index", lo=0)
-        _require(raw["rho"]["kind"] != "none", "initial.kind",
+    init = _fill_kind(raw["initial"], INITIAL_KINDS, "initial")
+    if init["kind"] == "random":
+        _number(init["energy_norm"], "initial.energy_norm", lo=0, strict_lo=True)
+        _number(init["envelope_width"], "initial.envelope_width", lo=0, strict_lo=True)
+        _number(init["band_limit"], "initial.band_limit", lo=0, strict_lo=True)
+        _number(init["band_center"], "initial.band_center", lo=0)
+        _number(init["envelope_center"], "initial.envelope_center", lo=0)
+    elif init["kind"] == "packet":
+        _number(init["center"], "initial.center")
+        _number(init["width"], "initial.width", lo=0, strict_lo=True)
+        _number(init["carrier"], "initial.carrier")
+        _number(init["amplitude"], "initial.amplitude")
+    elif init["kind"] == "solitary":
+        _number(init["omega"], "initial.omega")
+        _number(init["phase"], "initial.phase")
+        _integer(init["root_index"], "initial.root_index", lo=0)
+        _require(rho["kind"] != "none", "initial.kind",
                  "solitary data needs a coupling (rho.kind is 'none')")
-    elif kind == "file":
-        _require(isinstance(init.get("path"), str), "initial.path", "must be a string")
+    elif init["kind"] == "file":
+        _require(isinstance(init["path"], str), "initial.path", "must be a string")
 
     ev = raw["evolve"]
-    _check_keys(ev, {"dt", "T", "steps_per_sample", "snapshot_stride", "sponge"}, "evolve")
     _number(ev["dt"], "evolve.dt", lo=0, strict_lo=True)
     _number(ev["T"], "evolve.T", lo=0, strict_lo=True)
     _integer(ev["steps_per_sample"], "evolve.steps_per_sample", lo=1)
     _integer(ev["snapshot_stride"], "evolve.snapshot_stride", lo=0)
-    sponge = ev["sponge"]
-    if sponge is not None:
-        _check_keys(sponge, {"inner_radius", "strength"}, "evolve.sponge")
-        _number(sponge.get("inner_radius", 0.0), "evolve.sponge.inner_radius", lo=0, strict_lo=True)
-        _number(sponge.get("strength", 1.0), "evolve.sponge.strength", lo=0, strict_lo=True)
+    if ev["sponge"] is not None:
+        sponge = _fill(ev["sponge"], SPONGE, "evolve.sponge")
+        _number(sponge["inner_radius"], "evolve.sponge.inner_radius", lo=0, strict_lo=True)
+        _number(sponge["strength"], "evolve.sponge.strength", lo=0, strict_lo=True)
         _require(sponge["inner_radius"] < 0.5 * raw["grid"]["length"],
                  "evolve.sponge.inner_radius", "must be inside the box (less than length/2)")
 
@@ -250,23 +256,20 @@ def _validate(raw: dict) -> dict:
     half = 0.5 * float(raw["grid"]["length"])
     for i, sn in enumerate(raw["seminorms"]):
         path = f"seminorms[{i}]"
-        _check_keys(sn, {"epsilon", "radius", "cutoff_width"}, path)
-        _number(sn.get("epsilon", 0.0), f"{path}.epsilon", lo=0, hi=1)
-        _number(sn.get("radius", 8.0), f"{path}.radius", lo=0, strict_lo=True)
-        _number(sn.get("cutoff_width", 8.0), f"{path}.cutoff_width", lo=0, strict_lo=True)
+        _fill(sn, SEMINORM, path)
+        _number(sn["epsilon"], f"{path}.epsilon", lo=0, hi=1)
+        _number(sn["radius"], f"{path}.radius", lo=0, strict_lo=True)
+        _number(sn["cutoff_width"], f"{path}.cutoff_width", lo=0, strict_lo=True)
         _require(sn["radius"] + sn["cutoff_width"] < half, path,
                  "window must fit inside the box (radius + cutoff_width < length/2)")
 
     sig = raw["sigma"]
-    _check_keys(sig, {"omega_min", "omega_max", "count"}, "sigma")
     _integer(sig["count"], "sigma.count", lo=2)
     for key in ("omega_min", "omega_max"):
         if sig[key] is not None:
             _number(sig[key], f"sigma.{key}")
 
     dist = raw["distance"]
-    _check_keys(dist, {"epsilon", "radius", "cutoff_width", "use_global_norm", "omega_count"},
-                "distance")
     _number(dist["epsilon"], "distance.epsilon", lo=0, hi=1)
     _number(dist["radius"], "distance.radius", lo=0, strict_lo=True)
     _number(dist["cutoff_width"], "distance.cutoff_width", lo=0, strict_lo=True)
@@ -275,21 +278,17 @@ def _validate(raw: dict) -> dict:
     _integer(dist["omega_count"], "distance.omega_count", lo=3)
 
     sp = raw["spectrum"]
-    _check_keys(sp, {"window_width", "n_windows", "mass_fraction", "cluster_bins",
-                     "exclusion_bins", "taper"}, "spectrum")
     _number(sp["window_width"], "spectrum.window_width", lo=0, strict_lo=True)
     _integer(sp["n_windows"], "spectrum.n_windows", lo=1)
     _number(sp["mass_fraction"], "spectrum.mass_fraction", lo=0, hi=1, strict_lo=True)
     _integer(sp["cluster_bins"], "spectrum.cluster_bins", lo=0)
     _integer(sp["exclusion_bins"], "spectrum.exclusion_bins", lo=0)
-    _require(sp["taper"] in TAPERS, "spectrum.taper", f"must be one of {list(TAPERS)}")
+    _require(sp["taper"] == "hann", "spectrum.taper", 'must be "hann"')
     if raw["experiment"] == "spectrum":
         _require(sp["n_windows"] * sp["window_width"] <= ev["T"] + 1e-9, "spectrum.window_width",
                  "windows do not fit in the trajectory (n_windows * window_width > evolve.T)")
 
     ce = raw["counterexample"]
-    _check_keys(ce, {"omega1", "b", "sigma0", "T", "tol"}, "counterexample")
-    m = float(raw["m"])
     if ce["omega1"] is not None:  # None resolves to 2m at run time
         _number(ce["omega1"], "counterexample.omega1", lo=m, hi=3.0 * m, strict_lo=True)
         _require(float(ce["omega1"]) < 3.0 * m, "counterexample.omega1", "must be below 3m")
@@ -397,12 +396,9 @@ class RunConfig:
         if kind == "none":
             return None
         if kind == "gaussian":
-            return CouplingProfile.gaussian(grid, rho.get("amplitude", 1.0), rho.get("width", 1.0))
+            return CouplingProfile.gaussian(grid, rho["amplitude"], rho["width"])
         if kind == "multifreq":
-            return _build_multifreq_rho(
-                float(rho.get("omega1", 2.0 * self.m)), grid, self.m,
-                float(rho.get("sigma0", 1.0)),
-            )
+            return _build_multifreq_rho(float(rho["omega1"]), grid, self.m, float(rho["sigma0"]))
         values = np.load(Path(rho["path"]))
         if values.shape != grid.shape:
             raise ConfigError("rho.path", f"array shape {values.shape} does not match {grid.shape}")
@@ -417,25 +413,21 @@ class RunConfig:
         if kind == "random":
             return random_state(
                 grid, self.seed,
-                float(init.get("energy_norm", 1.0)),
-                float(init.get("envelope_width", 8.0)),
-                float(init.get("band_limit", 2.0)),
-                float(init.get("band_center", 0.0)),
-                float(init.get("envelope_center", 0.0)),
+                float(init["energy_norm"]),
+                float(init["envelope_width"]),
+                float(init["band_limit"]),
+                float(init["band_center"]),
+                float(init["envelope_center"]),
                 self.m,
             )
         if kind == "packet":
-            return wave_packet(
-                grid, float(init.get("center", 0.0)), float(init.get("width", 4.0)),
-                float(init.get("carrier", 2.0)), float(init.get("amplitude", 1.0)),
-            )
+            return wave_packet(grid, float(init["center"]), float(init["width"]),
+                               float(init["carrier"]), float(init["amplitude"]))
         if kind == "solitary":
             if rho is None:
                 raise ConfigError("initial.kind", "solitary data needs a coupling")
-            wave = build_solitary(
-                rho, pot, float(init.get("omega", 0.5)), float(init.get("phase", 0.0)),
-                self.m, int(init.get("root_index", 0)),
-            )
+            wave = build_solitary(rho, pot, float(init["omega"]), float(init["phase"]),
+                                  self.m, int(init["root_index"]))
             return wave.initial_state()
         state, m_file = load_snapshot(Path(init["path"]))
         if state.grid != grid:
@@ -448,16 +440,14 @@ class RunConfig:
         ev = self.raw["evolve"]
         if float(ev["dt"]) >= grid.spacing:
             raise ConfigError("evolve.dt", f"must be below the grid spacing {grid.spacing:g}")
-        sponge = None
-        if ev["sponge"] is not None:
-            sponge = Sponge(float(ev["sponge"]["inner_radius"]),
-                            float(ev["sponge"].get("strength", 1.0)))
+        sponge = ev["sponge"]
+        if sponge is not None:
+            sponge = Sponge(float(sponge["inner_radius"]), float(sponge["strength"]))
         return Integrator(float(ev["dt"]), int(ev["steps_per_sample"]), sponge)
 
     def seminorm_specs(self) -> tuple[SeminormSpec, ...]:
         return tuple(
-            SeminormSpec(float(sn.get("epsilon", 0.0)), float(sn.get("radius", 8.0)),
-                         float(sn.get("cutoff_width", 8.0)))
+            SeminormSpec(float(sn["epsilon"]), float(sn["radius"]), float(sn["cutoff_width"]))
             for sn in self.raw["seminorms"]
         )
 

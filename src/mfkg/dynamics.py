@@ -501,15 +501,21 @@ def _ball_observables(grid: Grid, fields, psi_raw: np.ndarray, mask: np.ndarray,
     return h, q
 
 
+def _record(rec: _Recorder, grid: Grid, t: float, g, f, h, q, fields) -> None:
+    """Record one sample; ``fields()`` gives (psi, pi), asked for only when
+    a seminorm or a snapshot needs the sample's :class:`FieldState`."""
+    state = None
+    if rec.needs_state():
+        psi, pi = fields()
+        state = FieldState(grid, psi, pi, t)
+    rec.record(t, g, f, h, q, state)
+
+
 def _record_undamped(core: _StrangCore, rec: _Recorder, grid: Grid, t: float, pair) -> None:
     """Record one sample of an undamped raw (psi, pi) pair, with the global H and Q."""
     g, f, u_val = core.coupling_terms(pair[0])
     h, q = core.invariants(pair, u_val)
-    state = None
-    if rec.needs_state():
-        fields = core.to_fields(pair)
-        state = FieldState(grid, fields[0], fields[1], t)
-    rec.record(t, g, f, h, q, state)
+    _record(rec, grid, t, g, f, h, q, lambda: core.to_fields(pair))
 
 
 def evolve(
@@ -546,7 +552,7 @@ def evolve(
         fields = (state.psi, state.pi) if fields is None else fields
         g, f, u_val = core.coupling_terms(psi)
         h, q = _ball_observables(grid, fields, psi, mask, u_val, m)
-        rec.record(t, g, f, h, q, FieldState(grid, fields[0], fields[1], t))
+        _record(rec, grid, t, g, f, h, q, lambda: fields)
     return rec.build(integ, m)
 
 

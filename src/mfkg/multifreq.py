@@ -285,8 +285,7 @@ def verify_persistence(
     gamma_arr = np.array(gammas)
     force_series = pot.force(gamma_arr)
     spec = windowed_spectrum(times_arr, force_series, 0.5 * (times_arr[0] + times_arr[-1]),
-                             times_arr[-1] - times_arr[0] + integ.dt * integ.steps_per_sample,
-                             taper="hann")
+                             times_arr[-1] - times_arr[0] + integ.dt * integ.steps_per_sample)
     peaks = _top_two_positive_peaks(spec.freqs, spec.amps)
     conc, _ = concentration_ratio(spec, 3)
     return PersistenceReport(

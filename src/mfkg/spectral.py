@@ -50,7 +50,6 @@ class Spectrum:
     amps: np.ndarray
     t_center: float
     width: float
-    taper: str
     sample_dt: float
 
     @property
@@ -66,9 +65,6 @@ class Spectrum:
         return float(np.sum(np.abs(self.amps) ** 2) * self.bin_width)
 
 
-TAPERS = ("hann",)
-
-
 def _hann(M: int) -> np.ndarray:
     """Periodic Hann window 0.5 + 0.5 cos(2 pi (j - M/2) / M), j = 0..M-1.
 
@@ -81,17 +77,14 @@ def _hann(M: int) -> np.ndarray:
     return w
 
 
-def windowed_spectrum(times, values, t_center: float, width: float, taper: str = "hann") -> Spectrum:
+def windowed_spectrum(times, values, t_center: float, width: float) -> Spectrum:
     """Tapered Fourier transform of ``values`` over [t_center - w/2, t_center + w/2).
 
     Sampling must be uniform.  amps[k] = dt * sum_j v_j w_j e^{i omega_k t_j},
     a Riemann approximation of the continuum transform of the tapered signal,
     so Parseval reads sum |amps|^2 d_omega = 2 pi dt sum |v_j w_j|^2.  The
-    taper w_j is the periodic Hann window in closed form (see :func:`_hann`),
-    the only taper supported.
+    taper w_j is the periodic Hann window in closed form (see :func:`_hann`).
     """
-    if taper not in TAPERS:
-        raise ValueError(f"unsupported taper {taper!r}; supported: {', '.join(TAPERS)}")
     times = np.asarray(times, dtype=float)
     values = np.asarray(values)
     if times.ndim != 1 or times.shape != values.shape:
@@ -118,7 +111,6 @@ def windowed_spectrum(times, values, t_center: float, width: float, taper: str =
         amps=np.fft.fftshift(amps),
         t_center=float(t_center),
         width=float(width),
-        taper=taper,
         sample_dt=dt,
     )
 
@@ -275,13 +267,12 @@ def titchmarsh_check(
     pot: PolynomialPotential,
     t_center: float,
     width: float,
-    taper: str = "hann",
     mass_fraction: float = 0.99,
 ) -> TitchmarshReport:
     gamma = np.asarray(gamma, dtype=complex)
     force = pot.force(gamma)
-    spec_g = windowed_spectrum(times, gamma, t_center, width, taper)
-    spec_f = windowed_spectrum(times, force, t_center, width, taper)
+    spec_g = windowed_spectrum(times, gamma, t_center, width)
+    spec_f = windowed_spectrum(times, force, t_center, width)
     est_g = support_estimate(spec_g, mass_fraction)
     a, b = est_g.lower, est_g.upper
     if b - a < 4.0 * spec_g.bin_width:
@@ -317,7 +308,6 @@ class AttractionConfig:
     mass_fraction: float = 0.99
     cluster_bins: int = 3
     exclusion_bins: int = 3
-    taper: str = "hann"
     seminorm: SeminormSpec | None = None
     measure_distance: bool = True
     resonant_zeros: tuple[float, ...] = ()
@@ -411,7 +401,7 @@ def attraction_report(
     windows = []
     for j in range(cfg.n_windows):
         center = t_end - (cfg.n_windows - j - 0.5) * cfg.window_width
-        spec = windowed_spectrum(times, gamma, center, cfg.window_width, cfg.taper)
+        spec = windowed_spectrum(times, gamma, center, cfg.window_width)
         past = horizon is not None and center + 0.5 * cfg.window_width > horizon
         windows.append(_window_report(spec, cfg, m, past))
 

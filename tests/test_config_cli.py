@@ -12,7 +12,7 @@ from mfkg import (
 )
 from mfkg.config import set_by_path
 from mfkg.cli import _evolved, main, run_experiment
-from mfkg.config import DEFAULTS
+from mfkg.config import DEFAULTS, INITIAL_KINDS, RHO_KINDS, SEMINORM, SPONGE
 from mfkg.io import read_trajectory_csv, save_snapshot
 from mfkg.solitary import ManifoldTable, default_omega_grid, resolvent_coupling
 
@@ -67,12 +67,42 @@ def test_merge_is_deep_and_defaults_survive():
     ({"experiment": "sigma", "rho": {"kind": "none"}}, "rho.kind"),
     ({"experiment": "distance", "rho": {"kind": "none"}}, "rho.kind"),
     ({"experiment": "spectrum", "rho": {"kind": "none"}}, "rho.kind"),
+    ({"rho": 5}, "rho"),
+    ({"grid": 5}, "grid"),
+    ({"evolve": {"sponge": 5}}, "evolve.sponge"),
+    ({"seminorms": [5]}, "seminorms[0]"),
+    ({"evolve": {"sponge": {"strength": 2.0}}}, "evolve.sponge.inner_radius"),
 ])
 def test_validation_reports_dotted_path(raw, path):
     with pytest.raises(ConfigError) as err:
         config_from_dict(raw)
     assert err.value.path == path
     assert str(err.value).startswith(path + ":")
+
+
+@pytest.mark.parametrize("raw, path", [
+    ({"evolve": {"sponge": {"strength": 2.0}}}, "evolve.sponge.inner_radius"),
+    ({"rho": {"kind": "file"}}, "rho.path"),
+    ({"initial": {"kind": "file"}}, "initial.path"),
+])
+def test_missing_required_key_is_named(raw, path):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert str(err.value) == f"{path}: required"
+
+
+def test_partial_seminorm_entry_takes_the_table_defaults():
+    cfg = config_from_dict({"seminorms": [{"epsilon": 0.5}]})
+    assert cfg.raw["seminorms"] == [{"epsilon": 0.5, "radius": 8.0, "cutoff_width": 8.0}]
+    assert cfg.seminorm_specs() == (SeminormSpec(0.5, 8.0, 8.0),)
+
+
+def test_multifreq_omega1_resolves_to_2m():
+    multi = config_from_dict({"m": 1.5, "rho": {"kind": "multifreq"}})
+    assert multi.raw["rho"] == {"kind": "multifreq", "omega1": 3.0, "sigma0": 1.0}
+    # a kind switch replaces the section, so keys of the old kind are unknown
+    with pytest.raises(ConfigError, match="rho.amplitude: unknown key"):
+        config_from_dict({"rho": {"kind": "multifreq", "amplitude": 1.0}})
 
 
 def test_set_by_path_creates_nested_leaves():
@@ -374,6 +404,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     ("sigma", "rho.kind=none"),
     ("distance", "rho.kind=none"),
     ("spectrum", "rho.kind=none"),
+    ("simulate", "evolve.sponge=5"),
 ])
 def test_cli_rejects_config_before_any_work(tmp_path, capsys, experiment, setting):
     code, out = run_cli(tmp_path, experiment, "--set", "grid.points=256",
@@ -390,3 +421,40 @@ def test_run_experiment_lists_every_file(tmp_path):
     on_disk = sorted(p.name for p in (tmp_path / "out").iterdir())
     assert sorted(files) == on_disk
     assert "manifest.json" in files and "config.json" in files
+
+
+SMALL_SETS = ["--set", "grid.points=256", "--set", "grid.length=64.0"]
+
+
+@pytest.mark.parametrize("experiment, sets, kinds", [
+    ("simulate", ["--set", "evolve.T=1.0"], {}),
+    ("solitary", ["--set", "rho.amplitude=2.0"], {}),
+    ("sigma", ["--set", "sigma.count=21"], {}),
+    ("distance", ["--set", "evolve.T=1.0", "--set", "distance.omega_count=11",
+                  "--set", "rho.amplitude=2.0"], {}),
+    ("spectrum", ["--set", "evolve.T=12.0", "--set", "spectrum.window_width=4.0",
+                  "--set", "rho.amplitude=2.0", "--set", "initial.kind=solitary"],
+     {"initial": {"kind": "solitary", **INITIAL_KINDS["solitary"]}}),
+    ("counterexample", ["--set", "grid.points=1024", "--set", "counterexample.T=2.0"], {}),
+    ("simulate", ["--set", "evolve.T=1.0", "--set", "initial.kind=packet"],
+     {"initial": {"kind": "packet", **INITIAL_KINDS["packet"]}}),
+    ("simulate", ["--set", "evolve.T=1.0", "--set", "rho.kind=multifreq"],
+     {"rho": {"kind": "multifreq", **RHO_KINDS["multifreq"], "omega1": 2.0}}),
+    ("simulate", ["--set", "evolve.T=1.0", "--set", "evolve.sponge.inner_radius=20.0",
+                  "--set", 'seminorms=[{"epsilon": 0.5}]'],
+     {"evolve.sponge": {**SPONGE, "inner_radius": 20.0}, "seminorms": [{**SEMINORM, "epsilon": 0.5}]}),
+], ids=["simulate", "solitary", "sigma", "distance", "spectrum", "counterexample",
+        "packet", "multifreq", "partial-sponge-and-seminorm"])
+def test_config_json_reruns_byte_for_byte(tmp_path, experiment, sets, kinds):
+    code, out = run_cli(tmp_path / "a", experiment, *SMALL_SETS, *sets)
+    assert code == 0
+    written = json.loads((out / "config.json").read_text())
+    # every value the run used is in config.json, kind-specific defaults included
+    for dotted, expected in kinds.items():
+        section = written
+        for part in dotted.split("."):
+            section = section[part]
+        assert section == expected, dotted
+    code, again = run_cli(tmp_path / "b", experiment, "--config", str(out / "config.json"))
+    assert code == 0
+    assert (again / "manifest.json").read_bytes() == (out / "manifest.json").read_bytes()
