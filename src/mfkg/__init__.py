@@ -56,7 +56,6 @@ from .solitary import (
     amplitude_roots,
     build_solitary,
     dispersion_curve,
-    find_resonant_zeros,
     manifold_distance,
     resolvent_coupling,
     resolvent_profile,
@@ -108,7 +107,6 @@ __all__ = [
     "energy",
     "energy_norm",
     "evolve",
-    "find_resonant_zeros",
     "free_flow",
     "inner_product",
     "kick",

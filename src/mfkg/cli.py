@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
-    EXPERIMENTS, INITIAL_KINDS, ConfigError, RunConfig, config_from_dict, set_by_path,
+    EXPERIMENTS, INITIAL_KINDS, ConfigError, RunConfig, _read_config_file, _sigma_range,
+    config_from_dict, set_by_path,
 )
 from .dynamics import _sample_count, evolve
 from .fields import SeminormSpec
@@ -68,17 +69,7 @@ def _parse_set(pair: str) -> tuple[str, object]:
 
 
 def _build_config(args, experiment: str) -> RunConfig:
-    if args.config is not None:
-        try:
-            raw = json.loads(Path(args.config).read_text())
-        except FileNotFoundError as exc:
-            raise ConfigError("config", f"file not found: {args.config}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError("config", f"invalid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config", "top level must be an object")
-    else:
-        raw = {}
+    raw = {} if args.config is None else _read_config_file(args.config)
     raw["experiment"] = experiment
     for pair in args.set or ():
         dotted, value = _parse_set(pair)
@@ -93,7 +84,7 @@ def _evolved(cfg: RunConfig, force_snapshots: bool = False):
     pot = cfg.build_potential()
     rho = cfg.build_rho(grid)
     state = cfg.build_initial_state(grid, rho, pot)
-    integ = cfg.build_integrator(grid)
+    integ = cfg.build_integrator()
     obs = cfg.build_observers()
     T = float(cfg.section("evolve")["T"])
     if force_snapshots and obs.snapshot_stride == 0:
@@ -162,13 +153,8 @@ def _run_sigma(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
     grid = cfg.build_grid()
     rho = cfg.build_rho(grid)
     sec = cfg.section("sigma")
-    m = cfg.m
-    lo = -0.99 * m if sec["omega_min"] is None else float(sec["omega_min"])
-    hi = 0.99 * m if sec["omega_max"] is None else float(sec["omega_max"])
-    if lo >= hi:
-        raise ConfigError("sigma.omega_min", "must be below sigma.omega_max")
-    omegas = np.linspace(lo, hi, int(sec["count"]))
-    values = dispersion_curve(rho, omegas, m).values
+    omegas = np.linspace(*_sigma_range(sec, cfg.m), int(sec["count"]))
+    values = dispersion_curve(rho, omegas, cfg.m)
     write_columns_csv(outdir / "sigma.csv", ["omega", "sigma"], [omegas, values])
     files.append("sigma.csv")
 
@@ -249,7 +235,7 @@ def _run_spectrum(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
         payload["distances"] = {
             "t": report.distance_times,
             "distance": report.distances,
-            "best_omega": [w if w is not None else None for w in report.best_omegas],
+            "best_omega": report.best_omegas,
         }
     _write_json(outdir / "attraction.json", payload)
     files.append("attraction.json")
@@ -261,7 +247,7 @@ def _run_counterexample(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
     omega1 = 2.0 * cfg.m if sec["omega1"] is None else float(sec["omega1"])
     sol = build_counterexample(omega1, float(sec["b"]), grid, cfg.m,
                                float(sec["sigma0"]))
-    integ = cfg.build_integrator(grid)
+    integ = cfg.build_integrator()
     report = verify_persistence(sol, integ, float(sec["T"]), float(sec["tol"]))
     gamma_exact = sol.gamma_exact(report.times)
     write_columns_csv(

@@ -8,9 +8,11 @@ INITIAL_KINDS, SPONGE, SEMINORM); after the merge a fill step writes those
 defaults in, so the resolved configuration (the run's config.json) lists
 every value the run uses.  Validation is eager and addresses mistakes by
 dotted path ("evolve.dt: must be positive") so batch sweeps fail before
-they burn compute.  Builders hand back the actual objects; cross-checks
-that need the grid (step size vs spacing, sponge and window geometry)
-happen there.
+they burn compute, and before an experiment writes anything; that covers
+the cross-checks between sections (step size against the grid spacing,
+sponge and window geometry, the sigma range).  Builders hand back the
+actual objects; only the checks that read a file (``rho.path``,
+``initial.path``) happen there.
 """
 from __future__ import annotations
 
@@ -99,6 +101,8 @@ DEFAULTS: dict = {
 }
 # experiments that read the configured coupling rho and so reject rho.kind "none"
 _NEEDS_COUPLING = ("solitary", "sigma", "distance", "spectrum")
+# experiments that take time steps, and so need evolve.dt below the grid spacing
+_STEPS = ("simulate", "distance", "spectrum", "counterexample")
 
 
 class ConfigError(ValueError):
@@ -187,6 +191,13 @@ def set_by_path(cfg: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
+def _sigma_range(sec: dict, m: float) -> tuple[float, float]:
+    """(omega_min, omega_max) of a sigma section, None read as -0.99 m and 0.99 m."""
+    lo = -0.99 * m if sec["omega_min"] is None else float(sec["omega_min"])
+    hi = 0.99 * m if sec["omega_max"] is None else float(sec["omega_max"])
+    return lo, hi
+
+
 def _validate(raw: dict) -> dict:
     _require(raw["experiment"] in EXPERIMENTS, "experiment", f"must be one of {EXPERIMENTS}")
     _integer(raw["seed"], "seed", lo=0)
@@ -196,6 +207,7 @@ def _validate(raw: dict) -> dict:
     _integer(g["dim"], "grid.dim", lo=1)
     _require(g["dim"] <= 3, "grid.dim", "must be 1, 2 or 3")
     _integer(g["points"], "grid.points", lo=8)
+    _require(g["points"] & (g["points"] - 1) == 0, "grid.points", "must be a power of two")
     _number(g["length"], "grid.length", lo=0, strict_lo=True)
 
     pcoeffs = raw["potential"]["coeffs"]
@@ -242,6 +254,9 @@ def _validate(raw: dict) -> dict:
 
     ev = raw["evolve"]
     _number(ev["dt"], "evolve.dt", lo=0, strict_lo=True)
+    if raw["experiment"] in _STEPS:
+        spacing = float(g["length"]) / g["points"]
+        _require(ev["dt"] < spacing, "evolve.dt", f"must be below the grid spacing {spacing:g}")
     _number(ev["T"], "evolve.T", lo=0, strict_lo=True)
     _integer(ev["steps_per_sample"], "evolve.steps_per_sample", lo=1)
     _integer(ev["snapshot_stride"], "evolve.snapshot_stride", lo=0)
@@ -268,6 +283,9 @@ def _validate(raw: dict) -> dict:
     for key in ("omega_min", "omega_max"):
         if sig[key] is not None:
             _number(sig[key], f"sigma.{key}")
+    if raw["experiment"] == "sigma":
+        lo, hi = _sigma_range(sig, m)
+        _require(lo < hi, "sigma.omega_min", f"must be below sigma.omega_max ({lo:g} >= {hi:g})")
 
     dist = raw["distance"]
     _number(dist["epsilon"], "distance.epsilon", lo=0, hi=1)
@@ -382,10 +400,7 @@ class RunConfig:
 
     def build_grid(self) -> Grid:
         g = self.raw["grid"]
-        try:
-            return make_grid(g["dim"], g["points"], float(g["length"]))
-        except ValueError as exc:
-            raise ConfigError("grid", str(exc)) from exc
+        return make_grid(g["dim"], g["points"], float(g["length"]))
 
     def build_potential(self) -> PolynomialPotential:
         return PolynomialPotential(tuple(float(c) for c in self.raw["potential"]["coeffs"]))
@@ -424,8 +439,6 @@ class RunConfig:
             return wave_packet(grid, float(init["center"]), float(init["width"]),
                                float(init["carrier"]), float(init["amplitude"]))
         if kind == "solitary":
-            if rho is None:
-                raise ConfigError("initial.kind", "solitary data needs a coupling")
             wave = build_solitary(rho, pot, float(init["omega"]), float(init["phase"]),
                                   self.m, int(init["root_index"]))
             return wave.initial_state()
@@ -436,10 +449,8 @@ class RunConfig:
             raise ConfigError("initial.path", f"snapshot mass {m_file} differs from config m {self.m}")
         return state
 
-    def build_integrator(self, grid: Grid) -> Integrator:
+    def build_integrator(self) -> Integrator:
         ev = self.raw["evolve"]
-        if float(ev["dt"]) >= grid.spacing:
-            raise ConfigError("evolve.dt", f"must be below the grid spacing {grid.spacing:g}")
         sponge = ev["sponge"]
         if sponge is not None:
             sponge = Sponge(float(sponge["inner_radius"]), float(sponge["strength"]))
@@ -469,10 +480,17 @@ def config_from_dict(raw: dict) -> RunConfig:
     return cfg
 
 
-def load_config(path) -> RunConfig:
-    text = Path(path).read_text()
+def _read_config_file(path) -> dict:
+    """The JSON object in the config file at ``path``."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text())
+    except FileNotFoundError as exc:
+        raise ConfigError("config", f"file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
-    return config_from_dict(raw)
+    _require(isinstance(raw, dict), "config", "top level must be an object")
+    return raw
+
+
+def load_config(path) -> RunConfig:
+    return config_from_dict(_read_config_file(path))

@@ -18,15 +18,15 @@ inner radius, emulating radiation to infinity on the periodic box.
 
 All stepping (:func:`step`, :func:`evolve`, :func:`split_chi_phi` and
 ``multifreq.verify_persistence``) goes through one private core,
-:class:`_StrangCore`.  It keeps states in raw FFT coordinates: one complex
-array of shape ``(..., 2, *grid.shape)`` holding the plain FFT
-(:meth:`Grid.raw_fft`) of (psi, pi), without the checkerboard and
+:class:`_StrangCore`.  A core advances one system, kept in raw FFT
+coordinates: one complex array of shape ``(2, *grid.shape)`` holding the
+plain FFT (:meth:`Grid.raw_fft`) of (psi, pi), without the checkerboard and
 cell-volume factors of :meth:`Grid.forward`.  Those factors are per-mode
 scalars, so the flow tables do not see them; they are folded once, at
 set-up, into the kick vector and into the pairing vector that reads gamma
-off raw psi.  Leading axes stack systems that share one drive:
-split_chi_phi advances the full solution, chi and phi as one (3, 2, ...)
-array, and the kicks land on the full solution and phi only.
+off raw psi.  :func:`split_chi_phi` runs two cores in lockstep, the coupled
+one on the full solution and an uncoupled one on chi, and takes
+phi = full - chi by subtraction at every sample.
 
 Without a sponge the core advances by block updates of up to 16 steps.
 The coupling is rank one: a kick moves only pi, always along the same raw
@@ -233,8 +233,6 @@ class _StrangCore:
         self.grid = grid
         self.m = m
         self.integ = integ
-        # swaps the (psi, pi) rows of every pair in a stack of raw pairs
-        self.swap = (..., slice(None, None, -1)) + (slice(None),) * grid.dim
         # |psi_hat|^2 / L^n = scale |psi_raw|^2, since psi_hat = +-h^n psi_raw
         self.scale = grid.cell_volume / grid.num_points
         self.energy_weight = grid.k_squared + m * m
@@ -247,8 +245,9 @@ class _StrangCore:
             self.kick = (0.5 * integ.dt) * rho_raw
             self.pairing = self.scale * rho_raw
         if integ.sponge is None:
-            self.table = _block_table(grid, m, integ.dt, min(integ.steps_per_sample, _BLOCK_STEPS))
+            self.block = min(integ.steps_per_sample, _BLOCK_STEPS)
             if rho is not None:
+                self.table = _block_table(grid, m, integ.dt, self.block)
                 self.conj_pairing = np.conj(self.pairing)
                 # memory K_n: gamma of R^n (0, kick); real, since the pairing
                 # and the kick are both real multiples of rho_raw
@@ -284,34 +283,28 @@ class _StrangCore:
         return h, q
 
     def _flow(self, view: np.ndarray, cos: np.ndarray, sin: np.ndarray, rotated: np.ndarray) -> None:
-        """Free flow in place of the float64 view of raw pairs, by the tables' tau."""
-        np.multiply(sin, view[self.swap], out=rotated)
+        """Free flow in place of the float64 view of a raw pair, by the tables' tau."""
+        np.multiply(sin, view[::-1], out=rotated)
         view *= cos
         view += rotated
 
-    def advance(self, raw: np.ndarray, nsteps: int, kicked: np.ndarray | None = None):
-        """Take nsteps Strang steps of ``raw`` in place.
+    def advance(self, raw: np.ndarray, nsteps: int):
+        """Take nsteps Strang steps of the raw pair ``raw`` in place.
 
-        The kicks land on the systems ``kicked``, a view into ``raw`` that
-        defaults to all of it; the first of them drives them, since gamma is
-        read from its psi.  Without a sponge the steps go in block updates
-        of at most _BLOCK_STEPS steps each (:meth:`_block`) and None is
-        returned.  With a sponge they go one by one, each ending with the
-        damping multiply in position space, and the damped position-space
-        fields after the last step are returned.
+        Without a sponge the steps go in block updates of at most
+        _BLOCK_STEPS steps each (:meth:`_block`) and None is returned.  With
+        a sponge they go one by one, each ending with the damping multiply
+        in position space, and the damped position-space fields after the
+        last step are returned.
         """
-        kicked = raw if kicked is None else kicked
-        drive = kicked[(0,) * (kicked.ndim - 1 - self.grid.dim)]
         rotated = np.empty_like(raw.view(np.float64))
         if self.integ.sponge is not None:
-            return self._damped_steps(raw, kicked, drive, nsteps, rotated)
-        size = self.table.shape[0] - 1
-        for done in range(0, nsteps, size):
-            self._block(raw, kicked, drive, min(size, nsteps - done), rotated)
+            return self._damped_steps(raw, nsteps, rotated)
+        for done in range(0, nsteps, self.block):
+            self._block(raw, min(self.block, nsteps - done), rotated)
         return None
 
-    def _block(self, raw: np.ndarray, kicked: np.ndarray, drive: np.ndarray, steps: int,
-               rotated: np.ndarray) -> None:
+    def _block(self, raw: np.ndarray, steps: int, rotated: np.ndarray) -> None:
         """``steps`` undamped Strang steps of ``raw`` as one update.
 
         A kick moves only pi, always along the raw vector e = kick; gamma
@@ -320,19 +313,19 @@ class _StrangCore:
         for s = steps and d_j = F(gamma_j):
 
         * gamma_i = b_i + sum_{j<i} K_{i-j} c_j, where b_i is gamma of
-          R^i x0 (one product of the drive with the block table) and K is
+          R^i x0 (one product of x0 with the block table) and K is
           the memory, so the d_j follow from a scalar recurrence;
         * the end state is R^s x0 + sum_j c_j R^{s-j} (0, e), the sum again
           one product with the table.
         """
-        rows = self.table[: steps + 1]
         # Both products are real GEMMs against the (re, im) columns of a
         # complex vector viewed as float64.  With the kick or pairing folded
         # into a complex table they would be complex GEMVs, which OpenBLAS
         # splits over threads at this size: slower on two threads than on
         # one, with first calls of ~10 ms.
         if self.kick is not None:
-            weighted = self.conj_pairing * drive
+            rows = self.table[: steps + 1]
+            weighted = self.conj_pairing * raw
             b = (rows @ weighted.view(np.float64).reshape(-1, 2)).view(np.complex128)
             force, memory = self.pot.scalar_force, self.memory
             weights: list[complex] = []
@@ -341,15 +334,14 @@ class _StrangCore:
                 weights.append(2.0 * d if 0 < i < steps else d)
             c = np.array(weights[::-1]).view(np.float64).reshape(-1, 2)
             # the (pi, psi) halves of sum_j c_j R^{s-j} (0, 1), per mode
-            sums = (rows.T @ c).view(np.complex128).reshape(drive.shape)
+            sums = (rows.T @ c).view(np.complex128).reshape(raw.shape)
             kicks = sums[::-1] * self.kick
         cos, sin = _flow_tables(self.grid, self.m, steps * self.integ.dt)
         self._flow(raw.view(np.float64), cos, sin, rotated)
         if self.kick is not None:
-            kicked += kicks
+            raw += kicks
 
-    def _damped_steps(self, raw: np.ndarray, kicked: np.ndarray, drive: np.ndarray, nsteps: int,
-                      rotated: np.ndarray):
+    def _damped_steps(self, raw: np.ndarray, nsteps: int, rotated: np.ndarray):
         """Strang steps one by one, each followed by the sponge damping; returns the damped fields.
 
         The round trip transforms into buffers, ``raw`` itself and one
@@ -359,8 +351,7 @@ class _StrangCore:
         force = None if kick is None else self.pot.scalar_force
         pairing = self.pairing
         fft, ifft = self.grid.raw_fft, self.grid.raw_ifft
-        psi = drive[0]
-        pi = kicked[(..., 1) + (slice(None),) * self.grid.dim]
+        psi, pi = raw
         view = raw.view(np.float64)
         fields = np.empty_like(raw)
         damped = fields.view(np.float64)
@@ -375,17 +366,17 @@ class _StrangCore:
             fft(fields, out=raw)
         return fields if nsteps else None
 
-    def samples(self, raw: np.ndarray, T: float, t0: float, kicked: np.ndarray | None = None):
+    def samples(self, raw: np.ndarray, T: float, t0: float):
         """Advance ``raw`` over the :func:`_sample_count` intervals covering T.
 
         Yields (t0, None), then (t0 + steps done * dt, damped fields or None)
         after every steps_per_sample steps, each interval one call of
-        :meth:`advance` with ``kicked``.
+        :meth:`advance`.
         """
         sps = self.integ.steps_per_sample
         yield t0, None
         for done in range(sps, _sample_count(self.integ, T) * sps + 1, sps):
-            yield t0 + done * self.integ.dt, self.advance(raw, sps, kicked)
+            yield t0 + done * self.integ.dt, self.advance(raw, sps)
 
 
 # public single-application operations ------------------------------------
@@ -568,9 +559,9 @@ def split_chi_phi(
     """Decompose the solution as psi = chi + phi.
 
     chi solves the free equation with the full initial data; phi starts from
-    zero and is driven by the source rho(x) f(t), with f read off the full
-    nonlinear solution.  All three systems advance in lockstep with the same
-    splitting, so the decomposition holds to roundoff at every sample.
+    zero and carries what the source rho(x) f(t) adds, f read off the full
+    nonlinear solution.  The full solution and chi advance in lockstep, on a
+    coupled and an uncoupled core, and phi = full - chi at every sample.
 
     Returns the (chi, phi) trajectories; each records its own coupling
     amplitude and derived observables.  Sponge damping is not supported here
@@ -582,11 +573,13 @@ def split_chi_phi(
         raise ValueError("chi/phi splitting assumes undamped evolution (disable the sponge)")
     core = _StrangCore(grid, integ, rho, pot, m)
     obs = observers or Observers()
-    pair = core.to_raw(state.psi, state.pi)
-    # the full solution drives the kicks, which land on it and on phi only
-    raw = np.stack((pair, pair, np.zeros_like(pair)))
+    full = core.to_raw(state.psi, state.pi)
+    chi, phi = full.copy(), np.empty_like(full)
     recorders = (_Recorder(obs, m), _Recorder(obs, m))
-    for t, _ in core.samples(raw, T, state.time, kicked=raw[::2]):
-        for part, rec in zip(raw[1:], recorders):
+    runs = zip(core.samples(full, T, state.time),
+               _StrangCore(grid, integ, None, None, m).samples(chi, T, state.time))
+    for (t, _), _ in runs:
+        np.subtract(full, chi, out=phi)
+        for part, rec in zip((chi, phi), recorders):
             _record_undamped(core, rec, grid, t, part)
     return recorders[0].build(integ, m), recorders[1].build(integ, m)

@@ -35,7 +35,6 @@ __all__ = [
     "energy_norm",
     "smooth_cutoff",
     "local_seminorm",
-    "seminorm_inner_product",
     "local_metric_norm",
 ]
 
@@ -103,13 +102,13 @@ class CouplingProfile:
         return cls(grid, vals, rho_hat, grid.l2sq(vals))
 
     @classmethod
-    def from_spectrum(cls, grid: Grid, spectrum: np.ndarray, imag_tol: float = 1e-10) -> "CouplingProfile":
+    def from_spectrum(cls, grid: Grid, spectrum: np.ndarray) -> "CouplingProfile":
         """Build from lattice samples of rho_hat; the profile must come out real."""
         vals = grid.inverse(np.asarray(spectrum, dtype=np.complex128))
         scale = np.max(np.abs(vals))
         if scale == 0.0:
             raise ValueError("coupling profile must not vanish identically")
-        if np.max(np.abs(vals.imag)) > imag_tol * scale:
+        if np.max(np.abs(vals.imag)) > 1e-10 * scale:
             raise ValueError("spectrum does not correspond to a real profile")
         return cls.from_values(grid, vals.real)
 
@@ -256,16 +255,6 @@ def _windowed_weighted_hats(
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_weighted_hats` with the cached tables of :func:`_seminorm_weights`."""
     return _weighted_hats(state, *_seminorm_weights(state.grid, spec, m))
-
-
-def seminorm_inner_product(
-    a: FieldState, b: FieldState, spec: SeminormSpec | None, m: float = 1.0
-) -> complex:
-    """Hermitian pairing inducing :func:`local_seminorm` (energy norm if spec=None)."""
-    grid = require_same_grid(a, b)
-    a1, a0 = _windowed_weighted_hats(a, spec, m)
-    b1, b0 = _windowed_weighted_hats(b, spec, m)
-    return (np.vdot(a1, b1) + np.vdot(a0, b0)) / grid.box_length**grid.dim
 
 
 def local_seminorm(state: FieldState, spec: SeminormSpec, m: float = 1.0) -> float:

@@ -195,10 +195,6 @@ class Grid:
 
     # quadrature ---------------------------------------------------------
 
-    def integrate(self, values: np.ndarray):
-        """h^n-weighted lattice sum approximating the box integral."""
-        return self.cell_volume * values.sum()
-
     def dot(self, a: np.ndarray, b: np.ndarray) -> complex:
         """L2 pairing h^n sum conj(a) b."""
         return self.cell_volume * np.vdot(a, b)
@@ -206,11 +202,8 @@ class Grid:
     def l2sq(self, values: np.ndarray) -> float:
         return self.cell_volume * float(np.vdot(values, values).real)
 
-    def spectral_dot(self, a_hat: np.ndarray, b_hat: np.ndarray) -> complex:
-        """Same pairing evaluated on spectra (discrete Parseval identity)."""
-        return np.vdot(a_hat, b_hat) / self.box_length**self.dim
-
     def spectral_l2sq(self, a_hat: np.ndarray) -> float:
+        """h^n sum |a|^2 evaluated on the spectrum a_hat (discrete Parseval identity)."""
         return float(np.vdot(a_hat, a_hat).real) / self.box_length**self.dim
 
 

@@ -59,7 +59,7 @@ def _mixed_spectrum(
     m: float,
     sigma0_target: float,
     widths: tuple[float, float] | None,
-) -> tuple[np.ndarray, float, tuple[float, float]]:
+) -> tuple[np.ndarray, float]:
     if not m < omega1 < 3.0 * m:
         raise ValueError("omega1 must lie strictly between m and 3m")
     k1 = math.sqrt(omega1 * omega1 - m * m)
@@ -98,7 +98,7 @@ def _mixed_spectrum(
     if sigma0_target <= 0:
         raise ValueError("sigma0_target must be positive")
     kappa = math.sqrt(sigma0_target / sigma0_raw)
-    return kappa * shape, lam, (tau1, tau2)
+    return kappa * shape, lam
 
 
 def build_rho(
@@ -114,7 +114,7 @@ def build_rho(
     scale of the two-frequency solution (matching the force scale keeps the
     resulting dynamics comfortably non-stiff).
     """
-    spectrum, _, _ = _mixed_spectrum(omega1, grid, m, sigma0_target, widths)
+    spectrum, _ = _mixed_spectrum(omega1, grid, m, sigma0_target, widths)
     return CouplingProfile.from_spectrum(grid, spectrum.astype(complex))
 
 
@@ -158,14 +158,13 @@ def build_multifreq(
     omega1: float,
     b: float,
     m: float = 1.0,
-    sigma1_tol: float = 1e-8,
 ) -> TwoFrequencySolution:
     """Assemble the two-frequency solution on a coupling with sigma(omega1) = 0.
 
     Works for any admissible coupling, not only those from :func:`build_rho`;
     raises if the coupling does not actually vanish on the resonant shell or
-    if its trace at omega1 is not zero to ``sigma1_tol``.  ``b`` must be
-    negative so the force derives from a confining quartic.
+    if its trace at omega1 exceeds 1e-8 max(1, |sigma(omega1 / 3)|).  ``b``
+    must be negative so the force derives from a confining quartic.
     """
     if b >= 0:
         raise ValueError("b must be negative (the quartic coefficient is -b/4)")
@@ -174,7 +173,7 @@ def build_multifreq(
         raise ValueError("omega1 must lie in (m, 3m) so omega1/3 is below the spectral gap")
     sigma1 = resolvent_coupling(rho, omega1, m)  # validates the shell condition
     sigma0 = resolvent_coupling(rho, omega0, m)
-    if abs(sigma1) > sigma1_tol * max(1.0, abs(sigma0)):
+    if abs(sigma1) > 1e-8 * max(1.0, abs(sigma0)):
         raise ValueError(
             f"sigma(omega1) = {sigma1:g} does not vanish; mix the coupling first "
             "(see build_rho)"
@@ -204,7 +203,7 @@ def build_counterexample(
     widths: tuple[float, float] | None = None,
 ) -> TwoFrequencySolution:
     """Coupling plus two-frequency solution in one step."""
-    spectrum, lam, _ = _mixed_spectrum(omega1, grid, m, sigma0_target, widths)
+    spectrum, lam = _mixed_spectrum(omega1, grid, m, sigma0_target, widths)
     rho = CouplingProfile.from_spectrum(grid, spectrum.astype(complex))
     sol = build_multifreq(rho, omega1, b, m)
     sol.mixing = lam
@@ -225,11 +224,12 @@ class PersistenceReport:
     passed: bool
 
 
-def _top_two_positive_peaks(freqs: np.ndarray, amps: np.ndarray, gap_bins: int = 3):
+def _top_two_positive_peaks(freqs: np.ndarray, amps: np.ndarray):
+    """The two largest positive-frequency peaks, at least 4 bins apart, ascending."""
     mass = np.abs(amps) ** 2
     mass = np.where(freqs > 0, mass, 0.0)
     k1 = int(np.argmax(mass))
-    lo, hi = max(0, k1 - gap_bins), min(mass.size, k1 + gap_bins + 1)
+    lo, hi = max(0, k1 - 3), min(mass.size, k1 + 4)
     mass2 = mass.copy()
     mass2[lo:hi] = 0.0
     k2 = int(np.argmax(mass2))

@@ -29,7 +29,6 @@ round trip per snapshot instead of three transforms per candidate.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,15 +47,11 @@ from .grid import Grid
 from .potential import PolynomialPotential
 
 __all__ = [
-    "DispersionCurve",
     "ManifoldTable",
-    "ResonantZeros",
     "SolitaryWave",
     "resolvent_coupling",
     "resolvent_profile",
     "dispersion_curve",
-    "endpoint_coupling_report",
-    "find_resonant_zeros",
     "amplitude_roots",
     "build_solitary",
     "stationarity_residual",
@@ -103,27 +98,27 @@ def _protected_resolvent_terms(rho: CouplingProfile, den: np.ndarray, num: np.nd
     return num / den
 
 
-def _check_real_frequency(rho: CouplingProfile, omega: float, m: float, shell_tol: float) -> None:
+def _check_real_frequency(rho: CouplingProfile, omega: float, m: float) -> None:
     if abs(omega) < m:
         return
     if abs(omega) == m:
         # The xi = 0 mode is excluded separately; require it to be negligible.
         zero_amp = float(np.abs(rho.rho_hat[(0,) * rho.grid.dim]))
-        if zero_amp > shell_tol * rho.max_abs_hat:
+        if zero_amp > SHELL_TOL * rho.max_abs_hat:
             raise ValueError(
                 "endpoint |omega| = m not admissible on this grid: the xi=0 mode of "
-                f"rho_hat is {zero_amp:.3g}, not negligible (see endpoint_coupling_report)"
+                f"rho_hat is {zero_amp:.3g}, not negligible"
             )
         return
     peak = shell_max(rho, omega, m)
-    if peak > shell_tol * rho.max_abs_hat:
+    if peak > SHELL_TOL * rho.max_abs_hat:
         raise ValueError(
             f"omega={omega:g} is not an admissible embedded frequency: |rho_hat| reaches "
-            f"{peak:.3g} on the resonant shell (tolerance {shell_tol:g} relative)"
+            f"{peak:.3g} on the resonant shell (tolerance {SHELL_TOL:g} relative)"
         )
 
 
-def resolvent_coupling(rho: CouplingProfile, omega, m: float = 1.0, shell_tol: float = SHELL_TOL):
+def resolvent_coupling(rho: CouplingProfile, omega, m: float = 1.0):
     """The scalar s(omega) = <rho, resolvent rho> as a lattice sum.
 
     Real for real admissible omega (|omega| < m, the endpoints, or embedded
@@ -140,7 +135,7 @@ def resolvent_coupling(rho: CouplingProfile, omega, m: float = 1.0, shell_tol: f
         den = grid.k_squared + m * m - omega * omega
         return complex(np.sum(num / den) / grid.box_length**grid.dim)
     omega = float(np.real(omega))
-    _check_real_frequency(rho, omega, m, shell_tol)
+    _check_real_frequency(rho, omega, m)
     den = grid.k_squared + m * m - omega * omega
     terms = _protected_resolvent_terms(rho, den, num, m)
     total = float(np.sum(terms))
@@ -149,115 +144,19 @@ def resolvent_coupling(rho: CouplingProfile, omega, m: float = 1.0, shell_tol: f
     return total / grid.box_length**grid.dim
 
 
-def resolvent_profile(
-    rho: CouplingProfile, omega: float, m: float = 1.0, shell_tol: float = SHELL_TOL
-) -> np.ndarray:
+def resolvent_profile(rho: CouplingProfile, omega: float, m: float = 1.0) -> np.ndarray:
     """Profile of the unit-amplitude standing wave, (m^2 - Lap - omega^2)^{-1} rho."""
     grid = rho.grid
     omega = float(np.real(omega))
-    _check_real_frequency(rho, omega, m, shell_tol)
+    _check_real_frequency(rho, omega, m)
     den = grid.k_squared + m * m - omega * omega
     spectrum = _protected_resolvent_terms(rho, den, rho.rho_hat, m)
     return grid.inverse(spectrum)
 
 
-@dataclass(eq=False)
-class DispersionCurve:
-    """s(omega) sampled on a frequency grid."""
-
-    omegas: np.ndarray
-    values: np.ndarray
-
-
-def dispersion_curve(rho: CouplingProfile, omegas, m: float = 1.0) -> DispersionCurve:
-    om = np.asarray(omegas, dtype=float)
-    vals = np.array([resolvent_coupling(rho, w, m) for w in om])
-    return DispersionCurve(om, vals)
-
-
-def endpoint_coupling_report(rho: CouplingProfile, m: float = 1.0) -> dict:
-    """Diagnostics for the threshold frequencies |omega| = m.
-
-    Returns the lattice sum of |rho_hat|^2 / |xi|^4 with the xi = 0 mode
-    excluded, together with that mode's magnitude.  The sum is a
-    resolution-dependent surrogate for the continuum integrability condition
-    at the endpoint; a large excluded mode means the verdict is meaningless
-    at this resolution.
-    """
-    grid = rho.grid
-    num = np.abs(rho.rho_hat) ** 2
-    k2 = grid.k_squared
-    mask = k2 > 0
-    total = float(np.sum(num[mask] / k2[mask] ** 2) / grid.box_length**grid.dim)
-    zero_mode = float(np.abs(rho.rho_hat[(0,) * grid.dim]))
-    return {
-        "sum_excluding_zero_mode": total,
-        "zero_mode_abs": zero_mode,
-        "zero_mode_negligible": bool(zero_mode <= SHELL_TOL * rho.max_abs_hat),
-    }
-
-
-@dataclass(frozen=True)
-class ResonantZeros:
-    """Embedded frequencies omega > m where rho_hat vanishes on the shell."""
-
-    points: tuple[float, ...]
-    tol: float
-
-    def __iter__(self):
-        return iter(self.points)
-
-
-def find_resonant_zeros(
-    rho: CouplingProfile, omega_max: float, tol: float, m: float = 1.0
-) -> ResonantZeros:
-    """Scan (m, omega_max] for shells on which |rho_hat| stays below ``tol``.
-
-    The shell radius is swept in half-mode-spacing increments; contiguous
-    sub-threshold runs collapse to the frequency minimizing the band maximum.
-    Wide runs (several mode spacings) are reported with a warning since they
-    indicate a non-isolated zero set at this resolution.
-    """
-    if omega_max <= m:
-        raise ValueError("omega_max must exceed m")
-    grid = rho.grid
-    k_max = float(np.sqrt(omega_max**2 - m * m))
-    if k_max > grid.nyquist:
-        raise ValueError("omega_max probes shells beyond the grid bandwidth")
-    dxi = grid.mode_spacing
-    k_grid = np.arange(0.5 * dxi, k_max + 0.25 * dxi, 0.5 * dxi)
-    abs_k = np.sqrt(grid.k_squared).ravel()
-    abs_hat = np.abs(rho.rho_hat).ravel()
-    order = np.argsort(abs_k)
-    abs_k, abs_hat = abs_k[order], abs_hat[order]
-
-    peaks = np.empty_like(k_grid)
-    for i, k in enumerate(k_grid):
-        lo = np.searchsorted(abs_k, k - dxi, side="left")
-        hi = np.searchsorted(abs_k, k + dxi, side="right")
-        peaks[i] = abs_hat[lo:hi].max() if hi > lo else np.inf
-
-    below = peaks < tol
-    points: list[float] = []
-    i = 0
-    while i < len(k_grid):
-        if below[i]:
-            j = i
-            while j + 1 < len(k_grid) and below[j + 1]:
-                j += 1
-            run = slice(i, j + 1)
-            k_best = k_grid[run][np.argmin(peaks[run])]
-            points.append(float(np.sqrt(k_best**2 + m * m)))
-            if k_grid[j] - k_grid[i] > 4.0 * dxi:
-                warnings.warn(
-                    f"resonant zero near omega={points[-1]:.4g} is not isolated at this "
-                    "resolution (sub-threshold band wider than four mode spacings)",
-                    stacklevel=2,
-                )
-            i = j + 1
-        else:
-            i += 1
-    return ResonantZeros(tuple(points), tol)
+def dispersion_curve(rho: CouplingProfile, omegas, m: float = 1.0) -> np.ndarray:
+    """s(omega) at each of ``omegas``."""
+    return np.array([resolvent_coupling(rho, w, m) for w in np.asarray(omegas, dtype=float)])
 
 
 def amplitude_roots(pot: PolynomialPotential, s: float) -> list[float]:
@@ -359,17 +258,11 @@ def stationarity_residual(
     return float(np.sqrt(grid.l2sq(res)) / norm)
 
 
-def default_omega_grid(
-    m: float = 1.0,
-    zeros: ResonantZeros | tuple[float, ...] = (),
-    count: int = 201,
-    margin_frac: float = 0.01,
-) -> np.ndarray:
+def default_omega_grid(m: float = 1.0, zeros: tuple[float, ...] = (), count: int = 201) -> np.ndarray:
     """Frequency candidates for distance scans: (-m, m) interior plus embedded zeros."""
-    margin = margin_frac * m
+    margin = 0.01 * m
     base = np.linspace(-m + margin, m - margin, count)
-    extra = [w for w in zeros]
-    extra += [-w for w in zeros]
+    extra = [*zeros, *(-w for w in zeros)]
     if extra:
         return np.concatenate([base, np.asarray(sorted(extra), dtype=float)])
     return base

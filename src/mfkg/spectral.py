@@ -35,7 +35,6 @@ __all__ = [
     "concentration_ratio",
     "semidiscrete_transform",
     "shell_weight",
-    "shell_weight_curve",
     "weighted_tail_mass",
     "titchmarsh_check",
     "attraction_report",
@@ -207,18 +206,6 @@ def shell_weight(rho: CouplingProfile, omega: float, m: float = 1.0) -> float:
     if k_sq <= 0:
         raise ValueError("the shell weight is defined for |omega| > m")
     return _shell_density(rho, float(np.sqrt(k_sq))) / (omega * omega)
-
-
-@dataclass(eq=False)
-class WeightCurve:
-    omegas: np.ndarray
-    values: np.ndarray
-
-
-def shell_weight_curve(rho: CouplingProfile, omegas, m: float = 1.0) -> WeightCurve:
-    om = np.asarray(omegas, dtype=float)
-    vals = np.array([shell_weight(rho, w, m) for w in om])
-    return WeightCurve(om, vals)
 
 
 def weighted_tail_mass(spec: Spectrum, rho: CouplingProfile, m: float = 1.0, margin: float = 0.0) -> float:

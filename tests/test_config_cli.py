@@ -122,6 +122,12 @@ def test_load_config_roundtrip(tmp_path):
         load_config(p)
 
 
+def test_load_config_missing_file(tmp_path):
+    with pytest.raises(ConfigError, match="file not found") as err:
+        load_config(tmp_path / "missing.json")
+    assert err.value.path == "config"
+
+
 def test_random_state_reproducible_and_normalized(grid):
     a = random_state(grid, 42, energy_norm_target=2.5)
     b = random_state(grid, 42, energy_norm_target=2.5)
@@ -166,7 +172,7 @@ def test_builders(tmp_path, grid):
     g = cfg.build_grid()
     rho = cfg.build_rho(g)
     assert resolvent_coupling(rho, 2.0 / 3.0) == pytest.approx(2.0, rel=1e-12)
-    integ = cfg.build_integrator(g)
+    integ = cfg.build_integrator()
     assert integ.sponge.inner_radius == 20.0 and integ.sponge.strength == 2.0
     obs = cfg.build_observers()
     assert len(obs.seminorm_specs) == 1 and obs.seminorm_specs[0].epsilon == 0.5
@@ -174,9 +180,8 @@ def test_builders(tmp_path, grid):
     none_cfg = config_from_dict({"rho": {"kind": "none"}})
     assert none_cfg.build_rho(g) is None
 
-    fine = config_from_dict({"grid": {"points": 64, "length": 0.32}})
     with pytest.raises(ConfigError, match="grid spacing"):
-        fine.build_integrator(fine.build_grid())
+        config_from_dict({"grid": {"points": 64, "length": 0.32}})
 
 
 def test_initial_state_kinds(tmp_path, grid, rho, pot):
@@ -405,6 +410,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     ("distance", "rho.kind=none"),
     ("spectrum", "rho.kind=none"),
     ("simulate", "evolve.sponge=5"),
+    ("simulate", "evolve.dt=0.5"),
+    ("counterexample", "evolve.dt=0.5"),
+    ("sigma", "sigma.omega_min=1.5"),
+    ("simulate", "grid.points=100"),
 ])
 def test_cli_rejects_config_before_any_work(tmp_path, capsys, experiment, setting):
     code, out = run_cli(tmp_path, experiment, "--set", "grid.points=256",
@@ -412,6 +421,15 @@ def test_cli_rejects_config_before_any_work(tmp_path, capsys, experiment, settin
     assert code == 2
     assert f"config error: {setting.split('=')[0]}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_step_size_is_checked_only_for_experiments_that_step(tmp_path):
+    # solitary and sigma take no time steps, so evolve.dt does not concern them
+    for experiment in ("solitary", "sigma"):
+        code, out = run_cli(tmp_path / experiment, experiment, "--set", "grid.points=256",
+                            "--set", "grid.length=64.0", "--set", "evolve.dt=0.5",
+                            "--set", "sigma.count=5")
+        assert code == 0 and (out / "manifest.json").exists()
 
 
 def test_run_experiment_lists_every_file(tmp_path):

@@ -8,7 +8,7 @@ from mfkg import (
     inner_product, local_metric_norm, local_seminorm, make_grid, smooth_cutoff,
     zero_state,
 )
-from mfkg.fields import _seminorm_weights, require_same_grid, seminorm_inner_product
+from mfkg.fields import _seminorm_weights, require_same_grid
 
 
 def random_state(grid, rng, scale=1.0):
@@ -88,15 +88,6 @@ def test_energy_decomposition(grid, rho, pot, rng):
     assert energy(zero_state(grid), rho, pot) == 0.0
 
 
-def test_energy_inner_product_induces_norm(grid, rng):
-    # spec=None is the global energy pairing
-    a = random_state(grid, rng)
-    b = random_state(grid, rng)
-    assert_allclose(seminorm_inner_product(a, a, None).real, energy_norm(a) ** 2, rtol=1e-12)
-    assert_allclose(seminorm_inner_product(a, b, None),
-                    np.conj(seminorm_inner_product(b, a, None)), rtol=1e-12)
-
-
 def test_smooth_cutoff_profile(grid):
     chi = smooth_cutoff(grid, 8.0, 4.0)
     r = grid.radius
@@ -135,14 +126,6 @@ def test_seminorm_sees_only_the_window(grid):
     s_far = local_seminorm(FieldState(grid, far, zero, 0.0), spec)
     s_near = local_seminorm(FieldState(grid, near, zero, 0.0), spec)
     assert s_far < 1e-10 * s_near
-
-
-def test_seminorm_inner_product_consistency(grid, rng):
-    a = random_state(grid, rng)
-    spec = SeminormSpec(0.5, 8.0, 8.0)
-    ip = seminorm_inner_product(a, a, spec)
-    assert_allclose(np.sqrt(ip.real), local_seminorm(a, spec), rtol=1e-12)
-    assert abs(ip.imag) < 1e-12 * ip.real
 
 
 def _uncached_seminorm(state, spec, m):

@@ -62,15 +62,7 @@ def test_plane_wave_maps_to_single_bin(grid):
 
 def test_parseval(grid, rng):
     f = random_field(grid, rng)
-    g = random_field(grid, rng)
     assert_allclose(grid.spectral_l2sq(grid.forward(f)), grid.l2sq(f), rtol=1e-12)
-    assert_allclose(
-        grid.spectral_dot(grid.forward(f), grid.forward(g)), grid.dot(f, g), rtol=1e-12
-    )
-
-
-def test_integrate_constant(grid):
-    assert_allclose(grid.integrate(np.ones(grid.shape)), grid.box_length)
 
 
 def test_two_dimensional_transforms(rng):
@@ -78,7 +70,6 @@ def test_two_dimensional_transforms(rng):
     f = random_field(grid, rng)
     assert_allclose(grid.inverse(grid.forward(f)), f, atol=1e-12)
     assert_allclose(grid.spectral_l2sq(grid.forward(f)), grid.l2sq(f), rtol=1e-12)
-    assert_allclose(grid.integrate(np.ones(grid.shape)), 16.0**2)
     # radius is symmetric under axis swap
     assert_allclose(grid.radius, grid.radius.T)
 

@@ -11,7 +11,6 @@ from mfkg import (
 )
 from mfkg.spectral import (
     AttractionConfig, Spectrum, _hann, attraction_report, semidiscrete_transform,
-    shell_weight_curve,
 )
 
 # window with bin spacing exactly 0.05, so tones at 0.2/0.35/0.5 sit on bins
@@ -118,8 +117,6 @@ def test_shell_weight_against_continuum_gaussian(grid, rho):
     assert_allclose(shell_weight(rho, omega), expected, rtol=1e-10)
     with pytest.raises(ValueError):
         shell_weight(rho, 0.9)
-    curve = shell_weight_curve(rho, [1.2, 1.5, 2.0])
-    assert np.all(curve.values > 0) and curve.values.shape == (3,)
 
 
 def test_shell_weight_vanishes_at_planted_zero(grid):
