@@ -10,9 +10,9 @@ every value the run uses.  Validation is eager and addresses mistakes by
 dotted path ("evolve.dt: must be positive") so batch sweeps fail before
 they burn compute, and before an experiment writes anything; that covers
 the cross-checks between sections (step size against the grid spacing,
-sponge and window geometry, the sigma range).  Builders hand back the
-actual objects; only the checks that read a file (``rho.path``,
-``initial.path``) happen there.
+sponge and window geometry, the sigma range) and the files a run reads:
+``rho.path`` and ``initial.path`` are checked against the grid (and the
+mass) from their headers alone.  Builders hand back the actual objects.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ import numpy as np
 from .dynamics import Integrator, Observers, Sponge
 from .fields import CouplingProfile, FieldState, SeminormSpec, energy_norm, zero_state
 from .grid import Grid, make_grid
-from .io import load_snapshot
+from .io import _read_snapshot_header, load_snapshot
 from .multifreq import build_rho as _build_multifreq_rho
 from .potential import PolynomialPotential
 from .solitary import build_solitary
@@ -198,6 +198,30 @@ def _sigma_range(sec: dict, m: float) -> tuple[float, float]:
     return lo, hi
 
 
+def _check_rho_file(path: str, shape: tuple) -> None:
+    """rho.path names a readable .npy array of the grid's shape; reads its header only."""
+    try:
+        header = np.load(path, mmap_mode="r")
+    except (OSError, ValueError, EOFError) as exc:
+        raise ConfigError("rho.path", f"cannot read: {exc}") from exc
+    if not isinstance(header, np.ndarray):  # an .npz archive
+        header.close()
+        raise ConfigError("rho.path", f"{path} is not a .npy array")
+    _require(header.shape == shape, "rho.path",
+             f"array shape {header.shape} does not match {shape}")
+
+
+def _check_snapshot_file(path: str, grid: Grid, m: float) -> None:
+    """initial.path names an MFKG1 snapshot on the config's grid and mass; reads its header only."""
+    try:
+        grid_file, m_file, _ = _read_snapshot_header(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError("initial.path", f"cannot read: {exc}") from exc
+    _require(grid_file == grid, "initial.path", "snapshot grid does not match config grid")
+    _require(abs(m_file - m) <= 1e-12 * max(1.0, m), "initial.path",
+             f"snapshot mass {m_file} differs from config m {m}")
+
+
 def _validate(raw: dict) -> dict:
     _require(raw["experiment"] in EXPERIMENTS, "experiment", f"must be one of {EXPERIMENTS}")
     _integer(raw["seed"], "seed", lo=0)
@@ -228,6 +252,7 @@ def _validate(raw: dict) -> dict:
         _number(rho["sigma0"], "rho.sigma0", lo=0, strict_lo=True)
     elif rho["kind"] == "file":
         _require(isinstance(rho["path"], str), "rho.path", "must be a string")
+        _check_rho_file(rho["path"], (g["points"],) * g["dim"])
     _require(rho["kind"] != "none" or raw["experiment"] not in _NEEDS_COUPLING, "rho.kind",
              f"the {raw['experiment']} experiment needs a coupling")
 
@@ -251,6 +276,7 @@ def _validate(raw: dict) -> dict:
                  "solitary data needs a coupling (rho.kind is 'none')")
     elif init["kind"] == "file":
         _require(isinstance(init["path"], str), "initial.path", "must be a string")
+        _check_snapshot_file(init["path"], make_grid(g["dim"], g["points"], float(g["length"])), m)
 
     ev = raw["evolve"]
     _number(ev["dt"], "evolve.dt", lo=0, strict_lo=True)
@@ -414,10 +440,7 @@ class RunConfig:
             return CouplingProfile.gaussian(grid, rho["amplitude"], rho["width"])
         if kind == "multifreq":
             return _build_multifreq_rho(float(rho["omega1"]), grid, self.m, float(rho["sigma0"]))
-        values = np.load(Path(rho["path"]))
-        if values.shape != grid.shape:
-            raise ConfigError("rho.path", f"array shape {values.shape} does not match {grid.shape}")
-        return CouplingProfile.from_values(grid, values)
+        return CouplingProfile.from_values(grid, np.load(Path(rho["path"])))
 
     def build_initial_state(self, grid: Grid, rho: CouplingProfile | None,
                             pot: PolynomialPotential) -> FieldState:
@@ -442,12 +465,7 @@ class RunConfig:
             wave = build_solitary(rho, pot, float(init["omega"]), float(init["phase"]),
                                   self.m, int(init["root_index"]))
             return wave.initial_state()
-        state, m_file = load_snapshot(Path(init["path"]))
-        if state.grid != grid:
-            raise ConfigError("initial.path", "snapshot grid does not match config grid")
-        if abs(m_file - self.m) > 1e-12 * max(1.0, self.m):
-            raise ConfigError("initial.path", f"snapshot mass {m_file} differs from config m {self.m}")
-        return state
+        return load_snapshot(Path(init["path"]))[0]
 
     def build_integrator(self) -> Integrator:
         ev = self.raw["evolve"]

@@ -37,6 +37,7 @@ __all__ = [
 
 MAGIC = b"MFKG1"
 _HEADER = struct.Struct("<IIIddd")
+_OFFSET = len(MAGIC) + _HEADER.size
 
 
 def save_snapshot(path, state: FieldState, m: float = 1.0) -> None:
@@ -51,21 +52,36 @@ def save_snapshot(path, state: FieldState, m: float = 1.0) -> None:
     Path(path).write_bytes(b"".join(payload))
 
 
-def load_snapshot(path) -> tuple[FieldState, float]:
-    """Read a snapshot; returns the state together with the stored mass."""
-    raw = Path(path).read_bytes()
-    if raw[: len(MAGIC)] != MAGIC:
+def _snapshot_header(head: bytes, size: int, path) -> tuple[Grid, float, float]:
+    """(grid, m, t) from a snapshot's first bytes and its length in bytes."""
+    if head[: len(MAGIC)] != MAGIC:
         raise ValueError(f"{path}: not an MFKG1 snapshot (bad magic)")
-    version, dim, n, box_length, m, t = _HEADER.unpack_from(raw, len(MAGIC))
+    if len(head) < _OFFSET:
+        raise ValueError(f"{path}: truncated snapshot ({size} bytes)")
+    version, dim, n, box_length, m, t = _HEADER.unpack_from(head, len(MAGIC))
     if version != 1:
         raise ValueError(f"{path}: unsupported snapshot version {version}")
     grid = Grid(dim, n, box_length)
-    offset = len(MAGIC) + _HEADER.size
+    expected = _OFFSET + 2 * grid.num_points * 16
+    if size != expected:
+        raise ValueError(f"{path}: truncated snapshot ({size} bytes, expected {expected})")
+    return grid, m, t
+
+
+def _read_snapshot_header(path) -> tuple[Grid, float, float]:
+    """(grid, m, t) of the snapshot at ``path``, reading only its header."""
+    with open(path, "rb") as fh:
+        head = fh.read(_OFFSET)
+        size = fh.seek(0, 2)
+    return _snapshot_header(head, size, path)
+
+
+def load_snapshot(path) -> tuple[FieldState, float]:
+    """Read a snapshot; returns the state together with the stored mass."""
+    raw = Path(path).read_bytes()
+    grid, m, t = _snapshot_header(raw[:_OFFSET], len(raw), path)
     count = grid.num_points
-    expected = offset + 2 * count * 16
-    if len(raw) != expected:
-        raise ValueError(f"{path}: truncated snapshot ({len(raw)} bytes, expected {expected})")
-    flat = np.frombuffer(raw, dtype="<c16", count=2 * count, offset=offset)
+    flat = np.frombuffer(raw, dtype="<c16", count=2 * count, offset=_OFFSET)
     psi = flat[:count].reshape(grid.shape).astype(np.complex128)
     pi = flat[count:].reshape(grid.shape).astype(np.complex128)
     return FieldState(grid, psi, pi, t), m

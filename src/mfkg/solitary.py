@@ -272,6 +272,88 @@ def default_omega_grid(m: float = 1.0, zeros: tuple[float, ...] = (), count: int
 # the cap on omegas per chunk; bounds the table's working memory.
 _CHUNK_POINTS = 1 << 15
 _MAX_CHUNK = 16
+# evaluation cap of the bounded polish (maxiter of minimize_scalar's "bounded")
+_BRENT_MAXFUN = 500
+
+
+def _bounded_brent(func, lo: float, hi: float, xatol: float):
+    """(x, f(x)) of Brent's bounded minimisation, scipy 1.17.1's ``_minimize_scalar_bounded``.
+
+    The same arithmetic in the same order (numpy scalars included), so the
+    iterates and the evaluation count are bit for bit those of
+    ``minimize_scalar(func, bounds=(lo, hi), method="bounded",
+    options={"xatol": xatol})``.
+    """
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if np.abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = True
+        if golden:  # golden-section step into the larger part
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _BRENT_MAXFUN:
+            break
+    return xf, fx
 
 
 class ManifoldTable:
@@ -408,18 +490,13 @@ class ManifoldTable:
                 best_omega = float(self.omegas[adm[k]])
 
         if best_omega is not None and abs(best_omega) < m:
-            # polish inside the spectral gap; embedded candidates stay on-grid.
-            # Imported here, its only use, to keep scipy.optimize out of
-            # ``import mfkg``.
-            from scipy.optimize import minimize_scalar
-
+            # polish inside the spectral gap; embedded candidates stay on-grid
             lo = max(best_omega - self._pitch, -m + 1e-9 * m)
             hi = min(best_omega + self._pitch, m - 1e-9 * m)
-            res = minimize_scalar(dist_sq_at, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": 1e-6 * m})
-            if res.fun < best_sq:
-                best_sq = float(res.fun)
-                best_omega = float(res.x)
+            x, fun = _bounded_brent(dist_sq_at, lo, hi, 1e-6 * m)
+            if fun < best_sq:
+                best_sq = float(fun)
+                best_omega = float(x)
         return float(np.sqrt(max(best_sq, 0.0))), best_omega
 
 

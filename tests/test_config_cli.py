@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from mfkg import (
     ConfigError, SeminormSpec, config_from_dict, energy_norm, load_config, make_grid,
-    random_state, wave_packet,
+    random_state, wave_packet, zero_state,
 )
 from mfkg.config import set_by_path
 from mfkg.cli import _evolved, main, run_experiment
@@ -195,16 +195,27 @@ def test_initial_state_kinds(tmp_path, grid, rho, pot):
 
     path = tmp_path / "init.mfkg"
     save_snapshot(path, ws, 1.0)
-    from_file = config_from_dict({"initial": {"kind": "file", "path": str(path)}})
+    from_file = config_from_dict({**SMALL, "initial": {"kind": "file", "path": str(path)}})
     st2 = from_file.build_initial_state(grid, rho, pot)
     assert_allclose(st2.psi, ws.psi, atol=0)
 
-    other_grid = make_grid(1, 512, 64.0)
-    with pytest.raises(ConfigError, match="does not match"):
-        from_file.build_initial_state(other_grid, None, pot)
-    wrong_m = config_from_dict({"m": 2.0, "initial": {"kind": "file", "path": str(path)}})
-    with pytest.raises(ConfigError, match="mass"):
-        wrong_m.build_initial_state(grid, rho, pot)
+    # the snapshot's header is checked against the config when the config is read
+    with pytest.raises(ConfigError, match="initial.path: snapshot grid does not match"):
+        config_from_dict({"initial": {"kind": "file", "path": str(path)}})
+    with pytest.raises(ConfigError, match="initial.path: snapshot mass"):
+        config_from_dict({**SMALL, "m": 2.0, "initial": {"kind": "file", "path": str(path)}})
+
+
+def test_rho_file_is_checked_when_the_config_is_read(tmp_path, grid, rho):
+    path = tmp_path / "rho.npy"
+    np.save(path, rho.values)
+    cfg = config_from_dict({**SMALL, "rho": {"kind": "file", "path": str(path)}})
+    assert_allclose(cfg.build_rho(grid).values, rho.values, atol=0)
+    with pytest.raises(ConfigError, match=r"rho.path: array shape \(256,\) does not match"):
+        config_from_dict({"rho": {"kind": "file", "path": str(path)}})
+    np.savez(tmp_path / "rho.npz", values=rho.values)
+    with pytest.raises(ConfigError, match="rho.path: .* is not a .npy array"):
+        config_from_dict({**SMALL, "rho": {"kind": "file", "path": str(tmp_path / "rho.npz")}})
 
 
 def run_cli(tmp_path, *argv):
@@ -414,13 +425,41 @@ def test_cli_exit_codes(tmp_path, capsys):
     ("counterexample", "evolve.dt=0.5"),
     ("sigma", "sigma.omega_min=1.5"),
     ("simulate", "grid.points=100"),
+    ("sigma", "rho.path=missing.npy"),
+    ("sigma", "rho.path=text.npy"),
+    ("sigma", "rho.path=short.npy"),
+    ("simulate", "initial.path=missing.mfkg"),
+    ("simulate", "initial.path=garbage.mfkg"),
+    ("simulate", "initial.path=coarse.mfkg"),
+    ("simulate", "initial.path=heavy.mfkg"),
 ])
 def test_cli_rejects_config_before_any_work(tmp_path, capsys, experiment, setting):
+    sets = ["--set", setting]
+    key, name = setting.split("=")
+    if key in ("rho.path", "initial.path"):
+        path = _input_file(tmp_path, name)
+        sets = ["--set", f'{key.split(".")[0]}.kind="file"', "--set", f"{key}={json.dumps(str(path))}"]
     code, out = run_cli(tmp_path, experiment, "--set", "grid.points=256",
-                        "--set", "grid.length=64.0", "--set", setting)
+                        "--set", "grid.length=64.0", *sets)
     assert code == 2
     assert f"config error: {setting.split('=')[0]}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _input_file(directory, name):
+    """Write the bad input file called name (a missing one is not written); returns its path."""
+    path = directory / name
+    if name == "text.npy":
+        path.write_text("not an array\n")
+    elif name == "short.npy":  # the wrong shape for the 256-point grid
+        np.save(path, np.zeros(7))
+    elif name == "garbage.mfkg":
+        path.write_bytes(b"NOPE" + bytes(64))
+    elif name == "coarse.mfkg":  # another grid
+        save_snapshot(path, zero_state(make_grid(1, 128, 64.0)), 1.0)
+    elif name == "heavy.mfkg":  # another mass
+        save_snapshot(path, zero_state(make_grid(1, 256, 64.0)), 2.0)
+    return path
 
 
 def test_step_size_is_checked_only_for_experiments_that_step(tmp_path):

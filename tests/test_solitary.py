@@ -12,7 +12,8 @@ from mfkg import (
     resolvent_coupling, resolvent_profile, stationarity_residual, zero_state,
 )
 from mfkg.fields import _windowed_weighted_hats
-from mfkg.solitary import default_omega_grid, shell_max
+import mfkg.solitary
+from mfkg.solitary import _bounded_brent, default_omega_grid, shell_max
 
 
 def test_resolvent_coupling_lattice_sum(grid, rho):
@@ -290,3 +291,70 @@ def test_designed_zero_of_s_admits_no_wave():
     with pytest.raises(ValueError, match="s = 0"):
         build_solitary(sol.rho, sol.potential(), 2.0)
 
+
+
+def _counted(func):
+    """func wrapped to count its evaluations in calls[0]."""
+    calls = [0]
+
+    def wrapped(x):
+        calls[0] += 1
+        return func(x)
+    return wrapped, calls
+
+
+def _same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _staircase(c, k):
+    """Uneven steps around c: ties between evaluations, and parabolic steps of length zero."""
+    return lambda w: float(np.ceil(k * (w - c))) if w > c else float(np.ceil(k * (c - w))) / 2
+
+
+def _polish_of_a_table(grid, rho, pot, monkeypatch):
+    """The (dist_sq_at, lo, hi, xatol) that ManifoldTable.distance hands its polish."""
+    seen = []
+
+    def spy(func, lo, hi, xatol):
+        seen.append((func, lo, hi, xatol))
+        return _bounded_brent(func, lo, hi, xatol)
+
+    monkeypatch.setattr(mfkg.solitary, "_bounded_brent", spy)
+    state = _perturbed(build_solitary(rho, pot, 0.37, 1.3), 1, 0.3)
+    _, best = ManifoldTable(rho, pot, SeminormSpec(0.5, 8.0, 8.0)).distance(state)
+    assert abs(best) < 1.0 and len(seen) == 1
+    return seen[0]
+
+
+@pytest.mark.parametrize("case", [
+    "quadratic", "table", "inf_part", "endpoint", "constant", "narrow", "cap",
+    "staircase_ties", "staircase_zero_step",
+])
+def test_bounded_brent_matches_scipy_bit_for_bit(grid, rho, pot, monkeypatch, case):
+    """The in-package polish repeats minimize_scalar(method="bounded") exactly."""
+    cases = {
+        "quadratic": (lambda w: (w - 0.3) ** 2 + 1.0, -1.0, 1.0, 1e-6),
+        # dist_sq_at is inf where omega has no amplitude root
+        "inf_part": (lambda w: np.inf if w < 0.1 else (w - 0.35) ** 2, -1.0, 1.0, 1e-6),
+        "endpoint": (lambda w: 2.0 * w + 1.0, 0.2, 0.9, 1e-6),
+        "constant": (lambda w: 2.5, -0.5, 0.5, 1e-6),
+        "narrow": (lambda w: (w - 0.3) ** 2, 0.3, 0.3 + 1e-7, 1e-6),
+        "cap": (lambda w: w * w, -1.0, 1.0, 0.0),
+        "staircase_ties": (_staircase(-0.9, 1000.0), -1.0, 1.0, 1e-6),
+        "staircase_zero_step": (_staircase(-0.75, 16.0), -1.0, 1.0, 1e-6),
+    }
+    if case == "table":
+        func, lo, hi, xatol = _polish_of_a_table(grid, rho, pot, monkeypatch)
+    else:
+        func, lo, hi, xatol = cases[case]
+    ours, our_calls = _counted(func)
+    theirs, their_calls = _counted(func)
+    x, fun = _bounded_brent(ours, lo, hi, xatol)
+    res = minimize_scalar(theirs, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    assert _same_bits(x, res.x) and _same_bits(fun, res.fun)
+    assert our_calls[0] == their_calls[0] == res.nfev
+    if case == "cap":
+        assert res.nfev == 500 and res.status == 1
+    if case == "endpoint":
+        assert x - lo < 1e-5
