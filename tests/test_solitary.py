@@ -292,7 +292,6 @@ def test_designed_zero_of_s_admits_no_wave():
         build_solitary(sol.rho, sol.potential(), 2.0)
 
 
-
 def _counted(func):
     """func wrapped to count its evaluations in calls[0]."""
     calls = [0]
@@ -312,7 +311,7 @@ def _staircase(c, k):
     return lambda w: float(np.ceil(k * (w - c))) if w > c else float(np.ceil(k * (c - w))) / 2
 
 
-def _polish_of_a_table(grid, rho, pot, monkeypatch):
+def _polish_of_a_table(rho, pot, monkeypatch):
     """The (dist_sq_at, lo, hi, xatol) that ManifoldTable.distance hands its polish."""
     seen = []
 
@@ -331,7 +330,7 @@ def _polish_of_a_table(grid, rho, pot, monkeypatch):
     "quadratic", "table", "inf_part", "endpoint", "constant", "narrow", "cap",
     "staircase_ties", "staircase_zero_step",
 ])
-def test_bounded_brent_matches_scipy_bit_for_bit(grid, rho, pot, monkeypatch, case):
+def test_bounded_brent_matches_scipy_bit_for_bit(rho, pot, monkeypatch, case):
     """The in-package polish repeats minimize_scalar(method="bounded") exactly."""
     cases = {
         "quadratic": (lambda w: (w - 0.3) ** 2 + 1.0, -1.0, 1.0, 1e-6),
@@ -345,7 +344,7 @@ def test_bounded_brent_matches_scipy_bit_for_bit(grid, rho, pot, monkeypatch, ca
         "staircase_zero_step": (_staircase(-0.75, 16.0), -1.0, 1.0, 1e-6),
     }
     if case == "table":
-        func, lo, hi, xatol = _polish_of_a_table(grid, rho, pot, monkeypatch)
+        func, lo, hi, xatol = _polish_of_a_table(rho, pot, monkeypatch)
     else:
         func, lo, hi, xatol = cases[case]
     ours, our_calls = _counted(func)
