@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
-    EXPERIMENTS, INITIAL_KINDS, ConfigError, RunConfig, _read_config_file, _sigma_range,
-    config_from_dict, set_by_path,
+    EXPERIMENTS, ConfigError, RunConfig, _read_config_file, _sigma_range, config_from_dict,
+    set_by_path,
 )
 from .dynamics import _sample_count, evolve
 from .fields import SeminormSpec
@@ -30,7 +30,6 @@ from .multifreq import build_counterexample, verify_persistence
 from .potential import lower_bound_constants
 from .solitary import (
     ManifoldTable,
-    build_solitary,
     default_omega_grid,
     dispersion_curve,
     resolvent_coupling,
@@ -131,11 +130,7 @@ def _run_solitary(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
     grid = cfg.build_grid()
     pot = cfg.build_potential()
     rho = cfg.build_rho(grid)
-    init = cfg.section("initial")
-    if init["kind"] != "solitary":
-        init = INITIAL_KINDS["solitary"]
-    wave = build_solitary(rho, pot, float(init["omega"]), float(init["phase"]), cfg.m,
-                          int(init["root_index"]))
+    wave = cfg.solitary_wave(rho, pot)
     save_snapshot(outdir / "solitary.mfkg", wave.initial_state(), cfg.m)
     files.append("solitary.mfkg")
     _write_json(outdir / "solitary.json", {

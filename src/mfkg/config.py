@@ -1,18 +1,18 @@
 """Run configuration: JSON in, validated builders out.
 
-Every experiment is described by one JSON document deep-merged over
-DEFAULTS.  The sections whose keys depend on a kind (``rho``,
-``initial``), the optional ``evolve.sponge`` and each ``seminorms[i]``
-entry have their keys and defaults in one table each (RHO_KINDS,
-INITIAL_KINDS, SPONGE, SEMINORM); after the merge a fill step writes those
-defaults in, so the resolved configuration (the run's config.json) lists
-every value the run uses.  Validation is eager and addresses mistakes by
-dotted path ("evolve.dt: must be positive") so batch sweeps fail before
-they burn compute, and before an experiment writes anything; that covers
-the cross-checks between sections (step size against the grid spacing,
-sponge and window geometry, the sigma range) and the files a run reads:
-``rho.path`` and ``initial.path`` are checked against the grid (and the
-mass) from their headers alone.  Builders hand back the actual objects.
+Every experiment is described by one JSON document.  Each key is declared
+once, as a leaf (default, check) of SCHEMA or of its section's table
+(RHO_KINDS and INITIAL_KINDS by kind, SPONGE, SEMINORM); the check states
+the accepted domain.  The fill step writes in the default of every missing
+key and checks each leaf at its dotted path ("evolve.dt: must be > 0"), so
+the resolved configuration (the run's config.json) lists every value the
+run uses, and batch sweeps fail before they burn compute or write anything.
+The cross-checks follow: step size against the grid spacing, sponge and
+window geometry (the ``distance`` window too, for the distance and spectrum
+experiments unless ``distance.use_global_norm``), the sigma range, the
+spectrum windows, the experiments that need a coupling, ``omega1`` strictly
+inside (m, 3m), and the headers of the ``rho.path`` and ``initial.path``
+files against the grid (and the mass).  Builders hand back the actual objects.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ import copy
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from .grid import Grid, make_grid
 from .io import _read_snapshot_header, load_snapshot
 from .multifreq import build_rho as _build_multifreq_rho
 from .potential import PolynomialPotential
-from .solitary import build_solitary
+from .solitary import SolitaryWave, build_solitary
 
 __all__ = [
     "ConfigError",
@@ -39,70 +40,18 @@ __all__ = [
     "load_config",
     "config_from_dict",
     "set_by_path",
+    "table_defaults",
     "random_state",
     "wave_packet",
 ]
 
 EXPERIMENTS = ("simulate", "solitary", "sigma", "distance", "spectrum", "counterexample")
-
-_REQUIRED = object()  # a table entry for a key that has no default
-
-# keys and defaults of each kind-specific section, by kind ("kind" itself aside)
-RHO_KINDS: dict = {
-    "gaussian": {"amplitude": 1.0, "width": 1.0},
-    "none": {},
-    "multifreq": {"omega1": None, "sigma0": 1.0},  # omega1 None resolves to 2m
-    "file": {"path": _REQUIRED},
-}
-INITIAL_KINDS: dict = {
-    "random": {"energy_norm": 1.0, "envelope_width": 8.0, "band_limit": 2.0,
-               "band_center": 0.0, "envelope_center": 0.0},
-    "zero": {},
-    "packet": {"center": 0.0, "width": 4.0, "carrier": 2.0, "amplitude": 1.0},
-    "solitary": {"omega": 0.5, "phase": 0.0, "root_index": 0},
-    "file": {"path": _REQUIRED},
-}
-SPONGE: dict = {"inner_radius": _REQUIRED, "strength": 1.0}
-SEMINORM: dict = {"epsilon": 0.0, "radius": 8.0, "cutoff_width": 8.0}
-
-DEFAULTS: dict = {
-    "experiment": "simulate",
-    "seed": 0,
-    "m": 1.0,
-    "grid": {"dim": 1, "points": 2048, "length": 128.0},
-    "potential": {"coeffs": [-1.0, 1.0]},
-    "rho": {"kind": "gaussian", **RHO_KINDS["gaussian"]},
-    "initial": {"kind": "random", **INITIAL_KINDS["random"]},
-    "evolve": {
-        "dt": 0.01,
-        "T": 100.0,
-        "steps_per_sample": 10,
-        "snapshot_stride": 0,
-        "sponge": None,
-    },
-    "seminorms": [],
-    "sigma": {"omega_min": None, "omega_max": None, "count": 201},
-    "distance": {
-        "epsilon": 0.5,
-        "radius": 8.0,
-        "cutoff_width": 8.0,
-        "use_global_norm": False,
-        "omega_count": 201,
-    },
-    "spectrum": {
-        "window_width": 25.0,
-        "n_windows": 3,
-        "mass_fraction": 0.99,
-        "cluster_bins": 3,
-        "exclusion_bins": 3,
-        "taper": "hann",  # the only taper; kept so that older config files load
-    },
-    "counterexample": {"omega1": None, "b": -1.0, "sigma0": 1.0, "T": 50.0, "tol": 1e-3},
-}
 # experiments that read the configured coupling rho and so reject rho.kind "none"
 _NEEDS_COUPLING = ("solitary", "sigma", "distance", "spectrum")
 # experiments that take time steps, and so need evolve.dt below the grid spacing
 _STEPS = ("simulate", "distance", "spectrum", "counterexample")
+
+_REQUIRED = object()  # the default of a key that has none
 
 
 class ConfigError(ValueError):
@@ -118,64 +67,178 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
-def _number(raw, path: str, lo=None, hi=None, strict_lo=False) -> float:
+# Leaf checks: check(value, path) returns the resolved value or raises a
+# ConfigError at path.
+
+def _number(raw, path: str, lo=None, hi=None, open_lo=False, open_hi=False):
+    """A finite number within [lo, hi] (None: unbounded), an end excluded where it is open."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(path, f"expected a number, got {raw!r}")
-    v = float(raw)
-    if not math.isfinite(v):
-        raise ConfigError(path, "must be finite")
-    if lo is not None and (v <= lo if strict_lo else v < lo):
-        raise ConfigError(path, f"must be {'>' if strict_lo else '>='} {lo}")
-    if hi is not None and v > hi:
-        raise ConfigError(path, f"must be <= {hi}")
-    return v
-
-
-def _integer(raw, path: str, lo=None) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ConfigError(path, f"expected an integer, got {raw!r}")
-    if lo is not None and raw < lo:
-        raise ConfigError(path, f"must be >= {lo}")
+    _require(math.isfinite(raw), path, "must be finite")
+    if lo is not None and (raw <= lo if open_lo else raw < lo):
+        raise ConfigError(path, f"must be {'>' if open_lo else '>='} {lo}")
+    if hi is not None and (raw >= hi if open_hi else raw > hi):
+        raise ConfigError(path, f"must be {'<' if open_hi else '<='} {hi}")
     return raw
 
 
-def _fill(section, table: dict, path: str) -> dict:
-    """Check ``section``'s keys against ``table`` and write in the table's defaults."""
-    _require(isinstance(section, dict), path, "must be an object")
-    extra = set(section) - set(table)
-    if extra:
-        raise ConfigError(f"{path}.{sorted(extra)[0]}", "unknown key")
-    for key, default in table.items():
-        if key not in section:
-            _require(default is not _REQUIRED, f"{path}.{key}", "required")
-            section[key] = default
-    return section
+def _integer(raw, path: str, lo: int, hi: int | None = None):
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ConfigError(path, f"expected an integer, got {raw!r}")
+    _require(raw >= lo and (hi is None or raw <= hi), path,
+             f"must be >= {lo}" if hi is None else f"must be in {lo}..{hi}")
+    return raw
 
 
-def _fill_kind(section: dict, kinds: dict, path: str) -> dict:
-    """:func:`_fill` with the table of the section's kind."""
-    kind = section["kind"]
-    _require(isinstance(kind, str) and kind in kinds, f"{path}.kind",
-             f"must be one of {sorted(kinds)}")
-    return _fill(section, {"kind": kind, **kinds[kind]}, path)
+def _boolean(raw, path: str):
+    _require(isinstance(raw, bool), path, "must be true or false")
+    return raw
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(where, "unknown key")
-        if isinstance(base[key], dict):
-            _require(isinstance(value, dict), where, "must be an object")
-            # changing a section's kind switches its key set: replace, don't merge
-            if "kind" in value and "kind" in base[key] and value["kind"] != base[key]["kind"]:
-                out[key] = copy.deepcopy(value)
-            else:
-                out[key] = _merge(base[key], value, where)
-        else:
-            out[key] = copy.deepcopy(value)
+def _string(raw, path: str):
+    _require(isinstance(raw, str), path, "must be a string")
+    return raw
+
+
+def _choice(options):
+    """Check: one of the strings ``options``."""
+    def check(raw, path: str):
+        _require(isinstance(raw, str) and raw in options, path, f"must be one of {sorted(options)}")
+        return raw
+    return check
+
+
+def _nullable(check):
+    return lambda raw, path: None if raw is None else check(raw, path)
+
+
+def _list_of(check):
+    """Check: a list whose i-th entry ``check`` accepts at ``path[i]``."""
+    def check_list(raw, path: str):
+        _require(isinstance(raw, list), path, "must be a list")
+        return [check(item, f"{path}[{i}]") for i, item in enumerate(raw)]
+    return check_list
+
+
+def _grid_points(raw, path: str):
+    _integer(raw, path, lo=8)
+    _require(raw & (raw - 1) == 0, path, "must be a power of two")
+    return raw
+
+
+def _coefficients(raw, path: str):
+    _require(isinstance(raw, (list, tuple)) and len(raw) >= 2, path,
+             "need at least two coefficients (degree p >= 2)")
+    for i, c in enumerate(raw):
+        _number(c, f"{path}[{i}]")
+    _require(float(raw[-1]) > 0, path, "leading coefficient must be positive")
+    return raw
+
+
+def _fill(table: dict, section, path: str) -> dict:
+    """``section`` with each leaf (default, check) of ``table`` filled in and checked.
+
+    A nested table is a section whose missing keys all take their defaults.
+    """
+    _require(isinstance(section, dict), path or "config", "must be an object")
+    prefix = f"{path}." if path else ""
+    for key in section:
+        _require(key in table, prefix + str(key), "unknown key")
+    out = {}
+    for key, node in table.items():
+        if isinstance(node, dict):
+            out[key] = _fill(node, section.get(key, {}), prefix + key)
+            continue
+        default, check = node
+        value = section.get(key, default)
+        _require(value is not _REQUIRED, prefix + key, "required")
+        out[key] = check(copy.deepcopy(value), prefix + key)
     return out
+
+
+def _kinds(tables: dict, default: str):
+    """Check: a section whose keys are those of its kind's table in ``tables``."""
+    def check(raw, path: str):
+        _require(isinstance(raw, dict), path, "must be an object")
+        kind = _choice(tables)(raw.get("kind", default), f"{path}.kind")
+        return _fill({"kind": (kind, _string), **tables[kind]}, raw, path)
+    return check
+
+
+def table_defaults(table: dict) -> dict:
+    """The default of each leaf of a flat table (``_REQUIRED`` where there is none)."""
+    return {key: default for key, (default, _) in table.items()}
+
+
+_POSITIVE = partial(_number, lo=0, open_lo=True)
+_NONNEGATIVE = partial(_number, lo=0)
+_UNIT = partial(_number, lo=0, hi=1)
+_COUNT = partial(_integer, lo=0)
+_NUMBER_OR_NULL = _nullable(_number)
+
+RHO_KINDS: dict = {
+    "gaussian": {"amplitude": (1.0, _number), "width": (1.0, _POSITIVE)},
+    "none": {},
+    # omega1 null resolves to 2m; its bounds (m, 3m) depend on m and are checked in _validate
+    "multifreq": {"omega1": (None, _NUMBER_OR_NULL), "sigma0": (1.0, _POSITIVE)},
+    "file": {"path": (_REQUIRED, _string)},
+}
+INITIAL_KINDS: dict = {
+    "random": {"energy_norm": (1.0, _POSITIVE), "envelope_width": (8.0, _POSITIVE),
+               "band_limit": (2.0, _POSITIVE), "band_center": (0.0, _NONNEGATIVE),
+               "envelope_center": (0.0, _NONNEGATIVE)},
+    "zero": {},
+    "packet": {"center": (0.0, _number), "width": (4.0, _POSITIVE),
+               "carrier": (2.0, _number), "amplitude": (1.0, _number)},
+    "solitary": {"omega": (0.5, _number), "phase": (0.0, _number), "root_index": (0, _COUNT)},
+    "file": {"path": (_REQUIRED, _string)},
+}
+SPONGE: dict = {"inner_radius": (_REQUIRED, _POSITIVE), "strength": (1.0, _POSITIVE)}
+SEMINORM: dict = {"epsilon": (0.0, _UNIT), "radius": (8.0, _POSITIVE),
+                  "cutoff_width": (8.0, _POSITIVE)}
+
+SCHEMA: dict = {
+    "experiment": ("simulate", _choice(EXPERIMENTS)),
+    "seed": (0, _COUNT),
+    "m": (1.0, _POSITIVE),
+    "grid": {"dim": (1, partial(_integer, lo=1, hi=3)), "points": (2048, _grid_points),
+             "length": (128.0, _POSITIVE)},
+    "potential": {"coeffs": ([-1.0, 1.0], _coefficients)},
+    "rho": ({}, _kinds(RHO_KINDS, "gaussian")),
+    "initial": ({}, _kinds(INITIAL_KINDS, "random")),
+    "evolve": {
+        "dt": (0.01, _POSITIVE),
+        "T": (100.0, _POSITIVE),
+        "steps_per_sample": (10, partial(_integer, lo=1)),
+        "snapshot_stride": (0, _COUNT),
+        "sponge": (None, _nullable(partial(_fill, SPONGE))),
+    },
+    "seminorms": ([], _list_of(partial(_fill, SEMINORM))),
+    # null omega_min / omega_max read as -0.99m / 0.99m (_sigma_range)
+    "sigma": {"omega_min": (None, _NUMBER_OR_NULL), "omega_max": (None, _NUMBER_OR_NULL),
+              "count": (201, partial(_integer, lo=2))},
+    "distance": {
+        "epsilon": (0.5, _UNIT),
+        "radius": (8.0, _POSITIVE),
+        "cutoff_width": (8.0, _POSITIVE),
+        "use_global_norm": (False, _boolean),
+        "omega_count": (201, partial(_integer, lo=3)),
+    },
+    "spectrum": {
+        "window_width": (25.0, _POSITIVE),
+        "n_windows": (3, partial(_integer, lo=1)),
+        "mass_fraction": (0.99, partial(_number, lo=0, hi=1, open_lo=True)),
+        "cluster_bins": (3, _COUNT),
+        "exclusion_bins": (3, _COUNT),
+        # the only taper; kept so that older config files load
+        "taper": ("hann", _choice(("hann",))),
+    },
+    # omega1 null resolves to 2m when the experiment runs; its bounds (m, 3m) are in _validate
+    "counterexample": {"omega1": (None, _NUMBER_OR_NULL),
+                       "b": (-1.0, partial(_number, hi=0, open_hi=True)), "sigma0": (1.0, _POSITIVE),
+                       "T": (50.0, _POSITIVE), "tol": (1e-3, _POSITIVE)},
+}
+DEFAULTS: dict = _fill(SCHEMA, {}, "")
 
 
 def set_by_path(cfg: dict, dotted: str, value) -> None:
@@ -223,124 +286,52 @@ def _check_snapshot_file(path: str, grid: Grid, m: float) -> None:
 
 
 def _validate(raw: dict) -> dict:
-    _require(raw["experiment"] in EXPERIMENTS, "experiment", f"must be one of {EXPERIMENTS}")
-    _integer(raw["seed"], "seed", lo=0)
-    m = _number(raw["m"], "m", lo=0, strict_lo=True)
+    """The checks of a filled configuration that read more than one key or a file."""
+    experiment, m, g = raw["experiment"], raw["m"], raw["grid"]
+    half = 0.5 * float(g["length"])
 
-    g = raw["grid"]
-    _integer(g["dim"], "grid.dim", lo=1)
-    _require(g["dim"] <= 3, "grid.dim", "must be 1, 2 or 3")
-    _integer(g["points"], "grid.points", lo=8)
-    _require(g["points"] & (g["points"] - 1) == 0, "grid.points", "must be a power of two")
-    _number(g["length"], "grid.length", lo=0, strict_lo=True)
-
-    pcoeffs = raw["potential"]["coeffs"]
-    _require(isinstance(pcoeffs, (list, tuple)) and len(pcoeffs) >= 2, "potential.coeffs",
-             "need at least two coefficients (degree p >= 2)")
-    for i, c in enumerate(pcoeffs):
-        _number(c, f"potential.coeffs[{i}]")
-    _require(float(pcoeffs[-1]) > 0, "potential.coeffs", "leading coefficient must be positive")
-
-    rho = _fill_kind(raw["rho"], RHO_KINDS, "rho")
-    if rho["kind"] == "gaussian":
-        _number(rho["amplitude"], "rho.amplitude")
-        _number(rho["width"], "rho.width", lo=0, strict_lo=True)
-    elif rho["kind"] == "multifreq":
-        if rho["omega1"] is None:
-            rho["omega1"] = 2.0 * m
-        _number(rho["omega1"], "rho.omega1", lo=m, hi=3.0 * m, strict_lo=True)
-        _number(rho["sigma0"], "rho.sigma0", lo=0, strict_lo=True)
+    rho = raw["rho"]
+    if rho["kind"] == "multifreq" and rho["omega1"] is None:
+        rho["omega1"] = 2.0 * m
     elif rho["kind"] == "file":
-        _require(isinstance(rho["path"], str), "rho.path", "must be a string")
         _check_rho_file(rho["path"], (g["points"],) * g["dim"])
-    _require(rho["kind"] != "none" or raw["experiment"] not in _NEEDS_COUPLING, "rho.kind",
-             f"the {raw['experiment']} experiment needs a coupling")
+    # the embedded frequency of either construction lies strictly inside (m, 3m);
+    # a null counterexample.omega1 resolves to 2m when the experiment runs
+    for path, omega1 in (("rho.omega1", rho.get("omega1")),
+                         ("counterexample.omega1", raw["counterexample"]["omega1"])):
+        if omega1 is not None:
+            _number(omega1, path, lo=m, hi=3.0 * m, open_lo=True, open_hi=True)
+    _require(rho["kind"] != "none" or experiment not in _NEEDS_COUPLING, "rho.kind",
+             f"the {experiment} experiment needs a coupling")
 
-    init = _fill_kind(raw["initial"], INITIAL_KINDS, "initial")
-    if init["kind"] == "random":
-        _number(init["energy_norm"], "initial.energy_norm", lo=0, strict_lo=True)
-        _number(init["envelope_width"], "initial.envelope_width", lo=0, strict_lo=True)
-        _number(init["band_limit"], "initial.band_limit", lo=0, strict_lo=True)
-        _number(init["band_center"], "initial.band_center", lo=0)
-        _number(init["envelope_center"], "initial.envelope_center", lo=0)
-    elif init["kind"] == "packet":
-        _number(init["center"], "initial.center")
-        _number(init["width"], "initial.width", lo=0, strict_lo=True)
-        _number(init["carrier"], "initial.carrier")
-        _number(init["amplitude"], "initial.amplitude")
-    elif init["kind"] == "solitary":
-        _number(init["omega"], "initial.omega")
-        _number(init["phase"], "initial.phase")
-        _integer(init["root_index"], "initial.root_index", lo=0)
-        _require(rho["kind"] != "none", "initial.kind",
-                 "solitary data needs a coupling (rho.kind is 'none')")
-    elif init["kind"] == "file":
-        _require(isinstance(init["path"], str), "initial.path", "must be a string")
+    init = raw["initial"]
+    _require(init["kind"] != "solitary" or rho["kind"] != "none", "initial.kind",
+             "solitary data needs a coupling (rho.kind is 'none')")
+    if init["kind"] == "file":
         _check_snapshot_file(init["path"], make_grid(g["dim"], g["points"], float(g["length"])), m)
 
     ev = raw["evolve"]
-    _number(ev["dt"], "evolve.dt", lo=0, strict_lo=True)
-    if raw["experiment"] in _STEPS:
+    if experiment in _STEPS:
         spacing = float(g["length"]) / g["points"]
         _require(ev["dt"] < spacing, "evolve.dt", f"must be below the grid spacing {spacing:g}")
-    _number(ev["T"], "evolve.T", lo=0, strict_lo=True)
-    _integer(ev["steps_per_sample"], "evolve.steps_per_sample", lo=1)
-    _integer(ev["snapshot_stride"], "evolve.snapshot_stride", lo=0)
     if ev["sponge"] is not None:
-        sponge = _fill(ev["sponge"], SPONGE, "evolve.sponge")
-        _number(sponge["inner_radius"], "evolve.sponge.inner_radius", lo=0, strict_lo=True)
-        _number(sponge["strength"], "evolve.sponge.strength", lo=0, strict_lo=True)
-        _require(sponge["inner_radius"] < 0.5 * raw["grid"]["length"],
-                 "evolve.sponge.inner_radius", "must be inside the box (less than length/2)")
+        _require(ev["sponge"]["inner_radius"] < half, "evolve.sponge.inner_radius",
+                 "must be inside the box (less than length/2)")
 
-    _require(isinstance(raw["seminorms"], list), "seminorms", "must be a list")
-    half = 0.5 * float(raw["grid"]["length"])
-    for i, sn in enumerate(raw["seminorms"]):
-        path = f"seminorms[{i}]"
-        _fill(sn, SEMINORM, path)
-        _number(sn["epsilon"], f"{path}.epsilon", lo=0, hi=1)
-        _number(sn["radius"], f"{path}.radius", lo=0, strict_lo=True)
-        _number(sn["cutoff_width"], f"{path}.cutoff_width", lo=0, strict_lo=True)
-        _require(sn["radius"] + sn["cutoff_width"] < half, path,
+    windows = [(f"seminorms[{i}]", sn) for i, sn in enumerate(raw["seminorms"])]
+    if experiment in ("distance", "spectrum") and not raw["distance"]["use_global_norm"]:
+        windows.append(("distance.radius", raw["distance"]))
+    for path, window in windows:
+        _require(window["radius"] + window["cutoff_width"] < half, path,
                  "window must fit inside the box (radius + cutoff_width < length/2)")
 
-    sig = raw["sigma"]
-    _integer(sig["count"], "sigma.count", lo=2)
-    for key in ("omega_min", "omega_max"):
-        if sig[key] is not None:
-            _number(sig[key], f"sigma.{key}")
-    if raw["experiment"] == "sigma":
-        lo, hi = _sigma_range(sig, m)
+    if experiment == "sigma":
+        lo, hi = _sigma_range(raw["sigma"], m)
         _require(lo < hi, "sigma.omega_min", f"must be below sigma.omega_max ({lo:g} >= {hi:g})")
-
-    dist = raw["distance"]
-    _number(dist["epsilon"], "distance.epsilon", lo=0, hi=1)
-    _number(dist["radius"], "distance.radius", lo=0, strict_lo=True)
-    _number(dist["cutoff_width"], "distance.cutoff_width", lo=0, strict_lo=True)
-    _require(isinstance(dist["use_global_norm"], bool), "distance.use_global_norm",
-             "must be true or false")
-    _integer(dist["omega_count"], "distance.omega_count", lo=3)
-
-    sp = raw["spectrum"]
-    _number(sp["window_width"], "spectrum.window_width", lo=0, strict_lo=True)
-    _integer(sp["n_windows"], "spectrum.n_windows", lo=1)
-    _number(sp["mass_fraction"], "spectrum.mass_fraction", lo=0, hi=1, strict_lo=True)
-    _integer(sp["cluster_bins"], "spectrum.cluster_bins", lo=0)
-    _integer(sp["exclusion_bins"], "spectrum.exclusion_bins", lo=0)
-    _require(sp["taper"] == "hann", "spectrum.taper", 'must be "hann"')
-    if raw["experiment"] == "spectrum":
+    if experiment == "spectrum":
+        sp = raw["spectrum"]
         _require(sp["n_windows"] * sp["window_width"] <= ev["T"] + 1e-9, "spectrum.window_width",
                  "windows do not fit in the trajectory (n_windows * window_width > evolve.T)")
-
-    ce = raw["counterexample"]
-    if ce["omega1"] is not None:  # None resolves to 2m at run time
-        _number(ce["omega1"], "counterexample.omega1", lo=m, hi=3.0 * m, strict_lo=True)
-        _require(float(ce["omega1"]) < 3.0 * m, "counterexample.omega1", "must be below 3m")
-    _number(ce["b"], "counterexample.b", hi=0)
-    _require(float(ce["b"]) < 0, "counterexample.b", "must be negative")
-    _number(ce["sigma0"], "counterexample.sigma0", lo=0, strict_lo=True)
-    _number(ce["T"], "counterexample.T", lo=0, strict_lo=True)
-    _number(ce["tol"], "counterexample.tol", lo=0, strict_lo=True)
     return raw
 
 
@@ -462,10 +453,16 @@ class RunConfig:
             return wave_packet(grid, float(init["center"]), float(init["width"]),
                                float(init["carrier"]), float(init["amplitude"]))
         if kind == "solitary":
-            wave = build_solitary(rho, pot, float(init["omega"]), float(init["phase"]),
-                                  self.m, int(init["root_index"]))
-            return wave.initial_state()
+            return self.solitary_wave(rho, pot).initial_state()
         return load_snapshot(Path(init["path"]))[0]
+
+    def solitary_wave(self, rho: CouplingProfile, pot: PolynomialPotential) -> SolitaryWave:
+        """The standing wave of initial kind "solitary" (that kind's defaults for another kind)."""
+        init = self.raw["initial"]
+        if init["kind"] != "solitary":
+            init = table_defaults(INITIAL_KINDS["solitary"])
+        return build_solitary(rho, pot, float(init["omega"]), float(init["phase"]), self.m,
+                              int(init["root_index"]))
 
     def build_integrator(self) -> Integrator:
         ev = self.raw["evolve"]
@@ -488,9 +485,7 @@ class RunConfig:
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config", "top level must be an object")
-    cfg = RunConfig(_validate(_merge(DEFAULTS, raw)))
+    cfg = RunConfig(_validate(_fill(SCHEMA, raw, "")))
     try:
         cfg.build_observers()
     except ValueError as exc:  # seminorm specs whose series would collide

@@ -490,10 +490,14 @@ class ManifoldTable:
                 best_omega = float(self.omegas[adm[k]])
 
         if best_omega is not None and abs(best_omega) < m:
-            # polish inside the spectral gap; embedded candidates stay on-grid
+            # polish inside the spectral gap; embedded candidates stay on-grid.  Where
+            # the bracket reaches frequencies without an amplitude root, dist_sq_at is
+            # inf and a parabolic step computes inf - inf: the NaN fails the step's
+            # acceptance test and a golden-section step follows, so it is not reported.
             lo = max(best_omega - self._pitch, -m + 1e-9 * m)
             hi = min(best_omega + self._pitch, m - 1e-9 * m)
-            x, fun = _bounded_brent(dist_sq_at, lo, hi, 1e-6 * m)
+            with np.errstate(invalid="ignore"):
+                x, fun = _bounded_brent(dist_sq_at, lo, hi, 1e-6 * m)
             if fun < best_sq:
                 best_sq = float(fun)
                 best_omega = float(x)

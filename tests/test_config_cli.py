@@ -12,7 +12,9 @@ from mfkg import (
 )
 from mfkg.config import set_by_path
 from mfkg.cli import _evolved, main, run_experiment
-from mfkg.config import DEFAULTS, INITIAL_KINDS, RHO_KINDS, SEMINORM, SPONGE
+from mfkg.config import (
+    DEFAULTS, INITIAL_KINDS, RHO_KINDS, SCHEMA, SEMINORM, SPONGE, table_defaults,
+)
 from mfkg.io import read_trajectory_csv, save_snapshot
 from mfkg.solitary import ManifoldTable, default_omega_grid, resolvent_coupling
 
@@ -72,12 +74,52 @@ def test_merge_is_deep_and_defaults_survive():
     ({"evolve": {"sponge": 5}}, "evolve.sponge"),
     ({"seminorms": [5]}, "seminorms[0]"),
     ({"evolve": {"sponge": {"strength": 2.0}}}, "evolve.sponge.inner_radius"),
+    ({"rho": {"kind": "multifreq", "omega1": 3.0}}, "rho.omega1"),
+    ({"experiment": "distance", "distance": {"radius": 60.0}}, "distance.radius"),
+    ({"experiment": "spectrum", "distance": {"radius": 50.0, "cutoff_width": 14.0}},
+     "distance.radius"),
 ])
 def test_validation_reports_dotted_path(raw, path):
     with pytest.raises(ConfigError) as err:
         config_from_dict(raw)
     assert err.value.path == path
     assert str(err.value).startswith(path + ":")
+
+
+def _wrongly_typed_leaves():
+    """(config, dotted path) with a wrongly typed value at each leaf of the schema tables."""
+    def wrong(default, path):  # a number where a string belongs, else a string
+        return 1.0 if isinstance(default, str) or path.endswith(".path") else "x"
+
+    def walk(table, prefix):
+        for key, node in table.items():
+            if isinstance(node, dict):
+                yield from walk(node, f"{prefix}{key}.")
+            else:
+                raw, path = {}, prefix + key
+                set_by_path(raw, path, wrong(node[0], path))
+                yield raw, path
+
+    yield from walk(SCHEMA, "")
+    for section, kinds in (("rho", RHO_KINDS), ("initial", INITIAL_KINDS)):
+        yield {section: {"kind": 1.0}}, f"{section}.kind"
+        for kind, table in kinds.items():
+            for key, (default, _) in table.items():
+                path = f"{section}.{key}"
+                yield {section: {"kind": kind, key: wrong(default, path)}}, path
+    for key, (default, _) in SPONGE.items():
+        sponge = {"inner_radius": 20.0, key: wrong(default, key)}
+        yield {"evolve": {"sponge": sponge}}, f"evolve.sponge.{key}"
+    for key, (default, _) in SEMINORM.items():
+        yield {"seminorms": [{key: wrong(default, key)}]}, f"seminorms[0].{key}"
+
+
+@pytest.mark.parametrize("raw, path", [pytest.param(raw, path, id=path)
+                                       for raw, path in _wrongly_typed_leaves()])
+def test_every_leaf_rejects_a_wrong_type_at_its_path(raw, path):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert err.value.path == path
 
 
 @pytest.mark.parametrize("raw, path", [
@@ -491,15 +533,16 @@ SMALL_SETS = ["--set", "grid.points=256", "--set", "grid.length=64.0"]
                   "--set", "rho.amplitude=2.0"], {}),
     ("spectrum", ["--set", "evolve.T=12.0", "--set", "spectrum.window_width=4.0",
                   "--set", "rho.amplitude=2.0", "--set", "initial.kind=solitary"],
-     {"initial": {"kind": "solitary", **INITIAL_KINDS["solitary"]}}),
+     {"initial": {"kind": "solitary", **table_defaults(INITIAL_KINDS["solitary"])}}),
     ("counterexample", ["--set", "grid.points=1024", "--set", "counterexample.T=2.0"], {}),
     ("simulate", ["--set", "evolve.T=1.0", "--set", "initial.kind=packet"],
-     {"initial": {"kind": "packet", **INITIAL_KINDS["packet"]}}),
+     {"initial": {"kind": "packet", **table_defaults(INITIAL_KINDS["packet"])}}),
     ("simulate", ["--set", "evolve.T=1.0", "--set", "rho.kind=multifreq"],
-     {"rho": {"kind": "multifreq", **RHO_KINDS["multifreq"], "omega1": 2.0}}),
+     {"rho": {"kind": "multifreq", **table_defaults(RHO_KINDS["multifreq"]), "omega1": 2.0}}),
     ("simulate", ["--set", "evolve.T=1.0", "--set", "evolve.sponge.inner_radius=20.0",
                   "--set", 'seminorms=[{"epsilon": 0.5}]'],
-     {"evolve.sponge": {**SPONGE, "inner_radius": 20.0}, "seminorms": [{**SEMINORM, "epsilon": 0.5}]}),
+     {"evolve.sponge": {**table_defaults(SPONGE), "inner_radius": 20.0},
+      "seminorms": [{**table_defaults(SEMINORM), "epsilon": 0.5}]}),
 ], ids=["simulate", "solitary", "sigma", "distance", "spectrum", "counterexample",
         "packet", "multifreq", "partial-sponge-and-seminorm"])
 def test_config_json_reruns_byte_for_byte(tmp_path, experiment, sets, kinds):

@@ -1,4 +1,6 @@
 """Standing-wave construction, the dispersion scalar, manifold distances."""
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -357,3 +359,17 @@ def test_bounded_brent_matches_scipy_bit_for_bit(rho, pot, monkeypatch, case):
         assert res.nfev == 500 and res.status == 1
     if case == "endpoint":
         assert x - lo < 1e-5
+
+
+def test_polish_past_the_amplitude_roots_warns_nothing(pot):
+    """A polish bracket that reaches frequencies without an amplitude root stays silent."""
+    grid = make_grid(1, 256, 64.0)
+    rho = CouplingProfile.gaussian(grid, 0.6, 1.0)
+    table = ManifoldTable(rho, pot, SeminormSpec(0.5, 8.0, 8.0))
+    admissible = table.omegas[table._admissible]
+    omega = admissible[admissible > 0][0]  # no amplitude root just below it
+    state = build_solitary(rho, pot, omega).initial_state()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        d, best = table.distance(state)
+    assert d < 1e-6 and abs(best - omega) < 1e-6
