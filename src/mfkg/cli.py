@@ -23,7 +23,7 @@ from .config import (
     EXPERIMENTS, ConfigError, RunConfig, _read_config_file, _sigma_range, config_from_dict,
     set_by_path,
 )
-from .dynamics import _sample_count, evolve
+from .dynamics import Observers, _sample_count, evolve
 from .fields import SeminormSpec
 from .io import save_snapshot, write_columns_csv, write_trajectory_csv
 from .multifreq import build_counterexample, verify_persistence
@@ -78,6 +78,11 @@ def _build_config(args, experiment: str) -> RunConfig:
     return config_from_dict(raw)
 
 
+# the experiments that write the configured seminorm series; the others
+# evolve without them, so no sample pays for a series that nothing writes
+_WRITES_SEMINORMS = ("simulate",)
+
+
 def _evolved(cfg: RunConfig, force_snapshots: bool = False):
     grid = cfg.build_grid()
     pot = cfg.build_potential()
@@ -86,9 +91,11 @@ def _evolved(cfg: RunConfig, force_snapshots: bool = False):
     integ = cfg.build_integrator()
     obs = cfg.build_observers()
     T = float(cfg.section("evolve")["T"])
-    if force_snapshots and obs.snapshot_stride == 0:
-        obs = type(obs)(obs.seminorm_specs, max(1, _sample_count(integ, T) // 16))
-    traj = evolve(state, rho, pot, integ, T, obs, cfg.m)
+    specs = obs.seminorm_specs if cfg.experiment in _WRITES_SEMINORMS else ()
+    stride = obs.snapshot_stride
+    if force_snapshots and stride == 0:
+        stride = max(1, _sample_count(integ, T) // 16)
+    traj = evolve(state, rho, pot, integ, T, Observers(specs, stride), cfg.m)
     return grid, pot, rho, traj
 
 
@@ -317,6 +324,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _build_config(args, args.experiment)
+        if cfg.raw["seminorms"] and cfg.experiment not in _WRITES_SEMINORMS:
+            print(f"note: seminorms: only {' and '.join(_WRITES_SEMINORMS)} writes seminorm "
+                  f"series; {cfg.experiment} records none", file=sys.stderr)
         files = run_experiment(cfg, Path(args.output_dir))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -7,12 +7,13 @@ the accepted domain.  The fill step writes in the default of every missing
 key and checks each leaf at its dotted path ("evolve.dt: must be > 0"), so
 the resolved configuration (the run's config.json) lists every value the
 run uses, and batch sweeps fail before they burn compute or write anything.
-The cross-checks follow: step size against the grid spacing, sponge and
-window geometry (the ``distance`` window too, for the distance and spectrum
-experiments unless ``distance.use_global_norm``), the sigma range, the
-spectrum windows, the experiments that need a coupling, ``omega1`` strictly
-inside (m, 3m), and the headers of the ``rho.path`` and ``initial.path``
-files against the grid (and the mass).  Builders hand back the actual objects.
+The cross-checks follow: step size against the grid spacing, the sampling
+interval against the run's T, sponge and window geometry (the ``distance``
+window too, for the distance and spectrum experiments unless
+``distance.use_global_norm``), the sigma range, the spectrum windows, the
+experiments that need a coupling, ``omega1`` strictly inside (m, 3m), and
+the headers of the ``rho.path`` and ``initial.path`` files against the grid
+(and the mass).  Builders hand back the actual objects.
 """
 from __future__ import annotations
 
@@ -74,7 +75,11 @@ def _number(raw, path: str, lo=None, hi=None, open_lo=False, open_hi=False):
     """A finite number within [lo, hi] (None: unbounded), an end excluded where it is open."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(path, f"expected a number, got {raw!r}")
-    _require(math.isfinite(raw), path, "must be finite")
+    try:
+        finite = math.isfinite(raw)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    _require(finite, path, "must be finite")
     if lo is not None and (raw <= lo if open_lo else raw < lo):
         raise ConfigError(path, f"must be {'>' if open_lo else '>='} {lo}")
     if hi is not None and (raw >= hi if open_hi else raw > hi):
@@ -314,6 +319,10 @@ def _validate(raw: dict) -> dict:
     if experiment in _STEPS:
         spacing = float(g["length"]) / g["points"]
         _require(ev["dt"] < spacing, "evolve.dt", f"must be below the grid spacing {spacing:g}")
+        # a run covers whole sampling intervals, so a longer interval would overrun T
+        T = raw["counterexample" if experiment == "counterexample" else "evolve"]["T"]
+        _require(ev["steps_per_sample"] <= (T + 1e-9) / ev["dt"], "evolve.steps_per_sample",
+                 f"sampling interval evolve.dt * steps_per_sample exceeds the run's T = {T:g}")
     if ev["sponge"] is not None:
         _require(ev["sponge"]["inner_radius"] < half, "evolve.sponge.inner_radius",
                  "must be inside the box (less than length/2)")

@@ -78,6 +78,8 @@ def test_merge_is_deep_and_defaults_survive():
     ({"experiment": "distance", "distance": {"radius": 60.0}}, "distance.radius"),
     ({"experiment": "spectrum", "distance": {"radius": 50.0, "cutoff_width": 14.0}},
      "distance.radius"),
+    # an integer too large for a float is not finite
+    ({"m": 10**400}, "m"),
 ])
 def test_validation_reports_dotted_path(raw, path):
     with pytest.raises(ConfigError) as err:
@@ -131,6 +133,20 @@ def test_missing_required_key_is_named(raw, path):
     with pytest.raises(ConfigError) as err:
         config_from_dict(raw)
     assert str(err.value) == f"{path}: required"
+
+
+def test_sampling_interval_must_fit_in_the_run():
+    # a run covers whole sampling intervals: dt * steps_per_sample may not exceed its T
+    for raw in ({"evolve": {"T": 1.0, "steps_per_sample": 1000}},
+                {"experiment": "counterexample", "counterexample": {"T": 0.05}}):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(raw)
+        assert err.value.path == "evolve.steps_per_sample"
+    # equality passes, also where T / dt rounds below steps_per_sample (0.3 / 0.05 < 6)
+    config_from_dict({"evolve": {"T": 1.0, "steps_per_sample": 100}})
+    config_from_dict({"evolve": {"T": 0.3, "dt": 0.05, "steps_per_sample": 6}})
+    # sigma takes no time steps
+    config_from_dict({"experiment": "sigma", "evolve": {"T": 1.0, "steps_per_sample": 1000}})
 
 
 def test_partial_seminorm_entry_takes_the_table_defaults():
@@ -427,6 +443,42 @@ def test_cli_spectrum_flags_windows_past_horizon(tmp_path):
                       "support_lo,support_hi")
 
 
+SMALL_SETS = ["--set", "grid.points=256", "--set", "grid.length=64.0"]
+SEMINORM_SET = ["--set", 'seminorms=[{"epsilon": 0.5, "radius": 8.0, "cutoff_width": 8.0}]']
+
+
+@pytest.mark.parametrize("experiment, sets, data", [
+    ("distance", ["--set", "evolve.T=1.0", "--set", "distance.omega_count=11"],
+     ["distance.csv", "distance.json"]),
+    ("spectrum", ["--set", "evolve.T=12.0", "--set", "spectrum.window_width=4.0",
+                  "--set", "initial.kind=solitary"], ["windows.csv", "attraction.json"]),
+])
+def test_seminorms_are_not_recorded_where_nothing_writes_them(
+        tmp_path, capsys, monkeypatch, experiment, sets, data):
+    def refuse(*args):
+        raise AssertionError(f"{experiment} computed a seminorm series it does not write")
+
+    monkeypatch.setattr("mfkg.dynamics.local_seminorm", refuse)
+    argv = [experiment, *SMALL_SETS, "--set", "rho.amplitude=2.0", *sets]
+    code, plain = run_cli(tmp_path / "plain", *argv)
+    assert code == 0 and capsys.readouterr().err == ""
+    code, out = run_cli(tmp_path / "seminorm", *argv, *SEMINORM_SET)
+    assert code == 0
+    note = capsys.readouterr().err
+    assert note.startswith("note: seminorms: only simulate writes seminorm series")
+    assert note.count("\n") == 1
+    for name in data:
+        assert (out / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+def test_cli_simulate_writes_its_seminorm_series(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "simulate", *SMALL_SETS, "--set", "evolve.T=1.0",
+                        *SEMINORM_SET)
+    assert code == 0 and "note" not in capsys.readouterr().err
+    series = read_trajectory_csv(out / "trajectory.csv")["seminorm_R8"]
+    assert series.size == 11 and np.all(series > 0)
+
+
 def test_cli_counterexample_outputs(tmp_path):
     code, out = run_cli(
         tmp_path, "counterexample", "--set", "grid.points=1024",
@@ -520,9 +572,6 @@ def test_run_experiment_lists_every_file(tmp_path):
     on_disk = sorted(p.name for p in (tmp_path / "out").iterdir())
     assert sorted(files) == on_disk
     assert "manifest.json" in files and "config.json" in files
-
-
-SMALL_SETS = ["--set", "grid.points=256", "--set", "grid.length=64.0"]
 
 
 @pytest.mark.parametrize("experiment, sets, kinds", [
