@@ -6,8 +6,8 @@ defaults, further overridden by --set and --seed), writes its outputs into
 every file it wrote.  Outputs carry no timestamps, so a rerun with the
 same config and seed is byte-identical.
 
-Exit codes: 0 success, 2 configuration problems, 3 numerical failures,
-4 filesystem trouble.
+Exit codes: 0 success, 2 configuration problems, 3 numerical failures
+and running out of memory, 4 filesystem trouble.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -203,35 +204,22 @@ def _run_spectrum(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
         cluster_bins=int(sec["cluster_bins"]),
         exclusion_bins=int(sec["exclusion_bins"]),
         seminorm=spec,
-        measure_distance=bool(traj.snapshots),
         resonant_zeros=zeros,
         use_global_norm=use_global,
     )
     report = attraction_report(traj, rho, pot, acfg, cfg.m)
-    rows = report.windows
-    write_columns_csv(
-        outdir / "windows.csv",
-        ["t_center", "dominant_frequency", "concentration", "outside_mass_fraction",
-         "support_lo", "support_hi"],
-        [np.array([w.t_center for w in rows]),
-         np.array([w.dominant_frequency for w in rows]),
-         np.array([w.concentration for w in rows]),
-         np.array([w.outside_mass_fraction for w in rows]),
-         np.array([w.support[0] for w in rows]),
-         np.array([w.support[1] for w in rows])],
-    )
+    rows = [asdict(w) for w in report.windows]
+    scalars = ["t_center", "dominant_frequency", "concentration", "outside_mass_fraction"]
+    table = [[row[k] for k in scalars] + list(row["support"]) for row in rows]
+    write_columns_csv(outdir / "windows.csv", scalars + ["support_lo", "support_hi"],
+                      list(zip(*table)))
     files.append("windows.csv")
     payload = {
         "trivial": report.trivial,
         "bin_width": report.bin_width,
         "sponge_active": report.sponge_active,
         "horizon_time": report.horizon_time,
-        "windows": [
-            {"t_center": w.t_center, "dominant_frequency": w.dominant_frequency,
-             "concentration": w.concentration, "outside_mass_fraction": w.outside_mass_fraction,
-             "support": list(w.support), "past_horizon": w.past_horizon}
-            for w in rows
-        ],
+        "windows": rows,
     }
     if report.distances is not None:
         payload["distances"] = {
@@ -333,6 +321,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)

@@ -221,7 +221,7 @@ SCHEMA: dict = {
     "seminorms": ([], _list_of(partial(_fill, SEMINORM))),
     # null omega_min / omega_max read as -0.99m / 0.99m (_sigma_range)
     "sigma": {"omega_min": (None, _NUMBER_OR_NULL), "omega_max": (None, _NUMBER_OR_NULL),
-              "count": (201, partial(_integer, lo=2))},
+              "count": (201, partial(_integer, lo=2, hi=10**6))},
     "distance": {
         "epsilon": (0.5, _UNIT),
         "radius": (8.0, _POSITIVE),

@@ -48,6 +48,15 @@ force from :meth:`PolynomialPotential.scalar_force`.
 Every sampled run is the generator :meth:`_StrangCore.samples`.  It covers
 whole sampling intervals, so samples are uniform and the last one lies at
 or past T.
+
+One reader, :meth:`_Recorder.record`, turns a sample of one raw (psi, pi)
+pair into the recorded observables: gamma, F and U from the core's pairing,
+then H and Q, global and conserved without a sponge or over the observation
+ball |x| <= inner_radius with one, then the non-finite check.  It builds a
+:class:`FieldState` only when a seminorm series or a due snapshot needs
+one, from the damped fields of a sponge run or else by one inverse
+transform.  :func:`evolve` feeds one recorder, :func:`split_chi_phi` two
+(chi and phi).
 """
 from __future__ import annotations
 
@@ -426,9 +435,13 @@ def step(
 
 
 class _Recorder:
-    def __init__(self, observers: Observers, m: float):
+    """The one reader of a sampled run: the observables of one system, sample by sample."""
+
+    def __init__(self, core: _StrangCore, observers: Observers):
+        self.core = core
         self.obs = observers
-        self.m = m
+        sponge = core.integ.sponge
+        self.ball = None if sponge is None else core.grid.radius <= sponge.inner_radius
         self.times: list[float] = []
         self.gamma: list[complex] = []
         self.force: list[complex] = []
@@ -438,30 +451,40 @@ class _Recorder:
             spec.label: [] for spec in observers.seminorm_specs
         }
         self.snapshots: list[FieldState] = []
-        self._sample_count = 0
 
-    def record(self, t, gamma, f, h, q, state: FieldState | None):
-        if not (np.isfinite(h) and np.isfinite(abs(gamma))):
+    def record(self, t: float, pair: np.ndarray, fields=None) -> None:
+        """Record the sample at time t of the raw (psi, pi) pair ``pair``.
+
+        ``fields`` are its position-space (psi, pi), which a sponge run
+        passes; otherwise they are transformed from ``pair``, and only when
+        a seminorm series or a due snapshot needs the sample's
+        :class:`FieldState`.
+        """
+        core = self.core
+        g, f, u_val = core.coupling_terms(pair[0])
+        if self.ball is None:
+            h, q = core.invariants(pair, u_val)
+        else:
+            h, q = _ball_observables(core.grid, fields, pair[0], self.ball, u_val, core.m)
+        if not (np.isfinite(h) and np.isfinite(abs(g))):
             raise RuntimeError(f"non-finite fields at t={t:g}; aborting evolution")
+        stride = self.obs.snapshot_stride
+        due = stride > 0 and len(self.times) % stride == 0
         self.times.append(t)
-        self.gamma.append(gamma)
+        self.gamma.append(g)
         self.force.append(f)
         self.energy.append(h)
         self.charge.append(q)
-        if state is not None:
+        if self.obs.seminorm_specs or due:
+            psi, pi = core.to_fields(pair) if fields is None else fields
+            state = FieldState(core.grid, psi, pi, t)
             for spec in self.obs.seminorm_specs:
-                self.seminorms[spec.label].append(local_seminorm(state, spec, self.m))
-            stride = self.obs.snapshot_stride
-            if stride > 0 and self._sample_count % stride == 0:
+                self.seminorms[spec.label].append(local_seminorm(state, spec, core.m))
+            if due:
                 self.snapshots.append(state)
-        self._sample_count += 1
 
-    def needs_state(self) -> bool:
-        stride = self.obs.snapshot_stride
-        due = stride > 0 and self._sample_count % stride == 0
-        return bool(self.obs.seminorm_specs) or due
-
-    def build(self, integ: Integrator, m: float) -> Trajectory:
+    def build(self) -> Trajectory:
+        integ = self.core.integ
         return Trajectory(
             times=np.asarray(self.times),
             gamma=np.asarray(self.gamma, dtype=np.complex128),
@@ -472,7 +495,7 @@ class _Recorder:
             snapshots=self.snapshots,
             dt=integ.dt,
             steps_per_sample=integ.steps_per_sample,
-            m=m,
+            m=self.core.m,
             sponge=integ.sponge,
         )
 
@@ -492,23 +515,6 @@ def _ball_observables(grid: Grid, fields, psi_raw: np.ndarray, mask: np.ndarray,
     return h, q
 
 
-def _record(rec: _Recorder, grid: Grid, t: float, g, f, h, q, fields) -> None:
-    """Record one sample; ``fields()`` gives (psi, pi), asked for only when
-    a seminorm or a snapshot needs the sample's :class:`FieldState`."""
-    state = None
-    if rec.needs_state():
-        psi, pi = fields()
-        state = FieldState(grid, psi, pi, t)
-    rec.record(t, g, f, h, q, state)
-
-
-def _record_undamped(core: _StrangCore, rec: _Recorder, grid: Grid, t: float, pair) -> None:
-    """Record one sample of an undamped raw (psi, pi) pair, with the global H and Q."""
-    g, f, u_val = core.coupling_terms(pair[0])
-    h, q = core.invariants(pair, u_val)
-    _record(rec, grid, t, g, f, h, q, lambda: core.to_fields(pair))
-
-
 def evolve(
     state: FieldState,
     rho: CouplingProfile | None,
@@ -526,25 +532,16 @@ def evolve(
     to the ball |x| <= inner_radius, since the damping layer openly discards
     what reaches it.
     """
-    grid = state.grid
     if rho is not None:
         require_same_grid(rho, state)
-    core = _StrangCore(grid, integ, rho, pot, m)
-    rec = _Recorder(observers or Observers(), m)
+    core = _StrangCore(state.grid, integ, rho, pot, m)
+    rec = _Recorder(core, observers or Observers())
     raw = core.to_raw(state.psi, state.pi)
-    samples = core.samples(raw, T, state.time)
-    if integ.sponge is None:
-        for t, _ in samples:
-            _record_undamped(core, rec, grid, t, raw)
-        return rec.build(integ, m)
-    mask = grid.radius <= integ.sponge.inner_radius
-    psi = raw[0]
-    for t, fields in samples:
-        fields = (state.psi, state.pi) if fields is None else fields
-        g, f, u_val = core.coupling_terms(psi)
-        h, q = _ball_observables(grid, fields, psi, mask, u_val, m)
-        _record(rec, grid, t, g, f, h, q, lambda: fields)
-    return rec.build(integ, m)
+    # a sponge run reads its fields at t0 from the data, later from the damped buffers
+    initial = None if integ.sponge is None else (state.psi, state.pi)
+    for t, fields in core.samples(raw, T, state.time):
+        rec.record(t, raw, initial if fields is None else fields)
+    return rec.build()
 
 
 def split_chi_phi(
@@ -575,11 +572,11 @@ def split_chi_phi(
     obs = observers or Observers()
     full = core.to_raw(state.psi, state.pi)
     chi, phi = full.copy(), np.empty_like(full)
-    recorders = (_Recorder(obs, m), _Recorder(obs, m))
+    recorders = (_Recorder(core, obs), _Recorder(core, obs))
     runs = zip(core.samples(full, T, state.time),
                _StrangCore(grid, integ, None, None, m).samples(chi, T, state.time))
     for (t, _), _ in runs:
         np.subtract(full, chi, out=phi)
         for part, rec in zip((chi, phi), recorders):
-            _record_undamped(core, rec, grid, t, part)
-    return recorders[0].build(integ, m), recorders[1].build(integ, m)
+            rec.record(t, part)
+    return recorders[0].build(), recorders[1].build()

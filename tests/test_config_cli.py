@@ -10,6 +10,7 @@ from mfkg import (
     ConfigError, SeminormSpec, config_from_dict, energy_norm, load_config, make_grid,
     random_state, wave_packet, zero_state,
 )
+from mfkg import cli
 from mfkg.config import set_by_path
 from mfkg.cli import _evolved, main, run_experiment
 from mfkg.config import (
@@ -80,6 +81,8 @@ def test_merge_is_deep_and_defaults_survive():
      "distance.radius"),
     # an integer too large for a float is not finite
     ({"m": 10**400}, "m"),
+    # a sigma curve of more points than fit in memory
+    ({"sigma": {"count": 10**400}}, "sigma.count"),
 ])
 def test_validation_reports_dotted_path(raw, path):
     with pytest.raises(ConfigError) as err:
@@ -508,6 +511,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+def test_out_of_memory_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
+    def exhausted(cfg, outdir, files):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setitem(cli._RUNNERS, "sigma", exhausted)
+    code, _ = run_cli(tmp_path, "sigma", "--set", "grid.points=256", "--set", "grid.length=64.0")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("out of memory: Unable to allocate")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("experiment, setting", [
     ("spectrum", "spectrum.taper=nosuch"),
     ("solitary", "rho.kind=none"),
@@ -526,6 +541,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     ("simulate", "initial.path=garbage.mfkg"),
     ("simulate", "initial.path=coarse.mfkg"),
     ("simulate", "initial.path=heavy.mfkg"),
+    ("sigma", "sigma.count=100000000000"),
 ])
 def test_cli_rejects_config_before_any_work(tmp_path, capsys, experiment, setting):
     sets = ["--set", setting]

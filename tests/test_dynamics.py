@@ -6,8 +6,8 @@ from numpy.testing import assert_allclose
 from mfkg import (
     CouplingProfile, FieldState, Integrator, Observers, SeminormSpec, Sponge,
     build_counterexample, charge, energy, energy_norm, evolve, free_flow,
-    inner_product, kick, make_grid, split_chi_phi, step, verify_persistence,
-    zero_state,
+    inner_product, kick, local_seminorm, make_grid, split_chi_phi, step,
+    verify_persistence, zero_state,
 )
 from mfkg.dynamics import _StrangCore, _flow_tables
 from mfkg.multifreq import TwoFrequencySolution
@@ -235,6 +235,35 @@ def test_sponge_snapshots_are_distinct_and_correct(grid, rho, pot, rng):
         assert_allclose(snap.time, want.time, rtol=1e-12)
         for got, ref in ((snap.psi, want.psi), (snap.pi, want.pi)):
             assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+def assert_series_read_the_snapshots(traj, spec, m):
+    """Each sample's seminorm is that of the sample's own snapshot (stride 1)."""
+    series = traj.seminorms[spec.label]
+    assert len(series) == len(traj.snapshots) == len(traj.times) > 1
+    for value, snap, t in zip(series, traj.snapshots, traj.times):
+        assert snap.time == t
+        assert value == local_seminorm(snap, spec, m)
+
+
+def test_sponge_seminorm_series_reads_each_sample(grid, rho, pot, rng):
+    state = localized_state(grid, rng, scale=0.5)
+    integ = Integrator(0.02, steps_per_sample=3, sponge=Sponge(16.0, 2.0))
+    spec = SeminormSpec(0.5, 6.0, 4.0)
+    obs = Observers(seminorm_specs=(spec,), snapshot_stride=1)
+    traj = evolve(state, rho, pot, integ, 0.6, obs, m=1.2)
+    assert_series_read_the_snapshots(traj, spec, 1.2)
+
+
+def test_split_chi_phi_seminorm_series_read_each_sample(grid, rho, pot, rng):
+    state = localized_state(grid, rng, scale=0.5)
+    integ = Integrator(0.02, steps_per_sample=3)
+    spec = SeminormSpec(0.5, 6.0, 4.0)
+    obs = Observers(seminorm_specs=(spec,), snapshot_stride=1)
+    chi, phi = split_chi_phi(state, rho, pot, integ, 0.6, obs, m=1.2)
+    for traj in (chi, phi):
+        assert_series_read_the_snapshots(traj, spec, 1.2)
+    assert np.any(phi.seminorms[spec.label] != chi.seminorms[spec.label])
 
 
 def test_split_chi_phi_superposition(grid, rho, pot, rng):
