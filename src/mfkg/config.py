@@ -179,6 +179,10 @@ _POSITIVE = partial(_number, lo=0, open_lo=True)
 _NONNEGATIVE = partial(_number, lo=0)
 _UNIT = partial(_number, lo=0, hi=1)
 _COUNT = partial(_integer, lo=0)
+# the largest int64, so that config.json holds only integers numpy can read as one
+_INT64_MAX = 2**63 - 1
+# the most grid points (points ** dim) a run may have: 256 MiB per complex field
+_MAX_GRID_POINTS = 2**24
 _NUMBER_OR_NULL = _nullable(_number)
 
 RHO_KINDS: dict = {
@@ -204,7 +208,7 @@ SEMINORM: dict = {"epsilon": (0.0, _UNIT), "radius": (8.0, _POSITIVE),
 
 SCHEMA: dict = {
     "experiment": ("simulate", _choice(EXPERIMENTS)),
-    "seed": (0, _COUNT),
+    "seed": (0, partial(_integer, lo=0, hi=_INT64_MAX)),
     "m": (1.0, _POSITIVE),
     "grid": {"dim": (1, partial(_integer, lo=1, hi=3)), "points": (2048, _grid_points),
              "length": (128.0, _POSITIVE)},
@@ -215,7 +219,7 @@ SCHEMA: dict = {
         "dt": (0.01, _POSITIVE),
         "T": (100.0, _POSITIVE),
         "steps_per_sample": (10, partial(_integer, lo=1)),
-        "snapshot_stride": (0, _COUNT),
+        "snapshot_stride": (0, partial(_integer, lo=0, hi=_INT64_MAX)),
         "sponge": (None, _nullable(partial(_fill, SPONGE))),
     },
     "seminorms": ([], _list_of(partial(_fill, SEMINORM))),
@@ -294,6 +298,9 @@ def _validate(raw: dict) -> dict:
     """The checks of a filled configuration that read more than one key or a file."""
     experiment, m, g = raw["experiment"], raw["m"], raw["grid"]
     half = 0.5 * float(g["length"])
+    total = g["points"] ** g["dim"]
+    _require(total <= _MAX_GRID_POINTS, "grid.points",
+             f"points ** dim = {total} exceeds the cap 2^24 = {_MAX_GRID_POINTS}")
 
     rho = raw["rho"]
     if rho["kind"] == "multifreq" and rho["omega1"] is None:

@@ -502,16 +502,20 @@ class _Recorder:
 
 def _ball_observables(grid: Grid, fields, psi_raw: np.ndarray, mask: np.ndarray,
                       u_val: float, m: float) -> tuple[float, float]:
-    """Energy and charge restricted to the observation ball (sponge runs)."""
-    psi, pi = fields
-    grad_sq = np.zeros(grid.shape)
+    """Energy and charge restricted to the observation ball (sponge runs).
+
+    psi, pi and each gradient row are gathered at the ball's points first,
+    so the density and its sum cover those points only.
+    """
+    psi, pi = (field[mask] for field in fields)
+    grad_sq = np.zeros(psi.shape)
     for axis, xi in enumerate(grid.wavenumbers):
         shape = [1] * grid.dim
         shape[axis] = grid.points_per_axis
-        grad_sq += np.abs(grid.raw_ifft(1j * xi.reshape(shape) * psi_raw)) ** 2
+        grad_sq += np.abs(grid.raw_ifft(1j * xi.reshape(shape) * psi_raw)[mask]) ** 2
     density = np.abs(pi) ** 2 + grad_sq + m * m * np.abs(psi) ** 2
-    h = 0.5 * grid.cell_volume * float(density[mask].sum()) + u_val
-    q = -grid.cell_volume * float(np.vdot(psi[mask], pi[mask]).imag)
+    h = 0.5 * grid.cell_volume * float(density.sum()) + u_val
+    q = -grid.cell_volume * float(np.vdot(psi, pi).imag)
     return h, q
 
 

@@ -16,9 +16,12 @@ shell |xi| = sqrt(omega^2 - m^2) so the singularity is removable.  The zero
 field is always on the manifold.
 
 Distances to the manifold are measured through a :class:`ManifoldTable`,
-built once per run from rho, the potential, the seminorm and the frequency
-grid.  The seminorm's window and Sobolev weights are owned by
-:mod:`mfkg.fields`, which builds them once; the table reads them from there.
+built once from rho, the potential, the seminorm and the frequency grid:
+:func:`manifold_distance` and ``spectral.attraction_report`` take theirs
+from a small cache keyed by those inputs, so repeated calls with one
+coupling share one table.  The seminorm's window and Sobolev weights are
+owned by :mod:`mfkg.fields`, which builds them once; the table reads them
+from there.
 Two identities carry the table.  The norm of each unit-amplitude candidate
 depends only on those inputs, so it is tabulated with s(omega) and the
 amplitude roots.  The window operator T = forward o chi o inverse is
@@ -30,6 +33,7 @@ round trip per snapshot instead of three transforms per candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -357,11 +361,13 @@ def _bounded_brent(func, lo: float, hi: float, xatol: float):
 
 
 class ManifoldTable:
-    """Per-run tables behind :func:`manifold_distance`.
+    """Precomputed tables for distances to the solitary manifold.
 
     Built once from the coupling, the potential, the seminorm and the
     frequency grid; :meth:`distance` then costs one stacked round trip per
-    snapshot plus the bounded polish.  For a candidate omega the
+    snapshot plus the bounded polish.  :meth:`distance` only reads the
+    tables, so one table serves any number of snapshots and callers (see
+    :func:`manifold_distance`).  For a candidate omega the
     unit-amplitude wave is S = (b, -i omega b) with
     b_hat = rho_hat / (|xi|^2 + m^2 - omega^2), and its windowed, weighted
     hats are (W1 T b_hat, -i omega W0 T b_hat) with T = forward o chi o
@@ -524,11 +530,33 @@ def manifold_distance(
 
     ||S||^2 depends only on rho, the seminorm and omega, and T = forward o
     window o inverse is self-adjoint, so <S, Psi> is a closed form in the
-    state's adjoint transforms (see :class:`ManifoldTable`).  This builds a
-    one-off table; a run that measures several snapshots should build one
-    :class:`ManifoldTable` and call its ``distance`` per snapshot.
+    state's adjoint transforms (see :class:`ManifoldTable`).  The table comes
+    from a small cache keyed by rho (by identity), the potential, the
+    seminorm, the frequency grid and m, so calls that repeat those inputs
+    build it once and pay only for the distance.
 
     Returns (distance, best_omega); best_omega is None when the zero wave is
     the closest point.
     """
-    return ManifoldTable(rho, pot, spec, omega_grid, m).distance(state)
+    if omega_grid is None:
+        omega_grid = default_omega_grid(m)
+    omegas = tuple(np.asarray(omega_grid, dtype=float).tolist())
+    return _manifold_table(rho, pot, spec, omegas, m).distance(state)
+
+
+@lru_cache(maxsize=4)
+def _manifold_table(
+    rho: CouplingProfile,
+    pot: PolynomialPotential,
+    spec: SeminormSpec | None,
+    omegas: tuple[float, ...],
+    m: float,
+) -> ManifoldTable:
+    """The shared :class:`ManifoldTable` of these inputs.
+
+    rho hashes by identity (a frozen dataclass with eq=False), the potential
+    and the seminorm by value, the candidate frequencies as a tuple of
+    floats.  Sharing is safe because :meth:`ManifoldTable.distance` keeps no
+    state on the table.
+    """
+    return ManifoldTable(rho, pot, spec, np.array(omegas), m)

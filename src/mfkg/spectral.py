@@ -21,7 +21,7 @@ import numpy as np
 from .dynamics import Trajectory
 from .fields import CouplingProfile, SeminormSpec
 from .potential import PolynomialPotential
-from .solitary import ManifoldTable, _shell_band, default_omega_grid
+from .solitary import _manifold_table, _shell_band, default_omega_grid
 
 __all__ = [
     "Spectrum",
@@ -402,7 +402,7 @@ def attraction_report(
     if cfg.measure_distance and traj.snapshots:
         grid_omegas = default_omega_grid(m, zeros=cfg.resonant_zeros)
         spec = None if cfg.use_global_norm else cfg.seminorm
-        table = ManifoldTable(rho, pot, spec, grid_omegas, m)
+        table = _manifold_table(rho, pot, spec, tuple(grid_omegas.tolist()), m)
         dists, best = [], []
         for snap in traj.snapshots:
             d, w = table.distance(snap)

@@ -83,12 +83,27 @@ def test_merge_is_deep_and_defaults_survive():
     ({"m": 10**400}, "m"),
     # a sigma curve of more points than fit in memory
     ({"sigma": {"count": 10**400}}, "sigma.count"),
+    # a grid of more than 2^24 points, in one or in three dimensions
+    ({"grid": {"points": 2**40}}, "grid.points"),
+    ({"grid": {"dim": 3, "points": 512}}, "grid.points"),
+    # integers beyond int64
+    ({"seed": 2**63}, "seed"),
+    ({"evolve": {"snapshot_stride": 2**63}}, "evolve.snapshot_stride"),
 ])
 def test_validation_reports_dotted_path(raw, path):
     with pytest.raises(ConfigError) as err:
         config_from_dict(raw)
     assert err.value.path == path
     assert str(err.value).startswith(path + ":")
+
+
+def test_integer_and_grid_caps_admit_their_bounds():
+    """2^24 grid points in one or three dimensions, and int64's largest seed and stride, pass."""
+    for dim, points in ((1, 2**24), (3, 2**8)):
+        cfg = config_from_dict({"experiment": "sigma", "grid": {"dim": dim, "points": points}})
+        assert cfg.section("grid")["points"] == points
+    cfg = config_from_dict({"seed": 2**63 - 1, "evolve": {"snapshot_stride": 2**63 - 1}})
+    assert cfg.seed == 2**63 - 1 and cfg.section("evolve")["snapshot_stride"] == 2**63 - 1
 
 
 def _wrongly_typed_leaves():
@@ -542,6 +557,7 @@ def test_out_of_memory_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
     ("simulate", "initial.path=coarse.mfkg"),
     ("simulate", "initial.path=heavy.mfkg"),
     ("sigma", "sigma.count=100000000000"),
+    ("sigma", "grid.points=1099511627776"),
 ])
 def test_cli_rejects_config_before_any_work(tmp_path, capsys, experiment, setting):
     sets = ["--set", setting]

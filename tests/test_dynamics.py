@@ -237,6 +237,38 @@ def test_sponge_snapshots_are_distinct_and_correct(grid, rho, pot, rng):
             assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
+def full_grid_ball_observables(grid, psi, pi, mask, u_val, m):
+    """H and Q over the ball |x| <= R by the full-grid route: density everywhere, then the mask."""
+    psi_raw = grid.raw_fft(np.stack((psi, pi)))[0]
+    grad_sq = np.zeros(grid.shape)
+    for axis, xi in enumerate(grid.wavenumbers):
+        shape = [1] * grid.dim
+        shape[axis] = grid.points_per_axis
+        grad_sq += np.abs(grid.raw_ifft(1j * xi.reshape(shape) * psi_raw)) ** 2
+    density = np.abs(pi) ** 2 + grad_sq + m * m * np.abs(psi) ** 2
+    h = 0.5 * grid.cell_volume * float(density[mask].sum()) + u_val
+    q = -grid.cell_volume * float(np.vdot(psi[mask], pi[mask]).imag)
+    return h, q
+
+
+@pytest.mark.parametrize("dim, points, length", [(1, 512, 64.0), (2, 32, 16.0)])
+def test_sponge_ball_observables_match_full_grid_route(dim, points, length, pot, rng):
+    """A sponge run's H and Q equal, bit for bit, the full-grid density masked to the ball."""
+    grid = make_grid(dim, points, length)
+    rho = CouplingProfile.gaussian(grid, amplitude=2.0, width=1.0)
+    state = localized_state(grid, rng, scale=0.5)
+    sponge = Sponge(0.25 * length, 2.0)
+    integ = Integrator(0.02, steps_per_sample=3, sponge=sponge)
+    traj = evolve(state, rho, pot, integ, 0.6, Observers(snapshot_stride=1), m=1.2)
+    mask = grid.radius <= sponge.inner_radius
+    assert len(traj.snapshots) == len(traj.times) == 11
+    for i, snap in enumerate(traj.snapshots):
+        u_val = float(pot.value(traj.gamma[i]))
+        h, q = full_grid_ball_observables(grid, snap.psi, snap.pi, mask, u_val, 1.2)
+        assert np.float64(traj.energy[i]).tobytes() == np.float64(h).tobytes()
+        assert np.float64(traj.charge[i]).tobytes() == np.float64(q).tobytes()
+
+
 def assert_series_read_the_snapshots(traj, spec, m):
     """Each sample's seminorm is that of the sample's own snapshot (stride 1)."""
     series = traj.seminorms[spec.label]

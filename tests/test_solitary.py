@@ -373,3 +373,64 @@ def test_polish_past_the_amplitude_roots_warns_nothing(pot):
         warnings.simplefilter("error", RuntimeWarning)
         d, best = table.distance(state)
     assert d < 1e-6 and abs(best - omega) < 1e-6
+
+
+def _distance_bits(result):
+    d, best = result
+    return np.float64(d).tobytes(), None if best is None else np.float64(best).tobytes()
+
+
+def test_manifold_distance_builds_each_table_once(grid, rho, pot, monkeypatch):
+    """Repeated inputs share one table; any changed input, or a new equal rho, builds anew."""
+    builds = []
+    init = ManifoldTable.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    spec = SeminormSpec(0.5, 8.0, 8.0)
+    state = _perturbed(build_solitary(rho, pot, 0.37, 1.3), 1, 0.3)
+    fresh = _distance_bits(ManifoldTable(rho, pot, spec).distance(state))
+    mfkg.solitary._manifold_table.cache_clear()
+    monkeypatch.setattr(ManifoldTable, "__init__", counted)
+    first = manifold_distance(state, rho, pot, spec)
+    second = manifold_distance(state, rho, pot, spec)
+    assert len(builds) == 1
+    assert _distance_bits(first) == _distance_bits(second) == fresh and first[1] is not None
+    # equal values hit the same table: the potential and spec by value, the omega grid as floats
+    manifold_distance(state, rho, PolynomialPotential((-1, 1)), SeminormSpec(0.5, 8, 8),
+                      list(default_omega_grid(1.0)), 1.0)
+    assert len(builds) == 1
+    for changed in (
+        dict(spec=SeminormSpec(0.0, 8.0, 8.0)),
+        dict(omega_grid=default_omega_grid(1.0, count=101)),
+        dict(m=1.2),
+        dict(rho=CouplingProfile.from_values(grid, rho.values)),
+    ):
+        count = len(builds)
+        args = dict(rho=rho, pot=pot, spec=spec) | changed
+        manifold_distance(state, **args)
+        assert len(builds) == count + 1, changed
+
+
+def test_distance_leaves_the_table_unchanged(grid, rho, pot):
+    """distance keeps no state on the table, so a shared table answers every caller alike."""
+    table = ManifoldTable(rho, pot, SeminormSpec(0.5, 8.0, 8.0))
+
+    def contents():
+        return {name: value.copy() if isinstance(value, np.ndarray) else value
+                for name, value in vars(table).items()}
+
+    before = contents()
+    states = [_perturbed(build_solitary(rho, pot, w, 0.4), seed, 0.3)
+              for seed, w in ((1, 0.37), (2, -0.6))] + [zero_state(grid)]
+    results = [_distance_bits(table.distance(s)) for s in states]
+    after = contents()
+    assert before.keys() == after.keys()
+    for name, value in before.items():
+        if isinstance(value, np.ndarray):
+            assert value.dtype == after[name].dtype and value.tobytes() == after[name].tobytes(), name
+        else:
+            assert value is after[name] or value == after[name], name
+    assert [_distance_bits(table.distance(s)) for s in states] == results
