@@ -7,13 +7,13 @@ the accepted domain.  The fill step writes in the default of every missing
 key and checks each leaf at its dotted path ("evolve.dt: must be > 0"), so
 the resolved configuration (the run's config.json) lists every value the
 run uses, and batch sweeps fail before they burn compute or write anything.
-The cross-checks follow: step size against the grid spacing, the sampling
-interval against the run's T, sponge and window geometry (the ``distance``
-window too, for the distance and spectrum experiments unless
-``distance.use_global_norm``), the sigma range, the spectrum windows, the
-experiments that need a coupling, ``omega1`` strictly inside (m, 3m), and
-the headers of the ``rho.path`` and ``initial.path`` files against the grid
-(and the mass).  Builders hand back the actual objects.
+The cross-checks follow: step size against the grid spacing, the step
+count T / dt against its cap, the sampling interval against the run's T,
+sponge and window geometry (the ``distance`` window too, for the distance
+and spectrum experiments unless ``distance.use_global_norm``), the sigma
+range, the spectrum windows, the experiments that need a coupling,
+``omega1`` strictly inside (m, 3m), and the headers of the ``rho.path`` and
+``initial.path`` files against the grid (and the mass).  Builders hand back the actual objects.
 """
 from __future__ import annotations
 
@@ -183,6 +183,9 @@ _COUNT = partial(_integer, lo=0)
 _INT64_MAX = 2**63 - 1
 # the most grid points (points ** dim) a run may have: 256 MiB per complex field
 _MAX_GRID_POINTS = 2**24
+# the most time steps (T / dt) a run may take: each sampling interval appends
+# to the run's series, so an unbounded T would step until memory runs out
+_MAX_STEPS = 10**8
 _NUMBER_OR_NULL = _nullable(_number)
 
 RHO_KINDS: dict = {
@@ -326,8 +329,11 @@ def _validate(raw: dict) -> dict:
     if experiment in _STEPS:
         spacing = float(g["length"]) / g["points"]
         _require(ev["dt"] < spacing, "evolve.dt", f"must be below the grid spacing {spacing:g}")
+        section = "counterexample" if experiment == "counterexample" else "evolve"
+        T = raw[section]["T"]
+        _require(T / ev["dt"] <= _MAX_STEPS, f"{section}.T",
+                 f"T / evolve.dt = {T / ev['dt']:.3g} steps exceeds the cap 10^8 = {_MAX_STEPS}")
         # a run covers whole sampling intervals, so a longer interval would overrun T
-        T = raw["counterexample" if experiment == "counterexample" else "evolve"]["T"]
         _require(ev["steps_per_sample"] <= (T + 1e-9) / ev["dt"], "evolve.steps_per_sample",
                  f"sampling interval evolve.dt * steps_per_sample exceeds the run's T = {T:g}")
     if ev["sponge"] is not None:

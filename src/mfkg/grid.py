@@ -12,13 +12,21 @@ wavenumbers are 2 pi k / L, the continuum phase factor collapses to a
 exact to machine precision.
 
 The plain FFT itself is :meth:`Grid.raw_fft` / :meth:`Grid.raw_ifft`, the
-one pair of transforms that everything in the package calls.  They are
-built from ``numpy.fft`` so that ``import mfkg`` loads no scipy module, and
-arranged to give ``scipy.fft.fftn`` / ``ifftn``'s results bit for bit (the
-package's recorded trajectories came from scipy.fft): complex input goes one
-axis at a time in ascending order; real input takes a real transform of the
-last axis and fills the other half by conjugate symmetry, in the order of
-scipy's fill.
+one pair of full-spectrum transforms that everything in the package calls.
+They are built from ``numpy.fft`` so that ``import mfkg`` loads no scipy
+module, and arranged to give ``scipy.fft.fftn`` / ``ifftn``'s results bit
+for bit (the package's recorded trajectories came from scipy.fft): complex
+input goes one axis at a time in ascending order; real input takes a real
+transform of the last axis and fills the other half by conjugate symmetry,
+in the order of scipy's fill.
+
+Fields known to be real have a second pair, :meth:`Grid.half_forward` /
+:meth:`Grid.half_inverse`: :meth:`forward` and :meth:`inverse` with the same
+checkerboard and cell-volume factors, on half spectra that keep bins 0..N/2
+of the last axis (``numpy.fft.rfftn`` / ``irfftn``; the other bins are the
+conjugate mirror).  Only the candidate profiles of
+:class:`mfkg.solitary.ManifoldTable` go through it, and no recorded
+trajectory does, so it is not matched to scipy.
 """
 from __future__ import annotations
 
@@ -179,6 +187,28 @@ class Grid:
         np.conjugate(self._reflect(out[..., half - 1 : 0 : -1], axes), out=out[..., half + 1 :])
         out[..., ::half] = np.where(self._mirror_mask[..., None], edges, out[..., ::half])
         return out
+
+    @property
+    def half_shape(self) -> tuple[int, ...]:
+        """Shape of a real field's half spectrum: bins 0..N/2 of the last axis."""
+        return (*self.shape[:-1], self.points_per_axis // 2 + 1)
+
+    @cached_property
+    def _half_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """:attr:`_transform_factors` on the bins of a half spectrum."""
+        half = self.points_per_axis // 2 + 1
+        return tuple(np.ascontiguousarray(f[..., :half]) for f in self._transform_factors)
+
+    def half_forward(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`forward` of real ``values``, on bins 0..N/2 of the last axis only."""
+        out = np.fft.rfftn(values, axes=tuple(range(-self.dim, 0)))
+        out *= self._half_factors[0]
+        return out
+
+    def half_inverse(self, half: np.ndarray) -> np.ndarray:
+        """The real field whose :meth:`forward` has the half spectrum ``half``."""
+        return np.fft.irfftn(half * self._half_factors[1], s=self.shape,
+                             axes=tuple(range(-self.dim, 0)))
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Sampled continuum Fourier transform, f_hat(xi) ~ int f e^{-i xi.x} dx.

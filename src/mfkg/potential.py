@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-__all__ = ["PolynomialPotential", "LowerBound", "gradient_check", "lower_bound_constants"]
+__all__ = ["PolynomialPotential", "LowerBound", "lower_bound_constants"]
 
 
 @dataclass(frozen=True)
@@ -81,20 +81,6 @@ class PolynomialPotential:
         for c in rest:
             alpha = alpha * r + c
         return alpha * z
-
-
-def gradient_check(pot: PolynomialPotential, z: complex, step: float = 1e-5) -> float:
-    """Max deviation between F and the central-difference gradient of -U.
-
-    Second-order accurate in ``step``; halving the step should quarter the
-    returned deviation until roundoff takes over.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    du_re = (pot.value(z + step) - pot.value(z - step)) / (2.0 * step)
-    du_im = (pot.value(z + 1j * step) - pot.value(z - 1j * step)) / (2.0 * step)
-    f = complex(pot.force(z))
-    return max(abs(-du_re - f.real), abs(-du_im - f.imag))
 
 
 @dataclass(frozen=True)

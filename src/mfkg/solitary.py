@@ -29,6 +29,11 @@ self-adjoint (the checkerboard is real and h^n cancels), so the overlap of a
 snapshot with every candidate is a weighted sum of conj(rho_hat) against the
 adjoint transforms T(W1 psi_w), T(W0 pi_w) of the snapshot: one stacked
 round trip per snapshot instead of three transforms per candidate.
+Two structures of the manifold make those sums cheap.  The resolvent depends
+on xi only through |xi|^2, so each snapshot's terms are summed once per shell
+of equal |xi|^2 and every candidate sum runs over shells.  rho is real and
+the resolvent even, so each unit-amplitude profile is real, and its window
+round trip for the norm runs on half spectra.
 """
 from __future__ import annotations
 
@@ -272,8 +277,9 @@ def default_omega_grid(m: float = 1.0, zeros: tuple[float, ...] = (), count: int
     return base
 
 
-# Largest number of full-grid spectra a table stacks into one transform, and
-# the cap on omegas per chunk; bounds the table's working memory.
+# Bounds on the table's working memory: the most entries of one chunk of
+# stacked candidate arrays (profiles over the grid, reciprocals over the
+# |xi|^2 shells), and the cap on omegas per chunk of profiles.
 _CHUNK_POINTS = 1 << 15
 _MAX_CHUNK = 16
 # evaluation cap of the bounded polish (maxiter of minimize_scalar's "bounded")
@@ -365,10 +371,10 @@ class ManifoldTable:
 
     Built once from the coupling, the potential, the seminorm and the
     frequency grid; :meth:`distance` then costs one stacked round trip per
-    snapshot plus the bounded polish.  :meth:`distance` only reads the
-    tables, so one table serves any number of snapshots and callers (see
-    :func:`manifold_distance`).  For a candidate omega the
-    unit-amplitude wave is S = (b, -i omega b) with
+    snapshot plus sums over the |xi|^2 shells and the bounded polish.
+    :meth:`distance` only reads the tables, so one table serves any number
+    of snapshots and callers (see :func:`manifold_distance`).  For a
+    candidate omega the unit-amplitude wave is S = (b, -i omega b) with
     b_hat = rho_hat / (|xi|^2 + m^2 - omega^2), and its windowed, weighted
     hats are (W1 T b_hat, -i omega W0 T b_hat) with T = forward o chi o
     inverse.  The table stores s(omega), the amplitude roots and
@@ -378,8 +384,20 @@ class ManifoldTable:
 
         <S, Psi> = sum_xi conj(rho_hat) (u1 + i omega u0) / (|xi|^2 + m^2 - omega^2) / L^n
 
-    with u1 = T(W1 psi_w) and u0 = T(W0 pi_w), one real matmul per chunk of
-    candidates.  spec=None measures in the global energy norm.
+    with u1 = T(W1 psi_w) and u0 = T(W0 pi_w).  Two structures of the
+    manifold make every candidate sum cheap:
+
+    * the reciprocal depends on xi only through |xi|^2, so the snapshot's
+      terms conj(rho_hat) (u1, u0) are summed once per shell of equal
+      |xi|^2 (N/2 + 1 shells for N points in 1-D, and far fewer shells
+      than points in 2-D and 3-D), and each candidate is one real matmul
+      over shells;
+    * rho is real and the reciprocal even, so b is real: its window round
+      trip runs on half spectra (:meth:`Grid.half_inverse` /
+      :meth:`Grid.half_forward`), where the bins 1..N/2-1 of the last
+      axis stand for their mirrors as well.
+
+    spec=None measures in the global energy norm.
     """
 
     def __init__(
@@ -396,11 +414,22 @@ class ManifoldTable:
             omega_grid = default_omega_grid(m)
         self.omegas = np.asarray(omega_grid, dtype=float)
         self._box_vol = grid.box_length**grid.dim
-        self._chunk = int(np.clip(_CHUNK_POINTS // grid.num_points, 1, _MAX_CHUNK))
         self._window, self._w1, self._w0 = _seminorm_weights(grid, spec, m)
-        self._weights_sq = np.stack((self._w1 * self._w1, self._w0 * self._w0)).reshape(2, -1).T
-        self._k2 = grid.k_squared.ravel()
         self._rho_hat = rho.rho_hat.ravel()
+        shells, shell_of = np.unique(grid.k_squared, return_inverse=True)
+        self._shell_of = shell_of.ravel()
+        self._shell_den = shells + m * m
+        # profiles on half spectra: their bins, rho_hat there, and the weights
+        # W1^2, W0^2 with the bins 1..N/2-1 of the last axis counted twice
+        half = grid.points_per_axis // 2 + 1
+        self._half_shell = self._shell_of.reshape(grid.shape)[..., :half].ravel()
+        self._rho_half = rho.rho_hat[..., :half].ravel()
+        twice = np.full(half, 2.0)
+        twice[[0, -1]] = 1.0
+        self._half_weights = np.stack(
+            [(w * w)[..., :half] * twice for w in (self._w1, self._w0)]).reshape(2, -1).T
+        self._profile_chunk = int(np.clip(_CHUNK_POINTS // grid.num_points, 1, _MAX_CHUNK))
+        self._shell_chunk = max(1, _CHUNK_POINTS // shells.size)
 
         roots = [self._roots_at(float(omega)) for omega in self.omegas]
         self.roots = tuple(roots)
@@ -421,45 +450,46 @@ class ManifoldTable:
         except ValueError:
             return ()
 
-    def _apply_window(self, spectra: np.ndarray) -> np.ndarray:
-        """T = forward o chi o inverse on the trailing grid axes; the identity without a window."""
-        if self._window is None:
-            return spectra
-        grid = self.rho.grid
-        return grid.forward(self._window * grid.inverse(spectra))
-
     def _reciprocals(self, omegas: np.ndarray) -> np.ndarray:
-        """1 / (|xi|^2 + m^2 - omega^2) on the flattened grid, zero where it vanishes.
+        """1 / (|xi|^2 + m^2 - omega^2) per |xi|^2 shell, zero where |den| <= the floor.
 
         Zeroing matches ``_protected_resolvent_terms``; admissibility (rho_hat
-        negligible there) was checked by ``resolvent_coupling``.
+        negligible there) was checked by ``resolvent_coupling``.  The shells
+        are sorted, so den rises along a row: a row whose first entry clears
+        the floor needs no test, and that holds for every |omega| < m.
         """
-        m = self.m
-        den = (self._k2 + m * m)[None, :] - (omegas * omegas)[:, None]
-        out = np.zeros_like(den)
-        np.divide(1.0, den, out=out, where=np.abs(den) > _DEN_FLOOR_FRAC * m * m)
-        return out
+        floor = _DEN_FLOOR_FRAC * self.m * self.m
+        den = self._shell_den[None, :] - (omegas * omegas)[:, None]
+        near = np.flatnonzero(den[:, 0] <= floor)
+        if near.size:
+            rows = den[near]
+            den[near] = np.where(np.abs(rows) <= floor, np.inf, rows)  # 1 / inf = 0
+        return np.divide(1.0, den, out=den)
 
-    def _chunks(self, omegas: np.ndarray):
-        for lo in range(0, omegas.size, self._chunk):
-            yield slice(lo, lo + self._chunk), omegas[lo:lo + self._chunk]
+    @staticmethod
+    def _chunks(omegas: np.ndarray, size: int):
+        for lo in range(0, omegas.size, size):
+            yield slice(lo, lo + size), omegas[lo:lo + size]
 
     def _base_sq(self, omegas: np.ndarray) -> np.ndarray:
         """||S||^2 = (||W1 T b_hat||^2 + omega^2 ||W0 T b_hat||^2) / L^n per omega."""
-        shape = self.rho.grid.shape
+        grid = self.rho.grid
         out = np.empty(omegas.size)
-        for part, w in self._chunks(omegas):
-            b_hat = self._reciprocals(w) * self._rho_hat
-            parts = self._apply_window(b_hat.reshape(-1, *shape)).view(np.float64)
+        for part, w in self._chunks(omegas, self._profile_chunk):
+            b_half = np.take(self._reciprocals(w), self._half_shell, axis=1) * self._rho_half
+            b_half = b_half.reshape(-1, *grid.half_shape)
+            if self._window is not None:
+                b_half = grid.half_forward(self._window * grid.half_inverse(b_half))
+            parts = b_half.view(np.float64)
             parts *= parts
-            sq = parts.reshape(w.size, -1, 2).sum(axis=2) @ self._weights_sq
+            sq = parts.reshape(w.size, -1, 2).sum(axis=2) @ self._half_weights
             out[part] = (sq[:, 0] + w * w * sq[:, 1]) / self._box_vol
         return out
 
     def _overlaps(self, terms: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-        """|<S, Psi>| per omega from the real and imaginary parts of conj(rho_hat) (u1, u0)."""
+        """|<S, Psi>| per omega from the shell sums of conj(rho_hat) (u1, u0), (re, im) columns."""
         out = np.empty(omegas.size)
-        for part, w in self._chunks(omegas):
+        for part, w in self._chunks(omegas, self._shell_chunk):
             p = self._reciprocals(w) @ terms
             out[part] = np.abs(p[:, 0] + 1j * p[:, 1] + 1j * w * (p[:, 2] + 1j * p[:, 3]))
         return out / self._box_vol
@@ -468,11 +498,16 @@ class ManifoldTable:
         """(distance, best_omega) as documented in :func:`manifold_distance`."""
         require_same_grid(self.rho, state)
         m = self.m
+        grid = state.grid
         psi_w, pi_w = _windowed_weighted_hats(state, self.spec, m)
         state_sq = float((np.vdot(psi_w, psi_w) + np.vdot(pi_w, pi_w)).real) / self._box_vol
-        u = self._apply_window(np.stack((self._w1 * psi_w, self._w0 * pi_w))).reshape(2, -1)
-        v = np.conj(self._rho_hat) * u
-        terms = np.stack((v[0].real, v[0].imag, v[1].real, v[1].imag), axis=1)
+        u = np.stack((self._w1 * psi_w, self._w0 * pi_w))
+        if self._window is not None:
+            u = grid.forward(self._window * grid.inverse(u))
+        v = (np.conj(self._rho_hat) * u.reshape(2, -1)).view(np.float64).reshape(2, -1, 2)
+        shells = self._shell_den.size
+        terms = np.stack([np.bincount(self._shell_of, v[row, :, part], shells)
+                          for row in (0, 1) for part in (0, 1)], axis=1)
 
         def dist_sq_at(omega: float) -> float:
             roots = self._roots_at(omega)

