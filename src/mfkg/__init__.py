@@ -35,7 +35,6 @@ from .fields import (
     energy,
     energy_norm,
     inner_product,
-    local_metric_norm,
     local_seminorm,
     smooth_cutoff,
     zero_state,
@@ -112,7 +111,6 @@ __all__ = [
     "kick",
     "load_config",
     "load_snapshot",
-    "local_metric_norm",
     "local_seminorm",
     "lower_bound_constants",
     "make_grid",

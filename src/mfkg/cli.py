@@ -162,25 +162,24 @@ def _run_sigma(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
     files.append("sigma.csv")
 
 
-def _distance_spec(cfg: RunConfig) -> tuple[SeminormSpec, bool, int]:
+def _distance_spec(cfg: RunConfig) -> tuple[SeminormSpec, bool, np.ndarray]:
+    """The distance seminorm, the global-norm flag and the manifold's candidate frequencies."""
     sec = cfg.section("distance")
     spec = SeminormSpec(float(sec["epsilon"]), float(sec["radius"]), float(sec["cutoff_width"]))
-    return spec, bool(sec["use_global_norm"]), int(sec["omega_count"])
+    rho_sec = cfg.section("rho")
+    zeros = (float(rho_sec["omega1"]),) if rho_sec["kind"] == "multifreq" else ()
+    omegas = default_omega_grid(cfg.m, zeros, int(sec["omega_count"]))
+    return spec, bool(sec["use_global_norm"]), omegas
 
 
 def _run_distance(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
     grid, pot, rho, traj = _evolved(cfg, force_snapshots=True)
-    spec, use_global, count = _distance_spec(cfg)
-    table = ManifoldTable(rho, pot, None if use_global else spec,
-                          default_omega_grid(cfg.m, count=count), cfg.m)
-    times, dists, best = [], [], []
-    for snap in traj.snapshots:
-        d, w = table.distance(snap)
-        times.append(snap.time)
-        dists.append(d)
-        best.append(np.nan if w is None else w)
+    spec, use_global, omegas = _distance_spec(cfg)
+    table = ManifoldTable(rho, pot, None if use_global else spec, omegas, cfg.m)
+    times, dists, best = table.distances(traj.snapshots)
+    # None (the zero wave is closest) is written as nan
     write_columns_csv(outdir / "distance.csv", ["t", "distance", "best_omega"],
-                      [np.array(times), np.array(dists), np.array(best)])
+                      [times, dists, np.array(best, dtype=float)])
     files.append("distance.csv")
     _write_json(outdir / "distance.json", {
         "initial": dists[0],
@@ -194,9 +193,7 @@ def _run_distance(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
 def _run_spectrum(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
     grid, pot, rho, traj = _evolved(cfg)
     sec = cfg.section("spectrum")
-    spec, use_global, _ = _distance_spec(cfg)
-    rho_sec = cfg.section("rho")
-    zeros = (float(rho_sec["omega1"]),) if rho_sec["kind"] == "multifreq" else ()
+    spec, use_global, omegas = _distance_spec(cfg)
     acfg = AttractionConfig(
         window_width=float(sec["window_width"]),
         n_windows=int(sec["n_windows"]),
@@ -204,7 +201,7 @@ def _run_spectrum(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
         cluster_bins=int(sec["cluster_bins"]),
         exclusion_bins=int(sec["exclusion_bins"]),
         seminorm=spec,
-        resonant_zeros=zeros,
+        omega_grid=omegas,
         use_global_norm=use_global,
     )
     report = attraction_report(traj, rho, pot, acfg, cfg.m)

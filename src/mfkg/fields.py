@@ -35,7 +35,6 @@ __all__ = [
     "energy_norm",
     "smooth_cutoff",
     "local_seminorm",
-    "local_metric_norm",
 ]
 
 
@@ -215,46 +214,39 @@ class SeminormSpec:
         return smooth_cutoff(grid, self.radius, self.cutoff_width)
 
 
-def _sobolev_weights(grid: Grid, epsilon: float, m: float) -> tuple[np.ndarray, np.ndarray]:
-    """W1 = (m^2 + |xi|^2)^{(1-eps)/2} and W0 = (m^2 + |xi|^2)^{-eps/2}."""
-    sym = grid.k_squared + m * m
-    return sym ** (0.5 * (1.0 - epsilon)), sym ** (-0.5 * epsilon)
-
-
 @lru_cache(maxsize=8)
 def _seminorm_weights(
     grid: Grid, spec: SeminormSpec | None, m: float
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Read-only (chi, W1, W0) of the seminorm of ``spec``.
 
-    chi is the spatial window (None when disabled) and W1, W0 are the
-    :func:`_sobolev_weights`; spec=None selects the plain energy norm
+    chi is the spatial window (None when disabled), W1 = (m^2 + |xi|^2)^{(1-eps)/2}
+    and W0 = (m^2 + |xi|^2)^{-eps/2}; spec=None selects the plain energy norm
     (eps = 0, no window).
     """
     eps = 0.0 if spec is None else spec.epsilon
-    tables = (None if spec is None else spec.window(grid), *_sobolev_weights(grid, eps, m))
+    sym = grid.k_squared + m * m
+    tables = (None if spec is None else spec.window(grid),
+              sym ** (0.5 * (1.0 - eps)), sym ** (-0.5 * eps))
     for table in tables:
         if table is not None:
             table.flags.writeable = False
     return tables
 
 
-def _weighted_hats(
-    state: FieldState, window: np.ndarray | None, w1: np.ndarray, w0: np.ndarray
+def _windowed_weighted_hats(
+    state: FieldState, spec: SeminormSpec | None, m: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(W1 * (chi psi)_hat, W0 * (chi pi)_hat) with one stacked forward transform."""
+    """(W1 * (chi psi)_hat, W0 * (chi pi)_hat) with one stacked forward transform.
+
+    The window and weights are the cached tables of :func:`_seminorm_weights`.
+    """
+    window, w1, w0 = _seminorm_weights(state.grid, spec, m)
     fields = np.stack((state.psi, state.pi))
     if window is not None:
         fields *= window
     hats = state.grid.forward(fields)
     return w1 * hats[0], w0 * hats[1]
-
-
-def _windowed_weighted_hats(
-    state: FieldState, spec: SeminormSpec | None, m: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_weighted_hats` with the cached tables of :func:`_seminorm_weights`."""
-    return _weighted_hats(state, *_seminorm_weights(state.grid, spec, m))
 
 
 def local_seminorm(state: FieldState, spec: SeminormSpec, m: float = 1.0) -> float:
@@ -265,24 +257,3 @@ def local_seminorm(state: FieldState, spec: SeminormSpec, m: float = 1.0) -> flo
     """
     h1, h0 = _windowed_weighted_hats(state, spec, m)
     return float(np.sqrt(state.grid.spectral_l2sq(h1) + state.grid.spectral_l2sq(h0)))
-
-
-def local_metric_norm(
-    state: FieldState, epsilon: float, cutoff_width: float, m: float = 1.0
-) -> float:
-    """Geometrically weighted sum of windowed seminorms over integer radii.
-
-    Truncated at the largest radius whose window still fits in the box; the
-    2^{-R} weights make the tail negligible well before that.
-    """
-    grid = state.grid
-    r_max = int(np.floor(0.5 * grid.box_length - cutoff_width))
-    if r_max < 1:
-        raise ValueError("box too small for the requested cutoff width")
-    w1, w0 = _sobolev_weights(grid, epsilon, m)  # only the window depends on the radius
-    total = 0.0
-    for r in range(1, r_max + 1):
-        window = SeminormSpec(epsilon, float(r), cutoff_width).window(grid)
-        h1, h0 = _weighted_hats(state, window, w1, w0)
-        total += 2.0**-r * float(np.sqrt(grid.spectral_l2sq(h1) + grid.spectral_l2sq(h0)))
-    return total

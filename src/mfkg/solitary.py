@@ -16,12 +16,13 @@ shell |xi| = sqrt(omega^2 - m^2) so the singularity is removable.  The zero
 field is always on the manifold.
 
 Distances to the manifold are measured through a :class:`ManifoldTable`,
-built once from rho, the potential, the seminorm and the frequency grid:
-:func:`manifold_distance` and ``spectral.attraction_report`` take theirs
-from a small cache keyed by those inputs, so repeated calls with one
-coupling share one table.  The seminorm's window and Sobolev weights are
-owned by :mod:`mfkg.fields`, which builds them once; the table reads them
-from there.
+built once from rho, the potential, the seminorm and the frequency grid;
+:meth:`ManifoldTable.distances` turns a run's snapshots into distances for
+both the ``distance`` and ``spectrum`` experiments.
+:func:`manifold_distance` takes its table from a small cache keyed by those
+inputs, so repeated calls with one coupling share one table.  The
+seminorm's window and Sobolev weights are owned by :mod:`mfkg.fields`,
+which builds them once; the table reads them from there.
 Two identities carry the table.  The norm of each unit-amplitude candidate
 depends only on those inputs, so it is tabulated with s(omega) and the
 amplitude roots.  The window operator T = forward o chi o inverse is
@@ -73,7 +74,7 @@ SHELL_TOL = 0.05
 _DEN_FLOOR_FRAC = 1e-13
 
 
-def _shell_band(grid: Grid, k_shell: float) -> np.ndarray:
+def shell_band(grid: Grid, k_shell: float) -> np.ndarray:
     """Lattice points within one mode spacing of the sphere |xi| = k_shell."""
     return np.abs(np.sqrt(grid.k_squared) - k_shell) <= grid.mode_spacing
 
@@ -89,7 +90,7 @@ def shell_max(rho: CouplingProfile, omega: float, m: float = 1.0) -> float:
         raise ValueError(
             f"resonant shell |xi|={k_shell:g} lies beyond the grid bandwidth {grid.nyquist:g}"
         )
-    band = _shell_band(grid, k_shell)
+    band = shell_band(grid, k_shell)
     if not band.any():
         return 0.0
     return float(np.max(np.abs(rho.rho_hat[band])))
@@ -543,6 +544,12 @@ class ManifoldTable:
                 best_sq = float(fun)
                 best_omega = float(x)
         return float(np.sqrt(max(best_sq, 0.0))), best_omega
+
+    def distances(self, snapshots) -> tuple[np.ndarray, np.ndarray, list]:
+        """(times, distances, best_omegas) of :meth:`distance` at each snapshot."""
+        pairs = [self.distance(snap) for snap in snapshots]
+        return (np.array([snap.time for snap in snapshots]),
+                np.array([d for d, _ in pairs]), [w for _, w in pairs])
 
 
 def manifold_distance(

@@ -21,7 +21,7 @@ import numpy as np
 from .dynamics import Trajectory
 from .fields import CouplingProfile, SeminormSpec
 from .potential import PolynomialPotential
-from .solitary import _manifold_table, _shell_band, default_omega_grid
+from .solitary import ManifoldTable, shell_band
 
 __all__ = [
     "Spectrum",
@@ -188,7 +188,7 @@ def _shell_density(rho: CouplingProfile, eta: float) -> float:
     if grid.dim == 1:
         vals = semidiscrete_transform(rho, np.array([eta, -eta]))
         return float(np.sum(np.abs(vals) ** 2) / (2.0 * np.pi))
-    band = _shell_band(grid, eta)
+    band = shell_band(grid, eta)
     if not band.any():
         raise ValueError(f"no lattice modes within one mode spacing of |xi| = {eta:g}")
     mean_sq = float(np.mean(np.abs(rho.rho_hat[band]) ** 2))
@@ -288,7 +288,12 @@ def titchmarsh_check(
 
 @dataclass(frozen=True)
 class AttractionConfig:
-    """What to measure when probing convergence to the solitary manifold."""
+    """What to measure when probing convergence to the solitary manifold.
+
+    ``omega_grid`` holds the manifold's candidate frequencies (None means
+    ``default_omega_grid(m)``); spectral mass near each of its embedded
+    entries, |omega| > m, counts as inside the allowed band.
+    """
 
     window_width: float
     n_windows: int = 3
@@ -297,7 +302,7 @@ class AttractionConfig:
     exclusion_bins: int = 3
     seminorm: SeminormSpec | None = None
     measure_distance: bool = True
-    resonant_zeros: tuple[float, ...] = ()
+    omega_grid: np.ndarray | None = None
     use_global_norm: bool = False
 
 
@@ -349,9 +354,9 @@ def _window_report(
     est = support_estimate(spec, cfg.mass_fraction)
     delta = cfg.exclusion_bins * spec.bin_width
     allowed = np.abs(spec.freqs) <= m + delta
-    for z in cfg.resonant_zeros:
-        allowed |= np.abs(spec.freqs - z) <= delta
-        allowed |= np.abs(spec.freqs + z) <= delta
+    for z in () if cfg.omega_grid is None else cfg.omega_grid:
+        if abs(z) > m:
+            allowed |= np.abs(spec.freqs - z) <= delta
     outside = float(mass[~allowed].sum() / total)
     return WindowReport(spec.t_center, peak, conc, outside, (est.lower, est.upper), past_horizon)
 
@@ -367,7 +372,8 @@ def attraction_report(
 
     Spectral windows are the last ``n_windows`` disjoint spans of width
     ``window_width`` ending at the final sample; distances to the manifold
-    are evaluated at every stored snapshot in the configured seminorm.
+    over the candidates ``cfg.omega_grid`` are evaluated at every stored
+    snapshot in the configured seminorm.
     """
     times = np.asarray(traj.times)
     gamma = np.asarray(traj.gamma)
@@ -400,15 +406,8 @@ def attraction_report(
         horizon_time=horizon,
     )
     if cfg.measure_distance and traj.snapshots:
-        grid_omegas = default_omega_grid(m, zeros=cfg.resonant_zeros)
         spec = None if cfg.use_global_norm else cfg.seminorm
-        table = _manifold_table(rho, pot, spec, tuple(grid_omegas.tolist()), m)
-        dists, best = [], []
-        for snap in traj.snapshots:
-            d, w = table.distance(snap)
-            dists.append(d)
-            best.append(w)
-        report.distance_times = np.array([s.time for s in traj.snapshots])
-        report.distances = np.array(dists)
-        report.best_omegas = best
+        table = ManifoldTable(rho, pot, spec, cfg.omega_grid, m)
+        report.distance_times, report.distances, report.best_omegas = table.distances(
+            traj.snapshots)
     return report

@@ -16,7 +16,7 @@ from mfkg.cli import _evolved, main, run_experiment
 from mfkg.config import (
     DEFAULTS, INITIAL_KINDS, RHO_KINDS, SCHEMA, SEMINORM, SPONGE, table_defaults,
 )
-from mfkg.io import read_trajectory_csv, save_snapshot
+from mfkg.io import load_snapshot, read_trajectory_csv, save_snapshot
 from mfkg.solitary import ManifoldTable, default_omega_grid, resolvent_coupling
 
 SMALL = {"grid": {"points": 256, "length": 64.0}}
@@ -305,6 +305,10 @@ def run_cli(tmp_path, *argv):
     return main([*argv, "--output-dir", str(out)]), out
 
 
+def _set_args(sets):
+    return [arg for key, value in sets.items() for arg in ("--set", f"{key}={json.dumps(value)}")]
+
+
 def read_manifest(out):
     return json.loads((out / "manifest.json").read_text())
 
@@ -392,8 +396,7 @@ def test_cli_distance_without_amplitude_roots(tmp_path):
 def test_cli_distance_global_norm_flag_selects_spec_none(tmp_path):
     sets = {"grid.points": 256, "grid.length": 64.0, "evolve.T": 2.0,
             "distance.omega_count": 11, "rho.amplitude": 2.0, "distance.use_global_norm": True}
-    argv = [arg for key, value in sets.items() for arg in ("--set", f"{key}={json.dumps(value)}")]
-    code, out = run_cli(tmp_path, "distance", *argv)
+    code, out = run_cli(tmp_path, "distance", *_set_args(sets))
     assert code == 0
     rows = [line.split(",") for line in (out / "distance.csv").read_text().splitlines()[1:]]
     raw = {}
@@ -413,6 +416,44 @@ def test_cli_distance_global_norm_flag_selects_spec_none(tmp_path):
         differs |= windowed.distance(snap)[0] != ref_d
     assert differs
     assert json.loads((out / "distance.json").read_text())["use_global_norm"] is True
+
+
+def test_cli_spectrum_and_distance_measure_the_same_distances(tmp_path):
+    # both experiments scan the distance.omega_count candidates
+    argv = _set_args({"grid.points": 256, "grid.length": 64.0, "evolve.T": 12.0,
+                      "evolve.snapshot_stride": 20, "distance.omega_count": 11,
+                      "spectrum.window_width": 4.0, "rho.amplitude": 2.0})
+    code, dist_out = run_cli(tmp_path / "distance", "distance", *argv)
+    assert code == 0
+    code, spec_out = run_cli(tmp_path / "spectrum", "spectrum", *argv)
+    assert code == 0
+    rows = [line.split(",") for line in (dist_out / "distance.csv").read_text().splitlines()[1:]]
+    got = json.loads((spec_out / "attraction.json").read_text())["distances"]
+    assert len(rows) == 7
+    assert got["t"] == [float(t) for t, _, _ in rows]
+    assert got["distance"] == [float(d) for _, d, _ in rows]
+    assert got["best_omega"] == [None if best == "nan" else float(best) for _, _, best in rows]
+    assert any(best is not None for best in got["best_omega"])
+
+
+def test_cli_simulate_writes_hashed_snapshots(tmp_path):
+    sets = {"m": 1.5, "grid.points": 256, "grid.length": 64.0, "evolve.T": 2.0,
+            "evolve.snapshot_stride": 5, "rho.amplitude": 2.0}
+    code, out = run_cli(tmp_path, "simulate", *_set_args(sets))
+    assert code == 0
+    raw = {}
+    for key, value in sets.items():
+        set_by_path(raw, key, value)
+    _, _, _, traj = _evolved(config_from_dict({**raw, "experiment": "simulate"}))
+    names = [f"snapshot_{i:04d}.mfkg" for i in range(len(traj.snapshots))]
+    assert len(names) == 5
+    assert sorted(path.name for path in out.glob("snapshot_*")) == names
+    files = read_manifest(out)["files"]
+    for name, snap in zip(names, traj.snapshots):
+        assert files[name] == hashlib.sha256((out / name).read_bytes()).hexdigest()
+        state, m = load_snapshot(out / name)
+        assert m == 1.5 and state.time == snap.time
+        assert np.array_equal(state.psi, snap.psi) and np.array_equal(state.pi, snap.pi)
 
 
 def test_cli_solitary_at_a_designed_zero_of_s_fails(tmp_path, capsys):

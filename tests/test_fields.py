@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 
 from mfkg import (
     CouplingProfile, FieldState, SeminormSpec, charge, energy, energy_norm,
-    inner_product, local_metric_norm, local_seminorm, make_grid, smooth_cutoff,
+    inner_product, local_seminorm, make_grid, smooth_cutoff,
     zero_state,
 )
 from mfkg.fields import _seminorm_weights, require_same_grid
@@ -149,28 +149,3 @@ def test_seminorm_weights_cache_keys_on_m_and_epsilon(grid, rng):
                         rtol=1e-14)
     window, w1, w0 = _seminorm_weights(grid, smooth, 1.0)
     assert not (window.flags.writeable or w1.flags.writeable or w0.flags.writeable)
-
-
-def test_local_metric_norm_keeps_the_seminorm_cache(grid, rng):
-    state = random_state(grid, rng)
-    spec = SeminormSpec(0.5, 8.0, 4.0)
-    _seminorm_weights.cache_clear()
-    local_seminorm(state, spec)
-    norm = local_metric_norm(state, 0.5, 4.0)
-    assert _seminorm_weights.cache_info().misses == 1
-    local_seminorm(state, spec)
-    assert _seminorm_weights.cache_info().hits == 1
-    r_max = int(np.floor(0.5 * grid.box_length - 4.0))
-    terms = [2.0**-r * local_seminorm(state, SeminormSpec(0.5, float(r), 4.0))
-             for r in range(1, r_max + 1)]
-    assert_allclose(norm, sum(terms), rtol=1e-14)
-
-
-def test_local_metric_norm_bounds(grid, rng):
-    state = random_state(grid, rng)
-    norm = local_metric_norm(state, 0.5, 4.0)
-    assert 0.0 < norm
-    # each term is below the global seminorm, so the sum is below sum 2^-r times it
-    cap = local_seminorm(state, SeminormSpec(0.5, 31.0, 4.0))
-    assert norm < cap
-    assert local_metric_norm(zero_state(grid), 0.5, 4.0) == 0.0

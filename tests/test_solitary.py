@@ -61,6 +61,25 @@ def test_resolvent_profile_solves_division_problem(grid, rho):
     assert np.max(np.abs(back.imag)) < 1e-10
 
 
+def test_resolvent_drops_exact_zero_denominators_where_rho_hat_vanishes():
+    # rho_hat vanishes on the lattice shell of bin 16, and omega puts the
+    # denominator within the floor there, at bins 16 and 1008 (= -16)
+    grid = make_grid(1, 1024, 64.0)
+    k_sq = grid.k_squared
+    rho = CouplingProfile.from_spectrum(grid, (k_sq - k_sq[16]) * np.exp(-0.5 * k_sq))
+    omega = float(np.sqrt(k_sq[16] + 1.0))
+    den = k_sq + 1.0 - omega * omega
+    hit = np.abs(den) <= mfkg.solitary._DEN_FLOOR_FRAC
+    assert np.flatnonzero(hit).tolist() == [16, 1008]
+    rest = ~hit
+    expected = np.sum(np.abs(rho.rho_hat[rest]) ** 2 / den[rest]) / grid.box_length
+    assert_allclose(resolvent_coupling(rho, omega), expected, rtol=1e-14)
+    profile = resolvent_profile(rho, omega)
+    assert np.isfinite(profile).all()
+    kept = np.where(hit, 0.0, rho.rho_hat / np.where(hit, 1.0, den))
+    assert_allclose(profile, grid.inverse(kept), rtol=0, atol=1e-13 * np.max(np.abs(profile)))
+
+
 def test_amplitude_roots_closed_form(pot):
     # for u = -r + r^2 the condition 1 = s(2 - 4 r s^2) has the single root below
     for s in (0.6, 1.0, 3.0):

@@ -9,6 +9,7 @@ from mfkg import (
     make_grid, shell_weight, support_estimate, titchmarsh_check,
     weighted_tail_mass, windowed_spectrum,
 )
+from mfkg.solitary import default_omega_grid
 from mfkg.spectral import (
     AttractionConfig, Spectrum, _hann, attraction_report, semidiscrete_transform,
 )
@@ -231,3 +232,22 @@ def test_attraction_report_flags_windows_past_horizon(grid, rho, pot):
                                rho, pot, cfg)
     assert damped.horizon_time is None
     assert not any(w.past_horizon for w in damped.windows)
+
+
+def test_outside_mass_spares_bands_around_embedded_candidates(grid, rho, pot):
+    # an on-bin tone at z = 2.5 (bin 50, far outside [-m, m] and its three
+    # exclusion bins) is inside the allowed band only when the candidate
+    # frequencies hold an embedded +-z
+    z = 2.5
+    times, gamma = tone_series([(z, 1.0)], n_periods=2.0)
+    traj = fake_trajectory(times, gamma)
+    outside = []
+    for omegas in (None, default_omega_grid(1.0, count=11),
+                   default_omega_grid(1.0, zeros=(z,), count=11)):
+        cfg = AttractionConfig(window_width=WIDTH, n_windows=1, measure_distance=False,
+                               omega_grid=omegas)
+        (window,) = attraction_report(traj, rho, pot, cfg).windows
+        assert window.dominant_frequency == pytest.approx(z)
+        outside.append(window.outside_mass_fraction)
+    assert outside[0] == outside[1] > 1.0 - 1e-12
+    assert outside[2] < 1e-12
