@@ -354,6 +354,10 @@ def _validate(raw: dict) -> dict:
         sp = raw["spectrum"]
         _require(sp["n_windows"] * sp["window_width"] <= ev["T"] + 1e-9, "spectrum.window_width",
                  "windows do not fit in the trajectory (n_windows * window_width > evolve.T)")
+        # windowed_spectrum needs 8 samples in each window
+        interval = ev["dt"] * ev["steps_per_sample"]
+        _require(sp["window_width"] >= 8 * interval - 1e-9, "spectrum.window_width",
+                 f"a window must span 8 sampling intervals (8 * {interval:g})")
     return raw
 
 

@@ -124,6 +124,12 @@ class CouplingProfile:
     def max_abs_hat(self) -> float:
         return float(np.max(np.abs(self.rho_hat)))
 
+    @cached_property
+    def shell_mass(self) -> np.ndarray:
+        """|rho_hat|^2 summed over each |xi|^2 shell of :attr:`Grid.shells`."""
+        k2, index = self.grid.shells
+        return np.bincount(index, np.abs(self.rho_hat.ravel()) ** 2, k2.size)
+
 
 # basic functionals ------------------------------------------------------
 

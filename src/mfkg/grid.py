@@ -27,6 +27,9 @@ of the last axis (``numpy.fft.rfftn`` / ``irfftn``; the other bins are the
 conjugate mirror).  Only the candidate profiles of
 :class:`mfkg.solitary.ManifoldTable` go through it, and no recorded
 trajectory does, so it is not matched to scipy.
+
+:attr:`Grid.shells` groups the lattice into the shells of equal |xi|^2 that
+every resolvent sum of :mod:`mfkg.solitary` runs over.
 """
 from __future__ import annotations
 
@@ -99,6 +102,12 @@ class Grid:
         """|xi|^2 on the full lattice, shape ``grid.shape``."""
         axes = np.meshgrid(*self.wavenumbers, indexing="ij")
         return sum(a**2 for a in axes)
+
+    @cached_property
+    def shells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(k2, index): the distinct |xi|^2 ascending; k2[index] is k_squared.ravel()."""
+        k2, index = np.unique(self.k_squared, return_inverse=True)
+        return k2, index.ravel()
 
     @property
     def nyquist(self) -> float:

@@ -15,6 +15,11 @@ at embedded frequencies |omega| > m where rho_hat vanishes on the resonant
 shell |xi| = sqrt(omega^2 - m^2) so the singularity is removable.  The zero
 field is always on the manifold.
 
+The resolvent depends on xi only through |xi|^2, so s(omega), the profiles
+and the manifold table all sum over the grid's shells of equal |xi|^2
+(:attr:`Grid.shells`), with one denominator per shell from ``_resolvent_den``
+and its one rule: a term within ``_DEN_FLOOR_FRAC`` m^2 of zero is dropped.
+
 Distances to the manifold are measured through a :class:`ManifoldTable`,
 built once from rho, the potential, the seminorm and the frequency grid;
 :meth:`ManifoldTable.distances` turns a run's snapshots into distances for
@@ -29,12 +34,8 @@ amplitude roots.  The window operator T = forward o chi o inverse is
 self-adjoint (the checkerboard is real and h^n cancels), so the overlap of a
 snapshot with every candidate is a weighted sum of conj(rho_hat) against the
 adjoint transforms T(W1 psi_w), T(W0 pi_w) of the snapshot: one stacked
-round trip per snapshot instead of three transforms per candidate.
-Two structures of the manifold make those sums cheap.  The resolvent depends
-on xi only through |xi|^2, so each snapshot's terms are summed once per shell
-of equal |xi|^2 and every candidate sum runs over shells.  rho is real and
-the resolvent even, so each unit-amplitude profile is real, and its window
-round trip for the norm runs on half spectra.
+round trip per snapshot instead of three transforms per candidate, summed
+once per shell.  The candidate profiles are real and run on half spectra.
 """
 from __future__ import annotations
 
@@ -96,23 +97,26 @@ def shell_max(rho: CouplingProfile, omega: float, m: float = 1.0) -> float:
     return float(np.max(np.abs(rho.rho_hat[band])))
 
 
-def _protected_resolvent_terms(rho: CouplingProfile, den: np.ndarray, num: np.ndarray, m: float):
-    """num / den with exact-zero denominators dropped where rho_hat also vanishes."""
+def _resolvent_den(k2: np.ndarray, omegas: np.ndarray, m: float) -> np.ndarray:
+    """|xi|^2 + m^2 - omega^2 per omega (rows) and shell (columns); inf where |den| <= the floor.
+
+    The shells ascend, so a row whose first entry clears the floor needs no test.
+    ``_check_real_frequency`` admits a real omega only where the dropped terms are negligible.
+    """
     floor = _DEN_FLOOR_FRAC * m * m
-    risky = np.abs(den) <= floor
-    if risky.any():
-        bad = risky & (np.abs(rho.rho_hat) > SHELL_TOL * rho.max_abs_hat)
-        if bad.any():
-            raise ValueError("resolvent denominator vanishes where rho_hat does not")
-        return np.where(risky, 0.0, num / np.where(risky, 1.0, den))
-    return num / den
+    den = (k2 + m * m)[None, :] - (omegas * omegas)[:, None]
+    near = np.flatnonzero(den.real[:, 0] <= floor)
+    if near.size:
+        rows = den[near]
+        den[near] = np.where(np.abs(rows) <= floor, np.inf, rows)
+    return den
 
 
 def _check_real_frequency(rho: CouplingProfile, omega: float, m: float) -> None:
-    if abs(omega) < m:
+    if m * m - omega * omega > _DEN_FLOOR_FRAC * m * m:
         return
-    if abs(omega) == m:
-        # The xi = 0 mode is excluded separately; require it to be negligible.
+    if abs(omega) <= m:
+        # The xi = 0 shell is dropped by the floor; require rho_hat to be negligible there.
         zero_amp = float(np.abs(rho.rho_hat[(0,) * rho.grid.dim]))
         if zero_amp > SHELL_TOL * rho.max_abs_hat:
             raise ValueError(
@@ -129,29 +133,28 @@ def _check_real_frequency(rho: CouplingProfile, omega: float, m: float) -> None:
 
 
 def resolvent_coupling(rho: CouplingProfile, omega, m: float = 1.0):
-    """The scalar s(omega) = <rho, resolvent rho> as a lattice sum.
+    """The scalar s(omega) = <rho, resolvent rho> as a sum over the |xi|^2 shells.
 
     Real for real admissible omega (|omega| < m, the endpoints, or embedded
     frequencies where rho_hat vanishes on the resonant shell); complex omega
     in the upper half-plane are evaluated directly.  A real sum within
-    N eps sum|terms| of zero, the roundoff of a designed zero such as the
-    counterexample's embedded frequency, is returned as exactly 0.
+    N eps sum|terms| of zero (N lattice points), the roundoff of a designed
+    zero such as the counterexample's embedded frequency, is exactly 0.
     """
     grid = rho.grid
-    num = np.abs(rho.rho_hat) ** 2
-    if isinstance(omega, complex) and omega.imag != 0.0:
-        if omega.imag < 0:
-            raise ValueError("complex frequencies must lie in the upper half-plane")
-        den = grid.k_squared + m * m - omega * omega
-        return complex(np.sum(num / den) / grid.box_length**grid.dim)
-    omega = float(np.real(omega))
-    _check_real_frequency(rho, omega, m)
-    den = grid.k_squared + m * m - omega * omega
-    terms = _protected_resolvent_terms(rho, den, num, m)
-    total = float(np.sum(terms))
-    if abs(total) <= terms.size * np.finfo(float).eps * float(np.sum(np.abs(terms))):
+    complex_omega = isinstance(omega, complex) and omega.imag != 0.0
+    if complex_omega and omega.imag < 0:
+        raise ValueError("complex frequencies must lie in the upper half-plane")
+    if not complex_omega:
+        omega = float(np.real(omega))
+        _check_real_frequency(rho, omega, m)
+    terms = rho.shell_mass / _resolvent_den(grid.shells[0], np.array([omega]), m)[0]
+    total = np.sum(terms)
+    if complex_omega:
+        return complex(total / grid.box_length**grid.dim)
+    if abs(total) <= grid.num_points * np.finfo(float).eps * float(np.sum(np.abs(terms))):
         return 0.0
-    return total / grid.box_length**grid.dim
+    return float(total) / grid.box_length**grid.dim
 
 
 def resolvent_profile(rho: CouplingProfile, omega: float, m: float = 1.0) -> np.ndarray:
@@ -159,9 +162,8 @@ def resolvent_profile(rho: CouplingProfile, omega: float, m: float = 1.0) -> np.
     grid = rho.grid
     omega = float(np.real(omega))
     _check_real_frequency(rho, omega, m)
-    den = grid.k_squared + m * m - omega * omega
-    spectrum = _protected_resolvent_terms(rho, den, rho.rho_hat, m)
-    return grid.inverse(spectrum)
+    den = _resolvent_den(grid.shells[0], np.array([omega]), m)[0]
+    return grid.inverse(rho.rho_hat / den[grid.shells[1]].reshape(grid.shape))
 
 
 def dispersion_curve(rho: CouplingProfile, omegas, m: float = 1.0) -> np.ndarray:
@@ -389,10 +391,9 @@ class ManifoldTable:
     manifold make every candidate sum cheap:
 
     * the reciprocal depends on xi only through |xi|^2, so the snapshot's
-      terms conj(rho_hat) (u1, u0) are summed once per shell of equal
-      |xi|^2 (N/2 + 1 shells for N points in 1-D, and far fewer shells
-      than points in 2-D and 3-D), and each candidate is one real matmul
-      over shells;
+      terms conj(rho_hat) (u1, u0) are summed once per :attr:`Grid.shells`
+      shell (N/2 + 1 for N points in 1-D, far fewer than points in 2-D and
+      3-D), and each candidate is one real matmul over shells;
     * rho is real and the reciprocal even, so b is real: its window round
       trip runs on half spectra (:meth:`Grid.half_inverse` /
       :meth:`Grid.half_forward`), where the bins 1..N/2-1 of the last
@@ -417,9 +418,7 @@ class ManifoldTable:
         self._box_vol = grid.box_length**grid.dim
         self._window, self._w1, self._w0 = _seminorm_weights(grid, spec, m)
         self._rho_hat = rho.rho_hat.ravel()
-        shells, shell_of = np.unique(grid.k_squared, return_inverse=True)
-        self._shell_of = shell_of.ravel()
-        self._shell_den = shells + m * m
+        self._k2, self._shell_of = grid.shells
         # profiles on half spectra: their bins, rho_hat there, and the weights
         # W1^2, W0^2 with the bins 1..N/2-1 of the last axis counted twice
         half = grid.points_per_axis // 2 + 1
@@ -430,7 +429,7 @@ class ManifoldTable:
         self._half_weights = np.stack(
             [(w * w)[..., :half] * twice for w in (self._w1, self._w0)]).reshape(2, -1).T
         self._profile_chunk = int(np.clip(_CHUNK_POINTS // grid.num_points, 1, _MAX_CHUNK))
-        self._shell_chunk = max(1, _CHUNK_POINTS // shells.size)
+        self._shell_chunk = max(1, _CHUNK_POINTS // self._k2.size)
 
         roots = [self._roots_at(float(omega)) for omega in self.omegas]
         self.roots = tuple(roots)
@@ -451,22 +450,6 @@ class ManifoldTable:
         except ValueError:
             return ()
 
-    def _reciprocals(self, omegas: np.ndarray) -> np.ndarray:
-        """1 / (|xi|^2 + m^2 - omega^2) per |xi|^2 shell, zero where |den| <= the floor.
-
-        Zeroing matches ``_protected_resolvent_terms``; admissibility (rho_hat
-        negligible there) was checked by ``resolvent_coupling``.  The shells
-        are sorted, so den rises along a row: a row whose first entry clears
-        the floor needs no test, and that holds for every |omega| < m.
-        """
-        floor = _DEN_FLOOR_FRAC * self.m * self.m
-        den = self._shell_den[None, :] - (omegas * omegas)[:, None]
-        near = np.flatnonzero(den[:, 0] <= floor)
-        if near.size:
-            rows = den[near]
-            den[near] = np.where(np.abs(rows) <= floor, np.inf, rows)  # 1 / inf = 0
-        return np.divide(1.0, den, out=den)
-
     @staticmethod
     def _chunks(omegas: np.ndarray, size: int):
         for lo in range(0, omegas.size, size):
@@ -477,7 +460,8 @@ class ManifoldTable:
         grid = self.rho.grid
         out = np.empty(omegas.size)
         for part, w in self._chunks(omegas, self._profile_chunk):
-            b_half = np.take(self._reciprocals(w), self._half_shell, axis=1) * self._rho_half
+            recip = 1.0 / _resolvent_den(self._k2, w, self.m)
+            b_half = np.take(recip, self._half_shell, axis=1) * self._rho_half
             b_half = b_half.reshape(-1, *grid.half_shape)
             if self._window is not None:
                 b_half = grid.half_forward(self._window * grid.half_inverse(b_half))
@@ -491,7 +475,7 @@ class ManifoldTable:
         """|<S, Psi>| per omega from the shell sums of conj(rho_hat) (u1, u0), (re, im) columns."""
         out = np.empty(omegas.size)
         for part, w in self._chunks(omegas, self._shell_chunk):
-            p = self._reciprocals(w) @ terms
+            p = (1.0 / _resolvent_den(self._k2, w, self.m)) @ terms
             out[part] = np.abs(p[:, 0] + 1j * p[:, 1] + 1j * w * (p[:, 2] + 1j * p[:, 3]))
         return out / self._box_vol
 
@@ -506,8 +490,7 @@ class ManifoldTable:
         if self._window is not None:
             u = grid.forward(self._window * grid.inverse(u))
         v = (np.conj(self._rho_hat) * u.reshape(2, -1)).view(np.float64).reshape(2, -1, 2)
-        shells = self._shell_den.size
-        terms = np.stack([np.bincount(self._shell_of, v[row, :, part], shells)
+        terms = np.stack([np.bincount(self._shell_of, v[row, :, part], self._k2.size)
                           for row in (0, 1) for part in (0, 1)], axis=1)
 
         def dist_sq_at(omega: float) -> float:

@@ -219,13 +219,7 @@ def weighted_tail_mass(spec: Spectrum, rho: CouplingProfile, m: float = 1.0, mar
         return 0.0
     om = spec.freqs[sel]
     amp_sq = np.abs(spec.amps[sel]) ** 2
-    if rho.grid.dim == 1:
-        ks = np.sqrt(om * om - m * m)
-        pos = semidiscrete_transform(rho, ks)
-        neg = semidiscrete_transform(rho, -ks)
-        weights = (np.abs(pos) ** 2 + np.abs(neg) ** 2) / (2.0 * np.pi * om * om)
-    else:
-        weights = np.array([shell_weight(rho, w, m) for w in om])
+    weights = np.array([shell_weight(rho, w, m) for w in om])
     return float(np.sum(amp_sq * weights) * spec.bin_width)
 
 

@@ -92,6 +92,8 @@ def test_merge_is_deep_and_defaults_survive():
     # more than 10^8 time steps, in the T that the experiment runs
     ({"evolve": {"T": 1e300}}, "evolve.T"),
     ({"experiment": "counterexample", "counterexample": {"T": 1e7}}, "counterexample.T"),
+    # a spectrum window of fewer than 8 sampling intervals (dt 0.01 * 10 steps)
+    ({"experiment": "spectrum", "spectrum": {"window_width": 0.79}}, "spectrum.window_width"),
 ])
 def test_validation_reports_dotted_path(raw, path):
     with pytest.raises(ConfigError) as err:
@@ -110,6 +112,15 @@ def test_integer_and_grid_caps_admit_their_bounds():
     for experiment, section in (("simulate", "evolve"), ("counterexample", "counterexample")):
         cfg = config_from_dict({"experiment": experiment, section: {"T": 1e6}})  # dt 0.01
         assert cfg.section(section)["T"] == 1e6
+
+
+def test_spectrum_window_of_eight_sampling_intervals_runs(tmp_path):
+    """windowed_spectrum needs 8 samples a window: 8 intervals of dt 0.01 * 10 steps pass and run."""
+    cfg = config_from_dict({"experiment": "spectrum", "spectrum": {"window_width": 0.8}})
+    assert cfg.section("spectrum")["window_width"] == 0.8
+    code, out = run_cli(tmp_path, "spectrum", "--set", "grid.points=256", "--set", "grid.length=64.0",
+                        "--set", "evolve.T=10.0", "--set", "spectrum.window_width=0.8")
+    assert code == 0 and (out / "manifest.json").exists()
 
 
 def _wrongly_typed_leaves():
@@ -606,6 +617,7 @@ def test_out_of_memory_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
     ("sigma", "sigma.count=100000000000"),
     ("sigma", "grid.points=1099511627776"),
     ("simulate", "evolve.T=1e300"),
+    ("spectrum", "spectrum.window_width=0.5"),
 ])
 def test_cli_rejects_config_before_any_work(tmp_path, capsys, experiment, setting):
     sets = ["--set", setting]

@@ -86,6 +86,18 @@ def test_stacked_transforms_match_per_slice(dim, n, length, rng):
 
 
 @pytest.mark.parametrize("dim,n,length", [(1, 256, 64.0), (2, 32, 16.0), (3, 16, 16.0)])
+def test_shells_group_the_lattice_by_k_squared(dim, n, length):
+    grid = make_grid(dim, n, length)
+    k2, index = grid.shells
+    assert np.all(np.diff(k2) > 0)
+    assert k2[index].tobytes() == grid.k_squared.ravel().tobytes()
+    if dim == 1:
+        assert k2.size == n // 2 + 1
+    else:
+        assert k2.size < grid.num_points
+
+
+@pytest.mark.parametrize("dim,n,length", [(1, 256, 64.0), (2, 32, 16.0), (3, 16, 16.0)])
 def test_half_spectra_of_real_fields(dim, n, length, rng):
     """half_forward keeps forward's bins 0..N/2 of the last axis; half_inverse undoes it."""
     grid = make_grid(dim, n, length)

@@ -27,6 +27,39 @@ def test_resolvent_coupling_lattice_sum(grid, rho):
     assert_allclose(resolvent_coupling(rho, omega), expected, rtol=1e-13)
 
 
+@pytest.mark.parametrize("dim, points, length", [(2, 64, 32.0), (3, 32, 16.0)])
+def test_resolvent_route_matches_full_grid_sums(dim, points, length):
+    """s(omega) and the profile over |xi|^2 shells equal the plain sums over every lattice point."""
+    grid = make_grid(dim, points, length)
+    rho = CouplingProfile.gaussian(grid, amplitude=2.0, width=1.0)
+    for omega in (0.0, 0.4, -0.9):
+        den = grid.k_squared + 1.0 - omega**2
+        expected = np.sum(np.abs(rho.rho_hat) ** 2 / den) / grid.box_length**dim
+        assert_allclose(resolvent_coupling(rho, omega), expected, rtol=1e-13)
+        reference = grid.inverse(rho.rho_hat / den)
+        assert_allclose(resolvent_profile(rho, omega), reference, rtol=0,
+                        atol=1e-13 * np.max(np.abs(reference)))
+    s = resolvent_coupling(rho, 0.5 + 0.2j)
+    den = grid.k_squared + 1.0 - (0.5 + 0.2j) ** 2
+    assert_allclose(s, np.sum(np.abs(rho.rho_hat) ** 2 / den) / grid.box_length**dim, rtol=1e-13)
+
+
+def test_frequency_within_the_floor_of_m_needs_a_negligible_zero_mode(grid, rho):
+    """Where m^2 - omega^2 lies within the floor, the xi = 0 term is dropped only if rho_hat(0) is negligible."""
+    omega = 1.0 - 1e-15
+    with pytest.raises(ValueError):
+        resolvent_coupling(rho, omega)
+    with pytest.raises(ValueError):
+        resolvent_profile(rho, omega)
+    k_sq = grid.k_squared
+    hollow = CouplingProfile.from_spectrum(grid, k_sq * np.exp(-0.5 * k_sq))
+    rest = k_sq > 0
+    den = k_sq[rest] + 1.0 - omega * omega
+    expected = np.sum(np.abs(hollow.rho_hat[rest]) ** 2 / den) / grid.box_length
+    assert_allclose(resolvent_coupling(hollow, omega), expected, rtol=1e-14)
+    assert np.isfinite(resolvent_profile(hollow, omega)).all()
+
+
 def test_dispersion_curve_shape(rho):
     om = np.linspace(-0.9, 0.9, 19)
     values = dispersion_curve(rho, om)
@@ -294,7 +327,7 @@ def test_manifold_table_matches_per_candidate_route(grid, rho, pot, case):
     if case == "on_manifold":
         assert best == pytest.approx(0.37, abs=1e-4)
     if case == "three_dim":
-        assert 20 * table._shell_den.size < state.grid.num_points
+        assert 20 * state.grid.shells[0].size < state.grid.num_points
     if case == "degree_3":
         assert {len(r) for r in table.roots} == {0, 1, 2}
     if case == "no_roots":
