@@ -19,14 +19,15 @@ inner radius, emulating radiation to infinity on the periodic box.
 All stepping (:func:`step`, :func:`evolve`, :func:`split_chi_phi` and
 ``multifreq.verify_persistence``) goes through one private core,
 :class:`_StrangCore`.  A core advances one system, kept in raw FFT
-coordinates: one complex array of shape ``(2, *grid.shape)`` holding the
-plain FFT (:meth:`Grid.raw_fft`) of (psi, pi), without the checkerboard and
-cell-volume factors of :meth:`Grid.forward`.  Those factors are per-mode
+coordinates: one complex array holding the plain FFT
+(:meth:`Grid.raw_fft`) of (psi, pi), of shape ``(2, *grid.shape)`` with a
+sponge and ``(2, grid.num_points)`` without one.  It leaves out the
+checkerboard and cell-volume factors of :meth:`Grid.forward`, which are per-mode
 scalars, so the flow tables do not see them; they are folded once, at
 set-up, into the kick vector and into the pairing vector that reads gamma
 off raw psi.  :func:`split_chi_phi` runs two cores in lockstep, the coupled
-one on the full solution and an uncoupled one on chi, and takes
-phi = full - chi by subtraction at every sample.
+one on the full solution and an uncoupled one on chi in the same mode
+order, and takes phi = full - chi by subtraction at every sample.
 
 Without a sponge the core advances by block updates of up to 16 steps.
 The coupling is rank one: a kick moves only pi, always along the same raw
@@ -36,7 +37,18 @@ the gammas of a block follow from a scalar recurrence over its start state
 memory term with K_0 = 0), and the end state is the free flow of the block
 plus one more table product for the summed kicks.  This is the composition
 of the block's Strang steps, rearranged; it reproduces step-by-step
-stepping to roundoff.  With a sponge the core steps one by one: each step
+stepping to roundoff.  The products, the kicks and the gamma read run over
+the coupled set C = {k : |rho_raw_k| > eps max |rho_raw|} only, eps the
+float64 machine epsilon: the transform of rho rounds each coefficient by
+about eps times its largest one, so a smaller coefficient is roundoff, and
+a mode outside C neither feels the kick nor adds to gamma.  An undamped
+core keeps its raw pair flattened over the modes in a core order that
+lists C first (each set ascending), so C is a leading slice with no gather
+or scatter per block; :meth:`_StrangCore.to_raw` and
+:meth:`_StrangCore.to_fields` apply and undo the order.  The free flow
+still advances every mode in every block, so a block leaves the whole
+pair at its end time.  With a sponge the core steps one by one, in the
+grid's shape and over every mode: each step
 ends with one stacked inverse transform into a position-space buffer, the
 damping multiply and one stacked forward transform back into the state.
 Samples read the damped fields that this leaves in the buffer, a fresh one
@@ -186,13 +198,19 @@ def _interleaved(table: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _flow_tables(grid: Grid, m: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_rotation_tables` of the grid's modes, in the grid's shape."""
+    return _rotation_tables(np.sqrt(grid.k_squared + m * m), tau)
+
+
+def _rotation_tables(omega: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Interleaved tables (c, s) of the exact free flow by tau on a (psi, pi) pair.
 
     The flow maps the pair to c * (psi, pi) + s * (pi, psi), that is
     psi' = cos psi + (sin / omega) pi and pi' = cos pi - (omega sin) psi;
-    c is the cosine alone, s stacks the two sine tables.
+    c is the cosine alone, s stacks the two sine tables.  Every entry is
+    an elementwise function of its mode's omega, so the tables of a
+    reordered omega are the reordered tables.
     """
-    omega = np.sqrt(grid.k_squared + m * m)
     sin = np.sin(omega * tau)
     return _interleaved(np.cos(omega * tau)), _interleaved(np.stack((sin / omega, -omega * sin)))
 
@@ -212,21 +230,30 @@ def _sample_count(integ: Integrator, T: float) -> int:
 # the block table has at most _BLOCK_STEPS + 1 rows whatever steps_per_sample is.
 _BLOCK_STEPS = 16
 
+# A mode is coupled when |rho_raw| exceeds this fraction of its largest entry.
+# The transform of rho carries a roundoff of about this size relative to that
+# entry, so a smaller coefficient is roundoff, not coupling.
+_COUPLED_FRAC = float(np.finfo(np.float64).eps)
 
-def _block_table(grid: Grid, m: float, dt: float, steps: int) -> np.ndarray:
-    """Rows n = 0..steps of (cos(omega n dt), sin(omega n dt) / omega), flattened over the modes.
 
-    Row n weights the (psi, pi) halves of a flattened raw pair into the psi
-    half of the free flow R^n by n dt.  Read the other way, its (cos, sin /
-    omega) halves are the (pi, psi) halves of R^n applied to (0, e).
+def _block_table(omega: np.ndarray, dt: float, steps: int) -> np.ndarray:
+    """Rows n = 0..steps of (cos(omega n dt), sin(omega n dt) / omega) over the given modes.
+
+    Row n weights the (psi, pi) halves of the flattened raw pair on those
+    modes into the psi half of the free flow R^n by n dt.  Read the other
+    way, its (cos, sin / omega) halves are the (pi, psi) halves of R^n
+    applied to (0, e).
     """
-    omega = np.sqrt(grid.k_squared + m * m).ravel()
     phase = np.multiply.outer(np.arange(steps + 1) * dt, omega)
     return np.concatenate((np.cos(phase), np.sin(phase) / omega), axis=1)
 
 
 class _StrangCore:
-    """Strang steps in raw FFT coordinates (see the module docstring)."""
+    """Strang steps in raw FFT coordinates (see the module docstring).
+
+    ``order`` sets the mode order of an uncoupled undamped core, so that it
+    can run in lockstep with a coupled one; a coupled core derives its own.
+    """
 
     def __init__(
         self,
@@ -235,6 +262,7 @@ class _StrangCore:
         rho: CouplingProfile | None,
         pot: PolynomialPotential | None,
         m: float,
+        order: np.ndarray | None = None,
     ) -> None:
         _check_step_size(grid, integ)
         if rho is not None and pot is None:
@@ -244,44 +272,89 @@ class _StrangCore:
         self.integ = integ
         # |psi_hat|^2 / L^n = scale |psi_raw|^2, since psi_hat = +-h^n psi_raw
         self.scale = grid.cell_volume / grid.num_points
-        self.energy_weight = grid.k_squared + m * m
         self.pot = pot
         self.kick = self.pairing = None
+        # raw[..., coupled] holds the modes that rho couples: every mode with
+        # a sponge, the leading slice of the core order without
+        self.coupled = slice(None)
+        self.order = None
+        energy_weight = grid.k_squared + m * m
+        rho_raw = None if rho is None else grid.raw_fft(rho.values)
+        if integ.sponge is None:
+            self.block = min(integ.steps_per_sample, _BLOCK_STEPS)
+            self._flows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+            if rho is not None:
+                size = np.abs(rho_raw.ravel())
+                mask = size > _COUPLED_FRAC * size.max()
+                self.coupled = slice(0, int(np.count_nonzero(mask)))
+                order = None if mask.all() else np.concatenate(
+                    (np.flatnonzero(mask), np.flatnonzero(~mask)))
+            self.order = order
+        self.energy_weight = self._in_order(energy_weight)
         if rho is not None:
-            rho_raw = grid.raw_fft(rho.values)
+            rho_raw = self._in_order(rho_raw)
             # pi_hat += tau F rho_hat reads pi_raw += tau F rho_raw in raw
             # coordinates, and <rho, psi> = scale * sum conj(rho_raw) psi_raw
             self.kick = (0.5 * integ.dt) * rho_raw
             self.pairing = self.scale * rho_raw
-        if integ.sponge is None:
-            self.block = min(integ.steps_per_sample, _BLOCK_STEPS)
-            if rho is not None:
-                self.table = _block_table(grid, m, integ.dt, self.block)
-                self.conj_pairing = np.conj(self.pairing)
-                # memory K_n: gamma of R^n (0, kick); real, since the pairing
-                # and the kick are both real multiples of rho_raw
-                weight = (0.5 * integ.dt * self.scale) * np.abs(rho_raw.ravel()) ** 2
-                self.memory = (self.table[:, grid.num_points:] @ weight).tolist()
-        else:
+            self.read = self.pairing[..., self.coupled]
+        if integ.sponge is not None:
             self.cos, self.sin = _flow_tables(grid, m, integ.dt)
             self.damp = _sponge_factor(grid, integ.sponge, integ.dt)
+            return
+        self.omega = np.sqrt(self.energy_weight)
+        if rho is not None:
+            omega = self.omega[self.coupled]
+            self.table = _block_table(omega, integ.dt, self.block)
+            self.conj_read = np.conj(self.read)
+            self.coupled_kick = self.kick[self.coupled]
+            # memory K_n: gamma of R^n (0, kick); real, since the pairing
+            # and the kick are both real multiples of rho_raw
+            weight = (0.5 * integ.dt * self.scale) * np.abs(rho_raw[self.coupled]) ** 2
+            self.memory = (self.table[:, omega.size:] @ weight).tolist()
+
+    def _in_order(self, values: np.ndarray) -> np.ndarray:
+        """Per-mode values (trailing axes over the grid) in the core's layout.
+
+        A sponge core keeps the grid's shape; an undamped one flattens the
+        modes into the core order.
+        """
+        if self.integ.sponge is not None:
+            return values
+        flat = values.reshape(*values.shape[: values.ndim - self.grid.dim], -1)
+        return flat if self.order is None else np.take(flat, self.order, axis=-1)
 
     def to_raw(self, psi: np.ndarray, pi: np.ndarray) -> np.ndarray:
-        return self.grid.raw_fft(np.stack((psi, pi)))
+        return self._in_order(self.grid.raw_fft(np.stack((psi, pi))))
 
     def to_fields(self, raw: np.ndarray) -> np.ndarray:
-        return self.grid.raw_ifft(raw)
+        if self.integ.sponge is not None:
+            return self.grid.raw_ifft(raw)
+        if self.order is None:
+            return self.grid.raw_ifft(raw.reshape(2, *self.grid.shape))
+        # undo the core order into the array that the inverse transform fills
+        fields = np.empty_like(raw)
+        fields[:, self.order] = raw
+        fields = fields.reshape(2, *self.grid.shape)
+        return self.grid.raw_ifft(fields, out=fields)
+
+    def flow_tables(self, steps: int) -> tuple[np.ndarray, np.ndarray]:
+        """Interleaved tables of the free flow by steps * dt, in the core order (undamped)."""
+        tables = self._flows.get(steps)
+        if tables is None:
+            tables = self._flows[steps] = _rotation_tables(self.omega, steps * self.integ.dt)
+        return tables
 
     def coupling(self, psi: np.ndarray) -> complex:
-        """gamma = <rho, psi> of one raw field."""
-        return complex(np.vdot(self.pairing, psi))
+        """gamma = <rho, psi> of one raw field, summed over the coupled modes."""
+        return complex(np.vdot(self.read, psi[..., self.coupled]))
 
     def coupling_terms(self, psi: np.ndarray) -> tuple[complex, complex, float]:
         """gamma, F(gamma) and U(gamma) of one raw field; zeros without a coupling."""
         if self.pairing is None:
             return 0j, 0j, 0.0
         g = self.coupling(psi)
-        return g, self.pot.scalar_force(g), float(self.pot.value(g))
+        return g, self.pot.scalar_force(g), self.pot.scalar_value(g)
 
     def invariants(self, pair: np.ndarray, u_val: float) -> tuple[float, float]:
         """Global H and Q of one undamped raw pair, given U(gamma)."""
@@ -326,6 +399,10 @@ class _StrangCore:
           the memory, so the d_j follow from a scalar recurrence;
         * the end state is R^s x0 + sum_j c_j R^{s-j} (0, e), the sum again
           one product with the table.
+
+        Both products, the pairing and the kicks touch only the coupled
+        modes, the leading slice of the core order; the free flow moves
+        every mode.
         """
         # Both products are real GEMMs against the (re, im) columns of a
         # complex vector viewed as float64.  With the kick or pairing folded
@@ -333,8 +410,9 @@ class _StrangCore:
         # splits over threads at this size: slower on two threads than on
         # one, with first calls of ~10 ms.
         if self.kick is not None:
+            coupled = self.coupled
             rows = self.table[: steps + 1]
-            weighted = self.conj_pairing * raw
+            weighted = self.conj_read * raw[:, coupled]
             b = (rows @ weighted.view(np.float64).reshape(-1, 2)).view(np.complex128)
             force, memory = self.pot.scalar_force, self.memory
             weights: list[complex] = []
@@ -342,13 +420,13 @@ class _StrangCore:
                 d = force(g + sum(map(mul, memory[i:0:-1], weights)))
                 weights.append(2.0 * d if 0 < i < steps else d)
             c = np.array(weights[::-1]).view(np.float64).reshape(-1, 2)
-            # the (pi, psi) halves of sum_j c_j R^{s-j} (0, 1), per mode
-            sums = (rows.T @ c).view(np.complex128).reshape(raw.shape)
-            kicks = sums[::-1] * self.kick
-        cos, sin = _flow_tables(self.grid, self.m, steps * self.integ.dt)
+            # the (pi, psi) halves of sum_j c_j R^{s-j} (0, 1), per coupled mode
+            sums = (rows.T @ c).view(np.complex128).reshape(2, -1)
+            kicks = sums[::-1] * self.coupled_kick
+        cos, sin = self.flow_tables(steps)
         self._flow(raw.view(np.float64), cos, sin, rotated)
         if self.kick is not None:
-            raw += kicks
+            raw[:, coupled] += kicks
 
     def _damped_steps(self, raw: np.ndarray, nsteps: int, rotated: np.ndarray):
         """Strang steps one by one, each followed by the sponge damping; returns the damped fields.
@@ -577,8 +655,8 @@ def split_chi_phi(
     full = core.to_raw(state.psi, state.pi)
     chi, phi = full.copy(), np.empty_like(full)
     recorders = (_Recorder(core, obs), _Recorder(core, obs))
-    runs = zip(core.samples(full, T, state.time),
-               _StrangCore(grid, integ, None, None, m).samples(chi, T, state.time))
+    free = _StrangCore(grid, integ, None, None, m, order=core.order)
+    runs = zip(core.samples(full, T, state.time), free.samples(chi, T, state.time))
     for (t, _), _ in runs:
         np.subtract(full, chi, out=phi)
         for part, rec in zip((chi, phi), recorders):

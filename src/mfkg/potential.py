@@ -69,11 +69,19 @@ class PolynomialPotential:
         desc = [-2.0 * (n + 1) * c for n, c in enumerate(self.coeffs)][::-1]
         return desc[0], tuple(desc[1:])
 
+    def scalar_force_coefficient(self, r: float) -> float:
+        """alpha(r) for one Python float, by Horner in plain floats."""
+        alpha, rest = self._alpha_horner
+        for c in rest:
+            alpha = alpha * r + c
+        return alpha
+
     def scalar_force(self, z: complex) -> complex:
         """F(z) for one Python complex, by Horner in plain floats.
 
         Agrees with :meth:`force` to roundoff, without numpy's per-call
-        overhead; the time-stepping core evaluates it for every kick.
+        overhead; the time-stepping core evaluates it for every kick, so
+        the Horner loop of :meth:`scalar_force_coefficient` is inlined.
         """
         a = abs(z)
         r = a * a
@@ -81,6 +89,15 @@ class PolynomialPotential:
         for c in rest:
             alpha = alpha * r + c
         return alpha * z
+
+    def scalar_value(self, z: complex) -> float:
+        """U(z) for one Python complex, by Horner in plain floats; agrees with :meth:`value`."""
+        a = abs(z)
+        r = a * a
+        u = 0.0
+        for c in reversed(self.coeffs):
+            u = u * r + c
+        return u * r
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.polynomial import polyroots
 
 from .fields import (
     CouplingProfile,
@@ -181,7 +182,7 @@ def amplitude_roots(pot: PolynomialPotential, s: float) -> list[float]:
     # polynomial in r: sum_n (-2 n u_n s^{2n-1}) r^{n-1} - 1 = 0
     coeffs = [-2.0 * (n + 1) * u * s ** (2 * n + 1) for n, u in enumerate(pot.coeffs)]
     coeffs[0] -= 1.0
-    roots = np.polynomial.Polynomial(coeffs).roots()
+    roots = polyroots(coeffs)
     out = []
     for z in roots:
         if abs(z.imag) > 1e-9 * (1.0 + abs(z)):
@@ -192,7 +193,7 @@ def amplitude_roots(pot: PolynomialPotential, s: float) -> list[float]:
         if r < 0:
             continue
         # guard against spurious roots from near-degenerate leading coefficients
-        if abs(s * pot.force_coefficient(r * s * s) - 1.0) < 1e-8:
+        if abs(s * pot.scalar_force_coefficient(r * s * s) - 1.0) < 1e-8:
             out.append(r)
     out.sort()
     return out
@@ -460,7 +461,8 @@ class ManifoldTable:
         grid = self.rho.grid
         out = np.empty(omegas.size)
         for part, w in self._chunks(omegas, self._profile_chunk):
-            recip = 1.0 / _resolvent_den(self._k2, w, self.m)
+            recip = _resolvent_den(self._k2, w, self.m)
+            np.divide(1.0, recip, out=recip)
             b_half = np.take(recip, self._half_shell, axis=1) * self._rho_half
             b_half = b_half.reshape(-1, *grid.half_shape)
             if self._window is not None:
@@ -475,7 +477,13 @@ class ManifoldTable:
         """|<S, Psi>| per omega from the shell sums of conj(rho_hat) (u1, u0), (re, im) columns."""
         out = np.empty(omegas.size)
         for part, w in self._chunks(omegas, self._shell_chunk):
-            p = (1.0 / _resolvent_den(self._k2, w, self.m)) @ terms
+            # The reciprocal overwrites the denominators.  A second
+            # chunk-sized temporary per call let glibc trim and refault the
+            # heap top on every call: twice the time of a scan or polish at
+            # the distance defaults after an undamped run.
+            recip = _resolvent_den(self._k2, w, self.m)
+            np.divide(1.0, recip, out=recip)
+            p = recip @ terms
             out[part] = np.abs(p[:, 0] + 1j * p[:, 1] + 1j * w * (p[:, 2] + 1j * p[:, 3]))
         return out / self._box_vol
 

@@ -9,7 +9,7 @@ from mfkg import (
     inner_product, kick, local_seminorm, make_grid, split_chi_phi, step,
     verify_persistence, zero_state,
 )
-from mfkg.dynamics import _StrangCore, _flow_tables
+from mfkg.dynamics import _StrangCore
 from mfkg.multifreq import TwoFrequencySolution
 
 
@@ -369,7 +369,7 @@ def per_step_advance(core, raw, nsteps):
     """
     assert core.integ.sponge is None
     psi, pi = raw
-    cos, sin = _flow_tables(core.grid, core.m, core.integ.dt)
+    cos, sin = core.flow_tables(1)
     view = raw.view(np.float64)
     swapped = view[::-1]
     rotated = np.empty_like(view)
@@ -435,3 +435,80 @@ def test_block_table_rows_are_capped(grid, rho, pot):
     core = _StrangCore(grid, Integrator(0.01, steps_per_sample=1000), rho, pot, 1.0)
     assert core.table.shape[0] <= 17
     assert _StrangCore(grid, Integrator(0.01, steps_per_sample=3), rho, pot, 1.0).table.shape[0] == 4
+
+
+def test_broad_coupling_couples_every_mode(pot):
+    # rho one grid spacing wide: its transform keeps e^{-pi^2 / 2} ~ 7e-3 of
+    # its peak at the Nyquist mode, so every mode is coupled, the core keeps
+    # the natural order and the block table has a column pair per mode
+    grid = make_grid(1, 256, 64.0)
+    rho = CouplingProfile.gaussian(grid, amplitude=2.0, width=grid.spacing)
+    integ = Integrator(0.02, steps_per_sample=5)
+    core = _StrangCore(grid, integ, rho, pot, 1.0)
+    assert core.coupled == slice(0, grid.num_points)
+    assert core.order is None
+    assert core.table.shape[1] == 2 * grid.num_points
+    state = localized_state(grid, np.random.default_rng(3), scale=0.5)
+    ref_gamma, ref_final = strang_reference(state, rho, pot, integ, 100)
+    traj = evolve(state, rho, pot, integ, 2.0, Observers(snapshot_stride=20))
+    assert np.max(np.abs(traj.gamma - ref_gamma)) <= 1e-10 * np.max(np.abs(ref_gamma))
+    end = traj.snapshots[-1]
+    for got, want in ((end.psi, ref_final.psi), (end.pi, ref_final.pi)):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_width_one_gaussian_couples_few_modes(pot, monkeypatch):
+    # the distance experiment's defaults: rho_hat ~ e^{-xi^2 / 2} falls below
+    # machine epsilon of its peak at |xi| ~ 8.5, far inside the Nyquist 8 pi
+    grid = make_grid(1, 2048, 128.0)
+    rho = CouplingProfile.gaussian(grid, amplitude=4.0, width=1.0)
+    integ = Integrator(0.01, steps_per_sample=10)
+    core = _StrangCore(grid, integ, rho, pot, 1.0)
+    count = core.coupled.stop
+    assert 0 < count <= 0.2 * grid.num_points
+    size = np.abs(grid.raw_fft(rho.values))
+    mask = size > np.finfo(np.float64).eps * size.max()
+    # the core order lists the coupled modes first, each set ascending
+    assert np.array_equal(core.order[:count], np.flatnonzero(mask))
+    assert np.array_equal(core.order[count:], np.flatnonzero(~mask))
+    assert core.table.shape[1] == 2 * count
+    state = localized_state(grid, np.random.default_rng(4), scale=0.5)
+    back = core.to_fields(core.to_raw(state.psi, state.pi))
+    for got, want in zip(back, (state.psi, state.pi)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # the block update on the coupled set against per-step stepping on the
+    # full coupling, which kicks and reads every mode
+    obs = Observers(snapshot_stride=20)
+    block = evolve(state, rho, pot, integ, 4.0, obs)
+    monkeypatch.setattr(_StrangCore, "advance", per_step_advance)
+    reference = evolve(state, rho, pot, integ, 4.0, obs)
+    assert np.max(np.abs(block.gamma - reference.gamma)) <= 1e-10 * np.max(np.abs(reference.gamma))
+    for got, want in zip(block.snapshots, reference.snapshots):
+        for part in ("psi", "pi"):
+            g, w = getattr(got, part), getattr(want, part)
+            assert np.max(np.abs(g - w)) <= 1e-10 * np.max(np.abs(w))
+
+
+def test_split_chi_phi_shares_the_coupled_mode_order(pot):
+    # chi runs on an uncoupled core in the coupled core's order, so the two
+    # raw pairs subtract mode by mode: chi is the free run bit for bit and
+    # chi + phi is the coupled run
+    grid = make_grid(1, 2048, 128.0)
+    rho = CouplingProfile.gaussian(grid, amplitude=4.0, width=1.0)
+    integ = Integrator(0.01, steps_per_sample=10)
+    assert _StrangCore(grid, integ, rho, pot, 1.0).order is not None
+    state = localized_state(grid, np.random.default_rng(6), scale=0.5)
+    obs = Observers(snapshot_stride=10)
+    chi, phi = split_chi_phi(state, rho, pot, integ, 3.0, obs)
+    free = evolve(state, None, None, integ, 3.0, obs)
+    full = evolve(state, rho, pot, integ, 3.0, obs)
+    assert phi.gamma[0] == 0
+    assert len(chi.snapshots) == len(full.snapshots) == 4
+    for c, p, f, w in zip(chi.snapshots, phi.snapshots, free.snapshots, full.snapshots):
+        assert np.array_equal(c.psi, f.psi) and np.array_equal(c.pi, f.pi)
+        for part in ("psi", "pi"):
+            want = getattr(w, part)
+            got = getattr(c, part) + getattr(p, part)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert_allclose(chi.gamma + phi.gamma, full.gamma, rtol=0,
+                    atol=1e-12 * np.max(np.abs(full.gamma)))

@@ -121,3 +121,23 @@ def test_scalar_force_matches_array_force(coeffs, z):
     got = pot.scalar_force(z)
     assert isinstance(got, complex)
     assert abs(got - expected) <= 1e-14 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(low_degree_coeffs, st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False))
+def test_scalar_value_matches_array_value(coeffs, z):
+    """The plain-float U and alpha agree with the numpy path to roundoff.
+
+    Relative to the summed magnitudes of the terms, the scale on which the
+    two evaluation orders may round differently.
+    """
+    pot = PolynomialPotential(coeffs)
+    r = abs(z) ** 2
+    got = pot.scalar_value(z)
+    assert isinstance(got, float)
+    scale = sum(abs(c) * r ** (n + 1) for n, c in enumerate(pot.coeffs))
+    assert abs(got - float(pot.value(z))) <= 1e-14 * scale
+    alpha = pot.scalar_force_coefficient(r)
+    assert isinstance(alpha, float)
+    scale = sum(2.0 * (n + 1) * abs(c) * r**n for n, c in enumerate(pot.coeffs))
+    assert abs(alpha - float(pot.force_coefficient(r))) <= 1e-14 * scale

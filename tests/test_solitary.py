@@ -123,6 +123,36 @@ def test_amplitude_roots_closed_form(pot):
         amplitude_roots(pot, 0.0)
 
 
+def test_amplitude_roots_match_the_polynomial_class_route():
+    # the companion-matrix roots of Polynomial(coeffs).roots() (identity
+    # domain map) with the guard evaluated by numpy's polyval
+    def reference(pot, s):
+        coeffs = [-2.0 * (n + 1) * u * s ** (2 * n + 1) for n, u in enumerate(pot.coeffs)]
+        coeffs[0] -= 1.0
+        out = []
+        for z in np.polynomial.Polynomial(coeffs).roots():
+            if abs(z.imag) > 1e-9 * (1.0 + abs(z)):
+                continue
+            r = float(z.real)
+            if -1e-12 < r < 0:
+                r = 0.0
+            if r >= 0 and abs(s * pot.force_coefficient(r * s * s) - 1.0) < 1e-8:
+                out.append(r)
+        return sorted(out)
+
+    rng = np.random.default_rng(19)
+    found = 0
+    for _ in range(400):
+        degree = int(rng.integers(2, 5))
+        coeffs = (*rng.uniform(-3.0, 3.0, degree - 1), rng.uniform(0.1, 3.0))
+        pot = PolynomialPotential(coeffs)
+        s = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 3.0))
+        roots = amplitude_roots(pot, s)
+        assert roots == reference(pot, s)
+        found += len(roots)
+    assert found > 100
+
+
 def test_build_solitary_invariants(grid, rho, pot):
     wave = build_solitary(rho, pot, omega=0.5, theta=0.7)
     assert stationarity_residual(wave, rho, pot) < 1e-12
