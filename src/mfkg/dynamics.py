@@ -19,15 +19,15 @@ inner radius, emulating radiation to infinity on the periodic box.
 All stepping (:func:`step`, :func:`evolve`, :func:`split_chi_phi` and
 ``multifreq.verify_persistence``) goes through one private core,
 :class:`_StrangCore`.  A core advances one system, kept in raw FFT
-coordinates: one complex array holding the plain FFT
-(:meth:`Grid.raw_fft`) of (psi, pi), of shape ``(2, *grid.shape)`` with a
-sponge and ``(2, grid.num_points)`` without one.  It leaves out the
-checkerboard and cell-volume factors of :meth:`Grid.forward`, which are per-mode
-scalars, so the flow tables do not see them; they are folded once, at
-set-up, into the kick vector and into the pairing vector that reads gamma
-off raw psi.  :func:`split_chi_phi` runs two cores in lockstep, the coupled
-one on the full solution and an uncoupled one on chi in the same mode
-order, and takes phi = full - chi by subtraction at every sample.
+coordinates: one complex array of shape ``(2, grid.num_points)`` holding
+the plain FFT (:meth:`Grid.raw_fft`) of (psi, pi).  It leaves out the
+checkerboard and cell-volume factors of :meth:`Grid.forward`, which are
+per-mode scalars, so the flow tables do not see them; they are folded
+once, at set-up, into the kick vector and into the pairing vector that
+reads gamma off raw psi.
+:func:`split_chi_phi` runs one core on the full solution and moves chi,
+which feels no kick, by one free flow of that core per sampling interval;
+phi = full - chi at every sample.
 
 Without a sponge the core advances by block updates of up to 16 steps.
 The coupling is rank one: a kick moves only pi, always along the same raw
@@ -42,19 +42,19 @@ the coupled set C = {k : |rho_raw_k| > eps max |rho_raw|} only, eps the
 float64 machine epsilon: the transform of rho rounds each coefficient by
 about eps times its largest one, so a smaller coefficient is roundoff, and
 a mode outside C neither feels the kick nor adds to gamma.  An undamped
-core keeps its raw pair flattened over the modes in a core order that
-lists C first (each set ascending), so C is a leading slice with no gather
-or scatter per block; :meth:`_StrangCore.to_raw` and
-:meth:`_StrangCore.to_fields` apply and undo the order.  The free flow
-still advances every mode in every block, so a block leaves the whole
-pair at its end time.  With a sponge the core steps one by one, in the
-grid's shape and over every mode: each step
-ends with one stacked inverse transform into a position-space buffer, the
-damping multiply and one stacked forward transform back into the state.
-Samples read the damped fields that this leaves in the buffer, a fresh one
-per sampling interval.  The flow and the damping multiply the float64 view
-of the state by interleaved real tables, and the kicks take the scalar
-force from :meth:`PolynomialPotential.scalar_force`.
+coupled core keeps its modes in a core order that lists C first (each set
+ascending), so C is a leading slice with no gather or scatter per block;
+:meth:`_StrangCore.to_raw` and :meth:`_StrangCore.to_fields` apply and
+undo the order.  The free flow still advances every mode in every block,
+so a block leaves the whole pair at its end time.  With a sponge the core
+steps one by one over every mode in natural order: each step ends with one
+stacked inverse transform into a position-space buffer, the damping
+multiply and one stacked forward transform back, both transforms on the
+pair reshaped into the grid's shape.  Samples read the damped fields that
+this leaves in the buffer, a fresh one per sampling interval.  The flow and
+the damping multiply the float64 view of the state by interleaved real
+tables, and the kicks take the scalar force from
+:meth:`PolynomialPotential.scalar_force`.
 :func:`free_flow` and :func:`kick` remain single applications on the
 :meth:`Grid.forward` path, independent of the core.
 Every sampled run is the generator :meth:`_StrangCore.samples`.  It covers
@@ -196,12 +196,6 @@ def _interleaved(table: np.ndarray) -> np.ndarray:
     return np.repeat(table, 2, axis=-1)
 
 
-@lru_cache(maxsize=16)
-def _flow_tables(grid: Grid, m: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_rotation_tables` of the grid's modes, in the grid's shape."""
-    return _rotation_tables(np.sqrt(grid.k_squared + m * m), tau)
-
-
 def _rotation_tables(omega: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Interleaved tables (c, s) of the exact free flow by tau on a (psi, pi) pair.
 
@@ -217,8 +211,8 @@ def _rotation_tables(omega: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndar
 
 @lru_cache(maxsize=16)
 def _sponge_factor(grid: Grid, sponge: Sponge, dt: float) -> np.ndarray:
-    """Interleaved damping factor exp(-sigma(x) dt) of one step."""
-    return _interleaved(np.exp(-sponge.rate(grid) * dt))
+    """Interleaved damping factor exp(-sigma(x) dt) of one step, flattened over the grid."""
+    return _interleaved(np.exp(-sponge.rate(grid) * dt).ravel())
 
 
 def _sample_count(integ: Integrator, T: float) -> int:
@@ -249,11 +243,7 @@ def _block_table(omega: np.ndarray, dt: float, steps: int) -> np.ndarray:
 
 
 class _StrangCore:
-    """Strang steps in raw FFT coordinates (see the module docstring).
-
-    ``order`` sets the mode order of an uncoupled undamped core, so that it
-    can run in lockstep with a coupled one; a coupled core derives its own.
-    """
+    """Strang steps in raw FFT coordinates (see the module docstring)."""
 
     def __init__(
         self,
@@ -262,7 +252,6 @@ class _StrangCore:
         rho: CouplingProfile | None,
         pot: PolynomialPotential | None,
         m: float,
-        order: np.ndarray | None = None,
     ) -> None:
         _check_step_size(grid, integ)
         if rho is not None and pot is None:
@@ -274,23 +263,21 @@ class _StrangCore:
         self.scale = grid.cell_volume / grid.num_points
         self.pot = pot
         self.kick = self.pairing = None
-        # raw[..., coupled] holds the modes that rho couples: every mode with
+        # raw[:, coupled] holds the modes that rho couples: every mode with
         # a sponge, the leading slice of the core order without
         self.coupled = slice(None)
         self.order = None
-        energy_weight = grid.k_squared + m * m
+        self.block = min(integ.steps_per_sample, _BLOCK_STEPS)
+        self._flows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         rho_raw = None if rho is None else grid.raw_fft(rho.values)
-        if integ.sponge is None:
-            self.block = min(integ.steps_per_sample, _BLOCK_STEPS)
-            self._flows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-            if rho is not None:
-                size = np.abs(rho_raw.ravel())
-                mask = size > _COUPLED_FRAC * size.max()
-                self.coupled = slice(0, int(np.count_nonzero(mask)))
-                order = None if mask.all() else np.concatenate(
-                    (np.flatnonzero(mask), np.flatnonzero(~mask)))
-            self.order = order
-        self.energy_weight = self._in_order(energy_weight)
+        if rho is not None and integ.sponge is None:
+            size = np.abs(rho_raw.ravel())
+            mask = size > _COUPLED_FRAC * size.max()
+            self.coupled = slice(0, int(np.count_nonzero(mask)))
+            if not mask.all():
+                self.order = np.concatenate((np.flatnonzero(mask), np.flatnonzero(~mask)))
+        self.energy_weight = self._in_order(grid.k_squared + m * m)
+        self.omega = np.sqrt(self.energy_weight)
         if rho is not None:
             rho_raw = self._in_order(rho_raw)
             # pi_hat += tau F rho_hat reads pi_raw += tau F rho_raw in raw
@@ -299,10 +286,8 @@ class _StrangCore:
             self.pairing = self.scale * rho_raw
             self.read = self.pairing[..., self.coupled]
         if integ.sponge is not None:
-            self.cos, self.sin = _flow_tables(grid, m, integ.dt)
             self.damp = _sponge_factor(grid, integ.sponge, integ.dt)
             return
-        self.omega = np.sqrt(self.energy_weight)
         if rho is not None:
             omega = self.omega[self.coupled]
             self.table = _block_table(omega, integ.dt, self.block)
@@ -314,13 +299,7 @@ class _StrangCore:
             self.memory = (self.table[:, omega.size:] @ weight).tolist()
 
     def _in_order(self, values: np.ndarray) -> np.ndarray:
-        """Per-mode values (trailing axes over the grid) in the core's layout.
-
-        A sponge core keeps the grid's shape; an undamped one flattens the
-        modes into the core order.
-        """
-        if self.integ.sponge is not None:
-            return values
+        """Per-mode values (trailing axes over the grid), flattened into the core order."""
         flat = values.reshape(*values.shape[: values.ndim - self.grid.dim], -1)
         return flat if self.order is None else np.take(flat, self.order, axis=-1)
 
@@ -328,8 +307,6 @@ class _StrangCore:
         return self._in_order(self.grid.raw_fft(np.stack((psi, pi))))
 
     def to_fields(self, raw: np.ndarray) -> np.ndarray:
-        if self.integ.sponge is not None:
-            return self.grid.raw_ifft(raw)
         if self.order is None:
             return self.grid.raw_ifft(raw.reshape(2, *self.grid.shape))
         # undo the core order into the array that the inverse transform fills
@@ -339,7 +316,7 @@ class _StrangCore:
         return self.grid.raw_ifft(fields, out=fields)
 
     def flow_tables(self, steps: int) -> tuple[np.ndarray, np.ndarray]:
-        """Interleaved tables of the free flow by steps * dt, in the core order (undamped)."""
+        """Interleaved tables of the free flow by steps * dt, in the core order."""
         tables = self._flows.get(steps)
         if tables is None:
             tables = self._flows[steps] = _rotation_tables(self.omega, steps * self.integ.dt)
@@ -431,26 +408,28 @@ class _StrangCore:
     def _damped_steps(self, raw: np.ndarray, nsteps: int, rotated: np.ndarray):
         """Strang steps one by one, each followed by the sponge damping; returns the damped fields.
 
-        The round trip transforms into buffers, ``raw`` itself and one
-        ``fields`` array per call that the caller may keep.
+        The round trip transforms, in the grid's shape, into a view of
+        ``raw`` and one ``fields`` array per call that the caller may keep.
         """
         kick, damp = self.kick, self.damp
         force = None if kick is None else self.pot.scalar_force
         pairing = self.pairing
         fft, ifft = self.grid.raw_fft, self.grid.raw_ifft
+        cos, sin = self.flow_tables(1)
         psi, pi = raw
         view = raw.view(np.float64)
-        fields = np.empty_like(raw)
-        damped = fields.view(np.float64)
+        shaped = raw.reshape(2, *self.grid.shape)
+        fields = np.empty_like(shaped)
+        damped = fields.view(np.float64).reshape(2, -1)
         for _ in range(nsteps):
             if kick is not None:
                 pi += force(complex(np.vdot(pairing, psi))) * kick
-            self._flow(view, self.cos, self.sin, rotated)
+            self._flow(view, cos, sin, rotated)
             if kick is not None:
                 pi += force(complex(np.vdot(pairing, psi))) * kick
-            ifft(raw, out=fields)
+            ifft(shaped, out=fields)
             damped *= damp
-            fft(fields, out=raw)
+            fft(fields, out=shaped)
         return fields if nsteps else None
 
     def samples(self, raw: np.ndarray, T: float, t0: float):
@@ -586,6 +565,7 @@ def _ball_observables(grid: Grid, fields, psi_raw: np.ndarray, mask: np.ndarray,
     so the density and its sum cover those points only.
     """
     psi, pi = (field[mask] for field in fields)
+    psi_raw = psi_raw.reshape(grid.shape)
     grad_sq = np.zeros(psi.shape)
     for axis, xi in enumerate(grid.wavenumbers):
         shape = [1] * grid.dim
@@ -639,8 +619,9 @@ def split_chi_phi(
 
     chi solves the free equation with the full initial data; phi starts from
     zero and carries what the source rho(x) f(t) adds, f read off the full
-    nonlinear solution.  The full solution and chi advance in lockstep, on a
-    coupled and an uncoupled core, and phi = full - chi at every sample.
+    nonlinear solution.  chi feels no kick, so each sampling interval moves
+    it by one free flow over the interval, and phi = full - chi at every
+    sample.
 
     Returns the (chi, phi) trajectories; each records its own coupling
     amplitude and derived observables.  Sponge damping is not supported here
@@ -655,9 +636,11 @@ def split_chi_phi(
     full = core.to_raw(state.psi, state.pi)
     chi, phi = full.copy(), np.empty_like(full)
     recorders = (_Recorder(core, obs), _Recorder(core, obs))
-    free = _StrangCore(grid, integ, None, None, m, order=core.order)
-    runs = zip(core.samples(full, T, state.time), free.samples(chi, T, state.time))
-    for (t, _), _ in runs:
+    cos, sin = core.flow_tables(integ.steps_per_sample)
+    rotated = np.empty_like(chi.view(np.float64))
+    for i, (t, _) in enumerate(core.samples(full, T, state.time)):
+        if i:
+            core._flow(chi.view(np.float64), cos, sin, rotated)
         np.subtract(full, chi, out=phi)
         for part, rec in zip((chi, phi), recorders):
             rec.record(t, part)

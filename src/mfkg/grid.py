@@ -14,11 +14,12 @@ exact to machine precision.
 The plain FFT itself is :meth:`Grid.raw_fft` / :meth:`Grid.raw_ifft`, the
 one pair of full-spectrum transforms that everything in the package calls.
 They are built from ``numpy.fft`` so that ``import mfkg`` loads no scipy
-module, and arranged to give ``scipy.fft.fftn`` / ``ifftn``'s results bit
-for bit (the package's recorded trajectories came from scipy.fft): complex
-input goes one axis at a time in ascending order; real input takes a real
-transform of the last axis and fills the other half by conjugate symmetry,
-in the order of scipy's fill.
+module, and go one axis at a time in ascending order, which gives
+``scipy.fft.fftn`` / ``ifftn``'s results bit for bit on complex input (the
+package's recorded trajectories came from scipy.fft).  There is one route
+for every input: real input, which in the package is only the coupling
+profile rho at set-up, is transformed as complex, so its spectrum is
+Hermitian to roundoff rather than exactly.
 
 Fields known to be real have a second pair, :meth:`Grid.half_forward` /
 :meth:`Grid.half_inverse`: :meth:`forward` and :meth:`inverse` with the same
@@ -129,72 +130,27 @@ class Grid:
             board = np.multiply.outer(board, sign)
         return board * self.cell_volume, board / self.cell_volume
 
-    @cached_property
-    def _mirror_mask(self) -> np.ndarray:
-        """Entries of columns 0 and N/2 that a real-input transform's fill conjugates.
-
-        scipy's fill visits the first N/2 + 1 columns in C order and writes
-        each entry's conjugate to its mirror (index -i mod N on every axis).
-        Columns 0 and N/2 are their own mirror columns, so there an entry
-        whose C-order position over the leading dim - 1 axes is at or past
-        its mirror's ends up as the mirror's conjugate; one before keeps its
-        value.
-        """
-        lead = (self.points_per_axis,) * (self.dim - 1)
-        position = np.arange(self.points_per_axis ** (self.dim - 1)).reshape(lead)
-        return position >= self._reflect(position, range(self.dim - 1))
-
-    def _reflect(self, values: np.ndarray, axes) -> np.ndarray:
-        """``values`` at index -i mod N along each of ``axes``."""
-        rev = -np.arange(self.points_per_axis) % self.points_per_axis
-        for axis in axes:
-            values = values.take(rev, axis=axis)
-        return values
-
     # transforms ---------------------------------------------------------
 
     def raw_fft(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Plain FFT over the trailing ``dim`` axes, bit for bit ``scipy.fft.fftn``.
+        """Plain FFT over the trailing ``dim`` axes; ``scipy.fft.fftn``'s bits on complex input.
 
-        ``out``, when given, is a complex array of the input's shape that
-        receives the result.
+        Real input takes the same complex route.  ``out``, when given, is a
+        complex array of the input's shape that receives the result.
         """
         return self._raw(values, out, np.fft.fft)
 
     def raw_ifft(self, spectrum: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Plain inverse FFT over the trailing ``dim`` axes, bit for bit ``scipy.fft.ifftn``."""
+        """Plain inverse FFT over the trailing ``dim`` axes, by the route of :meth:`raw_fft`.
+
+        ``scipy.fft.ifftn``'s bits on complex input.
+        """
         return self._raw(spectrum, out, np.fft.ifft)
 
     def _raw(self, values: np.ndarray, out: np.ndarray | None, transform) -> np.ndarray:
-        values = np.asarray(values)
-        if not np.iscomplexobj(values):
-            return self._raw_real(values, out, transform)
         out = transform(values, axis=-self.dim, out=out)
         for axis in range(1 - self.dim, 0):
             transform(out, axis=axis, out=out)
-        return out
-
-    def _raw_real(self, values: np.ndarray, out: np.ndarray | None, transform) -> np.ndarray:
-        """Real input: a real transform of the last axis, then the conjugate fill."""
-        half = self.points_per_axis // 2
-        if out is None:
-            out = np.empty(values.shape, np.result_type(values.dtype, np.complex64))
-        head = out[..., : half + 1]
-        if transform is np.fft.fft:
-            np.fft.rfft(values, out=head)
-        else:
-            # the inverse route conjugates the inner columns only
-            np.fft.rfft(values, norm="forward", out=head)
-            inner = head[..., 1:half]
-            np.conjugate(inner, out=inner)
-        for axis in range(-self.dim, -1):
-            transform(head, axis=axis, out=head)
-        # out[..., i, N - k] = conj(out[..., -i, k]) over the leading grid axes i,
-        # for 0 < k < N/2 and, where _mirror_mask says so, for k = 0 and N/2
-        axes = range(-self.dim, -1)
-        edges = np.conj(self._reflect(out[..., ::half], axes))
-        np.conjugate(self._reflect(out[..., half - 1 : 0 : -1], axes), out=out[..., half + 1 :])
-        out[..., ::half] = np.where(self._mirror_mask[..., None], edges, out[..., ::half])
         return out
 
     @property

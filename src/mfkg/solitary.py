@@ -288,6 +288,11 @@ _CHUNK_POINTS = 1 << 15
 _MAX_CHUNK = 16
 # evaluation cap of the bounded polish (maxiter of minimize_scalar's "bounded")
 _BRENT_MAXFUN = 500
+# Candidates +-omega are mirrors when they agree to _MIRROR_PITCH m, and their
+# squared distances tie within _MIRROR_TIE (||Psi||^2 + d^2); the roundoff gap
+# measured on states real up to a global phase is ~1e-13 of ||Psi||^2.
+_MIRROR_PITCH = 1e-12
+_MIRROR_TIE = 1e-10
 
 
 def _bounded_brent(func, lo: float, hi: float, xatol: float):
@@ -443,6 +448,12 @@ class ManifoldTable:
         self._r = np.array(padded, dtype=float).reshape(self._admissible.size, width)
         interior = self.omegas[np.abs(self.omegas) < m]
         self._pitch = float(np.max(np.diff(np.sort(interior)))) if interior.size > 1 else 0.1 * m
+        # each admissible candidate with a mirror -omega among the others, and that mirror
+        w = self.omegas[self._admissible]
+        order = np.argsort(w)
+        mirror = order[np.minimum(np.searchsorted(w[order], -w - _MIRROR_PITCH * m), w.size - 1)]
+        paired = (np.abs(w[mirror] + w) <= _MIRROR_PITCH * m) & (mirror != np.arange(w.size))
+        self._paired, self._mirror = np.flatnonzero(paired), mirror[paired]
 
     def _roots_at(self, omega: float) -> tuple:
         """Amplitude roots r = |c|^2 at omega; () when omega is inadmissible or s(omega) = 0."""
@@ -513,6 +524,7 @@ class ManifoldTable:
         best_sq = state_sq  # the zero wave
         best_omega: float | None = None
         adm = self._admissible
+        mirrored = False
         if adm.size:
             overlap = self._overlaps(terms, self.omegas[adm])
             d_sq = (state_sq + self._r * self.base_sq[adm, None]
@@ -521,13 +533,21 @@ class ManifoldTable:
             if d_sq[k] < best_sq:
                 best_sq = float(d_sq[k])
                 best_omega = float(self.omegas[adm[k]])
+            # A state real up to a global phase has S(-omega) = conj S(omega), so
+            # every candidate ties its mirror and roundoff alone would pick the
+            # sign: then the best frequency is taken, and polished, on omega >= 0.
+            i, j = self._paired, self._mirror
+            mirrored = i.size > 0 and bool(
+                np.all(np.abs(d_sq[i] - d_sq[j]) <= _MIRROR_TIE * (state_sq + d_sq[i])))
+            if mirrored and best_omega is not None:
+                best_omega = abs(best_omega)
 
         if best_omega is not None and abs(best_omega) < m:
             # polish inside the spectral gap; embedded candidates stay on-grid.  Where
             # the bracket reaches frequencies without an amplitude root, dist_sq_at is
             # inf and a parabolic step computes inf - inf: the NaN fails the step's
             # acceptance test and a golden-section step follows, so it is not reported.
-            lo = max(best_omega - self._pitch, -m + 1e-9 * m)
+            lo = max(best_omega - self._pitch, 0.0 if mirrored else -m + 1e-9 * m)
             hi = min(best_omega + self._pitch, m - 1e-9 * m)
             with np.errstate(invalid="ignore"):
                 x, fun = _bounded_brent(dist_sq_at, lo, hi, 1e-6 * m)
@@ -569,7 +589,9 @@ def manifold_distance(
     build it once and pay only for the distance.
 
     Returns (distance, best_omega); best_omega is None when the zero wave is
-    the closest point.
+    the closest point.  When the scan ties every candidate with its mirror
+    -omega, as for any state real up to a global phase, best_omega is taken
+    on the side omega >= 0.
     """
     if omega_grid is None:
         omega_grid = default_omega_grid(m)

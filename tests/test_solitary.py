@@ -350,6 +350,11 @@ def test_manifold_table_matches_per_candidate_route(grid, rho, pot, case):
     # compared squared: near d = 0 the square root amplifies roundoff
     assert abs(d * d - ref_sq) <= 1e-12 * state_sq
     assert (best is None) == (ref_best is None)
+    if case == "embedded":
+        # the state is real, so +-omega tie and the reference's sign is
+        # roundoff's pick; the table takes omega >= 0
+        assert best >= 0
+        ref_best = abs(ref_best)
     if best is not None:
         assert abs(best - ref_best) <= 1e-6
     if case in ("zero_wins", "no_roots", "empty_grid"):
@@ -374,6 +379,26 @@ def test_manifold_table_matches_per_candidate_route(grid, rho, pot, case):
             ref_base, _ = reference_candidate(state.grid, rho_c, spec, float(omegas[k]),
                                               psi_w, pi_w)
             assert table.base_sq[k] == pytest.approx(ref_base, rel=1e-12)
+
+
+def test_best_omega_of_a_real_state_is_nonnegative():
+    # the counterexample's exact states are real: S(-omega) = conj S(omega)
+    # ties every candidate with its mirror, at any global phase
+    sol = build_counterexample(2.0, -1.0, make_grid(1, 1024, 64.0))
+    pot, spec = sol.potential(), SeminormSpec(0.5, 8.0, 8.0)
+    omegas = default_omega_grid(1.0, zeros=(2.0,))
+    table = ManifoldTable(sol.rho, pot, spec, omegas)
+    # one-sided tables see no mirrors, so they measure each side as it stands
+    side = omegas[omegas <= 1e-12]
+    sides = [ManifoldTable(sol.rho, pot, spec, w) for w in (side, -side)]
+    for t in (0.3, 0.7, 1.1, 2.5, 4.0):
+        for theta in np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False):
+            state = sol.exact_state(t).rotated(theta)
+            d, best = table.distance(state)
+            assert best is None or best >= 0
+            (d_neg, best_neg), (d_pos, best_pos) = (s.distance(state) for s in sides)
+            assert (best is None) == (best_neg is None) == (best_pos is None)
+            assert d == pytest.approx(min(d_neg, d_pos), rel=1e-12)
 
 
 @pytest.mark.parametrize("dim, points, length", [(1, 256, 64.0), (2, 32, 16.0), (3, 16, 16.0)])
