@@ -26,8 +26,8 @@ per-mode scalars, so the flow tables do not see them; they are folded
 once, at set-up, into the kick vector and into the pairing vector that
 reads gamma off raw psi.
 :func:`split_chi_phi` runs one core on the full solution and moves chi,
-which feels no kick, by one free flow of that core per sampling interval;
-phi = full - chi at every sample.
+which feels no kick, by one free flow per sampling interval, outside C
+only when it is read; phi = full - chi is exactly zero outside C.
 
 Without a sponge the core advances by block updates of up to 16 steps.
 The coupling is rank one: a kick moves only pi, always along the same raw
@@ -45,15 +45,18 @@ a mode outside C neither feels the kick nor adds to gamma.  An undamped
 coupled core keeps its modes in a core order that lists C first (each set
 ascending), so C is a leading slice with no gather or scatter per block;
 :meth:`_StrangCore.to_raw` and :meth:`_StrangCore.to_fields` apply and
-undo the order.  The free flow still advances every mode in every block,
-so a block leaves the whole pair at its end time.  With a sponge the core
-steps one by one over every mode in natural order: each step ends with one
-stacked inverse transform into a position-space buffer, the damping
-multiply and one stacked forward transform back, both transforms on the
-pair reshaped into the grid's shape.  Samples read the damped fields that
-this leaves in the buffer, a fresh one per sampling interval.  The flow and
-the damping multiply the float64 view of the state by interleaved real
-tables, and the kicks take the scalar force from
+undo the order.  A mode outside C moves by the free flow alone, so the
+lazy core of :func:`evolve` and :func:`split_chi_phi` flows C only; the
+rest lags until :meth:`_StrangCore.sync` flows it once before a read, and
+keeps its first sample's share of H and Q.  ``verify_persistence`` reads
+every mode at every sample, so its core flows them all.  With a sponge
+the core steps one by one over every mode in natural order: each step ends
+with one stacked inverse transform into a position-space buffer, the
+damping multiply and one stacked forward transform back, both transforms
+on the pair reshaped into the grid's shape.  Samples read the damped
+fields that this leaves in the buffer, a fresh one per sampling interval.
+The flow and the damping multiply the float64 view of the state by
+interleaved real tables, and the kicks take the scalar force from
 :meth:`PolynomialPotential.scalar_force`.
 :func:`free_flow` and :func:`kick` remain single applications on the
 :meth:`Grid.forward` path, independent of the core.
@@ -67,14 +70,14 @@ then H and Q, global and conserved without a sponge or over the observation
 ball |x| <= inner_radius with one, then the non-finite check.  It builds a
 :class:`FieldState` only when a seminorm series or a due snapshot needs
 one, from the damped fields of a sponge run or else by one inverse
-transform.  :func:`evolve` feeds one recorder, :func:`split_chi_phi` two
-(chi and phi).
+transform of the synced pair.  :func:`evolve` feeds one recorder,
+:func:`split_chi_phi` two (chi and phi).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil
+from math import ceil, isfinite
 from operator import mul
 
 import numpy as np
@@ -252,6 +255,7 @@ class _StrangCore:
         rho: CouplingProfile | None,
         pot: PolynomialPotential | None,
         m: float,
+        lazy: bool = False,
     ) -> None:
         _check_step_size(grid, integ)
         if rho is not None and pot is None:
@@ -268,7 +272,7 @@ class _StrangCore:
         self.coupled = slice(None)
         self.order = None
         self.block = min(integ.steps_per_sample, _BLOCK_STEPS)
-        self._flows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._flows: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
         rho_raw = None if rho is None else grid.raw_fft(rho.values)
         if rho is not None and integ.sponge is None:
             size = np.abs(rho_raw.ravel())
@@ -276,6 +280,12 @@ class _StrangCore:
             self.coupled = slice(0, int(np.count_nonzero(mask)))
             if not mask.all():
                 self.order = np.concatenate((np.flatnonzero(mask), np.flatnonzero(~mask)))
+        # the blocks flow raw[:, flowed]; a lazy core flows only C there and
+        # leaves the rest, the modes outside C, `pending` steps behind
+        self.lazy = lazy and self.order is not None
+        self.flowed = self.coupled if self.lazy else slice(0, grid.num_points)
+        self.rest = slice(self.flowed.stop, grid.num_points)
+        self.pending = 0
         self.energy_weight = self._in_order(grid.k_squared + m * m)
         self.omega = np.sqrt(self.energy_weight)
         if rho is not None:
@@ -307,6 +317,7 @@ class _StrangCore:
         return self._in_order(self.grid.raw_fft(np.stack((psi, pi))))
 
     def to_fields(self, raw: np.ndarray) -> np.ndarray:
+        """Position-space (psi, pi) of a raw pair, whose lagging rest must be synced first."""
         if self.order is None:
             return self.grid.raw_ifft(raw.reshape(2, *self.grid.shape))
         # undo the core order into the array that the inverse transform fills
@@ -315,12 +326,29 @@ class _StrangCore:
         fields = fields.reshape(2, *self.grid.shape)
         return self.grid.raw_ifft(fields, out=fields)
 
-    def flow_tables(self, steps: int) -> tuple[np.ndarray, np.ndarray]:
-        """Interleaved tables of the free flow by steps * dt, in the core order."""
-        tables = self._flows.get(steps)
+    def flow_tables(self, steps: int, modes: slice | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Interleaved tables, in the core order, of the free flow by steps * dt over ``modes``."""
+        modes = slice(0, self.grid.num_points) if modes is None else modes
+        key = (steps, modes.start, modes.stop)
+        tables = self._flows.get(key)
         if tables is None:
-            tables = self._flows[steps] = _rotation_tables(self.omega, steps * self.integ.dt)
+            tables = self._flows[key] = _rotation_tables(self.omega[modes], steps * self.integ.dt)
         return tables
+
+    def free(self, raw: np.ndarray, steps: int, modes: slice, repeats: int = 1) -> None:
+        """Free flow of raw[:, modes] in place by steps * dt, ``repeats`` times."""
+        cos, sin = self.flow_tables(steps, modes)
+        view = raw[:, modes].view(np.float64)
+        rotated = np.empty_like(view)
+        for _ in range(repeats):
+            self._flow(view, cos, sin, rotated)
+
+    def sync(self, raw: np.ndarray) -> np.ndarray:
+        """Flow the lagging rest of a lazy core's run by its pending steps; returns ``raw``."""
+        if self.pending:
+            self.free(raw, self.pending, self.rest)
+            self.pending = 0
+        return raw
 
     def coupling(self, psi: np.ndarray) -> complex:
         """gamma = <rho, psi> of one raw field, summed over the coupled modes."""
@@ -333,13 +361,16 @@ class _StrangCore:
         g = self.coupling(psi)
         return g, self.pot.scalar_force(g), self.pot.scalar_value(g)
 
-    def invariants(self, pair: np.ndarray, u_val: float) -> tuple[float, float]:
-        """Global H and Q of one undamped raw pair, given U(gamma)."""
-        psi, pi = pair
-        quadratic = np.vdot(pi, pi).real + np.vdot(psi, self.energy_weight * psi).real
-        h = 0.5 * self.scale * float(quadratic) + u_val
-        q = -self.scale * float(np.vdot(psi, pi).imag)
-        return h, q
+    def quadratic(self, pair: np.ndarray, modes: slice) -> tuple[float, float]:
+        """The quadratic part of H, and Q, of one raw pair summed over a slice of modes."""
+        psi, pi = pair[:, modes]
+        quadratic = np.vdot(pi, pi).real + np.vdot(psi, self.energy_weight[modes] * psi).real
+        return 0.5 * self.scale * float(quadratic), -self.scale * float(np.vdot(psi, pi).imag)
+
+    def invariants(self, pair: np.ndarray, u_val: float, rest: tuple[float, float]):
+        """Global H and Q of one undamped raw pair, given U(gamma) and the rest's (H, Q)."""
+        h, q = self.quadratic(pair, self.flowed)
+        return h + rest[0] + u_val, q + rest[1]
 
     def _flow(self, view: np.ndarray, cos: np.ndarray, sin: np.ndarray, rotated: np.ndarray) -> None:
         """Free flow in place of the float64 view of a raw pair, by the tables' tau."""
@@ -356,11 +387,13 @@ class _StrangCore:
         in position space, and the damped position-space fields after the
         last step are returned.
         """
-        rotated = np.empty_like(raw.view(np.float64))
+        rotated = np.empty_like(raw[:, self.flowed].view(np.float64))
         if self.integ.sponge is not None:
             return self._damped_steps(raw, nsteps, rotated)
         for done in range(0, nsteps, self.block):
             self._block(raw, min(self.block, nsteps - done), rotated)
+        if self.lazy:
+            self.pending += nsteps
         return None
 
     def _block(self, raw: np.ndarray, steps: int, rotated: np.ndarray) -> None:
@@ -378,8 +411,8 @@ class _StrangCore:
           one product with the table.
 
         Both products, the pairing and the kicks touch only the coupled
-        modes, the leading slice of the core order; the free flow moves
-        every mode.
+        modes, the leading slice of the core order; the free flow moves the
+        flowed slice, which is C in a lazy core and every mode otherwise.
         """
         # Both products are real GEMMs against the (re, im) columns of a
         # complex vector viewed as float64.  With the kick or pairing folded
@@ -400,8 +433,8 @@ class _StrangCore:
             # the (pi, psi) halves of sum_j c_j R^{s-j} (0, 1), per coupled mode
             sums = (rows.T @ c).view(np.complex128).reshape(2, -1)
             kicks = sums[::-1] * self.coupled_kick
-        cos, sin = self.flow_tables(steps)
-        self._flow(raw.view(np.float64), cos, sin, rotated)
+        cos, sin = self.flow_tables(steps, self.flowed)
+        self._flow(raw[:, self.flowed].view(np.float64), cos, sin, rotated)
         if self.kick is not None:
             raw[:, coupled] += kicks
 
@@ -494,9 +527,13 @@ def step(
 class _Recorder:
     """The one reader of a sampled run: the observables of one system, sample by sample."""
 
-    def __init__(self, core: _StrangCore, observers: Observers):
+    def __init__(self, core: _StrangCore, observers: Observers, sync=None):
         self.core = core
         self.obs = observers
+        # brings the modes outside the flowed slice of a pair up to date
+        # before its fields are read
+        self.sync = core.sync if sync is None else sync
+        self.rest: tuple[float, float] | None = None
         sponge = core.integ.sponge
         self.ball = None if sponge is None else core.grid.radius <= sponge.inner_radius
         self.times: list[float] = []
@@ -520,10 +557,13 @@ class _Recorder:
         core = self.core
         g, f, u_val = core.coupling_terms(pair[0])
         if self.ball is None:
-            h, q = core.invariants(pair, u_val)
+            if self.rest is None:
+                # outside the flowed slice the free flow keeps each mode's share
+                self.rest = core.quadratic(pair, core.rest)
+            h, q = core.invariants(pair, u_val, self.rest)
         else:
             h, q = _ball_observables(core.grid, fields, pair[0], self.ball, u_val, core.m)
-        if not (np.isfinite(h) and np.isfinite(abs(g))):
+        if not (isfinite(h) and isfinite(abs(g))):
             raise RuntimeError(f"non-finite fields at t={t:g}; aborting evolution")
         stride = self.obs.snapshot_stride
         due = stride > 0 and len(self.times) % stride == 0
@@ -533,7 +573,7 @@ class _Recorder:
         self.energy.append(h)
         self.charge.append(q)
         if self.obs.seminorm_specs or due:
-            psi, pi = core.to_fields(pair) if fields is None else fields
+            psi, pi = core.to_fields(self.sync(pair)) if fields is None else fields
             state = FieldState(core.grid, psi, pi, t)
             for spec in self.obs.seminorm_specs:
                 self.seminorms[spec.label].append(local_seminorm(state, spec, core.m))
@@ -596,7 +636,7 @@ def evolve(
     """
     if rho is not None:
         require_same_grid(rho, state)
-    core = _StrangCore(state.grid, integ, rho, pot, m)
+    core = _StrangCore(state.grid, integ, rho, pot, m, lazy=True)
     rec = _Recorder(core, observers or Observers())
     raw = core.to_raw(state.psi, state.pi)
     # a sponge run reads its fields at t0 from the data, later from the damped buffers
@@ -620,8 +660,8 @@ def split_chi_phi(
     chi solves the free equation with the full initial data; phi starts from
     zero and carries what the source rho(x) f(t) adds, f read off the full
     nonlinear solution.  chi feels no kick, so each sampling interval moves
-    it by one free flow over the interval, and phi = full - chi at every
-    sample.
+    it by one free flow over the interval (outside the coupled set, where
+    phi is zero, only when it is read), and phi = full - chi at every sample.
 
     Returns the (chi, phi) trajectories; each records its own coupling
     amplitude and derived observables.  Sponge damping is not supported here
@@ -631,17 +671,26 @@ def split_chi_phi(
     require_same_grid(rho, state)
     if integ.sponge is not None:
         raise ValueError("chi/phi splitting assumes undamped evolution (disable the sponge)")
-    core = _StrangCore(grid, integ, rho, pot, m)
+    core = _StrangCore(grid, integ, rho, pot, m, lazy=True)
     obs = observers or Observers()
     full = core.to_raw(state.psi, state.pi)
-    chi, phi = full.copy(), np.empty_like(full)
-    recorders = (_Recorder(core, obs), _Recorder(core, obs))
-    cos, sin = core.flow_tables(integ.steps_per_sample)
-    rotated = np.empty_like(chi.view(np.float64))
+    chi, phi = full.copy(), np.zeros_like(full)
+    coupled, sps = core.flowed, integ.steps_per_sample
+    lag = 0  # sampling intervals that chi lags outside C
+
+    def catch_up(pair: np.ndarray) -> np.ndarray:
+        # one flow per lagged interval, as C takes them, not one longer flow
+        nonlocal lag
+        core.free(pair, sps, core.rest, lag)
+        lag = 0
+        return pair
+
+    recorders = (_Recorder(core, obs, catch_up), _Recorder(core, obs, lambda pair: pair))
     for i, (t, _) in enumerate(core.samples(full, T, state.time)):
         if i:
-            core._flow(chi.view(np.float64), cos, sin, rotated)
-        np.subtract(full, chi, out=phi)
+            core.free(chi, sps, coupled)
+            lag += 1
+        np.subtract(full[:, coupled], chi[:, coupled], out=phi[:, coupled])
         for part, rec in zip((chi, phi), recorders):
             rec.record(t, part)
     return recorders[0].build(), recorders[1].build()

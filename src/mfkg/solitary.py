@@ -272,9 +272,14 @@ def stationarity_residual(
 
 
 def default_omega_grid(m: float = 1.0, zeros: tuple[float, ...] = (), count: int = 201) -> np.ndarray:
-    """Frequency candidates for distance scans: (-m, m) interior plus embedded zeros."""
+    """Frequency candidates for distance scans: (-m, m) interior plus embedded zeros.
+
+    Interior mirrors are exact negatives, and an odd count's centre is +0.0.
+    """
     margin = 0.01 * m
-    base = np.linspace(-m + margin, m - margin, count)
+    spaced = np.linspace(-m + margin, m - margin, count)
+    # each point is the mean magnitude of its linspace mirror pair
+    base = 0.5 * (spaced - spaced[::-1])
     extra = [*zeros, *(-w for w in zeros)]
     if extra:
         return np.concatenate([base, np.asarray(sorted(extra), dtype=float)])

@@ -9,7 +9,7 @@ from mfkg import (
     inner_product, kick, local_seminorm, make_grid, split_chi_phi, step,
     verify_persistence, zero_state,
 )
-from mfkg.dynamics import _StrangCore
+from mfkg.dynamics import _Recorder, _StrangCore
 from mfkg.multifreq import TwoFrequencySolution
 
 
@@ -365,7 +365,9 @@ def per_step_advance(core, raw, nsteps):
 
     The per-step loop that the block update replaced: half kick, free flow
     by dt, half kick, with the drive of a step's closing half kick reused
-    for the next step's opening one.
+    for the next step's opening one.  It flows every mode at every step and
+    leaves the core's pending step count at zero, so a lazy core's reads
+    sync nothing: the run is an every-mode route.
     """
     assert core.integ.sponge is None
     psi, pi = raw
@@ -492,10 +494,11 @@ def test_width_one_gaussian_couples_few_modes(pot, monkeypatch):
 @pytest.mark.parametrize("sps", [10, 25])
 def test_split_chi_phi_moves_chi_by_the_free_flow(pot, sps):
     # chi moves by one free flow over each sampling interval, in the coupled
-    # core's order, so the two raw pairs subtract mode by mode and chi + phi
-    # is the coupled run.  A free evolve takes the same single flow for an
-    # interval of at most 16 steps, so chi is its run bit for bit at 10
-    # steps; at 25 the free evolve takes blocks of 16 and 9 steps.
+    # core's order (outside C it catches up by the same flows when it is
+    # read), so the two raw pairs subtract mode by mode and chi + phi is the
+    # coupled run.  A free evolve takes the same single flow for an interval
+    # of at most 16 steps, so chi is its run bit for bit at 10 steps; at 25
+    # the free evolve takes blocks of 16 and 9 steps.
     grid = make_grid(1, 2048, 128.0)
     rho = CouplingProfile.gaussian(grid, amplitude=4.0, width=1.0)
     integ = Integrator(0.01, steps_per_sample=sps)
@@ -519,3 +522,87 @@ def test_split_chi_phi_moves_chi_by_the_free_flow(pot, sps):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert_allclose(chi.gamma + phi.gamma, full.gamma, rtol=0,
                     atol=1e-12 * np.max(np.abs(full.gamma)))
+
+
+def width_one_run(sps):
+    # the distance experiment's coupling on a quarter of its grid: C is 17%
+    # of the modes, so the lazy core leaves 83% of them behind
+    grid = make_grid(1, 512, 32.0)
+    rho = CouplingProfile.gaussian(grid, amplitude=4.0, width=1.0)
+    integ = Integrator(0.01, steps_per_sample=sps)
+    state = localized_state(grid, np.random.default_rng(8), scale=0.5)
+    # 15 sampling intervals
+    return grid, rho, integ, state, 0.15 * sps
+
+
+def assert_rel_close(got, want, rel=1e-10):
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("sps", [1, 10, 40])
+def test_lazy_core_reads_match_every_mode_flow(pot, sps):
+    # reads after uneven step counts, within one interval and across several
+    # blocks: a lazy core's synced pair is an eager core's, to roundoff
+    grid, rho, integ, state, T = width_one_run(sps)
+    lazy = _StrangCore(grid, integ, rho, pot, 1.0, lazy=True)
+    eager = _StrangCore(grid, integ, rho, pot, 1.0)
+    assert lazy.lazy and 0 < lazy.flowed.stop <= 0.2 * grid.num_points
+    assert not eager.lazy and eager.flowed == slice(0, grid.num_points)
+    a, b = lazy.to_raw(state.psi, state.pi), eager.to_raw(state.psi, state.pi)
+    for stride in ((7,), (23, 1), (40,), (16, 5, 3), (1,)):
+        for nsteps in stride:
+            lazy.advance(a, nsteps)
+            eager.advance(b, nsteps)
+        assert lazy.pending == sum(stride)
+        for got, want in zip(lazy.to_fields(lazy.sync(a)), eager.to_fields(b)):
+            assert_rel_close(got, want)
+        assert lazy.pending == 0
+    # and through evolve, whose snapshots sync every 3 or 7 samples
+    for stride in (3, 7):
+        traj = evolve(state, rho, pot, integ, T, Observers(snapshot_stride=stride))
+        raw = eager.to_raw(state.psi, state.pi)
+        snaps = [eager.to_fields(raw) for i, _ in enumerate(eager.samples(raw, T, 0.0))
+                 if i % stride == 0]
+        assert len(snaps) == len(traj.snapshots) > 1
+        for snap, (psi, pi) in zip(traj.snapshots, snaps):
+            assert_rel_close(snap.psi, psi)
+            assert_rel_close(snap.pi, pi)
+
+
+@pytest.mark.parametrize("sps", [1, 10, 40])
+def test_lazy_invariants_match_all_mode_sums(pot, sps):
+    # per-sample H and Q: the coupled sums plus the rest's constant share
+    # against the position-space functionals of an eager run's every mode
+    grid, rho, integ, state, T = width_one_run(sps)
+    traj = evolve(state, rho, pot, integ, T)
+    eager = _StrangCore(grid, integ, rho, pot, 1.0)
+    raw = eager.to_raw(state.psi, state.pi)
+    want_h, want_q = [], []
+    for t, _ in eager.samples(raw, T, 0.0):
+        full = FieldState(grid, *eager.to_fields(raw), t)
+        want_h.append(energy(full, rho, pot))
+        want_q.append(charge(full))
+    assert_rel_close(traj.energy, np.array(want_h))
+    assert_rel_close(traj.charge, np.array(want_q))
+
+
+def test_split_chi_phi_phi_is_zero_outside_the_coupled_set(pot, monkeypatch):
+    # outside C chi and the full solution are the same free flow, so phi's
+    # raw pair holds exact zeros there at every sample, and its rest share
+    # of H and Q is zero
+    grid, rho, integ, state, T = width_one_run(10)
+    pairs, shares = [], []
+    record = _Recorder.record
+
+    def spy(self, t, pair, fields=None):
+        pairs.append(pair[:, self.core.rest].copy())
+        record(self, t, pair, fields)
+        shares.append(self.rest)
+
+    monkeypatch.setattr(_Recorder, "record", spy)
+    chi, phi = split_chi_phi(state, rho, pot, integ, T, Observers(snapshot_stride=4))
+    assert len(pairs) == 2 * len(phi.times) and pairs[1].size > 0
+    assert all(np.all(rest == 0) for rest in pairs[1::2])
+    assert all(np.any(rest != 0) for rest in pairs[0::2])
+    assert all(share == (0.0, 0.0) for share in shares[1::2])
+    assert shares[0][0] > 0

@@ -196,6 +196,21 @@ def test_default_omega_grid():
     assert 2.2 in with_zeros and -2.2 in with_zeros
 
 
+@pytest.mark.parametrize("m", [1.0, 0.7, 1.3])
+@pytest.mark.parametrize("count", [201, 200, 11, 4, 3])
+def test_default_omega_grid_is_symmetric(m, count):
+    # mirror candidates are exact negatives and an odd count's centre is +0.0;
+    # every candidate stays within half a mirror gap of the plain linspace
+    base = default_omega_grid(m=m, count=count)
+    assert base.size == count and np.all(np.diff(base) > 0)
+    assert np.array_equal(base, -base[::-1])
+    if count % 2:
+        centre = base[count // 2]
+        assert centre == 0.0 and not np.signbit(centre)
+    spaced = np.linspace(-m + 0.01 * m, m - 0.01 * m, count)
+    assert np.max(np.abs(base - spaced)) <= 2.5e-16 * m
+
+
 def test_manifold_distance_vanishes_on_the_manifold(grid, rho, pot):
     spec = SeminormSpec(0.5, 8.0, 8.0)
     wave = build_solitary(rho, pot, omega=0.37, theta=2.1)
