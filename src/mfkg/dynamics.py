@@ -26,8 +26,8 @@ per-mode scalars, so the flow tables do not see them; they are folded
 once, at set-up, into the kick vector and into the pairing vector that
 reads gamma off raw psi.
 :func:`split_chi_phi` runs one core on the full solution and moves chi,
-which feels no kick, by one free flow per sampling interval, outside C
-only when it is read; phi = full - chi is exactly zero outside C.
+which feels no kick, by one free flow of that core per sampling interval;
+phi = full - chi at every sample.
 
 Without a sponge the core advances by block updates of up to 16 steps.
 The coupling is rank one: a kick moves only pi, always along the same raw
@@ -46,17 +46,18 @@ coupled core keeps its modes in a core order that lists C first (each set
 ascending), so C is a leading slice with no gather or scatter per block;
 :meth:`_StrangCore.to_raw` and :meth:`_StrangCore.to_fields` apply and
 undo the order.  A mode outside C moves by the free flow alone, so the
-lazy core of :func:`evolve` and :func:`split_chi_phi` flows C only; the
-rest lags until :meth:`_StrangCore.sync` flows it once before a read, and
-keeps its first sample's share of H and Q.  ``verify_persistence`` reads
-every mode at every sample, so its core flows them all.  With a sponge
-the core steps one by one over every mode in natural order: each step ends
-with one stacked inverse transform into a position-space buffer, the
-damping multiply and one stacked forward transform back, both transforms
-on the pair reshaped into the grid's shape.  Samples read the damped
-fields that this leaves in the buffer, a fresh one per sampling interval.
-The flow and the damping multiply the float64 view of the state by
-interleaved real tables, and the kicks take the scalar force from
+lazy core of :func:`evolve` flows C only; the rest lags until
+:meth:`_StrangCore.sync` flows it once before a read, and keeps its first
+sample's share of H and Q.  ``verify_persistence`` reads every mode at
+every sample and :func:`split_chi_phi` flows chi over every mode, so their
+cores flow them all.  With a sponge the core steps one by one over every
+mode in natural order: each step ends with one stacked inverse transform
+into a position-space buffer, the damping multiply and one stacked forward
+transform back, both transforms on the pair reshaped into the grid's
+shape.  Samples read the damped fields that this leaves in the buffer, a
+fresh one per sampling interval.  The flow and the damping multiply the
+float64 view of the state by interleaved real tables, and the kicks take
+the scalar force from
 :meth:`PolynomialPotential.scalar_force`.
 :func:`free_flow` and :func:`kick` remain single applications on the
 :meth:`Grid.forward` path, independent of the core.
@@ -286,6 +287,8 @@ class _StrangCore:
         self.flowed = self.coupled if self.lazy else slice(0, grid.num_points)
         self.rest = slice(self.flowed.stop, grid.num_points)
         self.pending = 0
+        # the flow's scratch, large enough for the flowed slice or the rest
+        self.scratch = np.empty(4 * max(self.flowed.stop, self.rest.stop - self.rest.start))
         self.energy_weight = self._in_order(grid.k_squared + m * m)
         self.omega = np.sqrt(self.energy_weight)
         if rho is not None:
@@ -335,13 +338,11 @@ class _StrangCore:
             tables = self._flows[key] = _rotation_tables(self.omega[modes], steps * self.integ.dt)
         return tables
 
-    def free(self, raw: np.ndarray, steps: int, modes: slice, repeats: int = 1) -> None:
-        """Free flow of raw[:, modes] in place by steps * dt, ``repeats`` times."""
+    def free(self, raw: np.ndarray, steps: int, modes: slice) -> None:
+        """Free flow of raw[:, modes] in place by steps * dt."""
         cos, sin = self.flow_tables(steps, modes)
         view = raw[:, modes].view(np.float64)
-        rotated = np.empty_like(view)
-        for _ in range(repeats):
-            self._flow(view, cos, sin, rotated)
+        self._flow(view, cos, sin, self.scratch[: view.size].reshape(view.shape))
 
     def sync(self, raw: np.ndarray) -> np.ndarray:
         """Flow the lagging rest of a lazy core's run by its pending steps; returns ``raw``."""
@@ -367,11 +368,6 @@ class _StrangCore:
         quadratic = np.vdot(pi, pi).real + np.vdot(psi, self.energy_weight[modes] * psi).real
         return 0.5 * self.scale * float(quadratic), -self.scale * float(np.vdot(psi, pi).imag)
 
-    def invariants(self, pair: np.ndarray, u_val: float, rest: tuple[float, float]):
-        """Global H and Q of one undamped raw pair, given U(gamma) and the rest's (H, Q)."""
-        h, q = self.quadratic(pair, self.flowed)
-        return h + rest[0] + u_val, q + rest[1]
-
     def _flow(self, view: np.ndarray, cos: np.ndarray, sin: np.ndarray, rotated: np.ndarray) -> None:
         """Free flow in place of the float64 view of a raw pair, by the tables' tau."""
         np.multiply(sin, view[::-1], out=rotated)
@@ -387,16 +383,15 @@ class _StrangCore:
         in position space, and the damped position-space fields after the
         last step are returned.
         """
-        rotated = np.empty_like(raw[:, self.flowed].view(np.float64))
         if self.integ.sponge is not None:
-            return self._damped_steps(raw, nsteps, rotated)
+            return self._damped_steps(raw, nsteps)
         for done in range(0, nsteps, self.block):
-            self._block(raw, min(self.block, nsteps - done), rotated)
+            self._block(raw, min(self.block, nsteps - done))
         if self.lazy:
             self.pending += nsteps
         return None
 
-    def _block(self, raw: np.ndarray, steps: int, rotated: np.ndarray) -> None:
+    def _block(self, raw: np.ndarray, steps: int) -> None:
         """``steps`` undamped Strang steps of ``raw`` as one update.
 
         A kick moves only pi, always along the raw vector e = kick; gamma
@@ -433,12 +428,11 @@ class _StrangCore:
             # the (pi, psi) halves of sum_j c_j R^{s-j} (0, 1), per coupled mode
             sums = (rows.T @ c).view(np.complex128).reshape(2, -1)
             kicks = sums[::-1] * self.coupled_kick
-        cos, sin = self.flow_tables(steps, self.flowed)
-        self._flow(raw[:, self.flowed].view(np.float64), cos, sin, rotated)
+        self.free(raw, steps, self.flowed)
         if self.kick is not None:
             raw[:, coupled] += kicks
 
-    def _damped_steps(self, raw: np.ndarray, nsteps: int, rotated: np.ndarray):
+    def _damped_steps(self, raw: np.ndarray, nsteps: int):
         """Strang steps one by one, each followed by the sponge damping; returns the damped fields.
 
         The round trip transforms, in the grid's shape, into a view of
@@ -450,7 +444,7 @@ class _StrangCore:
         fft, ifft = self.grid.raw_fft, self.grid.raw_ifft
         cos, sin = self.flow_tables(1)
         psi, pi = raw
-        view = raw.view(np.float64)
+        view, rotated = raw.view(np.float64), self.scratch.reshape(2, -1)
         shaped = raw.reshape(2, *self.grid.shape)
         fields = np.empty_like(shaped)
         damped = fields.view(np.float64).reshape(2, -1)
@@ -527,12 +521,9 @@ def step(
 class _Recorder:
     """The one reader of a sampled run: the observables of one system, sample by sample."""
 
-    def __init__(self, core: _StrangCore, observers: Observers, sync=None):
+    def __init__(self, core: _StrangCore, observers: Observers):
         self.core = core
         self.obs = observers
-        # brings the modes outside the flowed slice of a pair up to date
-        # before its fields are read
-        self.sync = core.sync if sync is None else sync
         self.rest: tuple[float, float] | None = None
         sponge = core.integ.sponge
         self.ball = None if sponge is None else core.grid.radius <= sponge.inner_radius
@@ -560,7 +551,8 @@ class _Recorder:
             if self.rest is None:
                 # outside the flowed slice the free flow keeps each mode's share
                 self.rest = core.quadratic(pair, core.rest)
-            h, q = core.invariants(pair, u_val, self.rest)
+            h, q = core.quadratic(pair, core.flowed)
+            h, q = h + self.rest[0] + u_val, q + self.rest[1]
         else:
             h, q = _ball_observables(core.grid, fields, pair[0], self.ball, u_val, core.m)
         if not (isfinite(h) and isfinite(abs(g))):
@@ -573,7 +565,7 @@ class _Recorder:
         self.energy.append(h)
         self.charge.append(q)
         if self.obs.seminorm_specs or due:
-            psi, pi = core.to_fields(self.sync(pair)) if fields is None else fields
+            psi, pi = core.to_fields(core.sync(pair)) if fields is None else fields
             state = FieldState(core.grid, psi, pi, t)
             for spec in self.obs.seminorm_specs:
                 self.seminorms[spec.label].append(local_seminorm(state, spec, core.m))
@@ -660,8 +652,8 @@ def split_chi_phi(
     chi solves the free equation with the full initial data; phi starts from
     zero and carries what the source rho(x) f(t) adds, f read off the full
     nonlinear solution.  chi feels no kick, so each sampling interval moves
-    it by one free flow over the interval (outside the coupled set, where
-    phi is zero, only when it is read), and phi = full - chi at every sample.
+    it by one free flow over the interval, and phi = full - chi at every
+    sample.
 
     Returns the (chi, phi) trajectories; each records its own coupling
     amplitude and derived observables.  Sponge damping is not supported here
@@ -671,26 +663,15 @@ def split_chi_phi(
     require_same_grid(rho, state)
     if integ.sponge is not None:
         raise ValueError("chi/phi splitting assumes undamped evolution (disable the sponge)")
-    core = _StrangCore(grid, integ, rho, pot, m, lazy=True)
+    core = _StrangCore(grid, integ, rho, pot, m)
     obs = observers or Observers()
     full = core.to_raw(state.psi, state.pi)
-    chi, phi = full.copy(), np.zeros_like(full)
-    coupled, sps = core.flowed, integ.steps_per_sample
-    lag = 0  # sampling intervals that chi lags outside C
-
-    def catch_up(pair: np.ndarray) -> np.ndarray:
-        # one flow per lagged interval, as C takes them, not one longer flow
-        nonlocal lag
-        core.free(pair, sps, core.rest, lag)
-        lag = 0
-        return pair
-
-    recorders = (_Recorder(core, obs, catch_up), _Recorder(core, obs, lambda pair: pair))
+    chi, phi = full.copy(), np.empty_like(full)
+    recorders = (_Recorder(core, obs), _Recorder(core, obs))
     for i, (t, _) in enumerate(core.samples(full, T, state.time)):
         if i:
-            core.free(chi, sps, coupled)
-            lag += 1
-        np.subtract(full[:, coupled], chi[:, coupled], out=phi[:, coupled])
+            core.free(chi, integ.steps_per_sample, core.flowed)
+        np.subtract(full, chi, out=phi)
         for part, rec in zip((chi, phi), recorders):
             rec.record(t, part)
     return recorders[0].build(), recorders[1].build()

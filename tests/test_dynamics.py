@@ -494,9 +494,8 @@ def test_width_one_gaussian_couples_few_modes(pot, monkeypatch):
 @pytest.mark.parametrize("sps", [10, 25])
 def test_split_chi_phi_moves_chi_by_the_free_flow(pot, sps):
     # chi moves by one free flow over each sampling interval, in the coupled
-    # core's order (outside C it catches up by the same flows when it is
-    # read), so the two raw pairs subtract mode by mode and chi + phi is the
-    # coupled run.  A free evolve takes the same single flow for an interval
+    # core's order, so the two raw pairs subtract mode by mode and chi + phi
+    # is the coupled run.  A free evolve takes the same single flow for an interval
     # of at most 16 steps, so chi is its run bit for bit at 10 steps; at 25
     # the free evolve takes blocks of 16 and 9 steps.
     grid = make_grid(1, 2048, 128.0)
@@ -587,22 +586,19 @@ def test_lazy_invariants_match_all_mode_sums(pot, sps):
 
 
 def test_split_chi_phi_phi_is_zero_outside_the_coupled_set(pot, monkeypatch):
-    # outside C chi and the full solution are the same free flow, so phi's
-    # raw pair holds exact zeros there at every sample, and its rest share
-    # of H and Q is zero
+    # outside C chi and the full solution take the same free flows, one per
+    # interval of at most 16 steps, so phi's raw pair holds exact zeros there
+    # at every sample
     grid, rho, integ, state, T = width_one_run(10)
-    pairs, shares = [], []
+    pairs = []
     record = _Recorder.record
 
     def spy(self, t, pair, fields=None):
-        pairs.append(pair[:, self.core.rest].copy())
+        pairs.append(pair[:, self.core.coupled.stop:].copy())
         record(self, t, pair, fields)
-        shares.append(self.rest)
 
     monkeypatch.setattr(_Recorder, "record", spy)
     chi, phi = split_chi_phi(state, rho, pot, integ, T, Observers(snapshot_stride=4))
     assert len(pairs) == 2 * len(phi.times) and pairs[1].size > 0
     assert all(np.all(rest == 0) for rest in pairs[1::2])
     assert all(np.any(rest != 0) for rest in pairs[0::2])
-    assert all(share == (0.0, 0.0) for share in shares[1::2])
-    assert shares[0][0] > 0
