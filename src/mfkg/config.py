@@ -11,7 +11,8 @@ The cross-checks follow: step size against the grid spacing, the step
 count T / dt against its cap, the sampling interval against the run's T,
 sponge and window geometry (the ``distance`` window too, for the distance
 and spectrum experiments unless ``distance.use_global_norm``), the sigma
-range, the spectrum windows, the experiments that need a coupling,
+range, the spectrum windows, the counterexample's sample count (its force
+spectrum needs MIN_WINDOW_SAMPLES), the experiments that need a coupling,
 ``omega1`` strictly inside (m, 3m), and the headers of the ``rho.path`` and
 ``initial.path`` files against the grid (and the mass).  Builders hand back the actual objects.
 """
@@ -26,13 +27,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import Integrator, Observers, Sponge
+from .dynamics import Integrator, Observers, Sponge, _sample_count
 from .fields import CouplingProfile, FieldState, SeminormSpec, energy_norm, zero_state
 from .grid import Grid, make_grid
 from .io import _read_snapshot_header, load_snapshot
 from .multifreq import build_rho as _build_multifreq_rho
 from .potential import PolynomialPotential
 from .solitary import SolitaryWave, build_solitary
+from .spectral import MIN_WINDOW_SAMPLES
 
 __all__ = [
     "ConfigError",
@@ -336,6 +338,11 @@ def _validate(raw: dict) -> dict:
         # a run covers whole sampling intervals, so a longer interval would overrun T
         _require(ev["steps_per_sample"] <= (T + 1e-9) / ev["dt"], "evolve.steps_per_sample",
                  f"sampling interval evolve.dt * steps_per_sample exceeds the run's T = {T:g}")
+        if experiment == "counterexample":
+            # the persistence check's force spectrum spans every sample of the run
+            samples = _sample_count(Integrator(ev["dt"], ev["steps_per_sample"]), T) + 1
+            _require(samples >= MIN_WINDOW_SAMPLES, "counterexample.T",
+                     f"gives {samples} samples; the force spectrum needs {MIN_WINDOW_SAMPLES}")
     if ev["sponge"] is not None:
         _require(ev["sponge"]["inner_radius"] < half, "evolve.sponge.inner_radius",
                  "must be inside the box (less than length/2)")
@@ -354,10 +361,10 @@ def _validate(raw: dict) -> dict:
         sp = raw["spectrum"]
         _require(sp["n_windows"] * sp["window_width"] <= ev["T"] + 1e-9, "spectrum.window_width",
                  "windows do not fit in the trajectory (n_windows * window_width > evolve.T)")
-        # windowed_spectrum needs 8 samples in each window
+        # windowed_spectrum needs MIN_WINDOW_SAMPLES samples in each window
         interval = ev["dt"] * ev["steps_per_sample"]
-        _require(sp["window_width"] >= 8 * interval - 1e-9, "spectrum.window_width",
-                 f"a window must span 8 sampling intervals (8 * {interval:g})")
+        _require(sp["window_width"] >= MIN_WINDOW_SAMPLES * interval - 1e-9, "spectrum.window_width",
+                 f"a window must span {MIN_WINDOW_SAMPLES} sampling intervals of {interval:g}")
     return raw
 
 

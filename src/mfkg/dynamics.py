@@ -46,19 +46,19 @@ coupled core keeps its modes in a core order that lists C first (each set
 ascending), so C is a leading slice with no gather or scatter per block;
 :meth:`_StrangCore.to_raw` and :meth:`_StrangCore.to_fields` apply and
 undo the order.  A mode outside C moves by the free flow alone, so the
-lazy core of :func:`evolve` flows C only; the rest lags until
-:meth:`_StrangCore.sync` flows it once before a read, and keeps its first
-sample's share of H and Q.  ``verify_persistence`` reads every mode at
-every sample and :func:`split_chi_phi` flows chi over every mode, so their
-cores flow them all.  With a sponge the core steps one by one over every
-mode in natural order: each step ends with one stacked inverse transform
-into a position-space buffer, the damping multiply and one stacked forward
-transform back, both transforms on the pair reshaped into the grid's
-shape.  Samples read the damped fields that this leaves in the buffer, a
-fresh one per sampling interval.  The flow and the damping multiply the
-float64 view of the state by interleaved real tables, and the kicks take
-the scalar force from
-:meth:`PolynomialPotential.scalar_force`.
+lazy cores of :func:`evolve` and ``verify_persistence`` flow C only.  In
+:func:`evolve` the rest lags until :meth:`_StrangCore.sync` flows it once
+before a read, and keeps its first sample's share of H and Q;
+``verify_persistence`` never reads it: it sums its error over C and bounds
+the rest's once, at set-up.  :func:`split_chi_phi` flows chi over every
+mode, so its core flows them all.  With a sponge the core steps one by one
+over every mode in natural order: each step ends with one stacked inverse
+transform into a position-space buffer, the damping multiply and one
+stacked forward transform back, both transforms on the pair reshaped into
+the grid's shape.  Samples read the damped fields that this leaves in the
+buffer, a fresh one per sampling interval.  The flow and the damping
+multiply the float64 view of the state by interleaved real tables, and the
+kicks take the scalar force from :meth:`PolynomialPotential.scalar_force`.
 :func:`free_flow` and :func:`kick` remain single applications on the
 :meth:`Grid.forward` path, independent of the core.
 Every sampled run is the generator :meth:`_StrangCore.samples`.  It covers
@@ -306,10 +306,14 @@ class _StrangCore:
             self.table = _block_table(omega, integ.dt, self.block)
             self.conj_read = np.conj(self.read)
             self.coupled_kick = self.kick[self.coupled]
+            # a block's one buffer over C: the weighted pair, then its kicks
+            self.coupled_buffer = np.empty((2, omega.size), dtype=complex)
             # memory K_n: gamma of R^n (0, kick); real, since the pairing
             # and the kick are both real multiples of rho_raw
             weight = (0.5 * integ.dt * self.scale) * np.abs(rho_raw[self.coupled]) ** 2
-            self.memory = (self.table[:, omega.size:] @ weight).tolist()
+            memory = (self.table[:, omega.size:] @ weight).tolist()
+            # lags[i] = (K_i, ..., K_1), the memory that gamma_i reads
+            self.lags = [memory[i:0:-1] for i in range(self.block + 1)]
 
     def _in_order(self, values: np.ndarray) -> np.ndarray:
         """Per-mode values (trailing axes over the grid), flattened into the core order."""
@@ -415,22 +419,22 @@ class _StrangCore:
         # splits over threads at this size: slower on two threads than on
         # one, with first calls of ~10 ms.
         if self.kick is not None:
-            coupled = self.coupled
+            coupled, buffer = self.coupled, self.coupled_buffer
             rows = self.table[: steps + 1]
-            weighted = self.conj_read * raw[:, coupled]
-            b = (rows @ weighted.view(np.float64).reshape(-1, 2)).view(np.complex128)
-            force, memory = self.pot.scalar_force, self.memory
+            np.multiply(self.conj_read, raw[:, coupled], out=buffer)
+            b = (rows @ buffer.view(np.float64).reshape(-1, 2)).view(np.complex128)
+            force, lags = self.pot.scalar_force, self.lags
             weights: list[complex] = []
             for i, g in enumerate(b.ravel().tolist()):
-                d = force(g + sum(map(mul, memory[i:0:-1], weights)))
+                d = force(g + sum(map(mul, lags[i], weights)))
                 weights.append(2.0 * d if 0 < i < steps else d)
             c = np.array(weights[::-1]).view(np.float64).reshape(-1, 2)
             # the (pi, psi) halves of sum_j c_j R^{s-j} (0, 1), per coupled mode
             sums = (rows.T @ c).view(np.complex128).reshape(2, -1)
-            kicks = sums[::-1] * self.coupled_kick
+            np.multiply(sums[::-1], self.coupled_kick, out=buffer)
         self.free(raw, steps, self.flowed)
         if self.kick is not None:
-            raw[:, coupled] += kicks
+            raw[:, coupled] += buffer
 
     def _damped_steps(self, raw: np.ndarray, nsteps: int):
         """Strang steps one by one, each followed by the sponge damping; returns the damped fields.

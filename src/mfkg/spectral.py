@@ -40,6 +40,9 @@ __all__ = [
     "attraction_report",
 ]
 
+# windowed_spectrum needs at least this many samples in its window
+MIN_WINDOW_SAMPLES = 8
+
 
 @dataclass(eq=False)
 class Spectrum:
@@ -98,9 +101,10 @@ def windowed_spectrum(times, values, t_center: float, width: float) -> Spectrum:
     i0 = int(np.searchsorted(times, lo - eps, side="left"))
     i1 = int(np.searchsorted(times, lo + width - eps, side="left"))
     m_samples = i1 - i0
-    if m_samples < 8:
+    if m_samples < MIN_WINDOW_SAMPLES:
         raise ValueError(
-            f"window [{lo:g}, {lo + width:g}) contains only {m_samples} samples; need at least 8"
+            f"window [{lo:g}, {lo + width:g}) contains only {m_samples} samples; "
+            f"need at least {MIN_WINDOW_SAMPLES}"
         )
     tapered = values[i0:i1] * _hann(m_samples)
     omega = 2.0 * np.pi * np.fft.fftfreq(m_samples, d=dt)

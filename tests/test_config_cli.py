@@ -94,6 +94,9 @@ def test_merge_is_deep_and_defaults_survive():
     ({"experiment": "counterexample", "counterexample": {"T": 1e7}}, "counterexample.T"),
     # a spectrum window of fewer than 8 sampling intervals (dt 0.01 * 10 steps)
     ({"experiment": "spectrum", "spectrum": {"window_width": 0.79}}, "spectrum.window_width"),
+    # a counterexample run of 6 samples (dt 0.01 * 10 steps), short of its spectrum's 8
+    ({"experiment": "counterexample", "counterexample": {"T": 0.5}}, "counterexample.T"),
+    ({"counterexample": {"tol": -1.0}}, "counterexample.tol"),
 ])
 def test_validation_reports_dotted_path(raw, path):
     with pytest.raises(ConfigError) as err:
@@ -121,6 +124,12 @@ def test_spectrum_window_of_eight_sampling_intervals_runs(tmp_path):
     code, out = run_cli(tmp_path, "spectrum", "--set", "grid.points=256", "--set", "grid.length=64.0",
                         "--set", "evolve.T=10.0", "--set", "spectrum.window_width=0.8")
     assert code == 0 and (out / "manifest.json").exists()
+
+
+def test_counterexample_of_eight_samples_passes():
+    """T = 0.69 in intervals of dt 0.01 * 10 steps rounds up to 7 intervals, so 8 samples."""
+    cfg = config_from_dict({"experiment": "counterexample", "counterexample": {"T": 0.69}})
+    assert cfg.section("counterexample")["T"] == 0.69
 
 
 def _wrongly_typed_leaves():
@@ -618,6 +627,7 @@ def test_out_of_memory_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
     ("sigma", "grid.points=1099511627776"),
     ("simulate", "evolve.T=1e300"),
     ("spectrum", "spectrum.window_width=0.5"),
+    ("counterexample", "counterexample.T=0.5"),
 ])
 def test_cli_rejects_config_before_any_work(tmp_path, capsys, experiment, setting):
     sets = ["--set", setting]

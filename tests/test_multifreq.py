@@ -8,7 +8,7 @@ from mfkg import (
     build_multifreq, build_rho, evolve, make_grid, verify_persistence,
 )
 from mfkg.dynamics import _StrangCore
-from mfkg.multifreq import auto_widths
+from mfkg.multifreq import _outside_bound, auto_widths
 from mfkg.solitary import resolvent_coupling
 
 
@@ -160,6 +160,86 @@ def test_persistence_errors_match_reference_formula(sol):
     max_err, gamma_err = persistence_errors_reference(sol, integ, 20.0)
     assert report.max_relative_error == pytest.approx(max_err, rel=1e-12)
     assert report.gamma_error == pytest.approx(gamma_err, rel=1e-12)
+
+
+@pytest.mark.parametrize("b", [-0.5, -1.0, -1.5])
+def test_coupled_set_error_matches_the_all_mode_reference(cgrid, b):
+    # the error summed over C plus the outside bound against the every-mode
+    # reference, at the benchmark's dt and T; the two routes round differently,
+    # by up to ~1.5e-13 relative either way, so neither bounds the other exactly
+    sol = build_counterexample(2.0, b, cgrid)
+    integ = Integrator(0.005, 10)
+    report = verify_persistence(sol, integ, T=200.0)
+    max_err, gamma_err = persistence_errors_reference(sol, integ, 200.0)
+    assert report.max_relative_error == pytest.approx(max_err, rel=1e-12)
+    assert report.gamma_error == pytest.approx(gamma_err, rel=1e-12)
+
+
+@pytest.mark.parametrize("grid_args", [(1, 1024, 64.0), (1, 2048, 128.0)])
+@pytest.mark.parametrize("b", [-0.5, -1.0, -1.5])
+def test_outside_bound_is_roundoff_of_the_profiles(grid_args, b):
+    """On the bench grid and the CLI's default one, the modes outside C hold only roundoff."""
+    grid = make_grid(*grid_args)
+    sol = build_counterexample(2.0, b, grid)
+    core = _StrangCore(grid, Integrator(0.01, 10), sol.rho, sol.potential(), sol.m, lazy=True)
+    state0 = sol.initial_state()
+    raw, profiles = core.to_raw(state0.psi, state0.pi), core.to_raw(sol.phi0, sol.phi1)
+    rest_psi, rest_pi = _outside_bound(core, raw, profiles, (sol.omega0, sol.omega1))
+    scale = np.sqrt(grid.l2sq(sol.phi0)) + np.sqrt(grid.l2sq(sol.phi1))
+    assert core.rest.start < core.rest.stop == grid.num_points
+    assert 0.0 < np.sqrt(core.scale * rest_psi) < 1e-15 * scale
+    assert 0.0 < np.sqrt(core.scale * rest_pi) / sol.omega1 < 1e-15 * scale
+
+
+def test_outside_bound_dominates_the_eager_run(sol):
+    """At every sample of an every-mode run, the error outside C stays below the set-up bound."""
+    grid, integ = sol.rho.grid, Integrator(0.01, 10)
+    lazy = _StrangCore(grid, integ, sol.rho, sol.potential(), sol.m, lazy=True)
+    core = _StrangCore(grid, integ, sol.rho, sol.potential(), sol.m)
+    state0 = sol.initial_state()
+    raw, (p0, p1) = core.to_raw(state0.psi, state0.pi), core.to_raw(sol.phi0, sol.phi1)
+    bound = _outside_bound(lazy, raw, np.stack((p0, p1)), (sol.omega0, sol.omega1))
+    rest = lazy.rest
+    for t, _ in core.samples(raw, 20.0, state0.time):
+        dpsi = raw[0, rest] - (np.sin(sol.omega0 * t) * p0 + np.sin(sol.omega1 * t) * p1)[rest]
+        dpi = raw[1, rest] - (sol.omega0 * np.cos(sol.omega0 * t) * p0
+                              + sol.omega1 * np.cos(sol.omega1 * t) * p1)[rest]
+        assert np.vdot(dpsi, dpsi).real <= bound[0]
+        assert np.vdot(dpi, dpi).real <= bound[1]
+
+
+def test_persistence_gamma_matches_an_eager_core(sol):
+    # the check flows C only; an every-mode core reads the same gamma bit for bit
+    integ = Integrator(0.005, 10)
+    report = verify_persistence(sol, integ, T=20.0)
+    core = _StrangCore(sol.rho.grid, integ, sol.rho, sol.potential(), sol.m)
+    state0 = sol.initial_state()
+    raw = core.to_raw(state0.psi, state0.pi)
+    gamma = [core.coupling(raw[0]) for _ in core.samples(raw, 20.0, state0.time)]
+    assert np.array_equal(report.gamma, gamma)
+
+
+@pytest.mark.parametrize("T, tol, match", [
+    (0.5, 1e-3, "T = 0.5 gives 6 samples; the force spectrum needs 8"),
+    (0.0, 1e-3, "T = 0 gives 1 samples"),
+    (float("nan"), 1e-3, "T must be finite and tol"),
+    (float("inf"), 1e-3, "T must be finite and tol"),
+    (50.0, float("nan"), "tol finite and positive"),
+    (50.0, -1.0, "tol finite and positive"),
+    (50.0, 0.0, "tol finite and positive"),
+])
+def test_verify_persistence_rejects_bad_input_before_evolving(sol, monkeypatch, T, tol, match):
+    def no_core(*args, **kwargs):
+        raise AssertionError("a core was built")
+
+    monkeypatch.setattr("mfkg.multifreq._StrangCore", no_core)
+    with pytest.raises(ValueError, match=match):
+        verify_persistence(sol, Integrator(0.01, 10), T, tol)
+
+
+def test_verify_persistence_runs_on_eight_samples(sol):
+    report = verify_persistence(sol, Integrator(0.01, 10), T=0.7)
+    assert report.times.size == 8
 
 
 def test_verify_persistence_rejects_sponge(sol):
