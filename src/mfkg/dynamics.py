@@ -41,7 +41,9 @@ stepping to roundoff.  The products, the kicks and the gamma read run over
 the coupled set C = {k : |rho_raw_k| > eps max |rho_raw|} only, eps the
 float64 machine epsilon: the transform of rho rounds each coefficient by
 about eps times its largest one, so a smaller coefficient is roundoff, and
-a mode outside C neither feels the kick nor adds to gamma.  An undamped
+a mode outside C neither feels the kick nor adds to gamma (the rule is
+:func:`mfkg.fields.coupled_modes`, which also picks the coupled shells of
+:class:`mfkg.solitary.ManifoldTable`).  An undamped
 coupled core keeps its modes in a core order that lists C first (each set
 ascending), so C is a leading slice with no gather or scatter per block;
 :meth:`_StrangCore.to_raw` and :meth:`_StrangCore.to_fields` apply and
@@ -87,6 +89,7 @@ from .fields import (
     CouplingProfile,
     FieldState,
     SeminormSpec,
+    coupled_modes,
     inner_product,
     local_seminorm,
     require_same_grid,
@@ -228,12 +231,6 @@ def _sample_count(integ: Integrator, T: float) -> int:
 # the block table has at most _BLOCK_STEPS + 1 rows whatever steps_per_sample is.
 _BLOCK_STEPS = 16
 
-# A mode is coupled when |rho_raw| exceeds this fraction of its largest entry.
-# The transform of rho carries a roundoff of about this size relative to that
-# entry, so a smaller coefficient is roundoff, not coupling.
-_COUPLED_FRAC = float(np.finfo(np.float64).eps)
-
-
 def _block_table(omega: np.ndarray, dt: float, steps: int) -> np.ndarray:
     """Rows n = 0..steps of (cos(omega n dt), sin(omega n dt) / omega) over the given modes.
 
@@ -276,8 +273,7 @@ class _StrangCore:
         self._flows: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
         rho_raw = None if rho is None else grid.raw_fft(rho.values)
         if rho is not None and integ.sponge is None:
-            size = np.abs(rho_raw.ravel())
-            mask = size > _COUPLED_FRAC * size.max()
+            mask = coupled_modes(rho_raw.ravel())
             self.coupled = slice(0, int(np.count_nonzero(mask)))
             if not mask.all():
                 self.order = np.concatenate((np.flatnonzero(mask), np.flatnonzero(~mask)))

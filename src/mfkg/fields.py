@@ -12,7 +12,9 @@ convergence is measured by a smoothed, windowed surrogate seminorm: fields
 are multiplied by a raised-cosine cutoff supported on |x| <= R + w and
 weighted by fractional powers of (m^2 - Laplacian) in Fourier space.  This
 module owns that window and those weights (``_seminorm_weights``, also read
-by :class:`mfkg.solitary.ManifoldTable`).
+by :class:`mfkg.solitary.ManifoldTable`), and the one rule for which modes
+rho couples (:func:`coupled_modes`), read by the stepping core and the
+manifold table.
 """
 from __future__ import annotations
 
@@ -36,6 +38,17 @@ __all__ = [
     "smooth_cutoff",
     "local_seminorm",
 ]
+
+# A mode is coupled when |rho| in Fourier space exceeds this fraction of its
+# largest entry.  The transform of rho carries a roundoff of about this size
+# relative to that entry, so a smaller coefficient is roundoff, not coupling.
+_COUPLED_FRAC = float(np.finfo(np.float64).eps)
+
+
+def coupled_modes(spectrum: np.ndarray) -> np.ndarray:
+    """Mask of the coupled modes of a transform of rho (raw or continuum scaled)."""
+    size = np.abs(spectrum)
+    return size > _COUPLED_FRAC * size.max()
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,6 +142,16 @@ class CouplingProfile:
         """|rho_hat|^2 summed over each |xi|^2 shell of :attr:`Grid.shells`."""
         k2, index = self.grid.shells
         return np.bincount(index, np.abs(self.rho_hat.ravel()) ** 2, k2.size)
+
+    @cached_property
+    def coupled_shells(self) -> np.ndarray:
+        """Ascending indices of the :attr:`Grid.shells` shells that hold a coupled mode.
+
+        Every other shell holds only roundoff of rho_hat (:func:`coupled_modes`).
+        """
+        k2, index = self.grid.shells
+        count = np.bincount(index, coupled_modes(self.rho_hat.ravel()), k2.size)
+        return np.flatnonzero(count)
 
 
 # basic functionals ------------------------------------------------------

@@ -19,6 +19,11 @@ The resolvent depends on xi only through |xi|^2, so s(omega), the profiles
 and the manifold table all sum over the grid's shells of equal |xi|^2
 (:attr:`Grid.shells`), with one denominator per shell from ``_resolvent_den``
 and its one rule: a term within ``_DEN_FLOOR_FRAC`` m^2 of zero is dropped.
+s(omega) and the table's sums run over the coupled shells only
+(:attr:`CouplingProfile.coupled_shells`): every term carries rho_hat, and on
+the other shells rho_hat is roundoff.  s at any number of frequencies takes
+one chunked route (``_couplings``), which :func:`resolvent_coupling`,
+:func:`dispersion_curve` and the table share.
 
 Distances to the manifold are measured through a :class:`ManifoldTable`,
 built once from rho, the potential, the seminorm and the frequency grid;
@@ -35,7 +40,8 @@ self-adjoint (the checkerboard is real and h^n cancels), so the overlap of a
 snapshot with every candidate is a weighted sum of conj(rho_hat) against the
 adjoint transforms T(W1 psi_w), T(W0 pi_w) of the snapshot: one stacked
 round trip per snapshot instead of three transforms per candidate, summed
-once per shell.  The candidate profiles are real and run on half spectra.
+once per shell.  The candidate profiles are real and run on half spectra,
+one per distinct omega^2, so the mirrors +-omega share theirs.
 """
 from __future__ import annotations
 
@@ -74,6 +80,11 @@ __all__ = [
 # Relative size below which rho_hat on a resonant shell counts as vanishing.
 SHELL_TOL = 0.05
 _DEN_FLOOR_FRAC = 1e-13
+# Bounds on the working memory of candidate sums: the most entries of one
+# chunk of stacked candidate arrays (profiles over the grid, reciprocals over
+# the coupled shells), and the cap on omegas per chunk of profiles.
+_CHUNK_POINTS = 1 << 15
+_MAX_CHUNK = 16
 
 
 def shell_band(grid: Grid, k_shell: float) -> np.ndarray:
@@ -113,8 +124,13 @@ def _resolvent_den(k2: np.ndarray, omegas: np.ndarray, m: float) -> np.ndarray:
     return den
 
 
+def _inside_gap(omegas, m: float):
+    """True where m^2 - omega^2 clears the floor: every term is kept and the omega is admissible."""
+    return m * m - omegas * omegas > _DEN_FLOOR_FRAC * m * m
+
+
 def _check_real_frequency(rho: CouplingProfile, omega: float, m: float) -> None:
-    if m * m - omega * omega > _DEN_FLOOR_FRAC * m * m:
+    if _inside_gap(omega, m):
         return
     if abs(omega) <= m:
         # The xi = 0 shell is dropped by the floor; require rho_hat to be negligible there.
@@ -133,29 +149,78 @@ def _check_real_frequency(rho: CouplingProfile, omega: float, m: float) -> None:
         )
 
 
+def _admits(rho: CouplingProfile, omega: float, m: float) -> bool:
+    """Whether ``_check_real_frequency`` admits omega."""
+    try:
+        _check_real_frequency(rho, omega, m)
+    except ValueError:
+        return False
+    return True
+
+
+def _reciprocals(k2: np.ndarray, omegas: np.ndarray, m: float) -> np.ndarray:
+    """1 / (|xi|^2 + m^2 - omega^2) per omega (rows) and shell; 0 where the floor drops the term."""
+    # The reciprocal overwrites the denominators.  A second chunk-sized
+    # temporary per call let glibc trim and refault the heap top on every
+    # call: twice the time of a table scan or polish at the distance defaults
+    # after an undamped run.
+    recip = _resolvent_den(k2, omegas, m)
+    return np.divide(1.0, recip, out=recip)
+
+
+def _chunks(omegas: np.ndarray, size: int):
+    for lo in range(0, omegas.size, size):
+        yield slice(lo, lo + size), omegas[lo:lo + size]
+
+
+def _couplings_of(recip: np.ndarray, mass: np.ndarray, grid: Grid) -> np.ndarray:
+    """s per row of reciprocals over the shells of ``mass`` (|rho_hat|^2 per shell).
+
+    A real sum within N eps sum|terms| of zero (N lattice points), the
+    roundoff of a designed zero such as the counterexample's embedded
+    frequency, is exactly 0.
+    """
+    # summed row by row, so a row's s does not depend on the rows beside it
+    terms = recip * mass
+    total = terms.sum(axis=1)
+    if not np.iscomplexobj(total):
+        bound = grid.num_points * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+        total[np.abs(total) <= bound] = 0.0
+    return total / grid.box_length**grid.dim
+
+
+def _couplings(rho: CouplingProfile, omegas: np.ndarray, m: float) -> np.ndarray:
+    """s(omega) at each admissible omega, over the coupled shells, in chunks of reciprocals.
+
+    The one route for s at any number of frequencies: :func:`resolvent_coupling`,
+    :func:`dispersion_curve` and :class:`ManifoldTable` all take it.  A shell
+    outside :attr:`CouplingProfile.coupled_shells` holds only roundoff of
+    rho_hat, so its terms are dropped.
+    """
+    shells = rho.coupled_shells
+    k2, mass = rho.grid.shells[0][shells], rho.shell_mass[shells]
+    out = np.empty(omegas.shape, dtype=np.result_type(omegas, float))
+    for part, w in _chunks(omegas, max(1, _CHUNK_POINTS // k2.size)):
+        out[part] = _couplings_of(_reciprocals(k2, w, m), mass, rho.grid)
+    return out
+
+
 def resolvent_coupling(rho: CouplingProfile, omega, m: float = 1.0):
     """The scalar s(omega) = <rho, resolvent rho> as a sum over the |xi|^2 shells.
 
     Real for real admissible omega (|omega| < m, the endpoints, or embedded
     frequencies where rho_hat vanishes on the resonant shell); complex omega
-    in the upper half-plane are evaluated directly.  A real sum within
-    N eps sum|terms| of zero (N lattice points), the roundoff of a designed
-    zero such as the counterexample's embedded frequency, is exactly 0.
+    in the upper half-plane are evaluated directly.  A real sum that is
+    roundoff of zero is exactly 0 (see ``_couplings_of``).
     """
-    grid = rho.grid
     complex_omega = isinstance(omega, complex) and omega.imag != 0.0
     if complex_omega and omega.imag < 0:
         raise ValueError("complex frequencies must lie in the upper half-plane")
     if not complex_omega:
         omega = float(np.real(omega))
         _check_real_frequency(rho, omega, m)
-    terms = rho.shell_mass / _resolvent_den(grid.shells[0], np.array([omega]), m)[0]
-    total = np.sum(terms)
-    if complex_omega:
-        return complex(total / grid.box_length**grid.dim)
-    if abs(total) <= grid.num_points * np.finfo(float).eps * float(np.sum(np.abs(terms))):
-        return 0.0
-    return float(total) / grid.box_length**grid.dim
+    value = _couplings(rho, np.array([omega]), m)[0]
+    return complex(value) if complex_omega else float(value)
 
 
 def resolvent_profile(rho: CouplingProfile, omega: float, m: float = 1.0) -> np.ndarray:
@@ -168,8 +233,11 @@ def resolvent_profile(rho: CouplingProfile, omega: float, m: float = 1.0) -> np.
 
 
 def dispersion_curve(rho: CouplingProfile, omegas, m: float = 1.0) -> np.ndarray:
-    """s(omega) at each of ``omegas``."""
-    return np.array([resolvent_coupling(rho, w, m) for w in np.asarray(omegas, dtype=float)])
+    """s(omega) at each of ``omegas``; ValueError if one of them is not admissible."""
+    omegas = np.asarray(omegas, dtype=float)
+    for omega in omegas[~_inside_gap(omegas, m)]:
+        _check_real_frequency(rho, float(omega), m)
+    return _couplings(rho, omegas, m)
 
 
 def amplitude_roots(pot: PolynomialPotential, s: float) -> list[float]:
@@ -286,11 +354,6 @@ def default_omega_grid(m: float = 1.0, zeros: tuple[float, ...] = (), count: int
     return base
 
 
-# Bounds on the table's working memory: the most entries of one chunk of
-# stacked candidate arrays (profiles over the grid, reciprocals over the
-# |xi|^2 shells), and the cap on omegas per chunk of profiles.
-_CHUNK_POINTS = 1 << 15
-_MAX_CHUNK = 16
 # evaluation cap of the bounded polish (maxiter of minimize_scalar's "bounded")
 _BRENT_MAXFUN = 500
 # Candidates +-omega are mirrors when they agree to _MIRROR_PITCH m, and their
@@ -398,17 +461,30 @@ class ManifoldTable:
 
         <S, Psi> = sum_xi conj(rho_hat) (u1 + i omega u0) / (|xi|^2 + m^2 - omega^2) / L^n
 
-    with u1 = T(W1 psi_w) and u0 = T(W0 pi_w).  Two structures of the
+    with u1 = T(W1 psi_w) and u0 = T(W0 pi_w).  Four structures of the
     manifold make every candidate sum cheap:
 
     * the reciprocal depends on xi only through |xi|^2, so the snapshot's
       terms conj(rho_hat) (u1, u0) are summed once per :attr:`Grid.shells`
       shell (N/2 + 1 for N points in 1-D, far fewer than points in 2-D and
       3-D), and each candidate is one real matmul over shells;
+    * the coupling is rank one, so every candidate term carries rho_hat,
+      and only the coupled shells (:attr:`CouplingProfile.coupled_shells`,
+      those holding a mode with |rho_hat| > eps max |rho_hat|) enter s, the
+      profiles and the overlaps: 173 of 1025 at the ``distance`` defaults;
+    * s, the roots, the profile and the reciprocals depend on omega only
+      through omega^2, so the table builds one profile and the scan one
+      reciprocal row per distinct omega^2, shared by the mirrors +-omega
+      (101 for the 201 default candidates); base_sq and the roots of
+      +-omega are bit-identical.  In the polish, one reciprocal row per
+      frequency serves s, the roots, the profile and the overlap;
     * rho is real and the reciprocal even, so b is real: its window round
       trip runs on half spectra (:meth:`Grid.half_inverse` /
       :meth:`Grid.half_forward`), where the bins 1..N/2-1 of the last
       axis stand for their mirrors as well.
+
+    Every stack of candidate rows is built in chunks of at most
+    ``_CHUNK_POINTS`` entries, and no (candidates x shells) block is kept.
 
     spec=None measures in the global energy norm.
     """
@@ -428,28 +504,55 @@ class ManifoldTable:
         self.omegas = np.asarray(omega_grid, dtype=float)
         self._box_vol = grid.box_length**grid.dim
         self._window, self._w1, self._w0 = _seminorm_weights(grid, spec, m)
-        self._rho_hat = rho.rho_hat.ravel()
-        self._k2, self._shell_of = grid.shells
-        # profiles on half spectra: their bins, rho_hat there, and the weights
-        # W1^2, W0^2 with the bins 1..N/2-1 of the last axis counted twice
+        # the coupled shells, their |xi|^2 and |rho_hat|^2, each point's
+        # position among them (shells.size off them), and the points on them
+        # with their position and conj(rho_hat)
+        shells = rho.coupled_shells
+        self._k2, self._mass = grid.shells[0][shells], rho.shell_mass[shells]
+        position = np.full(grid.shells[0].size, shells.size)
+        position[shells] = np.arange(shells.size)
+        position = position[grid.shells[1]]
+        self._points = np.flatnonzero(position < shells.size)
+        self._point_shell = position[self._points]
+        self._conj_rho = np.conj(rho.rho_hat.ravel()[self._points])
+        # profiles on half spectra: each bin's coupled shell and rho_hat there
+        # (0 off the coupled shells), and the weights W1^2, W0^2 with the
+        # bins 1..N/2-1 of the last axis counted twice, one row per real and
+        # imaginary part of each bin
         half = grid.points_per_axis // 2 + 1
-        self._half_shell = self._shell_of.reshape(grid.shape)[..., :half].ravel()
-        self._rho_half = rho.rho_hat[..., :half].ravel()
+        half_position = position.reshape(grid.shape)[..., :half].ravel()
+        coupled = half_position < shells.size
+        self._half_position = np.where(coupled, half_position, 0)
+        self._rho_half = np.where(coupled, rho.rho_hat[..., :half].ravel(), 0.0)
         twice = np.full(half, 2.0)
         twice[[0, -1]] = 1.0
-        self._half_weights = np.stack(
-            [(w * w)[..., :half] * twice for w in (self._w1, self._w0)]).reshape(2, -1).T
+        self._half_weights = np.repeat(np.stack(
+            [(w * w)[..., :half] * twice for w in (self._w1, self._w0)]).reshape(2, -1).T, 2, axis=0)
         self._profile_chunk = int(np.clip(_CHUNK_POINTS // grid.num_points, 1, _MAX_CHUNK))
         self._shell_chunk = max(1, _CHUNK_POINTS // self._k2.size)
 
-        roots = [self._roots_at(float(omega)) for omega in self.omegas]
-        self.roots = tuple(roots)
-        self._admissible = np.flatnonzero([bool(r) for r in roots])
+        # s, the roots, the profile and the reciprocals depend on omega only
+        # through omega^2, and mirrors +-omega share it bit for bit: each is
+        # computed once per distinct omega^2, at its first candidate
+        _, first, distinct = np.unique(self.omegas * self.omegas, return_index=True,
+                                       return_inverse=True)
+        reps = self.omegas[first]
+        admits = np.array([_admits(rho, float(w), m) for w in reps], dtype=bool)
+        s = np.zeros(reps.size)
+        s[admits] = _couplings(rho, reps[admits], m)
+        rep_roots = [self._roots(value) if ok else () for ok, value in zip(admits, s)]
+        self.roots = tuple(rep_roots[i] for i in distinct)
+        has_roots = np.array([bool(r) for r in rep_roots], dtype=bool)
+        self._admissible = np.flatnonzero(has_roots[distinct])
+        # the scan's frequencies: one per distinct omega^2 with a root, and
+        # each admissible candidate's row among them
+        self._reps = reps[has_roots]
+        self._rep_of = (np.cumsum(has_roots) - 1)[distinct[self._admissible]]
         self.base_sq = np.full(self.omegas.size, np.inf)
-        self.base_sq[self._admissible] = self._base_sq(self.omegas[self._admissible])
+        self.base_sq[self._admissible] = self._base_sq(self._reps)[self._rep_of]
         # pad each root list with its last root, which leaves the minimum unchanged
-        width = max((len(r) for r in roots), default=0)
-        padded = [r + (r[-1],) * (width - len(r)) for r in roots if r]
+        width = max((len(r) for r in self.roots), default=0)
+        padded = [r + (r[-1],) * (width - len(r)) for r in self.roots if r]
         self._r = np.array(padded, dtype=float).reshape(self._admissible.size, width)
         interior = self.omegas[np.abs(self.omegas) < m]
         self._pitch = float(np.max(np.diff(np.sort(interior)))) if interior.size > 1 else 0.1 * m
@@ -460,48 +563,39 @@ class ManifoldTable:
         paired = (np.abs(w[mirror] + w) <= _MIRROR_PITCH * m) & (mirror != np.arange(w.size))
         self._paired, self._mirror = np.flatnonzero(paired), mirror[paired]
 
-    def _roots_at(self, omega: float) -> tuple:
-        """Amplitude roots r = |c|^2 at omega; () when omega is inadmissible or s(omega) = 0."""
-        try:
-            return tuple(amplitude_roots(self.pot, resolvent_coupling(self.rho, omega, self.m)))
-        except ValueError:
-            return ()
-
-    @staticmethod
-    def _chunks(omegas: np.ndarray, size: int):
-        for lo in range(0, omegas.size, size):
-            yield slice(lo, lo + size), omegas[lo:lo + size]
+    def _roots(self, s: float) -> tuple:
+        """Amplitude roots r = |c|^2 at an admissible omega's s; () when s = 0."""
+        return tuple(amplitude_roots(self.pot, s)) if s != 0 else ()
 
     def _base_sq(self, omegas: np.ndarray) -> np.ndarray:
-        """||S||^2 = (||W1 T b_hat||^2 + omega^2 ||W0 T b_hat||^2) / L^n per omega."""
-        grid = self.rho.grid
+        """||S||^2 per omega, in chunks of profiles."""
         out = np.empty(omegas.size)
-        for part, w in self._chunks(omegas, self._profile_chunk):
-            recip = _resolvent_den(self._k2, w, self.m)
-            np.divide(1.0, recip, out=recip)
-            b_half = np.take(recip, self._half_shell, axis=1) * self._rho_half
-            b_half = b_half.reshape(-1, *grid.half_shape)
-            if self._window is not None:
-                b_half = grid.half_forward(self._window * grid.half_inverse(b_half))
-            parts = b_half.view(np.float64)
-            parts *= parts
-            sq = parts.reshape(w.size, -1, 2).sum(axis=2) @ self._half_weights
-            out[part] = (sq[:, 0] + w * w * sq[:, 1]) / self._box_vol
+        for part, w in _chunks(omegas, self._profile_chunk):
+            out[part] = self._profile_norms(_reciprocals(self._k2, w, self.m), w)
         return out
 
-    def _overlaps(self, terms: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-        """|<S, Psi>| per omega from the shell sums of conj(rho_hat) (u1, u0), (re, im) columns."""
-        out = np.empty(omegas.size)
-        for part, w in self._chunks(omegas, self._shell_chunk):
-            # The reciprocal overwrites the denominators.  A second
-            # chunk-sized temporary per call let glibc trim and refault the
-            # heap top on every call: twice the time of a scan or polish at
-            # the distance defaults after an undamped run.
-            recip = _resolvent_den(self._k2, w, self.m)
-            np.divide(1.0, recip, out=recip)
-            p = recip @ terms
-            out[part] = np.abs(p[:, 0] + 1j * p[:, 1] + 1j * w * (p[:, 2] + 1j * p[:, 3]))
-        return out / self._box_vol
+    def _profile_norms(self, recip: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """||S||^2 = (||W1 T b_hat||^2 + omega^2 ||W0 T b_hat||^2) / L^n per reciprocal row."""
+        grid = self.rho.grid
+        b_half = np.take(recip, self._half_position, axis=1) * self._rho_half
+        b_half = b_half.reshape(-1, *grid.half_shape)
+        if self._window is not None:
+            b_half = grid.half_forward(self._window * grid.half_inverse(b_half))
+        parts = b_half.view(np.float64)
+        parts *= parts
+        sq = parts.reshape(w.size, -1) @ self._half_weights
+        return (sq[:, 0] + w * w * sq[:, 1]) / self._box_vol
+
+    def _shell_products(self, terms: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+        """The reciprocal rows of ``omegas`` times the coupled-shell sums ``terms``, in chunks."""
+        out = np.empty((omegas.size, terms.shape[1]))
+        for part, w in _chunks(omegas, self._shell_chunk):
+            out[part] = _reciprocals(self._k2, w, self.m) @ terms
+        return out
+
+    def _overlaps(self, p: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """|<S, Psi>| per omega from its row p of :meth:`_shell_products`, (re, im) of u1 then u0."""
+        return np.abs(p[:, 0] + 1j * p[:, 1] + 1j * w * (p[:, 2] + 1j * p[:, 3])) / self._box_vol
 
     def distance(self, state: FieldState) -> tuple[float, float | None]:
         """(distance, best_omega) as documented in :func:`manifold_distance`."""
@@ -513,17 +607,22 @@ class ManifoldTable:
         u = np.stack((self._w1 * psi_w, self._w0 * pi_w))
         if self._window is not None:
             u = grid.forward(self._window * grid.inverse(u))
-        v = (np.conj(self._rho_hat) * u.reshape(2, -1)).view(np.float64).reshape(2, -1, 2)
-        terms = np.stack([np.bincount(self._shell_of, v[row, :, part], self._k2.size)
+        v = self._conj_rho * np.take(u.reshape(2, -1), self._points, axis=1)
+        v = v.view(np.float64).reshape(2, -1, 2)
+        terms = np.stack([np.bincount(self._point_shell, v[row, :, part], self._k2.size)
                           for row in (0, 1) for part in (0, 1)], axis=1)
 
         def dist_sq_at(omega: float) -> float:
-            roots = self._roots_at(omega)
+            if not _admits(self.rho, omega, m):
+                return np.inf
+            # one reciprocal row serves s, the roots, the profile and the overlap
+            w = np.array([omega])
+            recip = _reciprocals(self._k2, w, m)
+            roots = self._roots(float(_couplings_of(recip, self._mass, grid)[0]))
             if not roots:
                 return np.inf
-            w = np.array([omega])
-            base_sq = float(self._base_sq(w)[0])
-            overlap = float(self._overlaps(terms, w)[0])
+            base_sq = float(self._profile_norms(recip, w)[0])
+            overlap = float(self._overlaps(recip @ terms, w)[0])
             return min(state_sq + r * base_sq - 2.0 * np.sqrt(r) * overlap for r in roots)
 
         best_sq = state_sq  # the zero wave
@@ -531,7 +630,8 @@ class ManifoldTable:
         adm = self._admissible
         mirrored = False
         if adm.size:
-            overlap = self._overlaps(terms, self.omegas[adm])
+            products = self._shell_products(terms, self._reps)[self._rep_of]
+            overlap = self._overlaps(products, self.omegas[adm])
             d_sq = (state_sq + self._r * self.base_sq[adm, None]
                     - 2.0 * np.sqrt(self._r) * overlap[:, None]).min(axis=1)
             k = int(np.argmin(d_sq))

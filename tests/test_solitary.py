@@ -8,11 +8,13 @@ from numpy.testing import assert_allclose
 from scipy.optimize import minimize_scalar
 
 from mfkg import (
-    CouplingProfile, FieldState, ManifoldTable, PolynomialPotential, SeminormSpec,
-    amplitude_roots, build_counterexample, build_solitary, charge, dispersion_curve,
+    CouplingProfile, FieldState, Grid, ManifoldTable, PolynomialPotential, SeminormSpec,
+    amplitude_roots, build_counterexample, build_solitary, charge, config_from_dict,
+    dispersion_curve,
     energy_norm, make_grid, manifold_distance, random_state,
     resolvent_coupling, resolvent_profile, stationarity_residual, zero_state,
 )
+from mfkg.config import _sigma_range
 from mfkg.fields import _windowed_weighted_hats
 import mfkg.solitary
 from mfkg.solitary import _bounded_brent, default_omega_grid, shell_max
@@ -68,6 +70,31 @@ def test_dispersion_curve_shape(rho):
     # increasing in |omega|: the gap shrinks toward the threshold
     half = values[9:]
     assert np.all(np.diff(half) > 0)
+
+
+def test_dispersion_curve_matches_the_per_omega_shell_sums():
+    """The chunked coupled-shell route gives the per-omega sums over every shell to 1e-15."""
+    cfg = config_from_dict({"experiment": "sigma"})
+    grid, m = cfg.build_grid(), cfg.m
+    rho = cfg.build_rho(grid)
+    omegas = np.linspace(*_sigma_range(cfg.section("sigma"), m), int(cfg.section("sigma")["count"]))
+    values = dispersion_curve(rho, omegas, m)
+    k2 = grid.shells[0]
+    reference = np.array([np.sum(rho.shell_mass / ((k2 + m * m) - w * w)) / grid.box_length
+                          for w in omegas])
+    assert np.all(np.abs(values - reference) <= 1e-15 * np.abs(reference))
+    assert [resolvent_coupling(rho, w, m) for w in omegas] == values.tolist()
+
+
+def test_dispersion_curve_keeps_the_designed_zero_and_rejects_resonant_omega(rho):
+    sol = build_counterexample(2.0, -1.0, make_grid(1, 1024, 64.0))
+    values = dispersion_curve(sol.rho, [-2.0, 0.5, 2.0])
+    assert values[0] == 0.0 and values[2] == 0.0 and values[1] != 0.0
+    with pytest.raises(ValueError) as single:
+        resolvent_coupling(rho, 1.5)
+    with pytest.raises(ValueError) as curve:
+        dispersion_curve(rho, [0.2, 1.5, 0.4])
+    assert str(curve.value) == str(single.value)
 
 
 def test_resolvent_coupling_complex_frequency(rho):
@@ -294,6 +321,18 @@ def _perturbed(wave, seed, size):
     return FieldState(wave.grid, ws.psi + pert.psi, ws.pi + pert.pi, 0.7)
 
 
+def _anisotropic_rho():
+    """A 2-D Gaussian of widths 2 and 1.2: |rho_hat| varies within a shell of equal |xi|^2.
+
+    Along the wide axis it falls to roundoff on shells where the narrow axis
+    still couples, so 91 of the 378 coupled shells (of 520) also hold modes
+    at roundoff.
+    """
+    grid = make_grid(2, 64, 32.0)
+    x, y = np.meshgrid(*grid.axis_coords, indexing="ij")
+    return CouplingProfile.from_values(grid, np.exp(-0.5 * (x**2 / 4.0 + y**2 / 1.44)))
+
+
 def _table_case(name, grid, rho, pot):
     """(state, rho, pot, spec, omega_grid) for one comparison case; spec None is the global norm."""
     spec = SeminormSpec(0.5, 8.0, 8.0)
@@ -347,6 +386,14 @@ def _table_case(name, grid, rho, pot):
         rho3 = CouplingProfile.gaussian(grid3, amplitude=2.0, width=1.0)
         state = _perturbed(build_solitary(rho3, pot, 0.45, 0.4), 8, 0.3)
         return state, rho3, pot, SeminormSpec(0.5, 3.0, 3.0), omegas
+    if name == "anisotropic_2d":
+        rho_a = _anisotropic_rho()
+        state = _perturbed(build_solitary(rho_a, pot, 0.45, 0.4), 9, 0.3)
+        return state, rho_a, pot, SeminormSpec(0.5, 6.0, 4.0), omegas
+    if name == "one_sided":
+        # no candidate has a mirror -omega
+        state = _perturbed(build_solitary(rho, pot, 0.37, 1.3), 1, 0.3)
+        return state, rho, pot, spec, np.linspace(0.05, 0.95, 37)
     if name == "empty_grid":
         state = build_solitary(rho, pot, 0.37, 1.3).initial_state()
         return state, rho, pot, spec, np.array([])
@@ -356,6 +403,7 @@ def _table_case(name, grid, rho, pot):
 @pytest.mark.parametrize("case", [
     "windowed", "cutoff_disabled", "global_norm", "two_dim", "embedded", "zero_wins",
     "on_manifold", "degree_3", "no_roots", "empty_grid", "embedded_nonzero_s", "three_dim",
+    "anisotropic_2d", "one_sided",
 ])
 def test_manifold_table_matches_per_candidate_route(grid, rho, pot, case):
     state, rho_c, pot_c, spec, omegas = _table_case(case, grid, rho, pot)
@@ -394,6 +442,59 @@ def test_manifold_table_matches_per_candidate_route(grid, rho, pot, case):
             ref_base, _ = reference_candidate(state.grid, rho_c, spec, float(omegas[k]),
                                               psi_w, pi_w)
             assert table.base_sq[k] == pytest.approx(ref_base, rel=1e-12)
+
+
+def _shells_above_roundoff(rho):
+    """The shells holding a mode with |rho_hat| > eps max |rho_hat|, mode by mode."""
+    size = np.abs(rho.rho_hat.ravel())
+    index = rho.grid.shells[1]
+    return sorted({int(index[k]) for k in np.flatnonzero(size > np.finfo(float).eps * size.max())})
+
+
+@pytest.mark.parametrize("case", ["distance_defaults", "anisotropic_2d"])
+def test_table_sums_over_the_coupled_shells(pot, case):
+    """The table's shells are exactly those that hold a mode above eps max |rho_hat|."""
+    if case == "distance_defaults":
+        cfg = config_from_dict({"experiment": "distance"})
+        rho = cfg.build_rho(cfg.build_grid())
+        spec = SeminormSpec(0.5, 8.0, 8.0)
+    else:
+        rho = _anisotropic_rho()
+        spec = SeminormSpec(0.5, 6.0, 4.0)
+    k2, index = rho.grid.shells
+    expected = _shells_above_roundoff(rho)
+    assert rho.coupled_shells.tolist() == expected
+    table = ManifoldTable(rho, pot, spec)
+    assert table._k2.tolist() == k2[expected].tolist()
+    assert table._mass.tolist() == rho.shell_mass[expected].tolist()
+    if case == "distance_defaults":
+        assert (len(expected), k2.size) == (173, 1025)
+    else:
+        # some coupled shells also hold modes at roundoff, and some shells hold only those
+        above = np.abs(rho.rho_hat.ravel()) > np.finfo(float).eps * rho.max_abs_hat
+        mixed = np.flatnonzero(np.bincount(index, ~above, k2.size)[expected])
+        assert (mixed.size, len(expected), k2.size) == (91, 378, 520)
+
+
+def test_mirrored_candidates_share_one_profile(grid, rho, pot, monkeypatch):
+    """On the default grid the 201 candidates take 101 profiles, bit-identical across +-omega."""
+    rows = []
+    half_inverse = Grid.half_inverse
+
+    def counted(self, half):
+        rows.append(half.size // int(np.prod(self.half_shape)))
+        return half_inverse(self, half)
+
+    monkeypatch.setattr(Grid, "half_inverse", counted)
+    omegas = default_omega_grid(1.0)
+    table = ManifoldTable(rho, pot, SeminormSpec(0.5, 8.0, 8.0), omegas)
+    assert table._admissible.size == omegas.size == 201
+    assert sum(rows) == np.unique(omegas * omegas).size == 101
+    mirror = omegas[::-1]
+    assert np.array_equal(mirror, -omegas)
+    assert table.base_sq.tobytes() == table.base_sq[::-1].tobytes()
+    assert all(np.array(a).tobytes() == np.array(b).tobytes()
+               for a, b in zip(table.roots, table.roots[::-1]))
 
 
 def test_best_omega_of_a_real_state_is_nonnegative():
