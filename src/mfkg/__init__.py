@@ -69,7 +69,6 @@ from .spectral import (
     shell_weight,
     support_estimate,
     titchmarsh_check,
-    weighted_tail_mass,
     windowed_spectrum,
 )
 
@@ -129,7 +128,6 @@ __all__ = [
     "titchmarsh_check",
     "verify_persistence",
     "wave_packet",
-    "weighted_tail_mass",
     "windowed_spectrum",
     "write_trajectory_csv",
     "zero_state",

@@ -26,8 +26,8 @@ per-mode scalars, so the flow tables do not see them; they are folded
 once, at set-up, into the kick vector and into the pairing vector that
 reads gamma off raw psi.
 :func:`split_chi_phi` runs one core on the full solution and moves chi,
-which feels no kick, by one free flow of that core per sampling interval;
-phi = full - chi at every sample.
+which feels no kick, by one free flow of that core's coupled modes per
+sampling interval (below); phi = full - chi at every sample.
 
 Without a sponge the core advances by block updates of up to 16 steps.
 The coupling is rank one: a kick moves only pi, always along the same raw
@@ -48,12 +48,14 @@ coupled core keeps its modes in a core order that lists C first (each set
 ascending), so C is a leading slice with no gather or scatter per block;
 :meth:`_StrangCore.to_raw` and :meth:`_StrangCore.to_fields` apply and
 undo the order.  A mode outside C moves by the free flow alone, so the
-lazy cores of :func:`evolve` and ``verify_persistence`` flow C only.  In
-:func:`evolve` the rest lags until :meth:`_StrangCore.sync` flows it once
-before a read, and keeps its first sample's share of H and Q;
-``verify_persistence`` never reads it: it sums its error over C and bounds
-the rest's once, at set-up.  :func:`split_chi_phi` flows chi over every
-mode, so its core flows them all.  With a sponge the core steps one by one
+blocks flow C only and the rest lags until :meth:`_StrangCore.sync` flows
+it once, which :meth:`_StrangCore.to_fields` does before every read; the
+rest keeps its first sample's share of H and Q.  ``verify_persistence``
+never reads it: it sums its error over C and bounds the rest's once, at
+set-up.  :func:`split_chi_phi` syncs the full run after every sampling
+interval and copies its rest into chi, so phi is exactly zero outside C.
+Without rho, or with a rho that couples every mode, C is every mode and
+nothing lags.  With a sponge the core steps one by one
 over every mode in natural order: each step ends with one stacked inverse
 transform into a position-space buffer, the damping multiply and one
 stacked forward transform back, both transforms on the pair reshaped into
@@ -72,8 +74,8 @@ pair into the recorded observables: gamma, F and U from the core's pairing,
 then H and Q, global and conserved without a sponge or over the observation
 ball |x| <= inner_radius with one, then the non-finite check.  It builds a
 :class:`FieldState` only when a seminorm series or a due snapshot needs
-one, from the damped fields of a sponge run or else by one inverse
-transform of the synced pair.  :func:`evolve` feeds one recorder,
+one, from the damped fields of a sponge run or else by
+:meth:`_StrangCore.to_fields`.  :func:`evolve` feeds one recorder,
 :func:`split_chi_phi` two (chi and phi).
 """
 from __future__ import annotations
@@ -253,7 +255,6 @@ class _StrangCore:
         rho: CouplingProfile | None,
         pot: PolynomialPotential | None,
         m: float,
-        lazy: bool = False,
     ) -> None:
         _check_step_size(grid, integ)
         if rho is not None and pot is None:
@@ -266,8 +267,8 @@ class _StrangCore:
         self.pot = pot
         self.kick = self.pairing = None
         # raw[:, coupled] holds the modes that rho couples: every mode with
-        # a sponge, the leading slice of the core order without
-        self.coupled = slice(None)
+        # a sponge or without rho, the leading slice of the core order otherwise
+        self.coupled = slice(0, grid.num_points)
         self.order = None
         self.block = min(integ.steps_per_sample, _BLOCK_STEPS)
         self._flows: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -277,14 +278,12 @@ class _StrangCore:
             self.coupled = slice(0, int(np.count_nonzero(mask)))
             if not mask.all():
                 self.order = np.concatenate((np.flatnonzero(mask), np.flatnonzero(~mask)))
-        # the blocks flow raw[:, flowed]; a lazy core flows only C there and
-        # leaves the rest, the modes outside C, `pending` steps behind
-        self.lazy = lazy and self.order is not None
-        self.flowed = self.coupled if self.lazy else slice(0, grid.num_points)
-        self.rest = slice(self.flowed.stop, grid.num_points)
+        # the blocks flow C only and leave the rest, the modes outside C,
+        # `pending` steps behind
+        self.rest = slice(self.coupled.stop, grid.num_points)
         self.pending = 0
-        # the flow's scratch, large enough for the flowed slice or the rest
-        self.scratch = np.empty(4 * max(self.flowed.stop, self.rest.stop - self.rest.start))
+        # the flow's scratch, large enough for C or the rest
+        self.scratch = np.empty(4 * max(self.coupled.stop, self.rest.stop - self.rest.start))
         self.energy_weight = self._in_order(grid.k_squared + m * m)
         self.omega = np.sqrt(self.energy_weight)
         if rho is not None:
@@ -320,7 +319,8 @@ class _StrangCore:
         return self._in_order(self.grid.raw_fft(np.stack((psi, pi))))
 
     def to_fields(self, raw: np.ndarray) -> np.ndarray:
-        """Position-space (psi, pi) of a raw pair, whose lagging rest must be synced first."""
+        """Position-space (psi, pi) of a raw pair of this core's run, its rest synced first."""
+        self.sync(raw)
         if self.order is None:
             return self.grid.raw_ifft(raw.reshape(2, *self.grid.shape))
         # undo the core order into the array that the inverse transform fills
@@ -329,9 +329,8 @@ class _StrangCore:
         fields = fields.reshape(2, *self.grid.shape)
         return self.grid.raw_ifft(fields, out=fields)
 
-    def flow_tables(self, steps: int, modes: slice | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def flow_tables(self, steps: int, modes: slice) -> tuple[np.ndarray, np.ndarray]:
         """Interleaved tables, in the core order, of the free flow by steps * dt over ``modes``."""
-        modes = slice(0, self.grid.num_points) if modes is None else modes
         key = (steps, modes.start, modes.stop)
         tables = self._flows.get(key)
         if tables is None:
@@ -345,7 +344,7 @@ class _StrangCore:
         self._flow(view, cos, sin, self.scratch[: view.size].reshape(view.shape))
 
     def sync(self, raw: np.ndarray) -> np.ndarray:
-        """Flow the lagging rest of a lazy core's run by its pending steps; returns ``raw``."""
+        """Flow the lagging rest of the core's run by its pending steps; returns ``raw``."""
         if self.pending:
             self.free(raw, self.pending, self.rest)
             self.pending = 0
@@ -387,7 +386,7 @@ class _StrangCore:
             return self._damped_steps(raw, nsteps)
         for done in range(0, nsteps, self.block):
             self._block(raw, min(self.block, nsteps - done))
-        if self.lazy:
+        if self.order is not None:
             self.pending += nsteps
         return None
 
@@ -405,9 +404,8 @@ class _StrangCore:
         * the end state is R^s x0 + sum_j c_j R^{s-j} (0, e), the sum again
           one product with the table.
 
-        Both products, the pairing and the kicks touch only the coupled
-        modes, the leading slice of the core order; the free flow moves the
-        flowed slice, which is C in a lazy core and every mode otherwise.
+        Both products, the pairing, the kicks and the free flow touch only
+        the coupled modes, the leading slice of the core order.
         """
         # Both products are real GEMMs against the (re, im) columns of a
         # complex vector viewed as float64.  With the kick or pairing folded
@@ -428,7 +426,7 @@ class _StrangCore:
             # the (pi, psi) halves of sum_j c_j R^{s-j} (0, 1), per coupled mode
             sums = (rows.T @ c).view(np.complex128).reshape(2, -1)
             np.multiply(sums[::-1], self.coupled_kick, out=buffer)
-        self.free(raw, steps, self.flowed)
+        self.free(raw, steps, self.coupled)
         if self.kick is not None:
             raw[:, coupled] += buffer
 
@@ -442,7 +440,7 @@ class _StrangCore:
         force = None if kick is None else self.pot.scalar_force
         pairing = self.pairing
         fft, ifft = self.grid.raw_fft, self.grid.raw_ifft
-        cos, sin = self.flow_tables(1)
+        cos, sin = self.flow_tables(1, self.coupled)
         psi, pi = raw
         view, rotated = raw.view(np.float64), self.scratch.reshape(2, -1)
         shaped = raw.reshape(2, *self.grid.shape)
@@ -549,9 +547,9 @@ class _Recorder:
         g, f, u_val = core.coupling_terms(pair[0])
         if self.ball is None:
             if self.rest is None:
-                # outside the flowed slice the free flow keeps each mode's share
+                # outside C the free flow keeps each mode's share
                 self.rest = core.quadratic(pair, core.rest)
-            h, q = core.quadratic(pair, core.flowed)
+            h, q = core.quadratic(pair, core.coupled)
             h, q = h + self.rest[0] + u_val, q + self.rest[1]
         else:
             h, q = _ball_observables(core.grid, fields, pair[0], self.ball, u_val, core.m)
@@ -565,7 +563,7 @@ class _Recorder:
         self.energy.append(h)
         self.charge.append(q)
         if self.obs.seminorm_specs or due:
-            psi, pi = core.to_fields(core.sync(pair)) if fields is None else fields
+            psi, pi = core.to_fields(pair) if fields is None else fields
             state = FieldState(core.grid, psi, pi, t)
             for spec in self.obs.seminorm_specs:
                 self.seminorms[spec.label].append(local_seminorm(state, spec, core.m))
@@ -628,7 +626,7 @@ def evolve(
     """
     if rho is not None:
         require_same_grid(rho, state)
-    core = _StrangCore(state.grid, integ, rho, pot, m, lazy=True)
+    core = _StrangCore(state.grid, integ, rho, pot, m)
     rec = _Recorder(core, observers or Observers())
     raw = core.to_raw(state.psi, state.pi)
     # a sponge run reads its fields at t0 from the data, later from the damped buffers
@@ -652,8 +650,9 @@ def split_chi_phi(
     chi solves the free equation with the full initial data; phi starts from
     zero and carries what the source rho(x) f(t) adds, f read off the full
     nonlinear solution.  chi feels no kick, so each sampling interval moves
-    it by one free flow over the interval, and phi = full - chi at every
-    sample.
+    its coupled modes by one free flow over the interval; outside them the
+    full solution feels no kick either, so chi's other modes are the full
+    run's, synced, and phi's are zero.  phi = full - chi at every sample.
 
     Returns the (chi, phi) trajectories; each records its own coupling
     amplitude and derived observables.  Sponge damping is not supported here
@@ -670,7 +669,9 @@ def split_chi_phi(
     recorders = (_Recorder(core, obs), _Recorder(core, obs))
     for i, (t, _) in enumerate(core.samples(full, T, state.time)):
         if i:
-            core.free(chi, integ.steps_per_sample, core.flowed)
+            # outside C the full run feels no kick: chi's rest is its synced rest
+            core.free(chi, integ.steps_per_sample, core.coupled)
+            chi[:, core.rest] = core.sync(full)[:, core.rest]
         np.subtract(full, chi, out=phi)
         for part, rec in zip((chi, phi), recorders):
             rec.record(t, part)

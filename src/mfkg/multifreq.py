@@ -276,7 +276,7 @@ def verify_persistence(
                          f"{MIN_WINDOW_SAMPLES}")
     grid = sol.rho.grid
     pot = sol.potential()
-    core = _StrangCore(grid, integ, sol.rho, pot, sol.m, lazy=True)
+    core = _StrangCore(grid, integ, sol.rho, pot, sol.m)
     state0 = sol.initial_state()
     raw = core.to_raw(state0.psi, state0.pi)
     profiles = core.to_raw(sol.phi0, sol.phi1)

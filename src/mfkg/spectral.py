@@ -35,7 +35,6 @@ __all__ = [
     "concentration_ratio",
     "semidiscrete_transform",
     "shell_weight",
-    "weighted_tail_mass",
     "titchmarsh_check",
     "attraction_report",
 ]
@@ -204,27 +203,12 @@ def shell_weight(rho: CouplingProfile, omega: float, m: float = 1.0) -> float:
     """Dispersive weight at |omega| > m: shell density of |rho_hat|^2 over omega^2.
 
     Vanishes exactly at the resonant zeros of the coupling, so spectral mass
-    parked there is invisible to the weighted tail bound.
+    parked there radiates nothing.
     """
     k_sq = omega * omega - m * m
     if k_sq <= 0:
         raise ValueError("the shell weight is defined for |omega| > m")
     return _shell_density(rho, float(np.sqrt(k_sq))) / (omega * omega)
-
-
-def weighted_tail_mass(spec: Spectrum, rho: CouplingProfile, m: float = 1.0, margin: float = 0.0) -> float:
-    """sum over bins with |omega| > m + margin of |amps|^2 * weight * bin_width.
-
-    Applied to the force series F(gamma(t)): bounded uniformly in the window
-    length for dispersive solutions, however the tail mass itself behaves.
-    """
-    sel = np.abs(spec.freqs) > m + margin
-    if not sel.any():
-        return 0.0
-    om = spec.freqs[sel]
-    amp_sq = np.abs(spec.amps[sel]) ** 2
-    weights = np.array([shell_weight(rho, w, m) for w in om])
-    return float(np.sum(amp_sq * weights) * spec.bin_width)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ from mfkg import (
 from mfkg.dynamics import _Recorder, _StrangCore
 from mfkg.multifreq import TwoFrequencySolution
 
+from conftest import per_step_advance
+
 
 def localized_state(grid, rng, scale=1.0):
     env = np.exp(-0.25 * grid.radius**2)
@@ -360,36 +362,6 @@ def test_split_chi_phi_rejects_sponge(grid, rho, pot, rng):
         split_chi_phi(state, rho, pot, integ, 1.0)
 
 
-def per_step_advance(core, raw, nsteps):
-    """Reference route for :meth:`_StrangCore.advance` without a sponge.
-
-    The per-step loop that the block update replaced: half kick, free flow
-    by dt, half kick, with the drive of a step's closing half kick reused
-    for the next step's opening one.  It flows every mode at every step and
-    leaves the core's pending step count at zero, so a lazy core's reads
-    sync nothing: the run is an every-mode route.
-    """
-    assert core.integ.sponge is None
-    psi, pi = raw
-    cos, sin = core.flow_tables(1)
-    view = raw.view(np.float64)
-    swapped = view[::-1]
-    rotated = np.empty_like(view)
-    drive = None
-    for _ in range(nsteps):
-        if core.kick is not None:
-            if drive is None:
-                drive = core.pot.scalar_force(complex(np.vdot(core.pairing, psi)))
-            pi += drive * core.kick
-        np.multiply(sin, swapped, out=rotated)
-        view *= cos
-        view += rotated
-        if core.kick is not None:
-            drive = core.pot.scalar_force(complex(np.vdot(core.pairing, psi)))
-            pi += drive * core.kick
-    return None
-
-
 @pytest.mark.parametrize("sps", [1, 3, 10, 40])
 @pytest.mark.parametrize("dim, points, length", [(1, 256, 64.0), (2, 32, 16.0)])
 def test_block_update_matches_per_step_route(dim, points, length, sps, pot, monkeypatch):
@@ -525,7 +497,7 @@ def test_split_chi_phi_moves_chi_by_the_free_flow(pot, sps):
 
 def width_one_run(sps):
     # the distance experiment's coupling on a quarter of its grid: C is 17%
-    # of the modes, so the lazy core leaves 83% of them behind
+    # of the modes, so the core leaves 83% of them behind
     grid = make_grid(1, 512, 32.0)
     rho = CouplingProfile.gaussian(grid, amplitude=4.0, width=1.0)
     integ = Integrator(0.01, steps_per_sample=sps)
@@ -539,57 +511,56 @@ def assert_rel_close(got, want, rel=1e-10):
 
 
 @pytest.mark.parametrize("sps", [1, 10, 40])
-def test_lazy_core_reads_match_every_mode_flow(pot, sps):
+def test_lazy_core_reads_match_every_mode_flow(pot, sps, monkeypatch):
     # reads after uneven step counts, within one interval and across several
-    # blocks: a lazy core's synced pair is an eager core's, to roundoff
+    # blocks: the core's synced pair is the per-step every-mode route's, to
+    # roundoff
     grid, rho, integ, state, T = width_one_run(sps)
-    lazy = _StrangCore(grid, integ, rho, pot, 1.0, lazy=True)
-    eager = _StrangCore(grid, integ, rho, pot, 1.0)
-    assert lazy.lazy and 0 < lazy.flowed.stop <= 0.2 * grid.num_points
-    assert not eager.lazy and eager.flowed == slice(0, grid.num_points)
-    a, b = lazy.to_raw(state.psi, state.pi), eager.to_raw(state.psi, state.pi)
+    core = _StrangCore(grid, integ, rho, pot, 1.0)
+    ref = _StrangCore(grid, integ, rho, pot, 1.0)
+    assert 0 < core.coupled.stop <= 0.2 * grid.num_points
+    assert core.rest == slice(core.coupled.stop, grid.num_points)
+    a, b = core.to_raw(state.psi, state.pi), ref.to_raw(state.psi, state.pi)
     for stride in ((7,), (23, 1), (40,), (16, 5, 3), (1,)):
         for nsteps in stride:
-            lazy.advance(a, nsteps)
-            eager.advance(b, nsteps)
-        assert lazy.pending == sum(stride)
-        for got, want in zip(lazy.to_fields(lazy.sync(a)), eager.to_fields(b)):
+            core.advance(a, nsteps)
+            per_step_advance(ref, b, nsteps)
+        assert core.pending == sum(stride)
+        for got, want in zip(core.to_fields(a), ref.to_fields(b)):
             assert_rel_close(got, want)
-        assert lazy.pending == 0
+        assert core.pending == 0
     # and through evolve, whose snapshots sync every 3 or 7 samples
     for stride in (3, 7):
-        traj = evolve(state, rho, pot, integ, T, Observers(snapshot_stride=stride))
-        raw = eager.to_raw(state.psi, state.pi)
-        snaps = [eager.to_fields(raw) for i, _ in enumerate(eager.samples(raw, T, 0.0))
-                 if i % stride == 0]
-        assert len(snaps) == len(traj.snapshots) > 1
-        for snap, (psi, pi) in zip(traj.snapshots, snaps):
-            assert_rel_close(snap.psi, psi)
-            assert_rel_close(snap.pi, pi)
+        obs = Observers(snapshot_stride=stride)
+        traj = evolve(state, rho, pot, integ, T, obs)
+        with monkeypatch.context() as patch:
+            patch.setattr(_StrangCore, "advance", per_step_advance)
+            reference = evolve(state, rho, pot, integ, T, obs)
+        assert len(reference.snapshots) == len(traj.snapshots) > 1
+        for snap, want in zip(traj.snapshots, reference.snapshots):
+            assert_rel_close(snap.psi, want.psi)
+            assert_rel_close(snap.pi, want.pi)
 
 
 @pytest.mark.parametrize("sps", [1, 10, 40])
-def test_lazy_invariants_match_all_mode_sums(pot, sps):
+def test_lazy_invariants_match_all_mode_sums(pot, sps, monkeypatch):
     # per-sample H and Q: the coupled sums plus the rest's constant share
-    # against the position-space functionals of an eager run's every mode
+    # against the position-space functionals of a per-step every-mode run
     grid, rho, integ, state, T = width_one_run(sps)
     traj = evolve(state, rho, pot, integ, T)
-    eager = _StrangCore(grid, integ, rho, pot, 1.0)
-    raw = eager.to_raw(state.psi, state.pi)
-    want_h, want_q = [], []
-    for t, _ in eager.samples(raw, T, 0.0):
-        full = FieldState(grid, *eager.to_fields(raw), t)
-        want_h.append(energy(full, rho, pot))
-        want_q.append(charge(full))
-    assert_rel_close(traj.energy, np.array(want_h))
-    assert_rel_close(traj.charge, np.array(want_q))
+    monkeypatch.setattr(_StrangCore, "advance", per_step_advance)
+    reference = evolve(state, rho, pot, integ, T, Observers(snapshot_stride=1))
+    assert len(reference.snapshots) == len(traj.times)
+    assert_rel_close(traj.energy, np.array([energy(s, rho, pot) for s in reference.snapshots]))
+    assert_rel_close(traj.charge, np.array([charge(s) for s in reference.snapshots]))
 
 
-def test_split_chi_phi_phi_is_zero_outside_the_coupled_set(pot, monkeypatch):
-    # outside C chi and the full solution take the same free flows, one per
-    # interval of at most 16 steps, so phi's raw pair holds exact zeros there
-    # at every sample
-    grid, rho, integ, state, T = width_one_run(10)
+@pytest.mark.parametrize("sps", [10, 25, 40])
+def test_split_chi_phi_phi_is_zero_outside_the_coupled_set(pot, monkeypatch, sps):
+    # outside C chi is the full solution's synced rest, whatever blocks the
+    # interval takes, so phi's raw pair holds exact zeros there at every
+    # sample
+    grid, rho, integ, state, T = width_one_run(sps)
     pairs = []
     record = _Recorder.record
 

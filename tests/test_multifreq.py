@@ -143,6 +143,7 @@ def persistence_errors_reference(sol, integ, T):
     scale = np.sqrt(grid.l2sq(sol.phi0)) + np.sqrt(grid.l2sq(sol.phi1))
     max_err = gamma_err = 0.0
     for t, _ in core.samples(raw, T, state0.time):
+        core.sync(raw)  # the modes outside C flow with the blocks, every interval
         s0, s1 = np.sin(sol.omega0 * t), np.sin(sol.omega1 * t)
         c0, c1 = np.cos(sol.omega0 * t), np.cos(sol.omega1 * t)
         dpsi = psi - (s0 * phi0_raw + s1 * phi1_raw)
@@ -181,7 +182,7 @@ def test_outside_bound_is_roundoff_of_the_profiles(grid_args, b):
     """On the bench grid and the CLI's default one, the modes outside C hold only roundoff."""
     grid = make_grid(*grid_args)
     sol = build_counterexample(2.0, b, grid)
-    core = _StrangCore(grid, Integrator(0.01, 10), sol.rho, sol.potential(), sol.m, lazy=True)
+    core = _StrangCore(grid, Integrator(0.01, 10), sol.rho, sol.potential(), sol.m)
     state0 = sol.initial_state()
     raw, profiles = core.to_raw(state0.psi, state0.pi), core.to_raw(sol.phi0, sol.phi1)
     rest_psi, rest_pi = _outside_bound(core, raw, profiles, (sol.omega0, sol.omega1))
@@ -194,13 +195,15 @@ def test_outside_bound_is_roundoff_of_the_profiles(grid_args, b):
 def test_outside_bound_dominates_the_eager_run(sol):
     """At every sample of an every-mode run, the error outside C stays below the set-up bound."""
     grid, integ = sol.rho.grid, Integrator(0.01, 10)
-    lazy = _StrangCore(grid, integ, sol.rho, sol.potential(), sol.m, lazy=True)
     core = _StrangCore(grid, integ, sol.rho, sol.potential(), sol.m)
     state0 = sol.initial_state()
     raw, (p0, p1) = core.to_raw(state0.psi, state0.pi), core.to_raw(sol.phi0, sol.phi1)
-    bound = _outside_bound(lazy, raw, np.stack((p0, p1)), (sol.omega0, sol.omega1))
-    rest = lazy.rest
+    bound = _outside_bound(core, raw, np.stack((p0, p1)), (sol.omega0, sol.omega1))
+    rest = core.rest
+    assert rest.start < rest.stop
     for t, _ in core.samples(raw, 20.0, state0.time):
+        # the rest lags the blocks; syncing every interval flows it with them
+        core.sync(raw)
         dpsi = raw[0, rest] - (np.sin(sol.omega0 * t) * p0 + np.sin(sol.omega1 * t) * p1)[rest]
         dpi = raw[1, rest] - (sol.omega0 * np.cos(sol.omega0 * t) * p0
                               + sol.omega1 * np.cos(sol.omega1 * t) * p1)[rest]
@@ -209,13 +212,15 @@ def test_outside_bound_dominates_the_eager_run(sol):
 
 
 def test_persistence_gamma_matches_an_eager_core(sol):
-    # the check flows C only; an every-mode core reads the same gamma bit for bit
+    # the check flows C only; a run that syncs every mode after every
+    # interval, as an every-mode core did, reads the same gamma bit for bit
     integ = Integrator(0.005, 10)
     report = verify_persistence(sol, integ, T=20.0)
     core = _StrangCore(sol.rho.grid, integ, sol.rho, sol.potential(), sol.m)
     state0 = sol.initial_state()
     raw = core.to_raw(state0.psi, state0.pi)
-    gamma = [core.coupling(raw[0]) for _ in core.samples(raw, 20.0, state0.time)]
+    assert core.rest.start < core.rest.stop
+    gamma = [core.coupling(core.sync(raw)[0]) for _ in core.samples(raw, 20.0, state0.time)]
     assert np.array_equal(report.gamma, gamma)
 
 

@@ -6,12 +6,11 @@ from scipy.signal import get_window
 
 from mfkg import (
     CouplingProfile, PolynomialPotential, Trajectory, concentration_ratio,
-    make_grid, shell_weight, support_estimate, titchmarsh_check,
-    weighted_tail_mass, windowed_spectrum,
+    make_grid, shell_weight, support_estimate, titchmarsh_check, windowed_spectrum,
 )
 from mfkg.solitary import default_omega_grid
 from mfkg.spectral import (
-    AttractionConfig, Spectrum, _hann, attraction_report, semidiscrete_transform,
+    AttractionConfig, _hann, attraction_report, semidiscrete_transform,
 )
 
 # window with bin spacing exactly 0.05, so tones at 0.2/0.35/0.5 sit on bins
@@ -126,19 +125,6 @@ def test_shell_weight_vanishes_at_planted_zero(grid):
     at_zero = shell_weight(rho0, np.sqrt(5.0))
     nearby = shell_weight(rho0, np.sqrt(5.0) + 0.3)
     assert at_zero < 1e-6 * nearby
-
-
-def test_weighted_tail_mass(grid, rho):
-    freqs = np.arange(-2.0, 2.0 + 1e-9, 0.25)
-    amps = np.zeros_like(freqs, dtype=complex)
-    amps[np.abs(freqs) <= 1.0] = 3.0  # inside the gap: never weighted
-    spec = Spectrum(freqs, amps, 0.0, 8.0, 0.1)
-    assert weighted_tail_mass(spec, rho) == 0.0
-    amps[freqs == 1.5] = 2.0
-    amps[freqs == -1.25] = 1.0
-    expected = (4.0 * shell_weight(rho, 1.5) + 1.0 * shell_weight(rho, -1.25)) * 0.25
-    assert_allclose(weighted_tail_mass(spec, rho), expected, rtol=1e-10)
-    assert weighted_tail_mass(spec, rho, margin=0.6) == 0.0
 
 
 def test_titchmarsh_band_arithmetic(pot):
