@@ -24,7 +24,6 @@ from .dynamics import (
     evolve,
     free_flow,
     kick,
-    split_chi_phi,
     step,
 )
 from .fields import (
@@ -121,7 +120,6 @@ __all__ = [
     "save_snapshot",
     "shell_weight",
     "smooth_cutoff",
-    "split_chi_phi",
     "stationarity_residual",
     "step",
     "support_estimate",

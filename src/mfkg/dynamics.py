@@ -16,18 +16,14 @@ oscillating within an O(dt^2) band instead of drifting.
 An optional absorbing sponge damps both fields multiplicatively outside an
 inner radius, emulating radiation to infinity on the periodic box.
 
-All stepping (:func:`step`, :func:`evolve`, :func:`split_chi_phi` and
+All stepping (:func:`step`, :func:`evolve` and
 ``multifreq.verify_persistence``) goes through one private core,
-:class:`_StrangCore`.  A core advances one system, kept in raw FFT
-coordinates: one complex array of shape ``(2, grid.num_points)`` holding
-the plain FFT (:meth:`Grid.raw_fft`) of (psi, pi).  It leaves out the
-checkerboard and cell-volume factors of :meth:`Grid.forward`, which are
-per-mode scalars, so the flow tables do not see them; they are folded
-once, at set-up, into the kick vector and into the pairing vector that
-reads gamma off raw psi.
-:func:`split_chi_phi` runs one core on the full solution and moves chi,
-which feels no kick, by one free flow of that core's coupled modes per
-sampling interval (below); phi = full - chi at every sample.
+:class:`_StrangCore`.  A core advances one system, its own state, kept in
+raw FFT coordinates: the plain FFT (:meth:`Grid.raw_fft`) of (psi, pi).  It
+leaves out the checkerboard and cell-volume factors of :meth:`Grid.forward`,
+which are per-mode scalars, so the flow tables do not see them; they are
+folded once, at set-up, into the kick vector and into the pairing vector
+that reads gamma off raw psi.
 
 Without a sponge the core advances by block updates of up to 16 steps.
 The coupling is rank one: a kick moves only pi, always along the same raw
@@ -43,19 +39,25 @@ float64 machine epsilon: the transform of rho rounds each coefficient by
 about eps times its largest one, so a smaller coefficient is roundoff, and
 a mode outside C neither feels the kick nor adds to gamma (the rule is
 :func:`mfkg.fields.coupled_modes`, which also picks the coupled shells of
-:class:`mfkg.solitary.ManifoldTable`).  An undamped
-coupled core keeps its modes in a core order that lists C first (each set
-ascending), so C is a leading slice with no gather or scatter per block;
-:meth:`_StrangCore.to_raw` and :meth:`_StrangCore.to_fields` apply and
-undo the order.  A mode outside C moves by the free flow alone, so the
-blocks flow C only and the rest lags until :meth:`_StrangCore.sync` flows
-it once, which :meth:`_StrangCore.to_fields` does before every read; the
-rest keeps its first sample's share of H and Q.  ``verify_persistence``
-never reads it: it sums its error over C and bounds the rest's once, at
-set-up.  :func:`split_chi_phi` syncs the full run after every sampling
-interval and copies its rest into chi, so phi is exactly zero outside C.
-Without rho, or with a rho that couples every mode, C is every mode and
-nothing lags.  With a sponge the core steps one by one
+:class:`mfkg.solitary.ManifoldTable`).
+
+An undamped core holds its state flat as psi_C, pi_C, psi_rest, pi_rest
+(each set ascending), so the blocks run on one C-contiguous ``(2, |C|)``
+pair; :meth:`_StrangCore.to_raw` and :meth:`_StrangCore.to_fields` apply
+and undo the layout, the plain (psi, pi) pair when C is every mode (with a
+sponge, without rho, or with a rho that couples every mode).  The core
+binds at set-up what an interval needs, and :meth:`_StrangCore.advance`
+runs one interval per call.  A mode outside C moves by the free flow
+alone, so the rest lags until :meth:`_StrangCore.sync` flows it once,
+before every read of the whole field (:meth:`_StrangCore.fields`); it keeps
+its first sample's share of H and Q.  ``verify_persistence`` never reads
+it: it sums its error over C and bounds the rest's once, at set-up.  The
+last block hands on the gamma of the end state that its recurrence ends
+with (:attr:`_StrangCore.gamma`), so readers pair psi with rho only where
+no block ran (the first sample, a sponge run, a per-step reference route);
+the next block computes its own gamma_0, so the trajectory never sees it.
+
+With a sponge the core steps one by one
 over every mode in natural order: each step ends with one stacked inverse
 transform into a position-space buffer, the damping multiply and one
 stacked forward transform back, both transforms on the pair reshaped into
@@ -69,18 +71,16 @@ Every sampled run is the generator :meth:`_StrangCore.samples`.  It covers
 whole sampling intervals, so samples are uniform and the last one lies at
 or past T.
 
-One reader, :meth:`_Recorder.record`, turns a sample of one raw (psi, pi)
-pair into the recorded observables: gamma, F and U from the core's pairing,
-then H and Q, global and conserved without a sponge or over the observation
-ball |x| <= inner_radius with one, then the non-finite check.  It builds a
-:class:`FieldState` only when a seminorm series or a due snapshot needs
-one, from the damped fields of a sponge run or else by
-:meth:`_StrangCore.to_fields`.  :func:`evolve` feeds one recorder,
-:func:`split_chi_phi` two (chi and phi).
+One reader, :meth:`_Recorder.record`, turns a sample of the core's state
+into the recorded observables: gamma, F and U, then H and Q, global and
+conserved without a sponge or over the observation ball |x| <= inner_radius
+with one, then the non-finite check.  It builds a :class:`FieldState` only
+when a seminorm series or a due snapshot needs one, from the damped fields
+of a sponge run or else by :meth:`_StrangCore.fields`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import ceil, isfinite
 from operator import mul
@@ -108,7 +108,6 @@ __all__ = [
     "kick",
     "step",
     "evolve",
-    "split_chi_phi",
 ]
 
 
@@ -265,106 +264,146 @@ class _StrangCore:
         # |psi_hat|^2 / L^n = scale |psi_raw|^2, since psi_hat = +-h^n psi_raw
         self.scale = grid.cell_volume / grid.num_points
         self.pot = pot
-        self.kick = self.pairing = None
-        # raw[:, coupled] holds the modes that rho couples: every mode with
-        # a sponge or without rho, the leading slice of the core order otherwise
-        self.coupled = slice(0, grid.num_points)
-        self.order = None
-        self.block = min(integ.steps_per_sample, _BLOCK_STEPS)
-        self._flows: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self.kick = self.pairing = self.damp = None
+        n = count = grid.num_points
+        # the core order lists C first; order and layout are None when C is every mode
+        self.order = self.layout = None
         rho_raw = None if rho is None else grid.raw_fft(rho.values)
         if rho is not None and integ.sponge is None:
             mask = coupled_modes(rho_raw.ravel())
-            self.coupled = slice(0, int(np.count_nonzero(mask)))
-            if not mask.all():
-                self.order = np.concatenate((np.flatnonzero(mask), np.flatnonzero(~mask)))
-        # the blocks flow C only and leave the rest, the modes outside C,
-        # `pending` steps behind
-        self.rest = slice(self.coupled.stop, grid.num_points)
-        self.pending = 0
+            count = int(np.count_nonzero(mask))
+            if count < n:
+                order = self.order = np.concatenate((np.flatnonzero(mask), np.flatnonzero(~mask)))
+                # flat indices of psi_C, pi_C, psi_rest, pi_rest in the natural (psi, pi) pair
+                self.layout = np.concatenate((order[:count], order[:count] + n,
+                                              order[count:], order[count:] + n))
+        self.coupled, self.rest = slice(0, count), slice(count, n)
+        self.raw = np.zeros(2 * n, dtype=complex)
+        self.pair, self.rest_pair = self.split(self.raw)
+        # the blocks leave the rest `pending` steps behind; `gamma` is the
+        # state's gamma as the last block handed it on, None where none ran
+        self.pending, self.gamma = 0, None
+        self._rest_flows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # the flow's scratch, large enough for C or the rest
-        self.scratch = np.empty(4 * max(self.coupled.stop, self.rest.stop - self.rest.start))
+        self.scratch = np.empty(4 * max(count, n - count))
         self.energy_weight = self._in_order(grid.k_squared + m * m)
         self.omega = np.sqrt(self.energy_weight)
+        # |xi|^2 + m^2 over C and over the rest
+        self.weight, self.rest_weight = np.split(self.energy_weight, [count])
         if rho is not None:
             rho_raw = self._in_order(rho_raw)
             # pi_hat += tau F rho_hat reads pi_raw += tau F rho_raw in raw
             # coordinates, and <rho, psi> = scale * sum conj(rho_raw) psi_raw
             self.kick = (0.5 * integ.dt) * rho_raw
             self.pairing = self.scale * rho_raw
-            self.read = self.pairing[..., self.coupled]
+            self.read = self.pairing[self.coupled]
         if integ.sponge is not None:
             self.damp = _sponge_factor(grid, integ.sponge, integ.dt)
+            self.step_flow = _rotation_tables(self.omega, integ.dt)
             return
-        if rho is not None:
-            omega = self.omega[self.coupled]
-            self.table = _block_table(omega, integ.dt, self.block)
-            self.conj_read = np.conj(self.read)
+        self._bind_interval(integ, rho_raw)
+
+    def _bind_interval(self, integ: Integrator, rho_raw: np.ndarray | None) -> None:
+        """Bind the views, tables and buffers of one undamped sampling interval."""
+        sps, omega = integ.steps_per_sample, self.omega[self.coupled]
+        block = min(sps, _BLOCK_STEPS)
+        self.lag = sps if self.layout is not None else 0
+        # the coupled pair flat and as float64, and the flow's scratch over it
+        self.flat, self.view = self.raw[: self.pair.size], self.pair.view(np.float64)
+        self.swapped = self.view[::-1]
+        self.rotated = self.scratch[: self.view.size].reshape(self.view.shape)
+        table = None
+        if rho_raw is not None:
+            table = self.table = _block_table(omega, integ.dt, block)
+            # conj of the pairing over psi_C and pi_C, to weight the flat pair
+            self.conj_read = np.tile(np.conj(self.read), 2)
             self.coupled_kick = self.kick[self.coupled]
-            # a block's one buffer over C: the weighted pair, then its kicks
-            self.coupled_buffer = np.empty((2, omega.size), dtype=complex)
+            # a block's one flat buffer over C: the weighted pair, then its
+            # kicks, and its (re, im) columns and (2, |C|) views
+            self.buffer = np.empty(2 * omega.size, dtype=complex)
+            self.columns = self.buffer.view(np.float64).reshape(-1, 2)
+            self.kicks = self.buffer.reshape(2, -1)
             # memory K_n: gamma of R^n (0, kick); real, since the pairing
             # and the kick are both real multiples of rho_raw
             weight = (0.5 * integ.dt * self.scale) * np.abs(rho_raw[self.coupled]) ** 2
-            memory = (self.table[:, omega.size:] @ weight).tolist()
+            memory = (table[:, omega.size:] @ weight).tolist()
             # lags[i] = (K_i, ..., K_1), the memory that gamma_i reads
-            self.lags = [memory[i:0:-1] for i in range(self.block + 1)]
+            self.lags = [memory[i:0:-1] for i in range(block + 1)]
+
+        def bind(steps: int) -> tuple:
+            """(steps, table rows, their transpose, flow tables) of a block."""
+            rows = None if table is None else table[: steps + 1]
+            return (steps, rows, None if rows is None else rows.T,
+                    *_rotation_tables(omega, steps * integ.dt))
+
+        # the interval's blocks: as many full ones as fit, then the remainder
+        self.plan = [bind(block)] * (sps // block)
+        if sps % block:
+            self.plan.append(bind(sps % block))
 
     def _in_order(self, values: np.ndarray) -> np.ndarray:
         """Per-mode values (trailing axes over the grid), flattened into the core order."""
         flat = values.reshape(*values.shape[: values.ndim - self.grid.dim], -1)
         return flat if self.order is None else np.take(flat, self.order, axis=-1)
 
+    def split(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (2, |C|) coupled pair and the (2, N - |C|) rest, as views of a raw array."""
+        count = 2 * self.coupled.stop
+        return raw[:count].reshape(2, -1), raw[count:].reshape(2, -1)
+
     def to_raw(self, psi: np.ndarray, pi: np.ndarray) -> np.ndarray:
-        return self._in_order(self.grid.raw_fft(np.stack((psi, pi))))
+        """The raw pair of two fields, flat in the core's layout."""
+        flat = self.grid.raw_fft(np.stack((psi, pi))).reshape(-1)
+        return flat if self.layout is None else flat[self.layout]
 
     def to_fields(self, raw: np.ndarray) -> np.ndarray:
-        """Position-space (psi, pi) of a raw pair of this core's run, its rest synced first."""
-        self.sync(raw)
-        if self.order is None:
+        """Position-space (psi, pi) of a raw pair in the core's layout; undoes :meth:`to_raw`."""
+        if self.layout is None:
             return self.grid.raw_ifft(raw.reshape(2, *self.grid.shape))
-        # undo the core order into the array that the inverse transform fills
+        # undo the layout into the array that the inverse transform fills
         fields = np.empty_like(raw)
-        fields[:, self.order] = raw
+        fields[self.layout] = raw
         fields = fields.reshape(2, *self.grid.shape)
         return self.grid.raw_ifft(fields, out=fields)
 
-    def flow_tables(self, steps: int, modes: slice) -> tuple[np.ndarray, np.ndarray]:
-        """Interleaved tables, in the core order, of the free flow by steps * dt over ``modes``."""
-        key = (steps, modes.start, modes.stop)
-        tables = self._flows.get(key)
-        if tables is None:
-            tables = self._flows[key] = _rotation_tables(self.omega[modes], steps * self.integ.dt)
-        return tables
+    def load(self, psi: np.ndarray, pi: np.ndarray) -> None:
+        """Start the core's run at the fields (psi, pi)."""
+        self.raw[:] = self.to_raw(psi, pi)
+        self.pending, self.gamma = 0, None
 
-    def free(self, raw: np.ndarray, steps: int, modes: slice) -> None:
-        """Free flow of raw[:, modes] in place by steps * dt."""
-        cos, sin = self.flow_tables(steps, modes)
-        view = raw[:, modes].view(np.float64)
-        self._flow(view, cos, sin, self.scratch[: view.size].reshape(view.shape))
+    def fields(self) -> np.ndarray:
+        """Position-space (psi, pi) of the core's state, its rest synced first."""
+        self.sync()
+        return self.to_fields(self.raw)
 
-    def sync(self, raw: np.ndarray) -> np.ndarray:
-        """Flow the lagging rest of the core's run by its pending steps; returns ``raw``."""
+    def sync(self) -> None:
+        """Flow the lagging rest of the core's state by its pending steps."""
         if self.pending:
-            self.free(raw, self.pending, self.rest)
+            tables = self._rest_flows.get(self.pending)
+            if tables is None:
+                tables = _rotation_tables(self.omega[self.rest], self.pending * self.integ.dt)
+                self._rest_flows[self.pending] = tables
+            view = self.rest_pair.view(np.float64)
+            self._flow(view, *tables, self.scratch[: view.size].reshape(view.shape))
             self.pending = 0
-        return raw
 
-    def coupling(self, psi: np.ndarray) -> complex:
-        """gamma = <rho, psi> of one raw field, summed over the coupled modes."""
-        return complex(np.vdot(self.read, psi[..., self.coupled]))
+    def coupling(self) -> complex:
+        """gamma = <rho, psi> of the state: as handed on, else paired over the coupled modes."""
+        if self.gamma is None:
+            return complex(np.vdot(self.read, self.pair[0]))
+        return self.gamma
 
-    def coupling_terms(self, psi: np.ndarray) -> tuple[complex, complex, float]:
-        """gamma, F(gamma) and U(gamma) of one raw field; zeros without a coupling."""
+    def coupling_terms(self) -> tuple[complex, complex, float]:
+        """gamma, F(gamma) and U(gamma) of the state; zeros without a coupling."""
         if self.pairing is None:
             return 0j, 0j, 0.0
-        g = self.coupling(psi)
+        g = self.coupling()
         return g, self.pot.scalar_force(g), self.pot.scalar_value(g)
 
-    def quadratic(self, pair: np.ndarray, modes: slice) -> tuple[float, float]:
-        """The quadratic part of H, and Q, of one raw pair summed over a slice of modes."""
-        psi, pi = pair[:, modes]
-        quadratic = np.vdot(pi, pi).real + np.vdot(psi, self.energy_weight[modes] * psi).real
+    def quadratic(self, pair: np.ndarray, weight: np.ndarray) -> tuple[float, float]:
+        """The quadratic part of H, and Q, of a (2, modes) raw pair; ``weight`` is |xi|^2 + m^2."""
+        psi, pi = pair
+        quadratic = np.vdot(pi, pi).real + np.vdot(psi, weight * psi).real
         return 0.5 * self.scale * float(quadratic), -self.scale * float(np.vdot(psi, pi).imag)
 
     def _flow(self, view: np.ndarray, cos: np.ndarray, sin: np.ndarray, rotated: np.ndarray) -> None:
@@ -373,30 +412,15 @@ class _StrangCore:
         view *= cos
         view += rotated
 
-    def advance(self, raw: np.ndarray, nsteps: int):
-        """Take nsteps Strang steps of the raw pair ``raw`` in place.
+    def advance(self):
+        """Take one sampling interval of Strang steps of the core's state in place.
 
         Without a sponge the steps go in block updates of at most
-        _BLOCK_STEPS steps each (:meth:`_block`) and None is returned.  With
-        a sponge they go one by one, each ending with the damping multiply
-        in position space, and the damped position-space fields after the
-        last step are returned.
-        """
-        if self.integ.sponge is not None:
-            return self._damped_steps(raw, nsteps)
-        for done in range(0, nsteps, self.block):
-            self._block(raw, min(self.block, nsteps - done))
-        if self.order is not None:
-            self.pending += nsteps
-        return None
-
-    def _block(self, raw: np.ndarray, steps: int) -> None:
-        """``steps`` undamped Strang steps of ``raw`` as one update.
-
-        A kick moves only pi, always along the raw vector e = kick; gamma
-        reads only psi; the free flow R is diagonal per mode.  So from the
-        start x0, with kick weights c = (d_0, 2 d_1, ..., 2 d_{s-1}, d_s)
-        for s = steps and d_j = F(gamma_j):
+        _BLOCK_STEPS steps each and None is returned.  A kick moves only pi,
+        always along the raw vector e = kick; gamma reads only psi; the free
+        flow R is diagonal per mode.  So a block of s steps from the start
+        x0, with kick weights c = (d_0, 2 d_1, ..., 2 d_{s-1}, d_s) and
+        d_j = F(gamma_j), is:
 
         * gamma_i = b_i + sum_{j<i} K_{i-j} c_j, where b_i is gamma of
           R^i x0 (one product of x0 with the block table) and K is
@@ -405,48 +429,63 @@ class _StrangCore:
           one product with the table.
 
         Both products, the pairing, the kicks and the free flow touch only
-        the coupled modes, the leading slice of the core order.
+        the coupled pair; gamma_s of the last block is handed on.  With a
+        sponge the steps go one by one, each ending with the damping
+        multiply in position space, and the damped position-space fields
+        after the last step are returned.
         """
+        if self.damp is not None:
+            return self._damped_steps()
         # Both products are real GEMMs against the (re, im) columns of a
         # complex vector viewed as float64.  With the kick or pairing folded
         # into a complex table they would be complex GEMVs, which OpenBLAS
         # splits over threads at this size: slower on two threads than on
         # one, with first calls of ~10 ms.
+        view, swapped, rotated = self.view, self.swapped, self.rotated
         if self.kick is not None:
-            coupled, buffer = self.coupled, self.coupled_buffer
-            rows = self.table[: steps + 1]
-            np.multiply(self.conj_read, raw[:, coupled], out=buffer)
-            b = (rows @ buffer.view(np.float64).reshape(-1, 2)).view(np.complex128)
-            force, lags = self.pot.scalar_force, self.lags
-            weights: list[complex] = []
-            for i, g in enumerate(b.ravel().tolist()):
-                d = force(g + sum(map(mul, lags[i], weights)))
-                weights.append(2.0 * d if 0 < i < steps else d)
-            c = np.array(weights[::-1]).view(np.float64).reshape(-1, 2)
-            # the (pi, psi) halves of sum_j c_j R^{s-j} (0, 1), per coupled mode
-            sums = (rows.T @ c).view(np.complex128).reshape(2, -1)
-            np.multiply(sums[::-1], self.coupled_kick, out=buffer)
-        self.free(raw, steps, self.coupled)
+            flat, buffer, columns, kicks = self.flat, self.buffer, self.columns, self.kicks
+            kick = self.coupled_kick
+            conj_read, force, lags = self.conj_read, self.pot.scalar_force, self.lags
+        for steps, rows, rows_t, cos, sin in self.plan:
+            if rows is not None:
+                np.multiply(conj_read, flat, out=buffer)
+                b = (rows @ columns).view(np.complex128)
+                weights: list[complex] = []
+                for i, g in enumerate(b.ravel().tolist()):
+                    g += sum(map(mul, lags[i], weights))
+                    d = force(g)
+                    weights.append(2.0 * d if 0 < i < steps else d)
+                c = np.array(weights[::-1]).view(np.float64).reshape(-1, 2)
+                # the (pi, psi) halves of sum_j c_j R^{s-j} (0, 1), per coupled mode
+                sums = (rows_t @ c).view(np.complex128).reshape(2, -1)
+                np.multiply(sums[::-1], kick, out=kicks)
+            np.multiply(sin, swapped, out=rotated)
+            view *= cos
+            view += rotated
+            if rows is not None:
+                flat += buffer
         if self.kick is not None:
-            raw[:, coupled] += buffer
+            self.gamma = g
+        self.pending += self.lag
+        return None
 
-    def _damped_steps(self, raw: np.ndarray, nsteps: int):
-        """Strang steps one by one, each followed by the sponge damping; returns the damped fields.
+    def _damped_steps(self) -> np.ndarray:
+        """An interval's Strang steps one by one, each followed by the sponge damping.
 
-        The round trip transforms, in the grid's shape, into a view of
-        ``raw`` and one ``fields`` array per call that the caller may keep.
+        The round trip transforms, in the grid's shape, into a view of the
+        state and one ``fields`` array per call, returned for the caller to keep.
         """
         kick, damp = self.kick, self.damp
         force = None if kick is None else self.pot.scalar_force
         pairing = self.pairing
         fft, ifft = self.grid.raw_fft, self.grid.raw_ifft
-        cos, sin = self.flow_tables(1, self.coupled)
-        psi, pi = raw
-        view, rotated = raw.view(np.float64), self.scratch.reshape(2, -1)
-        shaped = raw.reshape(2, *self.grid.shape)
+        cos, sin = self.step_flow
+        psi, pi = self.pair
+        view, rotated = self.pair.view(np.float64), self.scratch.reshape(2, -1)
+        shaped = self.raw.reshape(2, *self.grid.shape)
         fields = np.empty_like(shaped)
         damped = fields.view(np.float64).reshape(2, -1)
-        for _ in range(nsteps):
+        for _ in range(self.integ.steps_per_sample):
             if kick is not None:
                 pi += force(complex(np.vdot(pairing, psi))) * kick
             self._flow(view, cos, sin, rotated)
@@ -455,19 +494,19 @@ class _StrangCore:
             ifft(shaped, out=fields)
             damped *= damp
             fft(fields, out=shaped)
-        return fields if nsteps else None
+        return fields
 
-    def samples(self, raw: np.ndarray, T: float, t0: float):
-        """Advance ``raw`` over the :func:`_sample_count` intervals covering T.
+    def samples(self, T: float, t0: float):
+        """Advance the state over the :func:`_sample_count` intervals covering T.
 
         Yields (t0, None), then (t0 + steps done * dt, damped fields or None)
         after every steps_per_sample steps, each interval one call of
         :meth:`advance`.
         """
-        sps = self.integ.steps_per_sample
+        sps, advance = self.integ.steps_per_sample, self.advance
         yield t0, None
         for done in range(sps, _sample_count(self.integ, T) * sps + 1, sps):
-            yield t0 + done * self.integ.dt, self.advance(raw, sps)
+            yield t0 + done * self.integ.dt, advance()
 
 
 # public single-application operations ------------------------------------
@@ -505,11 +544,11 @@ def step(
     m: float = 1.0,
 ) -> FieldState:
     """One Strang step: half kick, free flow, half kick, then sponge damping."""
-    core = _StrangCore(state.grid, integ, rho, pot, m)
-    raw = core.to_raw(state.psi, state.pi)
-    fields = core.advance(raw, 1)
+    core = _StrangCore(state.grid, replace(integ, steps_per_sample=1), rho, pot, m)
+    core.load(state.psi, state.pi)
+    fields = core.advance()
     if fields is None:
-        fields = core.to_fields(raw)
+        fields = core.fields()
     return FieldState(state.grid, fields[0], fields[1], state.time + integ.dt)
 
 
@@ -535,24 +574,24 @@ class _Recorder:
         }
         self.snapshots: list[FieldState] = []
 
-    def record(self, t: float, pair: np.ndarray, fields=None) -> None:
-        """Record the sample at time t of the raw (psi, pi) pair ``pair``.
+    def record(self, t: float, fields=None) -> None:
+        """Record the sample at time t of the core's state.
 
         ``fields`` are its position-space (psi, pi), which a sponge run
-        passes; otherwise they are transformed from ``pair``, and only when
-        a seminorm series or a due snapshot needs the sample's
+        passes; otherwise they are transformed from the state, and only
+        when a seminorm series or a due snapshot needs the sample's
         :class:`FieldState`.
         """
         core = self.core
-        g, f, u_val = core.coupling_terms(pair[0])
+        g, f, u_val = core.coupling_terms()
         if self.ball is None:
             if self.rest is None:
                 # outside C the free flow keeps each mode's share
-                self.rest = core.quadratic(pair, core.rest)
-            h, q = core.quadratic(pair, core.coupled)
+                self.rest = core.quadratic(core.rest_pair, core.rest_weight)
+            h, q = core.quadratic(core.pair, core.weight)
             h, q = h + self.rest[0] + u_val, q + self.rest[1]
         else:
-            h, q = _ball_observables(core.grid, fields, pair[0], self.ball, u_val, core.m)
+            h, q = _ball_observables(core.grid, fields, core.pair[0], self.ball, u_val, core.m)
         if not (isfinite(h) and isfinite(abs(g))):
             raise RuntimeError(f"non-finite fields at t={t:g}; aborting evolution")
         stride = self.obs.snapshot_stride
@@ -563,7 +602,7 @@ class _Recorder:
         self.energy.append(h)
         self.charge.append(q)
         if self.obs.seminorm_specs or due:
-            psi, pi = core.to_fields(pair) if fields is None else fields
+            psi, pi = core.fields() if fields is None else fields
             state = FieldState(core.grid, psi, pi, t)
             for spec in self.obs.seminorm_specs:
                 self.seminorms[spec.label].append(local_seminorm(state, spec, core.m))
@@ -628,51 +667,10 @@ def evolve(
         require_same_grid(rho, state)
     core = _StrangCore(state.grid, integ, rho, pot, m)
     rec = _Recorder(core, observers or Observers())
-    raw = core.to_raw(state.psi, state.pi)
+    core.load(state.psi, state.pi)
     # a sponge run reads its fields at t0 from the data, later from the damped buffers
     initial = None if integ.sponge is None else (state.psi, state.pi)
-    for t, fields in core.samples(raw, T, state.time):
-        rec.record(t, raw, initial if fields is None else fields)
+    for t, fields in core.samples(T, state.time):
+        rec.record(t, initial if fields is None else fields)
     return rec.build()
 
-
-def split_chi_phi(
-    state: FieldState,
-    rho: CouplingProfile,
-    pot: PolynomialPotential,
-    integ: Integrator,
-    T: float,
-    observers: Observers | None = None,
-    m: float = 1.0,
-) -> tuple[Trajectory, Trajectory]:
-    """Decompose the solution as psi = chi + phi.
-
-    chi solves the free equation with the full initial data; phi starts from
-    zero and carries what the source rho(x) f(t) adds, f read off the full
-    nonlinear solution.  chi feels no kick, so each sampling interval moves
-    its coupled modes by one free flow over the interval; outside them the
-    full solution feels no kick either, so chi's other modes are the full
-    run's, synced, and phi's are zero.  phi = full - chi at every sample.
-
-    Returns the (chi, phi) trajectories; each records its own coupling
-    amplitude and derived observables.  Sponge damping is not supported here
-    since it would break the exact superposition.
-    """
-    grid = state.grid
-    require_same_grid(rho, state)
-    if integ.sponge is not None:
-        raise ValueError("chi/phi splitting assumes undamped evolution (disable the sponge)")
-    core = _StrangCore(grid, integ, rho, pot, m)
-    obs = observers or Observers()
-    full = core.to_raw(state.psi, state.pi)
-    chi, phi = full.copy(), np.empty_like(full)
-    recorders = (_Recorder(core, obs), _Recorder(core, obs))
-    for i, (t, _) in enumerate(core.samples(full, T, state.time)):
-        if i:
-            # outside C the full run feels no kick: chi's rest is its synced rest
-            core.free(chi, integ.steps_per_sample, core.coupled)
-            chi[:, core.rest] = core.sync(full)[:, core.rest]
-        np.subtract(full, chi, out=phi)
-        for part, rec in zip((chi, phi), recorders):
-            rec.record(t, part)
-    return recorders[0].build(), recorders[1].build()

@@ -24,8 +24,11 @@ Hermitian to roundoff rather than exactly.
 Fields known to be real have a second pair, :meth:`Grid.half_forward` /
 :meth:`Grid.half_inverse`: :meth:`forward` and :meth:`inverse` with the same
 checkerboard and cell-volume factors, on half spectra that keep bins 0..N/2
-of the last axis (``numpy.fft.rfftn`` / ``irfftn``; the other bins are the
-conjugate mirror).  Only the candidate profiles of
+of the last axis (the other bins are the conjugate mirror).  They go one
+axis at a time in ``numpy.fft.rfftn`` / ``irfftn``'s order (forward: the
+real last axis, then the others from the second last down; inverse: the
+others ascending, then the real last one), which gives those functions'
+bits without their n-D wrappers' overhead.  Only the candidate profiles of
 :class:`mfkg.solitary.ManifoldTable` go through it, and no recorded
 trajectory does, so it is not matched to scipy.
 
@@ -166,14 +169,18 @@ class Grid:
 
     def half_forward(self, values: np.ndarray) -> np.ndarray:
         """:meth:`forward` of real ``values``, on bins 0..N/2 of the last axis only."""
-        out = np.fft.rfftn(values, axes=tuple(range(-self.dim, 0)))
+        out = np.fft.rfft(values, axis=-1)
+        for axis in range(-2, -self.dim - 1, -1):
+            np.fft.fft(out, axis=axis, out=out)
         out *= self._half_factors[0]
         return out
 
     def half_inverse(self, half: np.ndarray) -> np.ndarray:
         """The real field whose :meth:`forward` has the half spectrum ``half``."""
-        return np.fft.irfftn(half * self._half_factors[1], s=self.shape,
-                             axes=tuple(range(-self.dim, 0)))
+        half = half * self._half_factors[1]
+        for axis in range(-self.dim, -1):
+            np.fft.ifft(half, axis=axis, out=half)
+        return np.fft.irfft(half, n=self.points_per_axis, axis=-1)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Sampled continuum Fourier transform, f_hat(xi) ~ int f e^{-i xi.x} dx.

@@ -236,16 +236,17 @@ def _top_two_positive_peaks(freqs: np.ndarray, amps: np.ndarray):
     return tuple(sorted((float(freqs[k1]), float(freqs[k2]))))
 
 
-def _outside_bound(core: _StrangCore, raw: np.ndarray, profiles: np.ndarray,
+def _outside_bound(core: _StrangCore, profiles: np.ndarray,
                    omegas: tuple[float, float]) -> tuple[float, float]:
     """Raw sums of squares that bound the psi and pi errors outside C at any time.
 
-    There the run moves by the free flow alone, so |psi| <= hypot(|psi0|, |pi0| / omega)
-    and |pi| <= hypot(|pi0|, omega |psi0|); the exact solution of the raw profiles
-    (P0, P1) keeps |psi| <= |P0| + |P1| and |pi| <= omega0 |P0| + omega1 |P1|.
+    There the core's run moves from its loaded state (psi0, pi0) by the free flow
+    alone, so |psi| <= hypot(|psi0|, |pi0| / omega) and |pi| <= hypot(|pi0|, omega |psi0|);
+    the exact solution of the raw profiles (P0, P1), given as the rest of their raw
+    pair, keeps |psi| <= |P0| + |P1| and |pi| <= omega0 |P0| + omega1 |P1|.
     """
-    rest, omega = core.rest, core.omega[core.rest]
-    (psi0, pi0), (p0, p1) = np.abs(raw[:, rest]), np.abs(profiles[:, rest])
+    omega = core.omega[core.rest]
+    (psi0, pi0), (p0, p1) = np.abs(core.rest_pair), np.abs(profiles)
     psi = np.hypot(psi0, pi0 / omega) + p0 + p1
     pi = np.hypot(pi0, omega * psi0) + omegas[0] * p0 + omegas[1] * p1
     return float(psi @ psi), float(pi @ pi)
@@ -278,13 +279,12 @@ def verify_persistence(
     pot = sol.potential()
     core = _StrangCore(grid, integ, sol.rho, pot, sol.m)
     state0 = sol.initial_state()
-    raw = core.to_raw(state0.psi, state0.pi)
-    profiles = core.to_raw(sol.phi0, sol.phi1)
-    rest_psi, rest_pi = _outside_bound(core, raw, profiles, (sol.omega0, sol.omega1))
-    coupled = core.coupled
+    core.load(state0.psi, state0.pi)
+    coupled, rest = core.split(core.to_raw(sol.phi0, sol.phi1))
+    rest_psi, rest_pi = _outside_bound(core, rest, (sol.omega0, sol.omega1))
     # the float64 view of the raw (phi0, phi1) profiles over C, one row each
-    diff = np.empty_like(profiles[:, coupled])
-    profiles, exact = profiles[:, coupled].copy().view(np.float64), diff.view(np.float64)
+    diff, pair = np.empty_like(coupled), core.pair
+    profiles, exact = coupled.view(np.float64), diff.view(np.float64)
     dpsi, dpi = diff
     coeffs = np.empty(4)  # the 2 x 2 matrix of the exact pair, row by row
     matrix = coeffs.reshape(2, 2)
@@ -292,8 +292,8 @@ def verify_persistence(
     scale = math.sqrt(grid.l2sq(sol.phi0)) + math.sqrt(grid.l2sq(sol.phi1))
     times, gammas = [], []
     max_err = gamma_err = 0.0
-    for t, _ in core.samples(raw, T, state0.time):
-        g = core.coupling(raw[0])
+    for t, _ in core.samples(T, state0.time):
+        g = core.coupling()
         times.append(t)
         gammas.append(g)
         s0, s1 = math.sin(sol.omega0 * t), math.sin(sol.omega1 * t)
@@ -301,7 +301,7 @@ def verify_persistence(
         # the exact raw (psi, pi) pair over C, then its difference from the run
         coeffs[:] = s0, s1, sol.omega0 * c0, sol.omega1 * c1
         np.dot(matrix, profiles, out=exact)
-        np.subtract(raw[:, coupled], diff, out=diff)
+        np.subtract(pair, diff, out=diff)
         # core.scale turns raw sums of squares into L2 norms
         err_psi = math.sqrt(core.scale * (float(np.vdot(dpsi, dpsi).real) + rest_psi))
         err_pi = math.sqrt(core.scale * (float(np.vdot(dpi, dpi).real) + rest_pi)) / sol.omega1

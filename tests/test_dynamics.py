@@ -6,10 +6,10 @@ from numpy.testing import assert_allclose
 from mfkg import (
     CouplingProfile, FieldState, Integrator, Observers, SeminormSpec, Sponge,
     build_counterexample, build_solitary, charge, energy, energy_norm, evolve, free_flow,
-    inner_product, kick, local_seminorm, make_grid, split_chi_phi, step,
+    inner_product, kick, local_seminorm, make_grid, step,
     verify_persistence, zero_state,
 )
-from mfkg.dynamics import _Recorder, _StrangCore
+from mfkg.dynamics import _StrangCore
 from mfkg.multifreq import TwoFrequencySolution
 
 from conftest import per_step_advance
@@ -163,8 +163,6 @@ def test_runs_cover_whole_sampling_intervals(grid, rho, pot, rng):
     integ = Integrator(0.01, steps_per_sample=10)
     expected = np.arange(12) * 0.1
     assert_allclose(evolve(state, rho, pot, integ, 1.05).times, expected, atol=1e-12)
-    for traj in split_chi_phi(state, rho, pot, integ, 1.05):
-        assert_allclose(traj.times, expected, atol=1e-12)
 
 
 def strang_reference(state, rho, pot, integ, nsteps, m=1.0):
@@ -314,52 +312,13 @@ def test_sponge_seminorm_series_reads_each_sample(grid, rho, pot, rng):
     assert_series_read_the_snapshots(traj, spec, 1.2)
 
 
-def test_split_chi_phi_seminorm_series_read_each_sample(grid, rho, pot, rng):
-    state = localized_state(grid, rng, scale=0.5)
-    integ = Integrator(0.02, steps_per_sample=3)
+def test_undamped_seminorm_series_reads_each_sample(pot):
+    # C is a strict subset here, so every read first syncs the lagging rest
+    grid, rho, integ, state, T = width_one_run(3)
     spec = SeminormSpec(0.5, 6.0, 4.0)
-    obs = Observers(seminorm_specs=(spec,), snapshot_stride=1)
-    chi, phi = split_chi_phi(state, rho, pot, integ, 0.6, obs, m=1.2)
-    for traj in (chi, phi):
-        assert_series_read_the_snapshots(traj, spec, 1.2)
-    assert np.any(phi.seminorms[spec.label] != chi.seminorms[spec.label])
-
-
-def test_split_chi_phi_superposition(grid, rho, pot, rng):
-    state = localized_state(grid, rng, scale=0.5)
-    integ = Integrator(0.02, steps_per_sample=10)
-    chi, phi = split_chi_phi(state, rho, pot, integ, 2.0)
-    full = evolve(state, rho, pot, integ, 2.0)
-    # chi is the free flow of the initial data
-    for t, g in zip(chi.times, chi.gamma):
-        assert_allclose(inner_product(rho, free_flow(state, t)), g, atol=1e-10)
-    # phi starts from rest and carries the rest of the coupling amplitude
-    assert phi.gamma[0] == 0
-    assert_allclose(chi.gamma + phi.gamma, full.gamma, atol=1e-10)
-
-
-def test_split_chi_phi_parts_match_evolve(grid, rho, pot, rng):
-    # chi is the uncoupled run, step for step; chi + phi is the coupled run
-    state = localized_state(grid, rng, scale=0.5)
-    integ = Integrator(0.02, steps_per_sample=7)
-    obs = Observers(snapshot_stride=3)
-    chi, phi = split_chi_phi(state, rho, pot, integ, 4.0, obs)
-    free = evolve(state, None, None, integ, 4.0, obs)
-    full = evolve(state, rho, pot, integ, 4.0, obs)
-    assert len(chi.snapshots) == len(free.snapshots) == len(full.snapshots) > 1
-    for c, p, f, w in zip(chi.snapshots, phi.snapshots, free.snapshots, full.snapshots):
-        assert np.array_equal(c.psi, f.psi) and np.array_equal(c.pi, f.pi)
-        for part in ("psi", "pi"):
-            want = getattr(w, part)
-            got = getattr(c, part) + getattr(p, part)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_split_chi_phi_rejects_sponge(grid, rho, pot, rng):
-    state = localized_state(grid, rng)
-    integ = Integrator(0.02, sponge=Sponge(16.0, 1.0))
-    with pytest.raises(ValueError, match="sponge"):
-        split_chi_phi(state, rho, pot, integ, 1.0)
+    traj = evolve(state, rho, pot, integ, T, Observers(seminorm_specs=(spec,), snapshot_stride=1),
+                  m=1.2)
+    assert_series_read_the_snapshots(traj, spec, 1.2)
 
 
 @pytest.mark.parametrize("sps", [1, 3, 10, 40])
@@ -386,12 +345,10 @@ def test_block_update_matches_per_step_route(dim, points, length, sps, pot, monk
 
     def runs():
         traj = evolve(state, rho, pot, integ, T, obs)
-        chi, phi = split_chi_phi(state, rho, pot, integ, T, obs)
         one = step(state, rho, pot, integ)
         report = verify_persistence(sol, integ, T)
-        gammas = (traj.gamma, chi.gamma, phi.gamma, report.gamma)
-        fields = [(s.psi, s.pi) for s in (traj.snapshots[-1], chi.snapshots[-1],
-                                          phi.snapshots[-1], one)]
+        gammas = (traj.gamma, report.gamma)
+        fields = [(s.psi, s.pi) for s in (traj.snapshots[-1], one)]
         return gammas, fields
 
     block = runs()
@@ -463,38 +420,6 @@ def test_width_one_gaussian_couples_few_modes(pot, monkeypatch):
             assert np.max(np.abs(g - w)) <= 1e-10 * np.max(np.abs(w))
 
 
-@pytest.mark.parametrize("sps", [10, 25])
-def test_split_chi_phi_moves_chi_by_the_free_flow(pot, sps):
-    # chi moves by one free flow over each sampling interval, in the coupled
-    # core's order, so the two raw pairs subtract mode by mode and chi + phi
-    # is the coupled run.  A free evolve takes the same single flow for an interval
-    # of at most 16 steps, so chi is its run bit for bit at 10 steps; at 25
-    # the free evolve takes blocks of 16 and 9 steps.
-    grid = make_grid(1, 2048, 128.0)
-    rho = CouplingProfile.gaussian(grid, amplitude=4.0, width=1.0)
-    integ = Integrator(0.01, steps_per_sample=sps)
-    assert _StrangCore(grid, integ, rho, pot, 1.0).order is not None
-    state = localized_state(grid, np.random.default_rng(6), scale=0.5)
-    obs = Observers(snapshot_stride=100 // sps)
-    chi, phi = split_chi_phi(state, rho, pot, integ, 3.0, obs)
-    free = evolve(state, None, None, integ, 3.0, obs)
-    full = evolve(state, rho, pot, integ, 3.0, obs)
-    assert phi.gamma[0] == 0
-    assert len(chi.snapshots) == len(full.snapshots) == 4
-    for c, p, f, w in zip(chi.snapshots, phi.snapshots, free.snapshots, full.snapshots):
-        for part in ("psi", "pi"):
-            got, want = getattr(c, part), getattr(f, part)
-            if sps <= 16:
-                assert np.array_equal(got, want)
-            else:
-                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-            want = getattr(w, part)
-            got = getattr(c, part) + getattr(p, part)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    assert_allclose(chi.gamma + phi.gamma, full.gamma, rtol=0,
-                    atol=1e-12 * np.max(np.abs(full.gamma)))
-
-
 def width_one_run(sps):
     # the distance experiment's coupling on a quarter of its grid: C is 17%
     # of the modes, so the core leaves 83% of them behind
@@ -512,21 +437,22 @@ def assert_rel_close(got, want, rel=1e-10):
 
 @pytest.mark.parametrize("sps", [1, 10, 40])
 def test_lazy_core_reads_match_every_mode_flow(pot, sps, monkeypatch):
-    # reads after uneven step counts, within one interval and across several
-    # blocks: the core's synced pair is the per-step every-mode route's, to
-    # roundoff
+    # reads after one or several sampling intervals, an interval being one
+    # block (1 and 10 steps) or blocks of 16, 16 and 8 steps (40): the core's
+    # synced state is the per-step every-mode route's, to roundoff
     grid, rho, integ, state, T = width_one_run(sps)
     core = _StrangCore(grid, integ, rho, pot, 1.0)
     ref = _StrangCore(grid, integ, rho, pot, 1.0)
     assert 0 < core.coupled.stop <= 0.2 * grid.num_points
     assert core.rest == slice(core.coupled.stop, grid.num_points)
-    a, b = core.to_raw(state.psi, state.pi), ref.to_raw(state.psi, state.pi)
-    for stride in ((7,), (23, 1), (40,), (16, 5, 3), (1,)):
-        for nsteps in stride:
-            core.advance(a, nsteps)
-            per_step_advance(ref, b, nsteps)
-        assert core.pending == sum(stride)
-        for got, want in zip(core.to_fields(a), ref.to_fields(b)):
+    core.load(state.psi, state.pi)
+    ref.load(state.psi, state.pi)
+    for intervals in (1, 3, 2, 1):
+        for _ in range(intervals):
+            core.advance()
+            per_step_advance(ref)
+        assert core.pending == intervals * sps
+        for got, want in zip(core.fields(), ref.fields()):
             assert_rel_close(got, want)
         assert core.pending == 0
     # and through evolve, whose snapshots sync every 3 or 7 samples
@@ -555,21 +481,79 @@ def test_lazy_invariants_match_all_mode_sums(pot, sps, monkeypatch):
     assert_rel_close(traj.charge, np.array([charge(s) for s in reference.snapshots]))
 
 
-@pytest.mark.parametrize("sps", [10, 25, 40])
-def test_split_chi_phi_phi_is_zero_outside_the_coupled_set(pot, monkeypatch, sps):
-    # outside C chi is the full solution's synced rest, whatever blocks the
-    # interval takes, so phi's raw pair holds exact zeros there at every
-    # sample
+@pytest.mark.parametrize("dim, points, length, width, sponge", [
+    (1, 512, 32.0, 1.0, None),  # C a strict subset: 17% of the modes
+    (2, 64, 16.0, 1.0, None),  # C a strict subset in 2-D: 1851 of 4096
+    (1, 256, 64.0, 0.25, None),  # a coupling one grid spacing wide: C is every mode
+    (1, 256, 64.0, 1.0, Sponge(16.0, 2.0)),  # a sponge core keeps every mode
+])
+def test_layout_round_trips(dim, points, length, width, sponge, pot):
+    # to_raw lays the pair out flat as psi_C, pi_C, psi_rest, pi_rest in the
+    # core order, both parts contiguous, and to_fields undoes it
+    grid = make_grid(dim, points, length)
+    rho = CouplingProfile.gaussian(grid, amplitude=2.0, width=width)
+    core = _StrangCore(grid, Integrator(0.02, 10, sponge), rho, pot, 1.0)
+    strict = width == 1.0 and sponge is None
+    assert (core.coupled.stop < grid.num_points) == strict == (core.layout is not None)
+    state = localized_state(grid, np.random.default_rng(9), scale=0.5)
+    raw = core.to_raw(state.psi, state.pi)
+    assert raw.shape == (2 * grid.num_points,)
+    pair, rest = core.split(raw)
+    assert pair.shape == (2, core.coupled.stop) and pair.flags.c_contiguous
+    assert rest.shape == (2, grid.num_points - core.coupled.stop) and rest.flags.c_contiguous
+    natural = grid.raw_fft(np.stack((state.psi, state.pi))).reshape(2, -1)
+    order = np.arange(grid.num_points) if core.order is None else core.order
+    assert np.array_equal(np.concatenate((pair, rest), axis=1), natural[:, order])
+    for got, want in zip(core.to_fields(raw), (state.psi, state.pi)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("sponge", [None, Sponge(8.0, 2.0)])
+def test_blocks_run_on_the_contiguous_coupled_pair(sponge, pot):
+    grid, rho, integ, state, T = width_one_run(10)
+    core = _StrangCore(grid, Integrator(integ.dt, 10, sponge), rho, pot, 1.0)
+    core.load(state.psi, state.pi)
+    assert core.pair.flags.c_contiguous and core.rest_pair.flags.c_contiguous
+    assert core.pair.base is core.raw and core.rest_pair.base is core.raw
+    if sponge is None:
+        # the coupled pair is the state's leading 2 |C| entries, and the
+        # views that the interval writes through all sit on it
+        assert core.pair.size == 2 * core.coupled.stop < core.raw.size
+        for view in (core.flat, core.view, core.swapped):
+            assert np.shares_memory(view, core.raw[: core.pair.size])
+            assert not np.shares_memory(view, core.rest_pair)
+        before = core.rest_pair.copy()
+        core.advance()
+        assert np.array_equal(core.rest_pair, before) and core.pending == 10
+    else:
+        assert core.pair.shape == (2, grid.num_points)
+
+
+@pytest.mark.parametrize("sps", [10, 40])
+def test_handed_on_gamma_matches_the_pairing(pot, sps, monkeypatch):
+    # at every sample of an undamped evolve and of a persistence run, the
+    # gamma that the last block's recurrence hands on is the pairing of the
+    # synced state over every mode, to roundoff; the recorded gamma is that
+    # handed-on value, and only the first sample, where no block ran, pairs
     grid, rho, integ, state, T = width_one_run(sps)
-    pairs = []
-    record = _Recorder.record
+    sol = TwoFrequencySolution(rho, 2.0, 2.0 / 3.0, -1.0, 1.75, 1.0,
+                               state.psi.real, state.pi.real, 1.0)
+    seen = []
+    coupling = _StrangCore.coupling
 
-    def spy(self, t, pair, fields=None):
-        pairs.append(pair[:, self.core.coupled.stop:].copy())
-        record(self, t, pair, fields)
+    def spy(self):
+        self.sync()
+        psi = np.concatenate(self.split(self.raw), axis=1)[0]
+        seen.append((self.gamma, complex(np.vdot(self.pairing, psi))))
+        return coupling(self)
 
-    monkeypatch.setattr(_Recorder, "record", spy)
-    chi, phi = split_chi_phi(state, rho, pot, integ, T, Observers(snapshot_stride=4))
-    assert len(pairs) == 2 * len(phi.times) and pairs[1].size > 0
-    assert all(np.all(rest == 0) for rest in pairs[1::2])
-    assert all(np.any(rest != 0) for rest in pairs[0::2])
+    monkeypatch.setattr(_StrangCore, "coupling", spy)
+    runs = [evolve(state, rho, pot, integ, T).gamma,
+            verify_persistence(sol, integ, T, tol=1.0).gamma]
+    assert len(seen) == sum(len(g) for g in runs) == 2 * 16
+    for gamma, read in zip(runs, (seen[:16], seen[16:])):
+        handed, paired = zip(*read)
+        assert handed[0] is None and None not in handed[1:]
+        assert np.array_equal(gamma, (paired[0],) + handed[1:])
+        paired = np.array(paired)
+        assert np.max(np.abs(np.array(handed[1:]) - paired[1:])) <= 1e-13 * np.max(np.abs(paired))

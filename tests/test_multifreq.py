@@ -131,19 +131,24 @@ def test_verify_persistence_reads_the_evolve_run(sol):
         assert np.array_equal(report.gamma, traj.gamma)
 
 
+def every_mode(core, raw):
+    """The two rows of a raw array in the core's layout, over every mode in the core order."""
+    return np.concatenate(core.split(raw), axis=1)
+
+
 def persistence_errors_reference(sol, integ, T):
     """max_relative_error and gamma_error of a persistence run, by the
     per-sample formula with one temporary per term."""
     grid = sol.rho.grid
     core = _StrangCore(grid, integ, sol.rho, sol.potential(), sol.m)
     state0 = sol.initial_state()
-    raw = core.to_raw(state0.psi, state0.pi)
-    psi, pi = raw
-    phi0_raw, phi1_raw = core.to_raw(sol.phi0, sol.phi1)
+    core.load(state0.psi, state0.pi)
+    phi0_raw, phi1_raw = every_mode(core, core.to_raw(sol.phi0, sol.phi1))
     scale = np.sqrt(grid.l2sq(sol.phi0)) + np.sqrt(grid.l2sq(sol.phi1))
     max_err = gamma_err = 0.0
-    for t, _ in core.samples(raw, T, state0.time):
-        core.sync(raw)  # the modes outside C flow with the blocks, every interval
+    for t, _ in core.samples(T, state0.time):
+        core.sync()  # the modes outside C flow with the blocks, every interval
+        psi, pi = every_mode(core, core.raw)
         s0, s1 = np.sin(sol.omega0 * t), np.sin(sol.omega1 * t)
         c0, c1 = np.cos(sol.omega0 * t), np.cos(sol.omega1 * t)
         dpsi = psi - (s0 * phi0_raw + s1 * phi1_raw)
@@ -151,7 +156,9 @@ def persistence_errors_reference(sol, integ, T):
         err_psi = np.sqrt(core.scale * np.vdot(dpsi, dpsi).real)
         err_pi = np.sqrt(core.scale * np.vdot(dpi, dpi).real) / sol.omega1
         max_err = max(max_err, max(err_psi, err_pi) / scale)
-        gamma_err = max(gamma_err, abs(core.coupling(psi) - sol.sigma0 * s0) / sol.sigma0)
+        # gamma by the pairing over C, not as the blocks hand it on
+        gamma = complex(np.vdot(core.read, psi[:core.coupled.stop]))
+        gamma_err = max(gamma_err, abs(gamma - sol.sigma0 * s0) / sol.sigma0)
     return max_err, gamma_err
 
 
@@ -184,8 +191,9 @@ def test_outside_bound_is_roundoff_of_the_profiles(grid_args, b):
     sol = build_counterexample(2.0, b, grid)
     core = _StrangCore(grid, Integrator(0.01, 10), sol.rho, sol.potential(), sol.m)
     state0 = sol.initial_state()
-    raw, profiles = core.to_raw(state0.psi, state0.pi), core.to_raw(sol.phi0, sol.phi1)
-    rest_psi, rest_pi = _outside_bound(core, raw, profiles, (sol.omega0, sol.omega1))
+    core.load(state0.psi, state0.pi)
+    _, rest = core.split(core.to_raw(sol.phi0, sol.phi1))
+    rest_psi, rest_pi = _outside_bound(core, rest, (sol.omega0, sol.omega1))
     scale = np.sqrt(grid.l2sq(sol.phi0)) + np.sqrt(grid.l2sq(sol.phi1))
     assert core.rest.start < core.rest.stop == grid.num_points
     assert 0.0 < np.sqrt(core.scale * rest_psi) < 1e-15 * scale
@@ -197,16 +205,17 @@ def test_outside_bound_dominates_the_eager_run(sol):
     grid, integ = sol.rho.grid, Integrator(0.01, 10)
     core = _StrangCore(grid, integ, sol.rho, sol.potential(), sol.m)
     state0 = sol.initial_state()
-    raw, (p0, p1) = core.to_raw(state0.psi, state0.pi), core.to_raw(sol.phi0, sol.phi1)
-    bound = _outside_bound(core, raw, np.stack((p0, p1)), (sol.omega0, sol.omega1))
-    rest = core.rest
-    assert rest.start < rest.stop
-    for t, _ in core.samples(raw, 20.0, state0.time):
+    core.load(state0.psi, state0.pi)
+    _, (p0, p1) = core.split(core.to_raw(sol.phi0, sol.phi1))
+    bound = _outside_bound(core, np.stack((p0, p1)), (sol.omega0, sol.omega1))
+    assert core.rest.start < core.rest.stop
+    psi, pi = core.rest_pair
+    for t, _ in core.samples(20.0, state0.time):
         # the rest lags the blocks; syncing every interval flows it with them
-        core.sync(raw)
-        dpsi = raw[0, rest] - (np.sin(sol.omega0 * t) * p0 + np.sin(sol.omega1 * t) * p1)[rest]
-        dpi = raw[1, rest] - (sol.omega0 * np.cos(sol.omega0 * t) * p0
-                              + sol.omega1 * np.cos(sol.omega1 * t) * p1)[rest]
+        core.sync()
+        dpsi = psi - (np.sin(sol.omega0 * t) * p0 + np.sin(sol.omega1 * t) * p1)
+        dpi = pi - (sol.omega0 * np.cos(sol.omega0 * t) * p0
+                    + sol.omega1 * np.cos(sol.omega1 * t) * p1)
         assert np.vdot(dpsi, dpsi).real <= bound[0]
         assert np.vdot(dpi, dpi).real <= bound[1]
 
@@ -218,9 +227,12 @@ def test_persistence_gamma_matches_an_eager_core(sol):
     report = verify_persistence(sol, integ, T=20.0)
     core = _StrangCore(sol.rho.grid, integ, sol.rho, sol.potential(), sol.m)
     state0 = sol.initial_state()
-    raw = core.to_raw(state0.psi, state0.pi)
+    core.load(state0.psi, state0.pi)
     assert core.rest.start < core.rest.stop
-    gamma = [core.coupling(core.sync(raw)[0]) for _ in core.samples(raw, 20.0, state0.time)]
+    gamma = []
+    for _ in core.samples(20.0, state0.time):
+        core.sync()
+        gamma.append(core.coupling())
     assert np.array_equal(report.gamma, gamma)
 
 
