@@ -24,7 +24,6 @@ from .dynamics import (
     evolve,
     free_flow,
     kick,
-    step,
 )
 from .fields import (
     CouplingProfile,
@@ -39,7 +38,7 @@ from .fields import (
     zero_state,
 )
 from .grid import Grid, make_grid
-from .io import load_snapshot, read_trajectory_csv, save_snapshot, write_trajectory_csv
+from .io import load_snapshot, save_snapshot, write_trajectory_csv
 from .multifreq import (
     TwoFrequencySolution,
     build_counterexample,
@@ -65,7 +64,6 @@ from .spectral import (
     Spectrum,
     attraction_report,
     concentration_ratio,
-    shell_weight,
     support_estimate,
     titchmarsh_check,
     windowed_spectrum,
@@ -114,14 +112,11 @@ __all__ = [
     "make_grid",
     "manifold_distance",
     "random_state",
-    "read_trajectory_csv",
     "resolvent_coupling",
     "resolvent_profile",
     "save_snapshot",
-    "shell_weight",
     "smooth_cutoff",
     "stationarity_residual",
-    "step",
     "support_estimate",
     "titchmarsh_check",
     "verify_persistence",

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
-    EXPERIMENTS, ConfigError, RunConfig, _read_config_file, _sigma_range, config_from_dict,
-    set_by_path,
+    EXPERIMENTS, ConfigError, RunConfig, _read_config_file, _seminorm_spec, _sigma_range,
+    config_from_dict, set_by_path,
 )
 from .dynamics import Observers, _sample_count, evolve
 from .fields import SeminormSpec
@@ -165,7 +165,7 @@ def _run_sigma(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
 def _distance_spec(cfg: RunConfig) -> tuple[SeminormSpec, bool, np.ndarray]:
     """The distance seminorm, the global-norm flag and the manifold's candidate frequencies."""
     sec = cfg.section("distance")
-    spec = SeminormSpec(float(sec["epsilon"]), float(sec["radius"]), float(sec["cutoff_width"]))
+    spec = _seminorm_spec(sec)
     rho_sec = cfg.section("rho")
     zeros = (float(rho_sec["omega1"]),) if rho_sec["kind"] == "multifreq" else ()
     omegas = default_omega_grid(cfg.m, zeros, int(sec["omega_count"]))

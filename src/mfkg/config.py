@@ -231,10 +231,10 @@ SCHEMA: dict = {
     # null omega_min / omega_max read as -0.99m / 0.99m (_sigma_range)
     "sigma": {"omega_min": (None, _NUMBER_OR_NULL), "omega_max": (None, _NUMBER_OR_NULL),
               "count": (201, partial(_integer, lo=2, hi=10**6))},
+    # the seminorm keys of SEMINORM, with the distance's own epsilon default
     "distance": {
+        **SEMINORM,
         "epsilon": (0.5, _UNIT),
-        "radius": (8.0, _POSITIVE),
-        "cutoff_width": (8.0, _POSITIVE),
         "use_global_norm": (False, _boolean),
         "omega_count": (201, partial(_integer, lo=3)),
     },
@@ -268,6 +268,11 @@ def set_by_path(cfg: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
+def _seminorm_spec(sec: dict) -> SeminormSpec:
+    """The SeminormSpec of a section holding the SEMINORM keys."""
+    return SeminormSpec(float(sec["epsilon"]), float(sec["radius"]), float(sec["cutoff_width"]))
+
+
 def _sigma_range(sec: dict, m: float) -> tuple[float, float]:
     """(omega_min, omega_max) of a sigma section, None read as -0.99 m and 0.99 m."""
     lo = -0.99 * m if sec["omega_min"] is None else float(sec["omega_min"])
@@ -276,7 +281,7 @@ def _sigma_range(sec: dict, m: float) -> tuple[float, float]:
 
 
 def _check_rho_file(path: str, shape: tuple) -> None:
-    """rho.path names a readable .npy array of the grid's shape; reads its header only."""
+    """rho.path names a readable real .npy array of the grid's shape; reads its header only."""
     try:
         header = np.load(path, mmap_mode="r")
     except (OSError, ValueError, EOFError) as exc:
@@ -286,6 +291,9 @@ def _check_rho_file(path: str, shape: tuple) -> None:
         raise ConfigError("rho.path", f"{path} is not a .npy array")
     _require(header.shape == shape, "rho.path",
              f"array shape {header.shape} does not match {shape}")
+    # a complex array would lose its imaginary part, strings fail only mid-run
+    _require(header.dtype.kind in "biuf", "rho.path",
+             f"array dtype {header.dtype} is not a real number type (rho is real)")
 
 
 def _check_snapshot_file(path: str, grid: Grid, m: float) -> None:
@@ -505,10 +513,7 @@ class RunConfig:
         return Integrator(float(ev["dt"]), int(ev["steps_per_sample"]), sponge)
 
     def seminorm_specs(self) -> tuple[SeminormSpec, ...]:
-        return tuple(
-            SeminormSpec(float(sn["epsilon"]), float(sn["radius"]), float(sn["cutoff_width"]))
-            for sn in self.raw["seminorms"]
-        )
+        return tuple(_seminorm_spec(sn) for sn in self.raw["seminorms"])
 
     def build_observers(self) -> Observers:
         return Observers(

@@ -16,14 +16,13 @@ oscillating within an O(dt^2) band instead of drifting.
 An optional absorbing sponge damps both fields multiplicatively outside an
 inner radius, emulating radiation to infinity on the periodic box.
 
-All stepping (:func:`step`, :func:`evolve` and
-``multifreq.verify_persistence``) goes through one private core,
-:class:`_StrangCore`.  A core advances one system, its own state, kept in
-raw FFT coordinates: the plain FFT (:meth:`Grid.raw_fft`) of (psi, pi).  It
-leaves out the checkerboard and cell-volume factors of :meth:`Grid.forward`,
-which are per-mode scalars, so the flow tables do not see them; they are
-folded once, at set-up, into the kick vector and into the pairing vector
-that reads gamma off raw psi.
+All stepping (:func:`evolve` and ``multifreq.verify_persistence``) goes
+through one private core, :class:`_StrangCore`.  A core advances one
+system, its own state, kept in raw FFT coordinates: the plain FFT
+(:meth:`Grid.raw_fft`) of (psi, pi).  It leaves out the checkerboard and
+cell-volume factors of :meth:`Grid.forward`, which are per-mode scalars, so
+the flow tables do not see them; they are folded once, at set-up, into the
+kick vector and into the pairing vector that reads gamma off raw psi.
 
 Without a sponge the core advances by block updates of up to 16 steps.
 The coupling is rank one: a kick moves only pi, always along the same raw
@@ -80,7 +79,7 @@ of a sponge run or else by :meth:`_StrangCore.fields`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, isfinite
 from operator import mul
@@ -106,7 +105,6 @@ __all__ = [
     "Trajectory",
     "free_flow",
     "kick",
-    "step",
     "evolve",
 ]
 
@@ -534,22 +532,6 @@ def kick(state: FieldState, rho: CouplingProfile | None, pot: PolynomialPotentia
     return FieldState(
         state.grid, state.psi, state.pi + (tau * pot.force(gamma)) * rho.values, state.time
     )
-
-
-def step(
-    state: FieldState,
-    rho: CouplingProfile | None,
-    pot: PolynomialPotential | None,
-    integ: Integrator,
-    m: float = 1.0,
-) -> FieldState:
-    """One Strang step: half kick, free flow, half kick, then sponge damping."""
-    core = _StrangCore(state.grid, replace(integ, steps_per_sample=1), rho, pot, m)
-    core.load(state.psi, state.pi)
-    fields = core.advance()
-    if fields is None:
-        fields = core.fields()
-    return FieldState(state.grid, fields[0], fields[1], state.time + integ.dt)
 
 
 # sampled evolution ---------------------------------------------------------

@@ -103,6 +103,8 @@ class CouplingProfile:
 
     @classmethod
     def from_values(cls, grid: Grid, values: np.ndarray) -> "CouplingProfile":
+        if np.iscomplexobj(values):
+            raise ValueError("coupling profile must be real, not complex")
         vals = np.array(values, dtype=np.float64)
         if vals.shape != grid.shape:
             raise ValueError(f"profile shape {vals.shape} does not match grid {grid.shape}")

@@ -31,7 +31,6 @@ __all__ = [
     "save_snapshot",
     "load_snapshot",
     "write_trajectory_csv",
-    "read_trajectory_csv",
     "write_columns_csv",
 ]
 
@@ -112,22 +111,3 @@ def write_trajectory_csv(path, traj) -> None:
         header.append(label)
         columns.append(series)
     write_columns_csv(path, header, columns)
-
-
-def read_trajectory_csv(path) -> dict[str, np.ndarray]:
-    """Read back a trajectory CSV as named columns (always includes t, gamma, f)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        data = [[] for _ in header]
-        for row in reader:
-            for i, v in enumerate(row):
-                data[i].append(float(v))
-    cols = {name: np.asarray(vals) for name, vals in zip(header, data)}
-    required = {"t", "re_gamma", "im_gamma", "re_f", "im_f"}
-    missing = required - cols.keys()
-    if missing:
-        raise ValueError(f"{path}: missing trajectory columns {sorted(missing)}")
-    cols["gamma"] = cols["re_gamma"] + 1j * cols["im_gamma"]
-    cols["f"] = cols["re_f"] + 1j * cols["im_f"]
-    return cols

@@ -5,8 +5,10 @@ spectrum of gamma(t) = <rho, psi(t)> should collapse onto a single bin
 inside [-m, m] (or a resonant zero of the coupling).  This module measures
 that collapse: windowed transforms, minimal-mass support intervals, peak
 concentration ratios, the convolution-support (Titchmarsh) consistency
-check between gamma and the force F(gamma), and the dispersive shell
-weight that controls how much spectral mass outside [-m, m] is tolerable.
+check between gamma and the force F(gamma), and the shell density of
+|rho_hat|^2 at |xi| = sqrt(omega^2 - m^2): over omega^2 it is the
+dispersive weight that controls how much spectral mass outside [-m, m]
+is tolerable.
 
 Transform convention: amps[k] ~ integral of g(t) e^{+i omega_k t} dt over
 the window, so a mode oscillating like e^{-i omega0 t} peaks at +omega0.
@@ -34,7 +36,6 @@ __all__ = [
     "support_estimate",
     "concentration_ratio",
     "semidiscrete_transform",
-    "shell_weight",
     "titchmarsh_check",
     "attraction_report",
 ]
@@ -173,7 +174,7 @@ def semidiscrete_transform(rho: CouplingProfile, xi) -> np.ndarray:
     """h * sum_j rho_j e^{-i xi x_j} at arbitrary frequencies (one dimension only).
 
     Agrees with Grid.forward on lattice frequencies and interpolates between
-    them; used to evaluate shell weights off the lattice.
+    them; used to evaluate shell densities off the lattice.
     """
     grid = rho.grid
     if grid.dim != 1:
@@ -197,18 +198,6 @@ def _shell_density(rho: CouplingProfile, eta: float) -> float:
     mean_sq = float(np.mean(np.abs(rho.rho_hat[band]) ** 2))
     area = 2.0 * np.pi * eta if grid.dim == 2 else 4.0 * np.pi * eta**2
     return mean_sq * area / (2.0 * np.pi) ** grid.dim
-
-
-def shell_weight(rho: CouplingProfile, omega: float, m: float = 1.0) -> float:
-    """Dispersive weight at |omega| > m: shell density of |rho_hat|^2 over omega^2.
-
-    Vanishes exactly at the resonant zeros of the coupling, so spectral mass
-    parked there radiates nothing.
-    """
-    k_sq = omega * omega - m * m
-    if k_sq <= 0:
-        raise ValueError("the shell weight is defined for |omega| > m")
-    return _shell_density(rho, float(np.sqrt(k_sq))) / (omega * omega)
 
 
 @dataclass(frozen=True)

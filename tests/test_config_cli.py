@@ -1,4 +1,5 @@
 """Config validation, builders, and the command line end to end."""
+import csv
 import hashlib
 import json
 
@@ -16,7 +17,7 @@ from mfkg.cli import _evolved, main, run_experiment
 from mfkg.config import (
     DEFAULTS, INITIAL_KINDS, RHO_KINDS, SCHEMA, SEMINORM, SPONGE, table_defaults,
 )
-from mfkg.io import load_snapshot, read_trajectory_csv, save_snapshot
+from mfkg.io import load_snapshot, save_snapshot
 from mfkg.solitary import ManifoldTable, default_omega_grid, resolvent_coupling
 
 SMALL = {"grid": {"points": 256, "length": 64.0}}
@@ -320,6 +321,12 @@ def test_rho_file_is_checked_when_the_config_is_read(tmp_path, grid, rho):
         config_from_dict({**SMALL, "rho": {"kind": "file", "path": str(tmp_path / "rho.npz")}})
 
 
+def csv_column(path, name):
+    """The named column of a CSV output, as floats."""
+    with open(path, newline="") as fh:
+        return np.array([float(row[name]) for row in csv.DictReader(fh)])
+
+
 def run_cli(tmp_path, *argv):
     out = tmp_path / "out"
     return main([*argv, "--output-dir", str(out)]), out
@@ -369,7 +376,7 @@ def test_cli_simulate_reports_charge_drift(tmp_path):
                         "--set", "grid.length=64.0", "--set", "evolve.T=5.0")
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
-    charge = read_trajectory_csv(out / "trajectory.csv")["Q"]
+    charge = csv_column(out / "trajectory.csv", "Q")
     assert summary["charge_drift"] == np.max(np.abs(charge - charge[0]))
     # undamped, the drift is roundoff on the scale of the fields' energy
     assert summary["charge_drift"] <= 1e-12 * abs(summary["energy_initial"])
@@ -560,7 +567,7 @@ def test_cli_simulate_writes_its_seminorm_series(tmp_path, capsys):
     code, out = run_cli(tmp_path, "simulate", *SMALL_SETS, "--set", "evolve.T=1.0",
                         *SEMINORM_SET)
     assert code == 0 and "note" not in capsys.readouterr().err
-    series = read_trajectory_csv(out / "trajectory.csv")["seminorm_R8"]
+    series = csv_column(out / "trajectory.csv", "seminorm_R8")
     assert series.size == 11 and np.all(series > 0)
 
 
@@ -619,6 +626,8 @@ def test_out_of_memory_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
     ("sigma", "rho.path=missing.npy"),
     ("sigma", "rho.path=text.npy"),
     ("sigma", "rho.path=short.npy"),
+    ("sigma", "rho.path=complex.npy"),
+    ("sigma", "rho.path=strings.npy"),
     ("simulate", "initial.path=missing.mfkg"),
     ("simulate", "initial.path=garbage.mfkg"),
     ("simulate", "initial.path=coarse.mfkg"),
@@ -649,6 +658,10 @@ def _input_file(directory, name):
         path.write_text("not an array\n")
     elif name == "short.npy":  # the wrong shape for the 256-point grid
         np.save(path, np.zeros(7))
+    elif name == "complex.npy":  # the right shape, but a complex dtype
+        np.save(path, np.full(256, 1.0 + 0.5j))
+    elif name == "strings.npy":  # the right shape, but not numbers
+        np.save(path, np.full(256, "abc"))
     elif name == "garbage.mfkg":
         path.write_bytes(b"NOPE" + bytes(64))
     elif name == "coarse.mfkg":  # another grid

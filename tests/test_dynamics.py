@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from mfkg import (
     CouplingProfile, FieldState, Integrator, Observers, SeminormSpec, Sponge,
     build_counterexample, build_solitary, charge, energy, energy_norm, evolve, free_flow,
-    inner_product, kick, local_seminorm, make_grid, step,
+    inner_product, kick, local_seminorm, make_grid,
     verify_persistence, zero_state,
 )
 from mfkg.dynamics import _StrangCore
@@ -36,7 +36,7 @@ def test_integrator_validation():
 def test_step_size_guard(grid, rho, pot):
     state = zero_state(grid)
     with pytest.raises(ValueError, match="grid spacing"):
-        step(state, rho, pot, Integrator(dt=grid.spacing))
+        evolve(state, rho, pot, Integrator(dt=grid.spacing), 1.0)
 
 
 def test_free_flow_single_mode_oracle(grid):
@@ -82,15 +82,17 @@ def test_kick_oracle(grid, rho, pot, rng):
 
 def test_step_requires_potential_with_coupling(grid, rho):
     with pytest.raises(ValueError, match="potential is required"):
-        step(zero_state(grid), rho, None, Integrator(0.01))
+        evolve(zero_state(grid), rho, None, Integrator(0.01), 0.01)
 
 
 def test_step_conserves_charge_exactly(grid, rho, pot, rng):
     state = localized_state(grid, rng)
     q0 = charge(state)
-    out = state
-    for _ in range(25):
-        out = step(out, rho, pot, Integrator(0.02))
+    # 25 steps in one sampling interval, read back from the final snapshot
+    traj = evolve(state, rho, pot, Integrator(0.02, steps_per_sample=25), 0.5,
+                  Observers(snapshot_stride=1))
+    out = traj.snapshots[-1]
+    assert out.time == pytest.approx(0.5)
     assert_allclose(charge(out), q0, rtol=1e-12)
 
 
@@ -240,7 +242,7 @@ def test_sponge_must_fit_in_box(grid):
     state = zero_state(grid)
     integ = Integrator(0.01, sponge=Sponge(40.0, 1.0))
     with pytest.raises(ValueError, match="half the box"):
-        step(state, None, None, integ)
+        evolve(state, None, None, integ, 0.01)
 
 
 def test_sponge_snapshots_are_distinct_and_correct(grid, rho, pot, rng):
@@ -254,9 +256,7 @@ def test_sponge_snapshots_are_distinct_and_correct(grid, rho, pot, rng):
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
     for prev, snap in zip(snaps, snaps[1:]):
-        want = prev
-        for _ in range(integ.steps_per_sample):
-            want = step(want, rho, pot, integ)
+        _, want = strang_reference(prev, rho, pot, integ, integ.steps_per_sample)
         assert_allclose(snap.time, want.time, rtol=1e-12)
         for got, ref in ((snap.psi, want.psi), (snap.pi, want.pi)):
             assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
@@ -345,10 +345,9 @@ def test_block_update_matches_per_step_route(dim, points, length, sps, pot, monk
 
     def runs():
         traj = evolve(state, rho, pot, integ, T, obs)
-        one = step(state, rho, pot, integ)
         report = verify_persistence(sol, integ, T)
         gammas = (traj.gamma, report.gamma)
-        fields = [(s.psi, s.pi) for s in (traj.snapshots[-1], one)]
+        fields = [(traj.snapshots[-1].psi, traj.snapshots[-1].pi)]
         return gammas, fields
 
     block = runs()

@@ -52,6 +52,14 @@ def test_profile_spectrum_roundtrip(grid, rho):
         CouplingProfile.from_spectrum(grid, np.exp(-((grid.wavenumbers[0] - 2.0) ** 2)))
 
 
+def test_profile_rejects_complex_values(grid, rho):
+    # complex values are refused, not cut to their real part, even when
+    # every imaginary part is zero
+    for values in (rho.values + 1e-3j * rho.values, rho.values.astype(complex)):
+        with pytest.raises(ValueError, match="must be real"):
+            CouplingProfile.from_values(grid, values)
+
+
 def test_inner_product_is_plain_quadrature(grid, rho, rng):
     state = random_state(grid, rng)
     expected = grid.cell_volume * np.sum(rho.values * state.psi)

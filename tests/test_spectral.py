@@ -6,11 +6,11 @@ from scipy.signal import get_window
 
 from mfkg import (
     CouplingProfile, PolynomialPotential, Trajectory, concentration_ratio,
-    make_grid, shell_weight, support_estimate, titchmarsh_check, windowed_spectrum,
+    make_grid, support_estimate, titchmarsh_check, windowed_spectrum,
 )
 from mfkg.solitary import default_omega_grid
 from mfkg.spectral import (
-    AttractionConfig, _hann, attraction_report, semidiscrete_transform,
+    AttractionConfig, _hann, _shell_density, attraction_report, semidiscrete_transform,
 )
 
 # window with bin spacing exactly 0.05, so tones at 0.2/0.35/0.5 sit on bins
@@ -109,22 +109,27 @@ def test_semidiscrete_transform_interpolates_lattice_transform(grid, rho):
 
 
 def test_shell_weight_against_continuum_gaussian(grid, rho):
+    # the dispersive weight at |omega| > m = 1 is the shell density at
+    # k = sqrt(omega^2 - 1) over omega^2;
     # rho_hat(xi) = 2 pi^{-1/4} sqrt(2 pi) e^{-xi^2/2} for this profile
     omega = 1.5
     k = np.sqrt(omega**2 - 1.0)
     rho_hat_k = 2.0 * np.pi**-0.25 * np.sqrt(2.0 * np.pi) * np.exp(-0.5 * k**2)
     expected = 2.0 * rho_hat_k**2 / (2.0 * np.pi * omega**2)
-    assert_allclose(shell_weight(rho, omega), expected, rtol=1e-10)
-    with pytest.raises(ValueError):
-        shell_weight(rho, 0.9)
+    assert_allclose(_shell_density(rho, k) / (omega * omega), expected, rtol=1e-10)
+    with pytest.raises(ValueError, match="shell radius must be positive"):
+        _shell_density(rho, 0.0)
 
 
 def test_shell_weight_vanishes_at_planted_zero(grid):
+    # rho_hat vanishes on |xi| = 2, the shell of omega = sqrt(5) at m = 1
     xi = grid.wavenumbers[0]
     rho0 = CouplingProfile.from_spectrum(grid, (xi**2 - 4.0) * np.exp(-0.5 * xi**2))
-    at_zero = shell_weight(rho0, np.sqrt(5.0))
-    nearby = shell_weight(rho0, np.sqrt(5.0) + 0.3)
-    assert at_zero < 1e-6 * nearby
+
+    def weight(omega):
+        return _shell_density(rho0, float(np.sqrt(omega * omega - 1.0))) / (omega * omega)
+
+    assert weight(np.sqrt(5.0)) < 1e-6 * weight(np.sqrt(5.0) + 0.3)
 
 
 def test_titchmarsh_band_arithmetic(pot):
