@@ -24,7 +24,7 @@ from .config import (
     EXPERIMENTS, ConfigError, RunConfig, _read_config_file, _seminorm_spec, _sigma_range,
     config_from_dict, set_by_path,
 )
-from .dynamics import Observers, _sample_count, evolve
+from .dynamics import Observers, _sample_count, evolve, snapshots
 from .fields import SeminormSpec
 from .io import save_snapshot, write_columns_csv, write_trajectory_csv
 from .multifreq import build_counterexample, verify_persistence
@@ -84,20 +84,21 @@ def _build_config(args, experiment: str) -> RunConfig:
 _WRITES_SEMINORMS = ("simulate",)
 
 
-def _evolved(cfg: RunConfig, force_snapshots: bool = False):
+def _run_inputs(cfg: RunConfig):
+    """The initial state, coupling, potential, integrator and T of an evolving experiment."""
     grid = cfg.build_grid()
     pot = cfg.build_potential()
     rho = cfg.build_rho(grid)
     state = cfg.build_initial_state(grid, rho, pot)
-    integ = cfg.build_integrator()
+    return state, rho, pot, cfg.build_integrator(), float(cfg.section("evolve")["T"])
+
+
+def _evolved(cfg: RunConfig):
+    state, rho, pot, integ, T = _run_inputs(cfg)
     obs = cfg.build_observers()
-    T = float(cfg.section("evolve")["T"])
     specs = obs.seminorm_specs if cfg.experiment in _WRITES_SEMINORMS else ()
-    stride = obs.snapshot_stride
-    if force_snapshots and stride == 0:
-        stride = max(1, _sample_count(integ, T) // 16)
-    traj = evolve(state, rho, pot, integ, T, Observers(specs, stride), cfg.m)
-    return grid, pot, rho, traj
+    traj = evolve(state, rho, pot, integ, T, Observers(specs, obs.snapshot_stride), cfg.m)
+    return state.grid, pot, rho, traj
 
 
 def _emit_snapshots(outdir: Path, traj, m: float, files: list[str]) -> None:
@@ -173,10 +174,14 @@ def _distance_spec(cfg: RunConfig) -> tuple[SeminormSpec, bool, np.ndarray]:
 
 
 def _run_distance(cfg: RunConfig, outdir: Path, files: list[str]) -> None:
-    grid, pot, rho, traj = _evolved(cfg, force_snapshots=True)
+    # the distances read the snapshots alone, so the run records no series
+    state, rho, pot, integ, T = _run_inputs(cfg)
+    # about 17 snapshots unless the config sets a stride
+    stride = (int(cfg.section("evolve")["snapshot_stride"])
+              or max(1, _sample_count(integ, T) // 16))
     spec, use_global, omegas = _distance_spec(cfg)
     table = ManifoldTable(rho, pot, None if use_global else spec, omegas, cfg.m)
-    times, dists, best = table.distances(traj.snapshots)
+    times, dists, best = table.distances(snapshots(state, rho, pot, integ, T, stride, cfg.m))
     # None (the zero wave is closest) is written as nan
     write_columns_csv(outdir / "distance.csv", ["t", "distance", "best_omega"],
                       [times, dists, np.array(best, dtype=float)])

@@ -16,8 +16,9 @@ oscillating within an O(dt^2) band instead of drifting.
 An optional absorbing sponge damps both fields multiplicatively outside an
 inner radius, emulating radiation to infinity on the periodic box.
 
-All stepping (:func:`evolve` and ``multifreq.verify_persistence``) goes
-through one private core, :class:`_StrangCore`.  A core advances one
+All stepping (:func:`evolve`, :func:`snapshots` and
+``multifreq.verify_persistence``) goes through one private core,
+:class:`_StrangCore`.  A core advances one
 system, its own state, kept in raw FFT coordinates: the plain FFT
 (:meth:`Grid.raw_fft`) of (psi, pi).  It leaves out the checkerboard and
 cell-volume factors of :meth:`Grid.forward`, which are per-mode scalars, so
@@ -70,12 +71,16 @@ Every sampled run is the generator :meth:`_StrangCore.samples`.  It covers
 whole sampling intervals, so samples are uniform and the last one lies at
 or past T.
 
-One reader, :meth:`_Recorder.record`, turns a sample of the core's state
-into the recorded observables: gamma, F and U, then H and Q, global and
-conserved without a sponge or over the observation ball |x| <= inner_radius
-with one, then the non-finite check.  It builds a :class:`FieldState` only
-when a seminorm series or a due snapshot needs one, from the damped fields
-of a sponge run or else by :meth:`_StrangCore.fields`.
+Two runs read those samples.  :func:`evolve` hands each to one reader,
+:meth:`_Recorder.record`, which turns it into the recorded observables:
+gamma, F and U, then H and Q, global and conserved without a sponge or over
+the observation ball |x| <= inner_radius with one, then the non-finite
+check.  :func:`snapshots` keeps only every stride-th sample's fields: it
+records no series, checks gamma and U(gamma) alone, and stops at its last
+snapshot, whose fields are those of ``evolve`` bit for bit.  Both build a
+:class:`FieldState` only where one is read, by
+:meth:`_StrangCore.state`: from the input data at t0 of a sponge run, the
+damped fields later in one, or else by :meth:`_StrangCore.fields`.
 """
 from __future__ import annotations
 
@@ -106,6 +111,7 @@ __all__ = [
     "free_flow",
     "kick",
     "evolve",
+    "snapshots",
 ]
 
 
@@ -117,10 +123,10 @@ class Sponge:
     strength: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.inner_radius <= 0:
-            raise ValueError("sponge inner_radius must be positive")
-        if self.strength < 0:
-            raise ValueError("sponge strength must be nonnegative")
+        if not (isfinite(self.inner_radius) and self.inner_radius > 0):
+            raise ValueError(f"sponge inner_radius={self.inner_radius} must be finite and positive")
+        if not (isfinite(self.strength) and self.strength >= 0):
+            raise ValueError(f"sponge strength={self.strength} must be finite and nonnegative")
 
     def rate(self, grid: Grid) -> np.ndarray:
         """Damping rate sigma(x): 0 inside, smooth raised-cosine ramp to ``strength``."""
@@ -138,8 +144,8 @@ class Integrator:
     sponge: Sponge | None = None
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt={self.dt} must be finite and positive")
         if self.steps_per_sample < 1:
             raise ValueError("steps_per_sample must be at least 1")
 
@@ -156,6 +162,8 @@ class Observers:
     snapshot_stride: int = 0  # in samples; 0 disables snapshots
 
     def __post_init__(self) -> None:
+        if self.snapshot_stride < 0:
+            raise ValueError(f"snapshot_stride={self.snapshot_stride} must be nonnegative")
         labels = [spec.label for spec in self.seminorm_specs]
         for label in labels:
             if labels.count(label) > 1:
@@ -223,6 +231,8 @@ def _sponge_factor(grid: Grid, sponge: Sponge, dt: float) -> np.ndarray:
 
 def _sample_count(integ: Integrator, T: float) -> int:
     """Sampling intervals of a run over time T, rounded up to whole intervals."""
+    if not (isfinite(T) and T >= 0):
+        raise ValueError(f"T={T} must be finite and nonnegative")
     return -(-ceil(T / integ.dt - 1e-12) // integ.steps_per_sample)
 
 
@@ -368,11 +378,23 @@ class _StrangCore:
         """Start the core's run at the fields (psi, pi)."""
         self.raw[:] = self.to_raw(psi, pi)
         self.pending, self.gamma = 0, None
+        # a sponge run reads its fields at t0 from the data, later from the damped buffers
+        self.initial = None if self.damp is None else (psi, pi)
 
     def fields(self) -> np.ndarray:
         """Position-space (psi, pi) of the core's state, its rest synced first."""
         self.sync()
         return self.to_fields(self.raw)
+
+    def state(self, t: float, fields) -> FieldState:
+        """The sample at time t as a :class:`FieldState`.
+
+        ``fields`` are the sample's position-space (psi, pi) where
+        :meth:`samples` yields them (a sponge run); otherwise they are
+        transformed from the state by :meth:`fields`.
+        """
+        psi, pi = self.fields() if fields is None else fields
+        return FieldState(self.grid, psi, pi, t)
 
     def sync(self) -> None:
         """Flow the lagging rest of the core's state by its pending steps."""
@@ -495,14 +517,14 @@ class _StrangCore:
         return fields
 
     def samples(self, T: float, t0: float):
-        """Advance the state over the :func:`_sample_count` intervals covering T.
+        """Advance the loaded state over the :func:`_sample_count` intervals covering T.
 
-        Yields (t0, None), then (t0 + steps done * dt, damped fields or None)
-        after every steps_per_sample steps, each interval one call of
-        :meth:`advance`.
+        Yields (t0, fields), the fields loaded into a sponge core or else
+        None, then (t0 + steps done * dt, damped fields or None) after every
+        steps_per_sample steps, each interval one call of :meth:`advance`.
         """
         sps, advance = self.integ.steps_per_sample, self.advance
-        yield t0, None
+        yield t0, self.initial
         for done in range(sps, _sample_count(self.integ, T) * sps + 1, sps):
             yield t0 + done * self.integ.dt, advance()
 
@@ -559,10 +581,9 @@ class _Recorder:
     def record(self, t: float, fields=None) -> None:
         """Record the sample at time t of the core's state.
 
-        ``fields`` are its position-space (psi, pi), which a sponge run
-        passes; otherwise they are transformed from the state, and only
-        when a seminorm series or a due snapshot needs the sample's
-        :class:`FieldState`.
+        ``fields`` are as :meth:`_StrangCore.samples` yields them; the
+        sample's :class:`FieldState` is built only when a seminorm series
+        or a due snapshot needs it.
         """
         core = self.core
         g, f, u_val = core.coupling_terms()
@@ -574,8 +595,7 @@ class _Recorder:
             h, q = h + self.rest[0] + u_val, q + self.rest[1]
         else:
             h, q = _ball_observables(core.grid, fields, core.pair[0], self.ball, u_val, core.m)
-        if not (isfinite(h) and isfinite(abs(g))):
-            raise RuntimeError(f"non-finite fields at t={t:g}; aborting evolution")
+        _require_finite(t, h, abs(g))
         stride = self.obs.snapshot_stride
         due = stride > 0 and len(self.times) % stride == 0
         self.times.append(t)
@@ -584,8 +604,7 @@ class _Recorder:
         self.energy.append(h)
         self.charge.append(q)
         if self.obs.seminorm_specs or due:
-            psi, pi = core.fields() if fields is None else fields
-            state = FieldState(core.grid, psi, pi, t)
+            state = core.state(t, fields)
             for spec in self.obs.seminorm_specs:
                 self.seminorms[spec.label].append(local_seminorm(state, spec, core.m))
             if due:
@@ -606,6 +625,12 @@ class _Recorder:
             m=self.core.m,
             sponge=integ.sponge,
         )
+
+
+def _require_finite(t: float, *values: float) -> None:
+    """Abort a run at the sample at time t unless every value read off it is finite."""
+    if not all(map(isfinite, values)):
+        raise RuntimeError(f"non-finite fields at t={t:g}; aborting evolution")
 
 
 def _ball_observables(grid: Grid, fields, psi_raw: np.ndarray, mask: np.ndarray,
@@ -645,14 +670,56 @@ def evolve(
     to the ball |x| <= inner_radius, since the damping layer openly discards
     what reaches it.
     """
+    core, _ = _loaded_core(state, rho, pot, integ, T, m)
+    rec = _Recorder(core, observers or Observers())
+    for t, fields in core.samples(T, state.time):
+        rec.record(t, fields)
+    return rec.build()
+
+
+def snapshots(
+    state: FieldState,
+    rho: CouplingProfile | None,
+    pot: PolynomialPotential | None,
+    integ: Integrator,
+    T: float,
+    stride: int,
+    m: float = 1.0,
+) -> list[FieldState]:
+    """The snapshots of ``evolve(..., Observers(snapshot_stride=stride), m)``, bit for bit.
+
+    The run takes the same sampling intervals on the same core, but records
+    no per-sample series and ends at its last snapshot.  It aborts as
+    :func:`evolve` does at the first sample whose gamma or U(gamma) is
+    non-finite; without a coupling there is nothing to read.
+    """
+    if stride < 1:
+        raise ValueError(f"snapshot stride={stride} must be at least 1")
+    core, count = _loaded_core(state, rho, pot, integ, T, m)
+    last = count - count % stride
+    taken: list[FieldState] = []
+    for i, (t, fields) in enumerate(core.samples(T, state.time)):
+        if rho is not None:
+            g = core.coupling()
+            _require_finite(t, abs(g), pot.scalar_value(g))
+        if i % stride == 0:
+            taken.append(core.state(t, fields))
+            if i == last:
+                break
+    return taken
+
+
+def _loaded_core(state: FieldState, rho: CouplingProfile | None,
+                 pot: PolynomialPotential | None, integ: Integrator, T: float,
+                 m: float) -> tuple[_StrangCore, int]:
+    """A core loaded with ``state``, and the :func:`_sample_count` of a run over T.
+
+    The count comes first, so that a bad T fails before the core is built.
+    """
+    count = _sample_count(integ, T)
     if rho is not None:
         require_same_grid(rho, state)
     core = _StrangCore(state.grid, integ, rho, pot, m)
-    rec = _Recorder(core, observers or Observers())
     core.load(state.psi, state.pi)
-    # a sponge run reads its fields at t0 from the data, later from the damped buffers
-    initial = None if integ.sponge is None else (state.psi, state.pi)
-    for t, fields in core.samples(T, state.time):
-        rec.record(t, initial if fields is None else fields)
-    return rec.build()
+    return core, count
 

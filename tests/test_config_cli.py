@@ -8,8 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mfkg import (
-    ConfigError, SeminormSpec, config_from_dict, energy_norm, load_config, make_grid,
-    random_state, wave_packet, zero_state,
+    ConfigError, Observers, SeminormSpec, config_from_dict, energy_norm, evolve, load_config,
+    make_grid, random_state, wave_packet, zero_state,
 )
 from mfkg import cli
 from mfkg.config import set_by_path
@@ -17,6 +17,7 @@ from mfkg.cli import _evolved, main, run_experiment
 from mfkg.config import (
     DEFAULTS, INITIAL_KINDS, RHO_KINDS, SCHEMA, SEMINORM, SPONGE, table_defaults,
 )
+from mfkg.dynamics import _sample_count
 from mfkg.io import load_snapshot, save_snapshot
 from mfkg.solitary import ManifoldTable, default_omega_grid, resolvent_coupling
 
@@ -430,13 +431,16 @@ def test_cli_distance_global_norm_flag_selects_spec_none(tmp_path):
     for key, value in sets.items():
         set_by_path(raw, key, value)
     cfg = config_from_dict({**raw, "experiment": "distance"})
-    _, pot, rho, traj = _evolved(cfg, force_snapshots=True)
+    # the experiment's snapshots, by evolve at its default stride
+    state, rho, pot, integ, T = cli._run_inputs(cfg)
+    stride = max(1, _sample_count(integ, T) // 16)
+    snaps = evolve(state, rho, pot, integ, T, Observers(snapshot_stride=stride)).snapshots
     omegas = default_omega_grid(1.0, count=11)
     table = ManifoldTable(rho, pot, None, omegas)
     windowed = ManifoldTable(rho, pot, SeminormSpec(0.5, 8.0, 8.0), omegas)
-    assert len(rows) == len(traj.snapshots)
+    assert len(rows) == len(snaps)
     differs = False
-    for (t, d, best), snap in zip(rows, traj.snapshots):
+    for (t, d, best), snap in zip(rows, snaps):
         ref_d, ref_best = table.distance(snap)
         assert float(t) == snap.time and float(d) == ref_d
         assert best == "nan" if ref_best is None else float(best) == ref_best

@@ -9,7 +9,7 @@ from mfkg import (
     inner_product, kick, local_seminorm, make_grid,
     verify_persistence, zero_state,
 )
-from mfkg.dynamics import _StrangCore
+from mfkg.dynamics import _StrangCore, snapshots
 from mfkg.multifreq import TwoFrequencySolution
 
 from conftest import per_step_advance
@@ -31,6 +31,73 @@ def test_integrator_validation():
         Sponge(-1.0)
     with pytest.raises(ValueError):
         Sponge(8.0, strength=-0.1)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: Integrator(float("nan")), "dt=nan must be finite"),
+    (lambda: Integrator(float("inf")), "dt=inf must be finite"),
+    (lambda: Sponge(float("nan")), "inner_radius=nan must be finite"),
+    (lambda: Sponge(10.0, float("nan")), "strength=nan must be finite"),
+    (lambda: Sponge(10.0, float("inf")), "strength=inf must be finite"),
+    (lambda: Observers(snapshot_stride=-1), "snapshot_stride=-1 must be nonnegative"),
+])
+def test_stepping_parameters_reject_non_finite_and_negative_values(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+@pytest.mark.parametrize("T", [-1.0, float("nan"), float("inf")])
+def test_runs_reject_a_negative_or_non_finite_duration(grid, rho, pot, T):
+    state, integ = zero_state(grid), Integrator(0.01, 10)
+    with pytest.raises(ValueError, match=f"T={T} must be finite and nonnegative"):
+        evolve(state, rho, pot, integ, T)
+    with pytest.raises(ValueError, match=f"T={T} must be finite and nonnegative"):
+        snapshots(state, rho, pot, integ, T, 1)
+
+
+def test_snapshots_need_a_positive_stride(grid, rho, pot):
+    with pytest.raises(ValueError, match="stride=0 must be at least 1"):
+        snapshots(zero_state(grid), rho, pot, Integrator(0.01, 10), 1.0, 0)
+
+
+def test_overflowing_data_abort_at_the_first_sample(grid, rho, pot):
+    # |gamma| stays finite at this scale, but H and U(gamma) overflow
+    wave = build_solitary(rho, pot, 0.5).initial_state()
+    state = FieldState(grid, 1e150 * wave.psi, 1e150 * wave.pi)
+    integ = Integrator(0.01, 10)
+    with pytest.raises(RuntimeError, match=r"non-finite fields at t=0; aborting evolution"):
+        evolve(state, rho, pot, integ, 1.0)
+    with pytest.raises(RuntimeError, match=r"non-finite fields at t=0; aborting evolution"):
+        snapshots(state, rho, pot, integ, 1.0, 2)
+
+
+@pytest.mark.parametrize("dim, points, length, sponge, T, stride", [
+    (1, 256, 64.0, None, 4.0, 8),  # undamped, 40 intervals
+    (1, 256, 64.0, Sponge(16.0, 2.0), 4.0, 8),
+    (1, 256, 64.0, Sponge(16.0, 2.0), 4.0, 7),
+    (2, 64, 16.0, None, 2.0, 4),  # C a strict subset in 2-D
+    (1, 256, 64.0, None, 4.0, 7),  # a stride that does not divide the 40 intervals
+    (1, 256, 64.0, None, 3.93, 6),  # T rounds up to 40 whole intervals
+])
+def test_snapshots_are_evolves_bit_for_bit(dim, points, length, sponge, T, stride, pot,
+                                           monkeypatch):
+    grid = make_grid(dim, points, length)
+    rho = CouplingProfile.gaussian(grid, amplitude=2.0, width=1.0)
+    state = localized_state(grid, np.random.default_rng(5), scale=0.5)
+    integ = Integrator(0.02, 5, sponge)
+    if dim == 2:
+        assert _StrangCore(grid, integ, rho, pot, 1.0).coupled.stop < grid.num_points
+    want = evolve(state, rho, pot, integ, T, Observers(snapshot_stride=stride)).snapshots
+    intervals = []
+    advance = _StrangCore.advance
+    monkeypatch.setattr(_StrangCore, "advance", lambda core: intervals.append(1) or advance(core))
+    got = snapshots(state, rho, pot, integ, T, stride)
+    assert len(got) == len(want) > 1
+    for snap, ref in zip(got, want):
+        assert snap.time == ref.time
+        assert np.array_equal(snap.psi, ref.psi) and np.array_equal(snap.pi, ref.pi)
+    # the run ends at its last snapshot
+    assert len(intervals) == (len(got) - 1) * stride
 
 
 def test_step_size_guard(grid, rho, pot):
