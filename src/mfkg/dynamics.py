@@ -61,31 +61,33 @@ With a sponge the core steps one by one
 over every mode in natural order: each step ends with one stacked inverse
 transform into a position-space buffer, the damping multiply and one
 stacked forward transform back, both transforms on the pair reshaped into
-the grid's shape.  Samples read the damped fields that this leaves in the
-buffer, a fresh one per sampling interval.  The flow and the damping
-multiply the float64 view of the state by interleaved real tables, and the
-kicks take the scalar force from :meth:`PolynomialPotential.scalar_force`.
+the grid's shape.  The core holds the damped fields that this leaves in the
+buffer, a fresh one per sampling interval, as its sample's fields.  The
+flow and the damping multiply the float64 view of the state by interleaved
+real tables, and the kicks take the force from
+:meth:`PolynomialPotential.force` on one Python complex.
 :func:`free_flow` and :func:`kick` remain single applications on the
 :meth:`Grid.forward` path, independent of the core.
+
 Every sampled run is the generator :meth:`_StrangCore.samples`.  It covers
 whole sampling intervals, so samples are uniform and the last one lies at
-or past T.
+or past T.  It yields each sample's time alone; the sample is read off the
+core, whose :meth:`_StrangCore.fields` a sponge core holds (the data at t0,
+then the damped buffers).
 
-Two runs read those samples.  :func:`evolve` hands each to one reader,
+Three runs read those samples.  :func:`evolve` hands each to
 :meth:`_Recorder.record`, which turns it into the recorded observables:
 gamma, F and U, then H and Q, global and conserved without a sponge or over
 the observation ball |x| <= inner_radius with one, then the non-finite
 check.  :func:`snapshots` keeps only every stride-th sample's fields: it
 records no series, checks gamma and U(gamma) alone, and stops at its last
 snapshot, whose fields are those of ``evolve`` bit for bit.  Both build a
-:class:`FieldState` only where one is read, by
-:meth:`_StrangCore.state`: from the input data at t0 of a sponge run, the
-damped fields later in one, or else by :meth:`_StrangCore.fields`.
+:class:`FieldState` only where one is read, by :meth:`_StrangCore.state`.
+``multifreq.verify_persistence`` reads gamma and the coupled pair alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import ceil, isfinite
 from operator import mul
 
@@ -186,7 +188,6 @@ class Trajectory:
     snapshots: list[FieldState]
     dt: float
     steps_per_sample: int
-    m: float
     sponge: Sponge | None = None
 
     @property
@@ -223,7 +224,6 @@ def _rotation_tables(omega: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndar
     return _interleaved(np.cos(omega * tau)), _interleaved(np.stack((sin / omega, -omega * sin)))
 
 
-@lru_cache(maxsize=16)
 def _sponge_factor(grid: Grid, sponge: Sponge, dt: float) -> np.ndarray:
     """Interleaved damping factor exp(-sigma(x) dt) of one step, flattened over the grid."""
     return _interleaved(np.exp(-sponge.rate(grid) * dt).ravel())
@@ -272,7 +272,7 @@ class _StrangCore:
         # |psi_hat|^2 / L^n = scale |psi_raw|^2, since psi_hat = +-h^n psi_raw
         self.scale = grid.cell_volume / grid.num_points
         self.pot = pot
-        self.kick = self.pairing = self.damp = None
+        self.kick = self.pairing = self.damp = self.sampled = None
         n = count = grid.num_points
         # the core order lists C first; order and layout are None when C is every mode
         self.order = self.layout = None
@@ -378,22 +378,19 @@ class _StrangCore:
         """Start the core's run at the fields (psi, pi)."""
         self.raw[:] = self.to_raw(psi, pi)
         self.pending, self.gamma = 0, None
-        # a sponge run reads its fields at t0 from the data, later from the damped buffers
-        self.initial = None if self.damp is None else (psi, pi)
+        # a sponge core holds its sample's fields: the data at t0, later the damped buffers
+        self.sampled = None if self.damp is None else (psi, pi)
 
-    def fields(self) -> np.ndarray:
-        """Position-space (psi, pi) of the core's state, its rest synced first."""
+    def fields(self):
+        """Position-space (psi, pi) of the sample: a sponge core's held pair, else the synced state's."""
+        if self.sampled is not None:
+            return self.sampled
         self.sync()
         return self.to_fields(self.raw)
 
-    def state(self, t: float, fields) -> FieldState:
-        """The sample at time t as a :class:`FieldState`.
-
-        ``fields`` are the sample's position-space (psi, pi) where
-        :meth:`samples` yields them (a sponge run); otherwise they are
-        transformed from the state by :meth:`fields`.
-        """
-        psi, pi = self.fields() if fields is None else fields
+    def state(self, t: float) -> FieldState:
+        """The current sample, at time t, as a :class:`FieldState` of :meth:`fields`."""
+        psi, pi = self.fields()
         return FieldState(self.grid, psi, pi, t)
 
     def sync(self) -> None:
@@ -418,7 +415,7 @@ class _StrangCore:
         if self.pairing is None:
             return 0j, 0j, 0.0
         g = self.coupling()
-        return g, self.pot.scalar_force(g), self.pot.scalar_value(g)
+        return g, self.pot.force(g), self.pot.value(g)
 
     def quadratic(self, pair: np.ndarray, weight: np.ndarray) -> tuple[float, float]:
         """The quadratic part of H, and Q, of a (2, modes) raw pair; ``weight`` is |xi|^2 + m^2."""
@@ -432,11 +429,11 @@ class _StrangCore:
         view *= cos
         view += rotated
 
-    def advance(self):
+    def advance(self) -> None:
         """Take one sampling interval of Strang steps of the core's state in place.
 
         Without a sponge the steps go in block updates of at most
-        _BLOCK_STEPS steps each and None is returned.  A kick moves only pi,
+        _BLOCK_STEPS steps each.  A kick moves only pi,
         always along the raw vector e = kick; gamma reads only psi; the free
         flow R is diagonal per mode.  So a block of s steps from the start
         x0, with kick weights c = (d_0, 2 d_1, ..., 2 d_{s-1}, d_s) and
@@ -451,11 +448,12 @@ class _StrangCore:
         Both products, the pairing, the kicks and the free flow touch only
         the coupled pair; gamma_s of the last block is handed on.  With a
         sponge the steps go one by one, each ending with the damping
-        multiply in position space, and the damped position-space fields
-        after the last step are returned.
+        multiply in position space, and the core holds the damped
+        position-space fields after the last step as its sample's.
         """
         if self.damp is not None:
-            return self._damped_steps()
+            self.sampled = self._damped_steps()
+            return
         # Both products are real GEMMs against the (re, im) columns of a
         # complex vector viewed as float64.  With the kick or pairing folded
         # into a complex table they would be complex GEMVs, which OpenBLAS
@@ -465,7 +463,7 @@ class _StrangCore:
         if self.kick is not None:
             flat, buffer, columns, kicks = self.flat, self.buffer, self.columns, self.kicks
             kick = self.coupled_kick
-            conj_read, force, lags = self.conj_read, self.pot.scalar_force, self.lags
+            conj_read, force, lags = self.conj_read, self.pot.force, self.lags
         for steps, rows, rows_t, cos, sin in self.plan:
             if rows is not None:
                 np.multiply(conj_read, flat, out=buffer)
@@ -487,16 +485,15 @@ class _StrangCore:
         if self.kick is not None:
             self.gamma = g
         self.pending += self.lag
-        return None
 
     def _damped_steps(self) -> np.ndarray:
         """An interval's Strang steps one by one, each followed by the sponge damping.
 
         The round trip transforms, in the grid's shape, into a view of the
-        state and one ``fields`` array per call, returned for the caller to keep.
+        state and one ``fields`` array per call, returned for the core to hold.
         """
         kick, damp = self.kick, self.damp
-        force = None if kick is None else self.pot.scalar_force
+        force = None if kick is None else self.pot.force
         pairing = self.pairing
         fft, ifft = self.grid.raw_fft, self.grid.raw_ifft
         cos, sin = self.step_flow
@@ -519,14 +516,16 @@ class _StrangCore:
     def samples(self, T: float, t0: float):
         """Advance the loaded state over the :func:`_sample_count` intervals covering T.
 
-        Yields (t0, fields), the fields loaded into a sponge core or else
-        None, then (t0 + steps done * dt, damped fields or None) after every
-        steps_per_sample steps, each interval one call of :meth:`advance`.
+        Yields the time of each sample: t0, then t0 + steps done * dt after
+        every steps_per_sample steps, each interval one call of
+        :meth:`advance`.  A sample is read off the core (:meth:`coupling`,
+        :meth:`fields`, :meth:`state`) before the generator resumes.
         """
         sps, advance = self.integ.steps_per_sample, self.advance
-        yield t0, self.initial
+        yield t0
         for done in range(sps, _sample_count(self.integ, T) * sps + 1, sps):
-            yield t0 + done * self.integ.dt, advance()
+            advance()
+            yield t0 + done * self.integ.dt
 
 
 # public single-application operations ------------------------------------
@@ -560,7 +559,7 @@ def kick(state: FieldState, rho: CouplingProfile | None, pot: PolynomialPotentia
 
 
 class _Recorder:
-    """The one reader of a sampled run: the observables of one system, sample by sample."""
+    """The reader of :func:`evolve`'s samples: the observables of one system, sample by sample."""
 
     def __init__(self, core: _StrangCore, observers: Observers):
         self.core = core
@@ -578,12 +577,11 @@ class _Recorder:
         }
         self.snapshots: list[FieldState] = []
 
-    def record(self, t: float, fields=None) -> None:
-        """Record the sample at time t of the core's state.
+    def record(self, t: float) -> None:
+        """Record the core's current sample, at time t.
 
-        ``fields`` are as :meth:`_StrangCore.samples` yields them; the
-        sample's :class:`FieldState` is built only when a seminorm series
-        or a due snapshot needs it.
+        The sample's :class:`FieldState` is built only when a seminorm
+        series or a due snapshot needs it.
         """
         core = self.core
         g, f, u_val = core.coupling_terms()
@@ -594,7 +592,7 @@ class _Recorder:
             h, q = core.quadratic(core.pair, core.weight)
             h, q = h + self.rest[0] + u_val, q + self.rest[1]
         else:
-            h, q = _ball_observables(core.grid, fields, core.pair[0], self.ball, u_val, core.m)
+            h, q = _ball_observables(core, self.ball, u_val)
         _require_finite(t, h, abs(g))
         stride = self.obs.snapshot_stride
         due = stride > 0 and len(self.times) % stride == 0
@@ -604,7 +602,7 @@ class _Recorder:
         self.energy.append(h)
         self.charge.append(q)
         if self.obs.seminorm_specs or due:
-            state = core.state(t, fields)
+            state = core.state(t)
             for spec in self.obs.seminorm_specs:
                 self.seminorms[spec.label].append(local_seminorm(state, spec, core.m))
             if due:
@@ -622,7 +620,6 @@ class _Recorder:
             snapshots=self.snapshots,
             dt=integ.dt,
             steps_per_sample=integ.steps_per_sample,
-            m=self.core.m,
             sponge=integ.sponge,
         )
 
@@ -633,15 +630,15 @@ def _require_finite(t: float, *values: float) -> None:
         raise RuntimeError(f"non-finite fields at t={t:g}; aborting evolution")
 
 
-def _ball_observables(grid: Grid, fields, psi_raw: np.ndarray, mask: np.ndarray,
-                      u_val: float, m: float) -> tuple[float, float]:
-    """Energy and charge restricted to the observation ball (sponge runs).
+def _ball_observables(core: _StrangCore, mask: np.ndarray, u_val: float) -> tuple[float, float]:
+    """Energy and charge of a sponge core's sample, restricted to the observation ball.
 
     psi, pi and each gradient row are gathered at the ball's points first,
     so the density and its sum cover those points only.
     """
-    psi, pi = (field[mask] for field in fields)
-    psi_raw = psi_raw.reshape(grid.shape)
+    grid, m = core.grid, core.m
+    psi, pi = (field[mask] for field in core.fields())
+    psi_raw = core.pair[0].reshape(grid.shape)
     grad_sq = np.zeros(psi.shape)
     for axis, xi in enumerate(grid.wavenumbers):
         shape = [1] * grid.dim
@@ -672,8 +669,8 @@ def evolve(
     """
     core, _ = _loaded_core(state, rho, pot, integ, T, m)
     rec = _Recorder(core, observers or Observers())
-    for t, fields in core.samples(T, state.time):
-        rec.record(t, fields)
+    for t in core.samples(T, state.time):
+        rec.record(t)
     return rec.build()
 
 
@@ -698,12 +695,12 @@ def snapshots(
     core, count = _loaded_core(state, rho, pot, integ, T, m)
     last = count - count % stride
     taken: list[FieldState] = []
-    for i, (t, fields) in enumerate(core.samples(T, state.time)):
+    for i, t in enumerate(core.samples(T, state.time)):
         if rho is not None:
             g = core.coupling()
-            _require_finite(t, abs(g), pot.scalar_value(g))
+            _require_finite(t, abs(g), pot.value(g))
         if i % stride == 0:
-            taken.append(core.state(t, fields))
+            taken.append(core.state(t))
             if i == last:
                 break
     return taken

@@ -292,7 +292,7 @@ def verify_persistence(
     scale = math.sqrt(grid.l2sq(sol.phi0)) + math.sqrt(grid.l2sq(sol.phi1))
     times, gammas = [], []
     max_err = gamma_err = 0.0
-    for t, _ in core.samples(T, state0.time):
+    for t in core.samples(T, state0.time):
         g = core.coupling()
         times.append(t)
         gammas.append(g)

@@ -7,6 +7,10 @@ U depends on the coupling amplitude z only through |z|^2:
 so F(z) = alpha(|z|^2) z with alpha(r) = -2 u'(r), and F commutes with
 global phase rotations.  The positive leading coefficient makes U bounded
 below and yields the a-priori bound constants computed here.
+
+u, alpha, U and F each have one route, Horner's rule in the coefficients,
+which takes Python scalars, numpy scalars and arrays alike: a Python
+complex stays a Python complex, free of numpy's per-call overhead.
 """
 from __future__ import annotations
 
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 __all__ = ["PolynomialPotential", "LowerBound", "lower_bound_constants"]
 
@@ -37,31 +40,6 @@ class PolynomialPotential:
     def degree(self) -> int:
         return len(self.coeffs)
 
-    # radial pieces: r = |z|^2
-
-    def radial(self, r):
-        """u(r) = sum u_n r^n."""
-        return P.polyval(r, (0.0, *self.coeffs))
-
-    def radial_slope(self, r):
-        """u'(r)."""
-        return P.polyval(r, tuple((n + 1) * c for n, c in enumerate(self.coeffs)))
-
-    def force_coefficient(self, r):
-        """alpha(r) = -2 u'(r), so that F(z) = alpha(|z|^2) z."""
-        return -2.0 * self.radial_slope(r)
-
-    # complex-argument forms
-
-    def value(self, z):
-        """U(z), real."""
-        return self.radial(np.abs(z) ** 2)
-
-    def force(self, z):
-        """F(z) = -dU/d(conj Re, Im) = alpha(|z|^2) z."""
-        z = np.asarray(z) if isinstance(z, np.ndarray) else z
-        return self.force_coefficient(np.abs(z) ** 2) * z
-
     @cached_property
     def _alpha_horner(self) -> tuple[float, tuple[float, ...]]:
         # alpha(r) = -2 u'(r) = sum_n -2 (n + 1) u_{n+1} r^n: the leading
@@ -69,19 +47,30 @@ class PolynomialPotential:
         desc = [-2.0 * (n + 1) * c for n, c in enumerate(self.coeffs)][::-1]
         return desc[0], tuple(desc[1:])
 
-    def scalar_force_coefficient(self, r: float) -> float:
-        """alpha(r) for one Python float, by Horner in plain floats."""
+    def radial(self, r):
+        """u(r) = sum u_n r^n, with r = |z|^2."""
+        u = 0.0
+        for c in reversed(self.coeffs):
+            u = u * r + c
+        return u * r
+
+    def force_coefficient(self, r):
+        """alpha(r) = -2 u'(r), so that F(z) = alpha(|z|^2) z."""
         alpha, rest = self._alpha_horner
         for c in rest:
             alpha = alpha * r + c
         return alpha
 
-    def scalar_force(self, z: complex) -> complex:
-        """F(z) for one Python complex, by Horner in plain floats.
+    def value(self, z):
+        """U(z) = u(|z|^2), real."""
+        a = abs(z)
+        return self.radial(a * a)
 
-        Agrees with :meth:`force` to roundoff, without numpy's per-call
-        overhead; the time-stepping core evaluates it for every kick, so
-        the Horner loop of :meth:`scalar_force_coefficient` is inlined.
+    def force(self, z):
+        """F(z) = -dU/d(conj Re, Im) = alpha(|z|^2) z.
+
+        The time-stepping core evaluates it for every kick, so the Horner
+        loop of :meth:`force_coefficient` is inlined.
         """
         a = abs(z)
         r = a * a
@@ -89,15 +78,6 @@ class PolynomialPotential:
         for c in rest:
             alpha = alpha * r + c
         return alpha * z
-
-    def scalar_value(self, z: complex) -> float:
-        """U(z) for one Python complex, by Horner in plain floats; agrees with :meth:`value`."""
-        a = abs(z)
-        r = a * a
-        u = 0.0
-        for c in reversed(self.coeffs):
-            u = u * r + c
-        return u * r
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,10 @@ and the manifold table all sum over the grid's shells of equal |xi|^2
 and its one rule: a term within ``_DEN_FLOOR_FRAC`` m^2 of zero is dropped.
 s(omega) and the table's sums run over the coupled shells only
 (:attr:`CouplingProfile.coupled_shells`): every term carries rho_hat, and on
-the other shells rho_hat is roundoff.  s at any number of frequencies takes
-one chunked route (``_couplings``), which :func:`resolvent_coupling`,
-:func:`dispersion_curve` and the table share.
+the other shells rho_hat is roundoff.  s at any number of frequencies is
+one sum per row of reciprocals (``_couplings_of``): :func:`resolvent_coupling`
+and :func:`dispersion_curve` build those rows in chunks (``_couplings``), the
+table builds its candidates' rows once and keeps those with an amplitude root.
 
 Distances to the manifold are measured through a :class:`ManifoldTable`,
 built once from rho, the potential, the seminorm and the frequency grid;
@@ -192,10 +193,9 @@ def _couplings_of(recip: np.ndarray, mass: np.ndarray, grid: Grid) -> np.ndarray
 def _couplings(rho: CouplingProfile, omegas: np.ndarray, m: float) -> np.ndarray:
     """s(omega) at each admissible omega, over the coupled shells, in chunks of reciprocals.
 
-    The one route for s at any number of frequencies: :func:`resolvent_coupling`,
-    :func:`dispersion_curve` and :class:`ManifoldTable` all take it.  A shell
-    outside :attr:`CouplingProfile.coupled_shells` holds only roundoff of
-    rho_hat, so its terms are dropped.
+    The route of :func:`resolvent_coupling` and :func:`dispersion_curve`.  A
+    shell outside :attr:`CouplingProfile.coupled_shells` holds only roundoff
+    of rho_hat, so its terms are dropped.
     """
     shells = rho.coupled_shells
     k2, mass = rho.grid.shells[0][shells], rho.shell_mass[shells]
@@ -261,7 +261,7 @@ def amplitude_roots(pot: PolynomialPotential, s: float) -> list[float]:
         if r < 0:
             continue
         # guard against spurious roots from near-degenerate leading coefficients
-        if abs(s * pot.scalar_force_coefficient(r * s * s) - 1.0) < 1e-8:
+        if abs(s * pot.force_coefficient(r * s * s) - 1.0) < 1e-8:
             out.append(r)
     out.sort()
     return out
@@ -473,18 +473,22 @@ class ManifoldTable:
       those holding a mode with |rho_hat| > eps max |rho_hat|) enter s, the
       profiles and the overlaps: 173 of 1025 at the ``distance`` defaults;
     * s, the roots, the profile and the reciprocals depend on omega only
-      through omega^2, so the table builds one profile and the scan one
-      reciprocal row per distinct omega^2, shared by the mirrors +-omega
-      (101 for the 201 default candidates); base_sq and the roots of
-      +-omega are bit-identical.  In the polish, one reciprocal row per
-      frequency serves s, the roots, the profile and the overlap;
+      through omega^2, so the table builds one reciprocal row and one
+      profile per distinct omega^2, shared by the mirrors +-omega (101 for
+      the 201 default candidates); base_sq and the roots of +-omega are
+      bit-identical.  In the polish, one reciprocal row per frequency
+      serves s, the roots, the profile and the overlap;
     * rho is real and the reciprocal even, so b is real: its window round
       trip runs on half spectra (:meth:`Grid.half_inverse` /
       :meth:`Grid.half_forward`), where the bins 1..N/2-1 of the last
       axis stand for their mirrors as well.
 
-    Every stack of candidate rows is built in chunks of at most
-    ``_CHUNK_POINTS`` entries, and no (candidates x shells) block is kept.
+    The admissible frequencies' reciprocal rows are built once and give s;
+    those with an amplitude root stay as one (frequencies x coupled shells)
+    block, read by each chunk of profiles (at most ``_CHUNK_POINTS``
+    entries) and by every snapshot's scan, one matmul: 101 x 173 floats in
+    1-D at the ``distance`` defaults, 101 x 7124 (5.8 MB) on a 256^2 grid
+    of length 128 with a width-1 Gaussian rho.
 
     spec=None measures in the global energy norm.
     """
@@ -528,8 +532,6 @@ class ManifoldTable:
         twice[[0, -1]] = 1.0
         self._half_weights = np.repeat(np.stack(
             [(w * w)[..., :half] * twice for w in (self._w1, self._w0)]).reshape(2, -1).T, 2, axis=0)
-        self._profile_chunk = int(np.clip(_CHUNK_POINTS // grid.num_points, 1, _MAX_CHUNK))
-        self._shell_chunk = max(1, _CHUNK_POINTS // self._k2.size)
 
         # s, the roots, the profile and the reciprocals depend on omega only
         # through omega^2, and mirrors +-omega share it bit for bit: each is
@@ -538,18 +540,27 @@ class ManifoldTable:
                                        return_inverse=True)
         reps = self.omegas[first]
         admits = np.array([_admits(rho, float(w), m) for w in reps], dtype=bool)
+        # their reciprocal rows, built once: they give s, and those with a
+        # root give the profiles and every snapshot's scan
+        recip = _reciprocals(self._k2, reps[admits], m)
         s = np.zeros(reps.size)
-        s[admits] = _couplings(rho, reps[admits], m)
+        s[admits] = _couplings_of(recip, self._mass, grid)
         rep_roots = [self._roots(value) if ok else () for ok, value in zip(admits, s)]
         self.roots = tuple(rep_roots[i] for i in distinct)
         has_roots = np.array([bool(r) for r in rep_roots], dtype=bool)
         self._admissible = np.flatnonzero(has_roots[distinct])
         # the scan's frequencies: one per distinct omega^2 with a root, and
         # each admissible candidate's row among them
-        self._reps = reps[has_roots]
+        scan = reps[has_roots]
+        self._recip = recip[has_roots[admits]]
         self._rep_of = (np.cumsum(has_roots) - 1)[distinct[self._admissible]]
+        # ||S||^2 per scan frequency, in chunks of profiles of its reciprocal rows
+        base_sq = np.empty(scan.size)
+        chunk = int(np.clip(_CHUNK_POINTS // grid.num_points, 1, _MAX_CHUNK))
+        for part, w in _chunks(scan, chunk):
+            base_sq[part] = self._profile_norms(self._recip[part], w)
         self.base_sq = np.full(self.omegas.size, np.inf)
-        self.base_sq[self._admissible] = self._base_sq(self._reps)[self._rep_of]
+        self.base_sq[self._admissible] = base_sq[self._rep_of]
         # pad each root list with its last root, which leaves the minimum unchanged
         width = max((len(r) for r in self.roots), default=0)
         padded = [r + (r[-1],) * (width - len(r)) for r in self.roots if r]
@@ -567,13 +578,6 @@ class ManifoldTable:
         """Amplitude roots r = |c|^2 at an admissible omega's s; () when s = 0."""
         return tuple(amplitude_roots(self.pot, s)) if s != 0 else ()
 
-    def _base_sq(self, omegas: np.ndarray) -> np.ndarray:
-        """||S||^2 per omega, in chunks of profiles."""
-        out = np.empty(omegas.size)
-        for part, w in _chunks(omegas, self._profile_chunk):
-            out[part] = self._profile_norms(_reciprocals(self._k2, w, self.m), w)
-        return out
-
     def _profile_norms(self, recip: np.ndarray, w: np.ndarray) -> np.ndarray:
         """||S||^2 = (||W1 T b_hat||^2 + omega^2 ||W0 T b_hat||^2) / L^n per reciprocal row."""
         grid = self.rho.grid
@@ -586,15 +590,8 @@ class ManifoldTable:
         sq = parts.reshape(w.size, -1) @ self._half_weights
         return (sq[:, 0] + w * w * sq[:, 1]) / self._box_vol
 
-    def _shell_products(self, terms: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-        """The reciprocal rows of ``omegas`` times the coupled-shell sums ``terms``, in chunks."""
-        out = np.empty((omegas.size, terms.shape[1]))
-        for part, w in _chunks(omegas, self._shell_chunk):
-            out[part] = _reciprocals(self._k2, w, self.m) @ terms
-        return out
-
     def _overlaps(self, p: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """|<S, Psi>| per omega from its row p of :meth:`_shell_products`, (re, im) of u1 then u0."""
+        """|<S, Psi>| per omega from p, its reciprocal row times the shell sums ((re, im) of u1, u0)."""
         return np.abs(p[:, 0] + 1j * p[:, 1] + 1j * w * (p[:, 2] + 1j * p[:, 3])) / self._box_vol
 
     def distance(self, state: FieldState) -> tuple[float, float | None]:
@@ -630,7 +627,7 @@ class ManifoldTable:
         adm = self._admissible
         mirrored = False
         if adm.size:
-            products = self._shell_products(terms, self._reps)[self._rep_of]
+            products = (self._recip @ terms)[self._rep_of]
             overlap = self._overlaps(products, self.omegas[adm])
             d_sq = (state_sq + self._r * self.base_sq[adm, None]
                     - 2.0 * np.sqrt(self._r) * overlap[:, None]).min(axis=1)

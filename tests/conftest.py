@@ -49,11 +49,11 @@ def per_step_advance(core):
     for _ in range(core.integ.steps_per_sample):
         if core.kick is not None:
             if drive is None:
-                drive = core.pot.scalar_force(complex(np.vdot(core.pairing, psi)))
+                drive = core.pot.force(complex(np.vdot(core.pairing, psi)))
             pi += drive * core.kick
         psi, pi = cos * psi + (sin / omega) * pi, cos * pi - (omega * sin) * psi
         if core.kick is not None:
-            drive = core.pot.scalar_force(complex(np.vdot(core.pairing, psi)))
+            drive = core.pot.force(complex(np.vdot(core.pairing, psi)))
             pi += drive * core.kick
     raw[:count], raw[count:2 * count] = psi[:count], pi[:count]
     raw[2 * count:count + n], raw[count + n:] = psi[count:], pi[count:]

@@ -146,7 +146,7 @@ def persistence_errors_reference(sol, integ, T):
     phi0_raw, phi1_raw = every_mode(core, core.to_raw(sol.phi0, sol.phi1))
     scale = np.sqrt(grid.l2sq(sol.phi0)) + np.sqrt(grid.l2sq(sol.phi1))
     max_err = gamma_err = 0.0
-    for t, _ in core.samples(T, state0.time):
+    for t in core.samples(T, state0.time):
         core.sync()  # the modes outside C flow with the blocks, every interval
         psi, pi = every_mode(core, core.raw)
         s0, s1 = np.sin(sol.omega0 * t), np.sin(sol.omega1 * t)
@@ -210,7 +210,7 @@ def test_outside_bound_dominates_the_eager_run(sol):
     bound = _outside_bound(core, np.stack((p0, p1)), (sol.omega0, sol.omega1))
     assert core.rest.start < core.rest.stop
     psi, pi = core.rest_pair
-    for t, _ in core.samples(20.0, state0.time):
+    for t in core.samples(20.0, state0.time):
         # the rest lags the blocks; syncing every interval flows it with them
         core.sync()
         dpsi = psi - (np.sin(sol.omega0 * t) * p0 + np.sin(sol.omega1 * t) * p1)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 from numpy.testing import assert_allclose
 
 from mfkg import PolynomialPotential, lower_bound_constants
@@ -33,7 +34,7 @@ def test_known_values(pot):
     # u(r) = -r + r^2
     assert pot.degree == 2
     assert_allclose(pot.radial(2.0), 2.0)
-    assert_allclose(pot.radial_slope(2.0), 3.0)
+    assert_allclose(pot.force_coefficient(2.0), -6.0)
     assert_allclose(pot.force_coefficient(0.5), 0.0)
     assert_allclose(pot.value(1.0 + 1.0j), 2.0)
     z = 0.5 + 0.25j
@@ -106,38 +107,33 @@ low_degree_coeffs = st.lists(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(low_degree_coeffs, st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False))
-def test_scalar_force_matches_array_force(coeffs, z):
-    """The Horner path agrees with the numpy path for degree 2-4 potentials.
-
-    Relative to |z| times the summed magnitudes of alpha's terms, the scale
-    on which the two evaluation orders may round differently.
-    """
-    pot = PolynomialPotential(coeffs)
-    r = abs(z) ** 2
-    scale = abs(z) * sum(2.0 * (n + 1) * abs(c) * r**n for n, c in enumerate(pot.coeffs))
-    expected = pot.force(np.array([z]))[0]
-    got = pot.scalar_force(z)
-    assert isinstance(got, complex)
-    assert abs(got - expected) <= 1e-14 * scale
+# a few subnormal ulps: where a result underflows, the scale below rounds to 0
+SUBNORMAL_SLACK = 4 * np.finfo(float).smallest_subnormal
 
 
 @settings(max_examples=200, deadline=None)
 @given(low_degree_coeffs, st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False))
-def test_scalar_value_matches_array_value(coeffs, z):
-    """The plain-float U and alpha agree with the numpy path to roundoff.
+@example((0.0, 0.25), 1.77e-161 + 0j)  # alpha subnormal: the scale rounds to 0
+def test_horner_route_matches_polyval(coeffs, z):
+    """force, value and force_coefficient against numpy's polyval of the coefficients.
 
-    Relative to the summed magnitudes of the terms, the scale on which the
-    two evaluation orders may round differently.
+    Horner's rule errs by a few eps times the summed magnitudes of the terms,
+    sum |c_n| r^n, so each is bounded by 1e-14 of that scale plus a few
+    subnormal ulps.  A Python complex in gives Python scalars out; an array
+    in gives the same values elementwise.
     """
     pot = PolynomialPotential(coeffs)
     r = abs(z) ** 2
-    got = pot.scalar_value(z)
-    assert isinstance(got, float)
-    scale = sum(abs(c) * r ** (n + 1) for n, c in enumerate(pot.coeffs))
-    assert abs(got - float(pot.value(z))) <= 1e-14 * scale
-    alpha = pot.scalar_force_coefficient(r)
-    assert isinstance(alpha, float)
-    scale = sum(2.0 * (n + 1) * abs(c) * r**n for n, c in enumerate(pot.coeffs))
-    assert abs(alpha - float(pot.force_coefficient(r))) <= 1e-14 * scale
+    u = (0.0, *pot.coeffs)
+    alpha = tuple(-2.0 * (n + 1) * c for n, c in enumerate(pot.coeffs))
+    want_u, want_alpha = P.polyval(r, u), P.polyval(r, alpha)
+    bound_u = 1e-14 * P.polyval(r, np.abs(u)) + SUBNORMAL_SLACK
+    bound_alpha = 1e-14 * P.polyval(r, np.abs(alpha)) + SUBNORMAL_SLACK
+    scalar = (pot.value(z), pot.force_coefficient(r), pot.force(z))
+    assert [type(x) for x in scalar] == [float, float, complex]
+    zs, rs = np.array([z]), np.array([r])
+    array = (pot.value(zs)[0], pot.force_coefficient(rs)[0], pot.force(zs)[0])
+    for value, coefficient, force in (scalar, array):
+        assert abs(value - want_u) <= bound_u
+        assert abs(coefficient - want_alpha) <= bound_alpha
+        assert abs(force - want_alpha * z) <= abs(z) * bound_alpha + SUBNORMAL_SLACK

@@ -497,6 +497,24 @@ def test_mirrored_candidates_share_one_profile(grid, rho, pot, monkeypatch):
                for a, b in zip(table.roots, table.roots[::-1]))
 
 
+def test_table_builds_its_reciprocal_rows_once(grid, rho, pot, monkeypatch):
+    """One block of reciprocal rows, built at construction, serves s, the profiles and the scan."""
+    calls = []
+    reciprocals = mfkg.solitary._reciprocals
+
+    def counted(k2, omegas, m):
+        calls.append(omegas.size)
+        return reciprocals(k2, omegas, m)
+
+    monkeypatch.setattr(mfkg.solitary, "_reciprocals", counted)
+    table = ManifoldTable(rho, pot, SeminormSpec(0.5, 8.0, 8.0))
+    assert calls == [101]
+    assert table._recip.shape == (101, table._k2.size)
+    # the zero wave wins, so no polish runs: the scan reads the stored block alone
+    assert table.distance(zero_state(grid)) == (0.0, None)
+    assert calls == [101]
+
+
 def test_best_omega_of_a_real_state_is_nonnegative():
     # the counterexample's exact states are real: S(-omega) = conj S(omega)
     # ties every candidate with its mirror, at any global phase

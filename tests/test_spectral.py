@@ -176,7 +176,7 @@ def fake_trajectory(times, gamma, sponge=None):
     return Trajectory(
         times=times, gamma=gamma, force=z, energy=np.zeros(times.size),
         charge=np.zeros(times.size), seminorms={}, snapshots=[], dt=0.1,
-        steps_per_sample=1, m=1.0, sponge=sponge,
+        steps_per_sample=1, sponge=sponge,
     )
 
 
