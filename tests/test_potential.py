@@ -111,29 +111,58 @@ low_degree_coeffs = st.lists(
 SUBNORMAL_SLACK = 4 * np.finfo(float).smallest_subnormal
 
 
+def _polyval_oracle(pot: PolynomialPotential, r: float):
+    """U's and alpha's coefficients, their polyval at r and Horner's error scale there.
+
+    Horner's rule errs by a few eps times the summed magnitudes of the terms,
+    sum |c_n| r^n, so each bound is 1e-14 of that scale plus a few subnormal
+    ulps.
+    """
+    u = (0.0, *pot.coeffs)
+    alpha = tuple(-2.0 * (n + 1) * c for n, c in enumerate(pot.coeffs))
+    bound_u = 1e-14 * P.polyval(r, np.abs(u)) + SUBNORMAL_SLACK
+    bound_alpha = 1e-14 * P.polyval(r, np.abs(alpha)) + SUBNORMAL_SLACK
+    return P.polyval(r, u), bound_u, P.polyval(r, alpha), bound_alpha
+
+
 @settings(max_examples=200, deadline=None)
 @given(low_degree_coeffs, st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False))
 @example((0.0, 0.25), 1.77e-161 + 0j)  # alpha subnormal: the scale rounds to 0
-def test_horner_route_matches_polyval(coeffs, z):
-    """force, value and force_coefficient against numpy's polyval of the coefficients.
+def test_scalar_force_matches_array_force(coeffs, z):
+    """F of a Python complex is a Python complex and agrees with F of an array.
 
-    Horner's rule errs by a few eps times the summed magnitudes of the terms,
-    sum |c_n| r^n, so each is bounded by 1e-14 of that scale plus a few
-    subnormal ulps.  A Python complex in gives Python scalars out; an array
-    in gives the same values elementwise.
+    Both agree with numpy's polyval of alpha times z, to Horner's error scale.
     """
     pot = PolynomialPotential(coeffs)
     r = abs(z) ** 2
-    u = (0.0, *pot.coeffs)
-    alpha = tuple(-2.0 * (n + 1) * c for n, c in enumerate(pot.coeffs))
-    want_u, want_alpha = P.polyval(r, u), P.polyval(r, alpha)
-    bound_u = 1e-14 * P.polyval(r, np.abs(u)) + SUBNORMAL_SLACK
-    bound_alpha = 1e-14 * P.polyval(r, np.abs(alpha)) + SUBNORMAL_SLACK
-    scalar = (pot.value(z), pot.force_coefficient(r), pot.force(z))
-    assert [type(x) for x in scalar] == [float, float, complex]
-    zs, rs = np.array([z]), np.array([r])
-    array = (pot.value(zs)[0], pot.force_coefficient(rs)[0], pot.force(zs)[0])
-    for value, coefficient, force in (scalar, array):
-        assert abs(value - want_u) <= bound_u
-        assert abs(coefficient - want_alpha) <= bound_alpha
-        assert abs(force - want_alpha * z) <= abs(z) * bound_alpha + SUBNORMAL_SLACK
+    _, _, want_alpha, bound_alpha = _polyval_oracle(pot, r)
+    bound = abs(z) * bound_alpha + SUBNORMAL_SLACK
+    got = pot.force(z)
+    assert isinstance(got, complex)
+    expected = pot.force(np.array([z]))[0]
+    assert abs(got - expected) <= bound
+    for force in (got, expected):
+        assert abs(force - want_alpha * z) <= bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(low_degree_coeffs, st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False))
+@example((0.0, 0.25), 1.77e-161 + 0j)  # alpha subnormal: the scale rounds to 0
+def test_scalar_value_matches_array_value(coeffs, z):
+    """U and alpha of Python scalars are floats and agree with U and alpha of arrays.
+
+    Both agree with numpy's polyval of the coefficients, to Horner's error scale.
+    """
+    pot = PolynomialPotential(coeffs)
+    r = abs(z) ** 2
+    want_u, bound_u, want_alpha, bound_alpha = _polyval_oracle(pot, r)
+    value, alpha = pot.value(z), pot.force_coefficient(r)
+    assert [type(x) for x in (value, alpha)] == [float, float]
+    array_value = pot.value(np.array([z]))[0]
+    array_alpha = pot.force_coefficient(np.array([r]))[0]
+    assert abs(value - array_value) <= bound_u
+    assert abs(alpha - array_alpha) <= bound_alpha
+    for got in (value, array_value):
+        assert abs(got - want_u) <= bound_u
+    for got in (alpha, array_alpha):
+        assert abs(got - want_alpha) <= bound_alpha
