@@ -57,14 +57,23 @@ with (:attr:`_StrangCore.gamma`), so readers pair psi with rho only where
 no block ran (the first sample, a sponge run, a per-step reference route);
 the next block computes its own gamma_0, so the trajectory never sees it.
 
-With a sponge the core steps one by one
-over every mode in natural order: each step ends with one stacked inverse
-transform into a position-space buffer, the damping multiply and one
-stacked forward transform back, both transforms on the pair reshaped into
-the grid's shape.  The core holds the damped fields that this leaves in the
-buffer, a fresh one per sampling interval, as its sample's fields.  The
-flow and the damping multiply the float64 view of the state by interleaved
-real tables, and the kicks take the force from
+With a sponge the core steps one by one, its modes in natural order: each
+step ends with one stacked inverse transform into the core's position-space
+buffer, the damping multiply and one stacked forward transform back, both
+transforms on the pair reshaped into the grid's shape and bound per axis
+once, at set-up (:meth:`Grid._bound_passes`).  The inverse runs unscaled
+(numpy's ``norm="forward"``) and its 1/N goes into the damping table;
+N is a power of two, so the damped fields are raw_ifft's times the
+damping, bit for bit.  The core holds the damped fields that the last step
+of an interval leaves in the buffer as its sample's fields (every reader
+copies or consumes them before the next interval).  The flow and the
+damping multiply the float64 view of the state by interleaved real tables.
+The kicks and their gamma run over the coupled span: [0, a) up to the last
+coupled mode below N/2 and [b, N) from the first one at or above it, in
+flat raw indices.  The modes left out hold only roundoff of rho's
+transform, as outside C in the undamped core; psi is gathered over the
+span in that order, so gamma is one product, the full pairing's when the
+span is every mode (a = b = N/2).  The force comes from
 :meth:`PolynomialPotential.force` on one Python complex.
 :func:`free_flow` and :func:`kick` remain single applications on the
 :meth:`Grid.forward` path, independent of the core.
@@ -73,7 +82,7 @@ Every sampled run is the generator :meth:`_StrangCore.samples`.  It covers
 whole sampling intervals, so samples are uniform and the last one lies at
 or past T.  It yields each sample's time alone; the sample is read off the
 core, whose :meth:`_StrangCore.fields` a sponge core holds (the data at t0,
-then the damped buffers).
+then the damped buffer).
 
 Three runs read those samples.  :func:`evolve` hands each to
 :meth:`_Recorder.record`, which turns it into the recorded observables:
@@ -89,7 +98,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, isfinite
-from operator import mul
+from operator import index, mul
 
 import numpy as np
 
@@ -115,6 +124,18 @@ __all__ = [
     "evolve",
     "snapshots",
 ]
+
+
+def _require_integer(name: str, value) -> int:
+    """``value`` as an int, for a step or stride count; a ValueError naming it if not an integer.
+
+    An integer is what :func:`operator.index` accepts: Python and numpy
+    integers, not floats, even integral ones.
+    """
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name}={value!r} must be an integer") from None
 
 
 @dataclass(frozen=True)
@@ -148,7 +169,7 @@ class Integrator:
     def __post_init__(self) -> None:
         if not (isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt={self.dt} must be finite and positive")
-        if self.steps_per_sample < 1:
+        if _require_integer("steps_per_sample", self.steps_per_sample) < 1:
             raise ValueError("steps_per_sample must be at least 1")
 
 
@@ -164,7 +185,7 @@ class Observers:
     snapshot_stride: int = 0  # in samples; 0 disables snapshots
 
     def __post_init__(self) -> None:
-        if self.snapshot_stride < 0:
+        if _require_integer("snapshot_stride", self.snapshot_stride) < 0:
             raise ValueError(f"snapshot_stride={self.snapshot_stride} must be nonnegative")
         labels = [spec.label for spec in self.seminorm_specs]
         for label in labels:
@@ -272,13 +293,15 @@ class _StrangCore:
         # |psi_hat|^2 / L^n = scale |psi_raw|^2, since psi_hat = +-h^n psi_raw
         self.scale = grid.cell_volume / grid.num_points
         self.pot = pot
-        self.kick = self.pairing = self.damp = self.sampled = None
+        self.kick = self.pairing = self.damp = self.sampled = self.half_kick = None
         n = count = grid.num_points
         # the core order lists C first; order and layout are None when C is every mode
         self.order = self.layout = None
-        rho_raw = None if rho is None else grid.raw_fft(rho.values)
-        if rho is not None and integ.sponge is None:
+        rho_raw = mask = None
+        if rho is not None:
+            rho_raw = grid.raw_fft(rho.values)
             mask = coupled_modes(rho_raw.ravel())
+        if mask is not None and integ.sponge is None:
             count = int(np.count_nonzero(mask))
             if count < n:
                 order = self.order = np.concatenate((np.flatnonzero(mask), np.flatnonzero(~mask)))
@@ -306,10 +329,50 @@ class _StrangCore:
             self.pairing = self.scale * rho_raw
             self.read = self.pairing[self.coupled]
         if integ.sponge is not None:
-            self.damp = _sponge_factor(grid, integ.sponge, integ.dt)
-            self.step_flow = _rotation_tables(self.omega, integ.dt)
+            self._bind_damped(integ, mask)
             return
         self._bind_interval(integ, rho_raw)
+
+    def _bind_damped(self, integ: Integrator, mask: np.ndarray | None) -> None:
+        """Bind the tables, transforms and half kick of the damped steps."""
+        grid, n = self.grid, self.grid.num_points
+        # the inverse transform runs unscaled (norm="forward") and its 1/N
+        # goes into the damping table: N is a power of two, so the damped
+        # fields are raw_ifft's times the damping, bit for bit
+        self.damp = _sponge_factor(grid, integ.sponge, integ.dt)
+        self.damp /= n
+        self.step_flow = _rotation_tables(self.omega, integ.dt)
+        shaped = self.raw.reshape(2, *grid.shape)
+        self.position = np.empty_like(shaped)
+        self.round_trip = (grid._bound_passes(np.fft.ifft, shaped, self.position, norm="forward"),
+                           grid._bound_passes(np.fft.fft, self.position, shaped))
+        if mask is None:
+            return
+        # the coupled span: [0, a) up to the last coupled mode below N/2 and
+        # [b, N) from the first one at or above it; every mode when a = b = N/2
+        coupled = np.flatnonzero(mask)
+        low, high = coupled[coupled < n // 2], coupled[coupled >= n // 2]
+        a = int(low[-1]) + 1 if low.size else 0
+        b = int(high[0]) if high.size else n
+        self.span = (slice(0, a), slice(b, n))
+        psi, pi = self.pair
+        pairing, kick = (np.concatenate((v[:a], v[b:])) for v in (self.pairing, self.kick))
+        # psi is gathered in span order, so gamma is one product: on a span of
+        # every mode, the full pairing's bit for bit
+        gathered, kicked = np.empty_like(pairing), np.empty_like(kick)
+        copies = ((gathered[:a], psi[:a]), (gathered[a:], psi[b:]))
+        adds = ((pi[:a], kicked[:a]), (pi[b:], kicked[a:]))
+        force, copyto, add = self.pot.force, np.copyto, np.add
+
+        def half_kick() -> None:
+            """pi += F(gamma) kick over the span, gamma paired over the span."""
+            for part, source in copies:
+                copyto(part, source)
+            np.multiply(force(complex(np.vdot(pairing, gathered))), kick, out=kicked)
+            for part, kicks in adds:
+                add(part, kicks, out=part)
+
+        self.half_kick = half_kick
 
     def _bind_interval(self, integ: Integrator, rho_raw: np.ndarray | None) -> None:
         """Bind the views, tables and buffers of one undamped sampling interval."""
@@ -378,7 +441,7 @@ class _StrangCore:
         """Start the core's run at the fields (psi, pi)."""
         self.raw[:] = self.to_raw(psi, pi)
         self.pending, self.gamma = 0, None
-        # a sponge core holds its sample's fields: the data at t0, later the damped buffers
+        # a sponge core holds its sample's fields: the data at t0, later the damped buffer
         self.sampled = None if self.damp is None else (psi, pi)
 
     def fields(self):
@@ -489,29 +552,27 @@ class _StrangCore:
     def _damped_steps(self) -> np.ndarray:
         """An interval's Strang steps one by one, each followed by the sponge damping.
 
-        The round trip transforms, in the grid's shape, into a view of the
-        state and one ``fields`` array per call, returned for the core to hold.
+        The round trip transforms, in the grid's shape, from the state into
+        the core's position-space buffer and back; the buffer, left holding
+        the last step's damped fields, is returned for the core to hold.
         """
-        kick, damp = self.kick, self.damp
-        force = None if kick is None else self.pot.force
-        pairing = self.pairing
-        fft, ifft = self.grid.raw_fft, self.grid.raw_ifft
+        half_kick, damp, flow = self.half_kick, self.damp, self._flow
+        inverse, forward = self.round_trip
         cos, sin = self.step_flow
-        psi, pi = self.pair
         view, rotated = self.pair.view(np.float64), self.scratch.reshape(2, -1)
-        shaped = self.raw.reshape(2, *self.grid.shape)
-        fields = np.empty_like(shaped)
-        damped = fields.view(np.float64).reshape(2, -1)
+        damped = self.position.view(np.float64).reshape(2, -1)
         for _ in range(self.integ.steps_per_sample):
-            if kick is not None:
-                pi += force(complex(np.vdot(pairing, psi))) * kick
-            self._flow(view, cos, sin, rotated)
-            if kick is not None:
-                pi += force(complex(np.vdot(pairing, psi))) * kick
-            ifft(shaped, out=fields)
+            if half_kick is not None:
+                half_kick()
+            flow(view, cos, sin, rotated)
+            if half_kick is not None:
+                half_kick()
+            for apply in inverse:
+                apply()
             damped *= damp
-            fft(fields, out=shaped)
-        return fields
+            for apply in forward:
+                apply()
+        return self.position
 
     def samples(self, T: float, t0: float):
         """Advance the loaded state over the :func:`_sample_count` intervals covering T.
@@ -566,7 +627,18 @@ class _Recorder:
         self.obs = observers
         self.rest: tuple[float, float] | None = None
         sponge = core.integ.sponge
-        self.ball = None if sponge is None else core.grid.radius <= sponge.inner_radius
+        self.ball = None
+        if sponge is not None:
+            grid = core.grid
+            # the ball's flat indices, i xi per axis shaped to broadcast over
+            # the grid, and one grid-shaped scratch for the gradient rows
+            self.ball = np.flatnonzero(grid.radius <= sponge.inner_radius)
+            self.ixi = []
+            for axis, xi in enumerate(grid.wavenumbers):
+                shape = [1] * grid.dim
+                shape[axis] = grid.points_per_axis
+                self.ixi.append(1j * xi.reshape(shape))
+            self.gradient = np.empty(grid.shape, dtype=complex)
         self.times: list[float] = []
         self.gamma: list[complex] = []
         self.force: list[complex] = []
@@ -592,7 +664,7 @@ class _Recorder:
             h, q = core.quadratic(core.pair, core.weight)
             h, q = h + self.rest[0] + u_val, q + self.rest[1]
         else:
-            h, q = _ball_observables(core, self.ball, u_val)
+            h, q = self._ball_observables(u_val)
         _require_finite(t, h, abs(g))
         stride = self.obs.snapshot_stride
         due = stride > 0 and len(self.times) % stride == 0
@@ -607,6 +679,26 @@ class _Recorder:
                 self.seminorms[spec.label].append(local_seminorm(state, spec, core.m))
             if due:
                 self.snapshots.append(state)
+
+    def _ball_observables(self, u_val: float) -> tuple[float, float]:
+        """Energy and charge of a sponge core's sample, restricted to the observation ball.
+
+        psi, pi and each gradient row are gathered at the ball's points
+        first (``take`` reads the elements that a boolean mask would, in the
+        same order), so the density and its sum cover those points only.
+        """
+        core, ball, gradient = self.core, self.ball, self.gradient
+        grid, m = core.grid, core.m
+        psi, pi = (np.take(field, ball) for field in core.fields())
+        psi_raw = core.pair[0].reshape(grid.shape)
+        grad_sq = np.zeros(psi.shape)
+        for ixi in self.ixi:
+            grid.raw_ifft(np.multiply(ixi, psi_raw, out=gradient), out=gradient)
+            grad_sq += np.abs(np.take(gradient, ball)) ** 2
+        density = np.abs(pi) ** 2 + grad_sq + m * m * np.abs(psi) ** 2
+        h = 0.5 * grid.cell_volume * float(density.sum()) + u_val
+        q = -grid.cell_volume * float(np.vdot(psi, pi).imag)
+        return h, q
 
     def build(self) -> Trajectory:
         integ = self.core.integ
@@ -628,26 +720,6 @@ def _require_finite(t: float, *values: float) -> None:
     """Abort a run at the sample at time t unless every value read off it is finite."""
     if not all(map(isfinite, values)):
         raise RuntimeError(f"non-finite fields at t={t:g}; aborting evolution")
-
-
-def _ball_observables(core: _StrangCore, mask: np.ndarray, u_val: float) -> tuple[float, float]:
-    """Energy and charge of a sponge core's sample, restricted to the observation ball.
-
-    psi, pi and each gradient row are gathered at the ball's points first,
-    so the density and its sum cover those points only.
-    """
-    grid, m = core.grid, core.m
-    psi, pi = (field[mask] for field in core.fields())
-    psi_raw = core.pair[0].reshape(grid.shape)
-    grad_sq = np.zeros(psi.shape)
-    for axis, xi in enumerate(grid.wavenumbers):
-        shape = [1] * grid.dim
-        shape[axis] = grid.points_per_axis
-        grad_sq += np.abs(grid.raw_ifft(1j * xi.reshape(shape) * psi_raw)[mask]) ** 2
-    density = np.abs(pi) ** 2 + grad_sq + m * m * np.abs(psi) ** 2
-    h = 0.5 * grid.cell_volume * float(density.sum()) + u_val
-    q = -grid.cell_volume * float(np.vdot(psi, pi).imag)
-    return h, q
 
 
 def evolve(
@@ -690,7 +762,7 @@ def snapshots(
     :func:`evolve` does at the first sample whose gamma or U(gamma) is
     non-finite; without a coupling there is nothing to read.
     """
-    if stride < 1:
+    if _require_integer("snapshot stride", stride) < 1:
         raise ValueError(f"snapshot stride={stride} must be at least 1")
     core, count = _loaded_core(state, rho, pot, integ, T, m)
     last = count - count % stride

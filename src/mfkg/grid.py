@@ -38,7 +38,7 @@ every resolvent sum of :mod:`mfkg.solitary` runs over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -151,10 +151,22 @@ class Grid:
         return self._raw(spectrum, out, np.fft.ifft)
 
     def _raw(self, values: np.ndarray, out: np.ndarray | None, transform) -> np.ndarray:
-        out = transform(values, axis=-self.dim, out=out)
-        for axis in range(1 - self.dim, 0):
-            transform(out, axis=axis, out=out)
+        if out is None:
+            out = np.empty(values.shape, dtype=np.result_type(values, 1j))
+        for apply in self._bound_passes(transform, values, out):
+            apply()
         return out
+
+    def _bound_passes(self, transform, values: np.ndarray, out: np.ndarray, **options) -> tuple:
+        """The per-axis calls of one transform of ``values`` into ``out``, bound once.
+
+        The first axis reads ``values`` into ``out`` and the others follow
+        in place, ascending; ``options`` (such as ``norm``) go to every
+        axis.  A caller that repeats one transform binds them once.
+        """
+        first = partial(transform, values, axis=-self.dim, out=out, **options)
+        return (first, *(partial(transform, out, axis=axis, out=out, **options)
+                         for axis in range(1 - self.dim, 0)))
 
     @property
     def half_shape(self) -> tuple[int, ...]:

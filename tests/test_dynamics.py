@@ -10,6 +10,7 @@ from mfkg import (
     verify_persistence, zero_state,
 )
 from mfkg.dynamics import _StrangCore, snapshots
+from mfkg.fields import coupled_modes
 from mfkg.multifreq import TwoFrequencySolution
 
 from conftest import per_step_advance
@@ -44,6 +45,28 @@ def test_integrator_validation():
 def test_stepping_parameters_reject_non_finite_and_negative_values(make, match):
     with pytest.raises(ValueError, match=match):
         make()
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: Integrator(0.01, 2.5), "steps_per_sample=2.5 must be an integer"),
+    (lambda: Observers(snapshot_stride=2.5), "snapshot_stride=2.5 must be an integer"),
+    (lambda: Observers(snapshot_stride=0.5), "snapshot_stride=0.5 must be an integer"),
+    (lambda: snapshots(zero_state(make_grid(1, 256, 64.0)), None, None, Integrator(0.01, 10),
+                       1.0, 0.5), "snapshot stride=0.5 must be an integer"),
+])
+def test_step_and_stride_counts_must_be_integers(make, match):
+    # a float count, even an integral one, is rejected where the run is set up
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+def test_numpy_integer_counts_are_accepted(grid, rho, pot):
+    state, T = localized_state(grid, np.random.default_rng(2), scale=0.5), 0.4
+    integ = Integrator(0.01, np.int64(10))
+    traj = evolve(state, rho, pot, integ, T, Observers(snapshot_stride=np.int32(2)))
+    assert len(traj.times) == 5 and len(traj.snapshots) == 3
+    taken = snapshots(state, rho, pot, integ, T, np.int64(2))
+    assert [s.time for s in taken] == [s.time for s in traj.snapshots]
 
 
 @pytest.mark.parametrize("T", [-1.0, float("nan"), float("inf")])
@@ -623,3 +646,83 @@ def test_handed_on_gamma_matches_the_pairing(pot, sps, monkeypatch):
         assert np.array_equal(gamma, (paired[0],) + handed[1:])
         paired = np.array(paired)
         assert np.max(np.abs(np.array(handed[1:]) - paired[1:])) <= 1e-13 * np.max(np.abs(paired))
+
+
+def damped_reference_steps(core):
+    """The sponge interval before the coupled span, as a test-side copy.
+
+    Each step kicks and pairs over every mode, takes the scaled inverse
+    transform (raw_ifft) into a fresh buffer, multiplies by the damping
+    exp(-sigma dt) and transforms back with raw_fft.
+    """
+    grid, integ = core.grid, core.integ
+    damp = np.repeat(np.exp(-integ.sponge.rate(grid) * integ.dt).ravel(), 2)
+    kick, pairing, force = core.kick, core.pairing, core.pot.force
+    cos, sin = core.step_flow
+    psi, pi = core.pair
+    view = core.pair.view(np.float64)
+    shaped = core.raw.reshape(2, *grid.shape)
+    fields = np.empty_like(shaped)
+    damped = fields.view(np.float64).reshape(2, -1)
+    for _ in range(integ.steps_per_sample):
+        pi += force(complex(np.vdot(pairing, psi))) * kick
+        view[:] = view * cos + sin * view[::-1]
+        pi += force(complex(np.vdot(pairing, psi))) * kick
+        grid.raw_ifft(shaped, out=fields)
+        damped *= damp
+        grid.raw_fft(fields, out=shaped)
+    return fields
+
+
+@pytest.mark.parametrize("dim, points, length, amplitude, coupled, covered", [
+    (1, 4096, 256.0, 4.0, 692, 692),  # the attraction bench grid
+    (1, 2048, 128.0, 1.0, 345, 345),  # the CLI defaults
+    # roundoff of the transform scatters C across the rows of a 2-D grid
+    (2, 64, 16.0, 1.0, 1851, 4096),
+])
+def test_sponge_span_covers_the_coupled_modes(dim, points, length, amplitude, coupled,
+                                              covered, pot):
+    grid = make_grid(dim, points, length)
+    rho = CouplingProfile.gaussian(grid, amplitude=amplitude, width=1.0)
+    n = grid.num_points
+    core = _StrangCore(grid, Integrator(0.01, 10, Sponge(0.25 * length, 2.0)), rho, pot, 1.0)
+    low, high = core.span
+    assert low.start == 0 and low.stop <= n // 2 <= high.start and high.stop == n
+    inside = np.zeros(n, dtype=bool)
+    inside[low] = inside[high] = True
+    mask = coupled_modes(grid.raw_fft(rho.values).ravel())
+    assert np.count_nonzero(mask) == coupled and np.count_nonzero(inside) == covered
+    assert not np.any(mask & ~inside)
+    # each slice ends on a coupled mode, so neither can shrink
+    assert mask[low.stop - 1] and mask[high.start % n]
+
+
+@pytest.mark.parametrize("dim, points, length, sponge", [
+    (2, 64, 16.0, Sponge(4.0, 2.0)),  # the span is every mode
+    (1, 512, 32.0, Sponge(8.0, 2.0)),  # the span is 17% of the modes
+])
+def test_sponge_steps_match_the_every_mode_loop(dim, points, length, sponge, pot, monkeypatch):
+    # the unscaled inverse with the 1/N in the damping table changes no
+    # bit, so where the span is every mode the run is the every-mode
+    # loop's bit for bit; elsewhere the modes left out hold only roundoff
+    grid = make_grid(dim, points, length)
+    rho = CouplingProfile.gaussian(grid, amplitude=1.0, width=1.0)
+    integ = Integrator(0.02, 5, sponge)
+    state = localized_state(grid, np.random.default_rng(6), scale=0.5)
+    obs = Observers(snapshot_stride=10)
+    traj = evolve(state, rho, pot, integ, 2.0, obs)
+    every = _StrangCore(grid, integ, rho, pot, 1.0).span[0].stop == grid.num_points // 2
+    assert every == (dim == 2)
+    monkeypatch.setattr(_StrangCore, "_damped_steps", damped_reference_steps)
+    reference = evolve(state, rho, pot, integ, 2.0, obs)
+    assert len(traj.snapshots) == len(reference.snapshots) == 3
+    got = [traj.gamma, traj.energy, traj.charge]
+    want = [reference.gamma, reference.energy, reference.charge]
+    for snap, ref in zip(traj.snapshots, reference.snapshots):
+        got += [snap.psi, snap.pi]
+        want += [ref.psi, ref.pi]
+    for g, w in zip(got, want):
+        if every:
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+        else:
+            assert_rel_close(g, w, rel=1e-12)

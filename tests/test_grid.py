@@ -184,3 +184,27 @@ def test_forward_is_linear(values, scale):
     lhs = grid.forward(scale * f)
     rhs = scale * grid.forward(f)
     assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10 * (1 + np.max(np.abs(rhs))))
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_unscaled_inverse_folds_its_scaling_into_a_table(dim, n, rng):
+    """The unscaled inverse (norm="forward") times d / N^n is raw_ifft times d, bit for bit.
+
+    N^n is a power of two, so moving the 1/N^n of the inverse into a real
+    table d changes no bit while no value is subnormal; the sponge step
+    relies on it.
+    """
+    grid = make_grid(dim, n, 8.0)
+    shape = (2,) + grid.shape
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    d = np.exp(-rng.uniform(0.0, 3.0, grid.shape))
+    unscaled = np.full(shape, np.nan, dtype=complex)
+    for apply in grid._bound_passes(np.fft.ifft, x, unscaled, norm="forward"):
+        apply()
+    assert same_bits(unscaled * (d / grid.num_points), grid.raw_ifft(x) * d)
+    # the forward passes, bound the same way, are raw_fft's
+    out = np.full(shape, np.nan, dtype=complex)
+    for apply in grid._bound_passes(np.fft.fft, x, out):
+        apply()
+    assert same_bits(out, grid.raw_fft(x))
