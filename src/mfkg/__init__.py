@@ -35,6 +35,7 @@ from .fields import (
     inner_product,
     local_seminorm,
     smooth_cutoff,
+    zero_pad,
     zero_state,
 )
 from .grid import Grid, make_grid
@@ -123,5 +124,6 @@ __all__ = [
     "wave_packet",
     "windowed_spectrum",
     "write_trajectory_csv",
+    "zero_pad",
     "zero_state",
 ]

@@ -29,33 +29,40 @@ Without a sponge the core advances by block updates of up to 16 steps.
 The coupling is rank one: a kick moves only pi, always along the same raw
 vector, gamma reads only psi, and the free flow is diagonal per mode.  So
 the gammas of a block follow from a scalar recurrence over its start state
-(one product with a table of per-mode cos and sin / omega rows, plus a
-memory term with K_0 = 0), and the end state is the free flow of the block
-plus one more table product for the summed kicks.  This is the composition
-of the block's Strang steps, rearranged; it reproduces step-by-step
-stepping to roundoff.  The products, the kicks and the gamma read run over
-the coupled set C = {k : |rho_raw_k| > eps max |rho_raw|} only, eps the
-float64 machine epsilon: the transform of rho rounds each coefficient by
-about eps times its largest one, so a smaller coefficient is roundoff, and
-a mode outside C neither feels the kick nor adds to gamma (the rule is
-:func:`mfkg.fields.coupled_modes`, which also picks the coupled shells of
-:class:`mfkg.solitary.ManifoldTable`).
+(one product with a table of cos and sin / omega rows, plus a memory term
+with K_0 = 0), and the end state is the free flow of the block plus one
+more table product for the summed kicks.  This is the composition of the
+block's Strang steps, rearranged; it reproduces step-by-step stepping to
+roundoff.  Only the coupled set C = {k : |rho_raw_k| > eps max |rho_raw|}
+takes part, eps the float64 machine epsilon: the transform of rho rounds
+each coefficient by about eps times its largest one, so a smaller
+coefficient is roundoff, and a mode outside C neither feels the kick nor
+adds to gamma (the rule is :func:`mfkg.fields.coupled_modes`, which also
+picks the coupled shells of :class:`mfkg.solitary.ManifoldTable`).
 
-An undamped core holds its state flat as psi_C, pi_C, psi_rest, pi_rest
-(each set ascending), so the blocks run on one C-contiguous ``(2, |C|)``
-pair; :meth:`_StrangCore.to_raw` and :meth:`_StrangCore.to_fields` apply
-and undo the layout, the plain (psi, pi) pair when C is every mode (with a
-sponge, without rho, or with a rho that couples every mode).  The core
-binds at set-up what an interval needs, and :meth:`_StrangCore.advance`
-runs one interval per call.  A mode outside C moves by the free flow
-alone, so the rest lags until :meth:`_StrangCore.sync` flows it once,
-before every read of the whole field (:meth:`_StrangCore.fields`); it keeps
-its first sample's share of H and Q.  ``verify_persistence`` never reads
-it: it sums its error over C and bounds the rest's once, at set-up.  The
-last block hands on the gamma of the end state that its recurrence ends
-with (:attr:`_StrangCore.gamma`), so readers pair psi with rho only where
-no block ran (the first sample, a sponge run, a per-step reference route);
-the next block computes its own gamma_0, so the trajectory never sees it.
+The free flow rotates every mode of an |xi|^2 shell of :attr:`Grid.shells`
+alike (the shell's modes share one omega, bit for bit), and the kick and
+gamma see a shell S only along v_S = rho_raw / |rho_raw| over the modes of
+C in S.  So an undamped core advances one complex (psi, pi) pair per
+coupled shell, the shell pair z_S = <v_S, x> (:attr:`_StrangCore.pair`),
+on which the pairing (scale |rho_raw|) and the kick ((dt/2) |rho_raw|) are
+real vectors folded into the block tables.  The rest of the state, the
+residual (the modes outside C, and on each coupled shell the part
+orthogonal to v_S), moves by the free flow alone.  :meth:`_StrangCore.load`
+projects the raw pair onto the shell pair and the residual, and
+:meth:`_StrangCore.natural` adds them back.  The core binds at set-up what
+an interval needs, and :meth:`_StrangCore.advance` runs one interval per
+call.  The residual lags until :meth:`_StrangCore.sync` flows it once,
+before every read of the whole field (:meth:`_StrangCore.fields`); its
+share of H and Q is orthogonal to the shell pair's and constant, so the
+recorder takes it once, at the first sample.  ``verify_persistence`` never
+reads it: it sums its error over the shell pair and bounds the residual's
+once, at set-up.  The last block hands on the gamma of the end state that
+its recurrence ends with (:attr:`_StrangCore.gamma`), so readers pair the
+shell pair with its real pairing only where no block ran (the first sample,
+a per-step reference route), and a sponge core pairs its natural psi with
+rho at every sample; the next block computes its own gamma_0, so the
+trajectory never sees it.
 
 With a sponge the core steps one by one, its modes in natural order: each
 step ends with one stacked inverse transform into the core's position-space
@@ -92,7 +99,7 @@ check.  :func:`snapshots` keeps only every stride-th sample's fields: it
 records no series, checks gamma and U(gamma) alone, and stops at its last
 snapshot, whose fields are those of ``evolve`` bit for bit.  Both build a
 :class:`FieldState` only where one is read, by :meth:`_StrangCore.state`.
-``multifreq.verify_persistence`` reads gamma and the coupled pair alone.
+``multifreq.verify_persistence`` reads gamma and the shell pair alone.
 """
 from __future__ import annotations
 
@@ -258,16 +265,16 @@ def _sample_count(integ: Integrator, T: float) -> int:
 
 
 # An undamped run advances in block updates of at most this many steps, so
-# the block table has at most _BLOCK_STEPS + 1 rows whatever steps_per_sample is.
+# the block tables have at most _BLOCK_STEPS + 1 rows whatever steps_per_sample is.
 _BLOCK_STEPS = 16
 
 def _block_table(omega: np.ndarray, dt: float, steps: int) -> np.ndarray:
-    """Rows n = 0..steps of (cos(omega n dt), sin(omega n dt) / omega) over the given modes.
+    """Rows n = 0..steps of (cos(omega n dt), sin(omega n dt) / omega) over the given shells.
 
-    Row n weights the (psi, pi) halves of the flattened raw pair on those
-    modes into the psi half of the free flow R^n by n dt.  Read the other
-    way, its (cos, sin / omega) halves are the (pi, psi) halves of R^n
-    applied to (0, e).
+    Row n weights the (psi, pi) halves of a flattened pair on those shells
+    into the psi half of the free flow R^n by n dt.  Read the other way,
+    its (cos, sin / omega) halves are the (pi, psi) halves of R^n applied
+    to (0, e).
     """
     phase = np.multiply.outer(np.arange(steps + 1) * dt, omega)
     return np.concatenate((np.cos(phase), np.sin(phase) / omega), axis=1)
@@ -294,44 +301,32 @@ class _StrangCore:
         self.scale = grid.cell_volume / grid.num_points
         self.pot = pot
         self.kick = self.pairing = self.damp = self.sampled = self.half_kick = None
-        n = count = grid.num_points
-        # the core order lists C first; order and layout are None when C is every mode
-        self.order = self.layout = None
-        rho_raw = mask = None
-        if rho is not None:
-            rho_raw = grid.raw_fft(rho.values)
-            mask = coupled_modes(rho_raw.ravel())
-        if mask is not None and integ.sponge is None:
-            count = int(np.count_nonzero(mask))
-            if count < n:
-                order = self.order = np.concatenate((np.flatnonzero(mask), np.flatnonzero(~mask)))
-                # flat indices of psi_C, pi_C, psi_rest, pi_rest in the natural (psi, pi) pair
-                self.layout = np.concatenate((order[:count], order[:count] + n,
-                                              order[count:], order[count:] + n))
-        self.coupled, self.rest = slice(0, count), slice(count, n)
-        self.raw = np.zeros(2 * n, dtype=complex)
-        self.pair, self.rest_pair = self.split(self.raw)
-        # the blocks leave the rest `pending` steps behind; `gamma` is the
+        n = grid.num_points
+        # the blocks leave the residual `pending` steps behind; `gamma` is the
         # state's gamma as the last block handed it on, None where none ran
         self.pending, self.gamma = 0, None
         self._rest_flows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # the flow's scratch, large enough for C or the rest
-        self.scratch = np.empty(4 * max(count, n - count))
-        self.energy_weight = self._in_order(grid.k_squared + m * m)
+        # the flow's scratch, large enough for the natural pair
+        self.scratch = np.empty(4 * n)
+        # |xi|^2 + m^2 and omega per mode, in natural order
+        self.energy_weight = (grid.k_squared + m * m).ravel()
         self.omega = np.sqrt(self.energy_weight)
-        # |xi|^2 + m^2 over C and over the rest
-        self.weight, self.rest_weight = np.split(self.energy_weight, [count])
+        rho_raw = mask = None
         if rho is not None:
-            rho_raw = self._in_order(rho_raw)
+            rho_raw = grid.raw_fft(rho.values).ravel()
+            mask = coupled_modes(rho_raw)
             # pi_hat += tau F rho_hat reads pi_raw += tau F rho_raw in raw
             # coordinates, and <rho, psi> = scale * sum conj(rho_raw) psi_raw
             self.kick = (0.5 * integ.dt) * rho_raw
             self.pairing = self.scale * rho_raw
-            self.read = self.pairing[self.coupled]
         if integ.sponge is not None:
+            self.raw = np.zeros(2 * n, dtype=complex)
+            self.pair = self.raw.reshape(2, -1)
+            self.read = self.pairing
             self._bind_damped(integ, mask)
             return
-        self._bind_interval(integ, rho_raw)
+        self._bind_shells(rho_raw, mask)
+        self._bind_interval(integ)
 
     def _bind_damped(self, integ: Integrator, mask: np.ndarray | None) -> None:
         """Bind the tables, transforms and half kick of the damped steps."""
@@ -374,37 +369,69 @@ class _StrangCore:
 
         self.half_kick = half_kick
 
-    def _bind_interval(self, integ: Integrator, rho_raw: np.ndarray | None) -> None:
-        """Bind the views, tables and buffers of one undamped sampling interval."""
-        sps, omega = integ.steps_per_sample, self.omega[self.coupled]
+    def _bind_shells(self, rho_raw: np.ndarray | None, mask: np.ndarray | None) -> None:
+        """Bind the coupled shells: C grouped by shell, each shell's unit vector and its norm.
+
+        The modes of C go shell by shell (:attr:`Grid.shells`, ascending),
+        each shell's in ascending flat order; ``starts`` holds where each
+        shell begins and ``column`` each mode's shell.  Shell S carries
+        v = rho_raw / |rho_raw| over C and S, and its norm |rho_raw| gives
+        the real pairing ``read`` = scale |rho_raw| and kick (dt/2) |rho_raw|.
+        Without rho there is no coupled shell.
+        """
+        k2, index = self.grid.shells
+        modes = np.flatnonzero(mask) if mask is not None else np.zeros(0, dtype=np.intp)
+        modes = self.modes = modes[np.argsort(index[modes], kind="stable")]
+        shells = index[modes]
+        new = np.diff(shells, prepend=-1) != 0
+        self.starts, self.column = np.flatnonzero(new), np.cumsum(new) - 1
+        # |xi|^2 + m^2 per coupled shell: its modes' energy_weight, bit for bit
+        self.weight = k2[shells[self.starts]] + self.m * self.m
+        self.pair = np.zeros((2, self.starts.size), dtype=complex)
+        self.residual = np.zeros((2, self.grid.num_points), dtype=complex)
+        coupled = np.zeros(0, dtype=complex) if rho_raw is None else rho_raw[modes]
+        norms = np.sqrt(np.add.reduceat(np.abs(coupled) ** 2, self.starts))
+        self.basis = coupled / norms[self.column]
+        self.conj_basis = np.conj(self.basis)
+        # gamma = sum_S read_S z_S(psi), and a kick adds (dt/2) F |rho_raw| to z_S(pi)
+        self.read = self.scale * norms
+        self.shell_kick = (0.5 * self.integ.dt) * norms
+
+    def _bind_interval(self, integ: Integrator) -> None:
+        """Bind the views, tables and buffers of one undamped sampling interval.
+
+        Without a coupling the whole state is residual: an interval only
+        adds to its lag, and the plan is empty.
+        """
+        sps = integ.steps_per_sample
+        self.lag, self.plan = sps, []
+        if self.kick is None:
+            return
         block = min(sps, _BLOCK_STEPS)
-        self.lag = sps if self.layout is not None else 0
-        # the coupled pair flat and as float64, and the flow's scratch over it
-        self.flat, self.view = self.raw[: self.pair.size], self.pair.view(np.float64)
+        size, omega = self.weight.size, np.sqrt(self.weight)
+        # the shell pair flat, as float64 and as (re, im) columns, and the
+        # flow's scratch over it
+        self.flat, self.view = self.pair.reshape(-1), self.pair.view(np.float64)
         self.swapped = self.view[::-1]
         self.rotated = self.scratch[: self.view.size].reshape(self.view.shape)
-        table = None
-        if rho_raw is not None:
-            table = self.table = _block_table(omega, integ.dt, block)
-            # conj of the pairing over psi_C and pi_C, to weight the flat pair
-            self.conj_read = np.tile(np.conj(self.read), 2)
-            self.coupled_kick = self.kick[self.coupled]
-            # a block's one flat buffer over C: the weighted pair, then its
-            # kicks, and its (re, im) columns and (2, |C|) views
-            self.buffer = np.empty(2 * omega.size, dtype=complex)
-            self.columns = self.buffer.view(np.float64).reshape(-1, 2)
-            self.kicks = self.buffer.reshape(2, -1)
-            # memory K_n: gamma of R^n (0, kick); real, since the pairing
-            # and the kick are both real multiples of rho_raw
-            weight = (0.5 * integ.dt * self.scale) * np.abs(rho_raw[self.coupled]) ** 2
-            memory = (table[:, omega.size:] @ weight).tolist()
-            # lags[i] = (K_i, ..., K_1), the memory that gamma_i reads
-            self.lags = [memory[i:0:-1] for i in range(block + 1)]
+        self.columns = self.flat.view(np.float64).reshape(-1, 2)
+        # a block's summed kicks, flat over the shell pair, and their (re, im) columns
+        self.buffer = np.empty_like(self.flat)
+        self.sums = self.buffer.view(np.float64).reshape(-1, 2)
+        trig = _block_table(omega, integ.dt, block)
+        # the pairing and the kick are real per shell, so they fold into the
+        # tables: gamma rows weight the trig rows by read, and kick rows hold
+        # the (psi, pi) halves of R^n (0, shell_kick), (sin / omega, cos) times it
+        self.table = trig * np.tile(self.read, 2)
+        kicks = np.roll(trig, size, axis=1) * np.tile(self.shell_kick, 2)
+        # memory K_n: gamma of R^n (0, shell_kick)
+        memory = (self.table[:, size:] @ self.shell_kick).tolist()
+        # lags[i] = (K_i, ..., K_1), the memory that gamma_i reads
+        self.lags = [memory[i:0:-1] for i in range(block + 1)]
 
         def bind(steps: int) -> tuple:
-            """(steps, table rows, their transpose, flow tables) of a block."""
-            rows = None if table is None else table[: steps + 1]
-            return (steps, rows, None if rows is None else rows.T,
+            """(steps, gamma rows, transposed kick rows, flow tables) of a block."""
+            return (steps, self.table[: steps + 1], kicks[: steps + 1].T,
                     *_rotation_tables(omega, steps * integ.dt))
 
         # the interval's blocks: as many full ones as fit, then the remainder
@@ -412,44 +439,45 @@ class _StrangCore:
         if sps % block:
             self.plan.append(bind(sps % block))
 
-    def _in_order(self, values: np.ndarray) -> np.ndarray:
-        """Per-mode values (trailing axes over the grid), flattened into the core order."""
-        flat = values.reshape(*values.shape[: values.ndim - self.grid.dim], -1)
-        return flat if self.order is None else np.take(flat, self.order, axis=-1)
-
-    def split(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (2, |C|) coupled pair and the (2, N - |C|) rest, as views of a raw array."""
-        count = 2 * self.coupled.stop
-        return raw[:count].reshape(2, -1), raw[count:].reshape(2, -1)
-
     def to_raw(self, psi: np.ndarray, pi: np.ndarray) -> np.ndarray:
-        """The raw pair of two fields, flat in the core's layout."""
-        flat = self.grid.raw_fft(np.stack((psi, pi))).reshape(-1)
-        return flat if self.layout is None else flat[self.layout]
+        """The natural raw pair (2, N) of two fields."""
+        return self.grid.raw_fft(np.stack((psi, pi))).reshape(2, -1)
 
-    def to_fields(self, raw: np.ndarray) -> np.ndarray:
-        """Position-space (psi, pi) of a raw pair in the core's layout; undoes :meth:`to_raw`."""
-        if self.layout is None:
-            return self.grid.raw_ifft(raw.reshape(2, *self.grid.shape))
-        # undo the layout into the array that the inverse transform fills
-        fields = np.empty_like(raw)
-        fields[self.layout] = raw
-        fields = fields.reshape(2, *self.grid.shape)
-        return self.grid.raw_ifft(fields, out=fields)
+    def project(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The shell pair (2, shells) and the residual (2, N) of a natural raw pair.
+
+        z_S = sum conj(v) x over C and S, per row; the residual is raw minus
+        v z_S over C, so it is orthogonal to v on every coupled shell.
+        """
+        pair = np.add.reduceat(self.conj_basis * raw[:, self.modes], self.starts, axis=1)
+        residual = raw.copy()
+        residual[:, self.modes] -= self.basis * pair[:, self.column]
+        return pair, residual
+
+    def natural(self) -> np.ndarray:
+        """The natural raw pair (2, N) of the synced state; undoes :meth:`project`."""
+        self.sync()
+        raw = self.residual.copy()
+        raw[:, self.modes] += self.basis * self.pair[:, self.column]
+        return raw
 
     def load(self, psi: np.ndarray, pi: np.ndarray) -> None:
         """Start the core's run at the fields (psi, pi)."""
-        self.raw[:] = self.to_raw(psi, pi)
+        raw = self.to_raw(psi, pi)
         self.pending, self.gamma = 0, None
+        if self.damp is None:
+            self.pair[:], self.residual[:] = self.project(raw)
+            return
+        self.pair[:] = raw
         # a sponge core holds its sample's fields: the data at t0, later the damped buffer
-        self.sampled = None if self.damp is None else (psi, pi)
+        self.sampled = (psi, pi)
 
     def fields(self):
         """Position-space (psi, pi) of the sample: a sponge core's held pair, else the synced state's."""
         if self.sampled is not None:
             return self.sampled
-        self.sync()
-        return self.to_fields(self.raw)
+        raw = self.natural().reshape(2, *self.grid.shape)
+        return self.grid.raw_ifft(raw, out=raw)
 
     def state(self, t: float) -> FieldState:
         """The current sample, at time t, as a :class:`FieldState` of :meth:`fields`."""
@@ -457,18 +485,21 @@ class _StrangCore:
         return FieldState(self.grid, psi, pi, t)
 
     def sync(self) -> None:
-        """Flow the lagging rest of the core's state by its pending steps."""
+        """Flow the lagging residual of the core's state by its pending steps."""
         if self.pending:
             tables = self._rest_flows.get(self.pending)
             if tables is None:
-                tables = _rotation_tables(self.omega[self.rest], self.pending * self.integ.dt)
+                tables = _rotation_tables(self.omega, self.pending * self.integ.dt)
                 self._rest_flows[self.pending] = tables
-            view = self.rest_pair.view(np.float64)
-            self._flow(view, *tables, self.scratch[: view.size].reshape(view.shape))
+            view = self.residual.view(np.float64)
+            self._flow(view, *tables, self.scratch.reshape(view.shape))
             self.pending = 0
 
     def coupling(self) -> complex:
-        """gamma = <rho, psi> of the state: as handed on, else paired over the coupled modes."""
+        """gamma = <rho, psi> of the state: as handed on, else read off the pair.
+
+        ``read`` is the real shell pairing without a sponge, the natural one with.
+        """
         if self.gamma is None:
             return complex(np.vdot(self.read, self.pair[0]))
         return self.gamma
@@ -496,58 +527,52 @@ class _StrangCore:
         """Take one sampling interval of Strang steps of the core's state in place.
 
         Without a sponge the steps go in block updates of at most
-        _BLOCK_STEPS steps each.  A kick moves only pi,
-        always along the raw vector e = kick; gamma reads only psi; the free
-        flow R is diagonal per mode.  So a block of s steps from the start
-        x0, with kick weights c = (d_0, 2 d_1, ..., 2 d_{s-1}, d_s) and
-        d_j = F(gamma_j), is:
+        _BLOCK_STEPS steps each, on the shell pair.  A kick moves only pi,
+        always along the real vector e = shell_kick; gamma reads only psi;
+        the free flow R is diagonal per shell.  So a block of s steps from
+        the start x0, with kick weights c = (d_0, 2 d_1, ..., 2 d_{s-1}, d_s)
+        and d_j = F(gamma_j), is:
 
         * gamma_i = b_i + sum_{j<i} K_{i-j} c_j, where b_i is gamma of
-          R^i x0 (one product of x0 with the block table) and K is
-          the memory, so the d_j follow from a scalar recurrence;
-        * the end state is R^s x0 + sum_j c_j R^{s-j} (0, e), the sum again
-          one product with the table.
+          R^i x0 (one product of x0 with the gamma rows) and K is the
+          memory, so the d_j follow from a scalar recurrence;
+        * the end state is R^s x0 + sum_j c_j R^{s-j} (0, e), the sum one
+          product with the kick rows.
 
-        Both products, the pairing, the kicks and the free flow touch only
-        the coupled pair; gamma_s of the last block is handed on.  With a
-        sponge the steps go one by one, each ending with the damping
-        multiply in position space, and the core holds the damped
-        position-space fields after the last step as its sample's.
+        gamma_s of the last block is handed on, and the residual lags one
+        more interval.  With a sponge the steps go one by one, each ending
+        with the damping multiply in position space, and the core holds the
+        damped position-space fields after the last step as its sample's.
         """
         if self.damp is not None:
             self.sampled = self._damped_steps()
             return
+        self.pending += self.lag
+        if not self.plan:
+            return
         # Both products are real GEMMs against the (re, im) columns of a
-        # complex vector viewed as float64.  With the kick or pairing folded
-        # into a complex table they would be complex GEMVs, which OpenBLAS
-        # splits over threads at this size: slower on two threads than on
-        # one, with first calls of ~10 ms.
+        # complex vector viewed as float64.  As complex GEMVs they would be
+        # split over threads by OpenBLAS at this size: slower on two threads
+        # than on one, with first calls of ~10 ms.
         view, swapped, rotated = self.view, self.swapped, self.rotated
-        if self.kick is not None:
-            flat, buffer, columns, kicks = self.flat, self.buffer, self.columns, self.kicks
-            kick = self.coupled_kick
-            conj_read, force, lags = self.conj_read, self.pot.force, self.lags
-        for steps, rows, rows_t, cos, sin in self.plan:
-            if rows is not None:
-                np.multiply(conj_read, flat, out=buffer)
-                b = (rows @ columns).view(np.complex128)
-                weights: list[complex] = []
-                for i, g in enumerate(b.ravel().tolist()):
-                    g += sum(map(mul, lags[i], weights))
-                    d = force(g)
-                    weights.append(2.0 * d if 0 < i < steps else d)
-                c = np.array(weights[::-1]).view(np.float64).reshape(-1, 2)
-                # the (pi, psi) halves of sum_j c_j R^{s-j} (0, 1), per coupled mode
-                sums = (rows_t @ c).view(np.complex128).reshape(2, -1)
-                np.multiply(sums[::-1], kick, out=kicks)
+        flat, columns, buffer, sums = self.flat, self.columns, self.buffer, self.sums
+        force, lags, matmul = self.pot.force, self.lags, np.matmul
+        for steps, rows, kick_rows, cos, sin in self.plan:
+            b = (rows @ columns).view(np.complex128)
+            weights: list[complex] = []
+            for i, g in enumerate(b.ravel().tolist()):
+                g += sum(map(mul, lags[i], weights))
+                d = force(g)
+                weights.append(2.0 * d if 0 < i < steps else d)
+            c = np.array(weights[::-1]).view(np.float64).reshape(-1, 2)
+            # the (psi, pi) halves of sum_j c_j R^{s-j} (0, e), per shell
+            matmul(kick_rows, c, out=sums)
             np.multiply(sin, swapped, out=rotated)
             view *= cos
             view += rotated
-            if rows is not None:
-                flat += buffer
-        if self.kick is not None:
-            self.gamma = g
-        self.pending += self.lag
+            flat += buffer
+        self.gamma = g
+
 
     def _damped_steps(self) -> np.ndarray:
         """An interval's Strang steps one by one, each followed by the sponge damping.
@@ -659,8 +684,8 @@ class _Recorder:
         g, f, u_val = core.coupling_terms()
         if self.ball is None:
             if self.rest is None:
-                # outside C the free flow keeps each mode's share
-                self.rest = core.quadratic(core.rest_pair, core.rest_weight)
+                # the residual moves by the free flow alone, which keeps each mode's share
+                self.rest = core.quadratic(core.residual, core.energy_weight)
             h, q = core.quadratic(core.pair, core.weight)
             h, q = h + self.rest[0] + u_val, q + self.rest[1]
         else:

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import isfinite
+from operator import index
 
 import numpy as np
 
@@ -30,6 +32,7 @@ __all__ = [
     "CouplingProfile",
     "SeminormSpec",
     "zero_state",
+    "zero_pad",
     "require_same_grid",
     "inner_product",
     "energy",
@@ -90,6 +93,37 @@ def require_same_grid(*objects) -> Grid:
         if g != first:
             raise ValueError(f"grid mismatch: {first} vs {g}")
     return first
+
+
+def zero_pad(state: FieldState, rho: CouplingProfile,
+             factor: int) -> tuple[FieldState, CouplingProfile]:
+    """(psi, pi) and rho embedded into a box ``factor`` times longer, at the same spacing.
+
+    ``factor`` is a power of two, so the larger grid has N_big = factor N
+    points per axis.  Each field starts at index N_big/2 - N/2 on every axis:
+    the grids' :attr:`Grid.axis_coords` start at -L/2, so values at equal
+    coordinates agree, and every other point is exactly 0.  The state keeps
+    its time.
+    """
+    require_same_grid(state, rho)
+    try:
+        factor = index(factor)
+    except TypeError:
+        raise ValueError(f"factor={factor!r} must be an integer") from None
+    if factor < 1 or factor & (factor - 1):
+        raise ValueError(f"factor={factor} must be a power of two")
+    grid = state.grid
+    big = Grid(grid.dim, factor * grid.points_per_axis, factor * grid.box_length)
+    start = big.points_per_axis // 2 - grid.points_per_axis // 2
+    inner = (slice(start, start + grid.points_per_axis),) * grid.dim
+
+    def embed(values: np.ndarray) -> np.ndarray:
+        out = np.zeros(big.shape, dtype=values.dtype)
+        out[inner] = values
+        return out
+
+    padded = FieldState(big, embed(state.psi), embed(state.pi), state.time)
+    return padded, CouplingProfile.from_values(big, embed(rho.values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,10 +259,10 @@ class SeminormSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1] (got {self.epsilon})")
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive (got {self.radius})")
-        if self.cutoff_width <= 0:
-            raise ValueError(f"cutoff_width must be positive (got {self.cutoff_width})")
+        if not (isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"radius must be finite and positive (got {self.radius})")
+        if not (isfinite(self.cutoff_width) and self.cutoff_width > 0):
+            raise ValueError(f"cutoff_width must be finite and positive (got {self.cutoff_width})")
 
     @property
     def label(self) -> str:

@@ -238,15 +238,18 @@ def _top_two_positive_peaks(freqs: np.ndarray, amps: np.ndarray):
 
 def _outside_bound(core: _StrangCore, profiles: np.ndarray,
                    omegas: tuple[float, float]) -> tuple[float, float]:
-    """Raw sums of squares that bound the psi and pi errors outside C at any time.
+    """Raw sums of squares that bound the psi and pi errors of the residual at any time.
 
-    There the core's run moves from its loaded state (psi0, pi0) by the free flow
-    alone, so |psi| <= hypot(|psi0|, |pi0| / omega) and |pi| <= hypot(|pi0|, omega |psi0|);
-    the exact solution of the raw profiles (P0, P1), given as the rest of their raw
-    pair, keeps |psi| <= |P0| + |P1| and |pi| <= omega0 |P0| + omega1 |P1|.
+    The residual is the state minus its shell pair: the modes outside C and,
+    on each coupled shell, the part orthogonal to the shell's vector.  There
+    the core's run moves from its loaded residual (psi0, pi0) by the free
+    flow alone, so |psi| <= hypot(|psi0|, |pi0| / omega) and
+    |pi| <= hypot(|pi0|, omega |psi0|) per mode; the exact solution of the
+    raw profiles (P0, P1), given as their residual, keeps |psi| <= |P0| + |P1|
+    and |pi| <= omega0 |P0| + omega1 |P1|.
     """
-    omega = core.omega[core.rest]
-    (psi0, pi0), (p0, p1) = np.abs(core.rest_pair), np.abs(profiles)
+    omega = core.omega
+    (psi0, pi0), (p0, p1) = np.abs(core.residual), np.abs(profiles)
     psi = np.hypot(psi0, pi0 / omega) + p0 + p1
     pi = np.hypot(pi0, omega * psi0) + omegas[0] * p0 + omegas[1] * p1
     return float(psi @ psi), float(pi @ pi)
@@ -261,9 +264,12 @@ def verify_persistence(
     """Evolve the two-tone initial data and compare against the exact solution.
 
     The error scale is the summed L2 size of the two profiles; both field and
-    momentum errors count.  The run flows the coupled set C only, so the
-    errors sum over C plus a bound on the modes outside C fixed at set-up
-    (:func:`_outside_bound`).  Also verifies the spectral signature: the force
+    momentum errors count.  The run advances the shell pair only (one
+    coordinate per coupled |xi|^2 shell), so the errors sum over the shell
+    pair, against the profiles projected onto it, plus a bound on the
+    residual's error fixed at set-up (:func:`_outside_bound`).  Both profiles
+    are resolvent profiles, parallel to rho on every shell, so their residual
+    is roundoff.  Also verifies the spectral signature: the force
     trace carries exactly two positive-frequency peaks, at omega0 and
     3 omega0, and no single peak hoards the spectral mass.
     """
@@ -280,9 +286,9 @@ def verify_persistence(
     core = _StrangCore(grid, integ, sol.rho, pot, sol.m)
     state0 = sol.initial_state()
     core.load(state0.psi, state0.pi)
-    coupled, rest = core.split(core.to_raw(sol.phi0, sol.phi1))
+    coupled, rest = core.project(core.to_raw(sol.phi0, sol.phi1))
     rest_psi, rest_pi = _outside_bound(core, rest, (sol.omega0, sol.omega1))
-    # the float64 view of the raw (phi0, phi1) profiles over C, one row each
+    # the float64 view of the (phi0, phi1) profiles' shell pair, one row each
     diff, pair = np.empty_like(coupled), core.pair
     profiles, exact = coupled.view(np.float64), diff.view(np.float64)
     dpsi, dpi = diff
@@ -298,7 +304,7 @@ def verify_persistence(
         gammas.append(g)
         s0, s1 = math.sin(sol.omega0 * t), math.sin(sol.omega1 * t)
         c0, c1 = math.cos(sol.omega0 * t), math.cos(sol.omega1 * t)
-        # the exact raw (psi, pi) pair over C, then its difference from the run
+        # the exact shell pair, then its difference from the run
         coeffs[:] = s0, s1, sol.omega0 * c0, sol.omega1 * c1
         np.dot(matrix, profiles, out=exact)
         np.subtract(pair, diff, out=diff)

@@ -31,19 +31,19 @@ def per_step_advance(core):
 
     The per-step loop that the block update replaced: half kick, free flow
     by dt, half kick, with the drive of a step's closing half kick reused
-    for the next step's opening one.  It gathers every mode's (psi, pi) out
-    of the core's flat layout (psi_C, pi_C, psi_rest, pi_rest), flows and
-    kicks every mode at every step with its own cos and sin tables, writes
-    the pair back and leaves the core's pending step count at zero, so the
-    core's reads sync nothing, and its handed-on gamma unset, so they pair
-    psi with rho: the run is an every-mode route.
+    for the next step's opening one.  It knows nothing of the core's
+    coordinates: it reads the state's position-space fields
+    (:meth:`_StrangCore.fields`), steps their plain FFT with every mode in
+    natural raw order, each with its own cos and sin tables and with the
+    natural raw kick and pairing of rho, and loads the fields back, which
+    leaves the core's pending step count at zero, so its reads sync
+    nothing, and its handed-on gamma unset, so they pair psi with rho.
     """
-    assert core.integ.sponge is None and core.pending == 0
-    count, n = core.coupled.stop, core.grid.num_points
-    raw = core.raw
-    psi = np.concatenate((raw[:count], raw[2 * count:count + n]))
-    pi = np.concatenate((raw[count:2 * count], raw[count + n:]))
-    tau, omega = core.integ.dt, core.omega
+    assert core.integ.sponge is None
+    grid = core.grid
+    psi, pi = grid.raw_fft(np.stack(core.fields())).reshape(2, -1)
+    tau = core.integ.dt
+    omega = np.sqrt(grid.k_squared.ravel() + core.m * core.m)
     cos, sin = np.cos(omega * tau), np.sin(omega * tau)
     drive = None
     for _ in range(core.integ.steps_per_sample):
@@ -55,7 +55,5 @@ def per_step_advance(core):
         if core.kick is not None:
             drive = core.pot.force(complex(np.vdot(core.pairing, psi)))
             pi += drive * core.kick
-    raw[:count], raw[count:2 * count] = psi[:count], pi[:count]
-    raw[2 * count:count + n], raw[count + n:] = psi[count:], pi[count:]
-    core.pending, core.gamma = 0, None
+    core.load(*grid.raw_ifft(np.stack((psi, pi)).reshape(2, *grid.shape)))
     return None

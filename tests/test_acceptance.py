@@ -128,9 +128,13 @@ def test_criterion_5_sigma_oracle():
 # frequency bounded away from the gap center, plus a band-pass shell of
 # radiation at 70% of its energy norm.  The shell (envelope_center well
 # outside the coupling core) matters: a perturbation sitting on the core
-# excites the linearly undamped internal bound mode, whose beating against
-# the wave floors the manifold distance near 0.02 and spoils late
-# checkpoints, while incoming radiation crosses the core only transiently.
+# excites a linearized mode of the wave that lies far above the continuum
+# threshold, at omega +- mu with mu ~ 7.85-8.  It is embedded in the
+# continuum, but its width goes with |rho_hat|^2 ~ 3e-25 at k ~ 7.8, so it
+# does not decay in any run the package can make.  Its beating against the
+# wave floors the manifold distance near 0.02 and spoils late checkpoints,
+# while incoming radiation crosses the core only transiently and hardly
+# excites it.
 @pytest.fixture(scope="module")
 def attraction_runs():
     grid = make_grid(1, 4096, 256.0)

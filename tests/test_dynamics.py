@@ -4,10 +4,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mfkg import (
-    CouplingProfile, FieldState, Integrator, Observers, SeminormSpec, Sponge,
-    build_counterexample, build_solitary, charge, energy, energy_norm, evolve, free_flow,
-    inner_product, kick, local_seminorm, make_grid,
-    verify_persistence, zero_state,
+    CouplingProfile, FieldState, Integrator, Observers, PolynomialPotential, SeminormSpec,
+    Sponge, build_counterexample, build_solitary, charge, energy, energy_norm, evolve,
+    free_flow, inner_product, kick, local_seminorm, make_grid, random_state,
+    verify_persistence, zero_pad, zero_state,
 )
 from mfkg.dynamics import _StrangCore, snapshots
 from mfkg.fields import coupled_modes
@@ -109,7 +109,9 @@ def test_snapshots_are_evolves_bit_for_bit(dim, points, length, sponge, T, strid
     state = localized_state(grid, np.random.default_rng(5), scale=0.5)
     integ = Integrator(0.02, 5, sponge)
     if dim == 2:
-        assert _StrangCore(grid, integ, rho, pot, 1.0).coupled.stop < grid.num_points
+        # fewer coupled shells than coupled modes, and fewer of those than modes
+        core = _StrangCore(grid, integ, rho, pot, 1.0)
+        assert core.pair.shape[1] < core.modes.size < grid.num_points
     want = evolve(state, rho, pot, integ, T, Observers(snapshot_stride=stride)).snapshots
     intervals = []
     advance = _StrangCore.advance
@@ -460,14 +462,15 @@ def test_block_table_rows_are_capped(grid, rho, pot):
 def test_broad_coupling_couples_every_mode(pot):
     # rho one grid spacing wide: its transform keeps e^{-pi^2 / 2} ~ 7e-3 of
     # its peak at the Nyquist mode, so every mode is coupled, the core keeps
-    # the natural order and the block table has a column pair per mode
+    # one coordinate per |xi|^2 shell (each +-xi pair, plus 0 and the
+    # Nyquist mode: N/2 + 1) and the block table has a column pair per shell
     grid = make_grid(1, 256, 64.0)
     rho = CouplingProfile.gaussian(grid, amplitude=2.0, width=grid.spacing)
     integ = Integrator(0.02, steps_per_sample=5)
     core = _StrangCore(grid, integ, rho, pot, 1.0)
-    assert core.coupled == slice(0, grid.num_points)
-    assert core.order is None
-    assert core.table.shape[1] == 2 * grid.num_points
+    assert np.array_equal(np.sort(core.modes), np.arange(grid.num_points))
+    assert core.pair.shape == (2, grid.num_points // 2 + 1)
+    assert core.table.shape[1] == 2 * (grid.num_points // 2 + 1)
     state = localized_state(grid, np.random.default_rng(3), scale=0.5)
     ref_gamma, ref_final = strang_reference(state, rho, pot, integ, 100)
     traj = evolve(state, rho, pot, integ, 2.0, Observers(snapshot_stride=20))
@@ -484,17 +487,20 @@ def test_width_one_gaussian_couples_few_modes(pot, monkeypatch):
     rho = CouplingProfile.gaussian(grid, amplitude=4.0, width=1.0)
     integ = Integrator(0.01, steps_per_sample=10)
     core = _StrangCore(grid, integ, rho, pot, 1.0)
-    count = core.coupled.stop
+    count = core.modes.size
     assert 0 < count <= 0.2 * grid.num_points
     size = np.abs(grid.raw_fft(rho.values))
     mask = size > np.finfo(np.float64).eps * size.max()
-    # the core order lists the coupled modes first, each set ascending
-    assert np.array_equal(core.order[:count], np.flatnonzero(mask))
-    assert np.array_equal(core.order[count:], np.flatnonzero(~mask))
-    assert core.table.shape[1] == 2 * count
+    # the core lists the coupled modes shell by shell, each shell's ascending
+    assert np.array_equal(np.sort(core.modes), np.flatnonzero(mask))
+    shell = grid.shells[1][core.modes]
+    step, order = np.diff(shell), np.diff(core.modes)
+    assert np.all((step > 0) | ((step == 0) & (order > 0)))
+    # one coordinate per coupled shell: each +-xi pair
+    assert core.table.shape[1] == 2 * core.pair.shape[1] == 2 * np.unique(shell).size == count + 1
     state = localized_state(grid, np.random.default_rng(4), scale=0.5)
-    back = core.to_fields(core.to_raw(state.psi, state.pi))
-    for got, want in zip(back, (state.psi, state.pi)):
+    core.load(state.psi, state.pi)
+    for got, want in zip(core.fields(), (state.psi, state.pi)):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     # the block update on the coupled set against per-step stepping on the
     # full coupling, which kicks and reads every mode
@@ -532,8 +538,8 @@ def test_lazy_core_reads_match_every_mode_flow(pot, sps, monkeypatch):
     grid, rho, integ, state, T = width_one_run(sps)
     core = _StrangCore(grid, integ, rho, pot, 1.0)
     ref = _StrangCore(grid, integ, rho, pot, 1.0)
-    assert 0 < core.coupled.stop <= 0.2 * grid.num_points
-    assert core.rest == slice(core.coupled.stop, grid.num_points)
+    assert 0 < core.modes.size <= 0.2 * grid.num_points
+    assert core.residual.shape == (2, grid.num_points)
     core.load(state.psi, state.pi)
     ref.load(state.psi, state.pi)
     for intervals in (1, 3, 2, 1):
@@ -577,23 +583,38 @@ def test_lazy_invariants_match_all_mode_sums(pot, sps, monkeypatch):
     (1, 256, 64.0, 1.0, Sponge(16.0, 2.0)),  # a sponge core keeps every mode
 ])
 def test_layout_round_trips(dim, points, length, width, sponge, pot):
-    # to_raw lays the pair out flat as psi_C, pi_C, psi_rest, pi_rest in the
-    # core order, both parts contiguous, and to_fields undoes it
+    # load projects the natural raw pair onto one coordinate per coupled
+    # shell, z_S = <v_S, x> with v_S the unit vector of rho_raw over the
+    # shell's coupled modes, and a residual orthogonal to every v_S; fields
+    # adds them back.  A sponge core keeps the natural pair.
     grid = make_grid(dim, points, length)
     rho = CouplingProfile.gaussian(grid, amplitude=2.0, width=width)
     core = _StrangCore(grid, Integrator(0.02, 10, sponge), rho, pot, 1.0)
-    strict = width == 1.0 and sponge is None
-    assert (core.coupled.stop < grid.num_points) == strict == (core.layout is not None)
     state = localized_state(grid, np.random.default_rng(9), scale=0.5)
-    raw = core.to_raw(state.psi, state.pi)
-    assert raw.shape == (2 * grid.num_points,)
-    pair, rest = core.split(raw)
-    assert pair.shape == (2, core.coupled.stop) and pair.flags.c_contiguous
-    assert rest.shape == (2, grid.num_points - core.coupled.stop) and rest.flags.c_contiguous
+    core.load(state.psi, state.pi)
     natural = grid.raw_fft(np.stack((state.psi, state.pi))).reshape(2, -1)
-    order = np.arange(grid.num_points) if core.order is None else core.order
-    assert np.array_equal(np.concatenate((pair, rest), axis=1), natural[:, order])
-    for got, want in zip(core.to_fields(raw), (state.psi, state.pi)):
+    if sponge is not None:
+        assert np.array_equal(core.pair, natural)
+    else:
+        rho_raw = grid.raw_fft(rho.values).ravel()
+        mask = coupled_modes(rho_raw)
+        assert mask.all() == (width != 1.0)
+        _, index = grid.shells
+        shells = np.unique(index[mask])
+        assert core.pair.shape == (2, shells.size) and core.pair.flags.c_contiguous
+        assert core.residual.shape == (2, grid.num_points)
+        scale = np.max(np.abs(natural))
+        for column, shell in enumerate(shells):
+            modes = np.flatnonzero(mask & (index == shell))
+            v = rho_raw[modes] / np.linalg.norm(rho_raw[modes])
+            for row in range(2):
+                z = np.vdot(v, natural[row, modes])
+                assert abs(core.pair[row, column] - z) <= 1e-14 * scale
+                assert abs(np.vdot(v, core.residual[row, modes])) <= 1e-14 * scale
+        # the residual holds the rest of the state, and the modes outside C whole
+        assert np.array_equal(core.residual[:, ~mask], natural[:, ~mask])
+        assert np.max(np.abs(core.natural() - natural)) <= 1e-14 * scale
+    for got, want in zip(core.fields(), (state.psi, state.pi)):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -602,20 +623,89 @@ def test_blocks_run_on_the_contiguous_coupled_pair(sponge, pot):
     grid, rho, integ, state, T = width_one_run(10)
     core = _StrangCore(grid, Integrator(integ.dt, 10, sponge), rho, pot, 1.0)
     core.load(state.psi, state.pi)
-    assert core.pair.flags.c_contiguous and core.rest_pair.flags.c_contiguous
-    assert core.pair.base is core.raw and core.rest_pair.base is core.raw
+    assert core.pair.flags.c_contiguous
     if sponge is None:
-        # the coupled pair is the state's leading 2 |C| entries, and the
-        # views that the interval writes through all sit on it
-        assert core.pair.size == 2 * core.coupled.stop < core.raw.size
-        for view in (core.flat, core.view, core.swapped):
-            assert np.shares_memory(view, core.raw[: core.pair.size])
-            assert not np.shares_memory(view, core.rest_pair)
-        before = core.rest_pair.copy()
+        # the shell pair holds one column per coupled shell, and the views
+        # that the interval writes through all sit on it; the residual lags
+        assert core.pair.shape[1] < core.modes.size < grid.num_points
+        for view in (core.flat, core.view, core.swapped, core.columns):
+            assert np.shares_memory(view, core.pair)
+            assert not np.shares_memory(view, core.residual)
+        before = core.residual.copy()
         core.advance()
-        assert np.array_equal(core.rest_pair, before) and core.pending == 10
+        assert np.array_equal(core.residual, before) and core.pending == 10
     else:
-        assert core.pair.shape == (2, grid.num_points)
+        assert core.pair.shape == (2, grid.num_points) and core.pair.base is core.raw
+
+
+@pytest.mark.parametrize("dim, points, length, several", [
+    (1, 512, 32.0, 2),  # each +-xi pair, at unequal phases of rho_raw
+    (2, 64, 16.0, 8),  # eight or more coupled modes on the fullest shell
+])
+def test_shell_core_matches_the_every_mode_route(dim, points, length, several, pot,
+                                                 monkeypatch):
+    # a real rho that is not even, so rho_raw differs in phase across each
+    # shell and each shell's unit vector mixes unequal entries; against the
+    # per-step route on every mode in natural raw order, with gamma, H and Q
+    # of that route taken from its fields by the position-space functionals
+    grid = make_grid(dim, points, length)
+    axes = np.meshgrid(*grid.axis_coords, indexing="ij")
+    shifted = sum((x - s) ** 2 for x, s in zip(axes, (1.3, -0.4)))
+    rho = CouplingProfile.from_values(grid, 2.0 * np.exp(-0.5 * shifted)
+                                      + np.exp(-grid.radius ** 2))
+    integ = Integrator(0.02, 10)
+    core = _StrangCore(grid, integ, rho, pot, 1.0)
+    rho_raw = grid.raw_fft(rho.values).ravel()
+    modes = core.modes[core.column == np.argmax(np.bincount(core.column))]
+    assert modes.size >= several and np.ptp(np.angle(rho_raw[modes])) > 0.1
+    state = localized_state(grid, np.random.default_rng(11), scale=0.5)
+    T = 4.0  # 20 sampling intervals
+    traj = evolve(state, rho, pot, integ, T, Observers(snapshot_stride=5))
+    monkeypatch.setattr(_StrangCore, "advance", per_step_advance)
+    reference = evolve(state, rho, pot, integ, T, Observers(snapshot_stride=1)).snapshots
+    assert len(reference) == len(traj.times) == 21
+    assert_rel_close(traj.gamma, np.array([inner_product(rho, s) for s in reference]))
+    assert_rel_close(traj.energy, np.array([energy(s, rho, pot) for s in reference]))
+    assert_rel_close(traj.charge, np.array([charge(s) for s in reference]))
+    assert len(traj.snapshots) == 5
+    for snap, want in zip(traj.snapshots, reference[::5]):
+        assert snap.time == want.time
+        assert_rel_close(snap.psi, want.psi)
+        assert_rel_close(snap.pi, want.pi)
+
+
+def criterion_6_data(seed):
+    """The initial data of one seed of criterion 6's attraction runs (test_acceptance)."""
+    grid = make_grid(1, 4096, 256.0)
+    rho = CouplingProfile.gaussian(grid, amplitude=4.0, width=1.0)
+    pot = PolynomialPotential((-1.0, 1.0))
+    rng = np.random.default_rng(1000 + seed)
+    omega = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.35, 0.8))
+    theta = float(rng.uniform(0.0, 2.0 * np.pi))
+    ws = build_solitary(rho, pot, omega, theta).initial_state()
+    pert = random_state(grid, seed, 0.7 * energy_norm(ws, 1.0),
+                        envelope_width=8.0, band_limit=0.5,
+                        band_center=1.2, envelope_center=30.0)
+    return FieldState(grid, ws.psi + pert.psi, ws.pi + pert.pi), rho, pot
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_strang_round_trip_returns_the_data(seed):
+    # Kick and free flow each satisfy Rev S(tau) Rev = S(-tau), with
+    # Rev(psi, pi) = (psi, -pi), so the palindromic Strang step is inverted
+    # by Rev S Rev: T forward, flip pi, T forward again and flip pi back
+    # returns the data up to roundoff.  Criterion 6's data in an undamped
+    # box twice as long (N=8192, L=512); the relative energy-norm error
+    # measured 1.4-2.1e-13 at T=200
+    data, rho, pot = criterion_6_data(seed)
+    data, rho = zero_pad(data, rho, 2)
+    integ, T = Integrator(0.01, 10), 200.0
+    there = snapshots(data, rho, pot, integ, T, 2000)
+    assert len(there) == 2 and there[-1].time == pytest.approx(T)
+    flipped = FieldState(data.grid, there[-1].psi, -there[-1].pi)
+    back = snapshots(flipped, rho, pot, integ, T, 2000)[-1]
+    error = FieldState(data.grid, back.psi - data.psi, -back.pi - data.pi)
+    assert energy_norm(error) / energy_norm(data) <= 1e-12
 
 
 @pytest.mark.parametrize("sps", [10, 40])
@@ -623,7 +713,9 @@ def test_handed_on_gamma_matches_the_pairing(pot, sps, monkeypatch):
     # at every sample of an undamped evolve and of a persistence run, the
     # gamma that the last block's recurrence hands on is the pairing of the
     # synced state over every mode, to roundoff; the recorded gamma is that
-    # handed-on value, and only the first sample, where no block ran, pairs
+    # handed-on value, and only the first sample, where no block ran, pairs:
+    # the shell pair with the real shell pairing, which is the pairing over
+    # every mode to roundoff too
     grid, rho, integ, state, T = width_one_run(sps)
     sol = TwoFrequencySolution(rho, 2.0, 2.0 / 3.0, -1.0, 1.75, 1.0,
                                state.psi.real, state.pi.real, 1.0)
@@ -631,9 +723,9 @@ def test_handed_on_gamma_matches_the_pairing(pot, sps, monkeypatch):
     coupling = _StrangCore.coupling
 
     def spy(self):
-        self.sync()
-        psi = np.concatenate(self.split(self.raw), axis=1)[0]
-        seen.append((self.gamma, complex(np.vdot(self.pairing, psi))))
+        psi = self.natural()[0]
+        seen.append((self.gamma, complex(np.vdot(self.pairing, psi)),
+                     complex(np.vdot(self.read, self.pair[0]))))
         return coupling(self)
 
     monkeypatch.setattr(_StrangCore, "coupling", spy)
@@ -641,11 +733,12 @@ def test_handed_on_gamma_matches_the_pairing(pot, sps, monkeypatch):
             verify_persistence(sol, integ, T, tol=1.0).gamma]
     assert len(seen) == sum(len(g) for g in runs) == 2 * 16
     for gamma, read in zip(runs, (seen[:16], seen[16:])):
-        handed, paired = zip(*read)
+        handed, paired, shell = zip(*read)
         assert handed[0] is None and None not in handed[1:]
-        assert np.array_equal(gamma, (paired[0],) + handed[1:])
+        assert np.array_equal(gamma, (shell[0],) + handed[1:])
         paired = np.array(paired)
-        assert np.max(np.abs(np.array(handed[1:]) - paired[1:])) <= 1e-13 * np.max(np.abs(paired))
+        got = np.array((shell[0],) + handed[1:])
+        assert np.max(np.abs(got - paired)) <= 1e-13 * np.max(np.abs(paired))
 
 
 def damped_reference_steps(core):

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from mfkg import (
     CouplingProfile, FieldState, SeminormSpec, charge, energy, energy_norm,
     inner_product, local_seminorm, make_grid, smooth_cutoff,
-    zero_state,
+    zero_pad, zero_state,
 )
 from mfkg.fields import _seminorm_weights, require_same_grid
 
@@ -122,6 +122,54 @@ def test_seminorm_spec_validation():
         SeminormSpec(0.5, 0.0, 8.0)
     with pytest.raises(ValueError):
         SeminormSpec(0.5, 8.0, -2.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("radius", float("nan")), ("radius", float("inf")),
+    ("cutoff_width", float("nan")), ("cutoff_width", float("inf")),
+])
+def test_seminorm_spec_rejects_non_finite_sizes(field, value):
+    # a NaN size would pass a "<= 0" test, and every windowed norm would read NaN
+    sizes = {"radius": 0.5, "cutoff_width": 8.0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
+        SeminormSpec(0.5, sizes["radius"], sizes["cutoff_width"])
+
+
+@pytest.mark.parametrize("dim, points, length, factor", [
+    (1, 256, 64.0, 2),
+    (1, 128, 40.0, 4),
+    (2, 32, 16.0, 2),
+    (1, 64, 16.0, 1),
+])
+def test_zero_pad_keeps_values_at_equal_coordinates(dim, points, length, factor, rng):
+    grid = make_grid(dim, points, length)
+    rho = CouplingProfile.gaussian(grid, amplitude=2.0, width=1.0)
+    state = random_state(grid, rng)
+    state = FieldState(grid, state.psi, state.pi, 3.5)
+    padded, big_rho = zero_pad(state, rho, factor)
+    big = padded.grid
+    assert big == make_grid(dim, factor * points, factor * length) == big_rho.grid
+    assert big.spacing == grid.spacing and padded.time == 3.5
+    # the small grid's coordinates sit inside the big one's, starting at
+    # index N_big/2 - N/2 on each axis
+    start = int(np.flatnonzero(big.axis_coords[0] == grid.axis_coords[0][0])[0])
+    assert start == big.points_per_axis // 2 - points // 2
+    assert np.array_equal(big.axis_coords[0][start:start + points], grid.axis_coords[0])
+    inner = (slice(start, start + points),) * dim
+    for small, large in ((state.psi, padded.psi), (state.pi, padded.pi),
+                         (rho.values, big_rho.values)):
+        assert np.array_equal(large[inner], small)
+        outside = np.ones(big.shape, dtype=bool)
+        outside[inner] = False
+        assert np.all(large[outside] == 0.0)
+    # the integrals that do not see the box agree to roundoff
+    assert inner_product(big_rho, padded) == pytest.approx(inner_product(rho, state), rel=1e-13)
+
+
+@pytest.mark.parametrize("factor", [3, 0, 2.0, "2"])
+def test_zero_pad_rejects_a_factor_that_is_not_a_power_of_two(grid, rho, factor):
+    with pytest.raises(ValueError, match="factor"):
+        zero_pad(zero_state(grid), rho, factor)
 
 
 def test_seminorm_sees_only_the_window(grid):

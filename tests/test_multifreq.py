@@ -131,11 +131,6 @@ def test_verify_persistence_reads_the_evolve_run(sol):
         assert np.array_equal(report.gamma, traj.gamma)
 
 
-def every_mode(core, raw):
-    """The two rows of a raw array in the core's layout, over every mode in the core order."""
-    return np.concatenate(core.split(raw), axis=1)
-
-
 def persistence_errors_reference(sol, integ, T):
     """max_relative_error and gamma_error of a persistence run, by the
     per-sample formula with one temporary per term."""
@@ -143,12 +138,13 @@ def persistence_errors_reference(sol, integ, T):
     core = _StrangCore(grid, integ, sol.rho, sol.potential(), sol.m)
     state0 = sol.initial_state()
     core.load(state0.psi, state0.pi)
-    phi0_raw, phi1_raw = every_mode(core, core.to_raw(sol.phi0, sol.phi1))
+    phi0_raw, phi1_raw = core.to_raw(sol.phi0, sol.phi1)
     scale = np.sqrt(grid.l2sq(sol.phi0)) + np.sqrt(grid.l2sq(sol.phi1))
     max_err = gamma_err = 0.0
     for t in core.samples(T, state0.time):
-        core.sync()  # the modes outside C flow with the blocks, every interval
-        psi, pi = every_mode(core, core.raw)
+        # the whole state, every mode in natural raw order; the residual
+        # flows with the blocks, every interval
+        psi, pi = core.natural()
         s0, s1 = np.sin(sol.omega0 * t), np.sin(sol.omega1 * t)
         c0, c1 = np.cos(sol.omega0 * t), np.cos(sol.omega1 * t)
         dpsi = psi - (s0 * phi0_raw + s1 * phi1_raw)
@@ -156,8 +152,8 @@ def persistence_errors_reference(sol, integ, T):
         err_psi = np.sqrt(core.scale * np.vdot(dpsi, dpsi).real)
         err_pi = np.sqrt(core.scale * np.vdot(dpi, dpi).real) / sol.omega1
         max_err = max(max_err, max(err_psi, err_pi) / scale)
-        # gamma by the pairing over C, not as the blocks hand it on
-        gamma = complex(np.vdot(core.read, psi[:core.coupled.stop]))
+        # gamma by the pairing over every mode, not as the blocks hand it on
+        gamma = complex(np.vdot(core.pairing, psi))
         gamma_err = max(gamma_err, abs(gamma - sol.sigma0 * s0) / sol.sigma0)
     return max_err, gamma_err
 
@@ -186,32 +182,37 @@ def test_coupled_set_error_matches_the_all_mode_reference(cgrid, b):
 @pytest.mark.parametrize("grid_args", [(1, 1024, 64.0), (1, 2048, 128.0)])
 @pytest.mark.parametrize("b", [-0.5, -1.0, -1.5])
 def test_outside_bound_is_roundoff_of_the_profiles(grid_args, b):
-    """On the bench grid and the CLI's default one, the modes outside C hold only roundoff."""
+    """On the bench grid and the CLI's default one, the residuals hold only roundoff.
+
+    The profiles and the data are resolvent profiles, parallel to rho_raw on
+    every shell, so their residual is roundoff on the coupled shells as well
+    as outside C.
+    """
     grid = make_grid(*grid_args)
     sol = build_counterexample(2.0, b, grid)
     core = _StrangCore(grid, Integrator(0.01, 10), sol.rho, sol.potential(), sol.m)
     state0 = sol.initial_state()
     core.load(state0.psi, state0.pi)
-    _, rest = core.split(core.to_raw(sol.phi0, sol.phi1))
+    _, rest = core.project(core.to_raw(sol.phi0, sol.phi1))
     rest_psi, rest_pi = _outside_bound(core, rest, (sol.omega0, sol.omega1))
     scale = np.sqrt(grid.l2sq(sol.phi0)) + np.sqrt(grid.l2sq(sol.phi1))
-    assert core.rest.start < core.rest.stop == grid.num_points
+    assert core.pair.shape[1] < core.modes.size < grid.num_points
     assert 0.0 < np.sqrt(core.scale * rest_psi) < 1e-15 * scale
     assert 0.0 < np.sqrt(core.scale * rest_pi) / sol.omega1 < 1e-15 * scale
 
 
 def test_outside_bound_dominates_the_eager_run(sol):
-    """At every sample of an every-mode run, the error outside C stays below the set-up bound."""
+    """At every sample of a run synced every interval, the residual's error stays below the set-up bound."""
     grid, integ = sol.rho.grid, Integrator(0.01, 10)
     core = _StrangCore(grid, integ, sol.rho, sol.potential(), sol.m)
     state0 = sol.initial_state()
     core.load(state0.psi, state0.pi)
-    _, (p0, p1) = core.split(core.to_raw(sol.phi0, sol.phi1))
+    _, (p0, p1) = core.project(core.to_raw(sol.phi0, sol.phi1))
     bound = _outside_bound(core, np.stack((p0, p1)), (sol.omega0, sol.omega1))
-    assert core.rest.start < core.rest.stop
-    psi, pi = core.rest_pair
+    assert core.residual.shape == (2, grid.num_points)
+    psi, pi = core.residual
     for t in core.samples(20.0, state0.time):
-        # the rest lags the blocks; syncing every interval flows it with them
+        # the residual lags the blocks; syncing every interval flows it with them
         core.sync()
         dpsi = psi - (np.sin(sol.omega0 * t) * p0 + np.sin(sol.omega1 * t) * p1)
         dpi = pi - (sol.omega0 * np.cos(sol.omega0 * t) * p0
@@ -221,14 +222,15 @@ def test_outside_bound_dominates_the_eager_run(sol):
 
 
 def test_persistence_gamma_matches_an_eager_core(sol):
-    # the check flows C only; a run that syncs every mode after every
-    # interval, as an every-mode core did, reads the same gamma bit for bit
+    # the check flows the shell pair only; a run that syncs the residual
+    # after every interval, as an every-mode core did, reads the same gamma
+    # bit for bit
     integ = Integrator(0.005, 10)
     report = verify_persistence(sol, integ, T=20.0)
     core = _StrangCore(sol.rho.grid, integ, sol.rho, sol.potential(), sol.m)
     state0 = sol.initial_state()
     core.load(state0.psi, state0.pi)
-    assert core.rest.start < core.rest.stop
+    assert core.residual.shape == (2, sol.rho.grid.num_points)
     gamma = []
     for _ in core.samples(20.0, state0.time):
         core.sync()
