@@ -305,7 +305,7 @@ class _StrangCore:
         # the blocks leave the residual `pending` steps behind; `gamma` is the
         # state's gamma as the last block handed it on, None where none ran
         self.pending, self.gamma = 0, None
-        self._rest_flows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._residual_flows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # the flow's scratch, large enough for the natural pair
         self.scratch = np.empty(4 * n)
         # |xi|^2 + m^2 and omega per mode, in natural order
@@ -380,7 +380,7 @@ class _StrangCore:
         Without rho there is no coupled shell.
         """
         k2, index = self.grid.shells
-        modes = np.flatnonzero(mask) if mask is not None else np.zeros(0, dtype=np.intp)
+        modes = np.zeros(0, dtype=np.intp) if rho_raw is None else np.flatnonzero(mask)
         modes = self.modes = modes[np.argsort(index[modes], kind="stable")]
         shells = index[modes]
         new = np.diff(shells, prepend=-1) != 0
@@ -392,7 +392,6 @@ class _StrangCore:
         coupled = np.zeros(0, dtype=complex) if rho_raw is None else rho_raw[modes]
         norms = np.sqrt(np.add.reduceat(np.abs(coupled) ** 2, self.starts))
         self.basis = coupled / norms[self.column]
-        self.conj_basis = np.conj(self.basis)
         # gamma = sum_S read_S z_S(psi), and a kick adds (dt/2) F |rho_raw| to z_S(pi)
         self.read = self.scale * norms
         self.shell_kick = (0.5 * self.integ.dt) * norms
@@ -403,8 +402,7 @@ class _StrangCore:
         Without a coupling the whole state is residual: an interval only
         adds to its lag, and the plan is empty.
         """
-        sps = integ.steps_per_sample
-        self.lag, self.plan = sps, []
+        sps, self.plan = integ.steps_per_sample, []
         if self.kick is None:
             return
         block = min(sps, _BLOCK_STEPS)
@@ -449,7 +447,7 @@ class _StrangCore:
         z_S = sum conj(v) x over C and S, per row; the residual is raw minus
         v z_S over C, so it is orthogonal to v on every coupled shell.
         """
-        pair = np.add.reduceat(self.conj_basis * raw[:, self.modes], self.starts, axis=1)
+        pair = np.add.reduceat(np.conj(self.basis) * raw[:, self.modes], self.starts, axis=1)
         residual = raw.copy()
         residual[:, self.modes] -= self.basis * pair[:, self.column]
         return pair, residual
@@ -487,10 +485,10 @@ class _StrangCore:
     def sync(self) -> None:
         """Flow the lagging residual of the core's state by its pending steps."""
         if self.pending:
-            tables = self._rest_flows.get(self.pending)
+            tables = self._residual_flows.get(self.pending)
             if tables is None:
                 tables = _rotation_tables(self.omega, self.pending * self.integ.dt)
-                self._rest_flows[self.pending] = tables
+                self._residual_flows[self.pending] = tables
             view = self.residual.view(np.float64)
             self._flow(view, *tables, self.scratch.reshape(view.shape))
             self.pending = 0
@@ -547,7 +545,7 @@ class _StrangCore:
         if self.damp is not None:
             self.sampled = self._damped_steps()
             return
-        self.pending += self.lag
+        self.pending += self.integ.steps_per_sample
         if not self.plan:
             return
         # Both products are real GEMMs against the (re, im) columns of a
