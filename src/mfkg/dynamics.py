@@ -244,9 +244,7 @@ def _rotation_tables(omega: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndar
 
     The flow maps the pair to c * (psi, pi) + s * (pi, psi), that is
     psi' = cos psi + (sin / omega) pi and pi' = cos pi - (omega sin) psi;
-    c is the cosine alone, s stacks the two sine tables.  Every entry is
-    an elementwise function of its mode's omega, so the tables of a
-    reordered omega are the reordered tables.
+    c is the cosine alone, s stacks the two sine tables.
     """
     sin = np.sin(omega * tau)
     return _interleaved(np.cos(omega * tau)), _interleaved(np.stack((sin / omega, -omega * sin)))
@@ -570,7 +568,6 @@ class _StrangCore:
             view += rotated
             flat += buffer
         self.gamma = g
-
 
     def _damped_steps(self) -> np.ndarray:
         """An interval's Strang steps one by one, each followed by the sponge damping.
