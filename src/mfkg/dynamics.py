@@ -17,15 +17,16 @@ An optional absorbing sponge damps both fields multiplicatively outside an
 inner radius, emulating radiation to infinity on the periodic box.
 
 All stepping (:func:`evolve`, :func:`snapshots` and
-``multifreq.verify_persistence``) goes through one private core,
-:class:`_StrangCore`.  A core advances one
-system, its own state, kept in raw FFT coordinates: the plain FFT
+``multifreq.verify_persistence``) goes through a private core, one class per
+boundary condition: :class:`_ShellCore` without a sponge and
+:class:`_SpongeCore` with one, both built on :class:`_Core`.  A core
+advances one system, its own state, kept in raw FFT coordinates: the plain FFT
 (:meth:`Grid.raw_fft`) of (psi, pi).  It leaves out the checkerboard and
 cell-volume factors of :meth:`Grid.forward`, which are per-mode scalars, so
 the flow tables do not see them; they are folded once, at set-up, into the
 kick vector and into the pairing vector that reads gamma off raw psi.
 
-Without a sponge the core advances by block updates of up to 16 steps.
+:class:`_ShellCore` advances by block updates of up to 16 steps.
 The coupling is rank one: a kick moves only pi, always along the same raw
 vector, gamma reads only psi, and the free flow is diagonal per mode.  So
 the gammas of a block follow from a scalar recurrence over its start state
@@ -44,27 +45,26 @@ The free flow rotates every mode of an |xi|^2 shell of :attr:`Grid.shells`
 alike (the shell's modes share one omega, bit for bit), and the kick and
 gamma see a shell S only along v_S = rho_raw / |rho_raw| over the modes of
 C in S.  So an undamped core advances one complex (psi, pi) pair per
-coupled shell, the shell pair z_S = <v_S, x> (:attr:`_StrangCore.pair`),
+coupled shell, the shell pair z_S = <v_S, x> (:attr:`_ShellCore.pair`),
 on which the pairing (scale |rho_raw|) and the kick ((dt/2) |rho_raw|) are
 real vectors folded into the block tables.  The rest of the state, the
 residual (the modes outside C, and on each coupled shell the part
-orthogonal to v_S), moves by the free flow alone.  :meth:`_StrangCore.load`
+orthogonal to v_S), moves by the free flow alone.  :meth:`_ShellCore.load`
 projects the raw pair onto the shell pair and the residual, and
-:meth:`_StrangCore.natural` adds them back.  The core binds at set-up what
-an interval needs, and :meth:`_StrangCore.advance` runs one interval per
-call.  The residual lags until :meth:`_StrangCore.sync` flows it once,
-before every read of the whole field (:meth:`_StrangCore.fields`); its
-share of H and Q is orthogonal to the shell pair's and constant, so the
-recorder takes it once, at the first sample.  ``verify_persistence`` never
-reads it: it sums its error over the shell pair and bounds the residual's
-once, at set-up.  The last block hands on the gamma of the end state that
-its recurrence ends with (:attr:`_StrangCore.gamma`), so readers pair the
-shell pair with its real pairing only where no block ran (the first sample,
-a per-step reference route), and a sponge core pairs its natural psi with
-rho at every sample; the next block computes its own gamma_0, so the
-trajectory never sees it.
+:meth:`_ShellCore.natural` adds them back.  The core binds at set-up what
+an interval needs, and :meth:`_ShellCore.advance` runs one interval per
+call.  The residual lags until :meth:`_ShellCore.sync` flows it once,
+before every read of the whole field (:meth:`_ShellCore.fields`); its
+share of H and Q is orthogonal to the shell pair's and constant, so
+:meth:`_ShellCore.load` takes it once.  ``verify_persistence`` never
+reads the residual: it sums its error over the shell pair and bounds the
+residual's once, at set-up.  The last block hands on the gamma of the end
+state that its recurrence ends with (:attr:`_ShellCore.gamma`), so readers
+pair the shell pair with its real pairing only where no block ran (the
+first sample, a per-step reference route); the next block computes its own
+gamma_0, so the trajectory never sees it.
 
-With a sponge the core steps one by one, its modes in natural order: each
+:class:`_SpongeCore` steps one by one, its modes in natural order: each
 step ends with one stacked inverse transform into the core's position-space
 buffer, the damping multiply and one stacked forward transform back, both
 transforms on the pair reshaped into the grid's shape and bound per axis
@@ -80,29 +80,33 @@ coupled mode below N/2 and [b, N) from the first one at or above it, in
 flat raw indices.  The modes left out hold only roundoff of rho's
 transform, as outside C in the undamped core; psi is gathered over the
 span in that order, so gamma is one product, the full pairing's when the
-span is every mode (a = b = N/2).  The force comes from
+span is every mode (a = b = N/2).  Its gamma pairs the natural psi with
+rho at every sample.  The force comes from
 :meth:`PolynomialPotential.force` on one Python complex.
 :func:`free_flow` and :func:`kick` remain single applications on the
 :meth:`Grid.forward` path, independent of the core.
 
-Every sampled run is the generator :meth:`_StrangCore.samples`.  It covers
+Every sampled run is the generator :meth:`_Core.samples`.  It covers
 whole sampling intervals, so samples are uniform and the last one lies at
 or past T.  It yields each sample's time alone; the sample is read off the
-core, whose :meth:`_StrangCore.fields` a sponge core holds (the data at t0,
-then the damped buffer).
+core, whose fields a sponge core holds (the data at t0, then the damped
+buffer that its :meth:`_SpongeCore.advance` returns).
 
-Three runs read those samples.  :func:`evolve` hands each to
-:meth:`_Recorder.record`, which turns it into the recorded observables:
-gamma, F and U, then H and Q, global and conserved without a sponge or over
-the observation ball |x| <= inner_radius with one, then the non-finite
-check.  :func:`snapshots` keeps only every stride-th sample's fields: it
-records no series, checks gamma and U(gamma) alone, and stops at its last
-snapshot, whose fields are those of ``evolve`` bit for bit.  Both build a
-:class:`FieldState` only where one is read, by :meth:`_StrangCore.state`.
-``multifreq.verify_persistence`` reads gamma and the shell pair alone.
+Three runs read those samples, each in its own loop.  :func:`evolve`
+records gamma, F and U (:meth:`_Core.coupling_terms`), then H and Q
+(``invariants``: global and conserved on a shell core, over the
+observation ball |x| <= inner_radius on a sponge core), then checks that
+they are finite.  :func:`snapshots` keeps only every stride-th sample's
+fields: it records no series, checks gamma and U(gamma) alone, and stops at
+its last snapshot, whose fields are those of ``evolve`` bit for bit.  Both
+build a :class:`FieldState` only where one is read, by :meth:`_Core.state`,
+and warn when the snapshot stride is longer than the run.
+``multifreq.verify_persistence`` builds a :class:`_ShellCore` and reads
+gamma and the shell pair alone.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from math import ceil, isfinite
 from operator import index, mul
@@ -231,6 +235,11 @@ def _check_step_size(grid: Grid, integ: Integrator) -> None:
         )
 
 
+def _require_potential(rho: CouplingProfile | None, pot: PolynomialPotential | None) -> None:
+    if rho is not None and pot is None:
+        raise ValueError("a potential is required when a coupling profile is present")
+
+
 def _interleaved(table: np.ndarray) -> np.ndarray:
     """A real table repeated per (re, im) slot, to act on the float64 view of a complex array.
 
@@ -278,8 +287,14 @@ def _block_table(omega: np.ndarray, dt: float, steps: int) -> np.ndarray:
     return np.concatenate((np.cos(phase), np.sin(phase) / omega), axis=1)
 
 
-class _StrangCore:
-    """Strang steps in raw FFT coordinates (see the module docstring)."""
+class _Core:
+    """What both stepping cores share: set-up, the raw transform, the sample's reads and the run.
+
+    :class:`_ShellCore` steps without a sponge and :class:`_SpongeCore`
+    with one (see the module docstring); each binds what it needs in
+    ``_bind`` and owns ``load``, ``fields``, ``coupling``, ``invariants``
+    and ``advance``.
+    """
 
     def __init__(
         self,
@@ -290,22 +305,16 @@ class _StrangCore:
         m: float,
     ) -> None:
         _check_step_size(grid, integ)
-        if rho is not None and pot is None:
-            raise ValueError("a potential is required when a coupling profile is present")
+        _require_potential(rho, pot)
         self.grid = grid
         self.m = m
         self.integ = integ
         # |psi_hat|^2 / L^n = scale |psi_raw|^2, since psi_hat = +-h^n psi_raw
         self.scale = grid.cell_volume / grid.num_points
         self.pot = pot
-        self.kick = self.pairing = self.damp = self.sampled = self.half_kick = None
-        n = grid.num_points
-        # the blocks leave the residual `pending` steps behind; `gamma` is the
-        # state's gamma as the last block handed it on, None where none ran
-        self.pending, self.gamma = 0, None
-        self._residual_flows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.kick = self.pairing = self.sampled = None
         # the flow's scratch, large enough for the natural pair
-        self.scratch = np.empty(4 * n)
+        self.scratch = np.empty(4 * grid.num_points)
         # |xi|^2 + m^2 and omega per mode, in natural order
         self.energy_weight = (grid.k_squared + m * m).ravel()
         self.omega = np.sqrt(self.energy_weight)
@@ -317,57 +326,51 @@ class _StrangCore:
             # coordinates, and <rho, psi> = scale * sum conj(rho_raw) psi_raw
             self.kick = (0.5 * integ.dt) * rho_raw
             self.pairing = self.scale * rho_raw
-        if integ.sponge is not None:
-            self.raw = np.zeros(2 * n, dtype=complex)
-            self.pair = self.raw.reshape(2, -1)
-            self.read = self.pairing
-            self._bind_damped(integ, mask)
-            return
-        self._bind_shells(rho_raw, mask)
-        self._bind_interval(integ)
+        self._bind(rho_raw, mask)
 
-    def _bind_damped(self, integ: Integrator, mask: np.ndarray | None) -> None:
-        """Bind the tables, transforms and half kick of the damped steps."""
-        grid, n = self.grid, self.grid.num_points
-        # the inverse transform runs unscaled (norm="forward") and its 1/N
-        # goes into the damping table: N is a power of two, so the damped
-        # fields are raw_ifft's times the damping, bit for bit
-        self.damp = _sponge_factor(grid, integ.sponge, integ.dt)
-        self.damp /= n
-        self.step_flow = _rotation_tables(self.omega, integ.dt)
-        shaped = self.raw.reshape(2, *grid.shape)
-        self.position = np.empty_like(shaped)
-        self.round_trip = (grid._bound_passes(np.fft.ifft, shaped, self.position, norm="forward"),
-                           grid._bound_passes(np.fft.fft, self.position, shaped))
-        if mask is None:
-            return
-        # the coupled span: [0, a) up to the last coupled mode below N/2 and
-        # [b, N) from the first one at or above it; every mode when a = b = N/2
-        coupled = np.flatnonzero(mask)
-        low, high = coupled[coupled < n // 2], coupled[coupled >= n // 2]
-        a = int(low[-1]) + 1 if low.size else 0
-        b = int(high[0]) if high.size else n
-        self.span = (slice(0, a), slice(b, n))
-        psi, pi = self.pair
-        pairing, kick = (np.concatenate((v[:a], v[b:])) for v in (self.pairing, self.kick))
-        # psi is gathered in span order, so gamma is one product: on a span of
-        # every mode, the full pairing's bit for bit
-        gathered, kicked = np.empty_like(pairing), np.empty_like(kick)
-        copies = ((gathered[:a], psi[:a]), (gathered[a:], psi[b:]))
-        adds = ((pi[:a], kicked[:a]), (pi[b:], kicked[a:]))
-        force, copyto, add = self.pot.force, np.copyto, np.add
+    def to_raw(self, psi: np.ndarray, pi: np.ndarray) -> np.ndarray:
+        """The natural raw pair (2, N) of two fields."""
+        return self.grid.raw_fft(np.stack((psi, pi))).reshape(2, -1)
 
-        def half_kick() -> None:
-            """pi += F(gamma) kick over the span, gamma paired over the span."""
-            for part, source in copies:
-                copyto(part, source)
-            np.multiply(force(complex(np.vdot(pairing, gathered))), kick, out=kicked)
-            for part, kicks in adds:
-                add(part, kicks, out=part)
+    def state(self, t: float) -> FieldState:
+        """The current sample, at time t, as a :class:`FieldState` of :meth:`fields`."""
+        psi, pi = self.fields()
+        return FieldState(self.grid, psi, pi, t)
 
-        self.half_kick = half_kick
+    def coupling_terms(self) -> tuple[complex, complex, float]:
+        """gamma, F(gamma) and U(gamma) of the state; zeros without a coupling."""
+        if self.pairing is None:
+            return 0j, 0j, 0.0
+        g = self.coupling()
+        return g, self.pot.force(g), self.pot.value(g)
 
-    def _bind_shells(self, rho_raw: np.ndarray | None, mask: np.ndarray | None) -> None:
+    def _flow(self, view: np.ndarray, cos: np.ndarray, sin: np.ndarray, rotated: np.ndarray) -> None:
+        """Free flow in place of the float64 view of a raw pair, by the tables' tau."""
+        np.multiply(sin, view[::-1], out=rotated)
+        view *= cos
+        view += rotated
+
+    def samples(self, T: float, t0: float):
+        """Advance the loaded state over the :func:`_sample_count` intervals covering T.
+
+        Yields the time of each sample: t0, then t0 + steps done * dt after
+        every steps_per_sample steps, each interval one call of
+        :meth:`advance`, whose return is held as :attr:`sampled`: the
+        sample's position-space fields where the core holds them (a sponge
+        core), else None.  A sample is read off the core (:meth:`coupling`,
+        :meth:`fields`, :meth:`state`) before the generator resumes.
+        """
+        sps, advance = self.integ.steps_per_sample, self.advance
+        yield t0
+        for done in range(sps, _sample_count(self.integ, T) * sps + 1, sps):
+            self.sampled = advance()
+            yield t0 + done * self.integ.dt
+
+
+class _ShellCore(_Core):
+    """Undamped Strang steps on the shell pair, in block updates (see the module docstring)."""
+
+    def _bind(self, rho_raw: np.ndarray | None, mask: np.ndarray | None) -> None:
         """Bind the coupled shells: C grouped by shell, each shell's unit vector and its norm.
 
         The modes of C go shell by shell (:attr:`Grid.shells`, ascending),
@@ -375,8 +378,9 @@ class _StrangCore:
         shell begins and ``column`` each mode's shell.  Shell S carries
         v = rho_raw / |rho_raw| over C and S, and its norm |rho_raw| gives
         the real pairing ``read`` = scale |rho_raw| and kick (dt/2) |rho_raw|.
-        Without rho there is no coupled shell.
+        Without rho there is no coupled shell.  Then binds the interval.
         """
+        self._residual_flows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         k2, index = self.grid.shells
         modes = np.zeros(0, dtype=np.intp) if rho_raw is None else np.flatnonzero(mask)
         modes = self.modes = modes[np.argsort(index[modes], kind="stable")]
@@ -393,9 +397,10 @@ class _StrangCore:
         # gamma = sum_S read_S z_S(psi), and a kick adds (dt/2) F |rho_raw| to z_S(pi)
         self.read = self.scale * norms
         self.shell_kick = (0.5 * self.integ.dt) * norms
+        self._bind_interval(self.integ)
 
     def _bind_interval(self, integ: Integrator) -> None:
-        """Bind the views, tables and buffers of one undamped sampling interval.
+        """Bind the views, tables and buffers of one sampling interval.
 
         Without a coupling the whole state is residual: an interval only
         adds to its lag, and the plan is empty.
@@ -435,10 +440,6 @@ class _StrangCore:
         if sps % block:
             self.plan.append(bind(sps % block))
 
-    def to_raw(self, psi: np.ndarray, pi: np.ndarray) -> np.ndarray:
-        """The natural raw pair (2, N) of two fields."""
-        return self.grid.raw_fft(np.stack((psi, pi))).reshape(2, -1)
-
     def project(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The shell pair (2, shells) and the residual (2, N) of a natural raw pair.
 
@@ -458,27 +459,19 @@ class _StrangCore:
         return raw
 
     def load(self, psi: np.ndarray, pi: np.ndarray) -> None:
-        """Start the core's run at the fields (psi, pi)."""
-        raw = self.to_raw(psi, pi)
+        """Start the core's run at the fields (psi, pi).
+
+        The residual moves by the free flow alone, which keeps each mode's
+        share of H and Q, so its share is taken here, once (:attr:`rest`).
+        """
+        self.pair[:], self.residual[:] = self.project(self.to_raw(psi, pi))
         self.pending, self.gamma = 0, None
-        if self.damp is None:
-            self.pair[:], self.residual[:] = self.project(raw)
-            return
-        self.pair[:] = raw
-        # a sponge core holds its sample's fields: the data at t0, later the damped buffer
-        self.sampled = (psi, pi)
+        self.rest = self.quadratic(self.residual, self.energy_weight)
 
     def fields(self):
-        """Position-space (psi, pi) of the sample: a sponge core's held pair, else the synced state's."""
-        if self.sampled is not None:
-            return self.sampled
+        """Position-space (psi, pi) of the synced state."""
         raw = self.natural().reshape(2, *self.grid.shape)
         return self.grid.raw_ifft(raw, out=raw)
-
-    def state(self, t: float) -> FieldState:
-        """The current sample, at time t, as a :class:`FieldState` of :meth:`fields`."""
-        psi, pi = self.fields()
-        return FieldState(self.grid, psi, pi, t)
 
     def sync(self) -> None:
         """Flow the lagging residual of the core's state by its pending steps."""
@@ -492,20 +485,10 @@ class _StrangCore:
             self.pending = 0
 
     def coupling(self) -> complex:
-        """gamma = <rho, psi> of the state: as handed on, else read off the pair.
-
-        ``read`` is the real shell pairing without a sponge, the natural one with.
-        """
+        """gamma = <rho, psi> of the state: as handed on, else the shell pair's real pairing."""
         if self.gamma is None:
             return complex(np.vdot(self.read, self.pair[0]))
         return self.gamma
-
-    def coupling_terms(self) -> tuple[complex, complex, float]:
-        """gamma, F(gamma) and U(gamma) of the state; zeros without a coupling."""
-        if self.pairing is None:
-            return 0j, 0j, 0.0
-        g = self.coupling()
-        return g, self.pot.force(g), self.pot.value(g)
 
     def quadratic(self, pair: np.ndarray, weight: np.ndarray) -> tuple[float, float]:
         """The quadratic part of H, and Q, of a (2, modes) raw pair; ``weight`` is |xi|^2 + m^2."""
@@ -513,21 +496,20 @@ class _StrangCore:
         quadratic = np.vdot(pi, pi).real + np.vdot(psi, weight * psi).real
         return 0.5 * self.scale * float(quadratic), -self.scale * float(np.vdot(psi, pi).imag)
 
-    def _flow(self, view: np.ndarray, cos: np.ndarray, sin: np.ndarray, rotated: np.ndarray) -> None:
-        """Free flow in place of the float64 view of a raw pair, by the tables' tau."""
-        np.multiply(sin, view[::-1], out=rotated)
-        view *= cos
-        view += rotated
+    def invariants(self, u_val: float) -> tuple[float, float]:
+        """The global, conserved H and Q: the shell pair's share plus the residual's, and U."""
+        h, q = self.quadratic(self.pair, self.weight)
+        return h + self.rest[0] + u_val, q + self.rest[1]
 
     def advance(self) -> None:
         """Take one sampling interval of Strang steps of the core's state in place.
 
-        Without a sponge the steps go in block updates of at most
-        _BLOCK_STEPS steps each, on the shell pair.  A kick moves only pi,
-        always along the real vector e = shell_kick; gamma reads only psi;
-        the free flow R is diagonal per shell.  So a block of s steps from
-        the start x0, with kick weights c = (d_0, 2 d_1, ..., 2 d_{s-1}, d_s)
-        and d_j = F(gamma_j), is:
+        The steps go in block updates of at most _BLOCK_STEPS steps each, on
+        the shell pair.  A kick moves only pi, always along the real vector
+        e = shell_kick; gamma reads only psi; the free flow R is diagonal
+        per shell.  So a block of s steps from the start x0, with kick
+        weights c = (d_0, 2 d_1, ..., 2 d_{s-1}, d_s) and d_j = F(gamma_j),
+        is:
 
         * gamma_i = b_i + sum_{j<i} K_{i-j} c_j, where b_i is gamma of
           R^i x0 (one product of x0 with the gamma rows) and K is the
@@ -536,13 +518,8 @@ class _StrangCore:
           product with the kick rows.
 
         gamma_s of the last block is handed on, and the residual lags one
-        more interval.  With a sponge the steps go one by one, each ending
-        with the damping multiply in position space, and the core holds the
-        damped position-space fields after the last step as its sample's.
+        more interval.
         """
-        if self.damp is not None:
-            self.sampled = self._damped_steps()
-            return
         self.pending += self.integ.steps_per_sample
         if not self.plan:
             return
@@ -569,12 +546,103 @@ class _StrangCore:
             flat += buffer
         self.gamma = g
 
-    def _damped_steps(self) -> np.ndarray:
+
+class _SpongeCore(_Core):
+    """Damped Strang steps one by one, each followed by the sponge damping (see the module docstring)."""
+
+    def _bind(self, rho_raw: np.ndarray | None, mask: np.ndarray | None) -> None:
+        """Bind the natural pair, the tables, transforms and half kick of the steps, and the ball."""
+        grid, integ, n = self.grid, self.integ, self.grid.num_points
+        self.raw = np.zeros(2 * n, dtype=complex)
+        self.pair = self.raw.reshape(2, -1)
+        # the inverse transform runs unscaled (norm="forward") and its 1/N
+        # goes into the damping table: N is a power of two, so the damped
+        # fields are raw_ifft's times the damping, bit for bit
+        self.damp = _sponge_factor(grid, integ.sponge, integ.dt)
+        self.damp /= n
+        self.step_flow = _rotation_tables(self.omega, integ.dt)
+        shaped = self.raw.reshape(2, *grid.shape)
+        self.position = np.empty_like(shaped)
+        self.round_trip = (grid._bound_passes(np.fft.ifft, shaped, self.position, norm="forward"),
+                           grid._bound_passes(np.fft.fft, self.position, shaped))
+        # the observation ball's flat indices, i xi per axis shaped to
+        # broadcast over the grid, and one grid-shaped scratch for the
+        # gradient rows
+        self.ball = np.flatnonzero(grid.radius <= integ.sponge.inner_radius)
+        self.ixi = []
+        for axis, xi in enumerate(grid.wavenumbers):
+            shape = [1] * grid.dim
+            shape[axis] = grid.points_per_axis
+            self.ixi.append(1j * xi.reshape(shape))
+        self.gradient = np.empty(grid.shape, dtype=complex)
+        self.half_kick = None
+        if mask is None:
+            return
+        # the coupled span: [0, a) up to the last coupled mode below N/2 and
+        # [b, N) from the first one at or above it; every mode when a = b = N/2
+        coupled = np.flatnonzero(mask)
+        low, high = coupled[coupled < n // 2], coupled[coupled >= n // 2]
+        a = int(low[-1]) + 1 if low.size else 0
+        b = int(high[0]) if high.size else n
+        self.span = (slice(0, a), slice(b, n))
+        psi, pi = self.pair
+        pairing, kick = (np.concatenate((v[:a], v[b:])) for v in (self.pairing, self.kick))
+        # psi is gathered in span order, so gamma is one product: on a span of
+        # every mode, the full pairing's bit for bit
+        gathered, kicked = np.empty_like(pairing), np.empty_like(kick)
+        copies = ((gathered[:a], psi[:a]), (gathered[a:], psi[b:]))
+        adds = ((pi[:a], kicked[:a]), (pi[b:], kicked[a:]))
+        force, copyto, add = self.pot.force, np.copyto, np.add
+
+        def half_kick() -> None:
+            """pi += F(gamma) kick over the span, gamma paired over the span."""
+            for part, source in copies:
+                copyto(part, source)
+            np.multiply(force(complex(np.vdot(pairing, gathered))), kick, out=kicked)
+            for part, kicks in adds:
+                add(part, kicks, out=part)
+
+        self.half_kick = half_kick
+
+    def load(self, psi: np.ndarray, pi: np.ndarray) -> None:
+        """Start the core's run at the fields (psi, pi), held as the first sample's fields."""
+        self.pair[:] = self.to_raw(psi, pi)
+        self.sampled = (psi, pi)
+
+    def fields(self):
+        """Position-space (psi, pi) of the sample, as held: the data at t0, then the damped buffer."""
+        return self.sampled
+
+    def coupling(self) -> complex:
+        """gamma = <rho, psi> of the state, the natural pair paired with rho."""
+        return complex(np.vdot(self.pairing, self.pair[0]))
+
+    def invariants(self, u_val: float) -> tuple[float, float]:
+        """Energy and charge of the sample, restricted to the observation ball.
+
+        psi, pi and each gradient row are gathered at the ball's points
+        first (``take`` reads the elements that a boolean mask would, in the
+        same order), so the density and its sum cover those points only.
+        """
+        ball, gradient, grid, m = self.ball, self.gradient, self.grid, self.m
+        psi, pi = (np.take(field, ball) for field in self.fields())
+        psi_raw = self.pair[0].reshape(grid.shape)
+        grad_sq = np.zeros(psi.shape)
+        for ixi in self.ixi:
+            grid.raw_ifft(np.multiply(ixi, psi_raw, out=gradient), out=gradient)
+            grad_sq += np.abs(np.take(gradient, ball)) ** 2
+        density = np.abs(pi) ** 2 + grad_sq + m * m * np.abs(psi) ** 2
+        h = 0.5 * grid.cell_volume * float(density.sum()) + u_val
+        q = -grid.cell_volume * float(np.vdot(psi, pi).imag)
+        return h, q
+
+    def advance(self) -> np.ndarray:
         """An interval's Strang steps one by one, each followed by the sponge damping.
 
         The round trip transforms, in the grid's shape, from the state into
         the core's position-space buffer and back; the buffer, left holding
-        the last step's damped fields, is returned for the core to hold.
+        the last step's damped fields, is returned for :meth:`samples` to
+        hold as the sample's fields.
         """
         half_kick, damp, flow = self.half_kick, self.damp, self._flow
         inverse, forward = self.round_trip
@@ -593,20 +661,6 @@ class _StrangCore:
             for apply in forward:
                 apply()
         return self.position
-
-    def samples(self, T: float, t0: float):
-        """Advance the loaded state over the :func:`_sample_count` intervals covering T.
-
-        Yields the time of each sample: t0, then t0 + steps done * dt after
-        every steps_per_sample steps, each interval one call of
-        :meth:`advance`.  A sample is read off the core (:meth:`coupling`,
-        :meth:`fields`, :meth:`state`) before the generator resumes.
-        """
-        sps, advance = self.integ.steps_per_sample, self.advance
-        yield t0
-        for done in range(sps, _sample_count(self.integ, T) * sps + 1, sps):
-            advance()
-            yield t0 + done * self.integ.dt
 
 
 # public single-application operations ------------------------------------
@@ -628,6 +682,7 @@ def free_flow(state: FieldState, tau: float, m: float = 1.0) -> FieldState:
 
 def kick(state: FieldState, rho: CouplingProfile | None, pot: PolynomialPotential, tau: float) -> FieldState:
     """Exact mean-field impulse pi += tau rho F(<rho, psi>); psi and t unchanged."""
+    _require_potential(rho, pot)
     if rho is None:
         return state
     gamma = inner_product(rho, state)
@@ -637,103 +692,6 @@ def kick(state: FieldState, rho: CouplingProfile | None, pot: PolynomialPotentia
 
 
 # sampled evolution ---------------------------------------------------------
-
-
-class _Recorder:
-    """The reader of :func:`evolve`'s samples: the observables of one system, sample by sample."""
-
-    def __init__(self, core: _StrangCore, observers: Observers):
-        self.core = core
-        self.obs = observers
-        self.rest: tuple[float, float] | None = None
-        sponge = core.integ.sponge
-        self.ball = None
-        if sponge is not None:
-            grid = core.grid
-            # the ball's flat indices, i xi per axis shaped to broadcast over
-            # the grid, and one grid-shaped scratch for the gradient rows
-            self.ball = np.flatnonzero(grid.radius <= sponge.inner_radius)
-            self.ixi = []
-            for axis, xi in enumerate(grid.wavenumbers):
-                shape = [1] * grid.dim
-                shape[axis] = grid.points_per_axis
-                self.ixi.append(1j * xi.reshape(shape))
-            self.gradient = np.empty(grid.shape, dtype=complex)
-        self.times: list[float] = []
-        self.gamma: list[complex] = []
-        self.force: list[complex] = []
-        self.energy: list[float] = []
-        self.charge: list[float] = []
-        self.seminorms: dict[str, list[float]] = {
-            spec.label: [] for spec in observers.seminorm_specs
-        }
-        self.snapshots: list[FieldState] = []
-
-    def record(self, t: float) -> None:
-        """Record the core's current sample, at time t.
-
-        The sample's :class:`FieldState` is built only when a seminorm
-        series or a due snapshot needs it.
-        """
-        core = self.core
-        g, f, u_val = core.coupling_terms()
-        if self.ball is None:
-            if self.rest is None:
-                # the residual moves by the free flow alone, which keeps each mode's share
-                self.rest = core.quadratic(core.residual, core.energy_weight)
-            h, q = core.quadratic(core.pair, core.weight)
-            h, q = h + self.rest[0] + u_val, q + self.rest[1]
-        else:
-            h, q = self._ball_observables(u_val)
-        _require_finite(t, h, abs(g))
-        stride = self.obs.snapshot_stride
-        due = stride > 0 and len(self.times) % stride == 0
-        self.times.append(t)
-        self.gamma.append(g)
-        self.force.append(f)
-        self.energy.append(h)
-        self.charge.append(q)
-        if self.obs.seminorm_specs or due:
-            state = core.state(t)
-            for spec in self.obs.seminorm_specs:
-                self.seminorms[spec.label].append(local_seminorm(state, spec, core.m))
-            if due:
-                self.snapshots.append(state)
-
-    def _ball_observables(self, u_val: float) -> tuple[float, float]:
-        """Energy and charge of a sponge core's sample, restricted to the observation ball.
-
-        psi, pi and each gradient row are gathered at the ball's points
-        first (``take`` reads the elements that a boolean mask would, in the
-        same order), so the density and its sum cover those points only.
-        """
-        core, ball, gradient = self.core, self.ball, self.gradient
-        grid, m = core.grid, core.m
-        psi, pi = (np.take(field, ball) for field in core.fields())
-        psi_raw = core.pair[0].reshape(grid.shape)
-        grad_sq = np.zeros(psi.shape)
-        for ixi in self.ixi:
-            grid.raw_ifft(np.multiply(ixi, psi_raw, out=gradient), out=gradient)
-            grad_sq += np.abs(np.take(gradient, ball)) ** 2
-        density = np.abs(pi) ** 2 + grad_sq + m * m * np.abs(psi) ** 2
-        h = 0.5 * grid.cell_volume * float(density.sum()) + u_val
-        q = -grid.cell_volume * float(np.vdot(psi, pi).imag)
-        return h, q
-
-    def build(self) -> Trajectory:
-        integ = self.core.integ
-        return Trajectory(
-            times=np.asarray(self.times),
-            gamma=np.asarray(self.gamma, dtype=np.complex128),
-            force=np.asarray(self.force, dtype=np.complex128),
-            energy=np.asarray(self.energy),
-            charge=np.asarray(self.charge),
-            seminorms={k: np.asarray(v) for k, v in self.seminorms.items()},
-            snapshots=self.snapshots,
-            dt=integ.dt,
-            steps_per_sample=integ.steps_per_sample,
-            sponge=integ.sponge,
-        )
 
 
 def _require_finite(t: float, *values: float) -> None:
@@ -759,11 +717,37 @@ def evolve(
     to the ball |x| <= inner_radius, since the damping layer openly discards
     what reaches it.
     """
-    core, _ = _loaded_core(state, rho, pot, integ, T, m)
-    rec = _Recorder(core, observers or Observers())
-    for t in core.samples(T, state.time):
-        rec.record(t)
-    return rec.build()
+    obs = observers or Observers()
+    specs, stride = obs.seminorm_specs, obs.snapshot_stride
+    core, _ = _loaded_core(state, rho, pot, integ, T, m, stride)
+    rows, taken = [], []
+    seminorms: dict[str, list[float]] = {spec.label: [] for spec in specs}
+    for i, t in enumerate(core.samples(T, state.time)):
+        g, f, u_val = core.coupling_terms()
+        h, q = core.invariants(u_val)
+        _require_finite(t, h, abs(g))
+        rows.append((t, g, f, h, q))
+        due = stride > 0 and i % stride == 0
+        # the sample's FieldState is built only where a seminorm or a due snapshot reads it
+        if specs or due:
+            sample = core.state(t)
+            for spec in specs:
+                seminorms[spec.label].append(local_seminorm(sample, spec, m))
+            if due:
+                taken.append(sample)
+    times, gamma, force, energy, charge = zip(*rows)
+    return Trajectory(
+        times=np.asarray(times),
+        gamma=np.asarray(gamma, dtype=np.complex128),
+        force=np.asarray(force, dtype=np.complex128),
+        energy=np.asarray(energy),
+        charge=np.asarray(charge),
+        seminorms={k: np.asarray(v) for k, v in seminorms.items()},
+        snapshots=taken,
+        dt=integ.dt,
+        steps_per_sample=integ.steps_per_sample,
+        sponge=integ.sponge,
+    )
 
 
 def snapshots(
@@ -784,13 +768,12 @@ def snapshots(
     """
     if _require_integer("snapshot stride", stride) < 1:
         raise ValueError(f"snapshot stride={stride} must be at least 1")
-    core, count = _loaded_core(state, rho, pot, integ, T, m)
+    core, count = _loaded_core(state, rho, pot, integ, T, m, stride)
     last = count - count % stride
     taken: list[FieldState] = []
     for i, t in enumerate(core.samples(T, state.time)):
-        if rho is not None:
-            g = core.coupling()
-            _require_finite(t, abs(g), pot.value(g))
+        g, _, u_val = core.coupling_terms()
+        _require_finite(t, abs(g), u_val)
         if i % stride == 0:
             taken.append(core.state(t))
             if i == last:
@@ -800,15 +783,20 @@ def snapshots(
 
 def _loaded_core(state: FieldState, rho: CouplingProfile | None,
                  pot: PolynomialPotential | None, integ: Integrator, T: float,
-                 m: float) -> tuple[_StrangCore, int]:
-    """A core loaded with ``state``, and the :func:`_sample_count` of a run over T.
+                 m: float, stride: int) -> tuple[_Core, int]:
+    """A core for ``integ``, loaded with ``state``, and the :func:`_sample_count` of a run over T.
 
     The count comes first, so that a bad T fails before the core is built.
+    A snapshot stride longer than the run keeps only the snapshot at t0, so
+    it warns.
     """
     count = _sample_count(integ, T)
+    if stride > count:
+        warnings.warn(f"snapshot stride {stride} exceeds the {count} sampling intervals of the "
+                      f"run ({count + 1} samples): only the snapshot at t0 is kept",
+                      RuntimeWarning, stacklevel=3)
     if rho is not None:
         require_same_grid(rho, state)
-    core = _StrangCore(state.grid, integ, rho, pot, m)
+    core = (_ShellCore if integ.sponge is None else _SpongeCore)(state.grid, integ, rho, pot, m)
     core.load(state.psi, state.pi)
     return core, count
-

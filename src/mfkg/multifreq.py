@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Integrator, _sample_count, _StrangCore
+from .dynamics import Integrator, _sample_count, _ShellCore
 from .fields import CouplingProfile, FieldState
 from .grid import Grid
 from .potential import PolynomialPotential
@@ -236,7 +236,7 @@ def _top_two_positive_peaks(freqs: np.ndarray, amps: np.ndarray):
     return tuple(sorted((float(freqs[k1]), float(freqs[k2]))))
 
 
-def _outside_bound(core: _StrangCore, profiles: np.ndarray,
+def _outside_bound(core: _ShellCore, profiles: np.ndarray,
                    omegas: tuple[float, float]) -> tuple[float, float]:
     """Raw sums of squares that bound the psi and pi errors of the residual at any time.
 
@@ -283,7 +283,7 @@ def verify_persistence(
                          f"{MIN_WINDOW_SAMPLES}")
     grid = sol.rho.grid
     pot = sol.potential()
-    core = _StrangCore(grid, integ, sol.rho, pot, sol.m)
+    core = _ShellCore(grid, integ, sol.rho, pot, sol.m)
     state0 = sol.initial_state()
     core.load(state0.psi, state0.pi)
     coupled, rest = core.project(core.to_raw(sol.phi0, sol.phi1))

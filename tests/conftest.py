@@ -27,13 +27,13 @@ def rng():
 
 
 def per_step_advance(core):
-    """Reference route for :meth:`_StrangCore.advance` without a sponge.
+    """Reference route for :meth:`_ShellCore.advance`.
 
     The per-step loop that the block update replaced: half kick, free flow
     by dt, half kick, with the drive of a step's closing half kick reused
     for the next step's opening one.  It knows nothing of the core's
     coordinates: it reads the state's position-space fields
-    (:meth:`_StrangCore.fields`), steps their plain FFT with every mode in
+    (:meth:`_ShellCore.fields`), steps their plain FFT with every mode in
     natural raw order, each with its own cos and sin tables and with the
     natural raw kick and pairing of rho, and loads the fields back, which
     leaves the core's pending step count at zero, so its reads sync

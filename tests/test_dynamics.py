@@ -1,4 +1,6 @@
 """Splitting integrator: exactness of the sub-flows, conservation, sponge."""
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,7 +11,7 @@ from mfkg import (
     free_flow, inner_product, kick, local_seminorm, make_grid, random_state,
     verify_persistence, zero_pad, zero_state,
 )
-from mfkg.dynamics import _StrangCore, snapshots
+from mfkg.dynamics import _ShellCore, _SpongeCore, snapshots
 from mfkg.fields import coupled_modes
 from mfkg.multifreq import TwoFrequencySolution
 
@@ -110,12 +112,13 @@ def test_snapshots_are_evolves_bit_for_bit(dim, points, length, sponge, T, strid
     integ = Integrator(0.02, 5, sponge)
     if dim == 2:
         # fewer coupled shells than coupled modes, and fewer of those than modes
-        core = _StrangCore(grid, integ, rho, pot, 1.0)
+        core = _ShellCore(grid, integ, rho, pot, 1.0)
         assert core.pair.shape[1] < core.modes.size < grid.num_points
     want = evolve(state, rho, pot, integ, T, Observers(snapshot_stride=stride)).snapshots
     intervals = []
-    advance = _StrangCore.advance
-    monkeypatch.setattr(_StrangCore, "advance", lambda core: intervals.append(1) or advance(core))
+    for core_class in (_ShellCore, _SpongeCore):
+        monkeypatch.setattr(core_class, "advance", lambda core, advance=core_class.advance:
+                            intervals.append(1) or advance(core))
     got = snapshots(state, rho, pot, integ, T, stride)
     assert len(got) == len(want) > 1
     for snap, ref in zip(got, want):
@@ -175,6 +178,26 @@ def test_kick_oracle(grid, rho, pot, rng):
 def test_step_requires_potential_with_coupling(grid, rho):
     with pytest.raises(ValueError, match="potential is required"):
         evolve(zero_state(grid), rho, None, Integrator(0.01), 0.01)
+    with pytest.raises(ValueError, match="potential is required"):
+        kick(zero_state(grid), rho, None, 0.01)
+
+
+@pytest.mark.parametrize("sponge", [None, Sponge(16.0, 2.0)])
+def test_a_stride_past_the_run_warns(grid, rho, pot, sponge):
+    # 10 sampling intervals, 11 samples: a stride of 50 keeps only the snapshot at t0
+    state, integ = zero_state(grid), Integrator(0.01, 10, sponge)
+    match = r"snapshot stride 50 exceeds the 10 sampling intervals of the run \(11 samples\)"
+    with pytest.warns(RuntimeWarning, match=match) as seen:
+        traj = evolve(state, rho, pot, integ, 1.0, Observers(snapshot_stride=50))
+    with pytest.warns(RuntimeWarning, match=match) as seen_too:
+        taken = snapshots(state, rho, pot, integ, 1.0, 50)
+    assert len(seen) == len(seen_too) == 1
+    assert len(traj.snapshots) == len(taken) == 1
+    # a stride of the whole run keeps its end, and neither run warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(evolve(state, rho, pot, integ, 1.0, Observers(snapshot_stride=10)).snapshots) == 2
+        assert len(snapshots(state, rho, pot, integ, 1.0, 10)) == 2
 
 
 def test_step_conserves_charge_exactly(grid, rho, pot, rng):
@@ -443,7 +466,7 @@ def test_block_update_matches_per_step_route(dim, points, length, sps, pot, monk
         return gammas, fields
 
     block = runs()
-    monkeypatch.setattr(_StrangCore, "advance", per_step_advance)
+    monkeypatch.setattr(_ShellCore, "advance", per_step_advance)
     reference = runs()
     for got, want in zip(block[0], reference[0]):
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
@@ -454,9 +477,9 @@ def test_block_update_matches_per_step_route(dim, points, length, sps, pot, monk
 
 def test_block_table_rows_are_capped(grid, rho, pot):
     # the table grows with steps_per_sample only up to the block cap
-    core = _StrangCore(grid, Integrator(0.01, steps_per_sample=1000), rho, pot, 1.0)
+    core = _ShellCore(grid, Integrator(0.01, steps_per_sample=1000), rho, pot, 1.0)
     assert core.table.shape[0] <= 17
-    assert _StrangCore(grid, Integrator(0.01, steps_per_sample=3), rho, pot, 1.0).table.shape[0] == 4
+    assert _ShellCore(grid, Integrator(0.01, steps_per_sample=3), rho, pot, 1.0).table.shape[0] == 4
 
 
 def test_broad_coupling_couples_every_mode(pot):
@@ -467,7 +490,7 @@ def test_broad_coupling_couples_every_mode(pot):
     grid = make_grid(1, 256, 64.0)
     rho = CouplingProfile.gaussian(grid, amplitude=2.0, width=grid.spacing)
     integ = Integrator(0.02, steps_per_sample=5)
-    core = _StrangCore(grid, integ, rho, pot, 1.0)
+    core = _ShellCore(grid, integ, rho, pot, 1.0)
     assert np.array_equal(np.sort(core.modes), np.arange(grid.num_points))
     assert core.pair.shape == (2, grid.num_points // 2 + 1)
     assert core.table.shape[1] == 2 * (grid.num_points // 2 + 1)
@@ -486,7 +509,7 @@ def test_width_one_gaussian_couples_few_modes(pot, monkeypatch):
     grid = make_grid(1, 2048, 128.0)
     rho = CouplingProfile.gaussian(grid, amplitude=4.0, width=1.0)
     integ = Integrator(0.01, steps_per_sample=10)
-    core = _StrangCore(grid, integ, rho, pot, 1.0)
+    core = _ShellCore(grid, integ, rho, pot, 1.0)
     count = core.modes.size
     assert 0 < count <= 0.2 * grid.num_points
     size = np.abs(grid.raw_fft(rho.values))
@@ -506,7 +529,7 @@ def test_width_one_gaussian_couples_few_modes(pot, monkeypatch):
     # full coupling, which kicks and reads every mode
     obs = Observers(snapshot_stride=20)
     block = evolve(state, rho, pot, integ, 4.0, obs)
-    monkeypatch.setattr(_StrangCore, "advance", per_step_advance)
+    monkeypatch.setattr(_ShellCore, "advance", per_step_advance)
     reference = evolve(state, rho, pot, integ, 4.0, obs)
     assert np.max(np.abs(block.gamma - reference.gamma)) <= 1e-10 * np.max(np.abs(reference.gamma))
     for got, want in zip(block.snapshots, reference.snapshots):
@@ -536,8 +559,8 @@ def test_lazy_core_reads_match_every_mode_flow(pot, sps, monkeypatch):
     # block (1 and 10 steps) or blocks of 16, 16 and 8 steps (40): the core's
     # synced state is the per-step every-mode route's, to roundoff
     grid, rho, integ, state, T = width_one_run(sps)
-    core = _StrangCore(grid, integ, rho, pot, 1.0)
-    ref = _StrangCore(grid, integ, rho, pot, 1.0)
+    core = _ShellCore(grid, integ, rho, pot, 1.0)
+    ref = _ShellCore(grid, integ, rho, pot, 1.0)
     assert 0 < core.modes.size <= 0.2 * grid.num_points
     assert core.residual.shape == (2, grid.num_points)
     core.load(state.psi, state.pi)
@@ -555,7 +578,7 @@ def test_lazy_core_reads_match_every_mode_flow(pot, sps, monkeypatch):
         obs = Observers(snapshot_stride=stride)
         traj = evolve(state, rho, pot, integ, T, obs)
         with monkeypatch.context() as patch:
-            patch.setattr(_StrangCore, "advance", per_step_advance)
+            patch.setattr(_ShellCore, "advance", per_step_advance)
             reference = evolve(state, rho, pot, integ, T, obs)
         assert len(reference.snapshots) == len(traj.snapshots) > 1
         for snap, want in zip(traj.snapshots, reference.snapshots):
@@ -569,7 +592,7 @@ def test_lazy_invariants_match_all_mode_sums(pot, sps, monkeypatch):
     # against the position-space functionals of a per-step every-mode run
     grid, rho, integ, state, T = width_one_run(sps)
     traj = evolve(state, rho, pot, integ, T)
-    monkeypatch.setattr(_StrangCore, "advance", per_step_advance)
+    monkeypatch.setattr(_ShellCore, "advance", per_step_advance)
     reference = evolve(state, rho, pot, integ, T, Observers(snapshot_stride=1))
     assert len(reference.snapshots) == len(traj.times)
     assert_rel_close(traj.energy, np.array([energy(s, rho, pot) for s in reference.snapshots]))
@@ -589,7 +612,8 @@ def test_layout_round_trips(dim, points, length, width, sponge, pot):
     # adds them back.  A sponge core keeps the natural pair.
     grid = make_grid(dim, points, length)
     rho = CouplingProfile.gaussian(grid, amplitude=2.0, width=width)
-    core = _StrangCore(grid, Integrator(0.02, 10, sponge), rho, pot, 1.0)
+    core = (_ShellCore if sponge is None else _SpongeCore)(grid, Integrator(0.02, 10, sponge), rho,
+                                                           pot, 1.0)
     state = localized_state(grid, np.random.default_rng(9), scale=0.5)
     core.load(state.psi, state.pi)
     natural = grid.raw_fft(np.stack((state.psi, state.pi))).reshape(2, -1)
@@ -621,7 +645,8 @@ def test_layout_round_trips(dim, points, length, width, sponge, pot):
 @pytest.mark.parametrize("sponge", [None, Sponge(8.0, 2.0)])
 def test_blocks_run_on_the_contiguous_coupled_pair(sponge, pot):
     grid, rho, integ, state, T = width_one_run(10)
-    core = _StrangCore(grid, Integrator(integ.dt, 10, sponge), rho, pot, 1.0)
+    core = (_ShellCore if sponge is None else _SpongeCore)(grid, Integrator(integ.dt, 10, sponge),
+                                                           rho, pot, 1.0)
     core.load(state.psi, state.pi)
     assert core.pair.flags.c_contiguous
     if sponge is None:
@@ -654,14 +679,14 @@ def test_shell_core_matches_the_every_mode_route(dim, points, length, several, p
     rho = CouplingProfile.from_values(grid, 2.0 * np.exp(-0.5 * shifted)
                                       + np.exp(-grid.radius ** 2))
     integ = Integrator(0.02, 10)
-    core = _StrangCore(grid, integ, rho, pot, 1.0)
+    core = _ShellCore(grid, integ, rho, pot, 1.0)
     rho_raw = grid.raw_fft(rho.values).ravel()
     modes = core.modes[core.column == np.argmax(np.bincount(core.column))]
     assert modes.size >= several and np.ptp(np.angle(rho_raw[modes])) > 0.1
     state = localized_state(grid, np.random.default_rng(11), scale=0.5)
     T = 4.0  # 20 sampling intervals
     traj = evolve(state, rho, pot, integ, T, Observers(snapshot_stride=5))
-    monkeypatch.setattr(_StrangCore, "advance", per_step_advance)
+    monkeypatch.setattr(_ShellCore, "advance", per_step_advance)
     reference = evolve(state, rho, pot, integ, T, Observers(snapshot_stride=1)).snapshots
     assert len(reference) == len(traj.times) == 21
     assert_rel_close(traj.gamma, np.array([inner_product(rho, s) for s in reference]))
@@ -720,7 +745,7 @@ def test_handed_on_gamma_matches_the_pairing(pot, sps, monkeypatch):
     sol = TwoFrequencySolution(rho, 2.0, 2.0 / 3.0, -1.0, 1.75, 1.0,
                                state.psi.real, state.pi.real, 1.0)
     seen = []
-    coupling = _StrangCore.coupling
+    coupling = _ShellCore.coupling
 
     def spy(self):
         psi = self.natural()[0]
@@ -728,7 +753,7 @@ def test_handed_on_gamma_matches_the_pairing(pot, sps, monkeypatch):
                      complex(np.vdot(self.read, self.pair[0]))))
         return coupling(self)
 
-    monkeypatch.setattr(_StrangCore, "coupling", spy)
+    monkeypatch.setattr(_ShellCore, "coupling", spy)
     runs = [evolve(state, rho, pot, integ, T).gamma,
             verify_persistence(sol, integ, T, tol=1.0).gamma]
     assert len(seen) == sum(len(g) for g in runs) == 2 * 16
@@ -778,7 +803,7 @@ def test_sponge_span_covers_the_coupled_modes(dim, points, length, amplitude, co
     grid = make_grid(dim, points, length)
     rho = CouplingProfile.gaussian(grid, amplitude=amplitude, width=1.0)
     n = grid.num_points
-    core = _StrangCore(grid, Integrator(0.01, 10, Sponge(0.25 * length, 2.0)), rho, pot, 1.0)
+    core = _SpongeCore(grid, Integrator(0.01, 10, Sponge(0.25 * length, 2.0)), rho, pot, 1.0)
     low, high = core.span
     assert low.start == 0 and low.stop <= n // 2 <= high.start and high.stop == n
     inside = np.zeros(n, dtype=bool)
@@ -804,9 +829,9 @@ def test_sponge_steps_match_the_every_mode_loop(dim, points, length, sponge, pot
     state = localized_state(grid, np.random.default_rng(6), scale=0.5)
     obs = Observers(snapshot_stride=10)
     traj = evolve(state, rho, pot, integ, 2.0, obs)
-    every = _StrangCore(grid, integ, rho, pot, 1.0).span[0].stop == grid.num_points // 2
+    every = _SpongeCore(grid, integ, rho, pot, 1.0).span[0].stop == grid.num_points // 2
     assert every == (dim == 2)
-    monkeypatch.setattr(_StrangCore, "_damped_steps", damped_reference_steps)
+    monkeypatch.setattr(_SpongeCore, "advance", damped_reference_steps)
     reference = evolve(state, rho, pot, integ, 2.0, obs)
     assert len(traj.snapshots) == len(reference.snapshots) == 3
     got = [traj.gamma, traj.energy, traj.charge]

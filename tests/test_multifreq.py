@@ -7,7 +7,7 @@ from mfkg import (
     CouplingProfile, Integrator, Observers, Sponge, build_counterexample,
     build_multifreq, build_rho, evolve, make_grid, verify_persistence,
 )
-from mfkg.dynamics import _StrangCore
+from mfkg.dynamics import _ShellCore
 from mfkg.multifreq import _outside_bound, auto_widths
 from mfkg.solitary import resolvent_coupling
 
@@ -135,7 +135,7 @@ def persistence_errors_reference(sol, integ, T):
     """max_relative_error and gamma_error of a persistence run, by the
     per-sample formula with one temporary per term."""
     grid = sol.rho.grid
-    core = _StrangCore(grid, integ, sol.rho, sol.potential(), sol.m)
+    core = _ShellCore(grid, integ, sol.rho, sol.potential(), sol.m)
     state0 = sol.initial_state()
     core.load(state0.psi, state0.pi)
     phi0_raw, phi1_raw = core.to_raw(sol.phi0, sol.phi1)
@@ -190,7 +190,7 @@ def test_outside_bound_is_roundoff_of_the_profiles(grid_args, b):
     """
     grid = make_grid(*grid_args)
     sol = build_counterexample(2.0, b, grid)
-    core = _StrangCore(grid, Integrator(0.01, 10), sol.rho, sol.potential(), sol.m)
+    core = _ShellCore(grid, Integrator(0.01, 10), sol.rho, sol.potential(), sol.m)
     state0 = sol.initial_state()
     core.load(state0.psi, state0.pi)
     _, rest = core.project(core.to_raw(sol.phi0, sol.phi1))
@@ -204,7 +204,7 @@ def test_outside_bound_is_roundoff_of_the_profiles(grid_args, b):
 def test_outside_bound_dominates_the_eager_run(sol):
     """At every sample of a run synced every interval, the residual's error stays below the set-up bound."""
     grid, integ = sol.rho.grid, Integrator(0.01, 10)
-    core = _StrangCore(grid, integ, sol.rho, sol.potential(), sol.m)
+    core = _ShellCore(grid, integ, sol.rho, sol.potential(), sol.m)
     state0 = sol.initial_state()
     core.load(state0.psi, state0.pi)
     _, (p0, p1) = core.project(core.to_raw(sol.phi0, sol.phi1))
@@ -227,7 +227,7 @@ def test_persistence_gamma_matches_an_eager_core(sol):
     # bit for bit
     integ = Integrator(0.005, 10)
     report = verify_persistence(sol, integ, T=20.0)
-    core = _StrangCore(sol.rho.grid, integ, sol.rho, sol.potential(), sol.m)
+    core = _ShellCore(sol.rho.grid, integ, sol.rho, sol.potential(), sol.m)
     state0 = sol.initial_state()
     core.load(state0.psi, state0.pi)
     assert core.residual.shape == (2, sol.rho.grid.num_points)
@@ -251,7 +251,7 @@ def test_verify_persistence_rejects_bad_input_before_evolving(sol, monkeypatch, 
     def no_core(*args, **kwargs):
         raise AssertionError("a core was built")
 
-    monkeypatch.setattr("mfkg.multifreq._StrangCore", no_core)
+    monkeypatch.setattr("mfkg.multifreq._ShellCore", no_core)
     with pytest.raises(ValueError, match=match):
         verify_persistence(sol, Integrator(0.01, 10), T, tol)
 
