@@ -9,8 +9,9 @@ the resolved configuration (the run's config.json) lists every value the
 run uses, and batch sweeps fail before they burn compute or write anything.
 The cross-checks follow: step size against the grid spacing, the step
 count T / dt against its cap, the sampling interval against the run's T,
-sponge and window geometry (the ``distance`` window too, for the distance
-and spectrum experiments unless ``distance.use_global_norm``), the sigma
+sponge and window geometry (the ``distance`` window too: always for the
+spectrum experiment, whose horizon it sets, and for the distance experiment
+unless ``distance.use_global_norm``), the sigma
 range, the spectrum windows, the counterexample's sample count (its force
 spectrum needs MIN_WINDOW_SAMPLES), the experiments that need a coupling,
 ``omega1`` strictly inside (m, 3m), and the headers of the ``rho.path`` and
@@ -356,7 +357,10 @@ def _validate(raw: dict) -> dict:
                  "must be inside the box (less than length/2)")
 
     windows = [(f"seminorms[{i}]", sn) for i, sn in enumerate(raw["seminorms"])]
-    if experiment in ("distance", "spectrum") and not raw["distance"]["use_global_norm"]:
+    # the spectrum report reads the distance window for its horizon under the
+    # global norm too; the distance experiment then reads no window
+    if experiment == "spectrum" or (experiment == "distance"
+                                    and not raw["distance"]["use_global_norm"]):
         windows.append(("distance.radius", raw["distance"]))
     for path, window in windows:
         _require(window["radius"] + window["cutoff_width"] < half, path,

@@ -58,11 +58,11 @@ before every read of the whole field (:meth:`_ShellCore.fields`); its
 share of H and Q is orthogonal to the shell pair's and constant, so
 :meth:`_ShellCore.load` takes it once.  ``verify_persistence`` never
 reads the residual: it sums its error over the shell pair and bounds the
-residual's once, at set-up.  The last block hands on the gamma of the end
-state that its recurrence ends with (:attr:`_ShellCore.gamma`), so readers
-pair the shell pair with its real pairing only where no block ran (the
-first sample, a per-step reference route); the next block computes its own
-gamma_0, so the trajectory never sees it.
+residual's once, at set-up.  gamma (:attr:`_ShellCore.gamma`) has one
+route: :meth:`_ShellCore.load` pairs the shell pair with its real pairing
+once, and each block hands on the gamma of the end state that its
+recurrence ends with; the next block computes its own gamma_0, so the
+trajectory never sees the handed-on value.
 
 :class:`_SpongeCore` steps one by one, its modes in natural order: each
 step ends with one stacked inverse transform into the core's position-space
@@ -71,9 +71,10 @@ transforms on the pair reshaped into the grid's shape and bound per axis
 once, at set-up (:meth:`Grid._bound_passes`).  The inverse runs unscaled
 (numpy's ``norm="forward"``) and its 1/N goes into the damping table;
 N is a power of two, so the damped fields are raw_ifft's times the
-damping, bit for bit.  The core holds the damped fields that the last step
-of an interval leaves in the buffer as its sample's fields (every reader
-copies or consumes them before the next interval).  The flow and the
+damping, bit for bit.  The buffer holds the sample's fields:
+:meth:`_SpongeCore.load` copies the data into it, and the last step of
+each interval leaves its damped fields there (every reader copies or
+consumes them before the next interval).  The flow and the
 damping multiply the float64 view of the state by interleaved real tables.
 The kicks and their gamma run over the coupled span: [0, a) up to the last
 coupled mode below N/2 and [b, N) from the first one at or above it, in
@@ -86,11 +87,11 @@ rho at every sample.  The force comes from
 :func:`free_flow` and :func:`kick` remain single applications on the
 :meth:`Grid.forward` path, independent of the core.
 
-Every sampled run is the generator :meth:`_Core.samples`.  It covers
-whole sampling intervals, so samples are uniform and the last one lies at
-or past T.  It yields each sample's time alone; the sample is read off the
-core, whose fields a sponge core holds (the data at t0, then the damped
-buffer that its :meth:`_SpongeCore.advance` returns).
+Every sampled run is the generator ``_Core.samples(count, t0)``.  It
+covers the ``count`` whole sampling intervals that a run over T takes
+(:func:`_sample_count`, computed once per run), so samples are uniform and
+the last one lies at or past T.  It only advances the core and yields each
+sample's time; the sample is read off the core.
 
 Three runs read those samples, each in its own loop.  :func:`evolve`
 records gamma, F and U (:meth:`_Core.coupling_terms`), then H and Q
@@ -259,11 +260,6 @@ def _rotation_tables(omega: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndar
     return _interleaved(np.cos(omega * tau)), _interleaved(np.stack((sin / omega, -omega * sin)))
 
 
-def _sponge_factor(grid: Grid, sponge: Sponge, dt: float) -> np.ndarray:
-    """Interleaved damping factor exp(-sigma(x) dt) of one step, flattened over the grid."""
-    return _interleaved(np.exp(-sponge.rate(grid) * dt).ravel())
-
-
 def _sample_count(integ: Integrator, T: float) -> int:
     """Sampling intervals of a run over time T, rounded up to whole intervals."""
     if not (isfinite(T) and T >= 0):
@@ -291,9 +287,9 @@ class _Core:
     """What both stepping cores share: set-up, the raw transform, the sample's reads and the run.
 
     :class:`_ShellCore` steps without a sponge and :class:`_SpongeCore`
-    with one (see the module docstring); each binds what it needs in
-    ``_bind`` and owns ``load``, ``fields``, ``coupling``, ``invariants``
-    and ``advance``.
+    with one (see the module docstring); each binds what it needs from
+    rho's raw transform (None without rho) in ``_bind`` and owns ``load``,
+    ``fields``, ``coupling``, ``invariants`` and ``advance``.
     """
 
     def __init__(
@@ -312,21 +308,13 @@ class _Core:
         # |psi_hat|^2 / L^n = scale |psi_raw|^2, since psi_hat = +-h^n psi_raw
         self.scale = grid.cell_volume / grid.num_points
         self.pot = pot
-        self.kick = self.pairing = self.sampled = None
+        self.coupled = rho is not None
         # the flow's scratch, large enough for the natural pair
         self.scratch = np.empty(4 * grid.num_points)
         # |xi|^2 + m^2 and omega per mode, in natural order
         self.energy_weight = (grid.k_squared + m * m).ravel()
         self.omega = np.sqrt(self.energy_weight)
-        rho_raw = mask = None
-        if rho is not None:
-            rho_raw = grid.raw_fft(rho.values).ravel()
-            mask = coupled_modes(rho_raw)
-            # pi_hat += tau F rho_hat reads pi_raw += tau F rho_raw in raw
-            # coordinates, and <rho, psi> = scale * sum conj(rho_raw) psi_raw
-            self.kick = (0.5 * integ.dt) * rho_raw
-            self.pairing = self.scale * rho_raw
-        self._bind(rho_raw, mask)
+        self._bind(None if rho is None else grid.raw_fft(rho.values).ravel())
 
     def to_raw(self, psi: np.ndarray, pi: np.ndarray) -> np.ndarray:
         """The natural raw pair (2, N) of two fields."""
@@ -339,7 +327,7 @@ class _Core:
 
     def coupling_terms(self) -> tuple[complex, complex, float]:
         """gamma, F(gamma) and U(gamma) of the state; zeros without a coupling."""
-        if self.pairing is None:
+        if not self.coupled:
             return 0j, 0j, 0.0
         g = self.coupling()
         return g, self.pot.force(g), self.pot.value(g)
@@ -350,39 +338,38 @@ class _Core:
         view *= cos
         view += rotated
 
-    def samples(self, T: float, t0: float):
-        """Advance the loaded state over the :func:`_sample_count` intervals covering T.
+    def samples(self, count: int, t0: float):
+        """Advance the loaded state over ``count`` sampling intervals (a :func:`_sample_count`).
 
         Yields the time of each sample: t0, then t0 + steps done * dt after
         every steps_per_sample steps, each interval one call of
-        :meth:`advance`, whose return is held as :attr:`sampled`: the
-        sample's position-space fields where the core holds them (a sponge
-        core), else None.  A sample is read off the core (:meth:`coupling`,
+        :meth:`advance`.  A sample is read off the core (:meth:`coupling`,
         :meth:`fields`, :meth:`state`) before the generator resumes.
         """
         sps, advance = self.integ.steps_per_sample, self.advance
         yield t0
-        for done in range(sps, _sample_count(self.integ, T) * sps + 1, sps):
-            self.sampled = advance()
+        for done in range(sps, count * sps + 1, sps):
+            advance()
             yield t0 + done * self.integ.dt
 
 
 class _ShellCore(_Core):
     """Undamped Strang steps on the shell pair, in block updates (see the module docstring)."""
 
-    def _bind(self, rho_raw: np.ndarray | None, mask: np.ndarray | None) -> None:
-        """Bind the coupled shells: C grouped by shell, each shell's unit vector and its norm.
+    def _bind(self, rho_raw: np.ndarray | None) -> None:
+        """Bind the coupled shells, then the views, tables and buffers of one sampling interval.
 
         The modes of C go shell by shell (:attr:`Grid.shells`, ascending),
         each shell's in ascending flat order; ``starts`` holds where each
         shell begins and ``column`` each mode's shell.  Shell S carries
         v = rho_raw / |rho_raw| over C and S, and its norm |rho_raw| gives
         the real pairing ``read`` = scale |rho_raw| and kick (dt/2) |rho_raw|.
-        Without rho there is no coupled shell.  Then binds the interval.
+        Without rho there is no coupled shell and the whole state is
+        residual: an interval only adds to its lag, and the plan is empty.
         """
         self._residual_flows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         k2, index = self.grid.shells
-        modes = np.zeros(0, dtype=np.intp) if rho_raw is None else np.flatnonzero(mask)
+        modes = np.zeros(0, dtype=np.intp) if rho_raw is None else np.flatnonzero(coupled_modes(rho_raw))
         modes = self.modes = modes[np.argsort(index[modes], kind="stable")]
         shells = index[modes]
         new = np.diff(shells, prepend=-1) != 0
@@ -397,17 +384,10 @@ class _ShellCore(_Core):
         # gamma = sum_S read_S z_S(psi), and a kick adds (dt/2) F |rho_raw| to z_S(pi)
         self.read = self.scale * norms
         self.shell_kick = (0.5 * self.integ.dt) * norms
-        self._bind_interval(self.integ)
-
-    def _bind_interval(self, integ: Integrator) -> None:
-        """Bind the views, tables and buffers of one sampling interval.
-
-        Without a coupling the whole state is residual: an interval only
-        adds to its lag, and the plan is empty.
-        """
-        sps, self.plan = integ.steps_per_sample, []
-        if self.kick is None:
+        self.plan = []
+        if rho_raw is None:
             return
+        integ, sps = self.integ, self.integ.steps_per_sample
         block = min(sps, _BLOCK_STEPS)
         size, omega = self.weight.size, np.sqrt(self.weight)
         # the shell pair flat, as float64 and as (re, im) columns, and the
@@ -463,9 +443,10 @@ class _ShellCore(_Core):
 
         The residual moves by the free flow alone, which keeps each mode's
         share of H and Q, so its share is taken here, once (:attr:`rest`).
+        gamma is the shell pair's real pairing until a block hands one on.
         """
         self.pair[:], self.residual[:] = self.project(self.to_raw(psi, pi))
-        self.pending, self.gamma = 0, None
+        self.pending, self.gamma = 0, complex(np.vdot(self.read, self.pair[0]))
         self.rest = self.quadratic(self.residual, self.energy_weight)
 
     def fields(self):
@@ -485,9 +466,7 @@ class _ShellCore(_Core):
             self.pending = 0
 
     def coupling(self) -> complex:
-        """gamma = <rho, psi> of the state: as handed on, else the shell pair's real pairing."""
-        if self.gamma is None:
-            return complex(np.vdot(self.read, self.pair[0]))
+        """gamma = <rho, psi> of the state, as the load or the last block handed it on."""
         return self.gamma
 
     def quadratic(self, pair: np.ndarray, weight: np.ndarray) -> tuple[float, float]:
@@ -550,15 +529,16 @@ class _ShellCore(_Core):
 class _SpongeCore(_Core):
     """Damped Strang steps one by one, each followed by the sponge damping (see the module docstring)."""
 
-    def _bind(self, rho_raw: np.ndarray | None, mask: np.ndarray | None) -> None:
+    def _bind(self, rho_raw: np.ndarray | None) -> None:
         """Bind the natural pair, the tables, transforms and half kick of the steps, and the ball."""
         grid, integ, n = self.grid, self.integ, self.grid.num_points
         self.raw = np.zeros(2 * n, dtype=complex)
         self.pair = self.raw.reshape(2, -1)
-        # the inverse transform runs unscaled (norm="forward") and its 1/N
-        # goes into the damping table: N is a power of two, so the damped
-        # fields are raw_ifft's times the damping, bit for bit
-        self.damp = _sponge_factor(grid, integ.sponge, integ.dt)
+        # the damping exp(-sigma(x) dt) of one step; the inverse transform runs
+        # unscaled (norm="forward") and its 1/N goes into the damping table:
+        # N is a power of two, so the damped fields are raw_ifft's times the
+        # damping, bit for bit
+        self.damp = _interleaved(np.exp(-integ.sponge.rate(grid) * integ.dt).ravel())
         self.damp /= n
         self.step_flow = _rotation_tables(self.omega, integ.dt)
         shaped = self.raw.reshape(2, *grid.shape)
@@ -576,11 +556,15 @@ class _SpongeCore(_Core):
             self.ixi.append(1j * xi.reshape(shape))
         self.gradient = np.empty(grid.shape, dtype=complex)
         self.half_kick = None
-        if mask is None:
+        if rho_raw is None:
             return
+        # pi_hat += tau F rho_hat reads pi_raw += tau F rho_raw in raw
+        # coordinates, and <rho, psi> = scale * sum conj(rho_raw) psi_raw
+        self.kick = (0.5 * integ.dt) * rho_raw
+        self.pairing = self.scale * rho_raw
         # the coupled span: [0, a) up to the last coupled mode below N/2 and
         # [b, N) from the first one at or above it; every mode when a = b = N/2
-        coupled = np.flatnonzero(mask)
+        coupled = np.flatnonzero(coupled_modes(rho_raw))
         low, high = coupled[coupled < n // 2], coupled[coupled >= n // 2]
         a = int(low[-1]) + 1 if low.size else 0
         b = int(high[0]) if high.size else n
@@ -605,13 +589,13 @@ class _SpongeCore(_Core):
         self.half_kick = half_kick
 
     def load(self, psi: np.ndarray, pi: np.ndarray) -> None:
-        """Start the core's run at the fields (psi, pi), held as the first sample's fields."""
+        """Start the core's run at the fields (psi, pi), copied into the position buffer."""
         self.pair[:] = self.to_raw(psi, pi)
-        self.sampled = (psi, pi)
+        self.position[0], self.position[1] = psi, pi
 
     def fields(self):
-        """Position-space (psi, pi) of the sample, as held: the data at t0, then the damped buffer."""
-        return self.sampled
+        """Position-space (psi, pi) of the sample: the position buffer (the data, then damped fields)."""
+        return self.position
 
     def coupling(self) -> complex:
         """gamma = <rho, psi> of the state, the natural pair paired with rho."""
@@ -636,13 +620,12 @@ class _SpongeCore(_Core):
         q = -grid.cell_volume * float(np.vdot(psi, pi).imag)
         return h, q
 
-    def advance(self) -> np.ndarray:
+    def advance(self) -> None:
         """An interval's Strang steps one by one, each followed by the sponge damping.
 
         The round trip transforms, in the grid's shape, from the state into
-        the core's position-space buffer and back; the buffer, left holding
-        the last step's damped fields, is returned for :meth:`samples` to
-        hold as the sample's fields.
+        the core's position-space buffer and back; the buffer is left
+        holding the last step's damped fields, the sample's fields.
         """
         half_kick, damp, flow = self.half_kick, self.damp, self._flow
         inverse, forward = self.round_trip
@@ -660,7 +643,6 @@ class _SpongeCore(_Core):
             damped *= damp
             for apply in forward:
                 apply()
-        return self.position
 
 
 # public single-application operations ------------------------------------
@@ -719,10 +701,10 @@ def evolve(
     """
     obs = observers or Observers()
     specs, stride = obs.seminorm_specs, obs.snapshot_stride
-    core, _ = _loaded_core(state, rho, pot, integ, T, m, stride)
+    core, count = _loaded_core(state, rho, pot, integ, T, m, stride)
     rows, taken = [], []
     seminorms: dict[str, list[float]] = {spec.label: [] for spec in specs}
-    for i, t in enumerate(core.samples(T, state.time)):
+    for i, t in enumerate(core.samples(count, state.time)):
         g, f, u_val = core.coupling_terms()
         h, q = core.invariants(u_val)
         _require_finite(t, h, abs(g))
@@ -771,7 +753,7 @@ def snapshots(
     core, count = _loaded_core(state, rho, pot, integ, T, m, stride)
     last = count - count % stride
     taken: list[FieldState] = []
-    for i, t in enumerate(core.samples(T, state.time)):
+    for i, t in enumerate(core.samples(count, state.time)):
         g, _, u_val = core.coupling_terms()
         _require_finite(t, abs(g), u_val)
         if i % stride == 0:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from math import isfinite
 
 import numpy as np
 
@@ -59,8 +60,8 @@ class Grid:
         n = self.points_per_axis
         if n < 8 or n & (n - 1):
             raise ValueError(f"points_per_axis must be a power of two >= 8 (got {n})")
-        if not self.box_length > 0:
-            raise ValueError(f"box_length must be positive (got {self.box_length})")
+        if not (isfinite(self.box_length) and self.box_length > 0):
+            raise ValueError(f"box_length must be finite and positive (got {self.box_length})")
 
     # geometry ---------------------------------------------------------
 

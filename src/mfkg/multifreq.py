@@ -277,9 +277,9 @@ def verify_persistence(
         raise ValueError("persistence tracking needs an undamped evolution")
     if not (math.isfinite(T) and math.isfinite(tol) and tol > 0):
         raise ValueError(f"T must be finite and tol finite and positive (T={T!r}, tol={tol!r})")
-    samples = _sample_count(integ, T) + 1
-    if samples < MIN_WINDOW_SAMPLES:
-        raise ValueError(f"T = {T:g} gives {samples} samples; the force spectrum needs "
+    count = _sample_count(integ, T)
+    if count + 1 < MIN_WINDOW_SAMPLES:
+        raise ValueError(f"T = {T:g} gives {count + 1} samples; the force spectrum needs "
                          f"{MIN_WINDOW_SAMPLES}")
     grid = sol.rho.grid
     pot = sol.potential()
@@ -298,7 +298,7 @@ def verify_persistence(
     scale = math.sqrt(grid.l2sq(sol.phi0)) + math.sqrt(grid.l2sq(sol.phi1))
     times, gammas = [], []
     max_err = gamma_err = 0.0
-    for t in core.samples(T, state0.time):
+    for t in core.samples(count, state0.time):
         g = core.coupling()
         times.append(t)
         gammas.append(g)

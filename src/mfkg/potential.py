@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import isfinite
 
 import numpy as np
 
@@ -32,6 +33,8 @@ class PolynomialPotential:
         coeffs = tuple(float(c) for c in self.coeffs)
         if len(coeffs) < 2:
             raise ValueError("need at least two coefficients (degree p >= 2)")
+        if not all(map(isfinite, coeffs)):
+            raise ValueError(f"coefficients {coeffs} must be finite")
         if not coeffs[-1] > 0:
             raise ValueError("leading coefficient must be positive (u_p > 0)")
         object.__setattr__(self, "coeffs", coeffs)
@@ -102,8 +105,8 @@ def lower_bound_constants(pot: PolynomialPotential, B: float = 0.0) -> LowerBoun
     The minimum is found exactly from the real critical points of the shifted
     polynomial (companion-matrix roots), plus the boundary r = 0.
     """
-    if B < 0:
-        raise ValueError("B must be nonnegative")
+    if not (isfinite(B) and B >= 0):
+        raise ValueError(f"B={B} must be finite and nonnegative")
     # d/dr [u(r) + B r] has ascending coefficients (u_1 + B, 2 u_2, ..., p u_p)
     slope = [pot.coeffs[0] + B] + [(n + 2) * c for n, c in enumerate(pot.coeffs[1:])]
     roots = np.polynomial.Polynomial(slope).roots()

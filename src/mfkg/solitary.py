@@ -46,6 +46,7 @@ one per distinct omega^2, so the mirrors +-omega share theirs.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -131,6 +132,8 @@ def _inside_gap(omegas, m: float):
 
 
 def _check_real_frequency(rho: CouplingProfile, omega: float, m: float) -> None:
+    if not cmath.isfinite(omega):
+        raise ValueError(f"omega={omega} must be finite")
     if _inside_gap(omega, m):
         return
     if abs(omega) <= m:
@@ -214,8 +217,8 @@ def resolvent_coupling(rho: CouplingProfile, omega, m: float = 1.0):
     roundoff of zero is exactly 0 (see ``_couplings_of``).
     """
     complex_omega = isinstance(omega, complex) and omega.imag != 0.0
-    if complex_omega and omega.imag < 0:
-        raise ValueError("complex frequencies must lie in the upper half-plane")
+    if complex_omega and not (cmath.isfinite(omega) and omega.imag > 0):
+        raise ValueError(f"complex omega={omega} must be finite and lie in the upper half-plane")
     if not complex_omega:
         omega = float(np.real(omega))
         _check_real_frequency(rho, omega, m)
@@ -610,8 +613,8 @@ class ManifoldTable:
                           for row in (0, 1) for part in (0, 1)], axis=1)
 
         def dist_sq_at(omega: float) -> float:
-            if not _admits(self.rho, omega, m):
-                return np.inf
+            # the polish bracket lies inside the spectral gap, where every
+            # omega is admissible
             # one reciprocal row serves s, the roots, the profile and the overlap
             w = np.array([omega])
             recip = _reciprocals(self._k2, w, m)

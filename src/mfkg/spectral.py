@@ -23,7 +23,7 @@ import numpy as np
 from .dynamics import Trajectory
 from .fields import CouplingProfile, SeminormSpec
 from .potential import PolynomialPotential
-from .solitary import ManifoldTable, shell_band
+from .solitary import ManifoldTable
 
 __all__ = [
     "Spectrum",
@@ -185,19 +185,11 @@ def semidiscrete_transform(rho: CouplingProfile, xi) -> np.ndarray:
 
 
 def _shell_density(rho: CouplingProfile, eta: float) -> float:
-    """Angular integral of |rho_hat|^2 over the sphere |xi| = eta, over (2 pi)^n."""
-    grid = rho.grid
+    """|rho_hat|^2 summed over the shell |xi| = eta (the points +-eta), over 2 pi; one dimension only."""
     if eta <= 0:
         raise ValueError("shell radius must be positive")
-    if grid.dim == 1:
-        vals = semidiscrete_transform(rho, np.array([eta, -eta]))
-        return float(np.sum(np.abs(vals) ** 2) / (2.0 * np.pi))
-    band = shell_band(grid, eta)
-    if not band.any():
-        raise ValueError(f"no lattice modes within one mode spacing of |xi| = {eta:g}")
-    mean_sq = float(np.mean(np.abs(rho.rho_hat[band]) ** 2))
-    area = 2.0 * np.pi * eta if grid.dim == 2 else 4.0 * np.pi * eta**2
-    return mean_sq * area / (2.0 * np.pi) ** grid.dim
+    vals = semidiscrete_transform(rho, np.array([eta, -eta]))
+    return float(np.sum(np.abs(vals) ** 2) / (2.0 * np.pi))
 
 
 @dataclass(frozen=True)

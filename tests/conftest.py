@@ -26,8 +26,8 @@ def rng():
     return np.random.default_rng(7)
 
 
-def per_step_advance(core):
-    """Reference route for :meth:`_ShellCore.advance`.
+def per_step_advance(*profiles):
+    """Reference route for :meth:`_ShellCore.advance`, for cores coupled by one of ``profiles``.
 
     The per-step loop that the block update replaced: half kick, free flow
     by dt, half kick, with the drive of a step's closing half kick reused
@@ -35,25 +35,30 @@ def per_step_advance(core):
     coordinates: it reads the state's position-space fields
     (:meth:`_ShellCore.fields`), steps their plain FFT with every mode in
     natural raw order, each with its own cos and sin tables and with the
-    natural raw kick and pairing of rho, and loads the fields back, which
-    leaves the core's pending step count at zero, so its reads sync
-    nothing, and its handed-on gamma unset, so they pair psi with rho.
+    natural raw kick and pairing of the profile on the core's grid, taken
+    from the profile itself, and loads the fields back, which leaves the
+    core's pending step count at zero, so its reads sync nothing, and its
+    gamma the shell pair's real pairing.
     """
-    assert core.integ.sponge is None
-    grid = core.grid
-    psi, pi = grid.raw_fft(np.stack(core.fields())).reshape(2, -1)
-    tau = core.integ.dt
-    omega = np.sqrt(grid.k_squared.ravel() + core.m * core.m)
-    cos, sin = np.cos(omega * tau), np.sin(omega * tau)
-    drive = None
-    for _ in range(core.integ.steps_per_sample):
-        if core.kick is not None:
+
+    def advance(core):
+        assert core.integ.sponge is None
+        grid = core.grid
+        rho = next(profile for profile in profiles if profile.grid is grid)
+        rho_raw = grid.raw_fft(rho.values).ravel()
+        kick, pairing = (0.5 * core.integ.dt) * rho_raw, core.scale * rho_raw
+        psi, pi = grid.raw_fft(np.stack(core.fields())).reshape(2, -1)
+        tau = core.integ.dt
+        omega = np.sqrt(grid.k_squared.ravel() + core.m * core.m)
+        cos, sin = np.cos(omega * tau), np.sin(omega * tau)
+        drive = None
+        for _ in range(core.integ.steps_per_sample):
             if drive is None:
-                drive = core.pot.force(complex(np.vdot(core.pairing, psi)))
-            pi += drive * core.kick
-        psi, pi = cos * psi + (sin / omega) * pi, cos * pi - (omega * sin) * psi
-        if core.kick is not None:
-            drive = core.pot.force(complex(np.vdot(core.pairing, psi)))
-            pi += drive * core.kick
-    core.load(*grid.raw_ifft(np.stack((psi, pi)).reshape(2, *grid.shape)))
-    return None
+                drive = core.pot.force(complex(np.vdot(pairing, psi)))
+            pi += drive * kick
+            psi, pi = cos * psi + (sin / omega) * pi, cos * pi - (omega * sin) * psi
+            drive = core.pot.force(complex(np.vdot(pairing, psi)))
+            pi += drive * kick
+        core.load(*grid.raw_ifft(np.stack((psi, pi)).reshape(2, *grid.shape)))
+
+    return advance

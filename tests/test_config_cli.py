@@ -264,6 +264,13 @@ def test_wave_packet_formula(grid):
     expected = 0.7 * np.exp(-((x - 3.0) ** 2) / 8.0) * np.cos(1.5 * (x - 3.0))
     assert_allclose(st.psi, expected.astype(complex), atol=1e-15)
     assert np.all(st.pi == 0)
+    # in 2-D the envelope is radial about (center, 0), the carrier along the first axis
+    square = make_grid(2, 32, 16.0)
+    x, y = np.meshgrid(*square.axis_coords, indexing="ij")
+    st = wave_packet(square, center=3.0, width=2.0, carrier=1.5, amplitude=0.7)
+    expected = 0.7 * np.exp(-((x - 3.0) ** 2 + y ** 2) / 8.0) * np.cos(1.5 * (x - 3.0))
+    assert_allclose(st.psi, expected.astype(complex), atol=1e-15)
+    assert np.all(st.pi == 0)
 
 
 def test_builders(tmp_path, grid):
@@ -653,6 +660,36 @@ def test_cli_rejects_config_before_any_work(tmp_path, capsys, experiment, settin
     assert code == 2
     assert f"config error: {setting.split('=')[0]}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_spectrum_checks_the_distance_window_under_the_global_norm(tmp_path, capsys):
+    # the spectrum report reads the distance window for its horizon even
+    # under the global norm; a radius of 60 does not fit in the default box
+    # of length 128, so the run stops before any work
+    sets = {"distance.use_global_norm": True, "distance.radius": 60.0, "evolve.T": 50.0,
+            "spectrum.window_width": 10.0}
+    code, out = run_cli(tmp_path, "spectrum", *_set_args(sets))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: distance.radius:")
+    assert not out.exists()
+    # the distance experiment reads no window under the global norm
+    config_from_dict({"experiment": "distance",
+                      "distance": {"use_global_norm": True, "radius": 60.0}})
+
+
+def test_cli_exit_codes_of_a_set_without_a_value_and_an_io_failure(tmp_path, capsys):
+    # a --set without "=" is a configuration error at "--set"
+    code, out = run_cli(tmp_path, "sigma", "--set", "grid.points")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: --set:")
+    assert not out.exists()
+    # an output directory beneath a regular file cannot be made: exit 4
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["sigma", "--set", "grid.points=256", "--set", "grid.length=64.0",
+                 "--set", "sigma.count=21", "--output-dir", str(blocker / "out")])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("i/o failure:")
 
 
 def _input_file(directory, name):

@@ -466,7 +466,7 @@ def test_block_update_matches_per_step_route(dim, points, length, sps, pot, monk
         return gammas, fields
 
     block = runs()
-    monkeypatch.setattr(_ShellCore, "advance", per_step_advance)
+    monkeypatch.setattr(_ShellCore, "advance", per_step_advance(rho, sol.rho))
     reference = runs()
     for got, want in zip(block[0], reference[0]):
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
@@ -529,7 +529,7 @@ def test_width_one_gaussian_couples_few_modes(pot, monkeypatch):
     # full coupling, which kicks and reads every mode
     obs = Observers(snapshot_stride=20)
     block = evolve(state, rho, pot, integ, 4.0, obs)
-    monkeypatch.setattr(_ShellCore, "advance", per_step_advance)
+    monkeypatch.setattr(_ShellCore, "advance", per_step_advance(rho))
     reference = evolve(state, rho, pot, integ, 4.0, obs)
     assert np.max(np.abs(block.gamma - reference.gamma)) <= 1e-10 * np.max(np.abs(reference.gamma))
     for got, want in zip(block.snapshots, reference.snapshots):
@@ -568,7 +568,7 @@ def test_lazy_core_reads_match_every_mode_flow(pot, sps, monkeypatch):
     for intervals in (1, 3, 2, 1):
         for _ in range(intervals):
             core.advance()
-            per_step_advance(ref)
+            per_step_advance(rho)(ref)
         assert core.pending == intervals * sps
         for got, want in zip(core.fields(), ref.fields()):
             assert_rel_close(got, want)
@@ -578,7 +578,7 @@ def test_lazy_core_reads_match_every_mode_flow(pot, sps, monkeypatch):
         obs = Observers(snapshot_stride=stride)
         traj = evolve(state, rho, pot, integ, T, obs)
         with monkeypatch.context() as patch:
-            patch.setattr(_ShellCore, "advance", per_step_advance)
+            patch.setattr(_ShellCore, "advance", per_step_advance(rho))
             reference = evolve(state, rho, pot, integ, T, obs)
         assert len(reference.snapshots) == len(traj.snapshots) > 1
         for snap, want in zip(traj.snapshots, reference.snapshots):
@@ -592,7 +592,7 @@ def test_lazy_invariants_match_all_mode_sums(pot, sps, monkeypatch):
     # against the position-space functionals of a per-step every-mode run
     grid, rho, integ, state, T = width_one_run(sps)
     traj = evolve(state, rho, pot, integ, T)
-    monkeypatch.setattr(_ShellCore, "advance", per_step_advance)
+    monkeypatch.setattr(_ShellCore, "advance", per_step_advance(rho))
     reference = evolve(state, rho, pot, integ, T, Observers(snapshot_stride=1))
     assert len(reference.snapshots) == len(traj.times)
     assert_rel_close(traj.energy, np.array([energy(s, rho, pot) for s in reference.snapshots]))
@@ -686,7 +686,7 @@ def test_shell_core_matches_the_every_mode_route(dim, points, length, several, p
     state = localized_state(grid, np.random.default_rng(11), scale=0.5)
     T = 4.0  # 20 sampling intervals
     traj = evolve(state, rho, pot, integ, T, Observers(snapshot_stride=5))
-    monkeypatch.setattr(_ShellCore, "advance", per_step_advance)
+    monkeypatch.setattr(_ShellCore, "advance", per_step_advance(rho))
     reference = evolve(state, rho, pot, integ, T, Observers(snapshot_stride=1)).snapshots
     assert len(reference) == len(traj.times) == 21
     assert_rel_close(traj.gamma, np.array([inner_product(rho, s) for s in reference]))
@@ -738,18 +738,19 @@ def test_handed_on_gamma_matches_the_pairing(pot, sps, monkeypatch):
     # at every sample of an undamped evolve and of a persistence run, the
     # gamma that the last block's recurrence hands on is the pairing of the
     # synced state over every mode, to roundoff; the recorded gamma is that
-    # handed-on value, and only the first sample, where no block ran, pairs:
-    # the shell pair with the real shell pairing, which is the pairing over
-    # every mode to roundoff too
+    # handed-on value, and at the first sample, where no block ran, the load
+    # hands on its own pairing: the shell pair with the real shell pairing,
+    # which is the pairing over every mode to roundoff too
     grid, rho, integ, state, T = width_one_run(sps)
     sol = TwoFrequencySolution(rho, 2.0, 2.0 / 3.0, -1.0, 1.75, 1.0,
                                state.psi.real, state.pi.real, 1.0)
     seen = []
     coupling = _ShellCore.coupling
+    rho_raw = grid.raw_fft(rho.values).ravel()
 
     def spy(self):
         psi = self.natural()[0]
-        seen.append((self.gamma, complex(np.vdot(self.pairing, psi)),
+        seen.append((self.gamma, complex(np.vdot(self.scale * rho_raw, psi)),
                      complex(np.vdot(self.read, self.pair[0]))))
         return coupling(self)
 
@@ -759,10 +760,10 @@ def test_handed_on_gamma_matches_the_pairing(pot, sps, monkeypatch):
     assert len(seen) == sum(len(g) for g in runs) == 2 * 16
     for gamma, read in zip(runs, (seen[:16], seen[16:])):
         handed, paired, shell = zip(*read)
-        assert handed[0] is None and None not in handed[1:]
-        assert np.array_equal(gamma, (shell[0],) + handed[1:])
+        assert handed[0] == shell[0]
+        assert np.array_equal(gamma, handed)
         paired = np.array(paired)
-        got = np.array((shell[0],) + handed[1:])
+        got = np.array(handed)
         assert np.max(np.abs(got - paired)) <= 1e-13 * np.max(np.abs(paired))
 
 
@@ -770,8 +771,8 @@ def damped_reference_steps(core):
     """The sponge interval before the coupled span, as a test-side copy.
 
     Each step kicks and pairs over every mode, takes the scaled inverse
-    transform (raw_ifft) into a fresh buffer, multiplies by the damping
-    exp(-sigma dt) and transforms back with raw_fft.
+    transform (raw_ifft) into the core's position buffer, multiplies by the
+    damping exp(-sigma dt) and transforms back with raw_fft.
     """
     grid, integ = core.grid, core.integ
     damp = np.repeat(np.exp(-integ.sponge.rate(grid) * integ.dt).ravel(), 2)
@@ -780,7 +781,7 @@ def damped_reference_steps(core):
     psi, pi = core.pair
     view = core.pair.view(np.float64)
     shaped = core.raw.reshape(2, *grid.shape)
-    fields = np.empty_like(shaped)
+    fields = core.position
     damped = fields.view(np.float64).reshape(2, -1)
     for _ in range(integ.steps_per_sample):
         pi += force(complex(np.vdot(pairing, psi))) * kick
@@ -789,7 +790,6 @@ def damped_reference_steps(core):
         grid.raw_ifft(shaped, out=fields)
         damped *= damp
         grid.raw_fft(fields, out=shaped)
-    return fields
 
 
 @pytest.mark.parametrize("dim, points, length, amplitude, coupled, covered", [

@@ -60,6 +60,21 @@ def test_profile_rejects_complex_values(grid, rho):
             CouplingProfile.from_values(grid, values)
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda grid: CouplingProfile.from_values(grid, np.ones(7)),
+     r"profile shape \(7,\) does not match grid \(256,\)"),
+    (lambda grid: CouplingProfile.from_values(grid, np.where(grid.radius < 1.0, np.nan, 1.0)),
+     "coupling profile must be finite"),
+    (lambda grid: CouplingProfile.from_values(grid, np.zeros(grid.shape)),
+     "must not vanish identically"),
+    (lambda grid: CouplingProfile.from_spectrum(grid, np.zeros(grid.shape)),
+     "must not vanish identically"),
+], ids=["shape", "nan", "zero-values", "zero-spectrum"])
+def test_profile_rejects_bad_values(grid, build, match):
+    with pytest.raises(ValueError, match=match):
+        build(grid)
+
+
 def test_inner_product_is_plain_quadrature(grid, rho, rng):
     state = random_state(grid, rng)
     expected = grid.cell_volume * np.sum(rho.values * state.psi)

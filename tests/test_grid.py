@@ -15,7 +15,8 @@ def random_field(grid, rng):
 
 @pytest.mark.parametrize(
     "dim,n,length",
-    [(0, 256, 64.0), (4, 256, 64.0), (1, 100, 64.0), (1, 4, 64.0), (1, 256, 0.0), (1, 256, -1.0)],
+    [(0, 256, 64.0), (4, 256, 64.0), (1, 100, 64.0), (1, 4, 64.0), (1, 256, 0.0), (1, 256, -1.0),
+     (1, 8, float("inf"))],
 )
 def test_constructor_rejects_bad_parameters(dim, n, length):
     with pytest.raises(ValueError):

@@ -29,8 +29,17 @@ def test_snapshot_rejects_garbage(tmp_path, grid):
         load_snapshot(path)
     state = FieldState(grid, np.zeros(grid.shape, complex), np.zeros(grid.shape, complex))
     save_snapshot(path, state)
-    path.write_bytes(path.read_bytes()[:-8])
+    whole = path.read_bytes()
+    path.write_bytes(whole[:-8])
     with pytest.raises(ValueError, match="truncated"):
+        load_snapshot(path)
+    # the magic, then fewer bytes than the header holds
+    path.write_bytes(b"MFKG1" + bytes(10))
+    with pytest.raises(ValueError, match=r"truncated snapshot \(15 bytes\)"):
+        load_snapshot(path)
+    # the format version is the first header field, after the magic
+    path.write_bytes(b"MFKG1" + (2).to_bytes(4, "little") + whole[9:])
+    with pytest.raises(ValueError, match="unsupported snapshot version 2"):
         load_snapshot(path)
 
 

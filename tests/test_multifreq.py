@@ -7,7 +7,7 @@ from mfkg import (
     CouplingProfile, Integrator, Observers, Sponge, build_counterexample,
     build_multifreq, build_rho, evolve, make_grid, verify_persistence,
 )
-from mfkg.dynamics import _ShellCore
+from mfkg.dynamics import _sample_count, _ShellCore
 from mfkg.multifreq import _outside_bound, auto_widths
 from mfkg.solitary import resolvent_coupling
 
@@ -140,8 +140,9 @@ def persistence_errors_reference(sol, integ, T):
     core.load(state0.psi, state0.pi)
     phi0_raw, phi1_raw = core.to_raw(sol.phi0, sol.phi1)
     scale = np.sqrt(grid.l2sq(sol.phi0)) + np.sqrt(grid.l2sq(sol.phi1))
+    pairing = core.scale * grid.raw_fft(sol.rho.values).ravel()
     max_err = gamma_err = 0.0
-    for t in core.samples(T, state0.time):
+    for t in core.samples(_sample_count(integ, T), state0.time):
         # the whole state, every mode in natural raw order; the residual
         # flows with the blocks, every interval
         psi, pi = core.natural()
@@ -153,7 +154,7 @@ def persistence_errors_reference(sol, integ, T):
         err_pi = np.sqrt(core.scale * np.vdot(dpi, dpi).real) / sol.omega1
         max_err = max(max_err, max(err_psi, err_pi) / scale)
         # gamma by the pairing over every mode, not as the blocks hand it on
-        gamma = complex(np.vdot(core.pairing, psi))
+        gamma = complex(np.vdot(pairing, psi))
         gamma_err = max(gamma_err, abs(gamma - sol.sigma0 * s0) / sol.sigma0)
     return max_err, gamma_err
 
@@ -211,7 +212,7 @@ def test_outside_bound_dominates_the_eager_run(sol):
     bound = _outside_bound(core, np.stack((p0, p1)), (sol.omega0, sol.omega1))
     assert core.residual.shape == (2, grid.num_points)
     psi, pi = core.residual
-    for t in core.samples(20.0, state0.time):
+    for t in core.samples(_sample_count(integ, 20.0), state0.time):
         # the residual lags the blocks; syncing every interval flows it with them
         core.sync()
         dpsi = psi - (np.sin(sol.omega0 * t) * p0 + np.sin(sol.omega1 * t) * p1)
@@ -232,7 +233,7 @@ def test_persistence_gamma_matches_an_eager_core(sol):
     core.load(state0.psi, state0.pi)
     assert core.residual.shape == (2, sol.rho.grid.num_points)
     gamma = []
-    for _ in core.samples(20.0, state0.time):
+    for _ in core.samples(_sample_count(integ, 20.0), state0.time):
         core.sync()
         gamma.append(core.coupling())
     assert np.array_equal(report.gamma, gamma)

@@ -46,6 +46,9 @@ def test_constructor_validation():
         PolynomialPotential((1.0,))
     with pytest.raises(ValueError, match="leading coefficient"):
         PolynomialPotential((-1.0, -1.0))
+    for coeffs in ((float("nan"), 1.0), (float("inf"), 1.0), (-1.0, float("inf"))):
+        with pytest.raises(ValueError, match=r"coefficients \(.*\) must be finite"):
+            PolynomialPotential(coeffs)
 
 
 def test_force_is_phase_equivariant(pot):
@@ -78,6 +81,8 @@ def test_lower_bound_exact(pot):
     assert_allclose(lower_bound_constants(pot, B=0.3).A, 0.35**2 - 0.7 * 0.35)
     with pytest.raises(ValueError):
         lower_bound_constants(pot, B=-1.0)
+    with pytest.raises(ValueError, match="B=nan must be finite"):
+        lower_bound_constants(pot, B=float("nan"))
     with pytest.raises(ValueError):
         LowerBound(A=0.0, B=-0.5)
 

@@ -104,6 +104,20 @@ def test_resolvent_coupling_complex_frequency(rho):
         resolvent_coupling(rho, 0.5 - 0.2j)
 
 
+@pytest.mark.parametrize("evaluate, match", [
+    (lambda rho: resolvent_coupling(rho, float("nan")), "omega=nan must be finite"),
+    (lambda rho: resolvent_coupling(rho, complex(0.5, float("inf"))),
+     r"omega=\(0.5\+infj\) must be finite"),
+    (lambda rho: resolvent_coupling(rho, complex(float("nan"), 0.2)),
+     r"omega=\(nan\+0.2j\) must be finite"),
+    (lambda rho: resolvent_profile(rho, float("nan")), "omega=nan must be finite"),
+    (lambda rho: dispersion_curve(rho, [0.1, float("nan")]), "omega=nan must be finite"),
+], ids=["coupling", "complex-inf", "complex-nan", "profile", "curve"])
+def test_frequency_routes_reject_non_finite_omega(rho, evaluate, match):
+    with pytest.raises(ValueError, match=match):
+        evaluate(rho)
+
+
 def test_resolvent_rejects_resonant_frequency(rho):
     # a Gaussian rho_hat never vanishes, so every shell above m is resonant
     with pytest.raises(ValueError, match="resonant shell"):

@@ -163,6 +163,13 @@ def test_titchmarsh_single_tone_cubic_pattern(pot):
     assert covered > 0.999 * total
 
 
+def test_titchmarsh_warns_on_a_band_narrower_than_four_bins(pot):
+    # one tone fills three Hann bins, so its support endpoints are resolution limited
+    times, g = tone_series([(0.2, 1.0)])
+    with pytest.warns(UserWarning, match="gamma band narrower than four bins"):
+        titchmarsh_check(times, g, pot, t_center=0.5 * WIDTH, width=WIDTH)
+
+
 def test_titchmarsh_nyquist_guard(pot):
     # 1.2 tone under cubic force needs bandwidth ~3.6 > pi/dt for dt = 2.5
     times = 2.5 * np.arange(64)
