@@ -58,11 +58,9 @@ before every read of the whole field (:meth:`_ShellCore.fields`); its
 share of H and Q is orthogonal to the shell pair's and constant, so
 :meth:`_ShellCore.load` takes it once.  ``verify_persistence`` never
 reads the residual: it sums its error over the shell pair and bounds the
-residual's once, at set-up.  gamma (:attr:`_ShellCore.gamma`) has one
-route: :meth:`_ShellCore.load` pairs the shell pair with its real pairing
-once, and each block hands on the gamma of the end state that its
-recurrence ends with; the next block computes its own gamma_0, so the
-trajectory never sees the handed-on value.
+residual's once, at set-up.  :meth:`_ShellCore.load` pairs gamma with the
+real shell pairing, and each block hands on the gamma that its recurrence
+ends with; the next block computes its own gamma_0 from its start state.
 
 :class:`_SpongeCore` steps one by one, its modes in natural order: each
 step ends with one stacked inverse transform into the core's position-space
@@ -81,9 +79,10 @@ coupled mode below N/2 and [b, N) from the first one at or above it, in
 flat raw indices.  The modes left out hold only roundoff of rho's
 transform, as outside C in the undamped core; psi is gathered over the
 span in that order, so gamma is one product, the full pairing's when the
-span is every mode (a = b = N/2).  Its gamma pairs the natural psi with
-rho at every sample.  The force comes from
-:meth:`PolynomialPotential.force` on one Python complex.
+span is every mode (a = b = N/2).  Each step pairs its end state once,
+for the next step's first half kick and, at an interval's end, for the
+sample.  The force comes from :meth:`PolynomialPotential.force` on one
+Python complex.
 :func:`free_flow` and :func:`kick` remain single applications on the
 :meth:`Grid.forward` path, independent of the core.
 
@@ -91,7 +90,9 @@ Every sampled run is the generator ``_Core.samples(count, t0)``.  It
 covers the ``count`` whole sampling intervals that a run over T takes
 (:func:`_sample_count`, computed once per run), so samples are uniform and
 the last one lies at or past T.  It only advances the core and yields each
-sample's time; the sample is read off the core.
+sample's time; the sample is read off the core.  gamma has one route on
+both cores: ``load`` pairs it once and each interval hands on its end
+state's (:meth:`_Core.coupling`).
 
 Three runs read those samples, each in its own loop.  :func:`evolve`
 records gamma, F and U (:meth:`_Core.coupling_terms`), then H and Q
@@ -210,7 +211,7 @@ class Observers:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Observables of one run, sampled every :attr:`sample_dt` to at or past its end time."""
+    """Observables of one run, sampled every sampling interval to at or past its end time."""
 
     times: np.ndarray
     gamma: np.ndarray
@@ -219,13 +220,7 @@ class Trajectory:
     charge: np.ndarray
     seminorms: dict[str, np.ndarray]
     snapshots: list[FieldState]
-    dt: float
-    steps_per_sample: int
     sponge: Sponge | None = None
-
-    @property
-    def sample_dt(self) -> float:
-        return self.dt * self.steps_per_sample
 
 
 def _check_step_size(grid: Grid, integ: Integrator) -> None:
@@ -289,7 +284,7 @@ class _Core:
     :class:`_ShellCore` steps without a sponge and :class:`_SpongeCore`
     with one (see the module docstring); each binds what it needs from
     rho's raw transform (None without rho) in ``_bind`` and owns ``load``,
-    ``fields``, ``coupling``, ``invariants`` and ``advance``.
+    ``fields``, ``invariants`` and ``advance``, which set :attr:`gamma`.
     """
 
     def __init__(
@@ -324,6 +319,10 @@ class _Core:
         """The current sample, at time t, as a :class:`FieldState` of :meth:`fields`."""
         psi, pi = self.fields()
         return FieldState(self.grid, psi, pi, t)
+
+    def coupling(self) -> complex:
+        """gamma = <rho, psi> of the state, as the load or the last interval handed it on."""
+        return self.gamma
 
     def coupling_terms(self) -> tuple[complex, complex, float]:
         """gamma, F(gamma) and U(gamma) of the state; zeros without a coupling."""
@@ -465,10 +464,6 @@ class _ShellCore(_Core):
             self._flow(view, *tables, self.scratch.reshape(view.shape))
             self.pending = 0
 
-    def coupling(self) -> complex:
-        """gamma = <rho, psi> of the state, as the load or the last block handed it on."""
-        return self.gamma
-
     def quadratic(self, pair: np.ndarray, weight: np.ndarray) -> tuple[float, float]:
         """The quadratic part of H, and Q, of a (2, modes) raw pair; ``weight`` is |xi|^2 + m^2."""
         psi, pi = pair
@@ -555,13 +550,9 @@ class _SpongeCore(_Core):
             shape[axis] = grid.points_per_axis
             self.ixi.append(1j * xi.reshape(shape))
         self.gradient = np.empty(grid.shape, dtype=complex)
-        self.half_kick = None
+        self.half_kick, self.paired = None, lambda: 0j
         if rho_raw is None:
             return
-        # pi_hat += tau F rho_hat reads pi_raw += tau F rho_raw in raw
-        # coordinates, and <rho, psi> = scale * sum conj(rho_raw) psi_raw
-        self.kick = (0.5 * integ.dt) * rho_raw
-        self.pairing = self.scale * rho_raw
         # the coupled span: [0, a) up to the last coupled mode below N/2 and
         # [b, N) from the first one at or above it; every mode when a = b = N/2
         coupled = np.flatnonzero(coupled_modes(rho_raw))
@@ -569,37 +560,41 @@ class _SpongeCore(_Core):
         a = int(low[-1]) + 1 if low.size else 0
         b = int(high[0]) if high.size else n
         self.span = (slice(0, a), slice(b, n))
-        psi, pi = self.pair
-        pairing, kick = (np.concatenate((v[:a], v[b:])) for v in (self.pairing, self.kick))
+        # pi_hat += tau F rho_hat reads pi_raw += tau F rho_raw in raw
+        # coordinates, and <rho, psi> = scale * sum conj(rho_raw) psi_raw;
         # psi is gathered in span order, so gamma is one product: on a span of
         # every mode, the full pairing's bit for bit
+        spanned = np.concatenate((rho_raw[:a], rho_raw[b:]))
+        pairing, kick = self.scale * spanned, (0.5 * integ.dt) * spanned
+        psi, pi = self.pair
         gathered, kicked = np.empty_like(pairing), np.empty_like(kick)
         copies = ((gathered[:a], psi[:a]), (gathered[a:], psi[b:]))
         adds = ((pi[:a], kicked[:a]), (pi[b:], kicked[a:]))
         force, copyto, add = self.pot.force, np.copyto, np.add
 
-        def half_kick() -> None:
-            """pi += F(gamma) kick over the span, gamma paired over the span."""
+        def paired() -> complex:
+            """gamma of the state, psi gathered over the span."""
             for part, source in copies:
                 copyto(part, source)
-            np.multiply(force(complex(np.vdot(pairing, gathered))), kick, out=kicked)
+            return complex(np.vdot(pairing, gathered))
+
+        def half_kick(g: complex) -> None:
+            """pi += F(g) kick over the span."""
+            np.multiply(force(g), kick, out=kicked)
             for part, kicks in adds:
                 add(part, kicks, out=part)
 
-        self.half_kick = half_kick
+        self.paired, self.half_kick = paired, half_kick
 
     def load(self, psi: np.ndarray, pi: np.ndarray) -> None:
         """Start the core's run at the fields (psi, pi), copied into the position buffer."""
         self.pair[:] = self.to_raw(psi, pi)
         self.position[0], self.position[1] = psi, pi
+        self.gamma = self.paired()
 
     def fields(self):
         """Position-space (psi, pi) of the sample: the position buffer (the data, then damped fields)."""
         return self.position
-
-    def coupling(self) -> complex:
-        """gamma = <rho, psi> of the state, the natural pair paired with rho."""
-        return complex(np.vdot(self.pairing, self.pair[0]))
 
     def invariants(self, u_val: float) -> tuple[float, float]:
         """Energy and charge of the sample, restricted to the observation ball.
@@ -625,24 +620,26 @@ class _SpongeCore(_Core):
 
         The round trip transforms, in the grid's shape, from the state into
         the core's position-space buffer and back; the buffer is left
-        holding the last step's damped fields, the sample's fields.
+        holding the last step's damped fields, the sample's fields.  Each
+        step's first half kick reads the gamma handed on to it.
         """
-        half_kick, damp, flow = self.half_kick, self.damp, self._flow
+        half_kick, paired, damp, flow = self.half_kick, self.paired, self.damp, self._flow
         inverse, forward = self.round_trip
         cos, sin = self.step_flow
         view, rotated = self.pair.view(np.float64), self.scratch.reshape(2, -1)
         damped = self.position.view(np.float64).reshape(2, -1)
         for _ in range(self.integ.steps_per_sample):
             if half_kick is not None:
-                half_kick()
+                half_kick(self.gamma)
             flow(view, cos, sin, rotated)
             if half_kick is not None:
-                half_kick()
+                half_kick(paired())
             for apply in inverse:
                 apply()
             damped *= damp
             for apply in forward:
                 apply()
+            self.gamma = paired()
 
 
 # public single-application operations ------------------------------------
@@ -726,8 +723,6 @@ def evolve(
         charge=np.asarray(charge),
         seminorms={k: np.asarray(v) for k, v in seminorms.items()},
         snapshots=taken,
-        dt=integ.dt,
-        steps_per_sample=integ.steps_per_sample,
         sponge=integ.sponge,
     )
 

@@ -53,19 +53,17 @@ def auto_widths(k1: float) -> tuple[float, float]:
     return min(1.0, 0.7 * k1), max(3.0, 1.6 * k1)
 
 
-def _mixed_spectrum(
+def _mixed_coupling(
     omega1: float,
     grid: Grid,
     m: float,
     sigma0_target: float,
-    widths: tuple[float, float] | None,
-) -> tuple[np.ndarray, float]:
+) -> tuple[CouplingProfile, float]:
+    """The coupling of :func:`build_rho` and its mixing lambda."""
     if not m < omega1 < 3.0 * m:
         raise ValueError("omega1 must lie strictly between m and 3m")
     k1 = math.sqrt(omega1 * omega1 - m * m)
-    tau1, tau2 = auto_widths(k1) if widths is None else widths
-    if not 0 < tau1 < tau2:
-        raise ValueError("widths must satisfy 0 < inner < outer")
+    tau1, tau2 = auto_widths(k1)
     if grid.nyquist < max(4.0 * tau2, 2.0 * k1):
         raise ValueError(
             f"grid bandwidth {grid.nyquist:g} too small for spectral widths "
@@ -98,7 +96,7 @@ def _mixed_spectrum(
     if sigma0_target <= 0:
         raise ValueError("sigma0_target must be positive")
     kappa = math.sqrt(sigma0_target / sigma0_raw)
-    return kappa * shape, lam
+    return CouplingProfile.from_spectrum(grid, (kappa * shape).astype(complex)), lam
 
 
 def build_rho(
@@ -106,7 +104,6 @@ def build_rho(
     grid: Grid,
     m: float = 1.0,
     sigma0_target: float = 1.0,
-    widths: tuple[float, float] | None = None,
 ) -> CouplingProfile:
     """A real, even coupling whose resolvent trace vanishes at omega1.
 
@@ -114,8 +111,7 @@ def build_rho(
     scale of the two-frequency solution (matching the force scale keeps the
     resulting dynamics comfortably non-stiff).
     """
-    spectrum, _ = _mixed_spectrum(omega1, grid, m, sigma0_target, widths)
-    return CouplingProfile.from_spectrum(grid, spectrum.astype(complex))
+    return _mixed_coupling(omega1, grid, m, sigma0_target)[0]
 
 
 @dataclass(eq=False)
@@ -200,11 +196,9 @@ def build_counterexample(
     grid: Grid,
     m: float = 1.0,
     sigma0_target: float = 1.0,
-    widths: tuple[float, float] | None = None,
 ) -> TwoFrequencySolution:
     """Coupling plus two-frequency solution in one step."""
-    spectrum, lam = _mixed_spectrum(omega1, grid, m, sigma0_target, widths)
-    rho = CouplingProfile.from_spectrum(grid, spectrum.astype(complex))
+    rho, lam = _mixed_coupling(omega1, grid, m, sigma0_target)
     sol = build_multifreq(rho, omega1, b, m)
     sol.mixing = lam
     return sol

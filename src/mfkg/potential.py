@@ -91,8 +91,10 @@ class LowerBound:
     B: float
 
     def __post_init__(self) -> None:
-        if self.B < 0:
-            raise ValueError("B must be nonnegative")
+        if not isfinite(self.A):
+            raise ValueError(f"A={self.A} must be finite")
+        if not (isfinite(self.B) and self.B >= 0):
+            raise ValueError(f"B={self.B} must be finite and nonnegative")
 
     def admissible(self, m: float, rho_l2_sq: float) -> bool:
         """Whether B is small enough for the a-priori energy bound, B < m^2 / (2 ||rho||^2)."""

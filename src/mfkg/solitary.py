@@ -89,6 +89,11 @@ _CHUNK_POINTS = 1 << 15
 _MAX_CHUNK = 16
 
 
+def _require_mass(m: float) -> None:
+    if not (cmath.isfinite(m) and m > 0):
+        raise ValueError(f"m={m} must be finite and positive")
+
+
 def shell_band(grid: Grid, k_shell: float) -> np.ndarray:
     """Lattice points within one mode spacing of the sphere |xi| = k_shell."""
     return np.abs(np.sqrt(grid.k_squared) - k_shell) <= grid.mode_spacing
@@ -216,6 +221,7 @@ def resolvent_coupling(rho: CouplingProfile, omega, m: float = 1.0):
     in the upper half-plane are evaluated directly.  A real sum that is
     roundoff of zero is exactly 0 (see ``_couplings_of``).
     """
+    _require_mass(m)
     complex_omega = isinstance(omega, complex) and omega.imag != 0.0
     if complex_omega and not (cmath.isfinite(omega) and omega.imag > 0):
         raise ValueError(f"complex omega={omega} must be finite and lie in the upper half-plane")
@@ -228,6 +234,7 @@ def resolvent_coupling(rho: CouplingProfile, omega, m: float = 1.0):
 
 def resolvent_profile(rho: CouplingProfile, omega: float, m: float = 1.0) -> np.ndarray:
     """Profile of the unit-amplitude standing wave, (m^2 - Lap - omega^2)^{-1} rho."""
+    _require_mass(m)
     grid = rho.grid
     omega = float(np.real(omega))
     _check_real_frequency(rho, omega, m)
@@ -237,6 +244,7 @@ def resolvent_profile(rho: CouplingProfile, omega: float, m: float = 1.0) -> np.
 
 def dispersion_curve(rho: CouplingProfile, omegas, m: float = 1.0) -> np.ndarray:
     """s(omega) at each of ``omegas``; ValueError if one of them is not admissible."""
+    _require_mass(m)
     omegas = np.asarray(omegas, dtype=float)
     for omega in omegas[~_inside_gap(omegas, m)]:
         _check_real_frequency(rho, float(omega), m)
@@ -504,6 +512,7 @@ class ManifoldTable:
         omega_grid=None,
         m: float = 1.0,
     ) -> None:
+        _require_mass(m)
         grid = rho.grid
         self.rho, self.pot, self.spec, self.m = rho, pot, spec, m
         if omega_grid is None:

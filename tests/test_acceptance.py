@@ -1,9 +1,13 @@
 """Acceptance runs: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The attraction experiment
-(criteria 6 and 9) evolves ten T=200 trajectories and dominates the runtime;
-expect a couple of minutes in total.
+(criteria 6 and 9) evolves ten T=200 trajectories, two processes at a time,
+and dominates the runtime.
 """
+import functools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -135,36 +139,45 @@ def test_criterion_5_sigma_oracle():
 # wave floors the manifold distance near 0.02 and spoils late checkpoints,
 # while incoming radiation crosses the core only transiently and hardly
 # excites it.
-@pytest.fixture(scope="module")
-def attraction_runs():
+@functools.lru_cache(maxsize=None)
+def attraction_setup():
+    """The grid, coupling, potential and manifold table that every attraction run shares."""
     grid = make_grid(1, 4096, 256.0)
     rho = CouplingProfile.gaussian(grid, amplitude=4.0, width=1.0)
     pot = PolynomialPotential((-1.0, 1.0))
-    spec = SeminormSpec(0.5, 24.0, 8.0)
-    table = ManifoldTable(rho, pot, spec)
-    results = []
-    for seed in range(10):
-        rng = np.random.default_rng(1000 + seed)
-        omega = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.35, 0.8))
-        theta = float(rng.uniform(0.0, 2.0 * np.pi))
-        wave = build_solitary(rho, pot, omega, theta)
-        ws = wave.initial_state()
-        pert = random_state(grid, seed, 0.7 * energy_norm(ws, 1.0),
-                            envelope_width=8.0, band_limit=0.5,
-                            band_center=1.2, envelope_center=30.0)
-        init = FieldState(grid, ws.psi + pert.psi, ws.pi + pert.pi)
-        traj = evolve(init, rho, pot, Integrator(0.01, 10, Sponge(64.0, 3.0)), 200.0,
-                      Observers(snapshot_stride=500))
-        dists = {s.time: table.distance(s)[0] for s in traj.snapshots}
-        rep = attraction_report(traj, rho, pot, AttractionConfig(
-            window_width=50.0, n_windows=4, measure_distance=False))
-        results.append({
-            "omega": omega,
-            "checkpoints": [dists[t] for t in (50.0, 100.0, 150.0, 200.0)],
-            "concentration": rep.windows[-1].concentration,
-            "outside": [w.outside_mass_fraction for w in rep.windows],
-        })
-    return results
+    return grid, rho, pot, ManifoldTable(rho, pot, SeminormSpec(0.5, 24.0, 8.0))
+
+
+def attraction_run(seed):
+    """One seeded attraction run: its frequency, checkpoint distances and window measures."""
+    grid, rho, pot, table = attraction_setup()
+    rng = np.random.default_rng(1000 + seed)
+    omega = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.35, 0.8))
+    theta = float(rng.uniform(0.0, 2.0 * np.pi))
+    wave = build_solitary(rho, pot, omega, theta)
+    ws = wave.initial_state()
+    pert = random_state(grid, seed, 0.7 * energy_norm(ws, 1.0),
+                        envelope_width=8.0, band_limit=0.5,
+                        band_center=1.2, envelope_center=30.0)
+    init = FieldState(grid, ws.psi + pert.psi, ws.pi + pert.pi)
+    traj = evolve(init, rho, pot, Integrator(0.01, 10, Sponge(64.0, 3.0)), 200.0,
+                  Observers(snapshot_stride=500))
+    dists = {s.time: table.distance(s)[0] for s in traj.snapshots}
+    rep = attraction_report(traj, rho, pot, AttractionConfig(
+        window_width=50.0, n_windows=4, measure_distance=False))
+    return {
+        "omega": omega,
+        "checkpoints": [dists[t] for t in (50.0, 100.0, 150.0, 200.0)],
+        "concentration": rep.windows[-1].concentration,
+        "outside": [w.outside_mass_fraction for w in rep.windows],
+    }
+
+
+@pytest.fixture(scope="module")
+def attraction_runs():
+    # the seeds are independent, so they run in two fresh processes
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(attraction_run, range(10)))
 
 
 def test_criterion_6_attraction(attraction_runs):

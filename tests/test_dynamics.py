@@ -264,7 +264,6 @@ def test_evolve_sampling_layout(grid, rho, pot, rng):
     state = localized_state(grid, rng)
     traj = evolve(state, rho, pot, Integrator(0.01, steps_per_sample=10), 1.0)
     assert_allclose(traj.times, np.arange(11) * 0.1, atol=1e-12)
-    assert traj.sample_dt == pytest.approx(0.1)
     assert len(traj.gamma) == len(traj.energy) == len(traj.charge) == 11
     # gamma recorded on the fly agrees with recomputation from snapshots
     traj2 = evolve(state, rho, pot, Integrator(0.01, steps_per_sample=5), 0.5,
@@ -767,16 +766,53 @@ def test_handed_on_gamma_matches_the_pairing(pot, sps, monkeypatch):
         assert np.max(np.abs(got - paired)) <= 1e-13 * np.max(np.abs(paired))
 
 
-def damped_reference_steps(core):
+def test_sponge_core_hands_gamma_on(pot):
+    # the sponge twin of test_handed_on_gamma_matches_the_pairing, on the
+    # attraction bench grid: at every sample, coupling() is a fresh pairing
+    # of psi over the coupled span bit for bit and the pairing over every
+    # mode to roundoff, and each interval's first half kick receives that
+    # handed-on gamma instead of pairing again
+    data, rho, _ = criterion_6_data(0)
+    grid = data.grid
+    core = _SpongeCore(grid, Integrator(0.01, 10, Sponge(64.0, 3.0)), rho, pot, 1.0)
+    rho_raw = grid.raw_fft(rho.values).ravel()
+    low, high = core.span
+    assert low.stop < high.start
+    spanned = core.scale * np.concatenate((rho_raw[low], rho_raw[high]))
+    received, half_kick = [], core.half_kick
+
+    def spy(g):
+        received.append(g)
+        half_kick(g)
+
+    core.half_kick = spy
+    core.load(data.psi, data.pi)
+    handed = []
+    for _ in core.samples(10, 0.0):
+        psi = core.pair[0]
+        g = core.coupling()
+        assert g == complex(np.vdot(spanned, np.concatenate((psi[low], psi[high]))))
+        full = complex(np.vdot(core.scale * rho_raw, psi))
+        assert abs(g - full) <= 1e-13 * abs(full)
+        handed.append(g)
+    # two half kicks per step, ten steps per interval, ten intervals
+    assert len(received) == 200
+    assert received[::20] == handed[:-1]
+
+
+def damped_reference_steps(core, rho):
     """The sponge interval before the coupled span, as a test-side copy.
 
-    Each step kicks and pairs over every mode, takes the scaled inverse
-    transform (raw_ifft) into the core's position buffer, multiplies by the
-    damping exp(-sigma dt) and transforms back with raw_fft.
+    Each step kicks and pairs over every mode, with the natural raw kick and
+    pairing of rho, takes the scaled inverse transform (raw_ifft) into the
+    core's position buffer, multiplies by the damping exp(-sigma dt) and
+    transforms back with raw_fft.  The end state's pairing over every mode
+    is the core's gamma.
     """
     grid, integ = core.grid, core.integ
     damp = np.repeat(np.exp(-integ.sponge.rate(grid) * integ.dt).ravel(), 2)
-    kick, pairing, force = core.kick, core.pairing, core.pot.force
+    rho_raw = grid.raw_fft(rho.values).ravel()
+    kick, pairing, force = (0.5 * integ.dt) * rho_raw, core.scale * rho_raw, core.pot.force
     cos, sin = core.step_flow
     psi, pi = core.pair
     view = core.pair.view(np.float64)
@@ -790,6 +826,7 @@ def damped_reference_steps(core):
         grid.raw_ifft(shaped, out=fields)
         damped *= damp
         grid.raw_fft(fields, out=shaped)
+    core.gamma = complex(np.vdot(pairing, psi))
 
 
 @pytest.mark.parametrize("dim, points, length, amplitude, coupled, covered", [
@@ -831,7 +868,7 @@ def test_sponge_steps_match_the_every_mode_loop(dim, points, length, sponge, pot
     traj = evolve(state, rho, pot, integ, 2.0, obs)
     every = _SpongeCore(grid, integ, rho, pot, 1.0).span[0].stop == grid.num_points // 2
     assert every == (dim == 2)
-    monkeypatch.setattr(_SpongeCore, "advance", damped_reference_steps)
+    monkeypatch.setattr(_SpongeCore, "advance", lambda core: damped_reference_steps(core, rho))
     reference = evolve(state, rho, pot, integ, 2.0, obs)
     assert len(traj.snapshots) == len(reference.snapshots) == 3
     got = [traj.gamma, traj.energy, traj.charge]

@@ -46,17 +46,17 @@ def test_sigma0_target_scales_amplitudes(cgrid):
     assert resolvent_coupling(rho, 2.0 / 3.0) == pytest.approx(4.0, rel=1e-12)
 
 
-def test_build_rho_validation(cgrid):
+def test_build_rho_validation(cgrid, monkeypatch):
     with pytest.raises(ValueError, match="between m and 3m"):
         build_rho(0.9, cgrid)
     with pytest.raises(ValueError, match="between m and 3m"):
         build_rho(3.0, cgrid)
-    with pytest.raises(ValueError, match="inner < outer"):
-        build_rho(2.0, cgrid, widths=(2.0, 1.0))
     with pytest.raises(ValueError, match="bandwidth"):
         build_rho(2.0, make_grid(1, 64, 64.0))
+    # an inner Gaussian as wide as the shell leaves I11 > 0
+    monkeypatch.setattr("mfkg.multifreq.auto_widths", lambda k1: (4.0, 5.0))
     with pytest.raises(ValueError, match="bracket"):
-        build_rho(2.0, cgrid, widths=(4.0, 5.0))
+        build_rho(2.0, cgrid)
 
 
 def test_build_multifreq_rejects_unmixed_coupling(cgrid):

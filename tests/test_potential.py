@@ -87,6 +87,18 @@ def test_lower_bound_exact(pot):
         LowerBound(A=0.0, B=-0.5)
 
 
+@pytest.mark.parametrize("A, B, name", [
+    (0.0, float("nan"), "B"),
+    (float("nan"), 0.0, "A"),
+    (float("inf"), 0.0, "A"),
+    (float("-inf"), 0.0, "A"),
+    (0.0, float("inf"), "B"),
+])
+def test_lower_bound_constants_must_be_finite(A, B, name):
+    with pytest.raises(ValueError, match=f"^{name}=.* must be finite"):
+        LowerBound(A=A, B=B)
+
+
 @settings(max_examples=50, deadline=None)
 @given(coeff_lists, st.floats(min_value=0.0, max_value=2.0))
 def test_lower_bound_property(coeffs, B):

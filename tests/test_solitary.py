@@ -46,6 +46,23 @@ def test_resolvent_route_matches_full_grid_sums(dim, points, length):
     assert_allclose(s, np.sum(np.abs(rho.rho_hat) ** 2 / den) / grid.box_length**dim, rtol=1e-13)
 
 
+@pytest.mark.parametrize("m", [float("nan"), float("inf"), -1.0, 0.0])
+@pytest.mark.parametrize("route", [
+    lambda rho, pot, m: resolvent_coupling(rho, 0.5, m=m),
+    lambda rho, pot, m: resolvent_profile(rho, 0.5, m=m),
+    lambda rho, pot, m: dispersion_curve(rho, [0.1, 0.2], m=m),
+    lambda rho, pot, m: build_solitary(rho, pot, 0.5, m=m),
+    lambda rho, pot, m: ManifoldTable(rho, pot, SeminormSpec(0.5, 8.0, 8.0), m=m),
+], ids=["resolvent_coupling", "resolvent_profile", "dispersion_curve", "build_solitary",
+        "ManifoldTable"])
+def test_a_mass_that_is_not_finite_and_positive_is_rejected(rho, pot, route, m):
+    """A NaN mass gave NaN values, m = -1 those of m = 1, and m = inf or 0 a frequency's message."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^m=.* must be finite and positive"):
+            route(rho, pot, m)
+
+
 def test_frequency_within_the_floor_of_m_needs_a_negligible_zero_mode(grid, rho):
     """Where m^2 - omega^2 lies within the floor, the xi = 0 term is dropped only if rho_hat(0) is negligible."""
     omega = 1.0 - 1e-15

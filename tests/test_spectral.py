@@ -182,8 +182,7 @@ def fake_trajectory(times, gamma, sponge=None):
     z = np.zeros_like(gamma)
     return Trajectory(
         times=times, gamma=gamma, force=z, energy=np.zeros(times.size),
-        charge=np.zeros(times.size), seminorms={}, snapshots=[], dt=0.1,
-        steps_per_sample=1, sponge=sponge,
+        charge=np.zeros(times.size), seminorms={}, snapshots=[], sponge=sponge,
     )
 
 
