@@ -59,8 +59,10 @@ share of H and Q is orthogonal to the shell pair's and constant, so
 :meth:`_ShellCore.load` takes it once.  ``verify_persistence`` never
 reads the residual: it sums its error over the shell pair and bounds the
 residual's once, at set-up.  :meth:`_ShellCore.load` pairs gamma with the
-real shell pairing, and each block hands on the gamma that its recurrence
-ends with; the next block computes its own gamma_0 from its start state.
+real shell pairing and takes its force F(gamma), and each block hands on
+the gamma and the force that its recurrence ends with: the next block
+starts its recurrence from that pair instead of recomputing gamma_0 from
+its start state, so an interval of n steps makes n force calls.
 
 :class:`_SpongeCore` steps one by one, its modes in natural order: each
 step ends with one stacked inverse transform into the core's position-space
@@ -79,10 +81,11 @@ coupled mode below N/2 and [b, N) from the first one at or above it, in
 flat raw indices.  The modes left out hold only roundoff of rho's
 transform, as outside C in the undamped core; psi is gathered over the
 span in that order, so gamma is one product, the full pairing's when the
-span is every mode (a = b = N/2).  Each step pairs its end state once,
-for the next step's first half kick and, at an interval's end, for the
-sample.  The force comes from :meth:`PolynomialPotential.force` on one
-Python complex.
+span is every mode (a = b = N/2).  Each step pairs its end state once
+and takes the force of that gamma, for the next step's first half kick
+and, at an interval's end, for the sample: two force calls per step, the
+other for the pairing before the second half kick.  The force comes from
+:meth:`PolynomialPotential.force` on one Python complex.
 :func:`free_flow` and :func:`kick` remain single applications on the
 :meth:`Grid.forward` path, independent of the core.
 
@@ -90,9 +93,10 @@ Every sampled run is the generator ``_Core.samples(count, t0)``.  It
 covers the ``count`` whole sampling intervals that a run over T takes
 (:func:`_sample_count`, computed once per run), so samples are uniform and
 the last one lies at or past T.  It only advances the core and yields each
-sample's time; the sample is read off the core.  gamma has one route on
-both cores: ``load`` pairs it once and each interval hands on its end
-state's (:meth:`_Core.coupling`).
+sample's time; the sample is read off the core.  gamma and its force
+F(gamma) have one route on both cores: ``load`` pairs gamma and takes its
+force once, and each interval hands on its end state's pair
+(:meth:`_Core.coupling`, :meth:`_Core.coupling_terms`).
 
 Three runs read those samples, each in its own loop.  :func:`evolve`
 records gamma, F and U (:meth:`_Core.coupling_terms`), then H and Q
@@ -123,6 +127,7 @@ from .fields import (
     inner_product,
     local_seminorm,
     require_same_grid,
+    _require_mass,
 )
 from .grid import Grid
 from .potential import PolynomialPotential
@@ -284,7 +289,8 @@ class _Core:
     :class:`_ShellCore` steps without a sponge and :class:`_SpongeCore`
     with one (see the module docstring); each binds what it needs from
     rho's raw transform (None without rho) in ``_bind`` and owns ``load``,
-    ``fields``, ``invariants`` and ``advance``, which set :attr:`gamma`.
+    ``fields``, ``invariants`` and ``advance``, which set :attr:`gamma` and
+    its force :attr:`force` (0j without rho).
     """
 
     def __init__(
@@ -295,6 +301,7 @@ class _Core:
         pot: PolynomialPotential | None,
         m: float,
     ) -> None:
+        _require_mass(m)
         _check_step_size(grid, integ)
         _require_potential(rho, pot)
         self.grid = grid
@@ -325,11 +332,14 @@ class _Core:
         return self.gamma
 
     def coupling_terms(self) -> tuple[complex, complex, float]:
-        """gamma, F(gamma) and U(gamma) of the state; zeros without a coupling."""
+        """gamma, F(gamma) and U(gamma) of the state; zeros without a coupling.
+
+        F(gamma) is the force handed on with gamma (:attr:`force`).
+        """
         if not self.coupled:
             return 0j, 0j, 0.0
         g = self.coupling()
-        return g, self.pot.force(g), self.pot.value(g)
+        return g, self.force, self.pot.value(g)
 
     def _flow(self, view: np.ndarray, cos: np.ndarray, sin: np.ndarray, rotated: np.ndarray) -> None:
         """Free flow in place of the float64 view of a raw pair, by the tables' tau."""
@@ -410,8 +420,8 @@ class _ShellCore(_Core):
         self.lags = [memory[i:0:-1] for i in range(block + 1)]
 
         def bind(steps: int) -> tuple:
-            """(steps, gamma rows, transposed kick rows, flow tables) of a block."""
-            return (steps, self.table[: steps + 1], kicks[: steps + 1].T,
+            """(steps, gamma rows 1..steps, transposed kick rows, flow tables) of a block."""
+            return (steps, self.table[1: steps + 1], kicks[: steps + 1].T,
                     *_rotation_tables(omega, steps * integ.dt))
 
         # the interval's blocks: as many full ones as fit, then the remainder
@@ -442,10 +452,12 @@ class _ShellCore(_Core):
 
         The residual moves by the free flow alone, which keeps each mode's
         share of H and Q, so its share is taken here, once (:attr:`rest`).
-        gamma is the shell pair's real pairing until a block hands one on.
+        gamma is the shell pair's real pairing, and F(gamma) its force,
+        until a block hands them on.
         """
         self.pair[:], self.residual[:] = self.project(self.to_raw(psi, pi))
         self.pending, self.gamma = 0, complex(np.vdot(self.read, self.pair[0]))
+        self.force = self.pot.force(self.gamma) if self.coupled else 0j
         self.rest = self.quadratic(self.residual, self.energy_weight)
 
     def fields(self):
@@ -485,14 +497,16 @@ class _ShellCore(_Core):
         weights c = (d_0, 2 d_1, ..., 2 d_{s-1}, d_s) and d_j = F(gamma_j),
         is:
 
-        * gamma_i = b_i + sum_{j<i} K_{i-j} c_j, where b_i is gamma of
-          R^i x0 (one product of x0 with the gamma rows) and K is the
-          memory, so the d_j follow from a scalar recurrence;
+        * gamma_0 and d_0 are the pair handed on to the block, and for
+          i >= 1 gamma_i = b_i + sum_{j<i} K_{i-j} c_j, where b_i is gamma
+          of R^i x0 (one product of x0 with the gamma rows 1..s) and K is
+          the memory, so the d_j follow from a scalar recurrence;
         * the end state is R^s x0 + sum_j c_j R^{s-j} (0, e), the sum one
           product with the kick rows.
 
-        gamma_s of the last block is handed on, and the residual lags one
-        more interval.
+        Each block hands gamma_s and d_s on to the next, the last block to
+        the sample, so an interval of n steps makes n force calls; the
+        residual lags one more interval.
         """
         self.pending += self.integ.steps_per_sample
         if not self.plan:
@@ -504,13 +518,14 @@ class _ShellCore(_Core):
         view, swapped, rotated = self.view, self.swapped, self.rotated
         flat, columns, buffer, sums = self.flat, self.columns, self.buffer, self.sums
         force, lags, matmul = self.pot.force, self.lags, np.matmul
+        d = self.force
         for steps, rows, kick_rows, cos, sin in self.plan:
             b = (rows @ columns).view(np.complex128)
-            weights: list[complex] = []
-            for i, g in enumerate(b.ravel().tolist()):
+            weights: list[complex] = [d]
+            for i, g in enumerate(b.ravel().tolist(), 1):
                 g += sum(map(mul, lags[i], weights))
                 d = force(g)
-                weights.append(2.0 * d if 0 < i < steps else d)
+                weights.append(2.0 * d if i < steps else d)
             c = np.array(weights[::-1]).view(np.float64).reshape(-1, 2)
             # the (psi, pi) halves of sum_j c_j R^{s-j} (0, e), per shell
             matmul(kick_rows, c, out=sums)
@@ -518,7 +533,7 @@ class _ShellCore(_Core):
             view *= cos
             view += rotated
             flat += buffer
-        self.gamma = g
+        self.gamma, self.force = g, d
 
 
 class _SpongeCore(_Core):
@@ -550,7 +565,7 @@ class _SpongeCore(_Core):
             shape[axis] = grid.points_per_axis
             self.ixi.append(1j * xi.reshape(shape))
         self.gradient = np.empty(grid.shape, dtype=complex)
-        self.half_kick, self.paired = None, lambda: 0j
+        self.half_kick, self.paired = None, lambda: (0j, 0j)
         if rho_raw is None:
             return
         # the coupled span: [0, a) up to the last coupled mode below N/2 and
@@ -572,15 +587,16 @@ class _SpongeCore(_Core):
         adds = ((pi[:a], kicked[:a]), (pi[b:], kicked[a:]))
         force, copyto, add = self.pot.force, np.copyto, np.add
 
-        def paired() -> complex:
-            """gamma of the state, psi gathered over the span."""
+        def paired() -> tuple[complex, complex]:
+            """gamma of the state, psi gathered over the span, and F(gamma)."""
             for part, source in copies:
                 copyto(part, source)
-            return complex(np.vdot(pairing, gathered))
+            g = complex(np.vdot(pairing, gathered))
+            return g, force(g)
 
-        def half_kick(g: complex) -> None:
-            """pi += F(g) kick over the span."""
-            np.multiply(force(g), kick, out=kicked)
+        def half_kick(f: complex) -> None:
+            """pi += f kick over the span, f a force."""
+            np.multiply(f, kick, out=kicked)
             for part, kicks in adds:
                 add(part, kicks, out=part)
 
@@ -590,7 +606,7 @@ class _SpongeCore(_Core):
         """Start the core's run at the fields (psi, pi), copied into the position buffer."""
         self.pair[:] = self.to_raw(psi, pi)
         self.position[0], self.position[1] = psi, pi
-        self.gamma = self.paired()
+        self.gamma, self.force = self.paired()
 
     def fields(self):
         """Position-space (psi, pi) of the sample: the position buffer (the data, then damped fields)."""
@@ -621,25 +637,29 @@ class _SpongeCore(_Core):
         The round trip transforms, in the grid's shape, from the state into
         the core's position-space buffer and back; the buffer is left
         holding the last step's damped fields, the sample's fields.  Each
-        step's first half kick reads the gamma handed on to it.
+        step's first half kick reads the force handed on to it, and each
+        step hands on its end state's gamma and force: two force calls per
+        step.
         """
         half_kick, paired, damp, flow = self.half_kick, self.paired, self.damp, self._flow
         inverse, forward = self.round_trip
         cos, sin = self.step_flow
         view, rotated = self.pair.view(np.float64), self.scratch.reshape(2, -1)
         damped = self.position.view(np.float64).reshape(2, -1)
+        f = self.force
         for _ in range(self.integ.steps_per_sample):
             if half_kick is not None:
-                half_kick(self.gamma)
+                half_kick(f)
             flow(view, cos, sin, rotated)
             if half_kick is not None:
-                half_kick(paired())
+                half_kick(paired()[1])
             for apply in inverse:
                 apply()
             damped *= damp
             for apply in forward:
                 apply()
-            self.gamma = paired()
+            g, f = paired()
+        self.gamma, self.force = g, f
 
 
 # public single-application operations ------------------------------------

@@ -18,6 +18,7 @@ manifold table.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isfinite
@@ -46,6 +47,12 @@ __all__ = [
 # largest entry.  The transform of rho carries a roundoff of about this size
 # relative to that entry, so a smaller coefficient is roundoff, not coupling.
 _COUPLED_FRAC = float(np.finfo(np.float64).eps)
+
+
+def _require_mass(m: float) -> None:
+    """The one check of the mass m: a ValueError unless it is finite and positive."""
+    if not (cmath.isfinite(m) and m > 0):
+        raise ValueError(f"m={m} must be finite and positive")
 
 
 def coupled_modes(spectrum: np.ndarray) -> np.ndarray:
@@ -214,11 +221,13 @@ def _quadratic_energy_sq(state: FieldState, m: float) -> float:
 
 def energy_norm(state: FieldState, m: float = 1.0) -> float:
     """Energy norm: ||Psi||_E^2 = ||pi||^2 + ||grad psi||^2 + m^2 ||psi||^2."""
+    _require_mass(m)
     return float(np.sqrt(_quadratic_energy_sq(state, m)))
 
 
 def energy(state: FieldState, rho: CouplingProfile, pot, m: float = 1.0) -> float:
     """Conserved Hamiltonian 1/2 ||Psi||_E^2 + U(<rho, psi>)."""
+    _require_mass(m)
     require_same_grid(rho, state)
     gamma = inner_product(rho, state)
     return 0.5 * _quadratic_energy_sq(state, m) + float(pot.value(gamma))
@@ -318,5 +327,6 @@ def local_seminorm(state: FieldState, spec: SeminormSpec, m: float = 1.0) -> flo
     With epsilon = 0 and the cutoff disabled this reduces exactly to
     :func:`energy_norm`.
     """
+    _require_mass(m)
     h1, h0 = _windowed_weighted_hats(state, spec, m)
     return float(np.sqrt(state.grid.spectral_l2sq(h1) + state.grid.spectral_l2sq(h0)))

@@ -180,20 +180,32 @@ class Grid:
         half = self.points_per_axis // 2 + 1
         return tuple(np.ascontiguousarray(f[..., :half]) for f in self._transform_factors)
 
-    def half_forward(self, values: np.ndarray) -> np.ndarray:
-        """:meth:`forward` of real ``values``, on bins 0..N/2 of the last axis only."""
-        out = np.fft.rfft(values, axis=-1)
+    def half_forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`forward` of real ``values``, on bins 0..N/2 of the last axis only.
+
+        ``out``, when given, is a complex array of the half spectrum's shape
+        that receives the result.
+        """
+        out = np.fft.rfft(values, axis=-1, out=out)
         for axis in range(-2, -self.dim - 1, -1):
             np.fft.fft(out, axis=axis, out=out)
         out *= self._half_factors[0]
         return out
 
-    def half_inverse(self, half: np.ndarray) -> np.ndarray:
-        """The real field whose :meth:`forward` has the half spectrum ``half``."""
-        half = half * self._half_factors[1]
+    def half_inverse(self, half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The real field whose :meth:`forward` has the half spectrum ``half``.
+
+        ``out``, when given, is a real array of the field's shape that
+        receives the result, and ``half`` is then scaled and transformed in
+        place, so that a caller with its own buffers allocates no array.
+        """
+        if out is None:
+            half = half * self._half_factors[1]
+        else:
+            half *= self._half_factors[1]
         for axis in range(-self.dim, -1):
             np.fft.ifft(half, axis=axis, out=half)
-        return np.fft.irfft(half, n=self.points_per_axis, axis=-1)
+        return np.fft.irfft(half, n=self.points_per_axis, axis=-1, out=out)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Sampled continuum Fourier transform, f_hat(xi) ~ int f e^{-i xi.x} dx.

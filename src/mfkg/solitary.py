@@ -60,6 +60,7 @@ from .fields import (
     charge,
     energy,
     require_same_grid,
+    _require_mass,
     _seminorm_weights,
     _windowed_weighted_hats,
 )
@@ -84,14 +85,16 @@ SHELL_TOL = 0.05
 _DEN_FLOOR_FRAC = 1e-13
 # Bounds on the working memory of candidate sums: the most entries of one
 # chunk of stacked candidate arrays (profiles over the grid, reciprocals over
-# the coupled shells), and the cap on omegas per chunk of profiles.
+# the coupled shells), and the cap on omegas per chunk of profiles.  At the
+# distance defaults a chunk is 16 profiles of 2048 points, whose windowed
+# round trip took ~6 temporaries of 131-262 KB: glibc trimmed and refaulted
+# them on every chunk, ~1300 minor faults per table build.  The build now
+# runs every chunk in one set of buffers (``ManifoldTable._chunk_buffers``):
+# ~270 faults and 15-25% less build time in the distance body (numpy 2.4.6,
+# 2 vCPUs).  Halving the chunk instead gave 60 or 1440 faults, depending on
+# the heap that the build started from.
 _CHUNK_POINTS = 1 << 15
 _MAX_CHUNK = 16
-
-
-def _require_mass(m: float) -> None:
-    if not (cmath.isfinite(m) and m > 0):
-        raise ValueError(f"m={m} must be finite and positive")
 
 
 def shell_band(grid: Grid, k_shell: float) -> np.ndarray:
@@ -339,6 +342,7 @@ def stationarity_residual(
     Zero (to roundoff) for waves built by :func:`build_solitary`; useful as an
     independent check because it applies the operator rather than inverting it.
     """
+    _require_mass(m)
     grid = wave.grid
     phi_hat = grid.forward(wave.profile)
     lin = grid.inverse(-(grid.k_squared + m * m - wave.omega**2) * phi_hat)
@@ -355,6 +359,7 @@ def default_omega_grid(m: float = 1.0, zeros: tuple[float, ...] = (), count: int
 
     Interior mirrors are exact negatives, and an odd count's centre is +0.0.
     """
+    _require_mass(m)
     margin = 0.01 * m
     spaced = np.linspace(-m + margin, m - margin, count)
     # each point is the mean magnitude of its linspace mirror pair
@@ -367,6 +372,8 @@ def default_omega_grid(m: float = 1.0, zeros: tuple[float, ...] = (), count: int
 
 # evaluation cap of the bounded polish (maxiter of minimize_scalar's "bounded")
 _BRENT_MAXFUN = 500
+# the most polish frequencies whose weights a table keeps; the oldest goes first
+_POLISH_CACHE = 1024
 # Candidates +-omega are mirrors when they agree to _MIRROR_PITCH m, and their
 # squared distances tie within _MIRROR_TIE (||Psi||^2 + d^2); the roundoff gap
 # measured on states real up to a global phase is ~1e-13 of ||Psi||^2.
@@ -460,8 +467,10 @@ class ManifoldTable:
     Built once from the coupling, the potential, the seminorm and the
     frequency grid; :meth:`distance` then costs one stacked round trip per
     snapshot plus sums over the |xi|^2 shells and the bounded polish.
-    :meth:`distance` only reads the tables, so one table serves any number
-    of snapshots and callers (see :func:`manifold_distance`).  For a
+    :meth:`distance` reads the tables and adds only to the polish cache
+    (below), whose entries depend on the frequency alone, so one table
+    serves any number of snapshots and callers with the bits of a fresh
+    one (see :func:`manifold_distance`).  For a
     candidate omega the unit-amplitude wave is S = (b, -i omega b) with
     b_hat = rho_hat / (|xi|^2 + m^2 - omega^2), and its windowed, weighted
     hats are (W1 T b_hat, -i omega W0 T b_hat) with T = forward o chi o
@@ -488,7 +497,8 @@ class ManifoldTable:
       profile per distinct omega^2, shared by the mirrors +-omega (101 for
       the 201 default candidates); base_sq and the roots of +-omega are
       bit-identical.  In the polish, one reciprocal row per frequency
-      serves s, the roots, the profile and the overlap;
+      serves the overlap and, at a frequency new to the polish cache, s,
+      the roots and the profile;
     * rho is real and the reciprocal even, so b is real: its window round
       trip runs on half spectra (:meth:`Grid.half_inverse` /
       :meth:`Grid.half_forward`), where the bins 1..N/2-1 of the last
@@ -500,6 +510,17 @@ class ManifoldTable:
     entries) and by every snapshot's scan, one matmul: 101 x 173 floats in
     1-D at the ``distance`` defaults, 101 x 7124 (5.8 MB) on a 256^2 grid
     of length 128 with a width-1 Gaussian rho.
+
+    The polish cache keeps, per polish frequency, what does not depend on
+    the snapshot: (r ||S||^2, 2 sqrt(r)) for each amplitude root r, keyed
+    by the exact float omega in a plain dict of at most ``_POLISH_CACHE``
+    entries, the oldest dropped first.  Brent's first two frequencies
+    depend only on the bracket, so snapshots that share a best candidate
+    evaluate the same omegas: 16-28 of the ~100 polish evaluations of a
+    ``distance`` run at its defaults, 33-41% of them with a snapshot every
+    10 samples.  A hit recomputes only the reciprocal row (~4 us) for the
+    overlap.  The dict holds floats and tuples alone, no reference back
+    to the table, so a dropped table is freed at once.
 
     spec=None measures in the global energy norm.
     """
@@ -566,11 +587,13 @@ class ManifoldTable:
         scan = reps[has_roots]
         self._recip = recip[has_roots[admits]]
         self._rep_of = (np.cumsum(has_roots) - 1)[distinct[self._admissible]]
-        # ||S||^2 per scan frequency, in chunks of profiles of its reciprocal rows
+        # ||S||^2 per scan frequency, in chunks of profiles of its reciprocal
+        # rows, every chunk in one set of buffers
         base_sq = np.empty(scan.size)
         chunk = int(np.clip(_CHUNK_POINTS // grid.num_points, 1, _MAX_CHUNK))
+        buffers = self._chunk_buffers(min(chunk, scan.size))
         for part, w in _chunks(scan, chunk):
-            base_sq[part] = self._profile_norms(self._recip[part], w)
+            base_sq[part] = self._profile_norms(self._recip[part], w, buffers)
         self.base_sq = np.full(self.omegas.size, np.inf)
         self.base_sq[self._admissible] = base_sq[self._rep_of]
         # pad each root list with its last root, which leaves the minimum unchanged
@@ -585,22 +608,55 @@ class ManifoldTable:
         mirror = order[np.minimum(np.searchsorted(w[order], -w - _MIRROR_PITCH * m), w.size - 1)]
         paired = (np.abs(w[mirror] + w) <= _MIRROR_PITCH * m) & (mirror != np.arange(w.size))
         self._paired, self._mirror = np.flatnonzero(paired), mirror[paired]
+        # the polish cache: each polish frequency's weights (see the class docstring)
+        self._polish: dict[float, tuple] = {}
 
     def _roots(self, s: float) -> tuple:
         """Amplitude roots r = |c|^2 at an admissible omega's s; () when s = 0."""
         return tuple(amplitude_roots(self.pot, s)) if s != 0 else ()
 
-    def _profile_norms(self, recip: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """||S||^2 = (||W1 T b_hat||^2 + omega^2 ||W0 T b_hat||^2) / L^n per reciprocal row."""
+    def _chunk_buffers(self, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Scratch for :meth:`_profile_norms` of up to ``rows`` reciprocal rows.
+
+        The gathered reciprocals, the half spectra b_half and the windowed
+        fields; the field buffer is empty without a window.
+        """
         grid = self.rho.grid
-        b_half = np.take(recip, self._half_position, axis=1) * self._rho_half
-        b_half = b_half.reshape(-1, *grid.half_shape)
+        field = grid.shape if self._window is not None else (0,)
+        return (np.empty((rows, self._rho_half.size)),
+                np.empty((rows, *grid.half_shape), dtype=complex), np.empty((rows, *field)))
+
+    def _profile_norms(self, recip: np.ndarray, w: np.ndarray, buffers: tuple) -> np.ndarray:
+        """||S||^2 = (||W1 T b_hat||^2 + omega^2 ||W0 T b_hat||^2) / L^n per reciprocal row.
+
+        The round trip runs in ``buffers`` (:meth:`_chunk_buffers`), which
+        the table build reuses for every chunk: fresh temporaries of a
+        chunk's size let glibc trim and refault the heap top on every chunk.
+        """
+        grid = self.rho.grid
+        taken, b_half, field = (buffer[: w.size] for buffer in buffers)
+        np.take(recip, self._half_position, axis=1, out=taken)
+        np.multiply(taken, self._rho_half, out=b_half.reshape(w.size, -1))
         if self._window is not None:
-            b_half = grid.half_forward(self._window * grid.half_inverse(b_half))
+            grid.half_inverse(b_half, out=field)
+            field *= self._window
+            grid.half_forward(field, out=b_half)
         parts = b_half.view(np.float64)
         parts *= parts
         sq = parts.reshape(w.size, -1) @ self._half_weights
         return (sq[:, 0] + w * w * sq[:, 1]) / self._box_vol
+
+    def _polish_weights(self, recip: np.ndarray, w: np.ndarray) -> tuple:
+        """(r ||S||^2, 2 sqrt(r)) per amplitude root r at the one frequency of ``w``; () without one.
+
+        They do not depend on the snapshot: the squared distance of a root
+        is ||Psi||^2 + r ||S||^2 - 2 sqrt(r) |<S, Psi>|.
+        """
+        roots = self._roots(float(_couplings_of(recip, self._mass, self.rho.grid)[0]))
+        if not roots:
+            return ()
+        base_sq = float(self._profile_norms(recip, w, self._chunk_buffers(1))[0])
+        return tuple((r * base_sq, 2.0 * np.sqrt(r)) for r in roots)
 
     def _overlaps(self, p: np.ndarray, w: np.ndarray) -> np.ndarray:
         """|<S, Psi>| per omega from p, its reciprocal row times the shell sums ((re, im) of u1, u0)."""
@@ -621,18 +677,24 @@ class ManifoldTable:
         terms = np.stack([np.bincount(self._point_shell, v[row, :, part], self._k2.size)
                           for row in (0, 1) for part in (0, 1)], axis=1)
 
+        polish = self._polish
+
         def dist_sq_at(omega: float) -> float:
             # the polish bracket lies inside the spectral gap, where every
-            # omega is admissible
-            # one reciprocal row serves s, the roots, the profile and the overlap
+            # omega is admissible; one reciprocal row serves the overlap and,
+            # at a frequency new to the polish cache, s, the roots and the profile
             w = np.array([omega])
             recip = _reciprocals(self._k2, w, m)
-            roots = self._roots(float(_couplings_of(recip, self._mass, grid)[0]))
-            if not roots:
+            weights = polish.get(omega)
+            if weights is None:
+                weights = self._polish_weights(recip, w)
+                if len(polish) >= _POLISH_CACHE:
+                    del polish[next(iter(polish))]
+                polish[float(omega)] = weights
+            if not weights:
                 return np.inf
-            base_sq = float(self._profile_norms(recip, w)[0])
             overlap = float(self._overlaps(recip @ terms, w)[0])
-            return min(state_sq + r * base_sq - 2.0 * np.sqrt(r) * overlap for r in roots)
+            return min(state_sq + a - b * overlap for a, b in weights)
 
         best_sq = state_sq  # the zero wave
         best_omega: float | None = None
@@ -725,7 +787,8 @@ def _manifold_table(
 
     rho hashes by identity (a frozen dataclass with eq=False), the potential
     and the seminorm by value, the candidate frequencies as a tuple of
-    floats.  Sharing is safe because :meth:`ManifoldTable.distance` keeps no
-    state on the table.
+    floats.  Sharing is safe because :meth:`ManifoldTable.distance` changes
+    nothing on the table but its polish cache, whose entries are the
+    frequency's own weights, the same bits whichever snapshot added them.
     """
     return ManifoldTable(rho, pot, spec, np.array(omegas), m)

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import Trajectory, _require_integer
 from .fields import CouplingProfile, SeminormSpec
 from .potential import PolynomialPotential
 from .solitary import ManifoldTable
@@ -160,6 +161,8 @@ def support_estimate(spec: Spectrum, mass_fraction: float = 0.99) -> SupportEsti
 
 def concentration_ratio(spec: Spectrum, cluster_bins: int = 3) -> tuple[float, float]:
     """(mass fraction within cluster_bins of the peak bin, peak frequency)."""
+    if cluster_bins < 0:
+        raise ValueError(f"cluster_bins={cluster_bins} must be nonnegative")
     mass = np.abs(spec.amps) ** 2
     total = float(mass.sum())
     if total == 0:
@@ -267,6 +270,17 @@ class AttractionConfig:
     measure_distance: bool = True
     omega_grid: np.ndarray | None = None
     use_global_norm: bool = False
+
+    def __post_init__(self) -> None:
+        if not (isfinite(self.window_width) and self.window_width > 0):
+            raise ValueError(f"window_width={self.window_width} must be finite and positive")
+        if _require_integer("n_windows", self.n_windows) < 1:
+            raise ValueError(f"n_windows={self.n_windows} must be at least 1")
+        if not 0 < self.mass_fraction <= 1:
+            raise ValueError(f"mass_fraction={self.mass_fraction} must lie in (0, 1]")
+        for name in ("cluster_bins", "exclusion_bins"):
+            if _require_integer(name, getattr(self, name)) < 0:
+                raise ValueError(f"{name}={getattr(self, name)} must be nonnegative")
 
 
 @dataclass(eq=False)

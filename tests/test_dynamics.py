@@ -770,8 +770,9 @@ def test_sponge_core_hands_gamma_on(pot):
     # the sponge twin of test_handed_on_gamma_matches_the_pairing, on the
     # attraction bench grid: at every sample, coupling() is a fresh pairing
     # of psi over the coupled span bit for bit and the pairing over every
-    # mode to roundoff, and each interval's first half kick receives that
-    # handed-on gamma instead of pairing again
+    # mode to roundoff, coupling_terms() hands on pot.force of it bit for
+    # bit, and each interval's first half kick receives that handed-on force
+    # instead of pairing again
     data, rho, _ = criterion_6_data(0)
     grid = data.grid
     core = _SpongeCore(grid, Integrator(0.01, 10, Sponge(64.0, 3.0)), rho, pot, 1.0)
@@ -781,9 +782,9 @@ def test_sponge_core_hands_gamma_on(pot):
     spanned = core.scale * np.concatenate((rho_raw[low], rho_raw[high]))
     received, half_kick = [], core.half_kick
 
-    def spy(g):
-        received.append(g)
-        half_kick(g)
+    def spy(f):
+        received.append(f)
+        half_kick(f)
 
     core.half_kick = spy
     core.load(data.psi, data.pi)
@@ -794,10 +795,60 @@ def test_sponge_core_hands_gamma_on(pot):
         assert g == complex(np.vdot(spanned, np.concatenate((psi[low], psi[high]))))
         full = complex(np.vdot(core.scale * rho_raw, psi))
         assert abs(g - full) <= 1e-13 * abs(full)
-        handed.append(g)
+        f = core.coupling_terms()[1]
+        assert f == pot.force(g)
+        handed.append(f)
     # two half kicks per step, ten steps per interval, ten intervals
     assert len(received) == 200
     assert received[::20] == handed[:-1]
+
+
+def counted_force(monkeypatch):
+    """A list that records every PolynomialPotential.force call from now on."""
+    calls, force = [], PolynomialPotential.force
+
+    def counted(self, z):
+        calls.append(z)
+        return force(self, z)
+
+    monkeypatch.setattr(PolynomialPotential, "force", counted)
+    return calls
+
+
+@pytest.mark.parametrize("sps", [1, 10, 16, 40])
+def test_shell_core_makes_one_force_call_per_step(pot, sps, monkeypatch):
+    # each block starts from the gamma and force handed on to it, so an
+    # interval of sps steps makes sps force calls, one fewer per block than
+    # a block that recomputes its gamma_0; the sample reads the handed-on
+    # force, which is pot.force of the handed-on gamma bit for bit
+    grid, rho, integ, state, _ = width_one_run(sps)
+    calls = counted_force(monkeypatch)
+    core = _ShellCore(grid, integ, rho, pot, 1.0)
+    core.load(state.psi, state.pi)
+    assert len(calls) == 1
+    for _ in range(3):
+        done = len(calls)
+        core.advance()
+        g, f, _ = core.coupling_terms()
+        assert len(calls) - done == sps and calls[-1] == g
+        assert f == pot.force(g)
+
+
+def test_sponge_core_makes_two_force_calls_per_step(grid, rho, pot, monkeypatch):
+    # the mid-step kick's pairing and the end pairing; the first half kick
+    # and the sample read the force handed on with gamma
+    integ = Integrator(0.01, 10, Sponge(20.0))
+    state = localized_state(grid, np.random.default_rng(4), scale=0.5)
+    calls = counted_force(monkeypatch)
+    core = _SpongeCore(grid, integ, rho, pot, 1.0)
+    core.load(state.psi, state.pi)
+    assert len(calls) == 1
+    for _ in range(3):
+        done = len(calls)
+        core.advance()
+        g, f, _ = core.coupling_terms()
+        assert len(calls) - done == 2 * integ.steps_per_sample and calls[-1] == g
+        assert f == pot.force(g)
 
 
 def damped_reference_steps(core, rho):

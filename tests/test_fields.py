@@ -220,3 +220,37 @@ def test_seminorm_weights_cache_keys_on_m_and_epsilon(grid, rng):
                         rtol=1e-14)
     window, w1, w0 = _seminorm_weights(grid, smooth, 1.0)
     assert not (window.flags.writeable or w1.flags.writeable or w0.flags.writeable)
+
+
+def _mass_entry_points():
+    """Every public route that takes the mass m, each as a call of m alone."""
+    import mfkg
+    from mfkg import Integrator, PolynomialPotential, Sponge, build_solitary, evolve
+    from mfkg.dynamics import snapshots
+    from mfkg.solitary import default_omega_grid, stationarity_residual
+
+    grid = make_grid(1, 256, 64.0)
+    state = mfkg.random_state(grid, 0)
+    rho = CouplingProfile.gaussian(grid, amplitude=2.0, width=1.0)
+    pot = PolynomialPotential((-1.0, 1.0))
+    wave = build_solitary(rho, pot, 0.5)
+    integ, sponge = Integrator(0.01, 10), Integrator(0.01, 10, Sponge(20.0))
+    return {
+        "energy": lambda m: energy(state, rho, pot, m),
+        "energy_norm": lambda m: energy_norm(state, m),
+        "local_seminorm": lambda m: local_seminorm(state, SeminormSpec(0.5, 8.0, 8.0), m),
+        "evolve": lambda m: evolve(state, rho, pot, integ, 0.1, m=m),
+        "evolve_sponge": lambda m: evolve(state, rho, pot, sponge, 0.1, m=m),
+        "snapshots": lambda m: snapshots(state, rho, pot, integ, 0.1, 1, m),
+        "default_omega_grid": default_omega_grid,
+        "stationarity_residual": lambda m: stationarity_residual(wave, rho, pot, m),
+    }
+
+
+@pytest.mark.parametrize("route", sorted(_mass_entry_points()))
+@pytest.mark.parametrize("m", [float("nan"), float("inf"), 0.0, -1.0])
+def test_every_mass_route_rejects_a_mass_that_is_not_finite_and_positive(route, m):
+    # before the check reached them, these returned nan, the m = 1 values
+    # for m = -1, or aborted a run at its first sample
+    with pytest.raises(ValueError, match=f"m={m} must be finite and positive"):
+        _mass_entry_points()[route](m)

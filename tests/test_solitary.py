@@ -1,5 +1,7 @@
 """Standing-wave construction, the dispersion scalar, manifold distances."""
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -512,9 +514,9 @@ def test_mirrored_candidates_share_one_profile(grid, rho, pot, monkeypatch):
     rows = []
     half_inverse = Grid.half_inverse
 
-    def counted(self, half):
+    def counted(self, half, out=None):
         rows.append(half.size // int(np.prod(self.half_shape)))
-        return half_inverse(self, half)
+        return half_inverse(self, half, out)
 
     monkeypatch.setattr(Grid, "half_inverse", counted)
     omegas = default_omega_grid(1.0)
@@ -711,7 +713,11 @@ def test_manifold_distance_builds_each_table_once(grid, rho, pot, monkeypatch):
 
 
 def test_distance_leaves_the_table_unchanged(grid, rho, pot):
-    """distance keeps no state on the table, so a shared table answers every caller alike."""
+    """distance changes nothing on the table but the entries of its polish cache.
+
+    Those depend on the frequency alone, as a fresh table computes them, so a
+    shared table answers every caller alike.
+    """
     table = ManifoldTable(rho, pot, SeminormSpec(0.5, 8.0, 8.0))
 
     def contents():
@@ -730,3 +736,79 @@ def test_distance_leaves_the_table_unchanged(grid, rho, pot):
         else:
             assert value is after[name] or value == after[name], name
     assert [_distance_bits(table.distance(s)) for s in states] == results
+    fresh = ManifoldTable(rho, pot, SeminormSpec(0.5, 8.0, 8.0))
+    assert table._polish
+    for omega, weights in table._polish.items():
+        w = np.array([omega])
+        want = fresh._polish_weights(mfkg.solitary._reciprocals(fresh._k2, w, 1.0), w)
+        assert np.array(weights).tobytes() == np.array(want).tobytes()
+
+
+def _distance_run():
+    """The table and the snapshots of ``mfkg distance`` at its defaults."""
+    from mfkg.cli import _distance_spec, _run_inputs
+    from mfkg.dynamics import _sample_count, snapshots
+
+    cfg = config_from_dict({"experiment": "distance"})
+    state, rho, pot, integ, T = _run_inputs(cfg)
+    spec, _, omegas = _distance_spec(cfg)
+    taken = snapshots(state, rho, pot, integ, T, _sample_count(integ, T) // 16, cfg.m)
+    return (rho, pot, spec, omegas, cfg.m), taken
+
+
+def _counting_misses(table):
+    """Count the polish frequencies that ``table`` computes instead of reading them back."""
+    misses, weights = [], table._polish_weights
+
+    def counted(recip, w):
+        misses.append(float(w[0]))
+        return weights(recip, w)
+
+    table._polish_weights = counted
+    return misses
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_polish_cache_gives_a_fresh_tables_bits(order):
+    """Every snapshot of a distance run, in either order, reads what a fresh table gives."""
+    inputs, taken = _distance_run()
+    taken = taken[::order]
+    assert len(taken) == 17
+    table = ManifoldTable(*inputs)
+    misses = _counting_misses(table)
+    fresh_misses = 0
+    for snap in taken:
+        fresh = ManifoldTable(*inputs)
+        counted = _counting_misses(fresh)
+        assert _distance_bits(table.distance(snap)) == _distance_bits(fresh.distance(snap))
+        fresh_misses += len(counted)
+    # snapshots that share a best candidate share the polish's first frequencies
+    assert len(misses) == len(table._polish) < fresh_misses
+
+
+def test_polish_cache_stops_growing_at_its_bound(grid, rho, pot, monkeypatch):
+    monkeypatch.setattr(mfkg.solitary, "_POLISH_CACHE", 8)
+    spec = SeminormSpec(0.5, 8.0, 8.0)
+    table = ManifoldTable(rho, pot, spec)
+    misses = _counting_misses(table)
+    for seed, w in ((1, 0.37), (2, -0.6), (3, 0.5), (4, 0.2)):
+        state = _perturbed(build_solitary(rho, pot, w, 0.4), seed, 0.3)
+        assert _distance_bits(table.distance(state)) == _distance_bits(
+            ManifoldTable(rho, pot, spec).distance(state))
+        assert len(table._polish) <= 8
+    # the oldest frequencies went first: the cache holds the last eight computed
+    assert len(misses) > 8 and list(table._polish) == misses[-8:]
+
+
+def test_a_dropped_table_is_freed_without_the_collector(rho, pot):
+    """The polish cache holds no reference back to its table, so del frees the table at once."""
+    table = ManifoldTable(rho, pot, SeminormSpec(0.5, 8.0, 8.0))
+    _, best = table.distance(_perturbed(build_solitary(rho, pot, 0.37, 1.3), 1, 0.3))
+    assert best is not None and table._polish
+    ref = weakref.ref(table)
+    gc.disable()
+    try:
+        del table
+        assert ref() is None
+    finally:
+        gc.enable()

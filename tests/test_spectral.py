@@ -248,3 +248,38 @@ def test_outside_mass_spares_bands_around_embedded_candidates(grid, rho, pot):
         outside.append(window.outside_mass_fraction)
     assert outside[0] == outside[1] > 1.0 - 1e-12
     assert outside[2] < 1e-12
+
+
+@pytest.mark.parametrize("bad, match", [
+    (dict(window_width=0.0), "window_width=0.0 must be finite and positive"),
+    (dict(window_width=float("nan")), "window_width=nan must be finite and positive"),
+    (dict(window_width=float("inf")), "window_width=inf must be finite and positive"),
+    (dict(n_windows=0), "n_windows=0 must be at least 1"),
+    (dict(n_windows=2.0), "n_windows=2.0 must be an integer"),
+    (dict(mass_fraction=0.0), r"mass_fraction=0.0 must lie in \(0, 1\]"),
+    (dict(mass_fraction=1.5), r"mass_fraction=1.5 must lie in \(0, 1\]"),
+    (dict(mass_fraction=float("nan")), r"mass_fraction=nan must lie in \(0, 1\]"),
+    (dict(cluster_bins=-2), "cluster_bins=-2 must be nonnegative"),
+    (dict(cluster_bins=1.5), "cluster_bins=1.5 must be an integer"),
+    (dict(exclusion_bins=-3), "exclusion_bins=-3 must be nonnegative"),
+    (dict(exclusion_bins=3.0), "exclusion_bins=3.0 must be an integer"),
+])
+def test_attraction_config_rejects_what_would_report_wrong_numbers(bad, match):
+    # before the check: n_windows=0 gave a report without windows,
+    # exclusion_bins=-3 an outside mass fraction of 1.0 in every window and
+    # cluster_bins=-2 a concentration of 0.0
+    with pytest.raises(ValueError, match=match):
+        AttractionConfig(**(dict(window_width=10.0) | bad))
+
+
+def test_attraction_config_accepts_its_edges():
+    AttractionConfig(6.25, 4, measure_distance=False)
+    AttractionConfig(10.0, np.int64(1), mass_fraction=1.0, cluster_bins=0, exclusion_bins=0)
+
+
+def test_concentration_ratio_rejects_negative_cluster_bins():
+    times, g = tone_series([(0.2, 1.0)])
+    spec = windowed_spectrum(times, g, t_center=0.5 * WIDTH, width=WIDTH)
+    assert concentration_ratio(spec, cluster_bins=0)[1] == pytest.approx(0.2)
+    with pytest.raises(ValueError, match="cluster_bins=-2 must be nonnegative"):
+        concentration_ratio(spec, cluster_bins=-2)
