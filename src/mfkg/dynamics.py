@@ -102,17 +102,22 @@ Three runs read those samples, each in its own loop.  :func:`evolve`
 records gamma, F and U (:meth:`_Core.coupling_terms`), then H and Q
 (``invariants``: global and conserved on a shell core, over the
 observation ball |x| <= inner_radius on a sponge core), then checks that
-they are finite.  :func:`snapshots` keeps only every stride-th sample's
-fields: it records no series, checks gamma and U(gamma) alone, and stops at
-its last snapshot, whose fields are those of ``evolve`` bit for bit.  Both
-build a :class:`FieldState` only where one is read, by :meth:`_Core.state`,
-and warn when the snapshot stride is longer than the run.
+they are finite.  :func:`snapshots` yields every stride-th sample's fields
+as the core reaches it and keeps none: it records no series, checks gamma
+and U(gamma) alone, and stops at its last snapshot, whose fields are those
+of ``evolve`` bit for bit.  Its checks, warning and core set-up run at the
+call, its stepping as the snapshots are read, so a consumer that measures
+and drops each one (:meth:`mfkg.solitary.ManifoldTable.distances`) holds
+one snapshot at a time.  Both build a :class:`FieldState` only where one
+is read, by :meth:`_Core.state`, and warn when the snapshot stride is
+longer than the run.
 ``multifreq.verify_persistence`` builds a :class:`_ShellCore` and reads
-gamma and the shell pair alone.
+gamma, its handed-on force and the shell pair alone.
 """
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import ceil, isfinite
 from operator import index, mul
@@ -166,8 +171,10 @@ class Sponge:
     def __post_init__(self) -> None:
         if not (isfinite(self.inner_radius) and self.inner_radius > 0):
             raise ValueError(f"sponge inner_radius={self.inner_radius} must be finite and positive")
-        if not (isfinite(self.strength) and self.strength >= 0):
-            raise ValueError(f"sponge strength={self.strength} must be finite and nonnegative")
+        # a zero strength damps nothing, yet its run would count as damped
+        # and leave windows past the torus horizon unflagged
+        if not (isfinite(self.strength) and self.strength > 0):
+            raise ValueError(f"sponge strength={self.strength} must be finite and positive")
 
     def rate(self, grid: Grid) -> np.ndarray:
         """Damping rate sigma(x): 0 inside, smooth raised-cosine ramp to ``strength``."""
@@ -755,27 +762,35 @@ def snapshots(
     T: float,
     stride: int,
     m: float = 1.0,
-) -> list[FieldState]:
-    """The snapshots of ``evolve(..., Observers(snapshot_stride=stride), m)``, bit for bit.
+) -> Iterator[FieldState]:
+    """The snapshots of ``evolve(..., Observers(snapshot_stride=stride), m)``, bit for bit, as a generator.
 
     The run takes the same sampling intervals on the same core, but records
-    no per-sample series and ends at its last snapshot.  It aborts as
-    :func:`evolve` does at the first sample whose gamma or U(gamma) is
+    no per-sample series and ends at its last snapshot.  The checks, the
+    stride warning and the core's set-up happen here, at the call; the
+    generator returned then steps the core to each snapshot as it is
+    asked for and keeps none, so a consumer that drops each snapshot
+    holds one at a time.  It aborts as :func:`evolve` does, with a
+    RuntimeError at the first sample whose gamma or U(gamma) is
     non-finite; without a coupling there is nothing to read.
     """
     if _require_integer("snapshot stride", stride) < 1:
         raise ValueError(f"snapshot stride={stride} must be at least 1")
     core, count = _loaded_core(state, rho, pot, integ, T, m, stride)
+    return _snapshot_run(core, count, stride, state.time)
+
+
+def _snapshot_run(core: _Core, count: int, stride: int,
+                  t0: float) -> Iterator[FieldState]:
+    """Step the loaded ``core`` over ``count`` intervals from t0, yielding every stride-th sample."""
     last = count - count % stride
-    taken: list[FieldState] = []
-    for i, t in enumerate(core.samples(count, state.time)):
+    for i, t in enumerate(core.samples(count, t0)):
         g, _, u_val = core.coupling_terms()
         _require_finite(t, abs(g), u_val)
         if i % stride == 0:
-            taken.append(core.state(t))
+            yield core.state(t)
             if i == last:
-                break
-    return taken
+                return
 
 
 def _loaded_core(state: FieldState, rho: CouplingProfile | None,

@@ -29,7 +29,8 @@ table builds its candidates' rows once and keeps those with an amplitude root.
 Distances to the manifold are measured through a :class:`ManifoldTable`,
 built once from rho, the potential, the seminorm and the frequency grid;
 :meth:`ManifoldTable.distances` turns a run's snapshots into distances for
-both the ``distance`` and ``spectrum`` experiments.
+both the ``distance`` and ``spectrum`` experiments, in one pass, so the
+``distance`` experiment streams its snapshot run into it.
 :func:`manifold_distance` takes its table from a small cache keyed by those
 inputs, so repeated calls with one coupling share one table.  The
 seminorm's window and Sobolev weights are owned by :mod:`mfkg.fields`,
@@ -733,10 +734,20 @@ class ManifoldTable:
         return float(np.sqrt(max(best_sq, 0.0))), best_omega
 
     def distances(self, snapshots) -> tuple[np.ndarray, np.ndarray, list]:
-        """(times, distances, best_omegas) of :meth:`distance` at each snapshot."""
-        pairs = [self.distance(snap) for snap in snapshots]
-        return (np.array([snap.time for snap in snapshots]),
-                np.array([d for d, _ in pairs]), [w for _, w in pairs])
+        """(times, distances, best_omegas) of :meth:`distance` at each snapshot.
+
+        ``snapshots`` is read once, each snapshot's time taken with its
+        distance, so it may be a generator such as
+        :func:`mfkg.dynamics.snapshots`: each snapshot is measured, then
+        dropped before the next is read.
+        """
+        times, dists, best = [], [], []
+        for snap in snapshots:
+            times.append(snap.time)
+            d, w = self.distance(snap)
+            dists.append(d)
+            best.append(w)
+        return np.array(times), np.array(dists), best
 
 
 def manifold_distance(

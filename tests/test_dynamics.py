@@ -42,6 +42,8 @@ def test_integrator_validation():
     (lambda: Sponge(float("nan")), "inner_radius=nan must be finite"),
     (lambda: Sponge(10.0, float("nan")), "strength=nan must be finite"),
     (lambda: Sponge(10.0, float("inf")), "strength=inf must be finite"),
+    (lambda: Sponge(10.0, 0.0), "strength=0.0 must be finite and positive"),
+    (lambda: Sponge(10.0, -1.0), "strength=-1.0 must be finite and positive"),
     (lambda: Observers(snapshot_stride=-1), "snapshot_stride=-1 must be nonnegative"),
 ])
 def test_stepping_parameters_reject_non_finite_and_negative_values(make, match):
@@ -67,7 +69,7 @@ def test_numpy_integer_counts_are_accepted(grid, rho, pot):
     integ = Integrator(0.01, np.int64(10))
     traj = evolve(state, rho, pot, integ, T, Observers(snapshot_stride=np.int32(2)))
     assert len(traj.times) == 5 and len(traj.snapshots) == 3
-    taken = snapshots(state, rho, pot, integ, T, np.int64(2))
+    taken = list(snapshots(state, rho, pot, integ, T, np.int64(2)))
     assert [s.time for s in taken] == [s.time for s in traj.snapshots]
 
 
@@ -93,7 +95,47 @@ def test_overflowing_data_abort_at_the_first_sample(grid, rho, pot):
     with pytest.raises(RuntimeError, match=r"non-finite fields at t=0; aborting evolution"):
         evolve(state, rho, pot, integ, 1.0)
     with pytest.raises(RuntimeError, match=r"non-finite fields at t=0; aborting evolution"):
-        snapshots(state, rho, pot, integ, 1.0, 2)
+        list(snapshots(state, rho, pot, integ, 1.0, 2))
+
+
+def test_snapshots_check_and_warn_at_the_call(grid, rho, pot):
+    # the checks, the stride warning and the core's set-up run when snapshots
+    # is called, before any snapshot is read; reading it warns no more
+    state, integ = zero_state(grid), Integrator(0.01, 10)
+    with pytest.raises(ValueError, match="grid spacing"):
+        snapshots(state, rho, pot, Integrator(grid.spacing), 1.0, 1)
+    with pytest.raises(ValueError, match="m=0.0 must be finite and positive"):
+        snapshots(state, rho, pot, integ, 1.0, 1, 0.0)
+    with pytest.warns(RuntimeWarning, match="snapshot stride 50 exceeds") as seen:
+        run = snapshots(state, rho, pot, integ, 1.0, 50)
+    assert len(seen) == 1 and seen[0].filename == __file__
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [snap.time for snap in run] == [0.0]
+
+
+def test_streamed_snapshots_abort_at_the_first_non_finite_sample(grid, rho, pot, monkeypatch):
+    # the call returns a generator without stepping; the abort comes at the
+    # sample where it occurs, after the snapshots before it were yielded
+    wave = build_solitary(rho, pot, 0.5).initial_state()
+    huge = FieldState(grid, 1e150 * wave.psi, 1e150 * wave.pi)
+    integ = Integrator(0.01, 10)
+    run = snapshots(huge, rho, pot, integ, 1.0, 2)
+    with pytest.raises(RuntimeError, match=r"non-finite fields at t=0; aborting evolution"):
+        next(run)
+    reads, terms = [], _ShellCore.coupling_terms
+
+    def failing_at_the_sixth_sample(core):
+        reads.append(1)
+        g, f, u_val = terms(core)
+        return (g if len(reads) < 6 else complex("nan")), f, u_val
+
+    monkeypatch.setattr(_ShellCore, "coupling_terms", failing_at_the_sixth_sample)
+    taken = []
+    with pytest.raises(RuntimeError, match=r"non-finite fields at t=0.5; aborting evolution"):
+        for snap in snapshots(wave, rho, pot, integ, 1.0, 2):
+            taken.append(snap.time)
+    assert taken == pytest.approx([0.0, 0.2, 0.4])
 
 
 @pytest.mark.parametrize("dim, points, length, sponge, T, stride", [
@@ -119,7 +161,7 @@ def test_snapshots_are_evolves_bit_for_bit(dim, points, length, sponge, T, strid
     for core_class in (_ShellCore, _SpongeCore):
         monkeypatch.setattr(core_class, "advance", lambda core, advance=core_class.advance:
                             intervals.append(1) or advance(core))
-    got = snapshots(state, rho, pot, integ, T, stride)
+    got = list(snapshots(state, rho, pot, integ, T, stride))
     assert len(got) == len(want) > 1
     for snap, ref in zip(got, want):
         assert snap.time == ref.time
@@ -190,14 +232,14 @@ def test_a_stride_past_the_run_warns(grid, rho, pot, sponge):
     with pytest.warns(RuntimeWarning, match=match) as seen:
         traj = evolve(state, rho, pot, integ, 1.0, Observers(snapshot_stride=50))
     with pytest.warns(RuntimeWarning, match=match) as seen_too:
-        taken = snapshots(state, rho, pot, integ, 1.0, 50)
+        taken = list(snapshots(state, rho, pot, integ, 1.0, 50))
     assert len(seen) == len(seen_too) == 1
     assert len(traj.snapshots) == len(taken) == 1
     # a stride of the whole run keeps its end, and neither run warns
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert len(evolve(state, rho, pot, integ, 1.0, Observers(snapshot_stride=10)).snapshots) == 2
-        assert len(snapshots(state, rho, pot, integ, 1.0, 10)) == 2
+        assert len(list(snapshots(state, rho, pot, integ, 1.0, 10))) == 2
 
 
 def test_step_conserves_charge_exactly(grid, rho, pot, rng):
@@ -724,10 +766,10 @@ def test_strang_round_trip_returns_the_data(seed):
     data, rho, pot = criterion_6_data(seed)
     data, rho = zero_pad(data, rho, 2)
     integ, T = Integrator(0.01, 10), 200.0
-    there = snapshots(data, rho, pot, integ, T, 2000)
+    there = list(snapshots(data, rho, pot, integ, T, 2000))
     assert len(there) == 2 and there[-1].time == pytest.approx(T)
     flipped = FieldState(data.grid, there[-1].psi, -there[-1].pi)
-    back = snapshots(flipped, rho, pot, integ, T, 2000)[-1]
+    back = list(snapshots(flipped, rho, pot, integ, T, 2000))[-1]
     error = FieldState(data.grid, back.psi - data.psi, -back.pi - data.pi)
     assert energy_norm(error) / energy_norm(data) <= 1e-12
 

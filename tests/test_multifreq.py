@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import mfkg.multifreq
 from mfkg import (
-    CouplingProfile, Integrator, Observers, Sponge, build_counterexample,
+    CouplingProfile, Integrator, Observers, PolynomialPotential, Sponge, build_counterexample,
     build_multifreq, build_rho, evolve, make_grid, verify_persistence,
 )
 from mfkg.dynamics import _sample_count, _ShellCore
@@ -237,6 +238,22 @@ def test_persistence_gamma_matches_an_eager_core(sol):
         core.sync()
         gamma.append(core.coupling())
     assert np.array_equal(report.gamma, gamma)
+
+
+def test_persistence_reads_the_force_handed_on_with_gamma(sol, monkeypatch):
+    # the force spectrum reads the F(gamma) that the core hands on with each
+    # sample's gamma: the potential sees scalars alone, no array of the
+    # gamma series, and the series is pot.force(gamma)'s bit for bit
+    arguments, series = [], []
+    force, spectrum = PolynomialPotential.force, mfkg.multifreq.windowed_spectrum
+    monkeypatch.setattr(PolynomialPotential, "force",
+                        lambda pot, z: arguments.append(type(z)) or force(pot, z))
+    monkeypatch.setattr(mfkg.multifreq, "windowed_spectrum",
+                        lambda times, values, *window: series.append(values)
+                        or spectrum(times, values, *window))
+    report = verify_persistence(sol, Integrator(0.01, 10), T=20.0)
+    assert arguments and not any(issubclass(kind, np.ndarray) for kind in arguments)
+    assert series[0].tobytes() == force(sol.potential(), report.gamma).tobytes()
 
 
 @pytest.mark.parametrize("T, tol, match", [

@@ -752,7 +752,7 @@ def _distance_run():
     cfg = config_from_dict({"experiment": "distance"})
     state, rho, pot, integ, T = _run_inputs(cfg)
     spec, _, omegas = _distance_spec(cfg)
-    taken = snapshots(state, rho, pot, integ, T, _sample_count(integ, T) // 16, cfg.m)
+    taken = list(snapshots(state, rho, pot, integ, T, _sample_count(integ, T) // 16, cfg.m))
     return (rho, pot, spec, omegas, cfg.m), taken
 
 
@@ -812,3 +812,50 @@ def test_a_dropped_table_is_freed_without_the_collector(rho, pot):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _dense_2d_distance_run():
+    """The table inputs and a snapshot-run maker of ``mfkg distance`` on a 2-D 64^2 grid.
+
+    T = 10 with a snapshot every 2 samples: 51 snapshots.
+    """
+    from mfkg.cli import _distance_spec, _run_inputs
+    from mfkg.dynamics import snapshots
+
+    cfg = config_from_dict({"experiment": "distance",
+                            "grid": {"dim": 2, "points": 64, "length": 64.0},
+                            "evolve": {"T": 10.0, "snapshot_stride": 2}})
+    state, rho, pot, integ, T = _run_inputs(cfg)
+    spec, _, omegas = _distance_spec(cfg)
+    return (rho, pot, spec, omegas, cfg.m), lambda: snapshots(state, rho, pot, integ, T, 2, cfg.m)
+
+
+def test_distances_hold_one_streamed_snapshot_at_a_time(monkeypatch):
+    """The snapshot run streams into the table: each snapshot is dropped once measured."""
+    inputs, run = _dense_2d_distance_run()
+    table = ManifoldTable(*inputs)
+    made, alive = [], []
+    post_init, distance = FieldState.__post_init__, ManifoldTable.distance
+
+    def tracked(state):
+        post_init(state)
+        made.append(weakref.ref(state))
+
+    def counted(self, state):
+        alive.append(sum(ref() is not None for ref in made))
+        return distance(self, state)
+
+    monkeypatch.setattr(FieldState, "__post_init__", tracked)
+    monkeypatch.setattr(ManifoldTable, "distance", counted)
+    times, _, _ = table.distances(run())
+    # a list of the whole run would hold all 51 at the first distance
+    assert len(times) == len(alive) == len(made) == 51
+    assert max(alive) <= 2
+
+
+def test_streamed_distances_are_the_listed_ones_bit_for_bit():
+    inputs, run = _dense_2d_distance_run()
+    times, dists, best = ManifoldTable(*inputs).distances(run())
+    want_times, want_dists, want_best = ManifoldTable(*inputs).distances(list(run()))
+    assert times.tobytes() == want_times.tobytes() and dists.tobytes() == want_dists.tobytes()
+    assert best == want_best and len(best) == 51
