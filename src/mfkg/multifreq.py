@@ -291,14 +291,15 @@ def verify_persistence(
     matrix = coeffs.reshape(2, 2)
 
     scale = math.sqrt(grid.l2sq(sol.phi0)) + math.sqrt(grid.l2sq(sol.phi1))
-    times, gammas, forces = [], [], []
+    times, gammas = [], []
+    # F(gamma) as the core hands it on with each sample's gamma
+    forces = np.empty(count + 1, dtype=complex)
     max_err = gamma_err = 0.0
-    for t in core.samples(count, state0.time):
+    for i, t in enumerate(core.samples(count, state0.time)):
         g = core.coupling()
         times.append(t)
         gammas.append(g)
-        # F(gamma) as the core handed it on with gamma
-        forces.append(core.force)
+        forces[i] = core.force
         s0, s1 = math.sin(sol.omega0 * t), math.sin(sol.omega1 * t)
         c0, c1 = math.cos(sol.omega0 * t), math.cos(sol.omega1 * t)
         # the exact shell pair, then its difference from the run
@@ -313,7 +314,7 @@ def verify_persistence(
 
     times_arr = np.array(times)
     gamma_arr = np.array(gammas)
-    spec = windowed_spectrum(times_arr, np.array(forces), 0.5 * (times_arr[0] + times_arr[-1]),
+    spec = windowed_spectrum(times_arr, forces, 0.5 * (times_arr[0] + times_arr[-1]),
                              times_arr[-1] - times_arr[0] + integ.dt * integ.steps_per_sample)
     peaks = _top_two_positive_peaks(spec.freqs, spec.amps)
     conc, _ = concentration_ratio(spec, 3)

@@ -738,8 +738,8 @@ class ManifoldTable:
 
         ``snapshots`` is read once, each snapshot's time taken with its
         distance, so it may be a generator such as
-        :func:`mfkg.dynamics.snapshots`: each snapshot is measured, then
-        dropped before the next is read.
+        :func:`mfkg.dynamics.snapshots`: no snapshot is kept once the
+        next one is read.
         """
         times, dists, best = [], [], []
         for snap in snapshots:
