@@ -51,7 +51,8 @@ real vectors folded into the block tables.  The rest of the state, the
 residual (the modes outside C, and on each coupled shell the part
 orthogonal to v_S), moves by the free flow alone.  :meth:`_ShellCore.load`
 projects the raw pair onto the shell pair and the residual, and
-:meth:`_ShellCore.natural` adds them back.  The core binds at set-up what
+:meth:`_ShellCore.natural` adds them back, into the flow's scratch.  The
+core binds at set-up what
 an interval needs, and :meth:`_ShellCore.advance` runs one interval per
 call.  The residual lags until :meth:`_ShellCore.sync` flows it once,
 before every read of the whole field (:meth:`_ShellCore.fields`); its
@@ -394,6 +395,11 @@ class _ShellCore(_Core):
         self.weight = k2[shells[self.starts]] + self.m * self.m
         self.pair = np.zeros((2, self.starts.size), dtype=complex)
         self.residual = np.zeros((2, self.grid.num_points), dtype=complex)
+        # natural() writes the natural raw pair into the flow's scratch, free
+        # once the residual is synced, with the coupled modes' residual
+        # gathered into a buffer of their own
+        self.raw = self.scratch.view(complex).reshape(2, -1)
+        self.gathered = np.empty((2, modes.size), dtype=complex)
         coupled = np.zeros(0, dtype=complex) if rho_raw is None else rho_raw[modes]
         norms = np.sqrt(np.add.reduceat(np.abs(coupled) ** 2, self.starts))
         self.basis = coupled / norms[self.column]
@@ -448,10 +454,26 @@ class _ShellCore(_Core):
         return pair, residual
 
     def natural(self) -> np.ndarray:
-        """The natural raw pair (2, N) of the synced state; undoes :meth:`project`."""
+        """The natural raw pair (2, N) of the synced state; undoes :meth:`project`.
+
+        It is written into :attr:`raw`, the flow's scratch, which the next
+        interval or call overwrites (:meth:`fields` transforms it in
+        place); a :class:`FieldState` copies its fields, so snapshots do not
+        share it.  A call allocates nothing.
+        """
         self.sync()
-        raw = self.residual.copy()
-        raw[:, self.modes] += self.basis * self.pair[:, self.column]
+        gathered, raw = self.gathered, self.raw
+        # v z_S over the coupled modes, in the first entries of raw until the
+        # residual is copied in; every index is in range, so "clip" takes the
+        # same entries, straight into out (the default "raise" goes through
+        # a buffered copy)
+        part = raw.reshape(-1)[: gathered.size].reshape(gathered.shape)
+        np.take(self.pair, self.column, axis=1, out=part, mode="clip")
+        np.multiply(self.basis, part, out=part)
+        np.take(self.residual, self.modes, axis=1, out=gathered, mode="clip")
+        gathered += part
+        np.copyto(raw, self.residual)
+        raw[:, self.modes] = gathered
         return raw
 
     def load(self, psi: np.ndarray, pi: np.ndarray) -> None:

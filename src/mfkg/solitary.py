@@ -30,7 +30,12 @@ Distances to the manifold are measured through a :class:`ManifoldTable`,
 built once from rho, the potential, the seminorm and the frequency grid;
 :meth:`ManifoldTable.distances` turns a run's snapshots into distances for
 both the ``distance`` and ``spectrum`` experiments, in one pass, so the
-``distance`` experiment streams its snapshot run into it.
+``distance`` experiment streams its snapshot run into it.  Of each snapshot
+it keeps what the frequency polish needs, its four sums per coupled shell,
+the scan's best candidate and its bracket, under a fixed budget of floats
+(``_POLISH_ENTRIES``), and it runs the snapshots' bounded Brent searches in
+lockstep rounds: each round computes every frequency new to the table
+once, in chunks of profiles, for all the searches that ask for it.
 :func:`manifold_distance` takes its table from a small cache keyed by those
 inputs, so repeated calls with one coupling share one table.  The
 seminorm's window and Sobolev weights are owned by :mod:`mfkg.fields`,
@@ -50,6 +55,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.polynomial import polyroots
@@ -265,7 +271,12 @@ def amplitude_roots(pot: PolynomialPotential, s: float) -> list[float]:
     # polynomial in r: sum_n (-2 n u_n s^{2n-1}) r^{n-1} - 1 = 0
     coeffs = [-2.0 * (n + 1) * u * s ** (2 * n + 1) for n, u in enumerate(pot.coeffs)]
     coeffs[0] -= 1.0
-    roots = polyroots(coeffs)
+    if len(coeffs) == 2:
+        # numpy polyroots' own two-term branch, without its as_series call,
+        # which trims a zero coefficient of r (an underflow): then no root
+        roots = [-coeffs[0] / coeffs[1]] if coeffs[1] != 0 else []
+    else:
+        roots = polyroots(coeffs)
     out = []
     for z in roots:
         if abs(z.imag) > 1e-9 * (1.0 + abs(z)):
@@ -375,6 +386,11 @@ def default_omega_grid(m: float = 1.0, zeros: tuple[float, ...] = (), count: int
 _BRENT_MAXFUN = 500
 # the most polish frequencies whose weights a table keeps; the oldest goes first
 _POLISH_CACHE = 1024
+# the most floats of shell sums (4 per coupled shell and snapshot) that
+# ManifoldTable.distances holds for one lockstep polish: 1 MiB, the whole
+# 1-D ``distance`` run at a snapshot every 10 samples (~100 x 692), 4
+# snapshots of a 256^2 grid with 7124 coupled shells
+_POLISH_ENTRIES = 1 << 17
 # Candidates +-omega are mirrors when they agree to _MIRROR_PITCH m, and their
 # squared distances tie within _MIRROR_TIE (||Psi||^2 + d^2); the roundoff gap
 # measured on states real up to a global phase is ~1e-13 of ||Psi||^2.
@@ -382,13 +398,16 @@ _MIRROR_PITCH = 1e-12
 _MIRROR_TIE = 1e-10
 
 
-def _bounded_brent(func, lo: float, hi: float, xatol: float):
-    """(x, f(x)) of Brent's bounded minimisation, scipy 1.17.1's ``_minimize_scalar_bounded``.
+def _brent_steps(lo: float, hi: float, xatol: float):
+    """Brent's bounded minimisation as a generator: yields each x, is sent f(x), returns (x, f(x)).
 
-    The same arithmetic in the same order (numpy scalars included), so the
-    iterates and the evaluation count are bit for bit those of
-    ``minimize_scalar(func, bounds=(lo, hi), method="bounded",
-    options={"xatol": xatol})``.
+    The arithmetic of scipy 1.17.1's ``_minimize_scalar_bounded`` in the
+    same order (numpy scalars included), so the iterates and the
+    evaluation count are bit for bit those of ``minimize_scalar(func,
+    bounds=(lo, hi), method="bounded", options={"xatol": xatol})``.  The
+    caller evaluates f, so searches on different functions can run in
+    lockstep (see :meth:`ManifoldTable.distances`); :func:`_bounded_brent`
+    drives one search with a function.
     """
     sqrt_eps = np.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
@@ -397,7 +416,7 @@ def _bounded_brent(func, lo: float, hi: float, xatol: float):
     nfc, xf = fulc, fulc
     rat = e = 0.0
     x = xf
-    fx = func(x)
+    fx = yield x
     num = 1
 
     ffulc = fnfc = fx
@@ -432,7 +451,7 @@ def _bounded_brent(func, lo: float, hi: float, xatol: float):
 
         si = np.sign(rat) + (rat == 0)
         x = xf + si * np.maximum(np.abs(rat), tol1)
-        fu = func(x)
+        fu = yield x
         num += 1
 
         if fu <= fx:
@@ -462,12 +481,35 @@ def _bounded_brent(func, lo: float, hi: float, xatol: float):
     return xf, fx
 
 
+def _bounded_brent(func, lo: float, hi: float, xatol: float):
+    """(x, f(x)) of :func:`_brent_steps` driven by ``func``: scipy's bounded ``minimize_scalar``."""
+    steps = _brent_steps(lo, hi, xatol)
+    x = next(steps)
+    while True:
+        try:
+            x = steps.send(func(x))
+        except StopIteration as done:
+            return done.value
+
+
+class _Scan(NamedTuple):
+    """What the polish needs of one snapshot (:meth:`ManifoldTable._scan`)."""
+
+    state_sq: float  # ||Psi||^2
+    terms: np.ndarray  # the four sums per coupled shell: (re, im) of u1, u0
+    best_sq: float  # the scan's best squared distance, the zero wave's included
+    best_omega: float | None  # its frequency; None for the zero wave
+    bracket: tuple[float, float] | None  # the polish bracket, inside the spectral gap
+
+
 class ManifoldTable:
     """Precomputed tables for distances to the solitary manifold.
 
     Built once from the coupling, the potential, the seminorm and the
     frequency grid; :meth:`distance` then costs one stacked round trip per
-    snapshot plus sums over the |xi|^2 shells and the bounded polish.
+    snapshot plus sums over the |xi|^2 shells and the bounded polish, and
+    :meth:`distances` runs the polishes of many snapshots in lockstep
+    (below).
     :meth:`distance` reads the tables and adds only to the polish cache
     (below), whose entries depend on the frequency alone, so one table
     serves any number of snapshots and callers with the bits of a fresh
@@ -519,9 +561,28 @@ class ManifoldTable:
     depend only on the bracket, so snapshots that share a best candidate
     evaluate the same omegas: 16-28 of the ~100 polish evaluations of a
     ``distance`` run at its defaults, 33-41% of them with a snapshot every
-    10 samples.  A hit recomputes only the reciprocal row (~4 us) for the
-    overlap.  The dict holds floats and tuples alone, no reference back
-    to the table, so a dropped table is freed at once.
+    10 samples.  A hit recomputes only the reciprocal row for the overlap.
+    The dict holds floats and tuples alone, no reference back to the
+    table, so a dropped table is freed at once.
+
+    The polish runs in lockstep rounds (:meth:`_polished`).
+    :meth:`distances` scans each snapshot as it is read (:meth:`_scan`)
+    and keeps ||Psi||^2, the snapshot's four sums per coupled shell, the
+    scan's best candidate and its bracket: 17 snapshots of 4 x 173 floats
+    (~94 KB) at the ``distance`` defaults, but 4 x 7124 floats (228 KB) for
+    one snapshot on the 256^2 grid above.  Each group of snapshots holds at
+    most ``_POLISH_ENTRIES`` floats of shell sums, so larger runs polish in
+    groups.  A round gathers the frequency that every unfinished Brent
+    search (:func:`_brent_steps`) asks for and builds the reciprocal rows
+    of the distinct ones in one array; each one missing from the cache
+    gets s, its roots and ||S||^2 once, in chunks of at most
+    ``_CHUNK_POINTS`` points and ``_MAX_CHUNK`` rows that reuse one set of
+    buffers for the whole polish (:meth:`_weights_of`).  Config seed 1 at
+    the ``distance`` defaults: 16 searches take 8 rounds, 106 evaluations
+    and 78 misses, at most 16 per round.  Every per-row operation is
+    row-independent, and ||S||^2 is reduced by one (1, .) product per
+    row, so each snapshot gets the bits of :meth:`distance`, the lockstep
+    of one.
 
     spec=None measures in the global energy norm.
     """
@@ -620,23 +681,35 @@ class ManifoldTable:
         """Scratch for :meth:`_profile_norms` of up to ``rows`` reciprocal rows.
 
         The gathered reciprocals, the half spectra b_half and the windowed
-        fields; the field buffer is empty without a window.
+        fields; the field buffer is empty without a window.  With a window
+        the gathered reciprocals lie in the field buffer's memory (the first
+        k rows of each in its first entries): they are read into b_half
+        before the round trip writes the fields.
         """
         grid = self.rho.grid
-        field = grid.shape if self._window is not None else (0,)
-        return (np.empty((rows, self._rho_half.size)),
-                np.empty((rows, *grid.half_shape), dtype=complex), np.empty((rows, *field)))
+        size = self._rho_half.size
+        half = np.empty((rows, *grid.half_shape), dtype=complex)
+        if self._window is None:
+            return np.empty((rows, size)), half, np.empty((rows, 0))
+        field = np.empty((rows, *grid.shape))
+        return field.reshape(-1)[: rows * size].reshape(rows, size), half, field
 
-    def _profile_norms(self, recip: np.ndarray, w: np.ndarray, buffers: tuple) -> np.ndarray:
+    def _profile_norms(self, recip: np.ndarray, w: np.ndarray, buffers: tuple,
+                       rowwise: bool = False) -> np.ndarray:
         """||S||^2 = (||W1 T b_hat||^2 + omega^2 ||W0 T b_hat||^2) / L^n per reciprocal row.
 
         The round trip runs in ``buffers`` (:meth:`_chunk_buffers`), which
         the table build reuses for every chunk: fresh temporaries of a
         chunk's size let glibc trim and refault the heap top on every chunk.
+        The squares are reduced by one product per chunk, whose bits depend
+        on the chunk's shape; ``rowwise`` takes one (1, .) product per row
+        instead, so that a row's norm does not depend on the rows beside it.
         """
         grid = self.rho.grid
         taken, b_half, field = (buffer[: w.size] for buffer in buffers)
-        np.take(recip, self._half_position, axis=1, out=taken)
+        # every position is in range, so "clip" takes the same entries,
+        # straight into taken (the default "raise" goes through a buffered copy)
+        np.take(recip, self._half_position, axis=1, out=taken, mode="clip")
         np.multiply(taken, self._rho_half, out=b_half.reshape(w.size, -1))
         if self._window is not None:
             grid.half_inverse(b_half, out=field)
@@ -644,27 +717,43 @@ class ManifoldTable:
             grid.half_forward(field, out=b_half)
         parts = b_half.view(np.float64)
         parts *= parts
-        sq = parts.reshape(w.size, -1) @ self._half_weights
+        parts = parts.reshape(w.size, -1)
+        if rowwise:
+            sq = np.concatenate([parts[i: i + 1] @ self._half_weights for i in range(w.size)])
+        else:
+            sq = parts @ self._half_weights
         return (sq[:, 0] + w * w * sq[:, 1]) / self._box_vol
 
-    def _polish_weights(self, recip: np.ndarray, w: np.ndarray) -> tuple:
-        """(r ||S||^2, 2 sqrt(r)) per amplitude root r at the one frequency of ``w``; () without one.
+    def _weights_of(self, recip: np.ndarray, w: np.ndarray, buffers: tuple) -> list[tuple]:
+        """(r ||S||^2, 2 sqrt(r)) per amplitude root r, per reciprocal row at the frequencies ``w``.
 
-        They do not depend on the snapshot: the squared distance of a root
-        is ||Psi||^2 + r ||S||^2 - 2 sqrt(r) |<S, Psi>|.
+        () at a frequency without a root.  They do not depend on the
+        snapshot: the squared distance of a root is ||Psi||^2 + r ||S||^2
+        - 2 sqrt(r) |<S, Psi>|.  The rows with a root run their profiles in
+        chunks of as many rows as ``buffers`` holds, each row's norm its own
+        product, so a frequency's weights are the same bits whichever
+        frequencies are computed beside it.
         """
-        roots = self._roots(float(_couplings_of(recip, self._mass, self.rho.grid)[0]))
-        if not roots:
-            return ()
-        base_sq = float(self._profile_norms(recip, w, self._chunk_buffers(1))[0])
-        return tuple((r * base_sq, 2.0 * np.sqrt(r)) for r in roots)
+        roots = [self._roots(float(s)) for s in _couplings_of(recip, self._mass, self.rho.grid)]
+        rooted = np.flatnonzero([bool(r) for r in roots])
+        base_sq = np.empty(rooted.size)
+        for part, rows in _chunks(rooted, len(buffers[0])):
+            base_sq[part] = self._profile_norms(recip[rows], w[rows], buffers, rowwise=True)
+        weights: list[tuple] = [()] * len(roots)
+        for i, norm in zip(rooted, base_sq.tolist()):
+            weights[i] = tuple((r * norm, 2.0 * np.sqrt(r)) for r in roots[i])
+        return weights
 
     def _overlaps(self, p: np.ndarray, w: np.ndarray) -> np.ndarray:
         """|<S, Psi>| per omega from p, its reciprocal row times the shell sums ((re, im) of u1, u0)."""
         return np.abs(p[:, 0] + 1j * p[:, 1] + 1j * w * (p[:, 2] + 1j * p[:, 3])) / self._box_vol
 
-    def distance(self, state: FieldState) -> tuple[float, float | None]:
-        """(distance, best_omega) as documented in :func:`manifold_distance`."""
+    def _scan(self, state: FieldState) -> _Scan:
+        """What the polish needs of one snapshot, which is not kept.
+
+        The best is the scan's over the candidates and the zero wave; the
+        bracket is None unless the best omega lies inside the spectral gap.
+        """
         require_same_grid(self.rho, state)
         m = self.m
         grid = state.grid
@@ -677,25 +766,6 @@ class ManifoldTable:
         v = v.view(np.float64).reshape(2, -1, 2)
         terms = np.stack([np.bincount(self._point_shell, v[row, :, part], self._k2.size)
                           for row in (0, 1) for part in (0, 1)], axis=1)
-
-        polish = self._polish
-
-        def dist_sq_at(omega: float) -> float:
-            # the polish bracket lies inside the spectral gap, where every
-            # omega is admissible; one reciprocal row serves the overlap and,
-            # at a frequency new to the polish cache, s, the roots and the profile
-            w = np.array([omega])
-            recip = _reciprocals(self._k2, w, m)
-            weights = polish.get(omega)
-            if weights is None:
-                weights = self._polish_weights(recip, w)
-                if len(polish) >= _POLISH_CACHE:
-                    del polish[next(iter(polish))]
-                polish[float(omega)] = weights
-            if not weights:
-                return np.inf
-            overlap = float(self._overlaps(recip @ terms, w)[0])
-            return min(state_sq + a - b * overlap for a, b in weights)
 
         best_sq = state_sq  # the zero wave
         best_omega: float | None = None
@@ -719,35 +789,96 @@ class ManifoldTable:
             if mirrored and best_omega is not None:
                 best_omega = abs(best_omega)
 
+        bracket = None
         if best_omega is not None and abs(best_omega) < m:
-            # polish inside the spectral gap; embedded candidates stay on-grid.  Where
-            # the bracket reaches frequencies without an amplitude root, dist_sq_at is
-            # inf and a parabolic step computes inf - inf: the NaN fails the step's
-            # acceptance test and a golden-section step follows, so it is not reported.
-            lo = max(best_omega - self._pitch, 0.0 if mirrored else -m + 1e-9 * m)
-            hi = min(best_omega + self._pitch, m - 1e-9 * m)
-            with np.errstate(invalid="ignore"):
-                x, fun = _bounded_brent(dist_sq_at, lo, hi, 1e-6 * m)
-            if fun < best_sq:
-                best_sq = float(fun)
-                best_omega = float(x)
-        return float(np.sqrt(max(best_sq, 0.0))), best_omega
+            # polish inside the spectral gap; embedded candidates stay on-grid
+            bracket = (max(best_omega - self._pitch, 0.0 if mirrored else -m + 1e-9 * m),
+                       min(best_omega + self._pitch, m - 1e-9 * m))
+        return _Scan(state_sq, terms, best_sq, best_omega, bracket)
+
+    def _polished(self, scans: list[_Scan]) -> list[tuple[float, float | None]]:
+        """(distance, best_omega) of each :meth:`_scan`, every bracket's Brent search in lockstep.
+
+        Each round gathers the frequency that every unfinished search asks
+        for and builds the reciprocal rows of the distinct ones in one
+        array.  The weights of a frequency come from the polish cache or,
+        for the round's misses, from one :meth:`_weights_of` call in chunk
+        buffers that every round of the call reuses; the round reads them
+        from its own map, since the bounded cache may drop an entry within
+        the round.  Each search's overlap is its own row times its own
+        shell sums, as a single search computes it, so a snapshot's result
+        does not depend on the snapshots polished beside it.
+        """
+        m, polish = self.m, self._polish
+        best = [[scan.best_sq, scan.best_omega] for scan in scans]
+        searches = {i: _brent_steps(*scan.bracket, 1e-6 * m)
+                    for i, scan in enumerate(scans) if scan.bracket is not None}
+        asked = {i: next(steps) for i, steps in searches.items()}
+        chunk = int(np.clip(_CHUNK_POINTS // self.rho.grid.num_points, 1, _MAX_CHUNK))
+        buffers = None
+        # Where the bracket reaches frequencies without an amplitude root the
+        # distance is inf and a parabolic step computes inf - inf: the NaN
+        # fails the step's acceptance test and a golden-section step follows,
+        # so it is not reported.
+        with np.errstate(invalid="ignore"):
+            while asked:
+                omegas = list(dict.fromkeys(map(float, asked.values())))
+                row = {w: j for j, w in enumerate(omegas)}
+                w = np.array(omegas)
+                recip = _reciprocals(self._k2, w, m)
+                found = {x: polish[x] for x in omegas if x in polish}
+                missing = [j for j, x in enumerate(omegas) if x not in found]
+                if missing:
+                    if buffers is None:
+                        buffers = self._chunk_buffers(min(chunk, len(searches)))
+                    for j, weights in zip(missing, self._weights_of(recip[missing], w[missing],
+                                                                    buffers)):
+                        if len(polish) >= _POLISH_CACHE:
+                            del polish[next(iter(polish))]
+                        polish[omegas[j]] = found[omegas[j]] = weights
+                for i, x in list(asked.items()):
+                    weights = found[float(x)]
+                    fx = np.inf
+                    if weights:
+                        j, state_sq = row[float(x)], scans[i].state_sq
+                        p = recip[j: j + 1] @ scans[i].terms
+                        overlap = float(self._overlaps(p, np.array([x]))[0])
+                        fx = min(state_sq + a - b * overlap for a, b in weights)
+                    try:
+                        asked[i] = searches[i].send(fx)
+                    except StopIteration as done:
+                        del asked[i]
+                        omega, fun = done.value
+                        if fun < best[i][0]:
+                            best[i] = [float(fun), float(omega)]
+        return [(float(np.sqrt(max(d_sq, 0.0))), omega) for d_sq, omega in best]
+
+    def distance(self, state: FieldState) -> tuple[float, float | None]:
+        """(distance, best_omega) as documented in :func:`manifold_distance`: a lockstep of one."""
+        return self._polished([self._scan(state)])[0]
 
     def distances(self, snapshots) -> tuple[np.ndarray, np.ndarray, list]:
-        """(times, distances, best_omegas) of :meth:`distance` at each snapshot.
+        """(times, distances, best_omegas) of :meth:`distance` at each snapshot, bit for bit.
 
-        ``snapshots`` is read once, each snapshot's time taken with its
-        distance, so it may be a generator such as
-        :func:`mfkg.dynamics.snapshots`: no snapshot is kept once the
-        next one is read.
+        ``snapshots`` is read once, each snapshot's time and :meth:`_scan`
+        taken as it is read, so it may be a generator such as
+        :func:`mfkg.dynamics.snapshots`: no snapshot is kept once the next
+        one is read.  The scans wait in groups whose shell sums hold at
+        most ``_POLISH_ENTRIES`` floats (at least one snapshot each), and
+        each group is polished in lockstep (:meth:`_polished`).
         """
-        times, dists, best = [], [], []
-        for snap in snapshots:
-            times.append(snap.time)
-            d, w = self.distance(snap)
-            dists.append(d)
-            best.append(w)
-        return np.array(times), np.array(dists), best
+        times, results, group, held = [], [], [], 0
+        # the generator drops each snapshot once scanned, the last one too
+        for time, scan in ((snap.time, self._scan(snap)) for snap in snapshots):
+            times.append(time)
+            if group and held + scan.terms.size > _POLISH_ENTRIES:
+                results += self._polished(group)
+                group, held = [], 0
+            group.append(scan)
+            held += scan.terms.size
+        results += self._polished(group)
+        return (np.array(times), np.array([d for d, _ in results], dtype=float),
+                [omega for _, omega in results])
 
 
 def manifold_distance(

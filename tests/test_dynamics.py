@@ -400,10 +400,8 @@ def test_sponge_must_fit_in_box(grid):
         evolve(state, None, None, integ, 0.01)
 
 
-def test_sponge_snapshots_are_distinct_and_correct(grid, rho, pot, rng):
-    """The sponge loop transforms into reused buffers; no snapshot may alias another."""
-    state = localized_state(grid, rng, scale=0.5)
-    integ = Integrator(0.02, steps_per_sample=2, sponge=Sponge(16.0, 2.0))
+def assert_snapshots_distinct_and_correct(state, rho, pot, integ):
+    """Every snapshot of a 0.4-long run owns its arrays and is the reference steps' state."""
     traj = evolve(state, rho, pot, integ, 0.4, Observers(snapshot_stride=1))
     snaps = traj.snapshots
     assert len(snaps) == len(traj.times) == 11
@@ -415,6 +413,19 @@ def test_sponge_snapshots_are_distinct_and_correct(grid, rho, pot, rng):
         assert_allclose(snap.time, want.time, rtol=1e-12)
         for got, ref in ((snap.psi, want.psi), (snap.pi, want.pi)):
             assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+def test_sponge_snapshots_are_distinct_and_correct(grid, rho, pot, rng):
+    """The sponge loop transforms into reused buffers; no snapshot may alias another."""
+    state = localized_state(grid, rng, scale=0.5)
+    integ = Integrator(0.02, steps_per_sample=2, sponge=Sponge(16.0, 2.0))
+    assert_snapshots_distinct_and_correct(state, rho, pot, integ)
+
+
+def test_undamped_snapshots_are_distinct_and_correct(grid, rho, pot, rng):
+    """The shell core writes each natural pair into one reused buffer; no snapshot may alias another."""
+    state = localized_state(grid, rng, scale=0.5)
+    assert_snapshots_distinct_and_correct(state, rho, pot, Integrator(0.02, steps_per_sample=2))
 
 
 def full_grid_ball_observables(grid, psi, pi, mask, u_val, m):

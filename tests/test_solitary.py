@@ -213,6 +213,34 @@ def test_amplitude_roots_match_the_polynomial_class_route():
     assert found > 100
 
 
+def test_two_coefficient_roots_are_polyroots_bits_without_the_companion_matrix(monkeypatch):
+    """p = 2 roots are numpy's two-term quotient bit for bit; p = 3 still calls polyroots."""
+    from numpy.polynomial.polynomial import polyroots
+
+    calls = []
+
+    def counted(coeffs):
+        calls.append(len(coeffs))
+        return polyroots(coeffs)
+
+    monkeypatch.setattr(mfkg.solitary, "polyroots", counted)
+    pot = PolynomialPotential((-1.0, 1.0))
+    found = 0
+    for s in (*np.linspace(-3.0, 3.0, 600), 0.5, 1e-110, -1e-110, 1e5):
+        coeffs = [-2.0 * (n + 1) * u * s ** (2 * n + 1) for n, u in enumerate(pot.coeffs)]
+        coeffs[0] -= 1.0
+        want = [float(z.real) for z in polyroots(coeffs)
+                if float(z.real) >= 0 and abs(s * pot.force_coefficient(z.real * s * s) - 1.0) < 1e-8]
+        got = amplitude_roots(pot, float(s))
+        assert np.array(got).tobytes() == np.array(want).tobytes(), s
+        found += len(got)
+    assert found > 200 and calls == []
+    # the zero coefficient of r of a tiny s has no root, as polyroots trims it
+    assert amplitude_roots(pot, 1e-110) == []
+    amplitude_roots(PolynomialPotential((-1.0, 0.5, 0.25)), 1.2)
+    assert calls == [3]
+
+
 def test_build_solitary_invariants(grid, rho, pot):
     wave = build_solitary(rho, pot, omega=0.5, theta=0.7)
     assert stationarity_residual(wave, rho, pot) < 1e-12
@@ -612,20 +640,34 @@ def _staircase(c, k):
 
 
 def _polish_of_a_table(rho, pot, monkeypatch):
-    """The (dist_sq_at, lo, hi, xatol) that ManifoldTable.distance hands its polish."""
-    seen = []
+    """(f, lo, hi, xatol) of the one search that ManifoldTable.distance polishes.
 
-    def spy(func, lo, hi, xatol):
-        seen.append((func, lo, hi, xatol))
-        return _bounded_brent(func, lo, hi, xatol)
+    f reads back the value the table sent the search at each frequency it
+    asked for, so a search that asks for any other frequency fails.
+    """
+    seen, values = [], {}
+    steps = mfkg.solitary._brent_steps
 
-    monkeypatch.setattr(mfkg.solitary, "_bounded_brent", spy)
+    def spy(lo, hi, xatol):
+        seen.append((lo, hi, xatol))
+        search = steps(lo, hi, xatol)
+        x = next(search)
+        while True:
+            values[x] = fx = yield x
+            try:
+                x = search.send(fx)
+            except StopIteration as done:
+                return done.value
+
+    monkeypatch.setattr(mfkg.solitary, "_brent_steps", spy)
     state = _perturbed(build_solitary(rho, pot, 0.37, 1.3), 1, 0.3)
     _, best = ManifoldTable(rho, pot, SeminormSpec(0.5, 8.0, 8.0)).distance(state)
-    assert abs(best) < 1.0 and len(seen) == 1
-    return seen[0]
+    assert abs(best) < 1.0 and len(seen) == 1 and values
+    return (values.__getitem__, *seen[0])
 
 
+# inf - inf in a parabolic step warns in scipy as in its in-package twin
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("case", [
     "quadratic", "table", "inf_part", "endpoint", "constant", "narrow", "cap",
     "staircase_ties", "staircase_zero_step",
@@ -738,10 +780,14 @@ def test_distance_leaves_the_table_unchanged(grid, rho, pot):
     assert [_distance_bits(table.distance(s)) for s in states] == results
     fresh = ManifoldTable(rho, pot, SeminormSpec(0.5, 8.0, 8.0))
     assert table._polish
-    for omega, weights in table._polish.items():
-        w = np.array([omega])
-        want = fresh._polish_weights(mfkg.solitary._reciprocals(fresh._k2, w, 1.0), w)
-        assert np.array(weights).tobytes() == np.array(want).tobytes()
+    # one row at a time, and all rows in one call
+    omegas = np.array(list(table._polish))
+    recip = mfkg.solitary._reciprocals(fresh._k2, omegas, 1.0)
+    together = fresh._weights_of(recip, omegas, fresh._chunk_buffers(16))
+    for j, (omega, weights) in enumerate(table._polish.items()):
+        alone = fresh._weights_of(recip[j: j + 1], omegas[j: j + 1], fresh._chunk_buffers(1))
+        for want in (alone[0], together[j]):
+            assert np.array(weights).tobytes() == np.array(want).tobytes()
 
 
 def _distance_run():
@@ -757,15 +803,20 @@ def _distance_run():
 
 
 def _counting_misses(table):
-    """Count the polish frequencies that ``table`` computes instead of reading them back."""
-    misses, weights = [], table._polish_weights
+    """The polish frequencies that ``table`` computes instead of reading them back.
 
-    def counted(recip, w):
-        misses.append(float(w[0]))
-        return weights(recip, w)
+    Returns (misses, batches): every miss in the order computed, and the
+    number of misses of each batched call, one per lockstep round with a miss.
+    """
+    misses, batches, weights_of = [], [], table._weights_of
 
-    table._polish_weights = counted
-    return misses
+    def counted(recip, w, buffers):
+        misses.extend(w.tolist())
+        batches.append(w.size)
+        return weights_of(recip, w, buffers)
+
+    table._weights_of = counted
+    return misses, batches
 
 
 @pytest.mark.parametrize("order", [1, -1])
@@ -775,11 +826,11 @@ def test_polish_cache_gives_a_fresh_tables_bits(order):
     taken = taken[::order]
     assert len(taken) == 17
     table = ManifoldTable(*inputs)
-    misses = _counting_misses(table)
+    misses, _ = _counting_misses(table)
     fresh_misses = 0
     for snap in taken:
         fresh = ManifoldTable(*inputs)
-        counted = _counting_misses(fresh)
+        counted, _ = _counting_misses(fresh)
         assert _distance_bits(table.distance(snap)) == _distance_bits(fresh.distance(snap))
         fresh_misses += len(counted)
     # snapshots that share a best candidate share the polish's first frequencies
@@ -790,7 +841,7 @@ def test_polish_cache_stops_growing_at_its_bound(grid, rho, pot, monkeypatch):
     monkeypatch.setattr(mfkg.solitary, "_POLISH_CACHE", 8)
     spec = SeminormSpec(0.5, 8.0, 8.0)
     table = ManifoldTable(rho, pot, spec)
-    misses = _counting_misses(table)
+    misses, _ = _counting_misses(table)
     for seed, w in ((1, 0.37), (2, -0.6), (3, 0.5), (4, 0.2)):
         state = _perturbed(build_solitary(rho, pot, w, 0.4), seed, 0.3)
         assert _distance_bits(table.distance(state)) == _distance_bits(
@@ -835,7 +886,7 @@ def test_distances_hold_one_streamed_snapshot_at_a_time(monkeypatch):
     inputs, run = _dense_2d_distance_run()
     table = ManifoldTable(*inputs)
     made, alive = [], []
-    post_init, distance = FieldState.__post_init__, ManifoldTable.distance
+    post_init, scan = FieldState.__post_init__, ManifoldTable._scan
 
     def tracked(state):
         post_init(state)
@@ -843,10 +894,10 @@ def test_distances_hold_one_streamed_snapshot_at_a_time(monkeypatch):
 
     def counted(self, state):
         alive.append(sum(ref() is not None for ref in made))
-        return distance(self, state)
+        return scan(self, state)
 
     monkeypatch.setattr(FieldState, "__post_init__", tracked)
-    monkeypatch.setattr(ManifoldTable, "distance", counted)
+    monkeypatch.setattr(ManifoldTable, "_scan", counted)
     times, _, _ = table.distances(run())
     # a list of the whole run would hold all 51 at the first distance
     assert len(times) == len(alive) == len(made) == 51
@@ -859,3 +910,47 @@ def test_streamed_distances_are_the_listed_ones_bit_for_bit():
     want_times, want_dists, want_best = ManifoldTable(*inputs).distances(list(run()))
     assert times.tobytes() == want_times.tobytes() and dists.tobytes() == want_dists.tobytes()
     assert best == want_best and len(best) == 51
+
+
+@pytest.mark.parametrize("variant", ["plain", "cache_of_8", "groups_of_3"])
+@pytest.mark.parametrize("run", ["defaults", "dense_2d"])
+def test_lockstep_distances_are_the_single_snapshot_ones_bit_for_bit(monkeypatch, run, variant):
+    """A run polished in lockstep gives each snapshot's lockstep of one, bit for bit.
+
+    A cache of 8 frequencies drops entries within a round, and groups of 3
+    snapshots split the run into several locksteps.
+    """
+    if run == "defaults":
+        inputs, taken = _distance_run()
+    else:
+        inputs, make = _dense_2d_distance_run()
+        taken = list(make())
+    table = ManifoldTable(*inputs)
+    _, batches = _counting_misses(table)
+    if variant == "cache_of_8":
+        monkeypatch.setattr(mfkg.solitary, "_POLISH_CACHE", 8)
+    if variant == "groups_of_3":
+        monkeypatch.setattr(mfkg.solitary, "_POLISH_ENTRIES", 3 * 4 * table._k2.size)
+    times, dists, best = table.distances(taken)
+    single = ManifoldTable(*inputs)
+    want = [_distance_bits(single.distance(snap)) for snap in taken]
+    assert [_distance_bits(r) for r in zip(dists, best)] == want
+    assert times.tobytes() == np.array([snap.time for snap in taken]).tobytes()
+    # a lockstep round computes several misses at once
+    assert max(batches) > 1 and sum(b is not None for b in best) > 2
+    if variant == "cache_of_8":
+        assert max(batches) > 8 and len(table._polish) == 8
+
+
+def test_copies_of_one_snapshot_add_no_miss():
+    """Searches that ask for one frequency in a round compute it once."""
+    inputs, taken = _distance_run()
+    snap = taken[-1]
+    copy = FieldState(snap.grid, snap.psi, snap.pi, snap.time)
+    one, two = ManifoldTable(*inputs), ManifoldTable(*inputs)
+    (misses_one, _), (misses_two, _) = _counting_misses(one), _counting_misses(two)
+    _, d_one, best_one = one.distances([snap])
+    _, d_two, best_two = two.distances([snap, copy])
+    assert best_one[0] is not None and abs(best_one[0]) < 1.0 and misses_one
+    assert misses_two == misses_one
+    assert d_two.tobytes() == np.repeat(d_one, 2).tobytes() and best_two == best_one * 2
