@@ -52,9 +52,8 @@ residual (the modes outside C, and on each coupled shell the part
 orthogonal to v_S), moves by the free flow alone.  :meth:`_ShellCore.load`
 projects the raw pair onto the shell pair and the residual, and
 :meth:`_ShellCore.natural` adds them back, into the flow's scratch.  The
-core binds at set-up what
-an interval needs, and :meth:`_ShellCore.advance` runs one interval per
-call.  The residual lags until :meth:`_ShellCore.sync` flows it once,
+core binds at set-up what an interval needs, and
+:meth:`_ShellCore.advance` runs one interval per call.  The residual lags until :meth:`_ShellCore.sync` flows it once,
 before every read of the whole field (:meth:`_ShellCore.fields`); its
 share of H and Q is orthogonal to the shell pair's and constant, so
 :meth:`_ShellCore.load` takes it once.  ``verify_persistence`` never
