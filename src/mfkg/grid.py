@@ -46,6 +46,18 @@ import numpy as np
 __all__ = ["Grid", "make_grid"]
 
 
+def _scale_rows(array: np.ndarray, factor: np.ndarray) -> None:
+    """array *= factor in place, one row of the factor's shape at a time.
+
+    A multiply that broadcasts the factor over leading axes runs through
+    numpy's iterator buffers, a transient of several rows per call; a row
+    against the factor is one plain loop.
+    """
+    for index in np.ndindex(array.shape[: array.ndim - factor.ndim]):
+        row = array[index]
+        np.multiply(row, factor, out=row)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic lattice on a centered cube in dimension 1, 2, or 3."""
@@ -176,9 +188,14 @@ class Grid:
 
     @cached_property
     def _half_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """:attr:`_transform_factors` on the bins of a half spectrum."""
+        """:attr:`_transform_factors` on the bins of a half spectrum, as complex arrays.
+
+        A real factor would make numpy cast it through a buffer in every
+        multiply; a complex one gives the same bits without it.
+        """
         half = self.points_per_axis // 2 + 1
-        return tuple(np.ascontiguousarray(f[..., :half]) for f in self._transform_factors)
+        return tuple(np.ascontiguousarray(f[..., :half], dtype=complex)
+                     for f in self._transform_factors)
 
     def half_forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """:meth:`forward` of real ``values``, on bins 0..N/2 of the last axis only.
@@ -189,7 +206,7 @@ class Grid:
         out = np.fft.rfft(values, axis=-1, out=out)
         for axis in range(-2, -self.dim - 1, -1):
             np.fft.fft(out, axis=axis, out=out)
-        out *= self._half_factors[0]
+        _scale_rows(out, self._half_factors[0])
         return out
 
     def half_inverse(self, half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -202,7 +219,7 @@ class Grid:
         if out is None:
             half = half * self._half_factors[1]
         else:
-            half *= self._half_factors[1]
+            _scale_rows(half, self._half_factors[1])
         for axis in range(-self.dim, -1):
             np.fft.ifft(half, axis=axis, out=half)
         return np.fft.irfft(half, n=self.points_per_axis, axis=-1, out=out)

@@ -34,10 +34,11 @@ both the ``distance`` and ``spectrum`` experiments, in one pass, so the
 it keeps what the frequency polish needs, its four sums per coupled shell,
 the scan's best candidate and its bracket, under a fixed budget of floats
 (``_POLISH_ENTRIES``), and it runs the snapshots' bounded Brent searches in
-lockstep rounds: each round computes every frequency new to the table
-once, in chunks of profiles, for all the searches that ask for it.
-:func:`manifold_distance` takes its table from a small cache keyed by those
-inputs, so repeated calls with one coupling share one table.  The
+lockstep rounds: each round computes each distinct frequency once, in
+chunks of profiles, for all the searches that ask for it, by the routine
+that built the table's candidates.  :func:`manifold_distance` takes its
+table from a small cache keyed by those inputs, so repeated calls with one
+coupling share one table.  The
 seminorm's window and Sobolev weights are owned by :mod:`mfkg.fields`,
 which builds them once; the table reads them from there.
 Two identities carry the table.  The norm of each unit-amplitude candidate
@@ -71,7 +72,7 @@ from .fields import (
     _seminorm_weights,
     _windowed_weighted_hats,
 )
-from .grid import Grid
+from .grid import Grid, _scale_rows
 from .potential import PolynomialPotential
 
 __all__ = [
@@ -384,8 +385,6 @@ def default_omega_grid(m: float = 1.0, zeros: tuple[float, ...] = (), count: int
 
 # evaluation cap of the bounded polish (maxiter of minimize_scalar's "bounded")
 _BRENT_MAXFUN = 500
-# the most polish frequencies whose weights a table keeps; the oldest goes first
-_POLISH_CACHE = 1024
 # the most floats of shell sums (4 per coupled shell and snapshot) that
 # ManifoldTable.distances holds for one lockstep polish: 1 MiB, the whole
 # 1-D ``distance`` run at a snapshot every 10 samples (~100 x 692), 4
@@ -509,12 +508,9 @@ class ManifoldTable:
     frequency grid; :meth:`distance` then costs one stacked round trip per
     snapshot plus sums over the |xi|^2 shells and the bounded polish, and
     :meth:`distances` runs the polishes of many snapshots in lockstep
-    (below).
-    :meth:`distance` reads the tables and adds only to the polish cache
-    (below), whose entries depend on the frequency alone, so one table
-    serves any number of snapshots and callers with the bits of a fresh
-    one (see :func:`manifold_distance`).  For a
-    candidate omega the unit-amplitude wave is S = (b, -i omega b) with
+    (below).  The table does not change after its build, so one table
+    serves any number of snapshots and callers (see
+    :func:`manifold_distance`).  For a candidate omega the unit-amplitude wave is S = (b, -i omega b) with
     b_hat = rho_hat / (|xi|^2 + m^2 - omega^2), and its windowed, weighted
     hats are (W1 T b_hat, -i omega W0 T b_hat) with T = forward o chi o
     inverse.  The table stores s(omega), the amplitude roots and
@@ -540,30 +536,23 @@ class ManifoldTable:
       profile per distinct omega^2, shared by the mirrors +-omega (101 for
       the 201 default candidates); base_sq and the roots of +-omega are
       bit-identical.  In the polish, one reciprocal row per frequency
-      serves the overlap and, at a frequency new to the polish cache, s,
-      the roots and the profile;
+      serves s, the roots, the profile and the overlap;
     * rho is real and the reciprocal even, so b is real: its window round
       trip runs on half spectra (:meth:`Grid.half_inverse` /
       :meth:`Grid.half_forward`), where the bins 1..N/2-1 of the last
       axis stand for their mirrors as well.
 
-    The admissible frequencies' reciprocal rows are built once and give s;
-    those with an amplitude root stay as one (frequencies x coupled shells)
-    block, read by each chunk of profiles (at most ``_CHUNK_POINTS``
-    entries) and by every snapshot's scan, one matmul: 101 x 173 floats in
-    1-D at the ``distance`` defaults, 101 x 7124 (5.8 MB) on a 256^2 grid
-    of length 128 with a width-1 Gaussian rho.
-
-    The polish cache keeps, per polish frequency, what does not depend on
-    the snapshot: (r ||S||^2, 2 sqrt(r)) for each amplitude root r, keyed
-    by the exact float omega in a plain dict of at most ``_POLISH_CACHE``
-    entries, the oldest dropped first.  Brent's first two frequencies
-    depend only on the bracket, so snapshots that share a best candidate
-    evaluate the same omegas: 16-28 of the ~100 polish evaluations of a
-    ``distance`` run at its defaults, 33-41% of them with a snapshot every
-    10 samples.  A hit recomputes only the reciprocal row for the overlap.
-    The dict holds floats and tuples alone, no reference back to the
-    table, so a dropped table is freed at once.
+    One routine gives a block of frequencies' amplitude roots and ||S||^2
+    from their reciprocal rows (:meth:`_roots_and_norms`): s, then the
+    profiles of the rows with a root, in chunks of at most
+    ``_CHUNK_POINTS`` points and ``_MAX_CHUNK`` rows, each row's ||S||^2
+    its own (1, .) product, so a frequency's data are the same bits
+    whichever frequencies are computed beside it.  The build runs it once
+    on the admissible frequencies' reciprocal rows, of which those with an
+    amplitude root stay as one (frequencies x coupled shells) block, read
+    by every snapshot's scan, one matmul: 101 x 173 floats in 1-D at the
+    ``distance`` defaults, 101 x 7124 (5.8 MB) on a 256^2 grid of length
+    128 with a width-1 Gaussian rho.
 
     The polish runs in lockstep rounds (:meth:`_polished`).
     :meth:`distances` scans each snapshot as it is read (:meth:`_scan`)
@@ -574,15 +563,13 @@ class ManifoldTable:
     most ``_POLISH_ENTRIES`` floats of shell sums, so larger runs polish in
     groups.  A round gathers the frequency that every unfinished Brent
     search (:func:`_brent_steps`) asks for and builds the reciprocal rows
-    of the distinct ones in one array; each one missing from the cache
-    gets s, its roots and ||S||^2 once, in chunks of at most
-    ``_CHUNK_POINTS`` points and ``_MAX_CHUNK`` rows that reuse one set of
-    buffers for the whole polish (:meth:`_weights_of`).  Config seed 1 at
-    the ``distance`` defaults: 16 searches take 8 rounds, 106 evaluations
-    and 78 misses, at most 16 per round.  Every per-row operation is
-    row-independent, and ||S||^2 is reduced by one (1, .) product per
-    row, so each snapshot gets the bits of :meth:`distance`, the lockstep
-    of one.
+    of the distinct ones in one array, whose roots and ||S||^2 come from
+    :meth:`_roots_and_norms` in one set of chunk buffers for the whole
+    polish.  Config seed 1 at the ``distance`` defaults: 16 searches take
+    8 rounds, 106 evaluations and 78 distinct frequencies, at most 16 per
+    round.  Every per-row operation is row-independent, so each snapshot
+    gets the bits of :meth:`distance`, the lockstep of one, and a polish
+    at a grid frequency gets the table's roots and base_sq.
 
     spec=None measures in the global energy norm.
     """
@@ -634,30 +621,26 @@ class ManifoldTable:
         _, first, distinct = np.unique(self.omegas * self.omegas, return_index=True,
                                        return_inverse=True)
         reps = self.omegas[first]
-        admits = np.array([_admits(rho, float(w), m) for w in reps], dtype=bool)
-        # their reciprocal rows, built once: they give s, and those with a
-        # root give the profiles and every snapshot's scan
+        admits = np.flatnonzero([_admits(rho, float(w), m) for w in reps])
+        # the rows of profiles per chunk, within _CHUNK_POINTS and _MAX_CHUNK
+        self._chunk = int(np.clip(_CHUNK_POINTS // grid.num_points, 1, _MAX_CHUNK))
+        # their reciprocal rows, built once: they give the roots and ||S||^2,
+        # and those with a root every snapshot's scan
         recip = _reciprocals(self._k2, reps[admits], m)
-        s = np.zeros(reps.size)
-        s[admits] = _couplings_of(recip, self._mass, grid)
-        rep_roots = [self._roots(value) if ok else () for ok, value in zip(admits, s)]
+        roots, norms = self._roots_and_norms(
+            recip, reps[admits], self._chunk_buffers(min(self._chunk, admits.size)))
+        rep_roots, rep_sq = [()] * reps.size, np.full(reps.size, np.inf)
+        for i, r in zip(admits, roots):
+            rep_roots[i] = r
+        rep_sq[admits] = norms
         self.roots = tuple(rep_roots[i] for i in distinct)
+        self.base_sq = rep_sq[distinct]
         has_roots = np.array([bool(r) for r in rep_roots], dtype=bool)
         self._admissible = np.flatnonzero(has_roots[distinct])
-        # the scan's frequencies: one per distinct omega^2 with a root, and
-        # each admissible candidate's row among them
-        scan = reps[has_roots]
+        # the scan's rows: one per distinct omega^2 with a root, and each
+        # admissible candidate's row among them
         self._recip = recip[has_roots[admits]]
         self._rep_of = (np.cumsum(has_roots) - 1)[distinct[self._admissible]]
-        # ||S||^2 per scan frequency, in chunks of profiles of its reciprocal
-        # rows, every chunk in one set of buffers
-        base_sq = np.empty(scan.size)
-        chunk = int(np.clip(_CHUNK_POINTS // grid.num_points, 1, _MAX_CHUNK))
-        buffers = self._chunk_buffers(min(chunk, scan.size))
-        for part, w in _chunks(scan, chunk):
-            base_sq[part] = self._profile_norms(self._recip[part], w, buffers)
-        self.base_sq = np.full(self.omegas.size, np.inf)
-        self.base_sq[self._admissible] = base_sq[self._rep_of]
         # pad each root list with its last root, which leaves the minimum unchanged
         width = max((len(r) for r in self.roots), default=0)
         padded = [r + (r[-1],) * (width - len(r)) for r in self.roots if r]
@@ -670,8 +653,6 @@ class ManifoldTable:
         mirror = order[np.minimum(np.searchsorted(w[order], -w - _MIRROR_PITCH * m), w.size - 1)]
         paired = (np.abs(w[mirror] + w) <= _MIRROR_PITCH * m) & (mirror != np.arange(w.size))
         self._paired, self._mirror = np.flatnonzero(paired), mirror[paired]
-        # the polish cache: each polish frequency's weights (see the class docstring)
-        self._polish: dict[float, tuple] = {}
 
     def _roots(self, s: float) -> tuple:
         """Amplitude roots r = |c|^2 at an admissible omega's s; () when s = 0."""
@@ -694,55 +675,52 @@ class ManifoldTable:
         field = np.empty((rows, *grid.shape))
         return field.reshape(-1)[: rows * size].reshape(rows, size), half, field
 
-    def _profile_norms(self, recip: np.ndarray, w: np.ndarray, buffers: tuple,
-                       rowwise: bool = False) -> np.ndarray:
+    def _profile_norms(self, recip: np.ndarray, w: np.ndarray, buffers: tuple) -> np.ndarray:
         """||S||^2 = (||W1 T b_hat||^2 + omega^2 ||W0 T b_hat||^2) / L^n per reciprocal row.
 
         The round trip runs in ``buffers`` (:meth:`_chunk_buffers`), which
-        the table build reuses for every chunk: fresh temporaries of a
-        chunk's size let glibc trim and refault the heap top on every chunk.
-        The squares are reduced by one product per chunk, whose bits depend
-        on the chunk's shape; ``rowwise`` takes one (1, .) product per row
-        instead, so that a row's norm does not depend on the rows beside it.
+        the table build and the polish reuse for every chunk: fresh
+        temporaries of a chunk's size let glibc trim and refault the heap
+        top on every chunk.  The squares of each row are reduced by one
+        (1, .) product, so that a row's norm does not depend on the rows
+        beside it, as one product per chunk would.
         """
         grid = self.rho.grid
         taken, b_half, field = (buffer[: w.size] for buffer in buffers)
         # every position is in range, so "clip" takes the same entries,
         # straight into taken (the default "raise" goes through a buffered copy)
         np.take(recip, self._half_position, axis=1, out=taken, mode="clip")
-        np.multiply(taken, self._rho_half, out=b_half.reshape(w.size, -1))
+        # row by row: a product broadcast over the chunk runs through numpy's
+        # iterator buffers, ~220 KiB here and ~65 KiB for the window at the
+        # distance defaults
+        for row, values in zip(b_half.reshape(w.size, -1), taken):
+            np.multiply(values, self._rho_half, out=row)
         if self._window is not None:
             grid.half_inverse(b_half, out=field)
-            field *= self._window
+            _scale_rows(field, self._window)
             grid.half_forward(field, out=b_half)
         parts = b_half.view(np.float64)
         parts *= parts
         parts = parts.reshape(w.size, -1)
-        if rowwise:
-            sq = np.concatenate([parts[i: i + 1] @ self._half_weights for i in range(w.size)])
-        else:
-            sq = parts @ self._half_weights
+        sq = np.concatenate([parts[i: i + 1] @ self._half_weights for i in range(w.size)])
         return (sq[:, 0] + w * w * sq[:, 1]) / self._box_vol
 
-    def _weights_of(self, recip: np.ndarray, w: np.ndarray, buffers: tuple) -> list[tuple]:
-        """(r ||S||^2, 2 sqrt(r)) per amplitude root r, per reciprocal row at the frequencies ``w``.
+    def _roots_and_norms(self, recip: np.ndarray, w: np.ndarray,
+                         buffers: tuple) -> tuple[list[tuple], np.ndarray]:
+        """(amplitude roots, ||S||^2) of each reciprocal row at the frequencies ``w``.
 
-        () at a frequency without a root.  They do not depend on the
-        snapshot: the squared distance of a root is ||Psi||^2 + r ||S||^2
+        () and inf at a frequency without a root.  Neither depends on the
+        snapshot: the squared distance of a root r is ||Psi||^2 + r ||S||^2
         - 2 sqrt(r) |<S, Psi>|.  The rows with a root run their profiles in
-        chunks of as many rows as ``buffers`` holds, each row's norm its own
-        product, so a frequency's weights are the same bits whichever
-        frequencies are computed beside it.
+        chunks of at most ``self._chunk`` rows, in ``buffers``: those of
+        :meth:`_chunk_buffers` for min(``self._chunk``, ``w.size``) rows.
         """
-        roots = [self._roots(float(s)) for s in _couplings_of(recip, self._mass, self.rho.grid)]
+        roots = [self._roots(s) for s in _couplings_of(recip, self._mass, self.rho.grid)]
         rooted = np.flatnonzero([bool(r) for r in roots])
-        base_sq = np.empty(rooted.size)
-        for part, rows in _chunks(rooted, len(buffers[0])):
-            base_sq[part] = self._profile_norms(recip[rows], w[rows], buffers, rowwise=True)
-        weights: list[tuple] = [()] * len(roots)
-        for i, norm in zip(rooted, base_sq.tolist()):
-            weights[i] = tuple((r * norm, 2.0 * np.sqrt(r)) for r in roots[i])
-        return weights
+        norms = np.full(w.size, np.inf)
+        for _, rows in _chunks(rooted, self._chunk):
+            norms[rows] = self._profile_norms(recip[rows], w[rows], buffers)
+        return roots, norms
 
     def _overlaps(self, p: np.ndarray, w: np.ndarray) -> np.ndarray:
         """|<S, Psi>| per omega from p, its reciprocal row times the shell sums ((re, im) of u1, u0)."""
@@ -800,22 +778,19 @@ class ManifoldTable:
         """(distance, best_omega) of each :meth:`_scan`, every bracket's Brent search in lockstep.
 
         Each round gathers the frequency that every unfinished search asks
-        for and builds the reciprocal rows of the distinct ones in one
-        array.  The weights of a frequency come from the polish cache or,
-        for the round's misses, from one :meth:`_weights_of` call in chunk
-        buffers that every round of the call reuses; the round reads them
-        from its own map, since the bounded cache may drop an entry within
-        the round.  Each search's overlap is its own row times its own
-        shell sums, as a single search computes it, so a snapshot's result
-        does not depend on the snapshots polished beside it.
+        for, builds the reciprocal rows of the distinct ones in one array
+        and gets their roots and ||S||^2 from one :meth:`_roots_and_norms`
+        call, in chunk buffers that every round of the call reuses.  Each
+        search's overlap is its own row times its own shell sums, as a
+        single search computes it, so a snapshot's result does not depend
+        on the snapshots polished beside it.
         """
-        m, polish = self.m, self._polish
+        m = self.m
         best = [[scan.best_sq, scan.best_omega] for scan in scans]
         searches = {i: _brent_steps(*scan.bracket, 1e-6 * m)
                     for i, scan in enumerate(scans) if scan.bracket is not None}
         asked = {i: next(steps) for i, steps in searches.items()}
-        chunk = int(np.clip(_CHUNK_POINTS // self.rho.grid.num_points, 1, _MAX_CHUNK))
-        buffers = None
+        buffers = self._chunk_buffers(min(self._chunk, len(searches)))
         # Where the bracket reaches frequencies without an amplitude root the
         # distance is inf and a parabolic step computes inf - inf: the NaN
         # fails the step's acceptance test and a golden-section step follows,
@@ -826,24 +801,16 @@ class ManifoldTable:
                 row = {w: j for j, w in enumerate(omegas)}
                 w = np.array(omegas)
                 recip = _reciprocals(self._k2, w, m)
-                found = {x: polish[x] for x in omegas if x in polish}
-                missing = [j for j, x in enumerate(omegas) if x not in found]
-                if missing:
-                    if buffers is None:
-                        buffers = self._chunk_buffers(min(chunk, len(searches)))
-                    for j, weights in zip(missing, self._weights_of(recip[missing], w[missing],
-                                                                    buffers)):
-                        if len(polish) >= _POLISH_CACHE:
-                            del polish[next(iter(polish))]
-                        polish[omegas[j]] = found[omegas[j]] = weights
+                roots, norms = self._roots_and_norms(recip, w, buffers)
                 for i, x in list(asked.items()):
-                    weights = found[float(x)]
+                    j = row[float(x)]
                     fx = np.inf
-                    if weights:
-                        j, state_sq = row[float(x)], scans[i].state_sq
+                    if roots[j]:
+                        state_sq, norm = scans[i].state_sq, norms[j]
                         p = recip[j: j + 1] @ scans[i].terms
                         overlap = float(self._overlaps(p, np.array([x]))[0])
-                        fx = min(state_sq + a - b * overlap for a, b in weights)
+                        fx = min(state_sq + r * norm - 2.0 * np.sqrt(r) * overlap
+                                 for r in roots[j])
                     try:
                         asked[i] = searches[i].send(fx)
                     except StopIteration as done:
@@ -929,8 +896,7 @@ def _manifold_table(
 
     rho hashes by identity (a frozen dataclass with eq=False), the potential
     and the seminorm by value, the candidate frequencies as a tuple of
-    floats.  Sharing is safe because :meth:`ManifoldTable.distance` changes
-    nothing on the table but its polish cache, whose entries are the
-    frequency's own weights, the same bits whichever snapshot added them.
+    floats.  Sharing is safe because a table does not change after its
+    build.
     """
     return ManifoldTable(rho, pot, spec, np.array(omegas), m)

@@ -162,7 +162,9 @@ def attraction_run(seed):
     init = FieldState(grid, ws.psi + pert.psi, ws.pi + pert.pi)
     traj = evolve(init, rho, pot, Integrator(0.01, 10, Sponge(64.0, 3.0)), 200.0,
                   Observers(snapshot_stride=500))
-    dists = {s.time: table.distance(s)[0] for s in traj.snapshots}
+    # one lockstep polish of the run's snapshots, each with its lone polish's bits
+    times, distances, _ = table.distances(traj.snapshots)
+    dists = dict(zip(times.tolist(), distances.tolist()))
     rep = attraction_report(traj, rho, pot, AttractionConfig(
         window_width=50.0, n_windows=4, measure_distance=False))
     return {

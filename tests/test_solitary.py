@@ -1,5 +1,7 @@
 """Standing-wave construction, the dispersion scalar, manifold distances."""
+import copy
 import gc
+import tracemalloc
 import warnings
 import weakref
 
@@ -612,6 +614,28 @@ def test_half_spectrum_base_sq_matches_complex_route(pot, dim, points, length, w
         assert abs(base_sq - ref) <= 1e-13 * ref
 
 
+def test_profile_norms_in_chunk_buffers_allocate_no_chunk_sized_array():
+    """A chunk of 16 windowed profiles at N = 2048 runs in its buffers.
+
+    Its half spectra take 262 KiB; the round trip may allocate only what a
+    row takes (a real row cast to complex is 16 KiB).
+    """
+    inputs, _ = _distance_run()
+    table = ManifoldTable(*inputs)
+    w = table.omegas[:16]
+    recip = mfkg.solitary._reciprocals(table._k2, w, 1.0)
+    buffers = table._chunk_buffers(16)
+    want = table._profile_norms(recip, w, buffers)
+    tracemalloc.start()
+    try:
+        got = table._profile_norms(recip, w, buffers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak < 32 * 1024
+
+
 def test_designed_zero_of_s_admits_no_wave():
     # at the counterexample's omega1 the lattice sum is roundoff of a designed zero
     sol = build_counterexample(2.0, -1.0, make_grid(1, 1024, 64.0))
@@ -755,39 +779,50 @@ def test_manifold_distance_builds_each_table_once(grid, rho, pot, monkeypatch):
 
 
 def test_distance_leaves_the_table_unchanged(grid, rho, pot):
-    """distance changes nothing on the table but the entries of its polish cache.
+    """distance and distances leave every attribute of the table as its build left it.
 
-    Those depend on the frequency alone, as a fresh table computes them, so a
-    shared table answers every caller alike.
+    So a shared table answers every caller alike, with a fresh table's bits.
     """
     table = ManifoldTable(rho, pot, SeminormSpec(0.5, 8.0, 8.0))
-
-    def contents():
-        return {name: value.copy() if isinstance(value, np.ndarray) else value
-                for name, value in vars(table).items()}
-
-    before = contents()
+    before = dict(vars(table))
+    # the mutable attributes' contents; every other attribute is immutable
+    copies = {name: copy.deepcopy(value) for name, value in before.items()
+              if isinstance(value, (np.ndarray, dict, list, set))}
     states = [_perturbed(build_solitary(rho, pot, w, 0.4), seed, 0.3)
               for seed, w in ((1, 0.37), (2, -0.6))] + [zero_state(grid)]
     results = [_distance_bits(table.distance(s)) for s in states]
-    after = contents()
-    assert before.keys() == after.keys()
-    for name, value in before.items():
+    _, dists, best = table.distances(states)
+    assert [_distance_bits(r) for r in zip(dists, best)] == results
+    assert sum(b is not None for b in best) == 2
+    assert vars(table).keys() == before.keys()
+    for name, value in vars(table).items():
+        assert value is before[name], name
         if isinstance(value, np.ndarray):
-            assert value.dtype == after[name].dtype and value.tobytes() == after[name].tobytes(), name
-        else:
-            assert value is after[name] or value == after[name], name
-    assert [_distance_bits(table.distance(s)) for s in states] == results
+            assert value.dtype == copies[name].dtype, name
+            assert value.tobytes() == copies[name].tobytes(), name
+        elif name in copies:
+            assert value == copies[name], name
     fresh = ManifoldTable(rho, pot, SeminormSpec(0.5, 8.0, 8.0))
-    assert table._polish
-    # one row at a time, and all rows in one call
-    omegas = np.array(list(table._polish))
-    recip = mfkg.solitary._reciprocals(fresh._k2, omegas, 1.0)
-    together = fresh._weights_of(recip, omegas, fresh._chunk_buffers(16))
-    for j, (omega, weights) in enumerate(table._polish.items()):
-        alone = fresh._weights_of(recip[j: j + 1], omegas[j: j + 1], fresh._chunk_buffers(1))
-        for want in (alone[0], together[j]):
-            assert np.array(weights).tobytes() == np.array(want).tobytes()
+    assert [_distance_bits(fresh.distance(s)) for s in states] == results
+
+
+@pytest.mark.parametrize("spec", [SeminormSpec(0.5, 8.0, 8.0), None])
+def test_polish_route_gives_the_tables_bits_on_grid_frequencies(rho, pot, spec):
+    """At a grid frequency the polish's routine gives the table's roots and base_sq bit for bit.
+
+    One row at a time and all rows in one call, so the build and the polish
+    compute a frequency's data alike, whichever frequencies are beside it.
+    """
+    table = ManifoldTable(rho, pot, spec)
+    omegas = table.omegas
+    assert table._admissible.size == omegas.size
+    recip = mfkg.solitary._reciprocals(table._k2, omegas, 1.0)
+    roots, norms = table._roots_and_norms(recip, omegas, table._chunk_buffers(table._chunk))
+    assert roots == list(table.roots) and norms.tobytes() == table.base_sq.tobytes()
+    one = table._chunk_buffers(1)
+    for j in range(0, omegas.size, 20):
+        roots, norms = table._roots_and_norms(recip[j: j + 1], omegas[j: j + 1], one)
+        assert roots == [table.roots[j]] and _same_bits(norms[0], table.base_sq[j])
 
 
 def _distance_run():
@@ -803,59 +838,27 @@ def _distance_run():
 
 
 def _counting_misses(table):
-    """The polish frequencies that ``table`` computes instead of reading them back.
+    """The polish frequencies that ``table`` computes, the build's excluded.
 
-    Returns (misses, batches): every miss in the order computed, and the
-    number of misses of each batched call, one per lockstep round with a miss.
+    Returns (misses, batches): every frequency in the order computed, and
+    the number of frequencies of each batched call, one per lockstep round.
     """
-    misses, batches, weights_of = [], [], table._weights_of
+    misses, batches, roots_and_norms = [], [], table._roots_and_norms
 
     def counted(recip, w, buffers):
         misses.extend(w.tolist())
         batches.append(w.size)
-        return weights_of(recip, w, buffers)
+        return roots_and_norms(recip, w, buffers)
 
-    table._weights_of = counted
+    table._roots_and_norms = counted
     return misses, batches
 
 
-@pytest.mark.parametrize("order", [1, -1])
-def test_polish_cache_gives_a_fresh_tables_bits(order):
-    """Every snapshot of a distance run, in either order, reads what a fresh table gives."""
-    inputs, taken = _distance_run()
-    taken = taken[::order]
-    assert len(taken) == 17
-    table = ManifoldTable(*inputs)
-    misses, _ = _counting_misses(table)
-    fresh_misses = 0
-    for snap in taken:
-        fresh = ManifoldTable(*inputs)
-        counted, _ = _counting_misses(fresh)
-        assert _distance_bits(table.distance(snap)) == _distance_bits(fresh.distance(snap))
-        fresh_misses += len(counted)
-    # snapshots that share a best candidate share the polish's first frequencies
-    assert len(misses) == len(table._polish) < fresh_misses
-
-
-def test_polish_cache_stops_growing_at_its_bound(grid, rho, pot, monkeypatch):
-    monkeypatch.setattr(mfkg.solitary, "_POLISH_CACHE", 8)
-    spec = SeminormSpec(0.5, 8.0, 8.0)
-    table = ManifoldTable(rho, pot, spec)
-    misses, _ = _counting_misses(table)
-    for seed, w in ((1, 0.37), (2, -0.6), (3, 0.5), (4, 0.2)):
-        state = _perturbed(build_solitary(rho, pot, w, 0.4), seed, 0.3)
-        assert _distance_bits(table.distance(state)) == _distance_bits(
-            ManifoldTable(rho, pot, spec).distance(state))
-        assert len(table._polish) <= 8
-    # the oldest frequencies went first: the cache holds the last eight computed
-    assert len(misses) > 8 and list(table._polish) == misses[-8:]
-
-
 def test_a_dropped_table_is_freed_without_the_collector(rho, pot):
-    """The polish cache holds no reference back to its table, so del frees the table at once."""
+    """A table holds no reference cycle after a polish, so del frees it at once."""
     table = ManifoldTable(rho, pot, SeminormSpec(0.5, 8.0, 8.0))
     _, best = table.distance(_perturbed(build_solitary(rho, pot, 0.37, 1.3), 1, 0.3))
-    assert best is not None and table._polish
+    assert best is not None
     ref = weakref.ref(table)
     gc.disable()
     try:
@@ -912,13 +915,12 @@ def test_streamed_distances_are_the_listed_ones_bit_for_bit():
     assert best == want_best and len(best) == 51
 
 
-@pytest.mark.parametrize("variant", ["plain", "cache_of_8", "groups_of_3"])
+@pytest.mark.parametrize("variant", ["plain", "groups_of_3"])
 @pytest.mark.parametrize("run", ["defaults", "dense_2d"])
 def test_lockstep_distances_are_the_single_snapshot_ones_bit_for_bit(monkeypatch, run, variant):
     """A run polished in lockstep gives each snapshot's lockstep of one, bit for bit.
 
-    A cache of 8 frequencies drops entries within a round, and groups of 3
-    snapshots split the run into several locksteps.
+    Groups of 3 snapshots split the run into several locksteps.
     """
     if run == "defaults":
         inputs, taken = _distance_run()
@@ -927,8 +929,6 @@ def test_lockstep_distances_are_the_single_snapshot_ones_bit_for_bit(monkeypatch
         taken = list(make())
     table = ManifoldTable(*inputs)
     _, batches = _counting_misses(table)
-    if variant == "cache_of_8":
-        monkeypatch.setattr(mfkg.solitary, "_POLISH_CACHE", 8)
     if variant == "groups_of_3":
         monkeypatch.setattr(mfkg.solitary, "_POLISH_ENTRIES", 3 * 4 * table._k2.size)
     times, dists, best = table.distances(taken)
@@ -936,10 +936,8 @@ def test_lockstep_distances_are_the_single_snapshot_ones_bit_for_bit(monkeypatch
     want = [_distance_bits(single.distance(snap)) for snap in taken]
     assert [_distance_bits(r) for r in zip(dists, best)] == want
     assert times.tobytes() == np.array([snap.time for snap in taken]).tobytes()
-    # a lockstep round computes several misses at once
+    # a lockstep round computes several frequencies at once
     assert max(batches) > 1 and sum(b is not None for b in best) > 2
-    if variant == "cache_of_8":
-        assert max(batches) > 8 and len(table._polish) == 8
 
 
 def test_copies_of_one_snapshot_add_no_miss():
