@@ -52,13 +52,17 @@ residual (the modes outside C, and on each coupled shell the part
 orthogonal to v_S), moves by the free flow alone.  :meth:`_ShellCore.load`
 projects the raw pair onto the shell pair and the residual, and
 :meth:`_ShellCore.natural` adds them back, into the flow's scratch.  The
-core binds at set-up what an interval needs, and
-:meth:`_ShellCore.advance` runs one interval per call.  The residual lags until :meth:`_ShellCore.sync` flows it once,
-before every read of the whole field (:meth:`_ShellCore.fields`); its
-share of H and Q is orthogonal to the shell pair's and constant, so
-:meth:`_ShellCore.load` takes it once.  ``verify_persistence`` never
-reads the residual: it sums its error over the shell pair and bounds the
-residual's once, at set-up.  :meth:`_ShellCore.load` pairs gamma with the
+core binds at set-up what an interval needs: for each block its tables,
+a full cosine table for the flow and its own buffers for both products
+and the kick weights.  :meth:`_ShellCore.advance` runs one interval per
+call and allocates no array of the pair's size: the recurrence's lists
+alone.  The residual lags until
+:meth:`_ShellCore.sync` flows it once, before every read of the whole
+field (:meth:`_ShellCore.fields`); its share of H and Q is orthogonal to
+the shell pair's and constant, so :meth:`_ShellCore.load` takes it once.
+``verify_persistence`` never reads the residual: it sums its error over
+the shell pairs, which it copies into a held chunk of samples, and bounds
+the residual's once, at set-up.  :meth:`_ShellCore.load` pairs gamma with the
 real shell pairing and takes its force F(gamma), and each block hands on
 the gamma and the force that its recurrence ends with: the next block
 starts its recurrence from that pair instead of recomputing gamma_0 from
@@ -267,6 +271,17 @@ def _rotation_tables(omega: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndar
     return _interleaved(np.cos(omega * tau)), _interleaved(np.stack((sin / omega, -omega * sin)))
 
 
+def _pair_rotation_tables(omega: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_rotation_tables` with the cosine repeated over both rows of a pair.
+
+    A full (2, 2 modes) cosine multiplies a pair's float64 view in one plain
+    loop; a row broadcast over the pair's two rows runs through numpy's
+    iterator buffers, about twice as slow on pairs of a few thousand modes.
+    """
+    cos, sin = _rotation_tables(omega, tau)
+    return np.tile(cos, (2, 1)), sin
+
+
 def _sample_count(integ: Integrator, T: float) -> int:
     """Sampling intervals of a run over time T, rounded up to whole intervals."""
     if not (isfinite(T) and T >= 0):
@@ -380,8 +395,13 @@ class _ShellCore(_Core):
         shell begins and ``column`` each mode's shell.  Shell S carries
         v = rho_raw / |rho_raw| over C and S, and its norm |rho_raw| gives
         the real pairing ``read`` = scale |rho_raw| and kick (dt/2) |rho_raw|.
-        Without rho there is no coupled shell and the whole state is
-        residual: an interval only adds to its lag, and the plan is empty.
+        The plan lists an interval's blocks, each entry with its tables and
+        its own buffers for the two products and the kick weights, so that
+        :meth:`advance` allocates no array of the pair's size; the full
+        blocks of an interval share one entry, and no two cores share a
+        buffer.  Without rho there is no coupled shell and the whole state
+        is residual: an interval only adds to its lag, and the plan is
+        empty.
         """
         self._residual_flows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         k2, index = self.grid.shells
@@ -412,10 +432,10 @@ class _ShellCore(_Core):
         block = min(sps, _BLOCK_STEPS)
         size, omega = self.weight.size, np.sqrt(self.weight)
         # the shell pair flat, as float64 and as (re, im) columns, and the
-        # flow's scratch over it
+        # flow's scratch over it; both float64 pairs also as their two rows
         self.flat, self.view = self.pair.reshape(-1), self.pair.view(np.float64)
-        self.swapped = self.view[::-1]
         self.rotated = self.scratch[: self.view.size].reshape(self.view.shape)
+        self.halves = (*self.view, *self.rotated)
         self.columns = self.flat.view(np.float64).reshape(-1, 2)
         # a block's summed kicks, flat over the shell pair, and their (re, im) columns
         self.buffer = np.empty_like(self.flat)
@@ -432,9 +452,19 @@ class _ShellCore(_Core):
         self.lags = [memory[i:0:-1] for i in range(block + 1)]
 
         def bind(steps: int) -> tuple:
-            """(steps, gamma rows 1..steps, transposed kick rows, flow tables) of a block."""
-            return (steps, self.table[1: steps + 1], kicks[: steps + 1].T,
-                    *_rotation_tables(omega, steps * integ.dt))
+            """A block of ``steps`` steps: its tables and the buffers that :meth:`advance` writes.
+
+            (steps, gamma rows 1..steps, transposed kick rows, the flow
+            tables of :func:`_pair_rotation_tables`, the sine table as its
+            two rows, the float64 (steps, 2) product of the gamma rows with
+            the start state and its complex entries b_1..b_s, the kick
+            weights c and their (re, im) columns).
+            """
+            cos, sin = _pair_rotation_tables(omega, steps * integ.dt)
+            products, weights = np.empty((steps, 2)), np.empty(steps + 1, dtype=complex)
+            return (steps, self.table[1: steps + 1], kicks[: steps + 1].T, cos, *sin,
+                    products, products.view(complex).reshape(-1),
+                    weights, weights.view(np.float64).reshape(-1, 2))
 
         # the interval's blocks: as many full ones as fit, then the remainder
         self.plan = [bind(block)] * (sps // block)
@@ -498,7 +528,7 @@ class _ShellCore(_Core):
         if self.pending:
             tables = self._residual_flows.get(self.pending)
             if tables is None:
-                tables = _rotation_tables(self.omega, self.pending * self.integ.dt)
+                tables = _pair_rotation_tables(self.omega, self.pending * self.integ.dt)
                 self._residual_flows[self.pending] = tables
             view = self.residual.view(np.float64)
             self._flow(view, *tables, self.scratch.reshape(view.shape))
@@ -534,7 +564,11 @@ class _ShellCore(_Core):
 
         Each block hands gamma_s and d_s on to the next, the last block to
         the sample, so an interval of n steps makes n force calls; the
-        residual lags one more interval.
+        residual lags one more interval.  Both products write into the
+        plan entry's buffers (:meth:`_bind`): the b_i are read off the first
+        as one list and c is written into its buffer in reverse.  The flow
+        multiplies the pair by a full cosine table and its sine rows one row
+        at a time, so that no product runs through numpy's iterator buffers.
         """
         self.pending += self.integ.steps_per_sample
         if not self.plan:
@@ -542,22 +576,28 @@ class _ShellCore(_Core):
         # Both products are real GEMMs against the (re, im) columns of a
         # complex vector viewed as float64.  As complex GEMVs they would be
         # split over threads by OpenBLAS at this size: slower on two threads
-        # than on one, with first calls of ~10 ms.
-        view, swapped, rotated = self.view, self.swapped, self.rotated
+        # than on one, with first calls of ~10 ms.  np.dot into the plan's
+        # buffers gives np.matmul's bits with ~0.4 us less overhead per call.
+        view, rotated = self.view, self.rotated
+        psi, pi, psi_turn, pi_turn = self.halves
         flat, columns, buffer, sums = self.flat, self.columns, self.buffer, self.sums
-        force, lags, matmul = self.pot.force, self.lags, np.matmul
+        force, lags, dot, multiply = self.pot.force, self.lags, np.dot, np.multiply
         d = self.force
-        for steps, rows, kick_rows, cos, sin in self.plan:
-            b = (rows @ columns).view(np.complex128)
+        for steps, rows, kick_rows, cos, sin_psi, sin_pi, products, b, c, c_columns in self.plan:
+            dot(rows, columns, out=products)
             weights: list[complex] = [d]
-            for i, g in enumerate(b.ravel().tolist(), 1):
+            for i, g in enumerate(b.tolist(), 1):
                 g += sum(map(mul, lags[i], weights))
                 d = force(g)
                 weights.append(2.0 * d if i < steps else d)
-            c = np.array(weights[::-1]).view(np.float64).reshape(-1, 2)
+            c[::-1] = weights
             # the (psi, pi) halves of sum_j c_j R^{s-j} (0, e), per shell
-            matmul(kick_rows, c, out=sums)
-            np.multiply(sin, swapped, out=rotated)
+            dot(kick_rows, c_columns, out=sums)
+            # the flow's sine terms row by row: (sin / omega) pi for psi and
+            # -(omega sin) psi for pi (a product with the swapped pair's
+            # negative stride goes through numpy's iterator buffers)
+            multiply(sin_psi, pi, out=psi_turn)
+            multiply(sin_pi, psi, out=pi_turn)
             view *= cos
             view += rotated
             flat += buffer
@@ -578,6 +618,9 @@ class _SpongeCore(_Core):
         # damping, bit for bit
         self.damp = _interleaved(np.exp(-integ.sponge.rate(grid) * integ.dt).ravel())
         self.damp /= n
+        # the damping and the flow's cosine stay rows broadcast over the
+        # pair: at N = 4096 full (2, 2N) tables took ~3.7 us per multiply
+        # against ~4.2 us, for 128 KB each
         self.step_flow = _rotation_tables(self.omega, integ.dt)
         shaped = self.raw.reshape(2, *grid.shape)
         self.position = np.empty_like(shaped)

@@ -307,18 +307,22 @@ def _seminorm_weights(
 
 
 def _windowed_weighted_hats(
-    state: FieldState, spec: SeminormSpec | None, m: float
+    state: FieldState, spec: SeminormSpec | None, m: float, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(W1 * (chi psi)_hat, W0 * (chi pi)_hat) with one stacked forward transform.
 
     The window and weights are the cached tables of :func:`_seminorm_weights`.
+    The two hats are the rows of ``out``, a complex (2, *grid.shape) array
+    (a fresh one when None), written in place.
     """
     window, w1, w0 = _seminorm_weights(state.grid, spec, m)
-    fields = np.stack((state.psi, state.pi))
+    if out is None:
+        out = np.empty((2, *state.grid.shape), dtype=complex)
+    out[0], out[1] = state.psi, state.pi
     if window is not None:
-        fields *= window
-    hats = state.grid.forward(fields)
-    return w1 * hats[0], w0 * hats[1]
+        out *= window
+    psi_w, pi_w = state.grid.forward(out, out=out)
+    return np.multiply(w1, psi_w, out=psi_w), np.multiply(w0, pi_w, out=pi_w)
 
 
 def local_seminorm(state: FieldState, spec: SeminormSpec, m: float = 1.0) -> float:

@@ -224,18 +224,27 @@ class Grid:
             np.fft.ifft(half, axis=axis, out=half)
         return np.fft.irfft(half, n=self.points_per_axis, axis=-1, out=out)
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
+    def forward(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Sampled continuum Fourier transform, f_hat(xi) ~ int f e^{-i xi.x} dx.
 
         Acts on the trailing ``dim`` axes, so a stack (..., *grid.shape) is one call.
+        ``out``, when given, is a complex array of the input's shape that
+        receives the result; it may be ``values`` itself.
         """
-        out = self.raw_fft(values)
+        out = self.raw_fft(values, out=out)
         out *= self._transform_factors[0]
         return out
 
-    def inverse(self, spectrum: np.ndarray) -> np.ndarray:
-        """Exact inverse of :meth:`forward`, on the trailing ``dim`` axes."""
-        return self.raw_ifft(spectrum * self._transform_factors[1])
+    def inverse(self, spectrum: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Exact inverse of :meth:`forward`, on the trailing ``dim`` axes.
+
+        ``out``, when given, is a complex array of the spectrum's shape that
+        receives the result; it may be ``spectrum`` itself.
+        """
+        if out is None:
+            out = np.empty(spectrum.shape, dtype=np.result_type(spectrum, 1j))
+        np.multiply(spectrum, self._transform_factors[1], out=out)
+        return self.raw_ifft(out, out=out)
 
     # quadrature ---------------------------------------------------------
 

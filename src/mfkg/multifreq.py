@@ -230,6 +230,13 @@ def _top_two_positive_peaks(freqs: np.ndarray, amps: np.ndarray):
     return tuple(sorted((float(freqs[k1]), float(freqs[k2]))))
 
 
+# verify_persistence copies each sample's shell pair into a held chunk of this
+# many samples and computes the chunk's errors in a few vectorized calls: each
+# chunk buffer is ~142 KB at the 277 coupled shells of a 1024-point grid of
+# length 64.  A longer run adds chunks, not memory.
+_PERSISTENCE_CHUNK = 16
+
+
 def _outside_bound(core: _ShellCore, profiles: np.ndarray,
                    omegas: tuple[float, float]) -> tuple[float, float]:
     """Raw sums of squares that bound the psi and pi errors of the residual at any time.
@@ -263,7 +270,16 @@ def verify_persistence(
     pair, against the profiles projected onto it, plus a bound on the
     residual's error fixed at set-up (:func:`_outside_bound`).  Both profiles
     are resolvent profiles, parallel to rho on every shell, so their residual
-    is roundoff.  Also verifies the spectral signature: the force
+    is roundoff.  Each sample's shell pair is copied into a held chunk of
+    ``_PERSISTENCE_CHUNK`` samples, whose errors are computed together at
+    the chunk's end (at the run's end for a partial chunk): the exact pairs
+    as one product of the samples' stacked 2 x 2 sin / cos matrices with the
+    profiles' float64 view (2, 2 shells), one subtraction and one row-wise
+    sum of squares.  The error grows with the sums, so the run keeps only
+    their largest psi and pi values (a NaN among them fails the check).  The
+    times, gammas and forces go into arrays of the run's sample count, and
+    the gamma error is taken once, over the run's gammas.
+    Also verifies the spectral signature: the force
     trace, the F(gamma) that the core hands on with each sample's gamma,
     carries exactly two positive-frequency peaks, at omega0 and
     3 omega0, and no single peak hoards the spectral mass.
@@ -282,45 +298,57 @@ def verify_persistence(
     state0 = sol.initial_state()
     core.load(state0.psi, state0.pi)
     coupled, rest = core.project(core.to_raw(sol.phi0, sol.phi1))
-    rest_psi, rest_pi = _outside_bound(core, rest, (sol.omega0, sol.omega1))
+    rest_sq = np.array(_outside_bound(core, rest, (sol.omega0, sol.omega1)))
     # the float64 view of the (phi0, phi1) profiles' shell pair, one row each
-    diff, pair = np.empty_like(coupled), core.pair
-    profiles, exact = coupled.view(np.float64), diff.view(np.float64)
-    dpsi, dpi = diff
-    coeffs = np.empty(4)  # the 2 x 2 matrix of the exact pair, row by row
-    matrix = coeffs.reshape(2, 2)
-
-    scale = math.sqrt(grid.l2sq(sol.phi0)) + math.sqrt(grid.l2sq(sol.phi1))
-    times, gammas = [], []
+    profiles, pair = coupled.view(np.float64), core.pair
+    omegas = np.array([sol.omega0, sol.omega1])
+    # a chunk's shell pairs, as float64 (psi, pi) rows sample by sample, the
+    # 2 x 2 matrices of their exact pairs and those pairs, then the differences
+    held = np.empty((_PERSISTENCE_CHUNK, *pair.shape), dtype=complex)
+    rows = held.view(np.float64).reshape(-1, profiles.shape[1])
+    coeffs = np.empty((_PERSISTENCE_CHUNK, 2, 2))
+    diff = np.empty_like(rows)
+    # the largest raw sums of squares of the psi and pi differences so far
+    worst = np.zeros(2)
+    times, gammas = np.empty(count + 1), np.empty(count + 1, dtype=complex)
     # F(gamma) as the core hands it on with each sample's gamma
     forces = np.empty(count + 1, dtype=complex)
-    max_err = gamma_err = 0.0
-    for i, t in enumerate(core.samples(count, state0.time)):
-        g = core.coupling()
-        times.append(t)
-        gammas.append(g)
-        forces[i] = core.force
-        s0, s1 = math.sin(sol.omega0 * t), math.sin(sol.omega1 * t)
-        c0, c1 = math.cos(sol.omega0 * t), math.cos(sol.omega1 * t)
-        # the exact shell pair, then its difference from the run
-        coeffs[:] = s0, s1, sol.omega0 * c0, sol.omega1 * c1
-        np.dot(matrix, profiles, out=exact)
-        np.subtract(pair, diff, out=diff)
-        # core.scale turns raw sums of squares into L2 norms
-        err_psi = math.sqrt(core.scale * (float(np.vdot(dpsi, dpsi).real) + rest_psi))
-        err_pi = math.sqrt(core.scale * (float(np.vdot(dpi, dpi).real) + rest_pi)) / sol.omega1
-        max_err = max(max_err, max(err_psi, err_pi) / scale)
-        gamma_err = max(gamma_err, abs(g - sol.sigma0 * s0) / sol.sigma0)
 
-    times_arr = np.array(times)
-    gamma_arr = np.array(gammas)
-    spec = windowed_spectrum(times_arr, forces, 0.5 * (times_arr[0] + times_arr[-1]),
-                             times_arr[-1] - times_arr[0] + integ.dt * integ.steps_per_sample)
+    def add_chunk(stop: int) -> None:
+        """Take the held chunk, the samples up to ``stop``, into ``worst``."""
+        size = (stop - 1) % _PERSISTENCE_CHUNK + 1
+        phases = np.multiply.outer(times[stop - size: stop], omegas)
+        # rows (sin omega0 t, sin omega1 t) and (omega0 cos omega0 t, omega1 cos omega1 t)
+        np.sin(phases, out=coeffs[:size, 0])
+        np.multiply(omegas, np.cos(phases), out=coeffs[:size, 1])
+        d = diff[: 2 * size]
+        np.matmul(coeffs[:size].reshape(-1, 2), profiles, out=d)
+        np.subtract(rows[: 2 * size], d, out=d)
+        np.maximum(worst, np.vecdot(d, d).reshape(size, 2).max(axis=0), out=worst)
+
+    for i, t in enumerate(core.samples(count, state0.time)):
+        times[i], gammas[i], forces[i] = t, core.coupling(), core.force
+        slot = i % _PERSISTENCE_CHUNK
+        held[slot] = pair
+        if slot == _PERSISTENCE_CHUNK - 1:
+            add_chunk(i + 1)
+    if (count + 1) % _PERSISTENCE_CHUNK:
+        add_chunk(count + 1)
+    # the largest error of a sample is that of the largest sums, since the
+    # error grows with them; core.scale turns raw sums of squares into L2 norms
+    errors = np.sqrt(core.scale * (worst + rest_sq))
+    errors[1] /= sol.omega1
+    scale = math.sqrt(grid.l2sq(sol.phi0)) + math.sqrt(grid.l2sq(sol.phi1))
+    max_err = float(errors.max()) / scale
+    gamma_err = float(np.max(np.abs(gammas - sol.sigma0 * np.sin(sol.omega0 * times)))) / sol.sigma0
+
+    spec = windowed_spectrum(times, forces, 0.5 * (times[0] + times[-1]),
+                             times[-1] - times[0] + integ.dt * integ.steps_per_sample)
     peaks = _top_two_positive_peaks(spec.freqs, spec.amps)
     conc, _ = concentration_ratio(spec, 3)
     return PersistenceReport(
-        times=times_arr,
-        gamma=gamma_arr,
+        times=times,
+        gamma=gammas,
         max_relative_error=max_err,
         gamma_error=gamma_err,
         force_peaks=peaks,

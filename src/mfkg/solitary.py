@@ -726,20 +726,37 @@ class ManifoldTable:
         """|<S, Psi>| per omega from p, its reciprocal row times the shell sums ((re, im) of u1, u0)."""
         return np.abs(p[:, 0] + 1j * p[:, 1] + 1j * w * (p[:, 2] + 1j * p[:, 3])) / self._box_vol
 
-    def _scan(self, state: FieldState) -> _Scan:
+    def _scan_fields(self) -> np.ndarray:
+        """Scratch for :meth:`_scan`: a complex (2, *grid.shape) pair of fields.
+
+        :meth:`distance` and :meth:`distances` make one per call, which
+        every snapshot of the call reuses, as :meth:`_chunk_buffers` does
+        for the profiles: a snapshot's round trip then makes no full-size
+        temporaries, and the table keeps no scratch between calls.
+        """
+        return np.empty((2, *self.rho.grid.shape), dtype=complex)
+
+    def _scan(self, state: FieldState, fields: np.ndarray) -> _Scan:
         """What the polish needs of one snapshot, which is not kept.
 
-        The best is the scan's over the candidates and the zero wave; the
-        bracket is None unless the best omega lies inside the spectral gap.
+        The snapshot's weighted hats and their windowed round trip run in
+        ``fields`` (:meth:`_scan_fields`).  The best is the scan's over the
+        candidates and the zero wave; the bracket is None unless the best
+        omega lies inside the spectral gap.
         """
         require_same_grid(self.rho, state)
         m = self.m
         grid = state.grid
-        psi_w, pi_w = _windowed_weighted_hats(state, self.spec, m)
+        psi_w, pi_w = _windowed_weighted_hats(state, self.spec, m, out=fields)
         state_sq = float((np.vdot(psi_w, psi_w) + np.vdot(pi_w, pi_w)).real) / self._box_vol
-        u = np.stack((self._w1 * psi_w, self._w0 * pi_w))
+        # u = (W1 psi_w, W0 pi_w), in place of the hats
+        np.multiply(self._w1, psi_w, out=psi_w)
+        np.multiply(self._w0, pi_w, out=pi_w)
+        u = fields
         if self._window is not None:
-            u = grid.forward(self._window * grid.inverse(u))
+            grid.inverse(u, out=u)
+            np.multiply(self._window, u, out=u)
+            grid.forward(u, out=u)
         v = self._conj_rho * np.take(u.reshape(2, -1), self._points, axis=1)
         v = v.view(np.float64).reshape(2, -1, 2)
         terms = np.stack([np.bincount(self._point_shell, v[row, :, part], self._k2.size)
@@ -822,7 +839,7 @@ class ManifoldTable:
 
     def distance(self, state: FieldState) -> tuple[float, float | None]:
         """(distance, best_omega) as documented in :func:`manifold_distance`: a lockstep of one."""
-        return self._polished([self._scan(state)])[0]
+        return self._polished([self._scan(state, self._scan_fields())])[0]
 
     def distances(self, snapshots) -> tuple[np.ndarray, np.ndarray, list]:
         """(times, distances, best_omegas) of :meth:`distance` at each snapshot, bit for bit.
@@ -836,7 +853,8 @@ class ManifoldTable:
         """
         times, results, group, held = [], [], [], 0
         # the generator drops each snapshot once scanned, the last one too
-        for time, scan in ((snap.time, self._scan(snap)) for snap in snapshots):
+        fields = self._scan_fields()
+        for time, scan in ((snap.time, self._scan(snap, fields)) for snap in snapshots):
             times.append(time)
             if group and held + scan.terms.size > _POLISH_ENTRIES:
                 results += self._polished(group)

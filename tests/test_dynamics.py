@@ -1,4 +1,5 @@
 """Splitting integrator: exactness of the sub-flows, conservation, sponge."""
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -526,6 +527,66 @@ def test_block_update_matches_per_step_route(dim, points, length, sps, pot, monk
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
+def test_blocks_of_16_16_and_5_match_single_steps(grid, rho, pot):
+    # 37 steps per sample are two full blocks and a remainder of 5, each in
+    # its own bound buffers; one step per sample is a one-step block
+    state = localized_state(grid, np.random.default_rng(11), scale=0.5)
+    integ = Integrator(0.02, steps_per_sample=37)
+    assert [entry[0] for entry in _ShellCore(grid, integ, rho, pot, 1.0).plan] == [16, 16, 5]
+    T = 10 * 37 * integ.dt
+    blocks = evolve(state, rho, pot, integ, T, Observers(snapshot_stride=10))
+    steps = evolve(state, rho, pot, Integrator(0.02), T, Observers(snapshot_stride=370))
+    assert np.array_equal(blocks.times, steps.times[::37])
+    assert np.max(np.abs(blocks.gamma - steps.gamma[::37])) <= 1e-12 * np.max(np.abs(steps.gamma))
+    got, want = blocks.snapshots[-1], steps.snapshots[-1]
+    assert got.time == want.time
+    for a, b in ((got.psi, want.psi), (got.pi, want.pi)):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_cores_advanced_in_alternation_match_a_lone_core_bit_for_bit(grid, rho, pot):
+    # each core binds its own block buffers: two cores built from identical
+    # inputs share none, and stepping them in turn leaves each with the bits
+    # of a core stepped alone
+    state = localized_state(grid, np.random.default_rng(12), scale=0.5)
+    integ = Integrator(0.02, steps_per_sample=37)
+    lone, first, second = (_ShellCore(grid, integ, rho, pot, 1.0) for _ in range(3))
+    buffers = [[array for entry in core.plan for array in entry if isinstance(array, np.ndarray)]
+               for core in (first, second)]
+    assert not any(np.shares_memory(a, b) for a in buffers[0] for b in buffers[1])
+    for core in (lone, first, second):
+        core.load(state.psi, state.pi)
+    for _ in range(6):
+        lone.advance()
+        for core in (first, second):
+            core.advance()
+            assert core.pair.tobytes() == lone.pair.tobytes()
+            assert (core.gamma, core.force) == (lone.gamma, lone.force)
+    for core in (first, second):
+        for got, want in zip(core.fields(), lone.fields()):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_a_shell_core_interval_allocates_no_pair_sized_array():
+    """The blocks run in their bound buffers: 20 intervals at the bench's
+    277 coupled shells allocate only the recurrence's lists, under a quarter
+    of the shell pair's 8864 bytes."""
+    sol = build_counterexample(2.0, -1.0, make_grid(1, 1024, 64.0))
+    core = _ShellCore(sol.rho.grid, Integrator(0.005, 10), sol.rho, sol.potential(), sol.m)
+    state = sol.initial_state()
+    core.load(state.psi, state.pi)
+    core.advance()
+    tracemalloc.start()
+    try:
+        for _ in range(20):
+            core.advance()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert core.pair.nbytes == 2 * 277 * 16
+    assert peak < core.pair.nbytes // 4
+
+
 def test_block_table_rows_are_capped(grid, rho, pot):
     # the table grows with steps_per_sample only up to the block cap
     core = _ShellCore(grid, Integrator(0.01, steps_per_sample=1000), rho, pot, 1.0)
@@ -704,7 +765,7 @@ def test_blocks_run_on_the_contiguous_coupled_pair(sponge, pot):
         # the shell pair holds one column per coupled shell, and the views
         # that the interval writes through all sit on it; the residual lags
         assert core.pair.shape[1] < core.modes.size < grid.num_points
-        for view in (core.flat, core.view, core.swapped, core.columns):
+        for view in (core.flat, core.view, *core.halves[:2], core.columns):
             assert np.shares_memory(view, core.pair)
             assert not np.shares_memory(view, core.residual)
         before = core.residual.copy()

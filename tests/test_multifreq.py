@@ -1,4 +1,6 @@
 """Two-frequency counterexample: mixed couplings and persistence checks."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -166,6 +168,61 @@ def test_persistence_errors_match_reference_formula(sol):
     max_err, gamma_err = persistence_errors_reference(sol, integ, 20.0)
     assert report.max_relative_error == pytest.approx(max_err, rel=1e-12)
     assert report.gamma_error == pytest.approx(gamma_err, rel=1e-12)
+
+
+CHUNK = mfkg.multifreq._PERSISTENCE_CHUNK
+
+
+@pytest.mark.parametrize("samples", [9, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1])
+def test_persistence_chunks_match_the_reference_at_their_boundaries(sol, samples):
+    # runs one sample short of, on and one sample past a whole number of
+    # held chunks, and a run shorter than one chunk
+    integ = Integrator(0.01, 10)
+    T = (samples - 1) * integ.dt * integ.steps_per_sample
+    report = verify_persistence(sol, integ, T)
+    assert report.times.size == samples
+    max_err, gamma_err = persistence_errors_reference(sol, integ, T)
+    assert report.max_relative_error == pytest.approx(max_err, rel=1e-12)
+    assert report.gamma_error == pytest.approx(gamma_err, rel=1e-12)
+    traj = evolve(sol.initial_state(), sol.rho, sol.potential(), integ, T)
+    assert report.gamma.tobytes() == traj.gamma.tobytes()
+
+
+def test_persistence_chunk_does_not_grow_with_the_run(sol):
+    """Ten times the samples add only the per-sample scalars to the run's peak.
+
+    A sample adds its time, gamma and force (40 bytes) and its share of the
+    force spectrum's arrays, within 256 bytes; holding each sample's shell
+    pair would add 2 x 277 x 16 bytes per sample.
+    """
+    integ = Integrator(0.01, 10)
+    verify_persistence(sol, integ, 20.0)
+    peaks = []
+    for T in (20.0, 200.0):
+        tracemalloc.start()
+        try:
+            verify_persistence(sol, integ, T)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    extra = _sample_count(integ, 200.0) - _sample_count(integ, 20.0)
+    assert peaks[1] - peaks[0] < 256 * extra
+
+
+def test_a_nan_in_the_shell_pair_fails_the_persistence_check(sol, monkeypatch):
+    # one sample's shell pair turns NaN mid-chunk, after its gamma was
+    # handed on: its error is NaN, and the check fails instead of skipping it
+    integ, advance, calls = Integrator(0.01, 10), _ShellCore.advance, [0]
+
+    def spoiled(core):
+        advance(core)
+        calls[0] += 1
+        if calls[0] == CHUNK + 3:
+            core.pair[0, 0] = complex("nan")
+
+    monkeypatch.setattr(_ShellCore, "advance", spoiled)
+    report = verify_persistence(sol, integ, 20.0)
+    assert np.isnan(report.max_relative_error) and not report.passed
 
 
 @pytest.mark.parametrize("b", [-0.5, -1.0, -1.5])
