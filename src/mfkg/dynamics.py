@@ -364,8 +364,15 @@ class _Core:
         return g, self.force, self.pot.value(g)
 
     def _flow(self, view: np.ndarray, cos: np.ndarray, sin: np.ndarray, rotated: np.ndarray) -> None:
-        """Free flow in place of the float64 view of a raw pair, by the tables' tau."""
-        np.multiply(sin, view[::-1], out=rotated)
+        """Free flow in place of the float64 view of a raw pair, by the tables' tau.
+
+        The sine terms run row by row, (sin / omega) pi into psi's row and
+        -(omega sin) psi into pi's: a product against the swapped pair
+        view[::-1] would go through numpy's iterator buffers for its
+        negative stride.
+        """
+        np.multiply(sin[0], view[1], out=rotated[0])
+        np.multiply(sin[1], view[0], out=rotated[1])
         view *= cos
         view += rotated
 
@@ -432,10 +439,9 @@ class _ShellCore(_Core):
         block = min(sps, _BLOCK_STEPS)
         size, omega = self.weight.size, np.sqrt(self.weight)
         # the shell pair flat, as float64 and as (re, im) columns, and the
-        # flow's scratch over it; both float64 pairs also as their two rows
+        # flow's scratch over it
         self.flat, self.view = self.pair.reshape(-1), self.pair.view(np.float64)
         self.rotated = self.scratch[: self.view.size].reshape(self.view.shape)
-        self.halves = (*self.view, *self.rotated)
         self.columns = self.flat.view(np.float64).reshape(-1, 2)
         # a block's summed kicks, flat over the shell pair, and their (re, im) columns
         self.buffer = np.empty_like(self.flat)
@@ -455,14 +461,13 @@ class _ShellCore(_Core):
             """A block of ``steps`` steps: its tables and the buffers that :meth:`advance` writes.
 
             (steps, gamma rows 1..steps, transposed kick rows, the flow
-            tables of :func:`_pair_rotation_tables`, the sine table as its
-            two rows, the float64 (steps, 2) product of the gamma rows with
-            the start state and its complex entries b_1..b_s, the kick
-            weights c and their (re, im) columns).
+            tables of :func:`_pair_rotation_tables`, the float64 (steps, 2)
+            product of the gamma rows with the start state and its complex
+            entries b_1..b_s, the kick weights c and their (re, im) columns).
             """
             cos, sin = _pair_rotation_tables(omega, steps * integ.dt)
             products, weights = np.empty((steps, 2)), np.empty(steps + 1, dtype=complex)
-            return (steps, self.table[1: steps + 1], kicks[: steps + 1].T, cos, *sin,
+            return (steps, self.table[1: steps + 1], kicks[: steps + 1].T, cos, sin,
                     products, products.view(complex).reshape(-1),
                     weights, weights.view(np.float64).reshape(-1, 2))
 
@@ -567,8 +572,8 @@ class _ShellCore(_Core):
         residual lags one more interval.  Both products write into the
         plan entry's buffers (:meth:`_bind`): the b_i are read off the first
         as one list and c is written into its buffer in reverse.  The flow
-        multiplies the pair by a full cosine table and its sine rows one row
-        at a time, so that no product runs through numpy's iterator buffers.
+        (:meth:`_flow`) multiplies the pair by a full cosine table, so that
+        no product runs through numpy's iterator buffers.
         """
         self.pending += self.integ.steps_per_sample
         if not self.plan:
@@ -578,12 +583,11 @@ class _ShellCore(_Core):
         # split over threads by OpenBLAS at this size: slower on two threads
         # than on one, with first calls of ~10 ms.  np.dot into the plan's
         # buffers gives np.matmul's bits with ~0.4 us less overhead per call.
-        view, rotated = self.view, self.rotated
-        psi, pi, psi_turn, pi_turn = self.halves
+        view, rotated, flow = self.view, self.rotated, self._flow
         flat, columns, buffer, sums = self.flat, self.columns, self.buffer, self.sums
-        force, lags, dot, multiply = self.pot.force, self.lags, np.dot, np.multiply
+        force, lags, dot = self.pot.force, self.lags, np.dot
         d = self.force
-        for steps, rows, kick_rows, cos, sin_psi, sin_pi, products, b, c, c_columns in self.plan:
+        for steps, rows, kick_rows, cos, sin, products, b, c, c_columns in self.plan:
             dot(rows, columns, out=products)
             weights: list[complex] = [d]
             for i, g in enumerate(b.tolist(), 1):
@@ -593,13 +597,7 @@ class _ShellCore(_Core):
             c[::-1] = weights
             # the (psi, pi) halves of sum_j c_j R^{s-j} (0, e), per shell
             dot(kick_rows, c_columns, out=sums)
-            # the flow's sine terms row by row: (sin / omega) pi for psi and
-            # -(omega sin) psi for pi (a product with the swapped pair's
-            # negative stride goes through numpy's iterator buffers)
-            multiply(sin_psi, pi, out=psi_turn)
-            multiply(sin_pi, psi, out=pi_turn)
-            view *= cos
-            view += rotated
+            flow(view, cos, sin, rotated)
             flat += buffer
         self.gamma, self.force = g, d
 

@@ -278,7 +278,7 @@ def verify_persistence(
     sum of squares.  The error grows with the sums, so the run keeps only
     their largest psi and pi values (a NaN among them fails the check).  The
     times, gammas and forces go into arrays of the run's sample count, and
-    the gamma error is taken once, over the run's gammas.
+    the gamma error is taken once, over the run's gammas (NaN if a gamma is).
     Also verifies the spectral signature: the force
     trace, the F(gamma) that the core hands on with each sample's gamma,
     carries exactly two positive-frequency peaks, at omega0 and

@@ -765,7 +765,7 @@ def test_blocks_run_on_the_contiguous_coupled_pair(sponge, pot):
         # the shell pair holds one column per coupled shell, and the views
         # that the interval writes through all sit on it; the residual lags
         assert core.pair.shape[1] < core.modes.size < grid.num_points
-        for view in (core.flat, core.view, *core.halves[:2], core.columns):
+        for view in (core.flat, core.view, core.columns):
             assert np.shares_memory(view, core.pair)
             assert not np.shares_memory(view, core.residual)
         before = core.residual.copy()

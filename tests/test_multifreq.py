@@ -211,7 +211,8 @@ def test_persistence_chunk_does_not_grow_with_the_run(sol):
 
 def test_a_nan_in_the_shell_pair_fails_the_persistence_check(sol, monkeypatch):
     # one sample's shell pair turns NaN mid-chunk, after its gamma was
-    # handed on: its error is NaN, and the check fails instead of skipping it
+    # handed on: its error is NaN, and the check fails instead of skipping
+    # it; the next interval's gamma reads the NaN, and so does the gamma error
     integ, advance, calls = Integrator(0.01, 10), _ShellCore.advance, [0]
 
     def spoiled(core):
@@ -223,6 +224,7 @@ def test_a_nan_in_the_shell_pair_fails_the_persistence_check(sol, monkeypatch):
     monkeypatch.setattr(_ShellCore, "advance", spoiled)
     report = verify_persistence(sol, integ, 20.0)
     assert np.isnan(report.max_relative_error) and not report.passed
+    assert np.isnan(report.gamma[CHUNK + 4]) and np.isnan(report.gamma_error)
 
 
 @pytest.mark.parametrize("b", [-0.5, -1.0, -1.5])
